@@ -54,6 +54,7 @@ from .numcore import (
     expm,
     psd_sqrt_factor,
     solve_lyapunov,
+    solve_sylvester,
     svd,
 )
 from .quadrature import QuadratureRule, clenshaw_curtis, log_trapezoid
@@ -101,6 +102,7 @@ __all__ = [
     "save_system",
     "select_channels",
     "solve_lyapunov",
+    "solve_sylvester",
     "svd",
     "synthesize_system",
     "tridiag_stencil",

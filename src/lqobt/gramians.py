@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnstableSystemError
-from .model import LqoSystem, ReducedLqoSystem
-from .numcore import psd_sqrt_factor, solve_lyapunov, svd
+from .model import ReducedLqoSystem
+from .numcore import psd_sqrt_factor, solve_lyapunov, solve_sylvester, svd
 
 __all__ = [
     "Gramians",
@@ -50,30 +50,35 @@ class Gramians:
     L: np.ndarray
 
 
+def _require_stable(sys, what="system"):
+    if not sys.is_stable:
+        raise UnstableSystemError(
+            f"{what} has spectral abscissa {sys.spectral_abscissa():.3e} >= 0; "
+            "its Gramians are undefined"
+        )
+
+
 def compute_gramians(sys):
     """Solve the three Lyapunov equations of `sys` and factor the results.
 
     Raises :class:`~lqobt.errors.UnstableSystemError` for systems that are
     not asymptotically stable (the Gramians do not exist then).
     """
-    if not sys.is_stable:
-        raise UnstableSystemError(
-            f"spectral abscissa {sys.spectral_abscissa():.3e} >= 0; "
-            "Gramians are undefined"
-        )
+    _require_stable(sys)
     A = sys.A
     P = solve_lyapunov(A.T, sys.B @ sys.B.T)
     Q1 = solve_lyapunov(A, sys.C.T @ sys.C)
-    W2 = np.zeros_like(A)
-    for M in sys.Ms:
-        W2 += M @ P @ M
-    Q2 = solve_lyapunov(A, W2)
-    Q = Q1 + Q2
-    U = psd_sqrt_factor(P)
-    L1 = psd_sqrt_factor(Q1)
-    L2 = psd_sqrt_factor(Q2)
-    L = np.hstack([L1, L2])
-    return Gramians(P=P, Q1=Q1, Q2=Q2, Q=Q, U=U, L1=L1, L2=L2, L=L)
+    Q2 = solve_lyapunov(A, sum((M @ P @ M for M in sys.Ms), np.zeros_like(P)))
+    U, L1, L2 = (psd_sqrt_factor(X) for X in (P, Q1, Q2))
+    return Gramians(P=P, Q1=Q1, Q2=Q2, Q=Q1 + Q2, U=U, L1=L1, L2=L2, L=np.hstack([L1, L2]))
+
+
+def _observability_gramian(sys, what="system"):
+    """``Q = Q1 + Q2`` of a stable `sys` from two Lyapunov solves: ``P``,
+    then ``Q``, which is linear in its source ``C'C + sum_q M_q P M_q``."""
+    _require_stable(sys, what)
+    P = solve_lyapunov(sys.A.T, sys.B @ sys.B.T)
+    return solve_lyapunov(sys.A, sys.C.T @ sys.C + sum(M @ P @ M for M in sys.Ms))
 
 
 def hankel_singular_values(gramians):
@@ -139,42 +144,37 @@ def h2_norm(sys, gramians=None):
     integral of ``||h1||_F^2`` plus the double integral of the squared
     quadratic kernels summed over channels.
     """
-    if gramians is None:
-        gramians = compute_gramians(sys)
-    val = np.trace(sys.B.T @ gramians.Q @ sys.B)
+    Q = _observability_gramian(sys) if gramians is None else gramians.Q
+    val = np.trace(sys.B.T @ Q @ sys.B)
     return float(np.sqrt(max(val, 0.0)))
 
 
 def h2_error(sys, rom):
     """H2-type norm of the difference system between `sys` and `rom`.
 
-    Builds the parallel-coupled error system (block-diagonal dynamics,
-    stacked inputs, differenced outputs, ``diag(M_q, -M_q_r)`` quadratic
-    terms) and returns its :func:`h2_norm`. Raises
-    :class:`~lqobt.errors.UnstableSystemError` if `rom` is unstable, which
-    data-driven reduction can produce.
+    The difference system has dynamics ``diag(A, A_r)``, stacked inputs,
+    outputs ``[C, -C_r]`` and quadratic terms ``diag(M_q, -M_r,q)``. Its
+    Gramians are never formed whole: with ``X`` and ``K`` the n x r cross
+    blocks of its controllability and observability Gramians,
+
+    * ``A X + X A_r' + B B_r' = 0``,
+    * ``A' K + K A_r - C'C_r - sum_q M_q X M_r,q = 0``,
+
+    and the squared error is
+    ``trace(B'QB) + 2 trace(B'K B_r) + trace(B_r'Q_r B_r)``.
+    Raises :class:`~lqobt.errors.UnstableSystemError` if `sys` or `rom` is
+    unstable; data-driven reduction can produce an unstable `rom`.
     """
     if (sys.m, sys.p) != (rom.m, rom.p):
         raise ValueError(
             f"input/output dimensions differ: ({sys.m}, {sys.p}) vs "
             f"({rom.m}, {rom.p})"
         )
-    if not rom.is_stable:
-        raise UnstableSystemError(
-            "reduced model is unstable; the H2 error is undefined "
-            f"(abscissa {rom.spectral_abscissa():.3e})"
-        )
-    n, r = sys.n, rom.n
-    A_err = np.zeros((n + r, n + r))
-    A_err[:n, :n] = sys.A
-    A_err[n:, n:] = rom.A
-    B_err = np.vstack([sys.B, rom.B])
-    C_err = np.hstack([sys.C, -rom.C])
-    Ms_err = []
-    for M, Mr in zip(sys.Ms, rom.Ms):
-        Mq = np.zeros((n + r, n + r))
-        Mq[:n, :n] = M
-        Mq[n:, n:] = -Mr
-        Ms_err.append(Mq)
-    err_sys = LqoSystem(A_err, B_err, C_err, Ms_err)
-    return h2_norm(err_sys)
+    Qr = _observability_gramian(rom, "reduced model")
+    Q = _observability_gramian(sys)
+    B, Br = sys.B, rom.B
+    X = solve_sylvester(sys.A, rom.A, B @ Br.T)
+    W = -sys.C.T @ rom.C - sum(M @ X @ Mr for M, Mr in zip(sys.Ms, rom.Ms))
+    K = solve_sylvester(sys.A.T, rom.A.T, W)
+    val = np.trace(B.T @ Q @ B) + 2.0 * np.trace(B.T @ K @ Br) + np.trace(Br.T @ Qr @ Br)
+    return float(np.sqrt(max(val, 0.0)))

@@ -1,7 +1,8 @@
 """Dense linear-algebra kernels used throughout the package.
 
-Thin, contract-checked wrappers around LAPACK-backed routines plus a
-hand-rolled Lyapunov solver. Everything operates on plain numpy arrays.
+Thin, contract-checked wrappers around LAPACK-backed routines, including
+Bartels-Stewart Lyapunov and Sylvester solvers. Everything operates on
+plain numpy arrays.
 """
 
 from dataclasses import dataclass
@@ -11,7 +12,14 @@ import scipy.linalg as spla
 
 from .errors import IndefiniteMatrixError, LyapunovError
 
-__all__ = ["expm", "solve_lyapunov", "psd_sqrt_factor", "svd", "SvdResult"]
+__all__ = ["expm", "solve_lyapunov", "solve_sylvester", "psd_sqrt_factor", "svd", "SvdResult"]
+
+
+def _square(A):
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {A.shape}")
+    return A
 
 
 def expm(A, t=1.0):
@@ -29,9 +37,7 @@ def expm(A, t=1.0):
     -------
     Dense array of the same shape as `A`.
     """
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {A.shape}")
+    A = _square(A)
     if not np.isfinite(A).all() or not np.isfinite(t):
         raise ValueError("non-finite input to expm")
     if A.shape[0] == 0:
@@ -39,74 +45,67 @@ def expm(A, t=1.0):
     return spla.expm(A * float(t))
 
 
-def solve_lyapunov(A, W, tol=None, maxiter=100):
+def _hurwitz_schur(A):
+    """Real Schur form ``A = U T U'``. LAPACK puts each 2x2 block of `T` in
+    standard form (equal diagonal entries), so ``diag(T)`` holds the real
+    parts of the eigenvalues; a nonnegative one raises LyapunovError."""
+    T, U = spla.schur(A, output="real")
+    abscissa = T.diagonal().max(initial=-np.inf)
+    if abscissa >= 0.0:
+        raise LyapunovError(f"coefficient has an eigenvalue of real part {abscissa:.3e} >= 0")
+    return T, U
+
+
+def _solve_quasi_triangular(S, R, C, trana, tranb):
+    """``op(S) Y + Y op(R) = C`` for real Schur forms `S` and `R` (LAPACK
+    ``trsyl``; ``op`` transposes where the flag is ``"T"``)."""
+    if C.size == 0:
+        return C
+    Y, scale, info = spla.lapack.dtrsyl(S, R, C, trana=trana, tranb=tranb)
+    if info != 0:
+        raise LyapunovError(f"trsyl failed (info={info}): eigenvalues nearly cancel")
+    return Y / scale
+
+
+def solve_lyapunov(A, W):
     """Solve the observability-side Lyapunov equation ``A' X + X A + W = 0``.
 
-    Uses the matrix sign-function Newton iteration with determinant-based
-    scaling. `A` must be Hurwitz (all eigenvalues in the open left half
-    plane); otherwise the iteration cannot converge to ``sign(A) = -I`` and
-    a :class:`~lqobt.errors.LyapunovError` is raised after `maxiter` steps.
+    Bartels-Stewart: one real Schur factorization ``A = U T U'`` turns the
+    equation into ``T' Y + Y T = -U' W U``, which LAPACK ``trsyl`` solves by
+    back substitution. `A` must be Hurwitz (all eigenvalues in the open left
+    half plane); otherwise a :class:`~lqobt.errors.LyapunovError` is raised.
+    The solution is symmetrized on exit.
 
     For the controllability-side equation ``A P + P A' + W = 0`` call
     ``solve_lyapunov(A.T, W)``.
-
-    Parameters
-    ----------
-    A
-        Square Hurwitz matrix.
-    W
-        Symmetric right-hand side of the same shape as `A`.
-    tol
-        Relative stopping tolerance on ``||A_k + I||_F``; defaults to
-        ``10 * n * eps``.
-    maxiter
-        Iteration cap.
-
-    Returns
-    -------
-    X
-        Symmetric solution (symmetrized on exit).
     """
-    A = np.asarray(A, dtype=float)
-    W = np.asarray(W, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {A.shape}")
+    A, W = _square(A), np.asarray(W, dtype=float)
     if W.shape != A.shape:
         raise ValueError(f"shape mismatch: A is {A.shape}, W is {W.shape}")
     if not (np.isfinite(A).all() and np.isfinite(W).all()):
         raise ValueError("non-finite input to solve_lyapunov")
-    n = A.shape[0]
-    if n == 0:
-        return np.zeros((0, 0))
-    if tol is None:
-        tol = 10 * n * np.finfo(float).eps
+    T, U = _hurwitz_schur(A)
+    X = U @ _solve_quasi_triangular(T, T, -(U.T @ W @ U), "T", "N") @ U.T
+    return 0.5 * (X + X.T)
 
-    A = A.copy()
-    X = W.copy()
-    sqrt_n = np.sqrt(n)
-    for it in range(1, maxiter + 1):
-        try:
-            lu, piv = spla.lu_factor(A)
-        except spla.LinAlgError as exc:
-            raise LyapunovError(
-                f"sign iteration hit a singular iterate at step {it}"
-            ) from exc
-        # determinant-based scaling c = |det A_k|^(1/n), computed in logs
-        logdet = np.log(np.abs(np.diag(lu))).sum()
-        c = np.exp(logdet / n)
-        if not np.isfinite(c) or c == 0.0:
-            c = 1.0
-        Ainv = spla.lu_solve((lu, piv), np.eye(n))
-        X = 0.5 * (X / c + c * (Ainv.T @ X @ Ainv))
-        A = 0.5 * (A / c + c * Ainv)
-        err = spla.norm(A + np.eye(n), "fro") / sqrt_n
-        if err <= tol:
-            X = 0.5 * X
-            return 0.5 * (X + X.T)
-    raise LyapunovError(
-        f"sign iteration did not converge in {maxiter} steps "
-        f"(residual {err:.2e}); is A Hurwitz?"
-    )
+
+def solve_sylvester(A, F, W):
+    """Solve the Sylvester equation ``A X + X F' + W = 0``.
+
+    Bartels-Stewart on the real Schur forms ``A = U S U'`` and
+    ``F = V R V'``: ``S Y + Y R' = -U' W V`` with ``X = U Y V'``. `A` is
+    n x n, `F` is r x r and `W` is n x r. Both `A` and `F` must be Hurwitz,
+    which makes the solution unique; otherwise a
+    :class:`~lqobt.errors.LyapunovError` is raised.
+    """
+    A, F, W = _square(A), _square(F), np.asarray(W, dtype=float)
+    if W.shape != (A.shape[0], F.shape[0]):
+        raise ValueError(f"shape mismatch: A is {A.shape}, F is {F.shape}, W is {W.shape}")
+    if not (np.isfinite(A).all() and np.isfinite(F).all() and np.isfinite(W).all()):
+        raise ValueError("non-finite input to solve_sylvester")
+    S, U = _hurwitz_schur(A)
+    R, V = _hurwitz_schur(F)
+    return U @ _solve_quasi_triangular(S, R, -(U.T @ W @ V), "N", "T") @ V.T
 
 
 def psd_sqrt_factor(X, rank_tol=1e-13, dust_tol=1e-12):
@@ -118,9 +117,7 @@ def psd_sqrt_factor(X, rank_tol=1e-13, dust_tol=1e-12):
     ``-dust_tol * ||X||_2``) are tolerated and clipped to zero; anything
     more negative raises :class:`~lqobt.errors.IndefiniteMatrixError`.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[0] != X.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {X.shape}")
+    X = _square(X)
     if not np.isfinite(X).all():
         raise ValueError("non-finite input to psd_sqrt_factor")
     if not np.allclose(X, X.T, rtol=0.0, atol=1e-12 * max(1.0, abs(X).max())):

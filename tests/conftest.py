@@ -9,8 +9,9 @@ the data-driven route.
 """
 
 import numpy as np
+import scipy.linalg as spla
 
-from lqobt import LqoSystem, QuadratureRule
+from lqobt import LqoSystem, QuadratureRule, compute_gramians, h2_norm
 from lqobt.numcore import expm
 
 
@@ -145,6 +146,21 @@ def tf_agree(sys_a, sys_b, points, rtol, scale_sys=None):
         denom2 = max(np.abs(tr).max(), 1e-12)
         dev2 = np.abs(ta - tb).max()
         assert dev2 <= rtol * denom2, f"H2 at {sp}: {dev2:.3e} > {rtol * denom2:.3e}"
+
+
+def reference_h2_error(sys_, rom):
+    """H2 error from the whole (n+r) difference system: block-diagonal
+    dynamics, stacked inputs, differenced outputs and ``diag(M_q, -M_r,q)``
+    quadratic terms, with its full Gramians. This is the assembly that
+    ``h2_error`` replaces by n x r cross-block solves; it is kept as the
+    oracle for them."""
+    err_sys = LqoSystem(
+        spla.block_diag(sys_.A, rom.A),
+        np.vstack([sys_.B, rom.B]),
+        np.hstack([sys_.C, -rom.C]),
+        [spla.block_diag(M, -Mr) for M, Mr in zip(sys_.Ms, rom.Ms)],
+    )
+    return h2_norm(err_sys, compute_gramians(err_sys))
 
 
 def scalar_s1():

@@ -10,7 +10,7 @@ definitions directly against dense numerical integrals of the kernels.
 import numpy as np
 import pytest
 
-from conftest import random_stable_system, scalar_s1, tf_agree
+from conftest import random_stable_system, reference_h2_error, scalar_s1, tf_agree
 from lqobt import (
     LqoSystem,
     ReducedLqoSystem,
@@ -264,3 +264,46 @@ def test_h2_error_input_validation():
     unstable = ReducedLqoSystem([[0.5]], [1.0], [1.0], [np.eye(1)], "time-qbt")
     with pytest.raises(UnstableSystemError):
         h2_error(sys_, unstable)
+
+
+def test_unstable_full_model_raises_unstable_system_error():
+    # the full model is checked as a system, before any Lyapunov solve can
+    # turn the failure into a LyapunovError
+    rom = ReducedLqoSystem([[-1.0]], [1.0], [1.0], [np.eye(1)], "intrusive-bt")
+    for A in ([[0.5]], [[0.0, 1.0], [-1.0, 0.0]]):
+        n = len(A)
+        sys_ = LqoSystem(A, np.ones(n), np.ones(n), [np.eye(n)])
+        with pytest.raises(UnstableSystemError):
+            h2_norm(sys_)
+        with pytest.raises(UnstableSystemError):
+            h2_error(sys_, rom)
+
+
+@pytest.mark.parametrize("case", ["acceptance", "mimo", "linear"])
+def test_h2_error_matches_assembled_error_system(case):
+    # The error is the square root of a trace that cancels down to the
+    # error's size, and both forms carry round-off of order eps * ||sys||^2
+    # in that trace. So agreement is bounded on the squared error, scaled by
+    # the squared norm of the full model. A 1e-12 bound relative to the
+    # error itself cannot hold: on the acceptance system the forms already
+    # differ by 6e-9 of the error at r=18. The synthesized systems' errors
+    # stay above 3e-4 of their norms, so there the error itself agrees to
+    # 1e-10 of the norm. The random linear system's errors fall to 1e-7 of
+    # its norm (its numerical rank is 11), and near such an error round-off
+    # alone moves either form by up to sqrt(eps) of the norm.
+    if case == "acceptance":
+        sys_ = synthesize_system(50, damping=(0.1, 3.0), gain_decay=0.85, seed=21)
+    elif case == "mimo":
+        sys_ = synthesize_system(40, m=2, p=2, damping=(0.1, 3.0), gain_decay=0.85, seed=5)
+    else:
+        sys_ = random_stable_system(np.random.default_rng(41), n=30, ms_scale=0.0)
+    g = compute_gramians(sys_)
+    norm = h2_norm(sys_, g)
+    hsv = hankel_singular_values(g)
+    rank = int(np.count_nonzero(hsv > 1e-13 * hsv[0]))
+    for r in range(2, min(20, rank) + 1):
+        rom = intrusive_bt(sys_, r, g)
+        got, want = h2_error(sys_, rom), reference_h2_error(sys_, rom)
+        assert abs(got**2 - want**2) <= 1e-12 * norm**2, r
+        if case != "linear":
+            assert abs(got - want) <= 1e-10 * norm, r

@@ -1,11 +1,11 @@
 """Tests for the dense numerical kernels: matrix exponential, Lyapunov
-solver, semidefinite square-root factors, and the deterministic SVD."""
+and Sylvester solvers, semidefinite square-root factors, and the deterministic SVD."""
 
 import numpy as np
 import pytest
 
 from lqobt.errors import IndefiniteMatrixError, LyapunovError
-from lqobt.numcore import expm, psd_sqrt_factor, solve_lyapunov, svd
+from lqobt.numcore import expm, psd_sqrt_factor, solve_lyapunov, solve_sylvester, svd
 
 
 # ---------------------------------------------------------------- expm
@@ -92,11 +92,65 @@ def test_lyapunov_unstable_coefficient_fails():
         solve_lyapunov(np.array([[1.0]]), np.array([[1.0]]))
 
 
+def test_lyapunov_unstable_complex_pair_fails():
+    # a 2x2 Schur block: the real part sits on the diagonal of the block
+    with pytest.raises(LyapunovError):
+        solve_lyapunov(np.array([[0.1, 1.0], [-1.0, 0.1]]), np.eye(2))
+
+
+def test_lyapunov_imaginary_axis_pair_fails():
+    with pytest.raises(LyapunovError):
+        solve_lyapunov(np.array([[0.0, 1.0], [-1.0, 0.0]]), np.eye(2))
+
+
 def test_lyapunov_shape_errors():
     with pytest.raises(ValueError):
         solve_lyapunov(np.ones((2, 3)), np.eye(2))
     with pytest.raises(ValueError):
         solve_lyapunov(-np.eye(2), np.eye(3))
+
+
+# ------------------------------------------------------ solve_sylvester
+
+
+def _hurwitz(rng, n):
+    G = rng.standard_normal((n, n)) / np.sqrt(n)
+    return G - (np.linalg.eigvals(G).real.max() + rng.uniform(0.3, 1.0)) * np.eye(n)
+
+
+def test_sylvester_residual():
+    rng = np.random.default_rng(43)
+    for _ in range(10):
+        n, r = (int(k) for k in rng.integers(1, 25, 2))
+        A, F = _hurwitz(rng, n), _hurwitz(rng, r)
+        W = rng.standard_normal((n, r))
+        X = solve_sylvester(A, F, W)
+        res = A @ X + X @ F.T + W
+        assert np.linalg.norm(res) <= 1e-10 * max(1.0, np.linalg.norm(W))
+
+
+def test_sylvester_diagonal_closed_form():
+    # A X + X F' + W = 0 with diagonal A, F: X_ij = -W_ij / (a_i + f_j)
+    a, f = np.array([-1.0, -2.0, -5.0]), np.array([-0.5, -3.0])
+    W = np.arange(6.0).reshape(3, 2)
+    X = solve_sylvester(np.diag(a), np.diag(f), W)
+    assert np.allclose(X, -W / (a[:, None] + f[None, :]), rtol=1e-13, atol=0)
+
+
+def test_sylvester_rejects_bad_input():
+    A, F = -np.eye(3), -np.eye(2)
+    with pytest.raises(ValueError):
+        solve_sylvester(np.ones((3, 2)), F, np.ones((3, 2)))
+    with pytest.raises(ValueError):
+        solve_sylvester(A, np.ones((2, 3)), np.ones((3, 2)))
+    with pytest.raises(ValueError):
+        solve_sylvester(A, F, np.ones((2, 3)))
+    with pytest.raises(ValueError):
+        solve_sylvester(A, F, np.full((3, 2), np.nan))
+    with pytest.raises(ValueError):
+        solve_sylvester(A, np.diag([-1.0, np.inf]), np.ones((3, 2)))
+    with pytest.raises(LyapunovError):
+        solve_sylvester(A, np.diag([-1.0, 0.5]), np.ones((3, 2)))
 
 
 # ------------------------------------------------------ psd_sqrt_factor
