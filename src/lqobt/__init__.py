@@ -12,7 +12,6 @@ The package provides two routes to the same reduced-order model:
 from .databt import (
     DataMatrices,
     KernelDataset,
-    StreamedQbt,
     build_data_matrices,
     build_freq_matrices,
     build_htilde,
@@ -72,7 +71,6 @@ __all__ = [
     "LyapunovError",
     "QuadratureRule",
     "ReducedLqoSystem",
-    "StreamedQbt",
     "SvdResult",
     "Trajectory",
     "UnstableSystemError",

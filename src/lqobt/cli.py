@@ -33,12 +33,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .databt import (
-    build_data_matrices,
-    collect_freq_data,
-    lqo_qbt_auto,
-    reduce_from_matrices,
-)
+from .databt import lqo_qbt_auto
 from .errors import UnstableSystemError
 from .gramians import (
     compute_gramians,
@@ -48,15 +43,9 @@ from .gramians import (
     intrusive_bt,
 )
 from .model import load_system, save_system, select_channels
-from .numcore import svd
 from .quadrature import clenshaw_curtis, log_trapezoid
 
 __all__ = ["main"]
-
-# sample matrices beyond this size switch to the Gram-accumulation path
-# (LAPACK decompositions are far slower per flop here than matrix products,
-# so the crossover favors streaming well before memory runs out)
-_STREAM_BYTES = 4e8
 
 
 def _parse_pair(text, name):
@@ -102,30 +91,6 @@ def _load(args):
     return sys_
 
 
-def _qbt(sys_, rule_p, rule_q, orders, domain):
-    """Singular values of the sample matrix and reduced models for the
-    requested orders, switching to the streaming path when the stacked
-    matrix would not fit comfortably in memory."""
-    if domain == "freq":
-        # conjugate closure doubles both node sets; the complex sample
-        # matrix is materialized in full, so keep it within budget
-        n_p, n_q = 2 * rule_p.nodes.size, 2 * rule_q.nodes.size
-        rows = n_q * sys_.p + sys_.p * n_p * n_q * sys_.m
-        if 16.0 * rows * n_p * sys_.m > 4 * _STREAM_BYTES:
-            raise ValueError(
-                "frequency-domain collection would need more than "
-                f"{4 * _STREAM_BYTES / 1e9:.1f} GB; lower --np/--nq "
-                "(or use --domain time, which streams)"
-            )
-        ds = collect_freq_data(sys_, rule_p, rule_q)
-        dm = build_data_matrices(ds)
-        res = svd(dm.H)
-        roms = [reduce_from_matrices(dm, r, provenance="freq-qbt", factors=res)
-                for r in orders]
-        return res.S, roms
-    return lqo_qbt_auto(sys_, rule_p, rule_q, orders, max_bytes=_STREAM_BYTES)
-
-
 def _write_csv(path, header, rows):
     with open(path, "w") as f:
         f.write(header + "\n")
@@ -161,7 +126,7 @@ def cmd_hsv(args):
     sys_ = _load(args)
     hsv_f = hankel_singular_values(compute_gramians(sys_))
     rule_p, rule_q = _rules_from_args(args)
-    hsv_r, _ = _qbt(sys_, rule_p, rule_q, [], args.domain)
+    hsv_r, _ = lqo_qbt_auto(sys_, rule_p, rule_q, [], domain=args.domain)
     r = args.order if args.order else min(hsv_f.size, hsv_r.size)
     os.makedirs(args.out, exist_ok=True)
     for fname, values in (("HSV_f.csv", hsv_f), ("HSV_r.csv", hsv_r)):
@@ -184,8 +149,8 @@ def cmd_reduce(args):
         # the method decides the domain; the node stagger depends on it
         args.domain = "freq" if args.method == "qbt-freq" else "time"
         rule_p, rule_q = _rules_from_args(args)
-        _, roms = _qbt(sys_, rule_p, rule_q, [args.order], args.domain)
-        rom = roms[0]
+        _, (rom,) = lqo_qbt_auto(sys_, rule_p, rule_q, [args.order],
+                                 domain=args.domain)
         n_p, n_q = rule_p.nodes.size, rule_q.nodes.size
 
     path = save_system(rom, args.out, name=args.name)
@@ -258,8 +223,9 @@ def cmd_h2_sweep(args):
             sub = argparse.Namespace(**vars(args))
             sub.np, sub.nq = n, n
             rule_p, rule_q = _rules_from_args(sub)
-            _, roms = _qbt(sys_, rule_p, rule_q, [args.order], args.domain)
-            return _safe_error(sys_, roms[0])
+            _, (rom,) = lqo_qbt_auto(sys_, rule_p, rule_q, [args.order],
+                                     domain=args.domain)
+            return _safe_error(sys_, rom)
 
         with ThreadPoolExecutor(
             max_workers=min(len(counts), os.cpu_count() or 1)
@@ -271,7 +237,7 @@ def cmd_h2_sweep(args):
         lo, hi = (int(v) for v in args.orders.split(":"))
         orders = list(range(lo, hi + 1))
         rule_p, rule_q = _rules_from_args(args)
-        _, roms = _qbt(sys_, rule_p, rule_q, orders, args.domain)
+        _, roms = lqo_qbt_auto(sys_, rule_p, rule_q, orders, domain=args.domain)
 
         def at_order(pair):
             r, rom = pair

@@ -23,13 +23,14 @@ Gramians without ever forming the factors.
 Row-block convention for the quadratic part: within each output channel the
 row block of the pair ``(k, j)`` sits at block index ``k * N_q + j`` (the
 controllability-side node is the outer index), and channels are stacked
-outermost. Any fixed row permutation yields an equivalent reduced model.
+outermost. Any orthogonal transform of the rows of ``[H | M | h]``, a
+fixed row permutation for one, yields an equivalent reduced model.
 """
 
 import json
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,7 +53,6 @@ __all__ = [
     "lqo_qbt_auto",
     "lqo_qbt_streamed",
     "reduce_from_matrices",
-    "StreamedQbt",
     "save_dataset",
     "load_dataset",
 ]
@@ -60,6 +60,10 @@ __all__ = [
 RANK_TOL = 1e-13
 TIE_TOL = 1e-12
 GRAM_RANK_TOL = 1e-8
+# sample matrices beyond this size switch to the Gram-accumulation path
+# (LAPACK decompositions are far slower per flop here than matrix products,
+# so the crossover favors streaming well before memory runs out)
+STREAM_BYTES = 4e8
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +168,8 @@ class KernelDataset:
                 raise ValueError(
                     f"{name} has shape {arr.shape}, expected {shape}"
                 )
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} holds non-finite samples")
 
 
 @dataclass
@@ -388,26 +394,32 @@ def build_mtilde(ds):
     ])
 
 
+def _io_blocks(y1_in, y2_in, y1_out, y2_quad, phi, rho):
+    """Input block ``h`` (= ``L' B``), output block ``g`` (= ``C U``) and
+    quadratic blocks ``K_q`` (= ``U' M_q U``) from samples of either domain
+    shaped like ``h1_in``, ``h2_in``, ``h1_out`` and ``h2_quad`` (or their
+    ``tf`` counterparts) of :class:`KernelDataset`."""
+    Nq, p, m = y1_in.shape
+    Np = y1_out.shape[0]
+    h_lin = (phi[:, None, None] * y1_in).reshape(Nq * p, m)
+    w_in = phi[None, None, :, None, None] * rho[None, :, None, None, None]
+    h_quad = (w_in * y2_in).reshape(p * Np * Nq * m, m)
+    h = np.vstack([h_lin, h_quad])
+
+    g = (rho[:, None, None] * y1_out).transpose(1, 0, 2).reshape(p, Np * m)
+
+    w_k = rho[None, :, None, None, None] * rho[None, None, :, None, None]
+    quad = w_k * y2_quad
+    K = [quad[q].transpose(0, 2, 1, 3).reshape(Np * m, Np * m) for q in range(p)]
+    return h, g, K
+
+
 def build_htilde_gtilde_ktilde(ds):
     """Input block ``h`` (= ``L' B``), output block ``g`` (= ``C U``) and
     quadratic blocks ``K_q`` (= ``U' M_q U``), time domain."""
     _require_domain(ds, "time")
-    rho, phi = ds.p_sqrt_weights, ds.q_sqrt_weights
-    Np, Nq, m, p = ds.Np, ds.Nq, ds.m, ds.p
-
-    h_lin = (phi[:, None, None] * ds.h1_in).reshape(Nq * p, m)
-    w_in = phi[None, None, :, None, None] * rho[None, :, None, None, None]
-    h_quad = (w_in * ds.h2_in).reshape(p * Np * Nq * m, m)
-    h = np.vstack([h_lin, h_quad])
-
-    g = (rho[:, None, None] * ds.h1_out).transpose(1, 0, 2).reshape(p, Np * m)
-
-    w_k = rho[None, :, None, None, None] * rho[None, None, :, None, None]
-    K = [
-        (w_k * ds.h2_quad)[q].transpose(0, 2, 1, 3).reshape(Np * m, Np * m)
-        for q in range(p)
-    ]
-    return h, g, K
+    return _io_blocks(ds.h1_in, ds.h2_in, ds.h1_out, ds.h2_quad,
+                      ds.q_sqrt_weights, ds.p_sqrt_weights)
 
 
 # ---------------------------------------------------------------------------
@@ -475,19 +487,8 @@ def build_freq_matrices(ds, realify=None):
     M = np.vstack([M1, M2])
     del M2
 
-    h_lin = (phi[:, None, None] * ds.tf1_in).reshape(Nq * p, m)
-    w_in = phi[None, None, :, None, None] * rho[None, :, None, None, None]
-    h_quad = (w_in * ds.tf2_cross).reshape(p * Np * Nq * m, m)
-    h = np.vstack([h_lin, h_quad])
-
-    g = (rho[:, None, None] * ds.tf1_out).transpose(1, 0, 2).reshape(p, Np * m)
-
-    w_k = rho[None, :, None, None, None] * rho[None, None, :, None, None]
-    K = [
-        (w_k * ds.tf2_quad)[q].transpose(0, 2, 1, 3).reshape(Np * m, Np * m)
-        for q in range(p)
-    ]
-
+    h, g, K = _io_blocks(ds.tf1_in, ds.tf2_cross, ds.tf1_out, ds.tf2_quad,
+                         phi, rho)
     dm = DataMatrices(H=H, M=M, h=h, g=g, K=K, domain="freq")
     if realify:
         dm = _realify(dm, ds)
@@ -565,11 +566,12 @@ def _realify(dm, ds):
     )
 
 
-def build_data_matrices(ds, realify=None):
+def build_data_matrices(ds):
     """Uniform entry point: assemble :class:`DataMatrices` from any dataset.
 
     Dispatches on the dataset's domain; single-input single-output data is
     just the one-by-one block special case of the general layout.
+    Frequency-domain datasets are realified when they are conjugate closed.
     """
     if ds.domain == "time":
         h, g, K = build_htilde_gtilde_ktilde(ds)
@@ -577,7 +579,7 @@ def build_data_matrices(ds, realify=None):
             H=build_htilde(ds), M=build_mtilde(ds), h=h, g=g, K=K,
             domain="time",
         )
-    return build_freq_matrices(ds, realify=realify)
+    return build_freq_matrices(ds)
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +593,7 @@ def _truncation_guard(S, r, max_r):
     rank = int(np.count_nonzero(S > RANK_TOL * S[0]))
     limit = min(rank, max_r)
     if not 1 <= r <= limit:
-        raise ValueError(f"order {r} outside [1, {limit}] (numerical rank)")
+        raise ValueError(f"order {r} outside [1, {limit}] (resolvable rank)")
     if r < S.size and S[r - 1] - S[r] <= TIE_TOL * S[0]:
         warnings.warn(
             f"truncation at r={r} splits a near-tied singular value pair; "
@@ -600,7 +602,7 @@ def _truncation_guard(S, r, max_r):
         )
 
 
-def reduce_from_matrices(dm, r, provenance="time-qbt", factors=None):
+def reduce_from_matrices(dm, r, factors=None):
     """Truncate the SVD of ``dm.H`` at order `r` and project the remaining
     matrices into the balanced coordinates.
 
@@ -609,7 +611,8 @@ def reduce_from_matrices(dm, r, provenance="time-qbt", factors=None):
     ``C_r = g Y S^{-1/2}``, ``M_rq = S^{-1/2} Y' K_q Y S^{-1/2}``
     with ``(Z, S, Y)`` the rank-`r` truncated SVD of ``H``. A precomputed
     decomposition of ``dm.H`` can be passed as `factors` so that sweeps
-    over several orders decompose only once.
+    over several orders decompose only once. The model's provenance is
+    ``"<domain>-qbt"``.
     """
     if np.iscomplexobj(dm.H):
         raise ValueError(
@@ -625,10 +628,17 @@ def reduce_from_matrices(dm, r, provenance="time-qbt", factors=None):
     B_r = Z1.T @ dm.h
     C_r = dm.g @ Y1
     Ms_r = [Y1.T @ Kq @ Y1 for Kq in dm.K]
-    return ReducedLqoSystem(A_r, B_r, C_r, Ms_r, provenance=provenance)
+    return ReducedLqoSystem(A_r, B_r, C_r, Ms_r, provenance=f"{dm.domain}-qbt")
 
 
-def lqo_qbt(ds, r, realify=None):
+def _reduce_orders(dm, orders):
+    """Singular values of ``dm.H`` and one reduced model per entry of
+    `orders`, all from a single decomposition."""
+    res = svd(dm.H)
+    return res.S, [reduce_from_matrices(dm, r, factors=res) for r in orders]
+
+
+def lqo_qbt(ds, r):
     """Quadrature-based balanced truncation from a kernel dataset.
 
     Assembles the five data matrices and reduces to order `r`; see
@@ -647,18 +657,25 @@ def lqo_qbt(ds, r, realify=None):
     -------
     :class:`~lqobt.model.ReducedLqoSystem`
     """
-    dm = build_data_matrices(ds, realify=realify)
-    tag = "time-qbt" if ds.domain == "time" else "freq-qbt"
-    return reduce_from_matrices(dm, r, provenance=tag)
+    return reduce_from_matrices(build_data_matrices(ds), r)
 
 
-def lqo_qbt_auto(sampler, rule_p, rule_q, orders, max_bytes=4e8):
-    """Time-domain QBT choosing between the direct and streaming paths.
+def _sample_bytes(n_p, n_q, m, p, itemsize):
+    """Size of the stacked sample matrix ``H`` for the given node counts."""
+    rows = n_q * p + p * n_p * n_q * m
+    return float(itemsize) * rows * n_p * m
 
-    Materializes the sample matrices and decomposes them exactly when they
-    fit within `max_bytes`; otherwise switches to the Gram-accumulation
-    path of :func:`lqo_qbt_streamed`. The sampler must expose ``m`` and
-    ``p`` attributes so the size can be estimated up front.
+
+def lqo_qbt_auto(sampler, rule_p, rule_q, orders, domain="time"):
+    """QBT from a sampler in either `domain` (``"time"`` or ``"freq"``).
+
+    Time-domain sample matrices are materialized and decomposed exactly
+    when ``H`` fits within ``STREAM_BYTES``; larger ones take the
+    Gram-accumulation path of :func:`lqo_qbt_streamed`. Frequency-domain
+    data is conjugate closed and realified; it cannot stream, so a
+    collection whose complex ``H`` would exceed ``4 * STREAM_BYTES`` is
+    refused before sampling. The sampler must expose ``m`` and ``p``
+    attributes so the size can be estimated up front.
 
     Returns
     -------
@@ -667,15 +684,22 @@ def lqo_qbt_auto(sampler, rule_p, rule_q, orders, max_bytes=4e8):
     """
     m, p = sampler.m, sampler.p
     n_p, n_q = rule_p.nodes.size, rule_q.nodes.size
-    rows = n_q * p + p * n_p * n_q * m
-    if 8.0 * rows * n_p * m > max_bytes:
-        out = lqo_qbt_streamed(sampler, rule_p, rule_q, orders)
-        return out.singular_values, out.roms
-    ds = collect_time_data(sampler, rule_p, rule_q)
-    dm = build_data_matrices(ds)
-    res = svd(dm.H)
-    roms = [reduce_from_matrices(dm, r, factors=res) for r in orders]
-    return res.S, roms
+    if domain == "time":
+        if _sample_bytes(n_p, n_q, m, p, 8) > STREAM_BYTES:
+            return lqo_qbt_streamed(sampler, rule_p, rule_q, orders)
+        ds = collect_time_data(sampler, rule_p, rule_q)
+    elif domain == "freq":
+        # conjugate closure doubles both node sets
+        if _sample_bytes(2 * n_p, 2 * n_q, m, p, 16) > 4 * STREAM_BYTES:
+            raise ValueError(
+                "frequency-domain collection would need more than "
+                f"{4 * STREAM_BYTES / 1e9:.1f} GB; lower --np/--nq "
+                "(or use --domain time, which streams)"
+            )
+        ds = collect_freq_data(sampler, rule_p, rule_q)
+    else:
+        raise ValueError(f"unknown domain {domain!r}")
+    return _reduce_orders(build_data_matrices(ds), orders)
 
 
 # ---------------------------------------------------------------------------
@@ -683,27 +707,18 @@ def lqo_qbt_auto(sampler, rule_p, rule_q, orders, max_bytes=4e8):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class StreamedQbt:
-    """Result of :func:`lqo_qbt_streamed`: the singular values of the
-    (never materialized) sample matrix and one reduced model per requested
-    order."""
-
-    singular_values: np.ndarray
-    orders: list
-    roms: list
-
-
 def lqo_qbt_streamed(sampler, rule_p, rule_q, orders, chunk=48):
     """Time-domain QBT that never materializes the stacked sample matrix.
 
-    Mathematically identical to :func:`lqo_qbt` (the singular value
-    decomposition of ``H`` is obtained from the eigendecomposition of the
-    Gram matrix ``H'H``, accumulated over row blocks), at the cost of
-    squaring the condition number: singular values below about ``1e-8``
-    of the largest cannot be resolved, and requested orders must stay above
-    that level. Intended for node counts in the hundreds, where the direct
-    path would need tens of gigabytes.
+    Accumulates ``H'H``, ``H'M`` and ``H'h`` over row blocks; the
+    eigendecomposition ``H'H = Y S^2 Y'`` then compresses the rows of
+    ``[H | M | h]`` to ``Z'[H | M | h]`` with the orthonormal
+    ``Z = H Y S^{-1}``, which leaves the reduced model of :func:`lqo_qbt`
+    unchanged. Squaring the condition number costs resolution: only
+    singular values above ``GRAM_RANK_TOL`` (1e-8) of the largest are
+    kept, and orders must stay within that resolvable rank. Intended for
+    node counts in the hundreds, where the direct path would need tens of
+    gigabytes.
 
     Parameters
     ----------
@@ -719,7 +734,8 @@ def lqo_qbt_streamed(sampler, rule_p, rule_q, orders, chunk=48):
 
     Returns
     -------
-    :class:`StreamedQbt`
+    tuple ``(singular_values, roms)`` with the resolvable singular values
+    of ``H`` and one reduced model per entry of `orders`.
     """
     t, rho = rule_p.nodes, rule_p.sqrt_weights
     tau, phi = rule_q.nodes, rule_q.sqrt_weights
@@ -732,25 +748,19 @@ def lqo_qbt_streamed(sampler, rule_p, rule_q, orders, chunk=48):
     H1 = _linear_block(h1_sum, phi, rho)
     M1 = _linear_block(dh1_sum, phi, rho)
 
-    h1_in = np.asarray(sampler.h1_grid(tau, zero))[:, 0]
-    h1_out = np.asarray(sampler.h1_grid(t, zero))[:, 0]
-    h2_in = np.moveaxis(np.asarray(sampler.h2_grid(t, tau, zero))[:, :, 0], 2, 0)
-    h2_quad = np.moveaxis(np.asarray(sampler.h2_grid(t, t, zero))[:, :, 0], 2, 0)
-
-    h_lin = (phi[:, None, None] * h1_in).reshape(Nq * p, m)
-    w_in = phi[None, None, :, None, None] * rho[None, :, None, None, None]
-    h2_rows = (w_in * h2_in)                                # (p, Np, Nq, m, m)
-    g = (rho[:, None, None] * h1_out).transpose(1, 0, 2).reshape(p, Np * m)
-    w_k = rho[None, :, None, None, None] * rho[None, None, :, None, None]
-    K = [
-        (w_k * h2_quad)[q].transpose(0, 2, 1, 3).reshape(Np * m, Np * m)
-        for q in range(p)
-    ]
+    h, g, K = _io_blocks(
+        np.asarray(sampler.h1_grid(tau, zero))[:, 0],
+        np.moveaxis(np.asarray(sampler.h2_grid(t, tau, zero))[:, :, 0], 2, 0),
+        np.asarray(sampler.h1_grid(t, zero))[:, 0],
+        np.moveaxis(np.asarray(sampler.h2_grid(t, t, zero))[:, :, 0], 2, 0),
+        phi, rho,
+    )
+    h_quad = h[Nq * p:].reshape(p, Np, Nq * m, m)
 
     nc = Np * m
     G_H = H1.T @ H1
     G_M = H1.T @ M1
-    w_h = H1.T @ h_lin
+    w_h = H1.T @ h[: Nq * p]
     for lo in range(0, Np, chunk):
         hi = min(lo + chunk, Np)
         ksl = slice(lo, hi)
@@ -764,10 +774,18 @@ def lqo_qbt_streamed(sampler, rule_p, rule_q, orders, chunk=48):
         rows = (hi - lo) * Nq * m
         Hblk = vals.transpose(0, 1, 2, 4, 3, 5).reshape(p * rows, nc)
         Mblk = dvals.transpose(0, 1, 2, 4, 3, 5).reshape(p * rows, nc)
-        hblk = h2_rows[:, ksl].reshape(p * rows, m)
         G_H += Hblk.T @ Hblk
         G_M += Hblk.T @ Mblk
-        w_h += Hblk.T @ hblk
+        w_h += Hblk.T @ h_quad[:, ksl].reshape(p * rows, m)
+
+    # a NaN or inf sample spreads into these sums; no block scan is needed
+    for name, arr in (("H'H", G_H), ("H'M", G_M), ("H'h", w_h), ("g", g),
+                      ("K", K)):
+        if not np.isfinite(arr).all():
+            raise ValueError(
+                f"the streamed {name} holds non-finite values; "
+                "the sampler returned NaN or inf"
+            )
 
     lam, Y = np.linalg.eigh(0.5 * (G_H + G_H.T))
     lam, Y = lam[::-1], np.ascontiguousarray(Y[:, ::-1])
@@ -777,27 +795,13 @@ def lqo_qbt_streamed(sampler, rule_p, rule_q, orders, chunk=48):
         if big.size and Y[big[0], j] < 0.0:
             Y[:, j] = -Y[:, j]
 
-    if S.size == 0 or S[0] == 0.0:
-        raise ValueError("the sample matrix H is identically zero")
-    rank = int(np.count_nonzero(S > GRAM_RANK_TOL * S[0]))
-    orders = list(orders)
-    roms = []
-    for r in orders:
-        if not 1 <= r <= rank:
-            raise ValueError(
-                f"order {r} outside [1, {rank}] (resolvable rank of the "
-                "Gram accumulation)"
-            )
-        Y1 = Y[:, :r]
-        s1 = S[:r]
-        A_r = ((Y1 / s1 ** 1.5).T @ G_M @ Y1) / np.sqrt(s1)
-        B_r = (Y1 / s1 ** 1.5).T @ w_h
-        C_r = (g @ Y1) / np.sqrt(s1)
-        Ms_r = [((Y1 / np.sqrt(s1)).T @ Kq @ (Y1 / np.sqrt(s1))) for Kq in K]
-        roms.append(
-            ReducedLqoSystem(A_r, B_r, C_r, Ms_r, provenance="time-qbt")
-        )
-    return StreamedQbt(singular_values=S, orders=orders, roms=roms)
+    k = int(np.count_nonzero(S > GRAM_RANK_TOL * S[0]))
+    Sk, Yt = S[:k, None], Y[:, :k].T
+    dm = DataMatrices(
+        H=Sk * Yt, M=(Yt @ G_M) / Sk, h=(Yt @ w_h) / Sk, g=g, K=K,
+        domain="time",
+    )
+    return _reduce_orders(dm, orders)
 
 
 # ---------------------------------------------------------------------------
@@ -807,117 +811,61 @@ def lqo_qbt_streamed(sampler, rule_p, rule_q, orders, chunk=48):
 _TIME_FIELDS = ("h1_sum", "dh1_sum", "h1_in", "h1_out",
                 "h2_sum", "dh2_sum", "h2_in", "h2_quad")
 _FREQ_FIELDS = ("tf1_in", "tf1_out", "tf2_cross", "tf2_quad")
+_NODE_FIELDS = ("p_nodes", "p_sqrt_weights", "q_nodes", "q_sqrt_weights")
+_SAMPLES_FILE = "samples.npz"
 
 
 def save_dataset(ds, directory):
-    """Write a dataset as one CSV per sample family plus a JSON manifest.
+    """Write a dataset as one ``samples.npz`` archive plus a JSON manifest.
 
-    Every CSV row holds the integer node indices of one sample block followed
-    by its row-major entries, printed with full round-trip precision, so that
-    :func:`load_dataset` restores the dataset bit-exactly.
+    The archive holds every array (sample families, effective nodes and
+    weights, and both generating rules) in numpy's binary format, so
+    :func:`load_dataset` restores the dataset bit-exactly; the manifest
+    holds the scalars and names the arrays.
     """
     os.makedirs(directory, exist_ok=True)
     fields = _TIME_FIELDS if ds.domain == "time" else _FREQ_FIELDS
+    arrays = {name: getattr(ds, name) for name in _NODE_FIELDS + fields}
+    for side, rule in (("rule_p", ds.rule_p), ("rule_q", ds.rule_q)):
+        arrays[f"{side}_nodes"] = rule.nodes
+        arrays[f"{side}_sqrt_weights"] = rule.sqrt_weights
+    np.savez(os.path.join(directory, _SAMPLES_FILE), **arrays)
     manifest = {
         "domain": ds.domain,
-        "m": ds.m,
-        "p": ds.p,
+        "m": int(ds.m),
+        "p": int(ds.p),
         "N_p": int(ds.Np),
         "N_q": int(ds.Nq),
         "conjugate_closure": bool(ds.conjugate_closure),
-        "p_nodes": [repr(v.item()) for v in ds.p_nodes],
-        "p_sqrt_weights": [repr(v.item()) for v in ds.p_sqrt_weights],
-        "q_nodes": [repr(v.item()) for v in ds.q_nodes],
-        "q_sqrt_weights": [repr(v.item()) for v in ds.q_sqrt_weights],
-        "rule_p": _rule_echo(ds.rule_p),
-        "rule_q": _rule_echo(ds.rule_q),
-        "fields": {},
+        "rule_p": {"kind": ds.rule_p.kind},
+        "rule_q": {"kind": ds.rule_q.kind},
+        "file": _SAMPLES_FILE,
+        "fields": list(fields),
     }
-    for name in fields:
-        arr = getattr(ds, name)
-        manifest["fields"][name] = {
-            "file": f"{name}.csv",
-            "shape": list(arr.shape),
-            "complex": bool(np.iscomplexobj(arr)),
-        }
-        _write_samples(os.path.join(directory, f"{name}.csv"), arr)
     with open(os.path.join(directory, "manifest.json"), "w") as f:
         json.dump(manifest, f, indent=1)
-
-
-def _rule_echo(rule):
-    return {
-        "kind": rule.kind,
-        "nodes": [repr(v.item()) for v in rule.nodes],
-        "sqrt_weights": [repr(v.item()) for v in rule.sqrt_weights],
-    }
-
-
-def _write_samples(path, arr):
-    # node axes first, block axes (at most the trailing two) last
-    n_block = min(2, arr.ndim)
-    lead = arr.shape[:-n_block] if arr.ndim > n_block else ()
-    block = int(np.prod(arr.shape[len(lead):], dtype=int))
-    flat = arr.reshape(lead + (block,)) if lead else arr.reshape(1, block)
-    with open(path, "w") as f:
-        idx_names = ",".join(f"i{d}" for d in range(len(lead))) if lead else "i0"
-        f.write(f"{idx_names},entries...\n")
-        for idx in np.ndindex(lead or (1,)):
-            row = flat[idx] if lead else flat[0]
-            # item() yields plain Python scalars whose repr round-trips
-            cells = ",".join(repr(v.item()).replace(" ", "") for v in row)
-            f.write(",".join(str(i) for i in idx) + "," + cells + "\n")
-
-
-def _read_samples(path, shape, is_complex):
-    conv = complex if is_complex else float
-    values = []
-    with open(path) as f:
-        next(f)
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            n_block = min(2, len(shape))
-            n_idx = max(len(shape) - n_block, 1)
-            parts = line.split(",")
-            values.extend(conv(v) for v in parts[n_idx:])
-    dtype = complex if is_complex else float
-    return np.array(values, dtype=dtype).reshape(shape)
 
 
 def load_dataset(directory):
     """Read a dataset written by :func:`save_dataset`."""
     with open(os.path.join(directory, "manifest.json")) as f:
         manifest = json.load(f)
-    kwargs = {
-        "domain": manifest["domain"],
-        "m": manifest["m"],
-        "p": manifest["p"],
-        "conjugate_closure": manifest["conjugate_closure"],
-        "p_nodes": np.array([float(v) for v in manifest["p_nodes"]]),
-        "p_sqrt_weights": np.array(
-            [float(v) for v in manifest["p_sqrt_weights"]]
-        ),
-        "q_nodes": np.array([float(v) for v in manifest["q_nodes"]]),
-        "q_sqrt_weights": np.array(
-            [float(v) for v in manifest["q_sqrt_weights"]]
-        ),
-        "rule_p": _rule_from_echo(manifest["rule_p"]),
-        "rule_q": _rule_from_echo(manifest["rule_q"]),
-    }
-    for name, info in manifest["fields"].items():
-        kwargs[name] = _read_samples(
-            os.path.join(directory, info["file"]),
-            tuple(info["shape"]),
-            info["complex"],
-        )
-    return KernelDataset(**kwargs)
-
-
-def _rule_from_echo(echo):
-    return QuadratureRule(
-        np.array([float(v) for v in echo["nodes"]]),
-        np.array([float(v) for v in echo["sqrt_weights"]]),
-        kind=echo["kind"],
+    path = os.path.join(directory, manifest["file"])
+    with np.load(path, allow_pickle=False) as archive:
+        arrays = {name: archive[name]
+                  for name in _NODE_FIELDS + tuple(manifest["fields"])}
+        rules = {
+            side: QuadratureRule(
+                archive[f"{side}_nodes"], archive[f"{side}_sqrt_weights"],
+                kind=manifest[side]["kind"],
+            )
+            for side in ("rule_p", "rule_q")
+        }
+    return KernelDataset(
+        domain=manifest["domain"],
+        m=manifest["m"],
+        p=manifest["p"],
+        conjugate_closure=manifest["conjugate_closure"],
+        **rules,
+        **arrays,
     )

@@ -166,3 +166,25 @@ def reference_h2_error(sys_, rom):
 def scalar_s1():
     """The unit scalar benchmark: A=-1, B=C=1, M=1."""
     return LqoSystem([[-1.0]], [1.0], [1.0], np.array([[1.0]]))
+
+
+class PoisonedSampler:
+    """Forwards to a system but plants one NaN in every second-order
+    kernel or transfer-function grid it returns."""
+
+    def __init__(self, sys_):
+        self._sys = sys_
+
+    def __getattr__(self, name):
+        return getattr(self._sys, name)
+
+    def _poisoned(self, name, *args):
+        out = np.array(getattr(self._sys, name)(*args))
+        out.flat[0] = np.nan
+        return out
+
+    def h2_grid(self, *args):
+        return self._poisoned("h2_grid", *args)
+
+    def tf2_grid(self, *args):
+        return self._poisoned("tf2_grid", *args)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    PoisonedSampler,
     assert_matrices_match,
     factor_products,
     freq_factors,
@@ -32,6 +33,7 @@ from lqobt import (
     load_dataset,
     log_trapezoid,
     lqo_qbt,
+    lqo_qbt_auto,
     save_dataset,
     synthesize_system,
 )
@@ -326,3 +328,46 @@ def test_freq_dataset_round_trip_is_bit_exact(tmp_path):
     rom_a = lqo_qbt(ds, 2)
     rom_b = lqo_qbt(back, 2)
     assert np.array_equal(rom_a.A, rom_b.A)
+
+
+def test_auto_freq_matches_lqo_qbt_bit_for_bit():
+    rng = np.random.default_rng(109)
+    sys_ = random_stable_system(rng, n=5, m=2, p=2)
+    rule_p = log_trapezoid(0.05, 20.0, 8)
+    rule_q = log_trapezoid(0.07, 28.0, 8)
+    S, roms = lqo_qbt_auto(sys_, rule_p, rule_q, [2, 4], domain="freq")
+    ds = collect_freq_data(sys_, rule_p, rule_q)
+    assert np.array_equal(S, svd(build_data_matrices(ds).H).S)
+    for r, rom in zip([2, 4], roms):
+        ref = lqo_qbt(ds, r)
+        assert rom.provenance == "freq-qbt"
+        for name in ("A", "B", "C"):
+            assert np.array_equal(getattr(rom, name), getattr(ref, name)), name
+        for got, want in zip(rom.Ms, ref.Ms):
+            assert np.array_equal(got, want)
+
+
+class UncallableSampler:
+    """Declares its channel counts and fails on any evaluation."""
+
+    m = p = 1
+
+    def tf1(self, s):
+        raise AssertionError("sampled despite the size guard")
+
+    tf2_grid = tf1
+
+
+def test_auto_freq_size_guard_precedes_sampling():
+    rule = log_trapezoid(1e-2, 1e2, 1200)
+    with pytest.raises(ValueError, match="lower --np/--nq"):
+        lqo_qbt_auto(UncallableSampler(), rule, rule, [2], domain="freq")
+    with pytest.raises(ValueError, match="domain"):
+        lqo_qbt_auto(UncallableSampler(), rule, rule, [1], domain="laplace")
+
+
+def test_non_finite_transfer_samples_are_rejected():
+    sys_ = scalar_s1()
+    with pytest.raises(ValueError, match="tf2_cross holds non-finite"):
+        collect_freq_data(PoisonedSampler(sys_), rule_of([1.0, 2.0]),
+                          rule_of([0.5, 3.0]))
