@@ -235,21 +235,17 @@ def collect_time_data(sampler, rule_p, rule_q, derivatives="exact",
     """
     t = rule_p.nodes
     tau = rule_q.nodes
-    zero = np.zeros(1)
 
-    h1_sum = np.asarray(sampler.h1_grid(tau, t))
-    if h1_sum.ndim != 4 or h1_sum.shape[:2] != (tau.size, t.size):
-        raise ValueError("sampler returned h1 samples of unexpected shape")
+    h1_sum = _h1_sum(sampler, tau, t)
     p, m = h1_sum.shape[2:]
-    h1_in = np.asarray(sampler.h1_grid(tau, zero))[:, 0]
-    h1_out = np.asarray(sampler.h1_grid(t, zero))[:, 0]
-    h2_sum = np.moveaxis(np.asarray(sampler.h2_grid(t, tau, t)), 3, 0)
-    h2_in = np.moveaxis(np.asarray(sampler.h2_grid(t, tau, zero))[:, :, 0], 2, 0)
-    h2_quad = np.moveaxis(np.asarray(sampler.h2_grid(t, t, zero))[:, :, 0], 2, 0)
+    h1_in, h2_in, h1_out, h2_quad = _io_samples(sampler, t, tau, p, m)
+    h2_sum = np.moveaxis(_grid(sampler, "h2_grid", (t, tau, t), (p, m, m)), 3, 0)
 
     if derivatives == "exact":
-        dh1_sum = np.asarray(sampler.dh1_grid(tau, t))
-        dh2_sum = np.moveaxis(np.asarray(sampler.dh2_grid(t, tau, t)), 3, 0)
+        dh1_sum = _grid(sampler, "dh1_grid", (tau, t), (p, m))
+        dh2_sum = np.moveaxis(
+            _grid(sampler, "dh2_grid", (t, tau, t), (p, m, m)), 3, 0
+        )
     elif derivatives == "fd":
         zsum = tau[:, None] + t[None, :]
         step = fd_step_rel * zsum
@@ -274,6 +270,45 @@ def collect_time_data(sampler, rule_p, rule_q, derivatives="exact",
         rule_p=rule_p, rule_q=rule_q,
         h1_sum=h1_sum, dh1_sum=dh1_sum, h1_in=h1_in, h1_out=h1_out,
         h2_sum=h2_sum, dh2_sum=dh2_sum, h2_in=h2_in, h2_quad=h2_quad,
+    )
+
+
+def _grid(sampler, method, nodes, tail):
+    """``sampler.<method>(*nodes)`` as an array, checked to have one axis
+    per node set followed by the channel axes `tail`."""
+    out = np.asarray(getattr(sampler, method)(*nodes))
+    expected = tuple(z.size for z in nodes) + tuple(tail)
+    if out.shape != expected:
+        raise ValueError(
+            f"sampler.{method} returned shape {out.shape}, expected {expected}"
+        )
+    return out
+
+
+def _h1_sum(sampler, tau, t):
+    """The first grid call, ``h1_grid(tau, t)``; its trailing axes fix the
+    channel counts ``(p, m)`` that every later grid call is checked
+    against."""
+    out = np.asarray(sampler.h1_grid(tau, t))
+    if out.ndim != 4 or out.shape[:2] != (tau.size, t.size):
+        raise ValueError(
+            f"sampler.h1_grid returned shape {out.shape}, expected "
+            f"({tau.size}, {t.size}, p, m)"
+        )
+    return out
+
+
+def _io_samples(sampler, t, tau, p, m):
+    """The single-node samples ``h1_in``, ``h2_in``, ``h1_out`` and
+    ``h2_quad`` in dataset layout, in the argument order of
+    :func:`_io_blocks`."""
+    zero = np.zeros(1)
+    pm, pmm = (p, m), (p, m, m)
+    return (
+        _grid(sampler, "h1_grid", (tau, zero), pm)[:, 0],
+        np.moveaxis(_grid(sampler, "h2_grid", (t, tau, zero), pmm)[:, :, 0], 2, 0),
+        _grid(sampler, "h1_grid", (t, zero), pm)[:, 0],
+        np.moveaxis(_grid(sampler, "h2_grid", (t, t, zero), pmm)[:, :, 0], 2, 0),
     )
 
 
@@ -740,21 +775,14 @@ def lqo_qbt_streamed(sampler, rule_p, rule_q, orders, chunk=48):
     t, rho = rule_p.nodes, rule_p.sqrt_weights
     tau, phi = rule_q.nodes, rule_q.sqrt_weights
     Np, Nq = t.size, tau.size
-    zero = np.zeros(1)
 
-    h1_sum = np.asarray(sampler.h1_grid(tau, t))
+    h1_sum = _h1_sum(sampler, tau, t)
     p, m = h1_sum.shape[2:]
-    dh1_sum = np.asarray(sampler.dh1_grid(tau, t))
+    dh1_sum = _grid(sampler, "dh1_grid", (tau, t), (p, m))
     H1 = _linear_block(h1_sum, phi, rho)
     M1 = _linear_block(dh1_sum, phi, rho)
 
-    h, g, K = _io_blocks(
-        np.asarray(sampler.h1_grid(tau, zero))[:, 0],
-        np.moveaxis(np.asarray(sampler.h2_grid(t, tau, zero))[:, :, 0], 2, 0),
-        np.asarray(sampler.h1_grid(t, zero))[:, 0],
-        np.moveaxis(np.asarray(sampler.h2_grid(t, t, zero))[:, :, 0], 2, 0),
-        phi, rho,
-    )
+    h, g, K = _io_blocks(*_io_samples(sampler, t, tau, p, m), phi, rho)
     h_quad = h[Nq * p:].reshape(p, Np, Nq * m, m)
 
     nc = Np * m
@@ -764,8 +792,9 @@ def lqo_qbt_streamed(sampler, rule_p, rule_q, orders, chunk=48):
     for lo in range(0, Np, chunk):
         hi = min(lo + chunk, Np)
         ksl = slice(lo, hi)
-        vals = np.moveaxis(np.asarray(sampler.h2_grid(t[ksl], tau, t)), 3, 0)
-        dvals = np.moveaxis(np.asarray(sampler.dh2_grid(t[ksl], tau, t)), 3, 0)
+        nodes = (t[ksl], tau, t)
+        vals = np.moveaxis(_grid(sampler, "h2_grid", nodes, (p, m, m)), 3, 0)
+        dvals = np.moveaxis(_grid(sampler, "dh2_grid", nodes, (p, m, m)), 3, 0)
         for arr in (vals, dvals):
             # fresh arrays from the sampler, weighted in place
             arr *= rho[None, ksl, None, None, None, None]

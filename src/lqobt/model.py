@@ -12,6 +12,7 @@ to see, plus a fixed-step simulator and Matrix Market based persistence.
 """
 
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,12 @@ __all__ = [
     "load_system",
     "save_system",
 ]
+
+# Byte budget shared by each system's node exponentials and sum grids. At
+# N=800 nodes and n=50 the streamed collection keeps two 256 MB sum grids
+# plus 16 MB of exponentials, so a collection of that size evicts nothing
+# it would reuse.
+_CACHE_BYTES = 2**30
 
 
 def _check_nonnegative(*arrays):
@@ -94,7 +101,10 @@ class LqoSystem:
         self.A, self.B, self.C = A, B, C
         self.Ms = tuple(Ms)
         self._abscissa = None
+        self._exp_cache = {}
         self._grid_cache = {}
+        self._cache_bytes = 0
+        self._cache_lock = threading.Lock()
         if check_stability and not self.is_stable:
             raise UnstableSystemError(
                 f"spectral abscissa {self.spectral_abscissa():.3e} >= 0"
@@ -248,7 +258,8 @@ class LqoSystem:
         once more when `shift`), flattened ``(v, w)``-major.
 
         Cached by node grid: bulk collection evaluates many row blocks
-        against the same two grids, and this product dominates its cost."""
+        against the same two grids, so each grid is built once per
+        collection."""
         key = (b.tobytes(), c.tobytes(), bool(shift))
         hit = self._grid_cache.get(key)
         if hit is not None:
@@ -256,26 +267,56 @@ class LqoSystem:
         T = self._right_stack(c)                      # (gamma, n, m)
         if shift:
             T = np.einsum("ij,wjm->wim", self.A, T)
-        F = np.stack([expm(self.A, t) for t in b])    # (beta, n, n)
+        F = np.stack([self._exp(t) for t in b])       # (beta, n, n)
         R = np.tensordot(F, T, axes=([2], [1]))       # (beta, n, gamma, m)
         R = np.ascontiguousarray(
             np.moveaxis(R, 1, 0).reshape(self.n, b.size * c.size * self.m)
         )
-        if len(self._grid_cache) >= 6:
-            self._grid_cache.clear()
-        self._grid_cache[key] = R
+        self._cache_put(self._grid_cache, key, R)
         return R
 
     def _left_stack(self, zs, shift):
         CA = self.C @ self.A if shift else self.C
         return np.stack(
-            [CA @ expm(self.A, t) for t in np.asarray(zs, dtype=float)]
+            [CA @ self._exp(t) for t in np.asarray(zs, dtype=float)]
         )
 
     def _right_stack(self, zs):
         return np.stack(
-            [expm(self.A, t) @ self.B for t in np.asarray(zs, dtype=float)]
+            [self._exp(t) @ self.B for t in np.asarray(zs, dtype=float)]
         )
+
+    def _exp(self, t):
+        """``exp(A t)``, computed once per distinct node on this system.
+
+        Only the grid evaluators use it; the pointwise kernels stay
+        uncached, as they are the tests' oracle and the finite-difference
+        collection feeds them arbitrary arguments."""
+        key = float(t)
+        E = self._exp_cache.get(key)
+        if E is None:
+            E = expm(self.A, key)
+            self._cache_put(self._exp_cache, key, E)
+        return E
+
+    def _cache_put(self, cache, key, arr):
+        """Store `arr` under the byte budget `_CACHE_BYTES` that the node
+        exponentials and the sum grids share: an insert that would exceed
+        it clears both caches first, and an array larger than the whole
+        budget is not stored. Stored arrays are read-only, as every later
+        hit returns the same object."""
+        if arr.nbytes > _CACHE_BYTES:
+            return
+        arr.flags.writeable = False
+        with self._cache_lock:
+            if key in cache:
+                return
+            if self._cache_bytes + arr.nbytes > _CACHE_BYTES:
+                self._exp_cache.clear()
+                self._grid_cache.clear()
+                self._cache_bytes = 0
+            cache[key] = arr
+            self._cache_bytes += arr.nbytes
 
     # -- transfer functions --------------------------------------------------
 

@@ -14,9 +14,12 @@ import pytest
 from conftest import tf_agree
 from lqobt import (
     compute_gramians,
+    h2_error,
     h2_norm,
     hankel_singular_values,
     load_system,
+    log_trapezoid,
+    lqo_qbt_auto,
     select_channels,
     synthesize_system,
 )
@@ -213,6 +216,26 @@ def test_h2_sweep_over_node_counts(tmp_path):
     assert np.all(table[:, 1:] > 0.0)
     # the intrusive reference does not depend on the node count
     assert table[0, 1] == table[1, 1]
+
+
+def test_h2_sweep_threads_match_sequential_runs(tmp_path):
+    # the node counts run in threads that share one system and its
+    # sampling cache; each error must equal a run on a fresh system
+    manifest = _synth(tmp_path, n=4)
+    out = str(tmp_path / "sweep.csv")
+    counts = (10, 20, 30)
+    rc = main(["h2-sweep", "--system", manifest,
+               "--nodes", ",".join(map(str, counts)), "--order", "2",
+               "--interval", "1e-2:1e2", "--out", out])
+    assert rc == 0
+    _, rows = _read_csv(out)
+    want = []
+    for n in counts:
+        sys_ = load_system(manifest)
+        rule = log_trapezoid(1e-2, 1e2, n)
+        _, (rom,) = lqo_qbt_auto(sys_, rule, rule, [2])
+        want.append(repr(h2_error(sys_, rom)))
+    assert [r[2] for r in rows] == want
 
 
 def test_h2_sweep_over_orders(tmp_path):

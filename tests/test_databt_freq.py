@@ -21,6 +21,7 @@ from conftest import (
     tf_agree,
 )
 from lqobt import (
+    LqoSystem,
     QuadratureRule,
     build_data_matrices,
     build_freq_matrices,
@@ -364,6 +365,23 @@ def test_auto_freq_size_guard_precedes_sampling():
         lqo_qbt_auto(UncallableSampler(), rule, rule, [2], domain="freq")
     with pytest.raises(ValueError, match="domain"):
         lqo_qbt_auto(UncallableSampler(), rule, rule, [1], domain="laplace")
+
+
+def test_tied_spectrum_warns_on_split():
+    # the tied system of the time-domain test, with the observability
+    # nodes staggered by half a geometric step as the CLI does
+    sys_ = LqoSystem(
+        -np.eye(2), np.eye(2), np.eye(2),
+        [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])],
+    )
+    a, b, n = 1e-2, 20.0, 12
+    shift = (b / a) ** (0.5 / (n - 1))
+    rule_p = log_trapezoid(a, b, n)
+    rule_q = log_trapezoid(a * shift, b * shift, n)
+    with pytest.warns(UserWarning, match="near-tied"):
+        lqo_qbt(collect_freq_data(sys_, rule_p, rule_q), 1)
+    with pytest.warns(UserWarning, match="near-tied"):
+        lqo_qbt_auto(sys_, rule_p, rule_q, [1], domain="freq")
 
 
 def test_non_finite_transfer_samples_are_rejected():

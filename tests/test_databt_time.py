@@ -441,6 +441,33 @@ def test_dataset_round_trip_is_bit_exact(tmp_path):
 # ------------------------------------------------------- non-finite input
 
 
+class ShortSampler:
+    """Forwards to a system but drops the first-axis tail of every array
+    one grid method returns."""
+
+    def __init__(self, sys_, method):
+        self._sys, self._method = sys_, method
+
+    def __getattr__(self, name):
+        attr = getattr(self._sys, name)
+        if name != self._method:
+            return attr
+        return lambda *args: np.asarray(attr(*args))[:-1]
+
+
+@pytest.mark.parametrize("method", ["h1_grid", "dh1_grid", "h2_grid", "dh2_grid"])
+@pytest.mark.parametrize("entry", [
+    lambda s, rule: collect_time_data(s, rule, rule),
+    lambda s, rule: lqo_qbt_streamed(s, rule, rule, [2]),
+], ids=["collect_time_data", "lqo_qbt_streamed"])
+def test_wrong_sample_shape_names_the_method(method, entry):
+    rng = np.random.default_rng(97)
+    sys_ = random_stable_system(rng, n=4, m=2, p=2)
+    rule = log_trapezoid(1e-2, 10.0, 5)
+    with pytest.raises(ValueError, match=rf"sampler\.{method} returned shape .* expected"):
+        entry(ShortSampler(sys_, method), rule)
+
+
 def test_non_finite_samples_are_rejected(tmp_path):
     rng = np.random.default_rng(89)
     sys_ = random_stable_system(rng, n=4, m=2, p=2)

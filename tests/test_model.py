@@ -1,6 +1,10 @@
 """Tests for the system container: construction contracts, kernel and
 transfer-function evaluators, simulation, and persistence."""
 
+import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -9,10 +13,14 @@ from lqobt import (
     LqoSystem,
     ReducedLqoSystem,
     Trajectory,
+    collect_time_data,
     load_system,
+    log_trapezoid,
+    lqo_qbt_streamed,
     save_system,
     select_channels,
 )
+from lqobt import databt, model
 from lqobt.errors import FrequencyCollisionError, UnstableSystemError
 from lqobt.numcore import expm
 
@@ -196,6 +204,120 @@ def test_grid_evaluation_is_reproducible():
     assert np.array_equal(first, second)
     deriv = sys_.dh2_grid(a, b, c)
     assert not np.allclose(deriv, first)  # distinct quantities
+
+
+# ------------------------------------------------- node exponential cache
+
+
+def _cache_case():
+    rng = np.random.default_rng(7)
+    sys_ = random_stable_system(rng, n=5, m=2, p=2)
+    rule_p = log_trapezoid(1e-2, 20.0, 9)
+    rule_q = log_trapezoid(5e-2, 10.0, 7)
+    nodes = set(rule_p.nodes) | set(rule_q.nodes) | {0.0}
+    return sys_, rule_p, rule_q, nodes
+
+
+def _fresh(sys_):
+    return LqoSystem(sys_.A, sys_.B, sys_.C, sys_.Ms)
+
+
+def _count_expm(monkeypatch):
+    calls = []
+
+    def counting(A, t=1.0):
+        calls.append(float(t))
+        return expm(A, t)
+
+    monkeypatch.setattr(model, "expm", counting)
+    return calls
+
+
+def _cached_bytes(sys_):
+    return sum(a.nbytes for cache in (sys_._exp_cache, sys_._grid_cache)
+               for a in cache.values())
+
+
+def test_collection_exponentiates_each_node_once(monkeypatch):
+    sys_, rule_p, rule_q, nodes = _cache_case()
+    calls = _count_expm(monkeypatch)
+    collect_time_data(sys_, rule_p, rule_q)
+    assert len(calls) == len(nodes)
+    assert set(calls) == nodes
+
+
+def test_streamed_exponentiations_do_not_depend_on_chunk(monkeypatch):
+    sys_, rule_p, rule_q, nodes = _cache_case()
+    calls = _count_expm(monkeypatch)
+    for chunk in (1, 4, 100):
+        calls.clear()
+        lqo_qbt_streamed(_fresh(sys_), rule_p, rule_q, [2], chunk=chunk)
+        assert len(calls) == len(nodes), chunk
+
+
+@pytest.mark.parametrize("fits_grid", [False, True])
+def test_cache_budget_evicts_without_changing_samples(monkeypatch, fits_grid):
+    sys_, rule_p, rule_q, nodes = _cache_case()
+    reference = collect_time_data(_fresh(sys_), rule_p, rule_q)
+    # room for eight exponentials, and with `fits_grid` for the largest
+    # sum grid as well; either way the collection must evict
+    exp_bytes = sys_.n * sys_.n * 8
+    grid_bytes = sys_.n * rule_q.nodes.size * rule_p.nodes.size * sys_.m * 8
+    budget = 8 * exp_bytes + (grid_bytes if fits_grid else 0)
+    monkeypatch.setattr(model, "_CACHE_BYTES", budget)
+    calls = _count_expm(monkeypatch)
+    capped_sys = _fresh(sys_)
+    capped = collect_time_data(capped_sys, rule_p, rule_q)
+    assert len(calls) > len(nodes)
+    for name in databt._TIME_FIELDS:
+        assert np.array_equal(getattr(capped, name), getattr(reference, name)), name
+    assert capped_sys._cache_bytes == _cached_bytes(capped_sys) <= budget
+
+
+class _YieldingDict(dict):
+    """Gives up the interpreter on every store, which widens the window
+    between a cache's membership check and its byte count update."""
+
+    def __setitem__(self, key, value):
+        time.sleep(1e-4)
+        super().__setitem__(key, value)
+
+
+@pytest.mark.parametrize("evict", [False, True])
+def test_cache_is_consistent_under_concurrent_use(monkeypatch, evict):
+    # more threads than cores share one system; without the lock two of
+    # them insert the same node twice or count an array a clear dropped,
+    # and the byte count falls out of step with the stored arrays
+    sys_, rule_p, rule_q, _ = _cache_case()
+    if evict:
+        monkeypatch.setattr(model, "_CACHE_BYTES", 8 * sys_.n * sys_.n * 8)
+    sys_._exp_cache, sys_._grid_cache = _YieldingDict(), _YieldingDict()
+    t, tau = rule_p.nodes, rule_q.nodes
+    ref_sys = _fresh(sys_)
+    want = (ref_sys.h2_grid(t, tau, t), ref_sys.dh1_grid(tau, t))
+
+    def work(_):
+        return sys_.h2_grid(t, tau, t), sys_.dh1_grid(tau, t)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(work, i) for i in range(16)]
+            results = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for got in results:
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert sys_._cache_bytes == _cached_bytes(sys_)
+
+
+def test_pointwise_kernels_stay_uncached():
+    sys_, _, _, _ = _cache_case()
+    sys_.h1(np.array([0.3, 0.7]))
+    sys_.h2(0.2, np.array([0.4, 0.9]))
+    sys_.dh2_dz2(0.2, 0.4)
+    assert not sys_._exp_cache and not sys_._grid_cache
 
 
 # ---------------------------------------------------- transfer functions
