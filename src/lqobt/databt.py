@@ -25,6 +25,12 @@ row block of the pair ``(k, j)`` sits at block index ``k * N_q + j`` (the
 controllability-side node is the outer index), and channels are stacked
 outermost. Any orthogonal transform of the rows of ``[H | M | h]``, a
 fixed row permutation for one, yields an equivalent reduced model.
+
+Frequency-domain data closed under conjugation gives complex matrices that
+a fixed unitary pairing of each ``(+w, -w)`` node pair makes real. The
+real matrices are assembled directly, from the divided differences at the
+positive node of each outer pair, and the samples' conjugate symmetry that
+this relies on is checked first.
 """
 
 import json
@@ -236,7 +242,7 @@ def collect_time_data(sampler, rule_p, rule_q, derivatives="exact",
     t = rule_p.nodes
     tau = rule_q.nodes
 
-    h1_sum = _h1_sum(sampler, tau, t)
+    h1_sum = _channel_grid(sampler, "h1_grid", (tau, t))
     p, m = h1_sum.shape[2:]
     h1_in, h2_in, h1_out, h2_quad = _io_samples(sampler, t, tau, p, m)
     h2_sum = np.moveaxis(_grid(sampler, "h2_grid", (t, tau, t), (p, m, m)), 3, 0)
@@ -285,15 +291,18 @@ def _grid(sampler, method, nodes, tail):
     return out
 
 
-def _h1_sum(sampler, tau, t):
-    """The first grid call, ``h1_grid(tau, t)``; its trailing axes fix the
+def _channel_grid(sampler, method, nodes):
+    """The first grid call of a collection, ``sampler.<method>(*nodes)``,
+    checked to have one axis per node set; its two trailing axes fix the
     channel counts ``(p, m)`` that every later grid call is checked
     against."""
-    out = np.asarray(sampler.h1_grid(tau, t))
-    if out.ndim != 4 or out.shape[:2] != (tau.size, t.size):
+    out = np.asarray(getattr(sampler, method)(*nodes))
+    lead = tuple(z.size for z in nodes)
+    if out.ndim != len(lead) + 2 or out.shape[: len(lead)] != lead:
+        expected = ", ".join(map(str, lead))
         raise ValueError(
-            f"sampler.h1_grid returned shape {out.shape}, expected "
-            f"({tau.size}, {t.size}, p, m)"
+            f"sampler.{method} returned shape {out.shape}, expected "
+            f"({expected}, p, m)"
         )
     return out
 
@@ -357,13 +366,13 @@ def collect_freq_data(sampler, rule_p, rule_q, conjugate_closure=True):
         th, rho = rule_p.nodes.copy(), rule_p.sqrt_weights.copy()
         s, phi = rule_q.nodes.copy(), rule_q.sqrt_weights.copy()
 
-    tf1_in = np.asarray(sampler.tf1(1j * s))
-    if tf1_in.ndim != 3 or tf1_in.shape[0] != s.size:
-        raise ValueError("sampler returned transfer samples of unexpected shape")
+    tf1_in = _channel_grid(sampler, "tf1", (1j * s,))
     p, m = tf1_in.shape[1:]
-    tf1_out = np.asarray(sampler.tf1(1j * th))
-    tf2_cross = np.moveaxis(np.asarray(sampler.tf2_grid(-1j * th, 1j * s)), 2, 0)
-    tf2_quad = np.moveaxis(np.asarray(sampler.tf2_grid(-1j * th, 1j * th)), 2, 0)
+    tf1_out = _grid(sampler, "tf1", (1j * th,), (p, m))
+    tf2_cross, tf2_quad = (
+        np.moveaxis(_grid(sampler, "tf2_grid", (-1j * th, 1j * z), (p, m, m)), 2, 0)
+        for z in (s, th)
+    )
 
     return KernelDataset(
         domain="freq", m=m, p=p,
@@ -472,8 +481,13 @@ def build_freq_matrices(ds, realify=None):
     argument held at a (negated) controllability-side node.
 
     With `realify` (defaults to the dataset's conjugate-closure flag) the
-    complex matrices are transformed by a fixed unitary pairing of conjugate
-    nodes into real ones; this requires the dataset to be conjugate closed.
+    matrices are the complex ones transformed by a fixed unitary pairing of
+    conjugate nodes, which makes them real; this requires a conjugate-closed
+    dataset whose samples are conjugate symmetric. The real matrices are
+    built directly: as ``X(-w) = conj X(w)`` on every paired axis, the two
+    rows (or columns) of each outer pair are ``sqrt(2)`` times the real and
+    imaginary parts of the entries at its positive node, so the divided
+    differences are evaluated only there.
 
     Returns
     -------
@@ -482,123 +496,147 @@ def build_freq_matrices(ds, realify=None):
     _require_domain(ds, "freq")
     if realify is None:
         realify = ds.conjugate_closure
+    if realify:
+        if not ds.conjugate_closure:
+            raise ValueError("realification requires a conjugate-closed dataset")
+        _check_conjugate_symmetry(ds)
     th, rho = ds.p_nodes, ds.p_sqrt_weights
     s, phi = ds.q_nodes, ds.q_sqrt_weights
     Np, Nq, m, p = ds.Np, ds.Nq, ds.m, ds.p
+    nl, nc = Nq * p, Np * m
+    # the outer paired axis of each block: the positive nodes only when
+    # realifying (the row node j of the linear rows, k of the quadratic ones)
+    o = slice(None, None, 2 if realify else 1)
 
-    denom1 = 1j * s[:, None] - 1j * th[None, :]            # (Nq, Np)
-    w1 = phi[:, None] * rho[None, :]
-    num1 = ds.tf1_in[:, None] - ds.tf1_out[None, :]        # (Nq, Np, p, m)
-    H1 = (-w1 / denom1)[..., None, None] * num1
-    snum1 = (
-        (1j * s)[:, None, None, None] * ds.tf1_in[:, None]
-        - (1j * th)[None, :, None, None] * ds.tf1_out[None, :]
-    )
-    M1 = (-w1 / denom1)[..., None, None] * snum1
-    H1 = H1.transpose(0, 2, 1, 3).reshape(Nq * p, Np * m)
-    M1 = M1.transpose(0, 2, 1, 3).reshape(Nq * p, Np * m)
+    def linear(shifted):
+        """Linear rows (j, l), laid out (j, p, l, m)."""
+        return _loewner(
+            ds.tf1_in[o, None], ds.tf1_out[None], s[o], th,
+            phi[o, None] * rho, shifted,
+        ).transpose(0, 2, 1, 3)
 
-    # quadratic rows: pair (k, j) against column l; scale factors are
-    # separable, so apply them in place one axis at a time
-    denom2 = (1j * s)[None, None, :, None] - (1j * th)[None, None, None, :]
-    cross = ds.tf2_cross[:, :, :, None]                    # (p, Np, Nq, 1, m, m)
-    quad = ds.tf2_quad[:, :, None, :]                      # (p, Np, 1, Np, m, m)
-
-    def scale_and_stack(num):
-        num /= denom2[..., None, None]
-        num *= -rho[None, :, None, None, None, None]
-        num *= phi[None, None, :, None, None, None]
-        num *= rho[None, None, None, :, None, None]
-        return num.transpose(0, 1, 2, 4, 3, 5).reshape(p * Np * Nq * m, Np * m)
-
-    H2 = scale_and_stack(cross - quad)
-    M2 = scale_and_stack(
-        (1j * s)[None, None, :, None, None, None] * cross
-        - (1j * th)[None, None, None, :, None, None] * quad
-    )
-
-    H = np.vstack([H1, H2])
-    del H2
-    M = np.vstack([M1, M2])
-    del M2
+    def quadratic(shifted):
+        """Quadratic rows (k, j, l), laid out (p, k, j, m, l, m)."""
+        rk = rho[o, None, None, None, None]
+        return _loewner(
+            rk * ds.tf2_cross[:, o, :, None], rk * ds.tf2_quad[:, o, None],
+            s, th, phi[:, None] * rho, shifted,
+        ).transpose(0, 1, 2, 4, 3, 5)
 
     h, g, K = _io_blocks(ds.tf1_in, ds.tf2_cross, ds.tf1_out, ds.tf2_quad,
                          phi, rho)
-    dm = DataMatrices(H=H, M=M, h=h, g=g, K=K, domain="freq")
-    if realify:
-        dm = _realify(dm, ds)
-    return dm
+    if not realify:
+        H, M = (
+            np.vstack([linear(d).reshape(nl, nc), quadratic(d).reshape(-1, nc)])
+            for d in (False, True)
+        )
+        return DataMatrices(H=H, M=M, h=h, g=g, K=K, domain="freq")
+
+    Np2, Nq2 = Np // 2, Nq // 2
+    H = np.empty((h.shape[0], nc))
+    M = np.empty_like(H)
+    for out, shifted in ((H, False), (M, True)):
+        _real_pairs(linear(shifted).reshape(Nq2, p, Np2, 2, m), 0,
+                    cols=(3,), out=out[:nl])
+        _real_pairs(quadratic(shifted).reshape(p, Np2, Nq2, 2, m, Np2, 2, m),
+                    1, rows=(3,), cols=(6,), out=out[nl:])
+    h = np.vstack([
+        _real_pairs(h[:nl].reshape(Nq2, 2, p, m)[:, 0], 0).reshape(nl, m),
+        _real_pairs(h[nl:].reshape(p, Np2, 2, Nq2, 2, m, m)[:, :, 0], 1,
+                    rows=(3,)).reshape(-1, m),
+    ])
+    g = _real_pairs(g.reshape(p, Np2, 2, m)[:, :, 0], 1, sign=-1.0)
+    K = [
+        _real_pairs(Kq.reshape(Np2, 2, m, Np2, 2, m)[:, 0], 0, cols=(3,))
+        .reshape(nc, nc)
+        for Kq in K
+    ]
+    return DataMatrices(H=H, M=M, h=h, g=g.reshape(p, nc), K=K, domain="freq")
+
+
+def _loewner(a, b, s, th, w, shifted):
+    """Loewner entries ``w (a - b) / (i th - i s)``, or with `shifted` the
+    shifted Loewner entries ``w (i s a - i th b) / (i th - i s)``, of
+    samples `a` at the row nodes ``i s`` against samples `b` at the column
+    nodes ``i th``.
+
+    `a` is shaped ``(..., len(s), 1, x, y)`` and `b`
+    ``(..., 1, len(th), x, y)``; `w` holds the ``(len(s), len(th))`` row
+    times column weights."""
+    if shifted:
+        a = (1j * s)[:, None, None, None] * a
+        b = (1j * th)[:, None, None] * b
+    L = a - b
+    L *= (w / (1j * th[None, :] - 1j * s[:, None]))[..., None, None]
+    return L
+
+
+def _check_conjugate_symmetry(ds):
+    """Reject samples that realification would silently corrupt: in each
+    family, flipping the sign of every paired node must conjugate the
+    sample, to within ``1e-8`` of the family's largest magnitude."""
+    for name, axes in (("tf1_in", (0,)), ("tf1_out", (0,)),
+                       ("tf2_cross", (1, 2)), ("tf2_quad", (1, 2))):
+        X = getattr(ds, name)
+        mirror = X
+        for ax in axes:
+            mirror = np.take(mirror, np.arange(X.shape[ax]) ^ 1, axis=ax)
+        dev = np.abs(mirror - X.conj()).max()
+        if dev > 1e-8 * np.abs(X).max():
+            raise ValueError(
+                f"{name} is not conjugate symmetric (deviation {dev:.3e}); "
+                "the dataset cannot be realified"
+            )
 
 
 _SQRT2 = np.sqrt(2.0)
 
 
 def _pair_rows(X, axis):
-    """Left-multiply a length-2 conjugate-pair axis by the 2x2 unitary
-    ``[[1, 1], [-i, i]] / sqrt(2)`` (sum and scaled difference)."""
-    X = np.moveaxis(X, axis, 0)
-    out = np.empty_like(X)
-    out[0] = (X[0] + X[1]) / _SQRT2
-    out[1] = (X[1] - X[0]) * (1j / _SQRT2)
-    return np.moveaxis(out, 0, axis)
+    """Left-multiply a length-2 conjugate-pair axis of `X`, in place, by
+    the 2x2 unitary ``[[1, 1], [-i, i]] / sqrt(2)`` (sum and scaled
+    difference)."""
+    X0, X1 = np.moveaxis(X, axis, 0)
+    total = X0 + X1
+    X1 -= X0
+    X1 *= 1j / _SQRT2
+    np.divide(total, _SQRT2, out=X0)
+    return X
 
 
 def _pair_cols(X, axis):
-    """Right-multiply a length-2 conjugate-pair axis by the 2x2 unitary
-    ``[[1, i], [1, -i]] / sqrt(2)``."""
-    X = np.moveaxis(X, axis, 0)
-    out = np.empty_like(X)
-    out[0] = (X[0] + X[1]) / _SQRT2
-    out[1] = (X[0] - X[1]) * (1j / _SQRT2)
-    return np.moveaxis(out, 0, axis)
+    """Right-multiply a length-2 conjugate-pair axis of `X`, in place, by
+    the 2x2 unitary ``[[1, i], [1, -i]] / sqrt(2)``."""
+    X0, X1 = np.moveaxis(X, axis, 0)
+    total = X0 + X1
+    X1 -= X0
+    X1 *= -1j / _SQRT2
+    np.divide(total, _SQRT2, out=X0)
+    return X
 
 
-def _realify(dm, ds):
-    """Transform all five matrices by the fixed conjugate-pair unitary and
-    drop the (verified small) residual imaginary parts.
+def _real_pairs(Y, outer, rows=(), cols=(), sign=1.0, out=None):
+    """Real form of a conjugate-symmetric block from the positive half of
+    its outer pair axis.
 
-    The unitary is a Kronecker product of identical 2x2 blocks acting on
-    adjacent ``(+w, -w)`` node pairs, so it is applied axis by axis on
-    reshaped views instead of ever being formed as a matrix."""
-    if not ds.conjugate_closure:
-        raise ValueError("realification requires a conjugate-closed dataset")
-    Np, Nq, m, p = ds.Np, ds.Nq, ds.m, ds.p
-    nc = Np * m
-
-    def rows(X):
-        c = X.shape[1]
-        top = _pair_rows(X[: Nq * p].reshape(Nq // 2, 2, p, c), 1)
-        bot = X[Nq * p:].reshape(p, Np // 2, 2, Nq // 2, 2, m, c)
-        bot = _pair_rows(_pair_rows(bot, 2), 4)
-        return np.vstack([top.reshape(Nq * p, c), bot.reshape(-1, c)])
-
-    def cols(X):
-        lead = X.shape[:-1]
-        Y = _pair_cols(X.reshape(lead + (Np // 2, 2, m)), len(lead) + 1)
-        return Y.reshape(lead + (nc,))
-
-    def quad_rows(X):
-        return _pair_rows(X.reshape(Np // 2, 2, m, -1), 1).reshape(nc, -1)
-
-    H = cols(rows(dm.H))
-    M = cols(rows(dm.M))
-    h = rows(dm.h)
-    g = cols(dm.g)
-    K = [cols(quad_rows(Kq)) for Kq in dm.K]
-
-    def as_real(X):
-        scale = np.abs(X).max() if X.size else 0.0
-        if scale and np.abs(X.imag).max() > 1e-8 * scale:
-            raise ValueError(
-                "realification left significant imaginary parts; "
-                "the dataset is not conjugate symmetric"
-            )
-        return np.ascontiguousarray(X.real)
-
-    return DataMatrices(
-        H=as_real(H), M=as_real(M), h=as_real(h), g=as_real(g),
-        K=[as_real(Kq) for Kq in K], domain="freq",
-    )
+    `Y` holds the entries whose node on axis `outer` is positive; every
+    other paired axis is complete and split as ``(N/2, 2)``. The pair
+    unitary is applied in place on axes `rows` (from the left) and `cols`
+    (from the right). As flipping all node signs conjugates the block, the
+    two slots of each outer pair are then ``sqrt(2) Re`` and
+    ``sign sqrt(2) Im`` (`sign` is +1 for a row pair, -1 for a column
+    pair). The slots form a new axis after `outer`; the result is written
+    into `out` when given (reshaped to that layout)."""
+    for ax in rows:
+        Y = _pair_rows(Y, ax)
+    for ax in cols:
+        Y = _pair_cols(Y, ax)
+    shape = Y.shape[:outer + 1] + (2,) + Y.shape[outer + 1:]
+    R = np.empty(shape) if out is None else out.reshape(shape)
+    lead = (slice(None),) * (outer + 1)
+    np.multiply(Y.real, _SQRT2, out=R[lead + (0,)])
+    np.multiply(Y.imag, sign * _SQRT2, out=R[lead + (1,)])
+    return R
 
 
 def build_data_matrices(ds):
@@ -695,10 +733,11 @@ def lqo_qbt(ds, r):
     return reduce_from_matrices(build_data_matrices(ds), r)
 
 
-def _sample_bytes(n_p, n_q, m, p, itemsize):
-    """Size of the stacked sample matrix ``H`` for the given node counts."""
+def _sample_bytes(n_p, n_q, m, p):
+    """Size of the real stacked sample matrix ``H`` for the given node
+    counts."""
     rows = n_q * p + p * n_p * n_q * m
-    return float(itemsize) * rows * n_p * m
+    return 8.0 * rows * n_p * m
 
 
 def lqo_qbt_auto(sampler, rule_p, rule_q, orders, domain="time"):
@@ -707,10 +746,11 @@ def lqo_qbt_auto(sampler, rule_p, rule_q, orders, domain="time"):
     Time-domain sample matrices are materialized and decomposed exactly
     when ``H`` fits within ``STREAM_BYTES``; larger ones take the
     Gram-accumulation path of :func:`lqo_qbt_streamed`. Frequency-domain
-    data is conjugate closed and realified; it cannot stream, so a
-    collection whose complex ``H`` would exceed ``4 * STREAM_BYTES`` is
-    refused before sampling. The sampler must expose ``m`` and ``p``
-    attributes so the size can be estimated up front.
+    data is conjugate closed and assembled as real matrices; it cannot
+    stream, so a collection whose real ``H`` would exceed
+    ``4 * STREAM_BYTES`` is refused before sampling. The sampler must
+    expose ``m`` and ``p`` attributes so the size can be estimated up
+    front.
 
     Returns
     -------
@@ -720,12 +760,12 @@ def lqo_qbt_auto(sampler, rule_p, rule_q, orders, domain="time"):
     m, p = sampler.m, sampler.p
     n_p, n_q = rule_p.nodes.size, rule_q.nodes.size
     if domain == "time":
-        if _sample_bytes(n_p, n_q, m, p, 8) > STREAM_BYTES:
+        if _sample_bytes(n_p, n_q, m, p) > STREAM_BYTES:
             return lqo_qbt_streamed(sampler, rule_p, rule_q, orders)
         ds = collect_time_data(sampler, rule_p, rule_q)
     elif domain == "freq":
         # conjugate closure doubles both node sets
-        if _sample_bytes(2 * n_p, 2 * n_q, m, p, 16) > 4 * STREAM_BYTES:
+        if _sample_bytes(2 * n_p, 2 * n_q, m, p) > 4 * STREAM_BYTES:
             raise ValueError(
                 "frequency-domain collection would need more than "
                 f"{4 * STREAM_BYTES / 1e9:.1f} GB; lower --np/--nq "
@@ -776,7 +816,7 @@ def lqo_qbt_streamed(sampler, rule_p, rule_q, orders, chunk=48):
     tau, phi = rule_q.nodes, rule_q.sqrt_weights
     Np, Nq = t.size, tau.size
 
-    h1_sum = _h1_sum(sampler, tau, t)
+    h1_sum = _channel_grid(sampler, "h1_grid", (tau, t))
     p, m = h1_sum.shape[2:]
     dh1_sum = _grid(sampler, "dh1_grid", (tau, t), (p, m))
     H1 = _linear_block(h1_sum, phi, rho)

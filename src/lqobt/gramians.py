@@ -11,10 +11,17 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from .errors import UnstableSystemError
 from .model import ReducedLqoSystem
-from .numcore import psd_sqrt_factor, solve_lyapunov, solve_sylvester, svd
+from .numcore import (
+    lyapunov_factor,
+    psd_sqrt_factor,
+    solve_lyapunov,
+    solve_sylvester,
+    svd,
+)
 
 __all__ = [
     "Gramians",
@@ -161,7 +168,15 @@ def h2_error(sys, rom):
     * ``A' K + K A_r - C'C_r - sum_q M_q X M_r,q = 0``,
 
     and the squared error is
-    ``trace(B'QB) + 2 trace(B'K B_r) + trace(B_r'Q_r B_r)``.
+    ``trace(B'QB) + 2 trace(B'K B_r) + trace(B_r'Q_r B_r)``. That sum
+    cancels, so its round-off is about ``eps ||sys||^2``; when it falls
+    below ``1e-12 trace(B'QB)`` (an error under 1e-6 of the norm, such as a
+    reduced model that only changes coordinates) the error is taken instead
+    from a square-root factor ``R = [R_1; R_2]`` of the difference system's
+    controllability Gramian as the sum of squares
+    ``||C R_1 - C_r R_2||_F^2 + sum_q ||R_1^H M_q R_1 - R_2^H M_r,q R_2||_F^2``,
+    which resolves errors down to about ``eps ||sys||``.
+
     Raises :class:`~lqobt.errors.UnstableSystemError` if `sys` or `rom` is
     unstable; data-driven reduction can produce an unstable `rom`.
     """
@@ -176,5 +191,13 @@ def h2_error(sys, rom):
     X = solve_sylvester(sys.A, rom.A, B @ Br.T)
     W = -sys.C.T @ rom.C - sum(M @ X @ Mr for M, Mr in zip(sys.Ms, rom.Ms))
     K = solve_sylvester(sys.A.T, rom.A.T, W)
-    val = np.trace(B.T @ Q @ B) + 2.0 * np.trace(B.T @ K @ Br) + np.trace(Br.T @ Qr @ Br)
+    full = np.trace(B.T @ Q @ B)
+    val = full + 2.0 * np.trace(B.T @ K @ Br) + np.trace(Br.T @ Qr @ Br)
+    if val <= 1e-12 * full:
+        R = lyapunov_factor(block_diag(sys.A, rom.A), np.vstack([B, Br]))
+        R1, R2 = R[: sys.n], R[sys.n:]
+        val = np.linalg.norm(sys.C @ R1 - rom.C @ R2) ** 2 + sum(
+            np.linalg.norm(R1.conj().T @ M @ R1 - R2.conj().T @ Mr @ R2) ** 2
+            for M, Mr in zip(sys.Ms, rom.Ms)
+        )
     return float(np.sqrt(max(val, 0.0)))

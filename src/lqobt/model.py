@@ -366,17 +366,23 @@ class LqoSystem:
     def tf2_grid(self, s1s, s2s, q=None):
         """:meth:`tf2` on the full grid ``s1s x s2s``; shape
         ``(len(s1s), len(s2s), p, m, m)`` (or without the channel axis for
-        integer `q`)."""
+        integer `q`).
+
+        One resolvent ``X(s) = (sI - A)^{-1} B`` is solved per distinct
+        node of both sets; as ``B' (s1 I - A')^{-1} = X(s1)'`` (a plain
+        transpose), each channel is then the product ``X(s1)' M_q X(s2)``
+        over the whole grid."""
         qs = self._channels(q)
         s1s = np.asarray(s1s, dtype=complex)
         s2s = np.asarray(s2s, dtype=complex)
-        X = np.stack([self._resolvent_rhs(b) for b in s2s])  # (beta, n, m)
-        out = np.empty((s1s.size, s2s.size, len(qs), self.m, self.m), dtype=complex)
-        for u, a in enumerate(s1s):
-            for ki, k in enumerate(qs):
-                rhs = np.einsum("ij,vjm->ivm", self.Ms[k], X).reshape(self.n, -1)
-                Y = self._resolvent_t_rhs(a, rhs).reshape(self.n, s2s.size, self.m)
-                out[u, :, ki] = np.einsum("nl,nvm->vlm", self.B, Y)
+        n, m, a, b = self.n, self.m, s1s.size, s2s.size
+        nodes, inv = np.unique(np.concatenate([s1s, s2s]), return_inverse=True)
+        X = np.stack([self._resolvent_rhs(z) for z in nodes])  # (nodes, n, m)
+        L = X[inv[:a]].transpose(0, 2, 1).reshape(a * m, n)
+        R = X[inv[a:]].transpose(1, 0, 2).reshape(n, b * m)
+        out = np.stack([L @ (self.Ms[k] @ R) for k in qs])      # (q, a m, b m)
+        out = out.reshape(len(qs), a, m, b, m).transpose(1, 3, 0, 2, 4)
+        out = np.ascontiguousarray(out)
         if q is None:
             return out
         return out[:, :, 0]

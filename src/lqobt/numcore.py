@@ -1,8 +1,8 @@
 """Dense linear-algebra kernels used throughout the package.
 
 Thin, contract-checked wrappers around LAPACK-backed routines, including
-Bartels-Stewart Lyapunov and Sylvester solvers. Everything operates on
-plain numpy arrays.
+Bartels-Stewart Lyapunov and Sylvester solvers and a Hammarling
+square-root Lyapunov factor. Everything operates on plain numpy arrays.
 """
 
 from dataclasses import dataclass
@@ -12,7 +12,10 @@ import scipy.linalg as spla
 
 from .errors import IndefiniteMatrixError, LyapunovError
 
-__all__ = ["expm", "solve_lyapunov", "solve_sylvester", "psd_sqrt_factor", "svd", "SvdResult"]
+__all__ = [
+    "expm", "solve_lyapunov", "solve_sylvester", "lyapunov_factor",
+    "psd_sqrt_factor", "svd", "SvdResult",
+]
 
 
 def _square(A):
@@ -106,6 +109,45 @@ def solve_sylvester(A, F, W):
     S, U = _hurwitz_schur(A)
     R, V = _hurwitz_schur(F)
     return U @ _solve_quasi_triangular(S, R, -(U.T @ W @ V), "N", "T") @ V.T
+
+
+def lyapunov_factor(A, B):
+    """Square-root factor ``R`` (complex, n x n) with ``R R^H = P`` for the
+    controllability-side equation ``A P + P A' + B B' = 0``.
+
+    Hammarling's method on the complex Schur form ``A = Z T Z^H``: the
+    upper triangular factor of ``Z^H P Z`` is found column by column from
+    the last, each step one triangular solve and a rank-one update of the
+    right-hand side. `P` is never formed, so the factor keeps its accuracy
+    where `P` is (nearly) rank deficient, which a factorization of a
+    computed `P` cannot. `A` must be Hurwitz; otherwise a
+    :class:`~lqobt.errors.LyapunovError` is raised.
+    """
+    A, B = _square(A), np.asarray(B, dtype=float)
+    if B.ndim != 2 or B.shape[0] != A.shape[0]:
+        raise ValueError(f"shape mismatch: A is {A.shape}, B is {B.shape}")
+    if not (np.isfinite(A).all() and np.isfinite(B).all()):
+        raise ValueError("non-finite input to lyapunov_factor")
+    T, Z = spla.schur(A, output="complex")
+    abscissa = T.diagonal().real.max(initial=-np.inf)
+    if abscissa >= 0.0:
+        raise LyapunovError(f"coefficient has an eigenvalue of real part {abscissa:.3e} >= 0")
+    n = A.shape[0]
+    W = Z.conj().T @ B
+    U = np.zeros((n, n), dtype=complex)
+    for k in range(n - 1, -1, -1):
+        lam = T[k, k]
+        alpha = np.sqrt(-2.0 * lam.real)
+        norm = np.linalg.norm(W[k])
+        U[k, k] = norm / alpha
+        if k == 0 or norm == 0.0:
+            continue
+        w = W[k] / norm
+        rhs = alpha * (W[:k] @ w.conj()) + T[:k, k] * U[k, k]
+        u = -spla.solve_triangular(T[:k, :k] + np.conj(lam) * np.eye(k), rhs)
+        U[:k, k] = u
+        W[:k] -= alpha * np.outer(u, w)
+    return Z @ U
 
 
 def psd_sqrt_factor(X, rank_tol=1e-13, dust_tol=1e-12):

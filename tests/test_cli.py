@@ -13,6 +13,7 @@ import pytest
 
 from conftest import tf_agree
 from lqobt import (
+    ReducedLqoSystem,
     compute_gramians,
     h2_error,
     h2_norm,
@@ -23,6 +24,7 @@ from lqobt import (
     select_channels,
     synthesize_system,
 )
+from lqobt import cli
 from lqobt.cli import main
 
 
@@ -138,6 +140,39 @@ def test_reduce_qbt_time_full_rank_is_exact(tmp_path):
     sys_ = load_system(manifest)
     points = np.array([0.4j, 1.5j, 0.2 + 2.0j])
     tf_agree(sys_, rom, points, 1e-6)
+
+
+def test_unstable_qbt_rom_is_reported_not_scored(tmp_path, monkeypatch):
+    # data-driven reduction can return an unstable model, whose H2 error
+    # does not exist: reduce records it as unstable with null errors, and
+    # h2-sweep writes nan in its row
+    def unstable_roms(sys_, rule_p, rule_q, orders, domain="time"):
+        roms = [
+            ReducedLqoSystem(np.eye(r), np.ones((r, sys_.m)),
+                             np.ones((sys_.p, r)), [np.eye(r)] * sys_.p,
+                             provenance=f"{domain}-qbt")
+            for r in orders
+        ]
+        return np.ones(max(orders, default=0)), roms
+
+    monkeypatch.setattr(cli, "lqo_qbt_auto", unstable_roms)
+    manifest = _synth(tmp_path, n=4)
+    out = str(tmp_path / "rom")
+    rc = main(["reduce", "--system", manifest, "--method", "qbt-time",
+               "--order", "2", "--np", "10", "--out", out])
+    assert rc == 0
+    report = _read_report(os.path.join(out, "rom.manifest"))
+    assert report["rom_stable"] is False
+    assert report["h2_error_absolute"] is None
+    assert report["h2_error_relative"] is None
+
+    sweep = str(tmp_path / "sweep.csv")
+    main(["h2-sweep", "--system", manifest, "--orders", "1:2", "--np", "10",
+          "--out", sweep])
+    _, rows = _read_csv(sweep)
+    assert [r[0] for r in rows] == ["1", "2"]
+    assert [r[2] for r in rows] == ["nan", "nan"]
+    assert all(np.isfinite(float(r[1])) for r in rows)
 
 
 def test_reduce_qbt_freq_staggers_nodes_by_default(tmp_path):

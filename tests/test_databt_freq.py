@@ -12,6 +12,7 @@ import pytest
 
 from conftest import (
     PoisonedSampler,
+    ShortSampler,
     assert_matrices_match,
     factor_products,
     freq_factors,
@@ -178,12 +179,19 @@ def _pair_unitary():
 
 def test_realification_matches_explicit_unitary():
     # the axis-wise pair transform must equal the full Kronecker unitary
-    # (formed explicitly here, which only the test can afford)
+    # (formed explicitly here, which only the test can afford); the second
+    # rule pair has different node counts on the two sides (10 and 8 after
+    # closure), so a swapped axis in the layout cannot go unnoticed
     rng = np.random.default_rng(101)
     sys_ = random_stable_system(rng, n=3, m=2, p=2)
-    rule_p = rule_of([0.7, 2.0], [0.9, 1.4])
-    rule_q = rule_of([0.4, 1.1], [1.2, 0.8])
-    ds = collect_freq_data(sys_, rule_p, rule_q)
+    for rule_p, rule_q in [
+        (rule_of([0.7, 2.0], [0.9, 1.4]), rule_of([0.4, 1.1], [1.2, 0.8])),
+        (log_trapezoid(0.05, 20.0, 5), log_trapezoid(0.07, 28.0, 4)),
+    ]:
+        _check_against_explicit_unitary(collect_freq_data(sys_, rule_p, rule_q))
+
+
+def _check_against_explicit_unitary(ds):
     dm_c = build_freq_matrices(ds, realify=False)
     dm_r = build_freq_matrices(ds, realify=True)
     for X in (dm_r.H, dm_r.M, dm_r.h, dm_r.g, *dm_r.K):
@@ -389,3 +397,36 @@ def test_non_finite_transfer_samples_are_rejected():
     with pytest.raises(ValueError, match="tf2_cross holds non-finite"):
         collect_freq_data(PoisonedSampler(sys_), rule_of([1.0, 2.0]),
                           rule_of([0.5, 3.0]))
+
+
+def test_wrong_transfer_shape_names_the_method():
+    rng = np.random.default_rng(113)
+    sys_ = random_stable_system(rng, n=4, m=2, p=2)
+    rule_p = log_trapezoid(0.05, 20.0, 4)
+    rule_q = log_trapezoid(0.07, 28.0, 4)
+    for method in ("tf1", "tf2_grid"):
+        with pytest.raises(ValueError,
+                           match=rf"sampler\.{method} returned shape .* expected"):
+            collect_freq_data(ShortSampler(sys_, method), rule_p, rule_q)
+
+
+@pytest.mark.parametrize("family, index", [
+    ("tf2_cross", (1, 2, 3, 0, 1)),
+    ("tf1_out", (3, 1, 0)),
+])
+def test_conjugate_asymmetric_samples_are_rejected(family, index):
+    # a closed dataset is realified from the positive-frequency half, which
+    # relies on X(-w) = conj X(w); one sample breaking it must be refused
+    rng = np.random.default_rng(127)
+    sys_ = random_stable_system(rng, n=4, m=2, p=2)
+    rule_p = log_trapezoid(0.05, 20.0, 4)
+    rule_q = log_trapezoid(0.07, 28.0, 4)
+    ds = collect_freq_data(sys_, rule_p, rule_q)
+    samples = getattr(ds, family)
+    samples[index] += 1e-6 * np.abs(samples).max()
+    with pytest.raises(ValueError, match=f"{family} is not conjugate symmetric"):
+        build_freq_matrices(ds)
+    with pytest.raises(ValueError, match=f"{family} is not conjugate symmetric"):
+        lqo_qbt(ds, 2)
+    # the complex analysis path does not realify and needs no symmetry
+    assert np.iscomplexobj(build_freq_matrices(ds, realify=False).H)

@@ -11,6 +11,7 @@ import pytest
 
 from conftest import (
     PoisonedSampler,
+    ShortSampler,
     assert_matrices_match,
     factor_products,
     random_rule,
@@ -439,20 +440,6 @@ def test_dataset_round_trip_is_bit_exact(tmp_path):
 
 
 # ------------------------------------------------------- non-finite input
-
-
-class ShortSampler:
-    """Forwards to a system but drops the first-axis tail of every array
-    one grid method returns."""
-
-    def __init__(self, sys_, method):
-        self._sys, self._method = sys_, method
-
-    def __getattr__(self, name):
-        attr = getattr(self._sys, name)
-        if name != self._method:
-            return attr
-        return lambda *args: np.asarray(attr(*args))[:-1]
 
 
 @pytest.mark.parametrize("method", ["h1_grid", "dh1_grid", "h2_grid", "dh2_grid"])

@@ -243,9 +243,34 @@ def test_h2_error_of_identical_copy_is_negligible():
     rng = np.random.default_rng(37)
     sys_ = random_stable_system(rng, n=6, m=2, p=2)
     copy = ReducedLqoSystem(sys_.A, sys_.B, sys_.C, list(sys_.Ms), "intrusive-bt")
-    # the error norm is a square root of a fully cancelling trace, so
-    # agreement is limited to about sqrt(eps) relative
-    assert h2_error(sys_, copy) <= 1e-6 * h2_norm(sys_)
+    # the trace form cancels fully here; the factored form resolves it
+    assert h2_error(sys_, copy) <= 1e-12 * h2_norm(sys_)
+
+
+def test_h2_error_resolves_errors_below_sqrt_eps():
+    # The trace form of the squared error cancels to its round-off, about
+    # eps * ||sys||^2, so on its own it cannot tell errors below
+    # sqrt(eps) * ||sys|| apart. A change of coordinates has no error at
+    # all, and a perturbation dC of C alone has the closed form
+    # err^2 = trace(dC P dC'), as states and quadratic terms are unchanged.
+    rng = np.random.default_rng(59)
+    sys_ = random_stable_system(rng, n=8, m=2, p=2)
+    norm = h2_norm(sys_)
+    for _ in range(5):
+        T = rng.standard_normal((8, 8)) + 4.0 * np.eye(8)
+        Ti = np.linalg.inv(T)
+        similar = ReducedLqoSystem(
+            Ti @ sys_.A @ T, Ti @ sys_.B, sys_.C @ T,
+            [T.T @ M @ T for M in sys_.Ms], "intrusive-bt",
+        )
+        assert h2_error(sys_, similar) <= 1e-12 * norm
+    P = solve_lyapunov(sys_.A.T, sys_.B @ sys_.B.T)
+    for scale in (1e-7, 1e-10):
+        dC = scale * rng.standard_normal(sys_.C.shape)
+        rom = ReducedLqoSystem(sys_.A, sys_.B, sys_.C + dC, list(sys_.Ms),
+                               "intrusive-bt")
+        want = np.sqrt(np.trace(dC @ P @ dC.T))
+        assert abs(h2_error(sys_, rom) - want) <= 1e-4 * want
 
 
 def test_h2_error_against_silent_rom_equals_norm():

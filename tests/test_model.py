@@ -380,6 +380,36 @@ def test_resolvent_at_eigenvalue_raises():
         sys_.tf1(-1.0)
     with pytest.raises(FrequencyCollisionError):
         sys_.tf2(-1.0, 0.0)
+    for s1s, s2s in (([-1.0], [0.5j]), ([0.5j], [2.0, -1.0])):
+        with pytest.raises(FrequencyCollisionError):
+            sys_.tf2_grid(np.array(s1s), np.array(s2s))
+
+
+def test_tf2_grid_solves_one_resolvent_per_distinct_node(monkeypatch):
+    # the conjugate-closed quadratic grid has the same node set on both
+    # sides, so it needs one resolvent per node, not one per grid entry
+    rng = np.random.default_rng(12)
+    sys_ = random_stable_system(rng, n=5, m=2, p=2)
+    calls = []
+    solve = LqoSystem._resolvent_rhs
+
+    def counted(self, s):
+        calls.append(s)
+        return solve(self, s)
+
+    monkeypatch.setattr(LqoSystem, "_resolvent_rhs", counted)
+    th = np.array([0.3, -0.3, 1.2, -1.2, 4.0, -4.0])
+    G = sys_.tf2_grid(-1j * th, 1j * th)
+    assert len(calls) == th.size
+    assert sorted(calls, key=lambda z: z.imag) == sorted(1j * th, key=lambda z: z.imag)
+    calls.clear()
+    sys_.tf2_grid(-1j * th, 1j * np.array([0.5, 2.0]))
+    assert len(calls) == th.size + 2
+    monkeypatch.undo()
+    for u in range(th.size):
+        for v in range(th.size):
+            want = sys_.tf2(-1j * th[u], 1j * th[v])
+            assert np.abs(G[u, v] - want).max() <= 1e-13 * np.abs(want).max()
 
 
 # ------------------------------------------------------------ simulation

@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 from lqobt.errors import IndefiniteMatrixError, LyapunovError
-from lqobt.numcore import expm, psd_sqrt_factor, solve_lyapunov, solve_sylvester, svd
+from lqobt.numcore import (
+    expm,
+    lyapunov_factor,
+    psd_sqrt_factor,
+    solve_lyapunov,
+    solve_sylvester,
+    svd,
+)
 
 
 # ---------------------------------------------------------------- expm
@@ -151,6 +158,53 @@ def test_sylvester_rejects_bad_input():
         solve_sylvester(A, np.diag([-1.0, np.inf]), np.ones((3, 2)))
     with pytest.raises(LyapunovError):
         solve_sylvester(A, np.diag([-1.0, 0.5]), np.ones((3, 2)))
+
+
+def test_lyapunov_factor_reproduces_gramian():
+    rng = np.random.default_rng(47)
+    for _ in range(10):
+        n, m = int(rng.integers(1, 25)), int(rng.integers(1, 4))
+        A, B = _hurwitz(rng, n), rng.standard_normal((n, m))
+        R = lyapunov_factor(A, B)
+        P = solve_lyapunov(A.T, B @ B.T)
+        assert R.shape == (n, n)
+        assert np.abs(R @ R.conj().T - P).max() <= 1e-12 * np.abs(P).max()
+
+
+def test_lyapunov_factor_closed_forms():
+    # diagonal A, one input: P_ij = -b_i b_j / (a_i + a_j); the state with
+    # b_i = 0 is uncontrollable, so its row of the factor vanishes
+    a, b = np.array([-1.0, -2.0, -5.0]), np.array([1.0, 0.0, 2.0])
+    R = lyapunov_factor(np.diag(a), b[:, None])
+    P = -np.outer(b, b) / (a[:, None] + a[None, :])
+    assert np.allclose(R @ R.conj().T, P, rtol=0, atol=1e-15)
+    assert not R[1].any()
+    assert np.array_equal(lyapunov_factor(-np.eye(2), np.zeros((2, 1))),
+                          np.zeros((2, 2)))
+
+
+def test_lyapunov_factor_keeps_rank_deficient_directions_exact():
+    # P of a duplicated state is singular; its computed factor must still
+    # annihilate the difference of the copies to round-off, which a
+    # factorization of the computed P only does to about sqrt(eps)
+    rng = np.random.default_rng(53)
+    A, B = _hurwitz(rng, 6), rng.standard_normal((6, 2))
+    R = lyapunov_factor(np.kron(np.eye(2), A), np.vstack([B, B]))
+    diff = R[:6] - R[6:]
+    assert np.abs(diff).max() <= 1e-13 * np.abs(R).max()
+
+
+def test_lyapunov_factor_rejects_bad_input():
+    with pytest.raises(ValueError):
+        lyapunov_factor(np.ones((3, 2)), np.ones((3, 1)))
+    with pytest.raises(ValueError):
+        lyapunov_factor(-np.eye(3), np.ones((2, 1)))
+    with pytest.raises(ValueError):
+        lyapunov_factor(-np.eye(2), np.full((2, 1), np.nan))
+    with pytest.raises(LyapunovError):
+        lyapunov_factor(np.diag([-1.0, 0.5]), np.ones((2, 1)))
+    with pytest.raises(LyapunovError):
+        lyapunov_factor(np.array([[0.0, 1.0], [-1.0, 0.0]]), np.ones((2, 1)))
 
 
 # ------------------------------------------------------ psd_sqrt_factor
