@@ -24,7 +24,10 @@ Row-block convention for the quadratic part: within each output channel the
 row block of the pair ``(k, j)`` sits at block index ``k * N_q + j`` (the
 controllability-side node is the outer index), and channels are stacked
 outermost. Any orthogonal transform of the rows of ``[H | M | h]``, a
-fixed row permutation for one, yields an equivalent reduced model.
+fixed row permutation for one, yields an equivalent reduced model, and
+so does a compression onto any orthonormal basis whose range holds that
+of ``H``: the time-domain reducer, :func:`lqo_qbt_streamed`, compresses
+the quadratic rows onto the ranges of their two node modes.
 
 Frequency-domain data closed under conjugation gives complex matrices that
 a fixed unitary pairing of each ``(+w, -w)`` node pair makes real. The
@@ -65,11 +68,12 @@ __all__ = [
 
 RANK_TOL = 1e-13
 TIE_TOL = 1e-12
-GRAM_RANK_TOL = 1e-8
-# sample matrices beyond this size switch to the Gram-accumulation path
-# (LAPACK decompositions are far slower per flop here than matrix products,
-# so the crossover favors streaming well before memory runs out)
-STREAM_BYTES = 4e8
+# probe fibres per mode of the quadratic samples (on random systems four left
+# held-out residuals up to 9e-11, eight 2e-12), and the residual that raises
+PROBES = 8
+MODE_TOL = 1e-10
+# bound on the frequency route's estimated peak memory
+FREQ_PEAK_BYTES = 2e9
 
 
 # ---------------------------------------------------------------------------
@@ -420,22 +424,19 @@ def _quadratic_block(samples, phi, rho):
 
 def build_htilde(ds):
     """Stacked kernel sample matrix ``H`` (equals ``L' U``), time domain."""
-    _require_domain(ds, "time")
-    rho, phi = ds.p_sqrt_weights, ds.q_sqrt_weights
-    return np.vstack([
-        _linear_block(ds.h1_sum, phi, rho),
-        _quadratic_block(ds.h2_sum, phi, rho),
-    ])
+    return _stacked_block(ds, ds.h1_sum, ds.h2_sum)
 
 
 def build_mtilde(ds):
     """Stacked derivative sample matrix ``M`` (equals ``L' A U``)."""
+    return _stacked_block(ds, ds.dh1_sum, ds.dh2_sum)
+
+
+def _stacked_block(ds, linear, quadratic):
     _require_domain(ds, "time")
     rho, phi = ds.p_sqrt_weights, ds.q_sqrt_weights
-    return np.vstack([
-        _linear_block(ds.dh1_sum, phi, rho),
-        _quadratic_block(ds.dh2_sum, phi, rho),
-    ])
+    return np.vstack([_linear_block(linear, phi, rho),
+                      _quadratic_block(quadratic, phi, rho)])
 
 
 def _io_blocks(y1_in, y2_in, y1_out, y2_quad, phi, rho):
@@ -592,25 +593,14 @@ def _check_conjugate_symmetry(ds):
 _SQRT2 = np.sqrt(2.0)
 
 
-def _pair_rows(X, axis):
-    """Left-multiply a length-2 conjugate-pair axis of `X`, in place, by
-    the 2x2 unitary ``[[1, 1], [-i, i]] / sqrt(2)`` (sum and scaled
-    difference)."""
+def _pair(X, axis, sign):
+    """Apply a conjugate-pair unitary in place to a length-2 axis of `X`:
+    from the left ``[[1, 1], [-i, i]] / sqrt(2)`` with `sign` +1, from the
+    right ``[[1, i], [1, -i]] / sqrt(2)`` with `sign` -1."""
     X0, X1 = np.moveaxis(X, axis, 0)
     total = X0 + X1
     X1 -= X0
-    X1 *= 1j / _SQRT2
-    np.divide(total, _SQRT2, out=X0)
-    return X
-
-
-def _pair_cols(X, axis):
-    """Right-multiply a length-2 conjugate-pair axis of `X`, in place, by
-    the 2x2 unitary ``[[1, i], [1, -i]] / sqrt(2)``."""
-    X0, X1 = np.moveaxis(X, axis, 0)
-    total = X0 + X1
-    X1 -= X0
-    X1 *= -1j / _SQRT2
+    X1 *= sign * 1j / _SQRT2
     np.divide(total, _SQRT2, out=X0)
     return X
 
@@ -628,9 +618,9 @@ def _real_pairs(Y, outer, rows=(), cols=(), sign=1.0, out=None):
     pair). The slots form a new axis after `outer`; the result is written
     into `out` when given (reshaped to that layout)."""
     for ax in rows:
-        Y = _pair_rows(Y, ax)
+        Y = _pair(Y, ax, 1.0)
     for ax in cols:
-        Y = _pair_cols(Y, ax)
+        Y = _pair(Y, ax, -1.0)
     shape = Y.shape[:outer + 1] + (2,) + Y.shape[outer + 1:]
     R = np.empty(shape) if out is None else out.reshape(shape)
     lead = (slice(None),) * (outer + 1)
@@ -733,67 +723,49 @@ def lqo_qbt(ds, r):
     return reduce_from_matrices(build_data_matrices(ds), r)
 
 
-def _sample_bytes(n_p, n_q, m, p):
-    """Size of the real stacked sample matrix ``H`` for the given node
-    counts."""
-    rows = n_q * p + p * n_p * n_q * m
-    return 8.0 * rows * n_p * m
-
-
 def lqo_qbt_auto(sampler, rule_p, rule_q, orders, domain="time"):
     """QBT from a sampler in either `domain` (``"time"`` or ``"freq"``).
 
-    Time-domain sample matrices are materialized and decomposed exactly
-    when ``H`` fits within ``STREAM_BYTES``; larger ones take the
-    Gram-accumulation path of :func:`lqo_qbt_streamed`. Frequency-domain
-    data is conjugate closed and assembled as real matrices; it cannot
-    stream, so a collection whose real ``H`` would exceed
-    ``4 * STREAM_BYTES`` is refused before sampling. The sampler must
-    expose ``m`` and ``p`` attributes so the size can be estimated up
-    front.
+    The time domain runs :func:`lqo_qbt_streamed` at every node count,
+    which takes the channel counts from the first grid it samples.
+    Frequency data is conjugate closed and assembled whole as real
+    matrices; a collection whose estimated peak memory (six times the
+    real ``H``) exceeds ``FREQ_PEAK_BYTES`` is refused before sampling.
+    Only that estimate reads the sampler's ``m`` and ``p`` attributes.
 
     Returns
     -------
     tuple ``(singular_values, roms)`` with one reduced model per entry of
     `orders`.
     """
-    m, p = sampler.m, sampler.p
-    n_p, n_q = rule_p.nodes.size, rule_q.nodes.size
     if domain == "time":
-        if _sample_bytes(n_p, n_q, m, p) > STREAM_BYTES:
-            return lqo_qbt_streamed(sampler, rule_p, rule_q, orders)
-        ds = collect_time_data(sampler, rule_p, rule_q)
-    elif domain == "freq":
-        # conjugate closure doubles both node sets
-        if _sample_bytes(2 * n_p, 2 * n_q, m, p) > 4 * STREAM_BYTES:
-            raise ValueError(
-                "frequency-domain collection would need more than "
-                f"{4 * STREAM_BYTES / 1e9:.1f} GB; lower --np/--nq "
-                "(or use --domain time, which streams)"
-            )
-        ds = collect_freq_data(sampler, rule_p, rule_q)
-    else:
+        return lqo_qbt_streamed(sampler, rule_p, rule_q, orders)
+    if domain != "freq":
         raise ValueError(f"unknown domain {domain!r}")
+    # closure doubles both node sets; the peak measured 4.5 to 5.2 times H
+    n_p, n_q, m, p = 2 * len(rule_p), 2 * len(rule_q), sampler.m, sampler.p
+    if 6 * 8.0 * n_q * p * (1 + n_p * m) * n_p * m > FREQ_PEAK_BYTES:
+        raise ValueError(
+            "frequency-domain reduction would peak above "
+            f"{FREQ_PEAK_BYTES / 1e9:.1f} GB; lower --np/--nq "
+            "(or use --domain time, which streams)"
+        )
+    ds = collect_freq_data(sampler, rule_p, rule_q)
     return _reduce_orders(build_data_matrices(ds), orders)
-
-
-# ---------------------------------------------------------------------------
-# streaming reduction for large node counts
-# ---------------------------------------------------------------------------
 
 
 def lqo_qbt_streamed(sampler, rule_p, rule_q, orders, chunk=48):
     """Time-domain QBT that never materializes the stacked sample matrix.
 
-    Accumulates ``H'H``, ``H'M`` and ``H'h`` over row blocks; the
-    eigendecomposition ``H'H = Y S^2 Y'`` then compresses the rows of
-    ``[H | M | h]`` to ``Z'[H | M | h]`` with the orthonormal
-    ``Z = H Y S^{-1}``, which leaves the reduced model of :func:`lqo_qbt`
-    unchanged. Squaring the condition number costs resolution: only
-    singular values above ``GRAM_RANK_TOL`` (1e-8) of the largest are
-    kept, and orders must stay within that resolvable rank. Intended for
-    node counts in the hundreds, where the direct path would need tens of
-    gigabytes.
+    The weighted quadratic samples ``rho_k phi_j rho_i h2_q(t_k, tau_j +
+    t_i)[a, b]`` have rank at most ``n`` in their ``(k, a)`` mode and in
+    their ``j`` mode. Orthonormal bases ``V_k``, ``V_j`` of these modes
+    (:func:`_mode_bases`) compress the rows by ``I_p (x) V_k (x) V_j``,
+    whose range holds that of ``H``, which leaves the reduced model of
+    :func:`lqo_qbt` unchanged: it sees the rows of ``[H | M | h]`` only
+    through inner products. The quadratic rows shrink from ``p N_p N_q m``
+    to ``p r_k r_j``; the samples are streamed in blocks of `chunk` nodes
+    ``t_k`` and contracted in the sampler's layout, weights in the bases.
 
     Parameters
     ----------
@@ -805,12 +777,12 @@ def lqo_qbt_streamed(sampler, rule_p, rule_q, orders, chunk=48):
         Iterable of reduction orders; models are produced for all of them
         from one pass over the data.
     chunk
-        Number of controllability-side nodes per accumulated row block.
+        Number of controllability-side nodes per sampled block.
 
     Returns
     -------
-    tuple ``(singular_values, roms)`` with the resolvable singular values
-    of ``H`` and one reduced model per entry of `orders`.
+    tuple ``(singular_values, roms)`` with the singular values of ``H``
+    and one reduced model per entry of `orders`.
     """
     t, rho = rule_p.nodes, rule_p.sqrt_weights
     tau, phi = rule_q.nodes, rule_q.sqrt_weights
@@ -819,58 +791,85 @@ def lqo_qbt_streamed(sampler, rule_p, rule_q, orders, chunk=48):
     h1_sum = _channel_grid(sampler, "h1_grid", (tau, t))
     p, m = h1_sum.shape[2:]
     dh1_sum = _grid(sampler, "dh1_grid", (tau, t), (p, m))
-    H1 = _linear_block(h1_sum, phi, rho)
-    M1 = _linear_block(dh1_sum, phi, rho)
+    h1_in, h2_in, h1_out, h2_quad = _io_samples(sampler, t, tau, p, m)
+    _require_finite("h1_grid", h1_sum, h1_in, h1_out)
+    _require_finite("dh1_grid", dh1_sum)
+    _require_finite("h2_grid", h2_in, h2_quad)
+    h, g, K = _io_blocks(h1_in, h2_in, h1_out, h2_quad, phi, rho)
+    Vk, Vj = _mode_bases(sampler, t, rho, tau, phi, (p, m, m))
+    Vk = Vk.reshape(Np, m, -1)
+    Wk, Wj = rho[:, None, None] * Vk, phi[:, None] * Vj  # weights folded in
 
-    h, g, K = _io_blocks(*_io_samples(sampler, t, tau, p, m), phi, rho)
-    h_quad = h[Nq * p:].reshape(p, Np, Nq * m, m)
-
-    nc = Np * m
-    G_H = H1.T @ H1
-    G_M = H1.T @ M1
-    w_h = H1.T @ h[: Nq * p]
+    cores = {"h2_grid": 0.0, "dh2_grid": 0.0}
     for lo in range(0, Np, chunk):
-        hi = min(lo + chunk, Np)
-        ksl = slice(lo, hi)
-        nodes = (t[ksl], tau, t)
-        vals = np.moveaxis(_grid(sampler, "h2_grid", nodes, (p, m, m)), 3, 0)
-        dvals = np.moveaxis(_grid(sampler, "dh2_grid", nodes, (p, m, m)), 3, 0)
-        for arr in (vals, dvals):
-            # fresh arrays from the sampler, weighted in place
-            arr *= rho[None, ksl, None, None, None, None]
-            arr *= phi[None, None, :, None, None, None]
-            arr *= rho[None, None, None, :, None, None]
-        rows = (hi - lo) * Nq * m
-        Hblk = vals.transpose(0, 1, 2, 4, 3, 5).reshape(p * rows, nc)
-        Mblk = dvals.transpose(0, 1, 2, 4, 3, 5).reshape(p * rows, nc)
-        G_H += Hblk.T @ Hblk
-        G_M += Hblk.T @ Mblk
-        w_h += Hblk.T @ h_quad[:, ksl].reshape(p * rows, m)
+        for method in cores:
+            vals = _grid(sampler, method, (t[lo:lo + chunk], tau, t), (p, m, m))
+            # (k, j, i, q, a, b): contract j for each k, then (k, a)
+            Y = np.matmul(Wj.T, vals.reshape(len(vals), Nq, -1))
+            Y = Y.reshape(len(vals), -1, Np, p, m, m)
+            cores[method] = cores[method] + np.tensordot(
+                Wk[lo:lo + chunk], Y, axes=([0, 1], [0, 4]))
 
-    # a NaN or inf sample spreads into these sums; no block scan is needed
-    for name, arr in (("H'H", G_H), ("H'M", G_M), ("H'h", w_h), ("g", g),
-                      ("K", K)):
-        if not np.isfinite(arr).all():
-            raise ValueError(
-                f"the streamed {name} holds non-finite values; "
-                "the sampler returned NaN or inf"
-            )
+    def rows(method, linear):
+        """Linear rows over the rows of the (r_k, r_j, i, q, b) core."""
+        # a NaN or inf sample spreads into the core; no block scan is needed
+        _require_finite(method, cores[method])
+        core = cores[method] * rho[:, None, None]
+        quad = core.transpose(3, 0, 1, 2, 4).reshape(-1, Np * m)
+        return np.vstack([_linear_block(linear, phi, rho), quad])
 
-    lam, Y = np.linalg.eigh(0.5 * (G_H + G_H.T))
-    lam, Y = lam[::-1], np.ascontiguousarray(Y[:, ::-1])
-    S = np.sqrt(np.clip(lam, 0.0, None))
-    for j in range(Y.shape[1]):
-        big = np.nonzero(np.abs(Y[:, j]) > 1e-12)[0]
-        if big.size and Y[big[0], j] < 0.0:
-            Y[:, j] = -Y[:, j]
-
-    k = int(np.count_nonzero(S > GRAM_RANK_TOL * S[0]))
-    Sk, Yt = S[:k, None], Y[:, :k].T
+    nl = Nq * p
+    h_quad = np.einsum("kar,js,qkjab->qrsb", Vk, Vj,
+                       h[nl:].reshape(p, Np, Nq, m, m), optimize=True)
     dm = DataMatrices(
-        H=Sk * Yt, M=(Yt @ G_M) / Sk, h=(Yt @ w_h) / Sk, g=g, K=K,
-        domain="time",
+        H=rows("h2_grid", h1_sum), M=rows("dh2_grid", dh1_sum),
+        h=np.vstack([h[:nl], h_quad.reshape(-1, m)]), g=g, K=K, domain="time",
     )
     return _reduce_orders(dm, orders)
+
+
+def _require_finite(method, *arrays):
+    if not all(np.isfinite(arr).all() for arr in arrays):
+        raise ValueError(f"sampler.{method} returned NaN or inf")
+
+
+def _mode_bases(sampler, t, rho, tau, phi, tail):
+    """Orthonormal bases ``V_k`` (rows ``(k, a)``) and ``V_j`` (rows ``j``)
+    of the two modes of the weighted quadratic samples: the left singular
+    vectors above ``RANK_TOL`` of ``PROBES`` fibres across the other node
+    set, ``h2_grid(t, tau[J], t)`` and ``h2_grid(t[K], tau, t)`` at
+    evenly spread indices. This range finder needs no Gram matrix. The
+    fibres midway between the probes must lie in the basis to within
+    ``MODE_TOL`` of their norm, or the samples are not of low rank in that
+    mode and this raises."""
+    def unfolding(mode, idx):
+        """Weighted fibres at the indices `idx` of the other node set,
+        unfolded to rows ``(k, a)`` or rows ``j``."""
+        ks, js = (slice(None), idx) if mode == "k" else (idx, slice(None))
+        vals = _grid(sampler, "h2_grid", (t[ks], tau[js], t), tail)
+        _require_finite("h2_grid", vals)
+        vals = vals * (rho[ks, None, None] * phi[js, None] * rho)[..., None, None, None]
+        if mode == "k":
+            return np.moveaxis(vals, 4, 1).reshape(t.size * tail[-1], -1)
+        return np.moveaxis(vals, 1, 0).reshape(tau.size, -1)
+
+    bases = []
+    for mode, n in (("k", tau.size), ("j", t.size)):
+        probes = np.unique(np.linspace(0, n - 1, PROBES).round().astype(int))
+        held = np.setdiff1d((probes[:-1] + probes[1:]) // 2, probes)
+        # the transpose is tall, so its SVD runs on a small triangle
+        res = svd(unfolding(mode, probes).T)
+        V = res.Y[:, res.S > RANK_TOL * res.S[0]]
+        F = unfolding(mode, held) if held.size else V[:, :0]
+        norm, residual = np.linalg.norm(F), np.linalg.norm(F - V @ (V.T @ F))
+        if residual > MODE_TOL * norm:
+            raise ValueError(
+                f"held-out h2_grid fibres leave {residual / norm:.2e} of their "
+                f"norm (> {MODE_TOL:g}) outside the {mode}-mode basis of the "
+                "probes; the samples are not of low rank"
+            )
+        bases.append(V)
+    return bases
 
 
 # ---------------------------------------------------------------------------

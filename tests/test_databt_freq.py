@@ -375,6 +375,20 @@ def test_auto_freq_size_guard_precedes_sampling():
         lqo_qbt_auto(UncallableSampler(), rule, rule, [1], domain="laplace")
 
 
+def test_auto_freq_size_guard_bounds_the_peak():
+    # the route peaks at about five times the real H, so 200 nodes a side
+    # (400 after closure, a 0.51 GB H) is refused, and 100 nodes a side,
+    # the size of the freq_direct benchmark, goes on to sample
+    def rules(n_nodes):
+        return (log_trapezoid(1e-2, 1e2, n_nodes),
+                log_trapezoid(2e-2, 5e1, n_nodes))
+
+    with pytest.raises(ValueError, match="lower --np/--nq"):
+        lqo_qbt_auto(UncallableSampler(), *rules(200), [2], domain="freq")
+    with pytest.raises(AssertionError, match="sampled despite"):
+        lqo_qbt_auto(UncallableSampler(), *rules(100), [2], domain="freq")
+
+
 def test_tied_spectrum_warns_on_split():
     # the tied system of the time-domain test, with the observability
     # nodes staggered by half a geometric step as the CLI does

@@ -283,7 +283,8 @@ def test_quadrature_rom_approaches_intrusive_bt():
 def test_row_permutation_gives_equivalent_rom():
     # the reduced model sees the rows of [H | M | h] only through inner
     # products, so any orthogonal row transform leaves it unchanged; the
-    # streamed path's row compression relies on this
+    # streamed path's row compression relies on this (see also
+    # test_properties.py)
     rng = np.random.default_rng(61)
     sys_ = random_stable_system(rng, n=6, m=2, p=2)
     ds = collect_time_data(sys_, random_rule(rng, max_nodes=6),
@@ -365,10 +366,10 @@ def test_streamed_reduction_matches_direct():
     orders = [3, 5]
     S_stream, roms = lqo_qbt_streamed(sys_, rule_p, rule_q, orders, chunk=4)
     assert len(roms) == len(orders)
-    # the Gram route squares the spectrum; compare well-resolved values
-    lead = S_direct > 1e-6 * S_direct[0]
-    got = S_stream[: lead.sum()]
-    assert np.allclose(got, S_direct[lead], rtol=1e-8)
+    # the compressed rows keep every singular value the direct path resolves
+    lead = S_direct > databt.RANK_TOL * S_direct[0]
+    assert np.count_nonzero(S_stream > databt.RANK_TOL * S_stream[0]) == lead.sum()
+    assert np.allclose(S_stream[: lead.sum()], S_direct[lead], rtol=1e-8, atol=0)
     # the two routes may differ by a diagonal sign similarity, so compare
     # models through their transfer functions, not their matrices
     pts = [0.3 + 1.2j, 1.0, 2.5 + 0.4j]
@@ -390,30 +391,80 @@ def test_streamed_chunk_size_is_irrelevant():
 
 
 def test_streamed_rank_guard():
+    # the streamed path resolves the direct path's RANK_TOL rank (its
+    # 14th singular value is 4e-11 of the first), so order 14 reduces
     sys_ = synthesize_system(14, damping=(0.3, 3.0), gain_decay=0.2, seed=1)
     rule = log_trapezoid(1e-2, 50.0, 30)
-    S, _ = lqo_qbt_streamed(sys_, rule, rule, [])
-    resolvable = int(np.count_nonzero(S > 1e-8 * S[0]))
-    assert resolvable < 14
+    S, (rom,) = lqo_qbt_streamed(sys_, rule, rule, [14])
+    S_direct = svd(build_data_matrices(collect_time_data(sys_, rule, rule)).H).S
+    for values in (S, S_direct):
+        assert np.count_nonzero(values > databt.RANK_TOL * values[0]) == 14
+    assert rom.r == 14
     with pytest.raises(ValueError, match="resolvable rank"):
-        lqo_qbt_streamed(sys_, rule, rule, [14])
+        lqo_qbt_streamed(sys_, rule, rule, [15])
 
 
-def test_auto_dispatch_is_transparent(monkeypatch):
+def test_auto_dispatch_is_transparent():
+    # the time domain takes the streamed path at every node count
     rng = np.random.default_rng(79)
     sys_ = random_stable_system(rng, n=6, m=1, p=1)
     rule = log_trapezoid(1e-2, 10.0, 12)
-    S_direct, roms_direct = lqo_qbt_auto(sys_, rule, rule, [3])
-    monkeypatch.setattr(databt, "STREAM_BYTES", 64)
-    S_stream, roms_stream = lqo_qbt_auto(sys_, rule, rule, [3])
-    ds = collect_time_data(sys_, rule, rule)
-    rom_ref = lqo_qbt(ds, 3)
-    assert np.array_equal(roms_direct[0].A, rom_ref.A)
-    assert np.array_equal(roms_direct[0].B, rom_ref.B)
-    lead = S_direct > 1e-6 * S_direct[0]
-    assert np.allclose(S_stream[: lead.sum()], S_direct[lead], rtol=1e-8)
+    S_auto, (rom_auto,) = lqo_qbt_auto(sys_, rule, rule, [3])
+    S_stream, (rom_stream,) = lqo_qbt_streamed(sys_, rule, rule, [3])
+    assert np.array_equal(S_auto, S_stream)
+    for a, b in ((rom_auto.A, rom_stream.A), (rom_auto.B, rom_stream.B),
+                 (rom_auto.C, rom_stream.C), (rom_auto.Ms[0], rom_stream.Ms[0])):
+        assert np.array_equal(a, b)
+    rom_ref = lqo_qbt(collect_time_data(sys_, rule, rule), 3)
     pts = [0.5 + 0.5j, 1.5]
-    tf_agree(roms_direct[0], roms_stream[0], pts, rtol=1e-9, scale_sys=sys_)
+    tf_agree(rom_ref, rom_auto, pts, rtol=1e-9, scale_sys=sys_)
+
+
+class ChannelBlindSampler:
+    """Forwards to a system's kernel evaluators but hides its channel
+    counts ``m`` and ``p``."""
+
+    def __init__(self, sys_):
+        self._sys = sys_
+
+    def __getattr__(self, name):
+        if name in ("m", "p"):
+            raise AttributeError(name)
+        return getattr(self._sys, name)
+
+
+def test_time_domain_needs_no_channel_counts():
+    rng = np.random.default_rng(101)
+    sys_ = random_stable_system(rng, n=5, m=2, p=2)
+    rule = log_trapezoid(1e-2, 10.0, 7)
+    S, (rom,) = lqo_qbt_auto(ChannelBlindSampler(sys_), rule, rule, [3])
+    S_ref, (rom_ref,) = lqo_qbt_auto(sys_, rule, rule, [3])
+    assert np.array_equal(S, S_ref)
+    assert np.array_equal(rom.A, rom_ref.A)
+
+
+class OscillatingSampler:
+    """Forwards to a scalar system but replaces its quadratic kernel by
+    ``cos(1000 z1 z2)``, whose samples over the observability nodes gain
+    two new directions with every controllability node: not of low rank
+    in that mode."""
+
+    def __init__(self, sys_):
+        self._sys = sys_
+
+    def __getattr__(self, name):
+        return getattr(self._sys, name)
+
+    def h2_grid(self, a, b, c):
+        z2 = np.add.outer(np.asarray(b), np.asarray(c))
+        vals = np.cos(1e3 * np.multiply.outer(np.asarray(a), z2))
+        return vals[..., None, None, None]
+
+
+def test_held_out_fibres_reject_samples_without_low_mode_rank():
+    rule = log_trapezoid(1e-2, 10.0, 20)
+    with pytest.raises(ValueError, match="j-mode basis .* not of low rank"):
+        lqo_qbt_streamed(OscillatingSampler(scalar_s1()), rule, rule, [1])
 
 
 # ------------------------------------------------------------ persistence
@@ -455,6 +506,27 @@ def test_wrong_sample_shape_names_the_method(method, entry):
         entry(ShortSampler(sys_, method), rule)
 
 
+class CallPoisonedSampler:
+    """Forwards to a system but plants one NaN in the values of the calls
+    to `method` that `hit(a, b, c)` selects."""
+
+    def __init__(self, sys_, method, hit):
+        self._sys, self._method, self._hit = sys_, method, hit
+
+    def __getattr__(self, name):
+        attr = getattr(self._sys, name)
+        if name != self._method:
+            return attr
+
+        def poisoned(a, b, c):
+            out = np.array(attr(a, b, c))
+            if self._hit(a, b, c):
+                out.flat[-1] = np.nan
+            return out
+
+        return poisoned
+
+
 def test_non_finite_samples_are_rejected(tmp_path):
     rng = np.random.default_rng(89)
     sys_ = random_stable_system(rng, n=4, m=2, p=2)
@@ -462,8 +534,23 @@ def test_non_finite_samples_are_rejected(tmp_path):
     bad = PoisonedSampler(sys_)
     with pytest.raises(ValueError, match="h2_sum holds non-finite"):
         collect_time_data(bad, rule, rule)
-    with pytest.raises(ValueError, match="streamed H'H holds non-finite"):
+    with pytest.raises(ValueError, match=r"sampler\.h2_grid returned NaN or inf"):
         lqo_qbt_streamed(bad, rule, rule, [2])
+
+    # one NaN in a probe fibre across a subset of the observability nodes,
+    # or in one streamed block of two controllability nodes (no probe or
+    # held-out call of nine nodes a side has two), is named as well
+    rule9 = log_trapezoid(1e-2, 10.0, 9)
+    n = rule9.nodes.size
+    cases = [
+        ("h2_grid", lambda a, b, c: len(b) < n and len(c) == n),
+        ("h2_grid", lambda a, b, c: len(a) == 2 and len(b) == len(c) == n),
+        ("dh2_grid", lambda a, b, c: len(a) == 2),
+    ]
+    for method, hit in cases:
+        sampler = CallPoisonedSampler(sys_, method, hit)
+        with pytest.raises(ValueError, match=rf"sampler\.{method} returned NaN or inf"):
+            lqo_qbt_streamed(sampler, rule9, rule9, [2], chunk=2)
 
     save_dataset(collect_time_data(sys_, rule, rule), tmp_path / "ds")
     path = tmp_path / "ds" / "samples.npz"
