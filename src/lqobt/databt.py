@@ -26,14 +26,19 @@ controllability-side node is the outer index), and channels are stacked
 outermost. Any orthogonal transform of the rows of ``[H | M | h]``, a
 fixed row permutation for one, yields an equivalent reduced model, and
 so does a compression onto any orthonormal basis whose range holds that
-of ``H``: the time-domain reducer, :func:`lqo_qbt_streamed`, compresses
-the quadratic rows onto the ranges of their two node modes.
+of ``H``. Both domains' reducers compress the quadratic rows onto the
+ranges of their two node modes, found from probe fibres
+(:func:`_mode_bases`): :func:`lqo_qbt_streamed` from kernel samples
+streamed off a sampler, :func:`lqo_qbt` on a frequency dataset from its
+real Loewner rows, assembled block by block (:func:`_freq_compressed`).
+Neither ever holds the quadratic rows whole.
 
 Frequency-domain data closed under conjugation gives complex matrices that
 a fixed unitary pairing of each ``(+w, -w)`` node pair makes real. The
 real matrices are assembled directly, from the divided differences at the
 positive node of each outer pair, and the samples' conjugate symmetry that
-this relies on is checked first.
+this relies on is checked first. :func:`build_freq_matrices` assembles them
+whole, as the oracle the compressed route is tested against.
 """
 
 import json
@@ -72,8 +77,12 @@ TIE_TOL = 1e-12
 # held-out residuals up to 9e-11, eight 2e-12), and the residual that raises
 PROBES = 8
 MODE_TOL = 1e-10
-# bound on the frequency route's estimated peak memory
-FREQ_PEAK_BYTES = 2e9
+# bytes of complex quadratic Loewner rows the frequency route assembles at
+# a time (at 100 nodes a side, 4 to 64 MiB ran equally fast); a collection
+# whose rows at one controllability node exceed it is refused
+FREQ_BLOCK_BYTES = 2**24
+_COMPLEX_ROM = ("complex data matrices cannot produce a real reduced model; "
+                "collect with conjugate closure and realify")
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +482,7 @@ def build_htilde_gtilde_ktilde(ds):
 
 
 def build_freq_matrices(ds, realify=None):
-    """Assemble all five matrices from transfer-function samples.
+    """Assemble all five matrices, whole, from transfer-function samples.
 
     Entries are divided differences of transfer-function values: the linear
     part is a Loewner matrix over the two node sets, its derivative companion
@@ -490,6 +499,10 @@ def build_freq_matrices(ds, realify=None):
     imaginary parts of the entries at its positive node, so the divided
     differences are evaluated only there.
 
+    This is the full-matrix oracle: the reduction itself (:func:`lqo_qbt`,
+    :func:`lqo_qbt_auto`) never forms the quadratic rows whole but
+    assembles them compressed onto their mode bases.
+
     Returns
     -------
     :class:`DataMatrices` with ``domain="freq"``.
@@ -501,46 +514,81 @@ def build_freq_matrices(ds, realify=None):
         if not ds.conjugate_closure:
             raise ValueError("realification requires a conjugate-closed dataset")
         _check_conjugate_symmetry(ds)
-    th, rho = ds.p_nodes, ds.p_sqrt_weights
-    s, phi = ds.q_nodes, ds.q_sqrt_weights
     Np, Nq, m, p = ds.Np, ds.Nq, ds.m, ds.p
     nl, nc = Nq * p, Np * m
-    # the outer paired axis of each block: the positive nodes only when
-    # realifying (the row node j of the linear rows, k of the quadratic ones)
-    o = slice(None, None, 2 if realify else 1)
 
-    def linear(shifted):
-        """Linear rows (j, l), laid out (j, p, l, m)."""
-        return _loewner(
-            ds.tf1_in[o, None], ds.tf1_out[None], s[o], th,
-            phi[o, None] * rho, shifted,
-        ).transpose(0, 2, 1, 3)
-
-    def quadratic(shifted):
-        """Quadratic rows (k, j, l), laid out (p, k, j, m, l, m)."""
-        rk = rho[o, None, None, None, None]
-        return _loewner(
-            rk * ds.tf2_cross[:, o, :, None], rk * ds.tf2_quad[:, o, None],
-            s, th, phi[:, None] * rho, shifted,
-        ).transpose(0, 1, 2, 4, 3, 5)
-
-    h, g, K = _io_blocks(ds.tf1_in, ds.tf2_cross, ds.tf1_out, ds.tf2_quad,
-                         phi, rho)
     if not realify:
+        h, g, K = _io_blocks(ds.tf1_in, ds.tf2_cross, ds.tf1_out, ds.tf2_quad,
+                             ds.q_sqrt_weights, ds.p_sqrt_weights)
         H, M = (
-            np.vstack([linear(d).reshape(nl, nc), quadratic(d).reshape(-1, nc)])
+            np.vstack([
+                _linear_rows(ds, slice(None), d).reshape(nl, nc),
+                _quadratic_rows(ds, np.arange(Np), np.arange(Nq), d)
+                .transpose(0, 1, 2, 4, 3, 5).reshape(-1, nc),
+            ])
             for d in (False, True)
         )
         return DataMatrices(H=H, M=M, h=h, g=g, K=K, domain="freq")
 
-    Np2, Nq2 = Np // 2, Nq // 2
+    h, g, K = _real_io_blocks(ds)
     H = np.empty((h.shape[0], nc))
     M = np.empty_like(H)
     for out, shifted in ((H, False), (M, True)):
-        _real_pairs(linear(shifted).reshape(Nq2, p, Np2, 2, m), 0,
-                    cols=(3,), out=out[:nl])
-        _real_pairs(quadratic(shifted).reshape(p, Np2, Nq2, 2, m, Np2, 2, m),
-                    1, rows=(3,), cols=(6,), out=out[nl:])
+        _real_linear_rows(ds, shifted, out=out[:nl])
+        _real_quadratic(ds, np.arange(Np // 2), np.arange(Nq // 2), shifted,
+                        out=out[nl:])
+    return DataMatrices(H=H, M=M, h=h, g=g, K=K, domain="freq")
+
+
+def _linear_rows(ds, o, shifted):
+    """Linear Loewner rows at the observability nodes `o` (a slice), laid
+    out (j, p, l, m)."""
+    phi, rho = ds.q_sqrt_weights, ds.p_sqrt_weights
+    return _loewner(
+        ds.tf1_in[o, None], ds.tf1_out[None], ds.q_nodes[o], ds.p_nodes,
+        phi[o, None] * rho, shifted,
+    ).transpose(0, 2, 1, 3)
+
+
+def _quadratic_rows(ds, k, j, shifted):
+    """Quadratic Loewner rows at the controllability nodes `k` and the
+    observability nodes `j` (index arrays), laid out (p, k, j, l, m, m)."""
+    rho, phi = ds.p_sqrt_weights, ds.q_sqrt_weights
+    rk = rho[k, None, None, None, None]
+    return _loewner(
+        rk * ds.tf2_cross[:, k][:, :, j, None], rk * ds.tf2_quad[:, k, None],
+        ds.q_nodes[j], ds.p_nodes, phi[j, None] * rho, shifted,
+    )
+
+
+def _real_linear_rows(ds, shifted, out=None):
+    """Real linear rows of a conjugate-closed dataset, ``(N_q p, N_p m)``."""
+    Np, Nq, m, p = ds.Np, ds.Nq, ds.m, ds.p
+    Y = _linear_rows(ds, slice(None, None, 2), shifted)
+    return _real_pairs(Y.reshape(Nq // 2, p, Np // 2, 2, m), 0, cols=(3,),
+                       out=out).reshape(Nq * p, Np * m)
+
+
+def _real_quadratic(ds, kp, jp, shifted, out=None):
+    """Real quadratic rows of a conjugate-closed dataset at the pairs `kp`
+    of controllability nodes and `jp` of observability nodes (pair index
+    arrays): both rows of every pair, laid out (p, k, 2, j, 2, m, N_p m)
+    with the pair slots after the pair indices. Only the positive node of
+    each pair in `kp` is evaluated."""
+    members = (2 * jp[:, None] + np.arange(2)).ravel()
+    L = _quadratic_rows(ds, 2 * kp, members, shifted)
+    p, nk, _, Np, m = L.shape[:5]
+    Y = L.transpose(0, 1, 2, 4, 3, 5).reshape(p, nk, jp.size, 2, m, Np // 2, 2, m)
+    R = _real_pairs(Y, 1, rows=(3,), cols=(6,), out=out)
+    return R.reshape(p, nk, 2, jp.size, 2, m, Np * m)
+
+
+def _real_io_blocks(ds):
+    """Real ``h``, ``g`` and ``K`` of a conjugate-closed dataset."""
+    Np, Nq, m, p = ds.Np, ds.Nq, ds.m, ds.p
+    Np2, Nq2, nl, nc = Np // 2, Nq // 2, Nq * p, Np * m
+    h, g, K = _io_blocks(ds.tf1_in, ds.tf2_cross, ds.tf1_out, ds.tf2_quad,
+                         ds.q_sqrt_weights, ds.p_sqrt_weights)
     h = np.vstack([
         _real_pairs(h[:nl].reshape(Nq2, 2, p, m)[:, 0], 0).reshape(nl, m),
         _real_pairs(h[nl:].reshape(p, Np2, 2, Nq2, 2, m, m)[:, :, 0], 1,
@@ -552,7 +600,7 @@ def build_freq_matrices(ds, realify=None):
         .reshape(nc, nc)
         for Kq in K
     ]
-    return DataMatrices(H=H, M=M, h=h, g=g.reshape(p, nc), K=K, domain="freq")
+    return h, g.reshape(p, nc), K
 
 
 def _loewner(a, b, s, th, w, shifted):
@@ -678,10 +726,7 @@ def reduce_from_matrices(dm, r, factors=None):
     ``"<domain>-qbt"``.
     """
     if np.iscomplexobj(dm.H):
-        raise ValueError(
-            "complex data matrices cannot produce a real reduced model; "
-            "collect with conjugate closure and realify"
-        )
+        raise ValueError(_COMPLEX_ROM)
     res = svd(dm.H) if factors is None else factors
     _truncation_guard(res.S, r, dm.H.shape[1])
     scale = 1.0 / np.sqrt(res.S[:r])
@@ -704,10 +749,13 @@ def _reduce_orders(dm, orders):
 def lqo_qbt(ds, r):
     """Quadrature-based balanced truncation from a kernel dataset.
 
-    Assembles the five data matrices and reduces to order `r`; see
+    Reduces the five data matrices to order `r`; see
     :func:`reduce_from_matrices`. Time-domain datasets give provenance
-    ``"time-qbt"``, frequency-domain ones ``"freq-qbt"`` (these must be
-    conjugate closed so the model can be made real).
+    ``"time-qbt"`` and are assembled whole. Frequency-domain ones give
+    ``"freq-qbt"``; they must be conjugate closed so the model can be made
+    real, and their quadratic rows are assembled compressed onto their mode
+    bases (:func:`_freq_compressed`), which gives the same model as the
+    whole matrices of :func:`build_freq_matrices`.
 
     Parameters
     ----------
@@ -720,6 +768,8 @@ def lqo_qbt(ds, r):
     -------
     :class:`~lqobt.model.ReducedLqoSystem`
     """
+    if ds.domain == "freq":
+        return reduce_from_matrices(_freq_compressed(ds), r)
     return reduce_from_matrices(build_data_matrices(ds), r)
 
 
@@ -728,10 +778,11 @@ def lqo_qbt_auto(sampler, rule_p, rule_q, orders, domain="time"):
 
     The time domain runs :func:`lqo_qbt_streamed` at every node count,
     which takes the channel counts from the first grid it samples.
-    Frequency data is conjugate closed and assembled whole as real
-    matrices; a collection whose estimated peak memory (six times the
-    real ``H``) exceeds ``FREQ_PEAK_BYTES`` is refused before sampling.
-    Only that estimate reads the sampler's ``m`` and ``p`` attributes.
+    Frequency data is conjugate closed and reduced through
+    :func:`_freq_compressed`, which assembles the quadratic rows in blocks
+    of at most ``FREQ_BLOCK_BYTES``; a collection whose rows at a single
+    controllability node exceed that block is refused before sampling.
+    Only that check reads the sampler's ``m`` and ``p`` attributes.
 
     Returns
     -------
@@ -742,16 +793,97 @@ def lqo_qbt_auto(sampler, rule_p, rule_q, orders, domain="time"):
         return lqo_qbt_streamed(sampler, rule_p, rule_q, orders)
     if domain != "freq":
         raise ValueError(f"unknown domain {domain!r}")
-    # closure doubles both node sets; the peak measured 4.5 to 5.2 times H
-    n_p, n_q, m, p = 2 * len(rule_p), 2 * len(rule_q), sampler.m, sampler.p
-    if 6 * 8.0 * n_q * p * (1 + n_p * m) * n_p * m > FREQ_PEAK_BYTES:
+    # closure doubles both node sets
+    per_node = _node_bytes(sampler.p, sampler.m, 2 * len(rule_p), 2 * len(rule_q))
+    if per_node > FREQ_BLOCK_BYTES:
         raise ValueError(
-            "frequency-domain reduction would peak above "
-            f"{FREQ_PEAK_BYTES / 1e9:.1f} GB; lower --np/--nq "
+            f"frequency-domain reduction needs {per_node / 2**20:.0f} MiB of "
+            "Loewner rows per node, more than its "
+            f"{FREQ_BLOCK_BYTES / 2**20:.0f} MiB block; lower --np/--nq "
             "(or use --domain time, which streams)"
         )
     ds = collect_freq_data(sampler, rule_p, rule_q)
-    return _reduce_orders(build_data_matrices(ds), orders)
+    return _reduce_orders(_freq_compressed(ds), orders)
+
+
+def _node_bytes(p, m, Np, Nq):
+    """Bytes of the complex quadratic Loewner rows at one controllability
+    node."""
+    return 16 * p * m * m * Np * Nq
+
+
+def _freq_compressed(ds):
+    """Real data matrices of a conjugate-closed frequency dataset with the
+    quadratic rows compressed onto ``I_p (x) V_k (x) V_j``.
+
+    The bases come from real Loewner rows at probe node pairs
+    (:func:`_mode_bases`). The rows themselves are assembled for blocks of
+    positive controllability nodes ``k`` of at most ``FREQ_BLOCK_BYTES``:
+    each complex block is contracted over ``j`` with ``W = P' V_j``, the
+    real ``j`` basis seen from the complex axis (``P`` is the fixed pair
+    unitary), made real over its column pairs and its ``k`` pairs, and
+    contracted over ``(k, a)`` with ``V_k``. The full quadratic rows are
+    never held; the linear rows, ``h``, ``g`` and ``K`` are built as in
+    :func:`build_freq_matrices`.
+    """
+    _require_domain(ds, "freq")
+    if not ds.conjugate_closure:
+        raise ValueError(_COMPLEX_ROM)
+    _check_conjugate_symmetry(ds)
+    Np, Nq, m, p = ds.Np, ds.Nq, ds.m, ds.p
+    Np2, Nq2, nl, nc = Np // 2, Nq // 2, Nq * p, Np * m
+    h, g, K = _real_io_blocks(ds)
+    Vk, Vj = _mode_bases(_loewner_fibres(ds), Np2, Nq2)
+    Vk = Vk.reshape(Np2, 2, m, -1)
+    V0, V1 = Vj.reshape(Nq2, 2, -1).transpose(1, 0, 2)
+    W = np.stack([V0 - 1j * V1, V0 + 1j * V1], axis=1).reshape(Nq, -1) / _SQRT2
+
+    step = max(1, FREQ_BLOCK_BYTES // _node_bytes(p, m, Np, Nq))
+    every_j = np.arange(Nq)
+    rows = []
+    for shifted in (False, True):
+        core = 0.0
+        for lo in range(0, Np2, step):
+            kp = np.arange(lo, min(lo + step, Np2))
+            L = _quadratic_rows(ds, 2 * kp, every_j, shifted)
+            # (p, k, j, l, a, b): contract j, then realify and contract (k, a)
+            Y = np.matmul(W.T, L.reshape(p * kp.size, Nq, -1))
+            Y = Y.reshape(p, kp.size, -1, Np2, 2, m, m)
+            R = _real_pairs(Y, 1, cols=(4,))
+            core = core + np.tensordot(R, Vk[kp], axes=([1, 2, 6], [0, 1, 2]))
+        quad = core.transpose(0, 5, 1, 2, 3, 4).reshape(-1, nc)
+        rows.append(np.vstack([_real_linear_rows(ds, shifted), quad]))
+    return DataMatrices(H=rows[0], M=rows[1],
+                        h=_compress_h(h, nl, Vk.reshape(Np, m, -1), Vj),
+                        g=g, K=K, domain="freq")
+
+
+def _loewner_fibres(ds):
+    """The unfoldings of the real quadratic Loewner rows of a
+    conjugate-closed dataset that :func:`_mode_bases` probes: both rows of
+    each observability node pair in `idx` unfolded to rows ``(k, a)``, or
+    both rows of each controllability node pair in `idx` unfolded to rows
+    ``j``."""
+    Np2, Nq2 = ds.Np // 2, ds.Nq // 2
+
+    def unfolding(mode, idx):
+        if mode == "k":
+            R = _real_quadratic(ds, np.arange(Np2), idx, False)
+            return np.moveaxis(R, (1, 2, 5), (0, 1, 2)).reshape(ds.Np * ds.m, -1)
+        R = _real_quadratic(ds, idx, np.arange(Nq2), False)
+        return np.moveaxis(R, (3, 4), (0, 1)).reshape(ds.Nq, -1)
+
+    return unfolding
+
+
+def _compress_h(h, nl, Vk, Vj):
+    """`h` with its quadratic rows, laid out (q, k, j, a), compressed onto
+    ``I_p (x) V_k (x) V_j`` (`Vk` shaped ``(N_p, m, r_k)``); the first `nl`
+    rows are linear and kept."""
+    Np, m, _ = Vk.shape
+    quad = h[nl:].reshape(-1, Np, Vj.shape[0], m, m)
+    quad = np.einsum("kar,js,qkjab->qrsb", Vk, Vj, quad, optimize=True)
+    return np.vstack([h[:nl], quad.reshape(-1, m)])
 
 
 def lqo_qbt_streamed(sampler, rule_p, rule_q, orders, chunk=48):
@@ -796,7 +928,8 @@ def lqo_qbt_streamed(sampler, rule_p, rule_q, orders, chunk=48):
     _require_finite("dh1_grid", dh1_sum)
     _require_finite("h2_grid", h2_in, h2_quad)
     h, g, K = _io_blocks(h1_in, h2_in, h1_out, h2_quad, phi, rho)
-    Vk, Vj = _mode_bases(sampler, t, rho, tau, phi, (p, m, m))
+    Vk, Vj = _mode_bases(_kernel_fibres(sampler, t, rho, tau, phi, (p, m, m)),
+                         Np, Nq)
     Vk = Vk.reshape(Np, m, -1)
     Wk, Wj = rho[:, None, None] * Vk, phi[:, None] * Vj  # weights folded in
 
@@ -818,12 +951,9 @@ def lqo_qbt_streamed(sampler, rule_p, rule_q, orders, chunk=48):
         quad = core.transpose(3, 0, 1, 2, 4).reshape(-1, Np * m)
         return np.vstack([_linear_block(linear, phi, rho), quad])
 
-    nl = Nq * p
-    h_quad = np.einsum("kar,js,qkjab->qrsb", Vk, Vj,
-                       h[nl:].reshape(p, Np, Nq, m, m), optimize=True)
     dm = DataMatrices(
         H=rows("h2_grid", h1_sum), M=rows("dh2_grid", dh1_sum),
-        h=np.vstack([h[:nl], h_quad.reshape(-1, m)]), g=g, K=K, domain="time",
+        h=_compress_h(h, Nq * p, Vk, Vj), g=g, K=K, domain="time",
     )
     return _reduce_orders(dm, orders)
 
@@ -833,18 +963,12 @@ def _require_finite(method, *arrays):
         raise ValueError(f"sampler.{method} returned NaN or inf")
 
 
-def _mode_bases(sampler, t, rho, tau, phi, tail):
-    """Orthonormal bases ``V_k`` (rows ``(k, a)``) and ``V_j`` (rows ``j``)
-    of the two modes of the weighted quadratic samples: the left singular
-    vectors above ``RANK_TOL`` of ``PROBES`` fibres across the other node
-    set, ``h2_grid(t, tau[J], t)`` and ``h2_grid(t[K], tau, t)`` at
-    evenly spread indices. This range finder needs no Gram matrix. The
-    fibres midway between the probes must lie in the basis to within
-    ``MODE_TOL`` of their norm, or the samples are not of low rank in that
-    mode and this raises."""
+def _kernel_fibres(sampler, t, rho, tau, phi, tail):
+    """The unfoldings of the weighted quadratic kernel samples that
+    :func:`_mode_bases` probes: ``h2_grid(t, tau[idx], t)`` unfolded to
+    rows ``(k, a)``, or ``h2_grid(t[idx], tau, t)`` unfolded to rows
+    ``j``."""
     def unfolding(mode, idx):
-        """Weighted fibres at the indices `idx` of the other node set,
-        unfolded to rows ``(k, a)`` or rows ``j``."""
         ks, js = (slice(None), idx) if mode == "k" else (idx, slice(None))
         vals = _grid(sampler, "h2_grid", (t[ks], tau[js], t), tail)
         _require_finite("h2_grid", vals)
@@ -853,20 +977,33 @@ def _mode_bases(sampler, t, rho, tau, phi, tail):
             return np.moveaxis(vals, 4, 1).reshape(t.size * tail[-1], -1)
         return np.moveaxis(vals, 1, 0).reshape(tau.size, -1)
 
+    return unfolding
+
+
+def _mode_bases(unfolding, n_k, n_j):
+    """Orthonormal bases ``V_k`` (rows ``(k, a)``) and ``V_j`` (rows ``j``)
+    of the two modes of the quadratic rows: the left singular vectors
+    above ``RANK_TOL`` of ``unfolding(mode, idx)``, the fibres at
+    ``PROBES`` evenly spread indices `idx` into the other node set (of
+    ``n_j`` indices for mode ``"k"``, ``n_k`` for mode ``"j"``) unfolded to
+    the mode's rows. This range finder needs no Gram matrix. The fibres
+    midway between the probes must lie in the basis to within ``MODE_TOL``
+    of their norm, or the samples are not of low rank in that mode and
+    this raises."""
     bases = []
-    for mode, n in (("k", tau.size), ("j", t.size)):
+    for mode, n in (("k", n_j), ("j", n_k)):
         probes = np.unique(np.linspace(0, n - 1, PROBES).round().astype(int))
         held = np.setdiff1d((probes[:-1] + probes[1:]) // 2, probes)
         # the transpose is tall, so its SVD runs on a small triangle
-        res = svd(unfolding(mode, probes).T)
+        res = svd(unfolding(mode, probes).T, left=False)
         V = res.Y[:, res.S > RANK_TOL * res.S[0]]
         F = unfolding(mode, held) if held.size else V[:, :0]
         norm, residual = np.linalg.norm(F), np.linalg.norm(F - V @ (V.T @ F))
         if residual > MODE_TOL * norm:
             raise ValueError(
-                f"held-out h2_grid fibres leave {residual / norm:.2e} of their "
-                f"norm (> {MODE_TOL:g}) outside the {mode}-mode basis of the "
-                "probes; the samples are not of low rank"
+                f"held-out quadratic fibres leave {residual / norm:.2e} of "
+                f"their norm (> {MODE_TOL:g}) outside the {mode}-mode basis "
+                "of the probes; the samples are not of low rank"
             )
         bases.append(V)
     return bases

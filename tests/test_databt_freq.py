@@ -36,11 +36,14 @@ from lqobt import (
     log_trapezoid,
     lqo_qbt,
     lqo_qbt_auto,
+    reduce_from_matrices,
     save_dataset,
     synthesize_system,
 )
+from lqobt import databt
 from lqobt.errors import FrequencyCollisionError
 from lqobt.numcore import svd
+from test_acceptance import _equivalence_cases
 
 
 def rule_of(nodes, sw=None):
@@ -246,12 +249,22 @@ def test_realify_requires_closure():
         build_freq_matrices(ds, realify=True)
 
 
-def test_complex_matrices_cannot_be_reduced():
+def test_complex_matrices_cannot_be_reduced(monkeypatch):
     sys_ = scalar_s1()
     ds = collect_freq_data(
         sys_, rule_of([1.0, 2.0]), rule_of([0.5, 3.0]), conjugate_closure=False
     )
-    with pytest.raises(ValueError, match="complex"):
+
+    def no_compression(*args, **kwargs):
+        raise AssertionError("compression started on a complex dataset")
+
+    for name in ("_check_conjugate_symmetry", "_real_io_blocks", "_mode_bases",
+                 "_quadratic_rows"):
+        monkeypatch.setattr(databt, name, no_compression)
+    with pytest.raises(ValueError, match=(
+        r"^complex data matrices cannot produce a real reduced model; "
+        r"collect with conjugate closure and realify$"
+    )):
         lqo_qbt(ds, 1)
 
 
@@ -305,6 +318,144 @@ def test_time_and_freq_routes_agree():
     assert e_freq <= 1.2 * e_bt
 
 
+# ------------------------------------------------------ compressed route
+
+
+def _assert_resolved_values_match(S, S_full, floor=0.0):
+    """The singular values above ``RANK_TOL`` agree in count, and in value
+    to 1e-8 relative or `floor` times the largest."""
+    lead = S_full > databt.RANK_TOL * S_full[0]
+    assert np.count_nonzero(S > databt.RANK_TOL * S[0]) == lead.sum()
+    assert np.allclose(S[: lead.sum()], S_full[lead], rtol=1e-8,
+                       atol=floor * S_full[0])
+
+
+def _assert_matches_oracle(sys_, ds, orders, pts, floor=0.0):
+    """The compressed route against the whole real matrices: resolved
+    singular values, and the reduced models through their transfer
+    functions (the routes may differ by a diagonal sign similarity)."""
+    dm_full = build_freq_matrices(ds)
+    S_full = svd(dm_full.H).S
+    dm = databt._freq_compressed(ds)
+    _assert_resolved_values_match(svd(dm.H).S, S_full, floor)
+    for r in orders:
+        tf_agree(reduce_from_matrices(dm_full, r), lqo_qbt(ds, r), pts,
+                 rtol=1e-9, scale_sys=sys_)
+    return dm
+
+
+def test_compressed_route_matches_oracle_on_equivalence_cases():
+    # some of these resolve singular values down to 3e-11 of the largest;
+    # a row permutation of the whole matrix alone moves those by up to
+    # 3e-7 relative, 3e-16 of the largest, so below 1e-8 relative they are
+    # held to the decomposition's own backward error
+    pts = [0.3 + 1.2j, 1.0, 2.5 + 0.4j]
+    for sys_, rule_p, rule_q in _equivalence_cases():
+        ds = collect_freq_data(sys_, rule_p, rule_q)
+        S = svd(build_freq_matrices(ds).H).S
+        rank = int(np.count_nonzero(S > databt.RANK_TOL * S[0]))
+        _assert_matches_oracle(sys_, ds, sorted({1, (rank + 1) // 2}), pts,
+                               floor=1e-14)
+
+
+def test_compressed_route_matches_oracle_on_acceptance_system():
+    # the freq_direct benchmark's configuration: n=50, 100 nodes a side
+    # staggered by half a geometric step, 200 after closure
+    sys_ = synthesize_system(50, damping=(0.1, 3.0), gain_decay=0.85, seed=21)
+    a, b, n_nodes = 1e-2, 1e2, 100
+    shift = (b / a) ** (0.5 / (n_nodes - 1))
+    ds = collect_freq_data(sys_, log_trapezoid(a, b, n_nodes),
+                           log_trapezoid(a * shift, b * shift, n_nodes))
+    dm = _assert_matches_oracle(sys_, ds, [10, 20], [0.3 + 1.2j, 1.0, 2.5 + 0.4j])
+    # 200 linear rows and 50 x 50 quadratic ones, not the whole 40,200
+    assert dm.H.shape == (2700, 200)
+
+
+def test_compressed_route_never_builds_the_whole_rows(monkeypatch):
+    rng = np.random.default_rng(131)
+    sys_ = random_stable_system(rng, n=5, m=2, p=2)
+    rule_p = log_trapezoid(0.05, 20.0, 12)
+    rule_q = log_trapezoid(0.07, 28.0, 12)
+    ds = collect_freq_data(sys_, rule_p, rule_q)
+    rom_ref = reduce_from_matrices(build_freq_matrices(ds), 3)
+
+    def whole(*args, **kwargs):
+        raise AssertionError("the whole data matrices were assembled")
+
+    sizes = []
+    quadratic_rows = databt._quadratic_rows
+
+    def recorded(*args):
+        out = quadratic_rows(*args)
+        sizes.append(out.nbytes)
+        return out
+
+    monkeypatch.setattr(databt, "build_freq_matrices", whole)
+    monkeypatch.setattr(databt, "build_data_matrices", whole)
+    monkeypatch.setattr(databt, "_quadratic_rows", recorded)
+    # one node a block
+    monkeypatch.setattr(databt, "FREQ_BLOCK_BYTES",
+                        16 * ds.p * ds.m**2 * ds.Np * ds.Nq)
+    rom = lqo_qbt(ds, 3)
+    _, (rom_auto,) = lqo_qbt_auto(sys_, rule_p, rule_q, [3], domain="freq")
+    # the positive-node half of the complex quadratic rows, which the
+    # whole real rows are made of
+    half = 16 * ds.p * ds.m**2 * (ds.Np // 2) * ds.Nq * ds.Np
+    assert sizes and max(sizes) < half
+    pts = [0.5 + 0.5j, 1.5]
+    for got in (rom, rom_auto):
+        tf_agree(rom_ref, got, pts, rtol=1e-9, scale_sys=sys_)
+
+
+def test_compressed_route_is_independent_of_block_size(monkeypatch):
+    rng = np.random.default_rng(137)
+    sys_ = random_stable_system(rng, n=6, m=2, p=1)
+    rule_p = log_trapezoid(0.05, 20.0, 9)
+    rule_q = log_trapezoid(0.07, 28.0, 9)
+    ds = collect_freq_data(sys_, rule_p, rule_q)
+    node = 16 * ds.p * ds.m**2 * ds.Np * ds.Nq
+    outs = []
+    for nodes_per_block in (1, 4, 9):
+        monkeypatch.setattr(databt, "FREQ_BLOCK_BYTES", nodes_per_block * node)
+        dm = databt._freq_compressed(ds)
+        outs.append((svd(dm.H).S, lqo_qbt(ds, 3)))
+    (S_ref, rom_ref), *rest = outs
+    for S, rom in rest:
+        # values below RANK_TOL are rounding noise, held to 1e-15 of S[0]
+        assert np.allclose(S, S_ref, rtol=1e-12, atol=1e-15 * S_ref[0])
+        assert np.allclose(rom.A, rom_ref.A, rtol=0, atol=1e-10)
+
+
+class MovingPoleTransfer:
+    """Forwards to a scalar system but replaces its quadratic transfer
+    function by ``1 / (s2 + 1 + s1^2)``, real-coefficient and so conjugate
+    symmetric. Its Loewner rows at one controllability node have rank one
+    in ``j``, but the pole moves with the node, so every node pair adds new
+    directions in that mode: not of low rank there. (A transcendental
+    ``cos(1000 s1 s2)`` is of full rank at every node, so the probes alone
+    span the whole mode and the check has nothing to find.)"""
+
+    def __init__(self, sys_):
+        self._sys = sys_
+
+    def __getattr__(self, name):
+        return getattr(self._sys, name)
+
+    def tf2_grid(self, s1s, s2s):
+        s1, s2 = np.asarray(s1s)[:, None], np.asarray(s2s)[None, :]
+        return (1.0 / (s2 + 1.0 + s1**2))[..., None, None, None]
+
+
+def test_held_out_slices_reject_samples_without_low_mode_rank():
+    a, b, n_nodes = 1e-2, 10.0, 20
+    shift = (b / a) ** (0.5 / (n_nodes - 1))
+    ds = collect_freq_data(MovingPoleTransfer(scalar_s1()),
+                           log_trapezoid(a, b, n_nodes),
+                           log_trapezoid(a * shift, b * shift, n_nodes))
+    with pytest.raises(ValueError, match="j-mode basis .* not of low rank"):
+        lqo_qbt(ds, 1)
+
+
 # ------------------------------------------------------- misc and round trip
 
 
@@ -346,7 +497,9 @@ def test_auto_freq_matches_lqo_qbt_bit_for_bit():
     rule_q = log_trapezoid(0.07, 28.0, 8)
     S, roms = lqo_qbt_auto(sys_, rule_p, rule_q, [2, 4], domain="freq")
     ds = collect_freq_data(sys_, rule_p, rule_q)
-    assert np.array_equal(S, svd(build_data_matrices(ds).H).S)
+    # the singular values are those of the compressed rows, which keep
+    # every one the whole matrix resolves
+    _assert_resolved_values_match(S, svd(build_data_matrices(ds).H).S)
     for r, rom in zip([2, 4], roms):
         ref = lqo_qbt(ds, r)
         assert rom.provenance == "freq-qbt"
@@ -375,18 +528,27 @@ def test_auto_freq_size_guard_precedes_sampling():
         lqo_qbt_auto(UncallableSampler(), rule, rule, [1], domain="laplace")
 
 
+class TwoInputUncallableSampler(UncallableSampler):
+    m = 2
+
+
 def test_auto_freq_size_guard_bounds_the_peak():
-    # the route peaks at about five times the real H, so 200 nodes a side
-    # (400 after closure, a 0.51 GB H) is refused, and 100 nodes a side,
-    # the size of the freq_direct benchmark, goes on to sample
+    # the route holds the samples and the probe slices, about 34 times the
+    # complex Loewner rows at one controllability node, plus one block of
+    # FREQ_BLOCK_BYTES; so a collection whose rows at one node exceed the
+    # block is refused: one input and output admit 512 nodes a side (1024
+    # after closure, 16 MiB a node) and refuse 513, two inputs a quarter
     def rules(n_nodes):
         return (log_trapezoid(1e-2, 1e2, n_nodes),
                 log_trapezoid(2e-2, 5e1, n_nodes))
 
-    with pytest.raises(ValueError, match="lower --np/--nq"):
-        lqo_qbt_auto(UncallableSampler(), *rules(200), [2], domain="freq")
-    with pytest.raises(AssertionError, match="sampled despite"):
-        lqo_qbt_auto(UncallableSampler(), *rules(100), [2], domain="freq")
+    assert databt.FREQ_BLOCK_BYTES == 16 * 1024**2
+    for sampler, admitted in ((UncallableSampler(), 512),
+                              (TwoInputUncallableSampler(), 256)):
+        with pytest.raises(ValueError, match="lower --np/--nq"):
+            lqo_qbt_auto(sampler, *rules(admitted + 1), [2], domain="freq")
+        with pytest.raises(AssertionError, match="sampled despite"):
+            lqo_qbt_auto(sampler, *rules(admitted), [2], domain="freq")
 
 
 def test_tied_spectrum_warns_on_split():

@@ -3,6 +3,7 @@ and Sylvester solvers, semidefinite square-root factors, and the deterministic S
 
 import numpy as np
 import pytest
+import scipy.linalg as spla
 
 from lqobt.errors import IndefiniteMatrixError, LyapunovError
 from lqobt.numcore import (
@@ -293,7 +294,7 @@ def _check_svd(M):
 
 def test_svd_reconstruction_and_orthonormality():
     rng = np.random.default_rng(17)
-    # square, wide, and tall enough to take the QR-compression branch
+    # square, wide and tall
     for shape in [(6, 6), (4, 9), (50, 7), (201, 3)]:
         _check_svd(rng.standard_normal(shape))
 
@@ -322,6 +323,59 @@ def test_svd_sign_convention_pins_left_vectors():
     a, b = svd(M), svd(-M)
     assert np.allclose(a.Z, b.Z, rtol=0, atol=1e-13)
     assert np.allclose(a.Y, -b.Y, rtol=0, atol=1e-13)
+
+
+def _loop_sign_fix(Z, Y):
+    """The column-by-column sign fix the vectorized one replaced."""
+    Z, Y = Z.copy(), Y.copy()
+    for j in range(Z.shape[1]):
+        col = Z[:, j]
+        big = np.nonzero(np.abs(col) > 1e-12)[0]
+        if big.size == 0:
+            continue
+        lead = col[big[0]]
+        phase = lead / abs(lead)
+        if phase != 1.0:
+            Z[:, j] = col / phase
+            Y[:, j] = Y[:, j] * np.conj(phase)
+    return Z, Y
+
+
+def test_svd_sign_fix_matches_column_loop():
+    # real phases are +-1, so the arithmetic is the loop's and the result
+    # bit for bit the same; numpy's array and scalar complex divisions
+    # round differently, so complex vectors agree to a few ulps. The zero
+    # rows leave some columns' lead entry past the first row, and the zero
+    # matrix has none at all
+    rng = np.random.default_rng(31)
+    real = rng.standard_normal((6, 5))
+    real[:2] = 0.0
+    cases = [(real, 0.0), (rng.standard_normal((4, 9)), 0.0),
+             (np.zeros((3, 2)), 0.0),
+             (real + 1j * rng.standard_normal((6, 5)), 4 * np.finfo(float).eps)]
+    for M, tol in cases:
+        Z, S, Yh = spla.svd(M, full_matrices=False)
+        Z_want, Y_want = _loop_sign_fix(Z, Yh.conj().T)
+        res = svd(M)
+        assert np.abs(res.Z - Z_want).max(initial=0.0) <= tol
+        assert np.abs(res.Y - Y_want).max(initial=0.0) <= tol
+
+
+def test_svd_right_factor_only():
+    rng = np.random.default_rng(37)
+    for M in (rng.standard_normal((120, 7)), rng.standard_normal((5, 8)),
+              rng.standard_normal((60, 4)) + 1j * rng.standard_normal((60, 4))):
+        full, right = svd(M), svd(M, left=False)
+        assert right.Z is None
+        assert np.allclose(right.S, full.S, rtol=1e-13, atol=0)
+        k = right.S.size
+        assert np.abs(right.Y.conj().T @ right.Y - np.eye(k)).max() <= 1e-12
+        # the same vectors up to phase, now pinned on Y: its first sizable
+        # entry of each column is real and positive
+        overlap = np.abs(full.Y.conj().T @ right.Y)
+        assert np.allclose(overlap, np.eye(k), rtol=0, atol=1e-10)
+        lead = right.Y[np.argmax(np.abs(right.Y) > 1e-12, axis=0), np.arange(k)]
+        assert np.all(lead.real > 0) and np.allclose(lead.imag, 0.0, atol=1e-15)
 
 
 def test_svd_rejects_nonfinite():
