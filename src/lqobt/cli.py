@@ -255,8 +255,8 @@ def cmd_h2_sweep(args):
 
 
 def _add_quadrature_flags(sub):
-    sub.add_argument("--np", type=int, default=800,
-                     help="controllability-side node count (default 800)")
+    sub.add_argument("--np", type=int, default=400,
+                     help="controllability-side node count (default 400)")
     sub.add_argument("--nq", type=int, default=None,
                      help="observability-side node count (default: same as --np)")
     sub.add_argument("--interval", default="1e-1:1e2",

@@ -77,6 +77,8 @@ TIE_TOL = 1e-12
 # held-out residuals up to 9e-11, eight 2e-12), and the residual that raises
 PROBES = 8
 MODE_TOL = 1e-10
+# quadrature nodes t_i per column block of the streamed time route
+TIME_BLOCK = 48
 # bytes of complex quadratic Loewner rows the frequency route assembles at
 # a time (at 100 nodes a side, 4 to 64 MiB ran equally fast); a collection
 # whose rows at one controllability node exceed it is refused
@@ -886,7 +888,7 @@ def _compress_h(h, nl, Vk, Vj):
     return np.vstack([h[:nl], quad.reshape(-1, m)])
 
 
-def lqo_qbt_streamed(sampler, rule_p, rule_q, orders, chunk=48):
+def lqo_qbt_streamed(sampler, rule_p, rule_q, orders):
     """Time-domain QBT that never materializes the stacked sample matrix.
 
     The weighted quadratic samples ``rho_k phi_j rho_i h2_q(t_k, tau_j +
@@ -896,8 +898,10 @@ def lqo_qbt_streamed(sampler, rule_p, rule_q, orders, chunk=48):
     whose range holds that of ``H``, which leaves the reduced model of
     :func:`lqo_qbt` unchanged: it sees the rows of ``[H | M | h]`` only
     through inner products. The quadratic rows shrink from ``p N_p N_q m``
-    to ``p r_k r_j``; the samples are streamed in blocks of `chunk` nodes
-    ``t_k`` and contracted in the sampler's layout, weights in the bases.
+    to ``p r_k r_j``. The samples are streamed in blocks of ``TIME_BLOCK``
+    columns ``t_i``; each block is contracted over ``j`` and ``(k, a)`` in
+    the sampler's layout, weights in the bases, and fills its own columns
+    of the compressed rows, so no sample is held past its block.
 
     Parameters
     ----------
@@ -908,8 +912,6 @@ def lqo_qbt_streamed(sampler, rule_p, rule_q, orders, chunk=48):
     orders
         Iterable of reduction orders; models are produced for all of them
         from one pass over the data.
-    chunk
-        Number of controllability-side nodes per sampled block.
 
     Returns
     -------
@@ -933,21 +935,16 @@ def lqo_qbt_streamed(sampler, rule_p, rule_q, orders, chunk=48):
     Vk = Vk.reshape(Np, m, -1)
     Wk, Wj = rho[:, None, None] * Vk, phi[:, None] * Vj  # weights folded in
 
-    cores = {"h2_grid": 0.0, "dh2_grid": 0.0}
-    for lo in range(0, Np, chunk):
-        for method in cores:
-            vals = _grid(sampler, method, (t[lo:lo + chunk], tau, t), (p, m, m))
-            # (k, j, i, q, a, b): contract j for each k, then (k, a)
-            Y = np.matmul(Wj.T, vals.reshape(len(vals), Nq, -1))
-            Y = Y.reshape(len(vals), -1, Np, p, m, m)
-            cores[method] = cores[method] + np.tensordot(
-                Wk[lo:lo + chunk], Y, axes=([0, 1], [0, 4]))
-
     def rows(method, linear):
         """Linear rows over the rows of the (r_k, r_j, i, q, b) core."""
+        core = np.empty((Wk.shape[2], Wj.shape[1], Np, p, m))
+        for lo in range(0, Np, TIME_BLOCK):
+            cols = slice(lo, lo + TIME_BLOCK)
+            core[:, :, cols] = _contract_block(
+                _grid(sampler, method, (t, tau, t[cols]), (p, m, m)), Wk, Wj)
         # a NaN or inf sample spreads into the core; no block scan is needed
-        _require_finite(method, cores[method])
-        core = cores[method] * rho[:, None, None]
+        _require_finite(method, core)
+        core *= rho[:, None, None]
         quad = core.transpose(3, 0, 1, 2, 4).reshape(-1, Np * m)
         return np.vstack([_linear_block(linear, phi, rho), quad])
 
@@ -956,6 +953,21 @@ def lqo_qbt_streamed(sampler, rule_p, rule_q, orders, chunk=48):
         h=_compress_h(h, Nq * p, Vk, Vj), g=g, K=K, domain="time",
     )
     return _reduce_orders(dm, orders)
+
+
+def _contract_block(vals, Wk, Wj):
+    """A ``(k, j, i, q, a, b)`` block of quadratic samples contracted over
+    ``(k, a)`` with `Wk` and over ``j`` with `Wj`, shaped ``(r_k, r_j, i,
+    q, b)``. With one input ``(k, a)`` is the leading axis and goes first,
+    in one product; otherwise ``j`` goes first, for each ``k``, which
+    spares a transposed copy of the block."""
+    Np, Nq, cb, p, m, _ = vals.shape
+    if m == 1:
+        Y = np.tensordot(Wk, vals, axes=([0, 1], [0, 4]))
+        Y = np.matmul(Wj.T, Y.reshape(len(Y), Nq, -1))
+        return Y.reshape(len(Y), -1, cb, p, m)
+    Y = np.matmul(Wj.T, vals.reshape(Np, Nq, -1)).reshape(Np, -1, cb, p, m, m)
+    return np.tensordot(Wk, Y, axes=([0, 1], [0, 4]))
 
 
 def _require_finite(method, *arrays):

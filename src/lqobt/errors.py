@@ -2,11 +2,12 @@
 
 
 class LyapunovError(RuntimeError):
-    """Sign-function iteration failed to converge.
+    """A Lyapunov or Sylvester equation has no unique stable solution.
 
-    Raised with the iteration count in the message. Non-convergence
-    usually means the coefficient matrix is not Hurwitz, in which case
-    the iteration has no stable fixed point.
+    Raised when a coefficient matrix is not Hurwitz (its real Schur form
+    has an eigenvalue of real part >= 0, named in the message), or when
+    LAPACK ``trsyl`` reports that eigenvalues of the two coefficients
+    nearly cancel.
     """
 
 

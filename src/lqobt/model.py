@@ -31,10 +31,9 @@ __all__ = [
     "save_system",
 ]
 
-# Byte budget shared by each system's node exponentials and sum grids. At
-# N=800 nodes and n=50 the streamed collection keeps two 256 MB sum grids
-# plus 16 MB of exponentials, so a collection of that size evicts nothing
-# it would reuse.
+# Byte budget of each system's node exponentials: at n=50 it holds those of
+# about 50,000 nodes (16 MB at N=800), so a collection evicts nothing it
+# would reuse.
 _CACHE_BYTES = 2**30
 
 
@@ -102,7 +101,6 @@ class LqoSystem:
         self.Ms = tuple(Ms)
         self._abscissa = None
         self._exp_cache = {}
-        self._grid_cache = {}
         self._cache_bytes = 0
         self._cache_lock = threading.Lock()
         if check_stability and not self.is_stable:
@@ -245,35 +243,20 @@ class LqoSystem:
         b = np.asarray(b, dtype=float)
         c = np.asarray(c, dtype=float)
         _check_nonnegative(a, b, c)
+        n = self.n
         S = self._right_stack(a)                      # (alpha, n, m)
         G = np.einsum("unl,qnk->uqlk", S, np.stack(self.Ms))  # (alpha, p, m, n)
-        R = self._sum_grid(b, c, shift)               # (n, beta*gamma*m)
-        out = (G.reshape(-1, self.n) @ R).reshape(
+        if shift:
+            G = G @ self.A
+        # the sum grid exp(A (b_v + c_w)) B as an (n, beta*gamma*m) matrix:
+        # the exponentials of b side by side, times exp(A c_w) B
+        F = np.stack([self._exp(z) for z in b], axis=1)           # (n, beta, n)
+        T = np.moveaxis(self._right_stack(c), 0, 1).reshape(n, -1)  # (n, gamma*m)
+        R = (F.reshape(-1, n) @ T).reshape(n, -1)
+        out = (G.reshape(-1, n) @ R).reshape(
             a.size, self.p, self.m, b.size, c.size, self.m
         )
         return np.ascontiguousarray(out.transpose(0, 3, 4, 1, 2, 5))
-
-    def _sum_grid(self, b, c, shift):
-        """Matrix with columns ``exp(A (b_v + c_w)) B`` (with ``A`` applied
-        once more when `shift`), flattened ``(v, w)``-major.
-
-        Cached by node grid: bulk collection evaluates many row blocks
-        against the same two grids, so each grid is built once per
-        collection."""
-        key = (b.tobytes(), c.tobytes(), bool(shift))
-        hit = self._grid_cache.get(key)
-        if hit is not None:
-            return hit
-        T = self._right_stack(c)                      # (gamma, n, m)
-        if shift:
-            T = np.einsum("ij,wjm->wim", self.A, T)
-        F = np.stack([self._exp(t) for t in b])       # (beta, n, n)
-        R = np.tensordot(F, T, axes=([2], [1]))       # (beta, n, gamma, m)
-        R = np.ascontiguousarray(
-            np.moveaxis(R, 1, 0).reshape(self.n, b.size * c.size * self.m)
-        )
-        self._cache_put(self._grid_cache, key, R)
-        return R
 
     def _left_stack(self, zs, shift):
         CA = self.C @ self.A if shift else self.C
@@ -296,27 +279,25 @@ class LqoSystem:
         E = self._exp_cache.get(key)
         if E is None:
             E = expm(self.A, key)
-            self._cache_put(self._exp_cache, key, E)
+            self._cache_put(key, E)
         return E
 
-    def _cache_put(self, cache, key, arr):
-        """Store `arr` under the byte budget `_CACHE_BYTES` that the node
-        exponentials and the sum grids share: an insert that would exceed
-        it clears both caches first, and an array larger than the whole
-        budget is not stored. Stored arrays are read-only, as every later
-        hit returns the same object."""
-        if arr.nbytes > _CACHE_BYTES:
+    def _cache_put(self, key, E):
+        """Store the exponential `E` under the byte budget `_CACHE_BYTES`:
+        an insert that would exceed it clears the cache first, and an array
+        larger than the whole budget is not stored. Stored arrays are
+        read-only, as every later hit returns the same object."""
+        if E.nbytes > _CACHE_BYTES:
             return
-        arr.flags.writeable = False
+        E.flags.writeable = False
         with self._cache_lock:
-            if key in cache:
+            if key in self._exp_cache:
                 return
-            if self._cache_bytes + arr.nbytes > _CACHE_BYTES:
+            if self._cache_bytes + E.nbytes > _CACHE_BYTES:
                 self._exp_cache.clear()
-                self._grid_cache.clear()
                 self._cache_bytes = 0
-            cache[key] = arr
-            self._cache_bytes += arr.nbytes
+            self._exp_cache[key] = E
+            self._cache_bytes += E.nbytes
 
     # -- transfer functions --------------------------------------------------
 

@@ -17,6 +17,11 @@ __all__ = [
     "psd_sqrt_factor", "svd", "SvdResult",
 ]
 
+# psd_sqrt_factor: relative eigenvalue cut of the factor's rank, and the
+# relative negative eigenvalue still taken for rounding and clipped to zero
+PSD_RANK_TOL = 1e-13
+PSD_DUST_TOL = 1e-12
+
 
 def _square(A):
     A = np.asarray(A, dtype=float)
@@ -150,13 +155,13 @@ def lyapunov_factor(A, B):
     return Z @ U
 
 
-def psd_sqrt_factor(X, rank_tol=1e-13, dust_tol=1e-12):
+def psd_sqrt_factor(X):
     """Square-root factor ``F`` with ``F F' = X`` of a symmetric PSD matrix.
 
     Computed from the symmetric eigendecomposition. Eigenvalues below
-    ``rank_tol * lambda_max`` are truncated, so `F` has ``n x k`` shape with
-    ``k`` the numerical rank. Small negative eigenvalues (down to
-    ``-dust_tol * ||X||_2``) are tolerated and clipped to zero; anything
+    ``PSD_RANK_TOL * lambda_max`` are truncated, so `F` has ``n x k`` shape
+    with ``k`` the numerical rank. Small negative eigenvalues (down to
+    ``-PSD_DUST_TOL * ||X||_2``) are tolerated and clipped to zero; anything
     more negative raises :class:`~lqobt.errors.IndefiniteMatrixError`.
     """
     X = _square(X)
@@ -173,12 +178,12 @@ def psd_sqrt_factor(X, rank_tol=1e-13, dust_tol=1e-12):
     norm2 = abs(lam).max() if n else 0.0
     if norm2 == 0.0:
         return np.zeros((n, 0))
-    if lam.min() < -dust_tol * norm2:
+    if lam.min() < -PSD_DUST_TOL * norm2:
         raise IndefiniteMatrixError(
-            f"matrix has eigenvalue {lam.min():.3e} below -{dust_tol:.0e} * ||X||"
+            f"matrix has eigenvalue {lam.min():.3e} below -{PSD_DUST_TOL:.0e} * ||X||"
         )
     lam = np.clip(lam, 0.0, None)
-    k = int(np.count_nonzero(lam > rank_tol * lam[0]))
+    k = int(np.count_nonzero(lam > PSD_RANK_TOL * lam[0]))
     return V[:, :k] * np.sqrt(lam[:k])
 
 

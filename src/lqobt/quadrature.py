@@ -62,37 +62,6 @@ class QuadratureRule:
             raise ValueError("sample count does not match node count")
         return np.tensordot(self.weights, values, axes=(0, 0))
 
-    def to_csv(self, path):
-        """Write ``node,weight`` lines (round-trip exact via repr)."""
-        with open(path, "w") as f:
-            f.write(f"# kind={self.kind}\n")
-            f.write("node,weight\n")
-            for t, w in zip(self.nodes, self.weights):
-                f.write(f"{t.item()!r},{w.item()!r}\n")
-
-    @classmethod
-    def from_csv(cls, path):
-        """Read a rule written by :meth:`to_csv`.
-
-        Square-root weights are recovered as ``sqrt(weight)``, which is exact
-        in IEEE arithmetic for weights that were produced by squaring.
-        """
-        kind = "custom"
-        nodes, weights = [], []
-        with open(path) as f:
-            for line in f:
-                line = line.strip()
-                if not line or line == "node,weight":
-                    continue
-                if line.startswith("#"):
-                    if "kind=" in line:
-                        kind = line.split("kind=", 1)[1].strip()
-                    continue
-                t, w = line.split(",")
-                nodes.append(float(t))
-                weights.append(float(w))
-        return cls(np.array(nodes), np.sqrt(np.array(weights)), kind=kind)
-
 
 def log_trapezoid(a, b, n):
     """Composite trapezoid rule on log-equispaced nodes in ``[a, b]``.

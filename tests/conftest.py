@@ -190,6 +190,17 @@ class PoisonedSampler:
         return self._poisoned("tf2_grid", *args)
 
 
+class UncallableSampler:
+    """Declares its channel counts and fails on any evaluation."""
+
+    m = p = 1
+
+    def tf1(self, s):
+        raise AssertionError("sampled despite the size guard")
+
+    tf2_grid = tf1
+
+
 class ShortSampler:
     """Forwards to a system but drops the first-axis tail of every array
     one sampling method returns."""

@@ -11,7 +11,7 @@ import os
 import numpy as np
 import pytest
 
-from conftest import tf_agree
+from conftest import UncallableSampler, tf_agree
 from lqobt import (
     ReducedLqoSystem,
     compute_gramians,
@@ -304,6 +304,19 @@ def test_freq_domain_size_guard(tmp_path):
     with pytest.raises(ValueError, match="lower --np"):
         main(["hsv", "--system", manifest, "--domain", "freq",
               "--np", "1200", "--out", str(tmp_path / "hsv")])
+
+
+def test_default_node_count_passes_the_freq_size_guard(tmp_path, monkeypatch):
+    # with the default --np the frequency route gets past its size guard
+    # to sampling, which this sampler refuses
+    def guarded(sys_, rule_p, rule_q, orders, domain):
+        return lqo_qbt_auto(UncallableSampler(), rule_p, rule_q, orders, domain)
+
+    monkeypatch.setattr(cli, "lqo_qbt_auto", guarded)
+    manifest = _synth(tmp_path, n=4)
+    with pytest.raises(AssertionError, match="sampled despite"):
+        main(["hsv", "--system", manifest, "--domain", "freq",
+              "--out", str(tmp_path / "hsv")])
 
 
 def test_malformed_pair_flags_raise(tmp_path):

@@ -13,6 +13,7 @@ import pytest
 from conftest import (
     PoisonedSampler,
     ShortSampler,
+    UncallableSampler,
     assert_matrices_match,
     factor_products,
     freq_factors,
@@ -507,17 +508,6 @@ def test_auto_freq_matches_lqo_qbt_bit_for_bit():
             assert np.array_equal(getattr(rom, name), getattr(ref, name)), name
         for got, want in zip(rom.Ms, ref.Ms):
             assert np.array_equal(got, want)
-
-
-class UncallableSampler:
-    """Declares its channel counts and fails on any evaluation."""
-
-    m = p = 1
-
-    def tf1(self, s):
-        raise AssertionError("sampled despite the size guard")
-
-    tf2_grid = tf1
 
 
 def test_auto_freq_size_guard_precedes_sampling():

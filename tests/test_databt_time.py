@@ -355,7 +355,7 @@ def test_tied_spectrum_warns_on_split():
 # --------------------------------------------------------- streamed path
 
 
-def test_streamed_reduction_matches_direct():
+def test_streamed_reduction_matches_direct(monkeypatch):
     rng = np.random.default_rng(71)
     sys_ = random_stable_system(rng, n=8, m=2, p=2)
     rule_p = log_trapezoid(1e-2, 20.0, 14)
@@ -364,7 +364,8 @@ def test_streamed_reduction_matches_direct():
     dm = build_data_matrices(ds)
     S_direct = svd(dm.H).S
     orders = [3, 5]
-    S_stream, roms = lqo_qbt_streamed(sys_, rule_p, rule_q, orders, chunk=4)
+    monkeypatch.setattr(databt, "TIME_BLOCK", 4)
+    S_stream, roms = lqo_qbt_streamed(sys_, rule_p, rule_q, orders)
     assert len(roms) == len(orders)
     # the compressed rows keep every singular value the direct path resolves
     lead = S_direct > databt.RANK_TOL * S_direct[0]
@@ -378,16 +379,58 @@ def test_streamed_reduction_matches_direct():
         tf_agree(rom_d, rom_s, pts, rtol=1e-9, scale_sys=sys_)
 
 
-def test_streamed_chunk_size_is_irrelevant():
+def test_streamed_chunk_size_is_irrelevant(monkeypatch):
     rng = np.random.default_rng(73)
     sys_ = random_stable_system(rng, n=6)
     rule = log_trapezoid(1e-2, 10.0, 11)
-    (S_ref, (rom_ref,)), *outs = [
-        lqo_qbt_streamed(sys_, rule, rule, [2], chunk=c) for c in (1, 4, 100)
-    ]
+
+    def run(block):
+        monkeypatch.setattr(databt, "TIME_BLOCK", block)
+        return lqo_qbt_streamed(sys_, rule, rule, [2])
+
+    (S_ref, (rom_ref,)), *outs = [run(c) for c in (1, 4, 100)]
     for S, (rom,) in outs:
         assert np.allclose(S, S_ref, rtol=1e-12)
         assert np.allclose(rom.A, rom_ref.A, rtol=0, atol=1e-10)
+
+
+class CountingSampler:
+    """Forwards to a system and records the node counts of every
+    second-order kernel grid call."""
+
+    def __init__(self, sys_):
+        self._sys, self.calls = sys_, []
+
+    def __getattr__(self, name):
+        attr = getattr(self._sys, name)
+        if name not in ("h2_grid", "dh2_grid"):
+            return attr
+
+        def counted(a, b, c):
+            self.calls.append((name, len(a), len(b), len(c)))
+            return attr(a, b, c)
+
+        return counted
+
+
+def test_streamed_samples_come_in_bounded_blocks(monkeypatch):
+    # no quadratic grid call asks for more than max(PROBES, TIME_BLOCK)
+    # nodes on one axis times two whole node sets (the k-mode probes take
+    # t twice), and the streamed calls tile the columns t_i once per method
+    rng = np.random.default_rng(79)
+    sys_ = random_stable_system(rng, n=5)
+    rule_p, rule_q = log_trapezoid(1e-2, 20.0, 23), log_trapezoid(2e-2, 15.0, 17)
+    monkeypatch.setattr(databt, "TIME_BLOCK", 5)
+    sampler = CountingSampler(sys_)
+    lqo_qbt_streamed(sampler, rule_p, rule_q, [2])
+    Np, Nq = len(rule_p), len(rule_q)
+    bound = max(databt.PROBES, databt.TIME_BLOCK) * Np * max(Np, Nq)
+    assert all(a * b * c <= bound for _, a, b, c in sampler.calls)
+    for method in ("h2_grid", "dh2_grid"):
+        # (h2_grid(t, tau, [0]) gives the single-node samples)
+        widths = [c for name, a, b, c in sampler.calls
+                  if name == method and (a, b) == (Np, Nq) and c > 1]
+        assert widths == [5, 5, 5, 5, 3], method
 
 
 def test_streamed_rank_guard():
@@ -527,7 +570,7 @@ class CallPoisonedSampler:
         return poisoned
 
 
-def test_non_finite_samples_are_rejected(tmp_path):
+def test_non_finite_samples_are_rejected(tmp_path, monkeypatch):
     rng = np.random.default_rng(89)
     sys_ = random_stable_system(rng, n=4, m=2, p=2)
     rule = log_trapezoid(1e-2, 10.0, 5)
@@ -538,19 +581,20 @@ def test_non_finite_samples_are_rejected(tmp_path):
         lqo_qbt_streamed(bad, rule, rule, [2])
 
     # one NaN in a probe fibre across a subset of the observability nodes,
-    # or in one streamed block of two controllability nodes (no probe or
-    # held-out call of nine nodes a side has two), is named as well
+    # or in one streamed block of two columns t_i (no probe, held-out or
+    # single-node call of nine nodes a side has two), is named as well
     rule9 = log_trapezoid(1e-2, 10.0, 9)
     n = rule9.nodes.size
     cases = [
         ("h2_grid", lambda a, b, c: len(b) < n and len(c) == n),
-        ("h2_grid", lambda a, b, c: len(a) == 2 and len(b) == len(c) == n),
-        ("dh2_grid", lambda a, b, c: len(a) == 2),
+        ("h2_grid", lambda a, b, c: len(a) == len(b) == n and len(c) == 2),
+        ("dh2_grid", lambda a, b, c: len(c) == 2),
     ]
+    monkeypatch.setattr(databt, "TIME_BLOCK", 2)
     for method, hit in cases:
         sampler = CallPoisonedSampler(sys_, method, hit)
         with pytest.raises(ValueError, match=rf"sampler\.{method} returned NaN or inf"):
-            lqo_qbt_streamed(sampler, rule9, rule9, [2], chunk=2)
+            lqo_qbt_streamed(sampler, rule9, rule9, [2])
 
     save_dataset(collect_time_data(sys_, rule, rule), tmp_path / "ds")
     path = tmp_path / "ds" / "samples.npz"

@@ -16,6 +16,7 @@ from lqobt import (
     collect_time_data,
     load_system,
     log_trapezoid,
+    lqo_qbt_auto,
     lqo_qbt_streamed,
     save_system,
     select_channels,
@@ -234,8 +235,7 @@ def _count_expm(monkeypatch):
 
 
 def _cached_bytes(sys_):
-    return sum(a.nbytes for cache in (sys_._exp_cache, sys_._grid_cache)
-               for a in cache.values())
+    return sum(a.nbytes for a in sys_._exp_cache.values())
 
 
 def test_collection_exponentiates_each_node_once(monkeypatch):
@@ -251,19 +251,26 @@ def test_streamed_exponentiations_do_not_depend_on_chunk(monkeypatch):
     calls = _count_expm(monkeypatch)
     for chunk in (1, 4, 100):
         calls.clear()
-        lqo_qbt_streamed(_fresh(sys_), rule_p, rule_q, [2], chunk=chunk)
+        monkeypatch.setattr(databt, "TIME_BLOCK", chunk)
+        lqo_qbt_streamed(_fresh(sys_), rule_p, rule_q, [2])
         assert len(calls) == len(nodes), chunk
 
 
-@pytest.mark.parametrize("fits_grid", [False, True])
-def test_cache_budget_evicts_without_changing_samples(monkeypatch, fits_grid):
+def test_reduction_leaves_only_node_exponentials_cached():
+    rng = np.random.default_rng(11)
+    sys_ = random_stable_system(rng, n=6, m=2, p=2)
+    rule = log_trapezoid(1e-2, 20.0, 40)
+    lqo_qbt_auto(sys_, rule, rule, [3])
+    n_exp = len(set(rule.nodes) | {0.0})
+    assert len(sys_._exp_cache) == n_exp
+    assert sys_._cache_bytes == n_exp * sys_.n * sys_.n * 8
+
+
+def test_cache_budget_evicts_without_changing_samples(monkeypatch):
     sys_, rule_p, rule_q, nodes = _cache_case()
     reference = collect_time_data(_fresh(sys_), rule_p, rule_q)
-    # room for eight exponentials, and with `fits_grid` for the largest
-    # sum grid as well; either way the collection must evict
-    exp_bytes = sys_.n * sys_.n * 8
-    grid_bytes = sys_.n * rule_q.nodes.size * rule_p.nodes.size * sys_.m * 8
-    budget = 8 * exp_bytes + (grid_bytes if fits_grid else 0)
+    # room for eight exponentials, so the collection must evict
+    budget = 8 * sys_.n * sys_.n * 8
     monkeypatch.setattr(model, "_CACHE_BYTES", budget)
     calls = _count_expm(monkeypatch)
     capped_sys = _fresh(sys_)
@@ -291,7 +298,7 @@ def test_cache_is_consistent_under_concurrent_use(monkeypatch, evict):
     sys_, rule_p, rule_q, _ = _cache_case()
     if evict:
         monkeypatch.setattr(model, "_CACHE_BYTES", 8 * sys_.n * sys_.n * 8)
-    sys_._exp_cache, sys_._grid_cache = _YieldingDict(), _YieldingDict()
+    sys_._exp_cache = _YieldingDict()
     t, tau = rule_p.nodes, rule_q.nodes
     ref_sys = _fresh(sys_)
     want = (ref_sys.h2_grid(t, tau, t), ref_sys.dh1_grid(tau, t))
@@ -317,7 +324,7 @@ def test_pointwise_kernels_stay_uncached():
     sys_.h1(np.array([0.3, 0.7]))
     sys_.h2(0.2, np.array([0.4, 0.9]))
     sys_.dh2_dz2(0.2, 0.4)
-    assert not sys_._exp_cache and not sys_._grid_cache
+    assert not sys_._exp_cache
 
 
 # ---------------------------------------------------- transfer functions

@@ -132,33 +132,3 @@ def test_trapezoid_kernel_energy_convergence():
     rule = log_trapezoid(a, b, 400)
     got = rule.integrate(np.exp(-2.0 * rule.nodes))
     assert abs(got - 0.5) <= 2e-3
-
-
-# ------------------------------------------------------------------ csv
-
-
-def test_csv_round_trip_is_bit_exact(tmp_path):
-    rng = np.random.default_rng(31)
-    nodes = np.sort(rng.uniform(0.01, 5.0, 9))
-    sw = rng.uniform(0.2, 2.0, 9)
-    for rule in [
-        QuadratureRule(nodes, sw),
-        log_trapezoid(1e-2, 1e2, 11),
-        clenshaw_curtis(0.3, 7.0, 8),
-    ]:
-        path = tmp_path / f"{rule.kind}.csv"
-        rule.to_csv(path)
-        back = QuadratureRule.from_csv(path)
-        assert np.array_equal(back.nodes, rule.nodes)
-        assert np.array_equal(back.sqrt_weights, rule.sqrt_weights)
-        assert back.kind == rule.kind
-
-
-def test_csv_header_and_comment(tmp_path):
-    rule = log_trapezoid(1.0, 2.0, 3)
-    path = tmp_path / "rule.csv"
-    rule.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# kind=log-trapezoid"
-    assert lines[1] == "node,weight"
-    assert len(lines) == 5
