@@ -899,7 +899,7 @@ def lqo_qbt_streamed(sampler, rule_p, rule_q, orders):
     :func:`lqo_qbt` unchanged: it sees the rows of ``[H | M | h]`` only
     through inner products. The quadratic rows shrink from ``p N_p N_q m``
     to ``p r_k r_j``. The samples are streamed in blocks of ``TIME_BLOCK``
-    columns ``t_i``; each block is contracted over ``j`` and ``(k, a)`` in
+    columns ``t_i``; each block is contracted over ``(k, a)`` and ``j`` in
     the sampler's layout, weights in the bases, and fills its own columns
     of the compressed rows, so no sample is held past its block.
 
@@ -957,17 +957,12 @@ def lqo_qbt_streamed(sampler, rule_p, rule_q, orders):
 
 def _contract_block(vals, Wk, Wj):
     """A ``(k, j, i, q, a, b)`` block of quadratic samples contracted over
-    ``(k, a)`` with `Wk` and over ``j`` with `Wj`, shaped ``(r_k, r_j, i,
-    q, b)``. With one input ``(k, a)`` is the leading axis and goes first,
-    in one product; otherwise ``j`` goes first, for each ``k``, which
-    spares a transposed copy of the block."""
-    Np, Nq, cb, p, m, _ = vals.shape
-    if m == 1:
-        Y = np.tensordot(Wk, vals, axes=([0, 1], [0, 4]))
-        Y = np.matmul(Wj.T, Y.reshape(len(Y), Nq, -1))
-        return Y.reshape(len(Y), -1, cb, p, m)
-    Y = np.matmul(Wj.T, vals.reshape(Np, Nq, -1)).reshape(Np, -1, cb, p, m, m)
-    return np.tensordot(Wk, Y, axes=([0, 1], [0, 4]))
+    ``(k, a)`` with `Wk`, in one product, then over ``j`` with `Wj`, shaped
+    ``(r_k, r_j, i, q, b)``."""
+    Nq, cb, p, m = vals.shape[1:5]
+    Y = np.tensordot(Wk, vals, axes=([0, 1], [0, 4]))
+    Y = np.matmul(Wj.T, Y.reshape(len(Y), Nq, -1))
+    return Y.reshape(len(Y), -1, cb, p, m)
 
 
 def _require_finite(method, *arrays):
