@@ -64,7 +64,7 @@ def _make_rule(kind, interval, n):
     raise ValueError(f"unknown quadrature rule {kind!r}")
 
 
-def _rules_from_args(args):
+def _rules_from_args(args, domain):
     """Build the two quadrature rules requested on the command line.
 
     In the frequency domain the observability-side nodes are shifted by a
@@ -74,7 +74,7 @@ def _rules_from_args(args):
     n_p = args.np
     n_q = args.nq if args.nq is not None else n_p
     rule_p = _make_rule(args.rule, interval, n_p)
-    if args.domain == "freq":
+    if domain == "freq":
         a, b = interval
         shift = (b / a) ** (0.5 / max(n_p - 1, 1))
         rule_q = _make_rule(args.rule, (a * shift, b * shift), n_q)
@@ -125,7 +125,7 @@ def cmd_synth(args):
 def cmd_hsv(args):
     sys_ = _load(args)
     hsv_f = hankel_singular_values(compute_gramians(sys_))
-    rule_p, rule_q = _rules_from_args(args)
+    rule_p, rule_q = _rules_from_args(args, args.domain)
     hsv_r, _ = lqo_qbt_auto(sys_, rule_p, rule_q, [], domain=args.domain)
     r = args.order if args.order else min(hsv_f.size, hsv_r.size)
     os.makedirs(args.out, exist_ok=True)
@@ -147,10 +147,10 @@ def cmd_reduce(args):
         n_p = n_q = None
     else:
         # the method decides the domain; the node stagger depends on it
-        args.domain = "freq" if args.method == "qbt-freq" else "time"
-        rule_p, rule_q = _rules_from_args(args)
+        domain = "freq" if args.method == "qbt-freq" else "time"
+        rule_p, rule_q = _rules_from_args(args, domain)
         _, (rom,) = lqo_qbt_auto(sys_, rule_p, rule_q, [args.order],
-                                 domain=args.domain)
+                                 domain=domain)
         n_p, n_q = rule_p.nodes.size, rule_q.nodes.size
 
     path = save_system(rom, args.out, name=args.name)
@@ -222,7 +222,7 @@ def cmd_h2_sweep(args):
         def at_nodes(n):
             sub = argparse.Namespace(**vars(args))
             sub.np, sub.nq = n, n
-            rule_p, rule_q = _rules_from_args(sub)
+            rule_p, rule_q = _rules_from_args(sub, args.domain)
             _, (rom,) = lqo_qbt_auto(sys_, rule_p, rule_q, [args.order],
                                      domain=args.domain)
             return _safe_error(sys_, rom)
@@ -236,7 +236,7 @@ def cmd_h2_sweep(args):
     else:
         lo, hi = (int(v) for v in args.orders.split(":"))
         orders = list(range(lo, hi + 1))
-        rule_p, rule_q = _rules_from_args(args)
+        rule_p, rule_q = _rules_from_args(args, args.domain)
         _, roms = lqo_qbt_auto(sys_, rule_p, rule_q, orders, domain=args.domain)
 
         def at_order(pair):
@@ -263,7 +263,6 @@ def _add_quadrature_flags(sub):
                      help="quadrature interval low:high (default 1e-1:1e2)")
     sub.add_argument("--rule", choices=["trapezoid", "clenshaw-curtis"],
                      default="trapezoid")
-    sub.add_argument("--domain", choices=["time", "freq"], default="time")
 
 
 def _add_system_flags(sub):
@@ -300,6 +299,7 @@ def main(argv=None):
     s = subs.add_parser("hsv", help="write normalized Hankel singular values")
     _add_system_flags(s)
     _add_quadrature_flags(s)
+    s.add_argument("--domain", choices=["time", "freq"], default="time")
     s.add_argument("--order", type=int, default=None,
                    help="number of leading values to keep (default: all)")
     s.add_argument("--out", required=True, help="output directory")
@@ -331,6 +331,7 @@ def main(argv=None):
     s = subs.add_parser("h2-sweep", help="sweep the H2 reduction error")
     _add_system_flags(s)
     _add_quadrature_flags(s)
+    s.add_argument("--domain", choices=["time", "freq"], default="time")
     group = s.add_mutually_exclusive_group(required=True)
     group.add_argument("--nodes", default=None,
                        help="comma-separated node counts (error vs N)")

@@ -227,17 +227,13 @@ class DataMatrices:
 # ---------------------------------------------------------------------------
 
 
-def collect_time_data(sampler, rule_p, rule_q, derivatives="exact",
-                      fd_step_rel=1e-6):
+def collect_time_data(sampler, rule_p, rule_q):
     """Sample the kernels of `sampler` at all node combinations of two rules.
 
     The sampler must provide grid evaluations ``h1_grid(a, b)``,
-    ``h2_grid(a, b, c)`` (see :class:`~lqobt.model.LqoSystem` for the exact
-    conventions) and, with ``derivatives="exact"``, their derivative
-    counterparts ``dh1_grid``/``dh2_grid``. With ``derivatives="fd"`` the
-    derivative samples are synthesized by central finite differences of
-    pointwise ``h1``/``h2`` evaluations with relative step `fd_step_rel`,
-    for workflows where only kernel values are available.
+    ``h2_grid(a, b, c)`` and their derivative counterparts
+    ``dh1_grid``/``dh2_grid`` (see :class:`~lqobt.model.LqoSystem` for the
+    exact conventions).
 
     Parameters
     ----------
@@ -245,10 +241,6 @@ def collect_time_data(sampler, rule_p, rule_q, derivatives="exact",
         Kernel oracle; only its evaluation methods are invoked.
     rule_p, rule_q
         Quadrature rules for the controllability and observability side.
-    derivatives
-        ``"exact"`` or ``"fd"``.
-    fd_step_rel
-        Relative finite-difference step (times the evaluation point).
 
     Returns
     -------
@@ -261,28 +253,8 @@ def collect_time_data(sampler, rule_p, rule_q, derivatives="exact",
     p, m = h1_sum.shape[2:]
     h1_in, h2_in, h1_out, h2_quad = _io_samples(sampler, t, tau, p, m)
     h2_sum = np.moveaxis(_grid(sampler, "h2_grid", (t, tau, t), (p, m, m)), 3, 0)
-
-    if derivatives == "exact":
-        dh1_sum = _grid(sampler, "dh1_grid", (tau, t), (p, m))
-        dh2_sum = np.moveaxis(
-            _grid(sampler, "dh2_grid", (t, tau, t), (p, m, m)), 3, 0
-        )
-    elif derivatives == "fd":
-        zsum = tau[:, None] + t[None, :]
-        step = fd_step_rel * zsum
-        dh1_sum = (
-            np.asarray(sampler.h1(zsum + step)) - np.asarray(sampler.h1(zsum - step))
-        ) / (2.0 * step)[..., None, None]
-        z1 = t[:, None, None]
-        z2 = zsum[None, :, :]
-        step2 = fd_step_rel * z2
-        dh2 = (
-            np.asarray(sampler.h2(z1, z2 + step2))
-            - np.asarray(sampler.h2(z1, z2 - step2))
-        ) / (2.0 * step2)[..., None, None, None]
-        dh2_sum = np.moveaxis(dh2, 3, 0)
-    else:
-        raise ValueError(f"unknown derivative mode {derivatives!r}")
+    dh1_sum = _grid(sampler, "dh1_grid", (tau, t), (p, m))
+    dh2_sum = np.moveaxis(_grid(sampler, "dh2_grid", (t, tau, t), (p, m, m)), 3, 0)
 
     return KernelDataset(
         domain="time", m=m, p=p,
@@ -483,7 +455,7 @@ def build_htilde_gtilde_ktilde(ds):
 # ---------------------------------------------------------------------------
 
 
-def build_freq_matrices(ds, realify=None):
+def build_freq_matrices(ds):
     """Assemble all five matrices, whole, from transfer-function samples.
 
     Entries are divided differences of transfer-function values: the linear
@@ -492,14 +464,13 @@ def build_freq_matrices(ds, realify=None):
     the second argument of the two-variable transfer function with the first
     argument held at a (negated) controllability-side node.
 
-    With `realify` (defaults to the dataset's conjugate-closure flag) the
-    matrices are the complex ones transformed by a fixed unitary pairing of
-    conjugate nodes, which makes them real; this requires a conjugate-closed
-    dataset whose samples are conjugate symmetric. The real matrices are
-    built directly: as ``X(-w) = conj X(w)`` on every paired axis, the two
-    rows (or columns) of each outer pair are ``sqrt(2)`` times the real and
-    imaginary parts of the entries at its positive node, so the divided
-    differences are evaluated only there.
+    On a conjugate-closed dataset the matrices are the complex ones
+    transformed by a fixed unitary pairing of conjugate nodes, which makes
+    them real; this requires samples that are conjugate symmetric. The
+    real matrices are built directly: as ``X(-w) = conj X(w)`` on every
+    paired axis, the two rows (or columns) of each outer pair are
+    ``sqrt(2)`` times the real and imaginary parts of the entries at its
+    positive node, so the divided differences are evaluated only there.
 
     This is the full-matrix oracle: the reduction itself (:func:`lqo_qbt`,
     :func:`lqo_qbt_auto`) never forms the quadratic rows whole but
@@ -510,16 +481,10 @@ def build_freq_matrices(ds, realify=None):
     :class:`DataMatrices` with ``domain="freq"``.
     """
     _require_domain(ds, "freq")
-    if realify is None:
-        realify = ds.conjugate_closure
-    if realify:
-        if not ds.conjugate_closure:
-            raise ValueError("realification requires a conjugate-closed dataset")
-        _check_conjugate_symmetry(ds)
     Np, Nq, m, p = ds.Np, ds.Nq, ds.m, ds.p
     nl, nc = Nq * p, Np * m
 
-    if not realify:
+    if not ds.conjugate_closure:
         h, g, K = _io_blocks(ds.tf1_in, ds.tf2_cross, ds.tf1_out, ds.tf2_quad,
                              ds.q_sqrt_weights, ds.p_sqrt_weights)
         H, M = (
@@ -532,6 +497,7 @@ def build_freq_matrices(ds, realify=None):
         )
         return DataMatrices(H=H, M=M, h=h, g=g, K=K, domain="freq")
 
+    _check_conjugate_symmetry(ds)
     h, g, K = _real_io_blocks(ds)
     H = np.empty((h.shape[0], nc))
     M = np.empty_like(H)

@@ -11,8 +11,8 @@ transfer functions, which is all the data-driven reduction layer is allowed
 to see, plus a fixed-step simulator and Matrix Market based persistence.
 """
 
+import functools
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +35,15 @@ __all__ = [
 # about 50,000 nodes (16 MB at N=800), so a collection evicts nothing it
 # would reuse.
 _CACHE_BYTES = 2**30
+
+
+def _node_exp(A, t):
+    """``exp(A t)``, read-only, as a cache hands the same array to every
+    caller. Looks up the module's `expm` at call time, so that tracing and
+    tests can count the exponentiations."""
+    E = expm(A, t)
+    E.flags.writeable = False
+    return E
 
 
 def _check_nonnegative(*arrays):
@@ -100,9 +109,10 @@ class LqoSystem:
         self.A, self.B, self.C = A, B, C
         self.Ms = tuple(Ms)
         self._abscissa = None
-        self._exp_cache = {}
-        self._cache_bytes = 0
-        self._cache_lock = threading.Lock()
+        # least recently used node exponentials, within _CACHE_BYTES
+        self._exp_cache = functools.lru_cache(maxsize=_CACHE_BYTES // A.nbytes)(
+            functools.partial(_node_exp, A)
+        )
         if check_stability and not self.is_stable:
             raise UnstableSystemError(
                 f"spectral abscissa {self.spectral_abscissa():.3e} >= 0"
@@ -214,15 +224,15 @@ class LqoSystem:
         Returns shape ``(len(a), len(b), p, m)``. Bulk counterpart of
         :meth:`h1` used by data collection; values are identical.
         """
-        _check_nonnegative(np.asarray(a), np.asarray(b))
-        L = self._left_stack(a, shift=False)
-        R = self._right_stack(b)
-        return np.einsum("upn,vnm->uvpm", L, R, optimize=True)
+        return self._h1_grid(a, b, shift=False)
 
     def dh1_grid(self, a, b):
         """``dh1`` at all pairwise sums, shape ``(len(a), len(b), p, m)``."""
+        return self._h1_grid(a, b, shift=True)
+
+    def _h1_grid(self, a, b, shift):
         _check_nonnegative(np.asarray(a), np.asarray(b))
-        L = self._left_stack(a, shift=True)
+        L = self._left_stack(a, shift)
         R = self._right_stack(b)
         return np.einsum("upn,vnm->uvpm", L, R, optimize=True)
 
@@ -270,34 +280,12 @@ class LqoSystem:
         )
 
     def _exp(self, t):
-        """``exp(A t)``, computed once per distinct node on this system.
+        """``exp(A t)``, computed once per distinct node on this system
+        while the cache has room.
 
         Only the grid evaluators use it; the pointwise kernels stay
-        uncached, as they are the tests' oracle and the finite-difference
-        collection feeds them arbitrary arguments."""
-        key = float(t)
-        E = self._exp_cache.get(key)
-        if E is None:
-            E = expm(self.A, key)
-            self._cache_put(key, E)
-        return E
-
-    def _cache_put(self, key, E):
-        """Store the exponential `E` under the byte budget `_CACHE_BYTES`:
-        an insert that would exceed it clears the cache first, and an array
-        larger than the whole budget is not stored. Stored arrays are
-        read-only, as every later hit returns the same object."""
-        if E.nbytes > _CACHE_BYTES:
-            return
-        E.flags.writeable = False
-        with self._cache_lock:
-            if key in self._exp_cache:
-                return
-            if self._cache_bytes + E.nbytes > _CACHE_BYTES:
-                self._exp_cache.clear()
-                self._cache_bytes = 0
-            self._exp_cache[key] = E
-            self._cache_bytes += E.nbytes
+        uncached, as they are the tests' oracle."""
+        return self._exp_cache(float(t))
 
     # -- transfer functions --------------------------------------------------
 

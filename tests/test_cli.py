@@ -342,6 +342,20 @@ def test_parser_rejects_unknown_choices(tmp_path):
         main([])
 
 
+def test_reduce_rejects_domain_flag(tmp_path, capsys):
+    # --method decides the domain, so a --domain that reduce would ignore
+    # is an argparse error
+    manifest = _synth(tmp_path, n=4)
+    out = tmp_path / "rom"
+    with pytest.raises(SystemExit) as exc:
+        main(["reduce", "--system", manifest, "--method", "qbt-time",
+              "--order", "2", "--np", "16", "--domain", "freq",
+              "--out", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --domain freq" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_reduce_rejects_bad_order(tmp_path):
     manifest = _synth(tmp_path, n=4)
     with pytest.raises(ValueError):

@@ -7,6 +7,8 @@ real; reduction must then agree with the time-domain route and, at full
 rank, with the original system exactly.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,11 @@ from lqobt import databt
 from lqobt.errors import FrequencyCollisionError
 from lqobt.numcore import svd
 from test_acceptance import _equivalence_cases
+
+
+def complex_matrices(ds):
+    """The complex matrices of a dataset, conjugate-closed or not."""
+    return build_freq_matrices(replace(ds, conjugate_closure=False))
 
 
 def rule_of(nodes, sw=None):
@@ -116,7 +123,7 @@ def test_scalar_loewner_entries_closed_form():
     rule_p = rule_of([1.0, 3.0], [0.8, 1.2])
     rule_q = rule_of([0.5, 2.0], [1.5, 0.6])
     ds = collect_freq_data(sys_, rule_p, rule_q, conjugate_closure=False)
-    dm = build_freq_matrices(ds, realify=False)
+    dm = build_freq_matrices(ds)
     th, rho = ds.p_nodes, ds.p_sqrt_weights
     s, phi = ds.q_nodes, ds.q_sqrt_weights
 
@@ -154,7 +161,7 @@ def test_sample_matrices_equal_resolvent_factor_products():
         for closure in (False, True):
             ds = collect_freq_data(sys_, rule_p, rule_q,
                                    conjugate_closure=closure)
-            dm = build_freq_matrices(ds, realify=False)
+            dm = complex_matrices(ds)
             U, L = freq_factors(
                 sys_, ds.p_nodes, ds.p_sqrt_weights,
                 ds.q_nodes, ds.q_sqrt_weights,
@@ -169,7 +176,7 @@ def test_quadratic_blocks_are_hermitian():
     rule_p = random_rule(rng, lo=0.3, hi=5.0)
     rule_q = random_rule(rng, lo=0.3, hi=5.0, avoid=rule_p)
     ds = collect_freq_data(sys_, rule_p, rule_q)
-    dm = build_freq_matrices(ds, realify=False)
+    dm = complex_matrices(ds)
     for Kq in dm.K:
         assert np.abs(Kq - Kq.conj().T).max() <= 1e-13 * (1 + np.abs(Kq).max())
 
@@ -196,8 +203,8 @@ def test_realification_matches_explicit_unitary():
 
 
 def _check_against_explicit_unitary(ds):
-    dm_c = build_freq_matrices(ds, realify=False)
-    dm_r = build_freq_matrices(ds, realify=True)
+    dm_c = complex_matrices(ds)
+    dm_r = build_freq_matrices(ds)
     for X in (dm_r.H, dm_r.M, dm_r.h, dm_r.g, *dm_r.K):
         assert not np.iscomplexobj(X)
 
@@ -236,18 +243,9 @@ def test_realification_preserves_singular_values():
     rule_p = random_rule(rng, lo=0.2, hi=3.0)
     rule_q = random_rule(rng, lo=0.2, hi=3.0, avoid=rule_p)
     ds = collect_freq_data(sys_, rule_p, rule_q)
-    S_c = svd(build_freq_matrices(ds, realify=False).H).S
-    S_r = svd(build_freq_matrices(ds, realify=True).H).S
+    S_c = svd(complex_matrices(ds).H).S
+    S_r = svd(build_freq_matrices(ds).H).S
     assert np.allclose(S_r, S_c, rtol=1e-10, atol=1e-12 * S_c[0])
-
-
-def test_realify_requires_closure():
-    sys_ = scalar_s1()
-    ds = collect_freq_data(
-        sys_, rule_of([1.0]), rule_of([2.0]), conjugate_closure=False
-    )
-    with pytest.raises(ValueError, match="conjugate-closed"):
-        build_freq_matrices(ds, realify=True)
 
 
 def test_complex_matrices_cannot_be_reduced(monkeypatch):
@@ -595,4 +593,4 @@ def test_conjugate_asymmetric_samples_are_rejected(family, index):
     with pytest.raises(ValueError, match=f"{family} is not conjugate symmetric"):
         lqo_qbt(ds, 2)
     # the complex analysis path does not realify and needs no symmetry
-    assert np.iscomplexobj(build_freq_matrices(ds, realify=False).H)
+    assert np.iscomplexobj(complex_matrices(ds).H)

@@ -304,31 +304,6 @@ def test_row_permutation_gives_equivalent_rom():
         tf_agree(rom, rom_t, pts, rtol=1e-8, scale_sys=sys_)
 
 
-def test_finite_difference_derivative_mode():
-    rng = np.random.default_rng(67)
-    sys_ = random_stable_system(rng, n=5, m=2, p=2)
-    rule_p, rule_q = random_rule(rng, max_nodes=5), random_rule(rng, max_nodes=5)
-    exact = collect_time_data(sys_, rule_p, rule_q)
-    fd = collect_time_data(sys_, rule_p, rule_q, derivatives="fd")
-    for name in ("dh1_sum", "dh2_sum"):
-        a, b = getattr(fd, name), getattr(exact, name)
-        scale = 1.0 + np.abs(b).max()
-        assert np.abs(a - b).max() <= 1e-6 * scale, name
-    for name in ("h1_sum", "h2_sum"):
-        assert np.array_equal(getattr(fd, name), getattr(exact, name))
-    rom_fd = lqo_qbt(fd, 3)
-    rom_ex = lqo_qbt(exact, 3)
-    pts = [0.5 + 1.0j, 1.5]
-    tf_agree(rom_ex, rom_fd, pts, rtol=1e-4, scale_sys=sys_)
-
-
-def test_unknown_derivative_mode_rejected():
-    sys_ = scalar_s1()
-    rule = unit_rule([1.0, 2.0])
-    with pytest.raises(ValueError, match="derivative"):
-        collect_time_data(sys_, rule, rule, derivatives="adjoint")
-
-
 def test_reduction_order_guards():
     sys_ = scalar_s1()
     rule = log_trapezoid(0.1, 10.0, 6)

@@ -234,10 +234,6 @@ def _count_expm(monkeypatch):
     return calls
 
 
-def _cached_bytes(sys_):
-    return sum(a.nbytes for a in sys_._exp_cache.values())
-
-
 def test_collection_exponentiates_each_node_once(monkeypatch):
     sys_, rule_p, rule_q, nodes = _cache_case()
     calls = _count_expm(monkeypatch)
@@ -262,46 +258,44 @@ def test_reduction_leaves_only_node_exponentials_cached():
     rule = log_trapezoid(1e-2, 20.0, 40)
     lqo_qbt_auto(sys_, rule, rule, [3])
     n_exp = len(set(rule.nodes) | {0.0})
-    assert len(sys_._exp_cache) == n_exp
-    assert sys_._cache_bytes == n_exp * sys_.n * sys_.n * 8
+    info = sys_._exp_cache.cache_info()
+    assert info.currsize == info.misses == n_exp
+    assert info.maxsize == model._CACHE_BYTES // sys_.A.nbytes
 
 
 def test_cache_budget_evicts_without_changing_samples(monkeypatch):
     sys_, rule_p, rule_q, nodes = _cache_case()
     reference = collect_time_data(_fresh(sys_), rule_p, rule_q)
     # room for eight exponentials, so the collection must evict
-    budget = 8 * sys_.n * sys_.n * 8
-    monkeypatch.setattr(model, "_CACHE_BYTES", budget)
+    monkeypatch.setattr(model, "_CACHE_BYTES", 8 * sys_.n * sys_.n * 8)
     calls = _count_expm(monkeypatch)
     capped_sys = _fresh(sys_)
     capped = collect_time_data(capped_sys, rule_p, rule_q)
     assert len(calls) > len(nodes)
     for name in databt._TIME_FIELDS:
         assert np.array_equal(getattr(capped, name), getattr(reference, name)), name
-    assert capped_sys._cache_bytes == _cached_bytes(capped_sys) <= budget
-
-
-class _YieldingDict(dict):
-    """Gives up the interpreter on every store, which widens the window
-    between a cache's membership check and its byte count update."""
-
-    def __setitem__(self, key, value):
-        time.sleep(1e-4)
-        super().__setitem__(key, value)
+    info = capped_sys._exp_cache.cache_info()
+    assert info.currsize == info.maxsize == 8
 
 
 @pytest.mark.parametrize("evict", [False, True])
 def test_cache_is_consistent_under_concurrent_use(monkeypatch, evict):
-    # more threads than cores share one system; without the lock two of
-    # them insert the same node twice or count an array a clear dropped,
-    # and the byte count falls out of step with the stored arrays
+    # more threads than cores share one system, and every exponentiation
+    # gives up the interpreter, so threads miss the same node together and
+    # race to store it, or to evict, while others read
     sys_, rule_p, rule_q, _ = _cache_case()
     if evict:
         monkeypatch.setattr(model, "_CACHE_BYTES", 8 * sys_.n * sys_.n * 8)
-    sys_._exp_cache = _YieldingDict()
+    sys_ = _fresh(sys_)
     t, tau = rule_p.nodes, rule_q.nodes
     ref_sys = _fresh(sys_)
     want = (ref_sys.h2_grid(t, tau, t), ref_sys.dh1_grid(tau, t))
+
+    def yielding(A, t=1.0):
+        time.sleep(1e-4)
+        return expm(A, t)
+
+    monkeypatch.setattr(model, "expm", yielding)
 
     def work(_):
         return sys_.h2_grid(t, tau, t), sys_.dh1_grid(tau, t)
@@ -316,7 +310,9 @@ def test_cache_is_consistent_under_concurrent_use(monkeypatch, evict):
         sys.setswitchinterval(interval)
     for got in results:
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
-    assert sys_._cache_bytes == _cached_bytes(sys_)
+    info = sys_._exp_cache.cache_info()
+    assert info.currsize <= info.maxsize
+    assert info.currsize == min(info.maxsize, len(set(t) | set(tau)))
 
 
 def test_pointwise_kernels_stay_uncached():
@@ -324,7 +320,8 @@ def test_pointwise_kernels_stay_uncached():
     sys_.h1(np.array([0.3, 0.7]))
     sys_.h2(0.2, np.array([0.4, 0.9]))
     sys_.dh2_dz2(0.2, 0.4)
-    assert not sys_._exp_cache
+    info = sys_._exp_cache.cache_info()
+    assert info.currsize == info.misses == info.hits == 0
 
 
 # ---------------------------------------------------- transfer functions
