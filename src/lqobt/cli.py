@@ -29,7 +29,6 @@ precision.
 import argparse
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -219,36 +218,22 @@ def cmd_h2_sweep(args):
         counts = [int(v) for v in args.nodes.split(",")]
         bt_err = _safe_error(sys_, intrusive_bt(sys_, args.order, gram))
 
-        def at_nodes(n):
+        rows = []
+        for n in counts:
             sub = argparse.Namespace(**vars(args))
             sub.np, sub.nq = n, n
             rule_p, rule_q = _rules_from_args(sub, args.domain)
             _, (rom,) = lqo_qbt_auto(sys_, rule_p, rule_q, [args.order],
                                      domain=args.domain)
-            return _safe_error(sys_, rom)
-
-        with ThreadPoolExecutor(
-            max_workers=min(len(counts), os.cpu_count() or 1)
-        ) as pool:
-            errors = list(pool.map(at_nodes, counts))
-        rows = [(n, bt_err, e) for n, e in zip(counts, errors)]
+            rows.append((n, bt_err, _safe_error(sys_, rom)))
         _write_csv(args.out, "N,BT_Error,QBT_Error", rows)
     else:
         lo, hi = (int(v) for v in args.orders.split(":"))
         orders = list(range(lo, hi + 1))
         rule_p, rule_q = _rules_from_args(args, args.domain)
         _, roms = lqo_qbt_auto(sys_, rule_p, rule_q, orders, domain=args.domain)
-
-        def at_order(pair):
-            r, rom = pair
-            return (_safe_error(sys_, intrusive_bt(sys_, r, gram)),
-                    _safe_error(sys_, rom))
-
-        with ThreadPoolExecutor(
-            max_workers=min(len(orders), os.cpu_count() or 1)
-        ) as pool:
-            errors = list(pool.map(at_order, zip(orders, roms)))
-        rows = [(r, bt, qbt) for r, (bt, qbt) in zip(orders, errors)]
+        rows = [(r, _safe_error(sys_, intrusive_bt(sys_, r, gram)),
+                 _safe_error(sys_, rom)) for r, rom in zip(orders, roms)]
         _write_csv(args.out, "Truncation_Index,H2_BT_Error,H2_r_Error", rows)
     print(args.out)
     return 0

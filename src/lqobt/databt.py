@@ -18,7 +18,9 @@ matrix    factor product         sample content
 
 Reduction then runs entirely on these matrices: truncate the SVD of ``H`` and
 project, which reproduces intrusive balanced truncation of the quadrature
-Gramians without ever forming the factors.
+Gramians without ever forming the factors. Intrusive balanced truncation
+(:func:`~lqobt.gramians.intrusive_bt`) is the same reduction,
+:func:`reduce_from_matrices`, run on the exact factor products.
 
 Row-block convention for the quadratic part: within each output channel the
 row block of the pair ``(k, j)`` sits at block index ``k * N_q + j`` (the
@@ -195,12 +197,14 @@ class KernelDataset:
 
 @dataclass
 class DataMatrices:
-    """The five assembled sample matrices.
+    """The five matrices that reduction runs on.
 
-    ``H`` and ``M`` share the row space ``(N_q p + p N_p N_q m)`` and the
-    column space ``N_p m``; ``h`` stacks against the same rows with ``m``
-    columns; ``g`` is ``p x (N_p m)``; ``K`` holds one ``(N_p m) x (N_p m)``
-    block per output channel.
+    ``H``, ``M`` and ``h`` share their rows and stand for ``L'U``, ``L'AU``
+    and ``L'B``; any rows will do whose inner products are those of the
+    factor products, which the whole sample matrices, their compressed
+    rows and the exact products all satisfy. ``H`` and ``M`` share their
+    columns with ``g`` (``CU``, ``p`` rows) and with each square block of
+    ``K`` (``U'M_qU``, one per output channel); ``h`` has ``m`` columns.
     """
 
     H: np.ndarray
@@ -668,7 +672,8 @@ def build_data_matrices(ds):
 
 def _truncation_guard(S, r, max_r):
     if S.size == 0 or S[0] == 0.0:
-        raise ValueError("the sample matrix H is identically zero")
+        raise ValueError("H, the product L'U of the Gramian factors or its "
+                         "quadrature, is identically zero")
     rank = int(np.count_nonzero(S > RANK_TOL * S[0]))
     limit = min(rank, max_r)
     if not 1 <= r <= limit:
@@ -762,7 +767,15 @@ def lqo_qbt_auto(sampler, rule_p, rule_q, orders, domain="time"):
     if domain != "freq":
         raise ValueError(f"unknown domain {domain!r}")
     # closure doubles both node sets
-    per_node = _node_bytes(sampler.p, sampler.m, 2 * len(rule_p), 2 * len(rule_q))
+    _freq_block_nodes(sampler.p, sampler.m, 2 * len(rule_p), 2 * len(rule_q))
+    ds = collect_freq_data(sampler, rule_p, rule_q)
+    return _reduce_orders(_freq_compressed(ds), orders)
+
+
+def _freq_block_nodes(p, m, Np, Nq):
+    """Controllability nodes per block of complex quadratic Loewner rows,
+    as many as fit in ``FREQ_BLOCK_BYTES``; raises if not even one does."""
+    per_node = 16 * p * m * m * Np * Nq
     if per_node > FREQ_BLOCK_BYTES:
         raise ValueError(
             f"frequency-domain reduction needs {per_node / 2**20:.0f} MiB of "
@@ -770,14 +783,7 @@ def lqo_qbt_auto(sampler, rule_p, rule_q, orders, domain="time"):
             f"{FREQ_BLOCK_BYTES / 2**20:.0f} MiB block; lower --np/--nq "
             "(or use --domain time, which streams)"
         )
-    ds = collect_freq_data(sampler, rule_p, rule_q)
-    return _reduce_orders(_freq_compressed(ds), orders)
-
-
-def _node_bytes(p, m, Np, Nq):
-    """Bytes of the complex quadratic Loewner rows at one controllability
-    node."""
-    return 16 * p * m * m * Np * Nq
+    return FREQ_BLOCK_BYTES // per_node
 
 
 def _freq_compressed(ds):
@@ -792,13 +798,15 @@ def _freq_compressed(ds):
     unitary), made real over its column pairs and its ``k`` pairs, and
     contracted over ``(k, a)`` with ``V_k``. The full quadratic rows are
     never held; the linear rows, ``h``, ``g`` and ``K`` are built as in
-    :func:`build_freq_matrices`.
+    :func:`build_freq_matrices`. A dataset whose rows at one node exceed
+    the block is refused, as the probes hold about 34 times those rows.
     """
     _require_domain(ds, "freq")
     if not ds.conjugate_closure:
         raise ValueError(_COMPLEX_ROM)
-    _check_conjugate_symmetry(ds)
     Np, Nq, m, p = ds.Np, ds.Nq, ds.m, ds.p
+    step = _freq_block_nodes(p, m, Np, Nq)
+    _check_conjugate_symmetry(ds)
     Np2, Nq2, nl, nc = Np // 2, Nq // 2, Nq * p, Np * m
     h, g, K = _real_io_blocks(ds)
     Vk, Vj = _mode_bases(_loewner_fibres(ds), Np2, Nq2)
@@ -806,7 +814,6 @@ def _freq_compressed(ds):
     V0, V1 = Vj.reshape(Nq2, 2, -1).transpose(1, 0, 2)
     W = np.stack([V0 - 1j * V1, V0 + 1j * V1], axis=1).reshape(Nq, -1) / _SQRT2
 
-    step = max(1, FREQ_BLOCK_BYTES // _node_bytes(p, m, Np, Nq))
     every_j = np.arange(Nq)
     rows = []
     for shifted in (False, True):

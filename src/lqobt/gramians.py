@@ -7,14 +7,13 @@ to the state-space matrices; the data-driven counterpart lives in
 :mod:`lqobt.databt`.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import block_diag
 
+from .databt import DataMatrices, reduce_from_matrices
 from .errors import UnstableSystemError
-from .model import ReducedLqoSystem
 from .numcore import (
     lyapunov_factor,
     psd_sqrt_factor,
@@ -31,9 +30,6 @@ __all__ = [
     "h2_norm",
     "h2_error",
 ]
-
-RANK_TOL = 1e-13
-TIE_TOL = 1e-12
 
 
 @dataclass
@@ -97,18 +93,21 @@ def hankel_singular_values(gramians):
 def intrusive_bt(sys, r, gramians=None):
     """Balanced truncation using explicit Gramian factors.
 
-    The projection bases come from the singular value decomposition
-    ``L'U = Z S Y'`` truncated at order `r`:
-    ``W = L Z_1 S_1^{-1/2}`` and ``V = U Y_1 S_1^{-1/2}``, which satisfy
-    ``W'V = I``. The reduced system is
-    ``(W'AV, W'B, CV, {V'M_qV})``.
+    The data matrices of :mod:`lqobt.databt` are, in exact quadrature, the
+    factor products ``H = L'U``, ``M = L'AU``, ``h = L'B``, ``g = CU`` and
+    ``K_q = U'M_qU``. This forms those products from the exact factors and
+    reduces them with :func:`~lqobt.databt.reduce_from_matrices`, so every
+    route shares one truncation and projection: with ``L'U = Z S Y'``
+    truncated at order `r`, ``A_r = S^{-1/2} Z' L'AU Y S^{-1/2}``, which in
+    exact arithmetic is the Petrov-Galerkin model ``(W'AV, W'B, CV,
+    {V'M_qV})`` of ``W = L Z S^{-1/2}`` and ``V = U Y S^{-1/2}``.
 
     Parameters
     ----------
     sys
         Stable :class:`~lqobt.model.LqoSystem`.
     r
-        Reduced order, at most the numerical rank of ``L'U``.
+        Reduced order, within the numerical rank of ``L'U``.
     gramians
         Optional precomputed :class:`Gramians`.
 
@@ -118,29 +117,12 @@ def intrusive_bt(sys, r, gramians=None):
     """
     if gramians is None:
         gramians = compute_gramians(sys)
-    res = svd(gramians.L.T @ gramians.U)
-    S = res.S
-    if S.size == 0 or S[0] == 0.0:
-        raise ValueError("the Hankel spectrum is identically zero")
-    rank = int(np.count_nonzero(S > RANK_TOL * S[0]))
-    if not 1 <= r <= rank:
-        raise ValueError(f"order {r} outside [1, {rank}] (numerical rank)")
-    if r < S.size and S[r - 1] - S[r] <= TIE_TOL * S[0]:
-        warnings.warn(
-            f"truncation at r={r} splits a near-tied singular value pair; "
-            "the reduced model is not unique",
-            stacklevel=2,
-        )
-    scale = 1.0 / np.sqrt(S[:r])
-    W = gramians.L @ (res.Z[:, :r] * scale)
-    V = gramians.U @ (res.Y[:, :r] * scale)
-    return ReducedLqoSystem(
-        W.T @ sys.A @ V,
-        W.T @ sys.B,
-        sys.C @ V,
-        [V.T @ M @ V for M in sys.Ms],
-        provenance="intrusive-bt",
-    )
+    L, U = gramians.L, gramians.U
+    dm = DataMatrices(H=L.T @ U, M=L.T @ sys.A @ U, h=L.T @ sys.B,
+                      g=sys.C @ U, K=[U.T @ M @ U for M in sys.Ms])
+    rom = reduce_from_matrices(dm, r)
+    rom.provenance = "intrusive-bt"
+    return rom
 
 
 def h2_norm(sys, gramians=None):

@@ -46,6 +46,14 @@ def _node_exp(A, t):
     return E
 
 
+def _pointwise(fn, points, tail, dtype=float):
+    """`fn` at each point of the broadcast arrays `points`, one call per
+    point, shaped ``points.shape + tail``."""
+    points = np.broadcast_arrays(*(np.asarray(z, dtype=dtype) for z in points))
+    vals = [fn(*pt) for pt in zip(*(z.ravel() for z in points))]
+    return np.array(vals, dtype=dtype).reshape(points[0].shape + tail)
+
+
 def _check_nonnegative(*arrays):
     """Kernel time arguments live on [0, inf); reject anything negative."""
     for z in arrays:
@@ -160,61 +168,35 @@ class LqoSystem:
     def _kernel_pointwise(self, z, shift):
         z = np.asarray(z, dtype=float)
         _check_nonnegative(z)
-        out = np.empty(z.shape + (self.p, self.m))
         CA = self.C @ self.A if shift else self.C
-        for idx in np.ndindex(z.shape or (1,)):
-            E = expm(self.A, z[idx] if z.shape else float(z))
-            val = CA @ E @ self.B
-            if z.shape:
-                out[idx] = val
-            else:
-                out = val
-        return out
+        return _pointwise(lambda t: CA @ expm(self.A, t) @ self.B,
+                          (z,), (self.p, self.m))
 
-    def h2(self, z1, z2, q=None):
+    def h2(self, z1, z2):
         """Quadratic-output kernel ``B' exp(A' z1) M_q exp(A z2) B``.
 
-        With ``q=None`` all channels are returned stacked in an axis of
-        length `p` before the trailing ``(m, m)`` block; with an integer
-        ``0 <= q < p`` only that channel. Scalars broadcast.
+        All channels are returned stacked in an axis of length `p` before
+        the trailing ``(m, m)`` block. Scalars broadcast.
         """
-        return self._h2_pointwise(z1, z2, q, shift=False)
+        return self._h2_pointwise(z1, z2, shift=False)
 
-    def dh2_dz2(self, z1, z2, q=None):
+    def dh2_dz2(self, z1, z2):
         """Partial derivative of :meth:`h2` in its second argument,
         ``B' exp(A' z1) M_q A exp(A z2) B``."""
-        return self._h2_pointwise(z1, z2, q, shift=True)
+        return self._h2_pointwise(z1, z2, shift=True)
 
-    def _h2_pointwise(self, z1, z2, q, shift):
-        qs = self._channels(q)
-        z1, z2 = np.broadcast_arrays(
-            np.asarray(z1, dtype=float), np.asarray(z2, dtype=float)
-        )
+    def _h2_pointwise(self, z1, z2, shift):
+        z1, z2 = np.asarray(z1, dtype=float), np.asarray(z2, dtype=float)
         _check_nonnegative(z1, z2)
-        shape = z1.shape
-        out = np.empty(shape + (len(qs), self.m, self.m))
-        for idx in np.ndindex(shape or (1,)):
-            a = z1[idx] if shape else float(z1)
-            b = z2[idx] if shape else float(z2)
+
+        def at(a, b):
             S = (expm(self.A, a) @ self.B).T
             E = expm(self.A, b) @ self.B
             if shift:
                 E = self.A @ E
-            val = np.stack([S @ self.Ms[k] @ E for k in qs])
-            if shape:
-                out[idx] = val
-            else:
-                out = val
-        if q is None:
-            return out
-        return out[..., 0, :, :] if shape else out[0]
+            return [S @ M @ E for M in self.Ms]
 
-    def _channels(self, q):
-        if q is None:
-            return range(self.p)
-        if not 0 <= q < self.p:
-            raise ValueError(f"output channel {q} out of range [0, {self.p})")
-        return [q]
+        return _pointwise(at, (z1, z2), (self.p, self.m, self.m))
 
     # -- grid kernel evaluations (the bulk sampling interface) --------------
 
@@ -295,53 +277,29 @@ class LqoSystem:
         `s` may be a complex scalar or array; result shape is
         ``s.shape + (p, m)``.
         """
-        s = np.asarray(s, dtype=complex)
-        out = np.empty(s.shape + (self.p, self.m), dtype=complex)
-        for idx in np.ndindex(s.shape or (1,)):
-            val = self.C @ self._resolvent_rhs(s[idx] if s.shape else complex(s))
-            if s.shape:
-                out[idx] = val
-            else:
-                out = val
-        return out
+        return _pointwise(lambda z: self.C @ self._resolvent_rhs(z),
+                          (s,), (self.p, self.m), dtype=complex)
 
-    def tf2(self, s1, s2, q=None):
+    def tf2(self, s1, s2):
         """Two-variable transfer function of the quadratic output term,
         ``B' (s1 I - A')^{-1} M_q (s2 I - A)^{-1} B``.
 
-        Channel handling matches :meth:`h2`.
+        Channels and broadcasting as in :meth:`h2`.
         """
-        qs = self._channels(q)
-        s1, s2 = np.broadcast_arrays(
-            np.asarray(s1, dtype=complex), np.asarray(s2, dtype=complex)
-        )
-        shape = s1.shape
-        out = np.empty(shape + (len(qs), self.m, self.m), dtype=complex)
-        for idx in np.ndindex(shape or (1,)):
-            a = s1[idx] if shape else complex(s1)
-            b = s2[idx] if shape else complex(s2)
+        def at(a, b):
             X = self._resolvent_rhs(b)
-            val = np.stack(
-                [self.B.T @ self._resolvent_t_rhs(a, self.Ms[k] @ X) for k in qs]
-            )
-            if shape:
-                out[idx] = val
-            else:
-                out = val
-        if q is None:
-            return out
-        return out[..., 0, :, :] if shape else out[0]
+            return [self.B.T @ self._resolvent_t_rhs(a, M @ X) for M in self.Ms]
 
-    def tf2_grid(self, s1s, s2s, q=None):
+        return _pointwise(at, (s1, s2), (self.p, self.m, self.m), dtype=complex)
+
+    def tf2_grid(self, s1s, s2s):
         """:meth:`tf2` on the full grid ``s1s x s2s``; shape
-        ``(len(s1s), len(s2s), p, m, m)`` (or without the channel axis for
-        integer `q`).
+        ``(len(s1s), len(s2s), p, m, m)``.
 
         One resolvent ``X(s) = (sI - A)^{-1} B`` is solved per distinct
         node of both sets; as ``B' (s1 I - A')^{-1} = X(s1)'`` (a plain
         transpose), each channel is then the product ``X(s1)' M_q X(s2)``
         over the whole grid."""
-        qs = self._channels(q)
         s1s = np.asarray(s1s, dtype=complex)
         s2s = np.asarray(s2s, dtype=complex)
         n, m, a, b = self.n, self.m, s1s.size, s2s.size
@@ -349,12 +307,9 @@ class LqoSystem:
         X = np.stack([self._resolvent_rhs(z) for z in nodes])  # (nodes, n, m)
         L = X[inv[:a]].transpose(0, 2, 1).reshape(a * m, n)
         R = X[inv[a:]].transpose(1, 0, 2).reshape(n, b * m)
-        out = np.stack([L @ (self.Ms[k] @ R) for k in qs])      # (q, a m, b m)
-        out = out.reshape(len(qs), a, m, b, m).transpose(1, 3, 0, 2, 4)
-        out = np.ascontiguousarray(out)
-        if q is None:
-            return out
-        return out[:, :, 0]
+        out = np.stack([L @ (M @ R) for M in self.Ms])          # (q, a m, b m)
+        out = out.reshape(self.p, a, m, b, m).transpose(1, 3, 0, 2, 4)
+        return np.ascontiguousarray(out)
 
     def _resolvent_rhs(self, s):
         """``(sI - A)^{-1} B``."""

@@ -253,9 +253,10 @@ def test_h2_sweep_over_node_counts(tmp_path):
     assert table[0, 1] == table[1, 1]
 
 
-def test_h2_sweep_threads_match_sequential_runs(tmp_path):
-    # the node counts run in threads that share one system and its
-    # sampling cache; each error must equal a run on a fresh system
+def test_h2_sweep_matches_single_runs(tmp_path):
+    # the node counts run one after another on one system and share its
+    # cache of node exponentials; each error must equal a run on a fresh
+    # system
     manifest = _synth(tmp_path, n=4)
     out = str(tmp_path / "sweep.csv")
     counts = (10, 20, 30)

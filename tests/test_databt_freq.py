@@ -425,6 +425,21 @@ def test_compressed_route_is_independent_of_block_size(monkeypatch):
         assert np.allclose(rom.A, rom_ref.A, rtol=0, atol=1e-10)
 
 
+def test_dataset_route_refuses_rows_past_the_block(monkeypatch):
+    # lqo_qbt on a dataset applies the guard of lqo_qbt_auto: a node whose
+    # complex quadratic rows exceed the block is refused, not run anyway
+    rng = np.random.default_rng(137)
+    sys_ = random_stable_system(rng, n=6, m=2, p=1)
+    ds = collect_freq_data(sys_, log_trapezoid(0.05, 20.0, 9),
+                           log_trapezoid(0.07, 28.0, 9))
+    node = 16 * ds.p * ds.m**2 * ds.Np * ds.Nq
+    monkeypatch.setattr(databt, "FREQ_BLOCK_BYTES", node - 1)
+    with pytest.raises(ValueError, match="lower --np/--nq"):
+        lqo_qbt(ds, 3)
+    monkeypatch.setattr(databt, "FREQ_BLOCK_BYTES", node)
+    assert lqo_qbt(ds, 3).r == 3
+
+
 class MovingPoleTransfer:
     """Forwards to a scalar system but replaces its quadratic transfer
     function by ``1 / (s2 + 1 + s1^2)``, real-coefficient and so conjugate

@@ -218,6 +218,25 @@ def test_bt_warns_on_tied_truncation():
         intrusive_bt(sys_, 1)
 
 
+@pytest.mark.parametrize("case", ["acceptance", "random"])
+def test_bt_rom_is_balanced_on_the_controllability_side(case):
+    # the truncated model of balanced coordinates keeps the leading block
+    # of the balanced controllability Gramian, diag(sigma_1 .. sigma_r):
+    # the shared projection checked against the Gramians themselves
+    if case == "acceptance":
+        sys_ = synthesize_system(50, damping=(0.1, 3.0), gain_decay=0.85, seed=21)
+        orders = (2, 6, 10)
+    else:
+        sys_ = random_stable_system(np.random.default_rng(31), n=12, m=2, p=2)
+        orders = (2, 6, 11)
+    g = compute_gramians(sys_)
+    hsv = hankel_singular_values(g)
+    for r in orders:
+        rom = intrusive_bt(sys_, r, g)
+        P = solve_lyapunov(rom.A.T, rom.B @ rom.B.T)
+        assert np.abs(P - np.diag(hsv[:r])).max() <= 1e-10 * hsv[0]
+
+
 # ------------------------------------------------------- norms and errors
 
 

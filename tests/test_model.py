@@ -101,9 +101,11 @@ def test_kernel_array_shapes_and_broadcasting():
     vals = sys_.h2(0.3, z)
     assert vals.shape == (3, 3, 2, 2)
     assert np.allclose(vals[2], sys_.h2(0.3, z[2]))
-    one = sys_.h2(0.3, 0.7, q=1)
-    assert one.shape == (2, 2)
-    assert np.allclose(one, sys_.h2(0.3, 0.7)[1])
+    # channel 1 against its closed form
+    left = expm(sys_.A, 0.3) @ sys_.B
+    right = expm(sys_.A, 0.7) @ sys_.B
+    assert np.allclose(sys_.h2(0.3, 0.7)[1], left.T @ sys_.Ms[1] @ right,
+                       rtol=0, atol=1e-13)
 
 
 def test_h2_transpose_symmetry():
@@ -112,10 +114,9 @@ def test_h2_transpose_symmetry():
     for _ in range(5):
         sys_ = random_stable_system(rng, n=int(rng.integers(2, 8)), m=2, p=2)
         z1, z2 = rng.uniform(0.05, 2.0, 2)
-        for q in range(sys_.p):
-            left = sys_.h2(z1, z2, q=q)
-            right = sys_.h2(z2, z1, q=q).T
-            assert np.allclose(left, right, rtol=0, atol=1e-13)
+        left = sys_.h2(z1, z2)
+        right = sys_.h2(z2, z1).transpose(0, 2, 1)
+        assert np.allclose(left, right, rtol=0, atol=1e-13)
 
 
 def test_h1_semigroup_consistency():
@@ -155,14 +156,6 @@ def test_kernels_reject_negative_times():
         sys_.h1_grid([0.5], [-0.1])
     with pytest.raises(ValueError):
         sys_.h2_grid([0.5], [0.1], [-0.2])
-
-
-def test_channel_index_out_of_range():
-    sys_ = scalar_s1()
-    with pytest.raises(ValueError):
-        sys_.h2(1.0, 1.0, q=1)
-    with pytest.raises(ValueError):
-        sys_.tf2(1.0, 1.0, q=-1)
 
 
 # ----------------------------------------------------- grid evaluators
@@ -374,8 +367,6 @@ def test_tf2_grid_matches_pairwise():
     for u in range(2):
         for v in range(3):
             assert np.allclose(G[u, v], sys_.tf2(s1s[u], s2s[v]), atol=1e-13)
-    G1 = sys_.tf2_grid(s1s, s2s, q=1)
-    assert np.allclose(G1, G[:, :, 1], atol=0)
 
 
 def test_resolvent_at_eigenvalue_raises():
