@@ -30,10 +30,12 @@ fixed row permutation for one, yields an equivalent reduced model, and
 so does a compression onto any orthonormal basis whose range holds that
 of ``H``. Both domains' reducers compress the quadratic rows onto the
 ranges of their two node modes, found from probe fibres
-(:func:`_mode_bases`): :func:`lqo_qbt_streamed` from kernel samples
-streamed off a sampler, :func:`lqo_qbt` on a frequency dataset from its
-real Loewner rows, assembled block by block (:func:`_freq_compressed`).
-Neither ever holds the quadratic rows whole.
+(:func:`_mode_bases`). :func:`lqo_qbt_streamed` reads the compressed
+rows off a cross of the kernel samples at interpolation rows of the two
+bases, so it asks a sampler for O(N^2) quadratic samples instead of all
+O(N^3); :func:`lqo_qbt` on a frequency dataset contracts its real
+Loewner rows block by block (:func:`_freq_compressed`). Neither ever
+holds the quadratic rows whole.
 
 Frequency-domain data closed under conjugation gives complex matrices that
 a fixed unitary pairing of each ``(+w, -w)`` node pair makes real. The
@@ -45,10 +47,12 @@ whole, as the oracle the compressed route is tested against.
 
 import json
 import os
+import sys
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import qr
 
 from .errors import FrequencyCollisionError
 from .model import ReducedLqoSystem
@@ -79,12 +83,11 @@ TIE_TOL = 1e-12
 # held-out residuals up to 9e-11, eight 2e-12), and the residual that raises
 PROBES = 8
 MODE_TOL = 1e-10
-# quadrature nodes t_i per column block of the streamed time route
-TIME_BLOCK = 48
 # bytes of complex quadratic Loewner rows the frequency route assembles at
 # a time (at 100 nodes a side, 4 to 64 MiB ran equally fast); a collection
 # whose rows at one controllability node exceed it is refused
 FREQ_BLOCK_BYTES = 2**24
+_PACKAGE = os.path.dirname(__file__) + os.sep
 _COMPLEX_ROM = ("complex data matrices cannot produce a real reduced model; "
                 "collect with conjugate closure and realify")
 
@@ -682,8 +685,18 @@ def _truncation_guard(S, r, max_r):
         warnings.warn(
             f"truncation at r={r} splits a near-tied singular value pair; "
             "the reduced model is not unique",
-            stacklevel=3,
+            stacklevel=_outside_stacklevel(),
         )
+
+
+def _outside_stacklevel():
+    """The ``warnings.warn`` stacklevel, counted from the caller of this
+    function, that names the first frame outside the package: the user's
+    line, whichever public route led here."""
+    frame, level = sys._getframe(1), 1
+    while frame.f_back is not None and frame.f_code.co_filename.startswith(_PACKAGE):
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 def reduce_from_matrices(dm, r, factors=None):
@@ -781,7 +794,7 @@ def _freq_block_nodes(p, m, Np, Nq):
             f"frequency-domain reduction needs {per_node / 2**20:.0f} MiB of "
             "Loewner rows per node, more than its "
             f"{FREQ_BLOCK_BYTES / 2**20:.0f} MiB block; lower --np/--nq "
-            "(or use --domain time, which streams)"
+            "(or use --domain time, which needs no such block)"
         )
     return FREQ_BLOCK_BYTES // per_node
 
@@ -862,7 +875,7 @@ def _compress_h(h, nl, Vk, Vj):
 
 
 def lqo_qbt_streamed(sampler, rule_p, rule_q, orders):
-    """Time-domain QBT that never materializes the stacked sample matrix.
+    """Time-domain QBT from O(N^2) quadratic kernel samples.
 
     The weighted quadratic samples ``rho_k phi_j rho_i h2_q(t_k, tau_j +
     t_i)[a, b]`` have rank at most ``n`` in their ``(k, a)`` mode and in
@@ -871,10 +884,20 @@ def lqo_qbt_streamed(sampler, rule_p, rule_q, orders):
     whose range holds that of ``H``, which leaves the reduced model of
     :func:`lqo_qbt` unchanged: it sees the rows of ``[H | M | h]`` only
     through inner products. The quadratic rows shrink from ``p N_p N_q m``
-    to ``p r_k r_j``. The samples are streamed in blocks of ``TIME_BLOCK``
-    columns ``t_i``; each block is contracted over ``(k, a)`` and ``j`` in
-    the sampler's layout, weights in the bases, and fills its own columns
-    of the compressed rows, so no sample is held past its block.
+    to ``p r_k r_j``.
+
+    The compressed rows are read off a cross of the samples, not
+    contracted from all ``N_p^2 N_q`` of them. As the samples lie in the
+    range of ``V_k (x) V_j``, their core ``(V_k' (x) V_j') X`` equals
+    ``(V_k[I_k]^{-1} (x) V_j[I_j]^{-1}) X[I_k, I_j, :]`` for any rows
+    ``I_k``, ``I_j`` that make the two blocks invertible; column-pivoted
+    QR of ``V_k'`` and ``V_j'`` picks well-conditioned ones (Q-DEIM,
+    :func:`_interpolation_rows`). So beyond the probe fibres the sampler is
+    asked for one ``h2_grid(t[K], tau[I_j], t)`` and one ``dh2_grid`` call,
+    with ``K`` the nodes of the rows ``I_k``. The derivative samples need
+    no basis of their own: ``A`` maps the reachable subspace into itself,
+    so they lie in the same mode ranges. The held-out probe fibres must
+    match the interpolant as they match the bases, or this raises.
 
     Parameters
     ----------
@@ -903,39 +926,31 @@ def lqo_qbt_streamed(sampler, rule_p, rule_q, orders):
     _require_finite("dh1_grid", dh1_sum)
     _require_finite("h2_grid", h2_in, h2_quad)
     h, g, K = _io_blocks(h1_in, h2_in, h1_out, h2_quad, phi, rho)
-    Vk, Vj = _mode_bases(_kernel_fibres(sampler, t, rho, tau, phi, (p, m, m)),
-                         Np, Nq)
-    Vk = Vk.reshape(Np, m, -1)
-    Wk, Wj = rho[:, None, None] * Vk, phi[:, None] * Vj  # weights folded in
+    (Vk, Ik), (Vj, Ij) = _mode_bases(
+        _kernel_fibres(sampler, t, rho, tau, phi, (p, m, m)), Np, Nq,
+        interpolate=True)
+    k_of, a_of = np.divmod(Ik, m)
+    ks, k_at = np.unique(k_of, return_inverse=True)
+    # V[I]^{-1} with the sample weights of the rows folded in
+    Gk = np.linalg.solve(Vk[Ik], np.diag(rho[k_of]))
+    Gj = np.linalg.solve(Vj[Ij], np.diag(phi[Ij]))
 
     def rows(method, linear):
         """Linear rows over the rows of the (r_k, r_j, i, q, b) core."""
-        core = np.empty((Wk.shape[2], Wj.shape[1], Np, p, m))
-        for lo in range(0, Np, TIME_BLOCK):
-            cols = slice(lo, lo + TIME_BLOCK)
-            core[:, :, cols] = _contract_block(
-                _grid(sampler, method, (t, tau, t[cols]), (p, m, m)), Wk, Wj)
-        # a NaN or inf sample spreads into the core; no block scan is needed
-        _require_finite(method, core)
-        core *= rho[:, None, None]
+        vals = _grid(sampler, method, (t[ks], tau[Ij], t), (p, m, m))
+        _require_finite(method, vals)
+        X = vals[k_at, :, :, :, a_of]  # the rows (k, a) in I_k
+        Y = (Gk @ X.reshape(Ik.size, -1)).reshape(Ik.size, Ij.size, -1)
+        core = np.matmul(Gj, Y).reshape(X.shape) * rho[:, None, None]
         quad = core.transpose(3, 0, 1, 2, 4).reshape(-1, Np * m)
         return np.vstack([_linear_block(linear, phi, rho), quad])
 
     dm = DataMatrices(
         H=rows("h2_grid", h1_sum), M=rows("dh2_grid", dh1_sum),
-        h=_compress_h(h, Nq * p, Vk, Vj), g=g, K=K, domain="time",
+        h=_compress_h(h, Nq * p, Vk.reshape(Np, m, -1), Vj), g=g, K=K,
+        domain="time",
     )
     return _reduce_orders(dm, orders)
-
-
-def _contract_block(vals, Wk, Wj):
-    """A ``(k, j, i, q, a, b)`` block of quadratic samples contracted over
-    ``(k, a)`` with `Wk`, in one product, then over ``j`` with `Wj`, shaped
-    ``(r_k, r_j, i, q, b)``."""
-    Nq, cb, p, m = vals.shape[1:5]
-    Y = np.tensordot(Wk, vals, axes=([0, 1], [0, 4]))
-    Y = np.matmul(Wj.T, Y.reshape(len(Y), Nq, -1))
-    return Y.reshape(len(Y), -1, cb, p, m)
 
 
 def _require_finite(method, *arrays):
@@ -960,7 +975,7 @@ def _kernel_fibres(sampler, t, rho, tau, phi, tail):
     return unfolding
 
 
-def _mode_bases(unfolding, n_k, n_j):
+def _mode_bases(unfolding, n_k, n_j, interpolate=False):
     """Orthonormal bases ``V_k`` (rows ``(k, a)``) and ``V_j`` (rows ``j``)
     of the two modes of the quadratic rows: the left singular vectors
     above ``RANK_TOL`` of ``unfolding(mode, idx)``, the fibres at
@@ -969,7 +984,12 @@ def _mode_bases(unfolding, n_k, n_j):
     the mode's rows. This range finder needs no Gram matrix. The fibres
     midway between the probes must lie in the basis to within ``MODE_TOL``
     of their norm, or the samples are not of low rank in that mode and
-    this raises."""
+    this raises.
+
+    With `interpolate`, each basis comes as a pair ``(V, I)`` with its
+    interpolation rows ``I`` (:func:`_interpolation_rows`), and the
+    held-out fibres must also match their interpolant ``V V[I]^{-1} F[I]``
+    to within ``MODE_TOL``."""
     bases = []
     for mode, n in (("k", n_j), ("j", n_k)):
         probes = np.unique(np.linspace(0, n - 1, PROBES).round().astype(int))
@@ -978,15 +998,37 @@ def _mode_bases(unfolding, n_k, n_j):
         res = svd(unfolding(mode, probes).T, left=False)
         V = res.Y[:, res.S > RANK_TOL * res.S[0]]
         F = unfolding(mode, held) if held.size else V[:, :0]
-        norm, residual = np.linalg.norm(F), np.linalg.norm(F - V @ (V.T @ F))
-        if residual > MODE_TOL * norm:
-            raise ValueError(
-                f"held-out quadratic fibres leave {residual / norm:.2e} of "
-                f"their norm (> {MODE_TOL:g}) outside the {mode}-mode basis "
-                "of the probes; the samples are not of low rank"
-            )
+        _check_held_out(F, V @ (V.T @ F), f"outside the {mode}-mode basis of "
+                        "the probes; the samples are not of low rank")
+        if interpolate:
+            rows = _interpolation_rows(V)
+            _check_held_out(
+                F, V @ np.linalg.solve(V[rows], F[rows]),
+                f"off their interpolant on {rows.size} rows of the {mode}-mode "
+                f"basis (condition number {np.linalg.cond(V[rows]):.2e}); the "
+                "interpolation rows are ill-conditioned")
+            V = (V, rows)
         bases.append(V)
     return bases
+
+
+def _check_held_out(F, approx, failure):
+    """Raise unless `approx` matches the held-out fibres `F` to within
+    ``MODE_TOL`` of their norm; `failure` ends the message."""
+    norm, residual = np.linalg.norm(F), np.linalg.norm(F - approx)
+    if residual > MODE_TOL * norm:
+        raise ValueError(
+            f"held-out quadratic fibres leave {residual / norm:.2e} of their "
+            f"norm (> {MODE_TOL:g}) {failure}"
+        )
+
+
+def _interpolation_rows(V):
+    """Q-DEIM rows of a basis `V` (Drmac-Gugercin 2016): the first
+    ``V.shape[1]`` pivots of a column-pivoted QR of ``V'``, in ascending
+    order, so that ``V[I]`` is square and well-conditioned."""
+    pivots = qr(V.T, mode="r", pivoting=True)[1]
+    return np.sort(pivots[: V.shape[1]])
 
 
 # ---------------------------------------------------------------------------

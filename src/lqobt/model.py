@@ -240,14 +240,17 @@ class LqoSystem:
         G = np.einsum("unl,qnk->uqlk", S, np.stack(self.Ms))  # (alpha, p, m, n)
         if shift:
             G = G @ self.A
-        # the sum grid exp(A (b_v + c_w)) B as an (n, beta*gamma*m) matrix:
-        # the exponentials of b side by side, times exp(A c_w) B
+        G = G.reshape(-1, n)                                      # (alpha*p*m, n)
         F = np.stack([self._exp(z) for z in b], axis=1)           # (n, beta, n)
         T = np.moveaxis(self._right_stack(c), 0, 1).reshape(n, -1)  # (n, gamma*m)
-        R = (F.reshape(-1, n) @ T).reshape(n, -1)
-        out = (G.reshape(-1, n) @ R).reshape(
-            a.size, self.p, self.m, b.size, c.size, self.m
-        )
+        if G.shape[0] < T.shape[1]:
+            # few left rows: G exp(A b_v) for every node, times exp(A c_w) B
+            out = (G @ F.reshape(n, -1)).reshape(-1, n) @ T
+        else:
+            # the sum grid exp(A (b_v + c_w)) B as an (n, beta*gamma*m)
+            # matrix: the exponentials of b side by side, times exp(A c_w) B
+            out = G @ (F.reshape(-1, n) @ T).reshape(n, -1)
+        out = out.reshape(a.size, self.p, self.m, b.size, c.size, self.m)
         return np.ascontiguousarray(out.transpose(0, 3, 4, 1, 2, 5))
 
     def _left_stack(self, zs, shift):

@@ -327,10 +327,37 @@ def test_tied_spectrum_warns_on_split():
         lqo_qbt_streamed(sys_, rule, rule, [1])
 
 
+def _tied_case():
+    """The tied system, with observability nodes staggered by half a
+    geometric step so that the frequency route can use them too."""
+    sys_ = LqoSystem(
+        -np.eye(2), np.eye(2), np.eye(2),
+        [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])],
+    )
+    a, b, n = 1e-2, 20.0, 12
+    shift = (b / a) ** (0.5 / (n - 1))
+    return sys_, log_trapezoid(a, b, n), log_trapezoid(a * shift, b * shift, n)
+
+
+@pytest.mark.parametrize("route", [
+    lambda s, rp, rq: intrusive_bt(s, 1),
+    lambda s, rp, rq: lqo_qbt(collect_time_data(s, rp, rq), 1),
+    lambda s, rp, rq: lqo_qbt_auto(s, rp, rq, [1], domain="time"),
+    lambda s, rp, rq: lqo_qbt_auto(s, rp, rq, [1], domain="freq"),
+], ids=["intrusive_bt", "lqo_qbt", "auto-time", "auto-freq"])
+def test_near_tie_warning_names_the_callers_line(route):
+    # the warning points past the package's own frames, whatever their
+    # depth on the route, to the line that called it
+    sys_, rule_p, rule_q = _tied_case()
+    with pytest.warns(UserWarning, match="near-tied") as record:
+        route(sys_, rule_p, rule_q)
+    assert record[0].filename == __file__
+
+
 # --------------------------------------------------------- streamed path
 
 
-def test_streamed_reduction_matches_direct(monkeypatch):
+def test_streamed_reduction_matches_direct():
     rng = np.random.default_rng(71)
     sys_ = random_stable_system(rng, n=8, m=2, p=2)
     rule_p = log_trapezoid(1e-2, 20.0, 14)
@@ -339,7 +366,6 @@ def test_streamed_reduction_matches_direct(monkeypatch):
     dm = build_data_matrices(ds)
     S_direct = svd(dm.H).S
     orders = [3, 5]
-    monkeypatch.setattr(databt, "TIME_BLOCK", 4)
     S_stream, roms = lqo_qbt_streamed(sys_, rule_p, rule_q, orders)
     assert len(roms) == len(orders)
     # the compressed rows keep every singular value the direct path resolves
@@ -354,19 +380,38 @@ def test_streamed_reduction_matches_direct(monkeypatch):
         tf_agree(rom_d, rom_s, pts, rtol=1e-9, scale_sys=sys_)
 
 
-def test_streamed_chunk_size_is_irrelevant(monkeypatch):
+def _spy(monkeypatch, name, seen):
+    """Rebind ``databt.<name>`` to record its calls' results in `seen`."""
+    fn = getattr(databt, name)
+
+    def spied(*args, **kwargs):
+        seen[name] = (args, fn(*args, **kwargs))
+        return seen[name][1]
+
+    monkeypatch.setattr(databt, name, spied)
+
+
+def test_streamed_cross_core_equals_compressed_whole_rows(monkeypatch):
+    # the rows read off the cross of the samples are the whole sample rows
+    # of every (k, j) pair compressed onto I_p (x) V_k (x) V_j
     rng = np.random.default_rng(73)
-    sys_ = random_stable_system(rng, n=6)
+    sys_ = random_stable_system(rng, n=6, m=2, p=2)
     rule = log_trapezoid(1e-2, 10.0, 11)
-
-    def run(block):
-        monkeypatch.setattr(databt, "TIME_BLOCK", block)
-        return lqo_qbt_streamed(sys_, rule, rule, [2])
-
-    (S_ref, (rom_ref,)), *outs = [run(c) for c in (1, 4, 100)]
-    for S, (rom,) in outs:
-        assert np.allclose(S, S_ref, rtol=1e-12)
-        assert np.allclose(rom.A, rom_ref.A, rtol=0, atol=1e-10)
+    seen = {}
+    _spy(monkeypatch, "_mode_bases", seen)
+    _spy(monkeypatch, "_reduce_orders", seen)
+    lqo_qbt_streamed(sys_, rule, rule, [2])
+    (Vk, _), (Vj, _) = seen["_mode_bases"][1]
+    cross = seen["_reduce_orders"][0][0]
+    whole = build_data_matrices(collect_time_data(sys_, rule, rule))
+    N, m, p = len(rule), 2, 2
+    nl = N * p
+    for got, rows in ((cross.H, whole.H), (cross.M, whole.M)):
+        quad = rows[nl:].reshape(p, N, N, m, -1)
+        quad = np.einsum("kar,js,qkjac->qrsc", Vk.reshape(N, m, -1), Vj, quad)
+        want = np.vstack([rows[:nl], quad.reshape(-1, rows.shape[1])])
+        assert got.shape == want.shape
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
 class CountingSampler:
@@ -389,23 +434,44 @@ class CountingSampler:
 
 
 def test_streamed_samples_come_in_bounded_blocks(monkeypatch):
-    # no quadratic grid call asks for more than max(PROBES, TIME_BLOCK)
-    # nodes on one axis times two whole node sets (the k-mode probes take
-    # t twice), and the streamed calls tile the columns t_i once per method
+    # past the single-node samples and the probe and held-out fibres of
+    # both modes, the route reads one cross per method: at most r_k
+    # controllability nodes (one per interpolation row (k, a)) and r_j
+    # observability nodes, times all columns t_i
     rng = np.random.default_rng(79)
     sys_ = random_stable_system(rng, n=5)
     rule_p, rule_q = log_trapezoid(1e-2, 20.0, 23), log_trapezoid(2e-2, 15.0, 17)
-    monkeypatch.setattr(databt, "TIME_BLOCK", 5)
+    seen = {}
+    _spy(monkeypatch, "_mode_bases", seen)
     sampler = CountingSampler(sys_)
     lqo_qbt_streamed(sampler, rule_p, rule_q, [2])
-    Np, Nq = len(rule_p), len(rule_q)
-    bound = max(databt.PROBES, databt.TIME_BLOCK) * Np * max(Np, Nq)
-    assert all(a * b * c <= bound for _, a, b, c in sampler.calls)
-    for method in ("h2_grid", "dh2_grid"):
-        # (h2_grid(t, tau, [0]) gives the single-node samples)
-        widths = [c for name, a, b, c in sampler.calls
-                  if name == method and (a, b) == (Np, Nq) and c > 1]
-        assert widths == [5, 5, 5, 5, 3], method
+    (Vk, Ik), (Vj, Ij) = seen["_mode_bases"][1]
+    assert (Ik.size, Ij.size) == (Vk.shape[1], Vj.shape[1])
+    h2_calls = [c[1:] for c in sampler.calls if c[0] == "h2_grid"]
+    dh2_calls = [c[1:] for c in sampler.calls if c[0] == "dh2_grid"]
+    assert len(h2_calls) == 2 + 4 + 1 and len(dh2_calls) == 1
+    assert all(c == 1 for _, _, c in h2_calls[:2])
+    assert all(min(a, b) <= databt.PROBES for a, b, _ in h2_calls[2:6])
+    for a, b, c in (h2_calls[-1], dh2_calls[0]):
+        assert a <= Vk.shape[1] < len(rule_p)
+        assert b <= Vj.shape[1] < len(rule_q)
+        assert c == len(rule_p)
+
+
+def test_ill_conditioned_interpolation_rows_raise(monkeypatch):
+    # rows on which the basis is nearly singular amplify the round-off
+    # off the basis past MODE_TOL; the held-out fibres catch it
+    rng = np.random.default_rng(79)
+    sys_ = random_stable_system(rng, n=5)
+    rule = log_trapezoid(1e-2, 20.0, 23)
+
+    def last_rows(V):
+        # the latest nodes, where every kernel has decayed to one mode
+        return np.arange(V.shape[0] - V.shape[1], V.shape[0])
+
+    monkeypatch.setattr(databt, "_interpolation_rows", last_rows)
+    with pytest.raises(ValueError, match="k-mode basis .* ill-conditioned"):
+        lqo_qbt_streamed(sys_, rule, rule, [2])
 
 
 def test_streamed_rank_guard():
@@ -545,7 +611,7 @@ class CallPoisonedSampler:
         return poisoned
 
 
-def test_non_finite_samples_are_rejected(tmp_path, monkeypatch):
+def test_non_finite_samples_are_rejected(tmp_path):
     rng = np.random.default_rng(89)
     sys_ = random_stable_system(rng, n=4, m=2, p=2)
     rule = log_trapezoid(1e-2, 10.0, 5)
@@ -556,16 +622,16 @@ def test_non_finite_samples_are_rejected(tmp_path, monkeypatch):
         lqo_qbt_streamed(bad, rule, rule, [2])
 
     # one NaN in a probe fibre across a subset of the observability nodes,
-    # or in one streamed block of two columns t_i (no probe, held-out or
-    # single-node call of nine nodes a side has two), is named as well
+    # or in the cross of either method (fewer than nine nodes on both
+    # leading axes, which no probe, held-out or single-node call has), is
+    # named as well, wherever it falls
     rule9 = log_trapezoid(1e-2, 10.0, 9)
     n = rule9.nodes.size
     cases = [
         ("h2_grid", lambda a, b, c: len(b) < n and len(c) == n),
-        ("h2_grid", lambda a, b, c: len(a) == len(b) == n and len(c) == 2),
-        ("dh2_grid", lambda a, b, c: len(c) == 2),
+        ("h2_grid", lambda a, b, c: len(a) < n and len(b) < n),
+        ("dh2_grid", lambda a, b, c: True),
     ]
-    monkeypatch.setattr(databt, "TIME_BLOCK", 2)
     for method, hit in cases:
         sampler = CallPoisonedSampler(sys_, method, hit)
         with pytest.raises(ValueError, match=rf"sampler\.{method} returned NaN or inf"):
