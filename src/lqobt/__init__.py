@@ -14,9 +14,6 @@ from .databt import (
     KernelDataset,
     build_data_matrices,
     build_freq_matrices,
-    build_htilde,
-    build_htilde_gtilde_ktilde,
-    build_mtilde,
     collect_freq_data,
     collect_time_data,
     load_dataset,
@@ -76,9 +73,6 @@ __all__ = [
     "UnstableSystemError",
     "build_data_matrices",
     "build_freq_matrices",
-    "build_htilde",
-    "build_htilde_gtilde_ktilde",
-    "build_mtilde",
     "clenshaw_curtis",
     "collect_freq_data",
     "collect_time_data",

@@ -28,21 +28,24 @@ controllability-side node is the outer index), and channels are stacked
 outermost. Any orthogonal transform of the rows of ``[H | M | h]``, a
 fixed row permutation for one, yields an equivalent reduced model, and
 so does a compression onto any orthonormal basis whose range holds that
-of ``H``. Both domains' reducers compress the quadratic rows onto the
-ranges of their two node modes, found from probe fibres
-(:func:`_mode_bases`). :func:`lqo_qbt_streamed` reads the compressed
-rows off a cross of the kernel samples at interpolation rows of the two
-bases, so it asks a sampler for O(N^2) quadratic samples instead of all
-O(N^3); :func:`lqo_qbt` on a frequency dataset contracts its real
-Loewner rows block by block (:func:`_freq_compressed`). Neither ever
-holds the quadratic rows whole.
+of ``H``. Every data input, a time sampler, a time dataset or a
+frequency dataset, reduces through one path: bases of the quadratic
+rows' two node modes from probe fibres (:func:`_mode_bases`), Q-DEIM
+interpolation rows of those bases, and the compressed rows read off a
+cross of the samples at those rows (:func:`_compressed_matrices`). So a
+sampler is asked for O(N^2) quadratic samples instead of all O(N^3)
+(:func:`lqo_qbt_streamed`), a time dataset's arrays are sliced at the
+same places (:func:`lqo_qbt`), and the real Loewner rows are evaluated
+only at the node pairs that hold the rows (:func:`_freq_compressed`).
+No route holds the quadratic rows whole.
 
 Frequency-domain data closed under conjugation gives complex matrices that
 a fixed unitary pairing of each ``(+w, -w)`` node pair makes real. The
 real matrices are assembled directly, from the divided differences at the
 positive node of each outer pair, and the samples' conjugate symmetry that
-this relies on is checked first. :func:`build_freq_matrices` assembles them
-whole, as the oracle the compressed route is tested against.
+this relies on is checked first. :func:`build_data_matrices` (with
+:func:`build_freq_matrices` for frequency data) assembles the matrices
+whole, as the oracle the compressed routes are tested against.
 """
 
 import json
@@ -64,9 +67,6 @@ __all__ = [
     "DataMatrices",
     "collect_time_data",
     "collect_freq_data",
-    "build_htilde",
-    "build_mtilde",
-    "build_htilde_gtilde_ktilde",
     "build_freq_matrices",
     "build_data_matrices",
     "lqo_qbt",
@@ -83,9 +83,9 @@ TIE_TOL = 1e-12
 # held-out residuals up to 9e-11, eight 2e-12), and the residual that raises
 PROBES = 8
 MODE_TOL = 1e-10
-# bytes of complex quadratic Loewner rows the frequency route assembles at
-# a time (at 100 nodes a side, 4 to 64 MiB ran equally fast); a collection
-# whose rows at one controllability node exceed it is refused
+# bound on the complex quadratic Loewner rows at one controllability node;
+# the frequency route's probe stage holds about 34 times those rows, so a
+# collection whose rows at one node exceed it is refused
 FREQ_BLOCK_BYTES = 2**24
 _PACKAGE = os.path.dirname(__file__) + os.sep
 _COMPLEX_ROM = ("complex data matrices cannot produce a real reduced model; "
@@ -380,7 +380,7 @@ def collect_freq_data(sampler, rule_p, rule_q, conjugate_closure=True):
 
 
 # ---------------------------------------------------------------------------
-# time-domain assembly
+# whole-matrix assembly, the oracle of the compressed routes
 # ---------------------------------------------------------------------------
 
 
@@ -396,37 +396,6 @@ def _linear_block(samples, phi, rho):
     Nq, Np, p, m = samples.shape
     w = phi[:, None, None, None] * rho[None, :, None, None]
     return (w * samples).transpose(0, 2, 1, 3).reshape(Nq * p, Np * m)
-
-
-def _quadratic_block(samples, phi, rho):
-    """(p, N_p, N_q, N_p, m, m) samples -> (p N_p N_q m, N_p m) matrix."""
-    p, Np, Nq = samples.shape[:3]
-    m = samples.shape[-1]
-    w = (
-        rho[None, :, None, None, None, None]
-        * phi[None, None, :, None, None, None]
-        * rho[None, None, None, :, None, None]
-    )
-    return (w * samples).transpose(0, 1, 2, 4, 3, 5).reshape(
-        p * Np * Nq * m, Np * m
-    )
-
-
-def build_htilde(ds):
-    """Stacked kernel sample matrix ``H`` (equals ``L' U``), time domain."""
-    return _stacked_block(ds, ds.h1_sum, ds.h2_sum)
-
-
-def build_mtilde(ds):
-    """Stacked derivative sample matrix ``M`` (equals ``L' A U``)."""
-    return _stacked_block(ds, ds.dh1_sum, ds.dh2_sum)
-
-
-def _stacked_block(ds, linear, quadratic):
-    _require_domain(ds, "time")
-    rho, phi = ds.p_sqrt_weights, ds.q_sqrt_weights
-    return np.vstack([_linear_block(linear, phi, rho),
-                      _quadratic_block(quadratic, phi, rho)])
 
 
 def _io_blocks(y1_in, y2_in, y1_out, y2_quad, phi, rho):
@@ -449,12 +418,30 @@ def _io_blocks(y1_in, y2_in, y1_out, y2_quad, phi, rho):
     return h, g, K
 
 
-def build_htilde_gtilde_ktilde(ds):
-    """Input block ``h`` (= ``L' B``), output block ``g`` (= ``C U``) and
-    quadratic blocks ``K_q`` (= ``U' M_q U``), time domain."""
-    _require_domain(ds, "time")
-    return _io_blocks(ds.h1_in, ds.h2_in, ds.h1_out, ds.h2_quad,
-                      ds.q_sqrt_weights, ds.p_sqrt_weights)
+def build_data_matrices(ds):
+    """Assemble :class:`DataMatrices` whole from a dataset of either domain.
+
+    Time-domain samples are weighted and laid out as in the module
+    docstring; frequency-domain datasets go to :func:`build_freq_matrices`,
+    which realifies them when they are conjugate closed. Single-input
+    single-output data is the one-by-one block case of the general layout.
+    The reducers never call this: they compress the quadratic rows instead
+    (:func:`lqo_qbt`), and the tests hold them to these whole matrices.
+    """
+    if ds.domain == "freq":
+        return build_freq_matrices(ds)
+    rho, phi = ds.p_sqrt_weights, ds.q_sqrt_weights
+    w = (rho[:, None, None] * phi[:, None] * rho)[None, ..., None, None]
+    H, M = (
+        np.vstack([
+            _linear_block(linear, phi, rho),
+            # (q, k, j, i, a, b) -> rows (q, k, j, a), columns (i, b)
+            (w * quad).transpose(0, 1, 2, 4, 3, 5).reshape(-1, ds.Np * ds.m),
+        ])
+        for linear, quad in ((ds.h1_sum, ds.h2_sum), (ds.dh1_sum, ds.dh2_sum))
+    )
+    h, g, K = _io_blocks(ds.h1_in, ds.h2_in, ds.h1_out, ds.h2_quad, phi, rho)
+    return DataMatrices(H=H, M=M, h=h, g=g, K=K, domain="time")
 
 
 # ---------------------------------------------------------------------------
@@ -652,22 +639,6 @@ def _real_pairs(Y, outer, rows=(), cols=(), sign=1.0, out=None):
     return R
 
 
-def build_data_matrices(ds):
-    """Uniform entry point: assemble :class:`DataMatrices` from any dataset.
-
-    Dispatches on the dataset's domain; single-input single-output data is
-    just the one-by-one block special case of the general layout.
-    Frequency-domain datasets are realified when they are conjugate closed.
-    """
-    if ds.domain == "time":
-        h, g, K = build_htilde_gtilde_ktilde(ds)
-        return DataMatrices(
-            H=build_htilde(ds), M=build_mtilde(ds), h=h, g=g, K=K,
-            domain="time",
-        )
-    return build_freq_matrices(ds)
-
-
 # ---------------------------------------------------------------------------
 # reduction
 # ---------------------------------------------------------------------------
@@ -737,11 +708,11 @@ def lqo_qbt(ds, r):
 
     Reduces the five data matrices to order `r`; see
     :func:`reduce_from_matrices`. Time-domain datasets give provenance
-    ``"time-qbt"`` and are assembled whole. Frequency-domain ones give
-    ``"freq-qbt"``; they must be conjugate closed so the model can be made
-    real, and their quadratic rows are assembled compressed onto their mode
-    bases (:func:`_freq_compressed`), which gives the same model as the
-    whole matrices of :func:`build_freq_matrices`.
+    ``"time-qbt"`` and run the driver of :func:`lqo_qbt_streamed` on
+    slices of their arrays. Frequency-domain ones give ``"freq-qbt"``;
+    they must be conjugate closed so the model can be made real
+    (:func:`_freq_compressed`). Neither assembles the quadratic rows
+    whole; both give the model of :func:`build_data_matrices`.
 
     Parameters
     ----------
@@ -756,7 +727,17 @@ def lqo_qbt(ds, r):
     """
     if ds.domain == "freq":
         return reduce_from_matrices(_freq_compressed(ds), r)
-    return reduce_from_matrices(build_data_matrices(ds), r)
+    families = {"h2_grid": ds.h2_sum, "dh2_grid": ds.dh2_sum}
+
+    def read(method, ks, js):
+        # one slice of (q, k, j, i, a, b), moved to the sampler's layout
+        k, j = np.arange(ds.Np)[ks, None], np.arange(ds.Nq)[js]
+        return np.moveaxis(families[method][:, k, j], 0, 3)
+
+    dm = _time_compressed(read, ds.p_sqrt_weights, ds.q_sqrt_weights,
+                          ds.h1_sum, ds.dh1_sum,
+                          (ds.h1_in, ds.h2_in, ds.h1_out, ds.h2_quad))
+    return reduce_from_matrices(dm, r)
 
 
 def lqo_qbt_auto(sampler, rule_p, rule_q, orders, domain="time"):
@@ -765,10 +746,11 @@ def lqo_qbt_auto(sampler, rule_p, rule_q, orders, domain="time"):
     The time domain runs :func:`lqo_qbt_streamed` at every node count,
     which takes the channel counts from the first grid it samples.
     Frequency data is conjugate closed and reduced through
-    :func:`_freq_compressed`, which assembles the quadratic rows in blocks
-    of at most ``FREQ_BLOCK_BYTES``; a collection whose rows at a single
-    controllability node exceed that block is refused before sampling.
-    Only that check reads the sampler's ``m`` and ``p`` attributes.
+    :func:`_freq_compressed`. A collection whose complex quadratic
+    Loewner rows at a single controllability node exceed
+    ``FREQ_BLOCK_BYTES`` is refused before sampling, as the route's probe
+    stage holds many times those rows; only that check reads the
+    sampler's ``m`` and ``p`` attributes.
 
     Returns
     -------
@@ -780,70 +762,61 @@ def lqo_qbt_auto(sampler, rule_p, rule_q, orders, domain="time"):
     if domain != "freq":
         raise ValueError(f"unknown domain {domain!r}")
     # closure doubles both node sets
-    _freq_block_nodes(sampler.p, sampler.m, 2 * len(rule_p), 2 * len(rule_q))
+    _freq_size_guard(sampler.p, sampler.m, 2 * len(rule_p), 2 * len(rule_q))
     ds = collect_freq_data(sampler, rule_p, rule_q)
     return _reduce_orders(_freq_compressed(ds), orders)
 
 
-def _freq_block_nodes(p, m, Np, Nq):
-    """Controllability nodes per block of complex quadratic Loewner rows,
-    as many as fit in ``FREQ_BLOCK_BYTES``; raises if not even one does."""
+def _freq_size_guard(p, m, Np, Nq):
+    """Raise if the complex quadratic Loewner rows at one controllability
+    node exceed ``FREQ_BLOCK_BYTES``."""
     per_node = 16 * p * m * m * Np * Nq
     if per_node > FREQ_BLOCK_BYTES:
         raise ValueError(
             f"frequency-domain reduction needs {per_node / 2**20:.0f} MiB of "
             "Loewner rows per node, more than its "
-            f"{FREQ_BLOCK_BYTES / 2**20:.0f} MiB block; lower --np/--nq "
-            "(or use --domain time, which needs no such block)"
+            f"{FREQ_BLOCK_BYTES / 2**20:.0f} MiB bound; lower --np/--nq, or "
+            "reduce in the time domain (reduce --method qbt-time; hsv and "
+            "h2-sweep --domain time), which has no such bound"
         )
-    return FREQ_BLOCK_BYTES // per_node
 
 
 def _freq_compressed(ds):
     """Real data matrices of a conjugate-closed frequency dataset with the
     quadratic rows compressed onto ``I_p (x) V_k (x) V_j``.
 
-    The bases come from real Loewner rows at probe node pairs
-    (:func:`_mode_bases`). The rows themselves are assembled for blocks of
-    positive controllability nodes ``k`` of at most ``FREQ_BLOCK_BYTES``:
-    each complex block is contracted over ``j`` with ``W = P' V_j``, the
-    real ``j`` basis seen from the complex axis (``P`` is the fixed pair
-    unitary), made real over its column pairs and its ``k`` pairs, and
-    contracted over ``(k, a)`` with ``V_k``. The full quadratic rows are
-    never held; the linear rows, ``h``, ``g`` and ``K`` are built as in
-    :func:`build_freq_matrices`. A dataset whose rows at one node exceed
-    the block is refused, as the probes hold about 34 times those rows.
+    The bases and their interpolation rows come from real Loewner rows at
+    probe node pairs (:func:`_mode_bases`). The real quadratic rows are
+    then evaluated only at the node pairs that hold the rows ``I_k`` (each
+    ``(k pair, slot, a)``) and ``I_j`` (each ``(j pair, slot)``), and the
+    cross is contracted as on the time route
+    (:func:`_compressed_matrices`). The linear rows, ``h``, ``g`` and
+    ``K`` are built as in :func:`build_freq_matrices`. A dataset whose
+    complex quadratic rows at one node exceed ``FREQ_BLOCK_BYTES`` is
+    refused, as the probes hold about 34 times those rows.
     """
     _require_domain(ds, "freq")
     if not ds.conjugate_closure:
         raise ValueError(_COMPLEX_ROM)
     Np, Nq, m, p = ds.Np, ds.Nq, ds.m, ds.p
-    step = _freq_block_nodes(p, m, Np, Nq)
+    _freq_size_guard(p, m, Np, Nq)
     _check_conjugate_symmetry(ds)
-    Np2, Nq2, nl, nc = Np // 2, Nq // 2, Nq * p, Np * m
     h, g, K = _real_io_blocks(ds)
-    Vk, Vj = _mode_bases(_loewner_fibres(ds), Np2, Nq2)
-    Vk = Vk.reshape(Np2, 2, m, -1)
-    V0, V1 = Vj.reshape(Nq2, 2, -1).transpose(1, 0, 2)
-    W = np.stack([V0 - 1j * V1, V0 + 1j * V1], axis=1).reshape(Nq, -1) / _SQRT2
+    bases = _mode_bases(_loewner_fibres(ds), Np // 2, Nq // 2)
+    (_, Ik), (_, Ij) = bases
+    kp, k_at = np.unique(Ik // (2 * m), return_inverse=True)
+    jp, j_at = np.unique(Ij // 2, return_inverse=True)
+    k_rows, j_rows = 2 * m * k_at + Ik % (2 * m), 2 * j_at + Ij % 2
 
-    every_j = np.arange(Nq)
-    rows = []
-    for shifted in (False, True):
-        core = 0.0
-        for lo in range(0, Np2, step):
-            kp = np.arange(lo, min(lo + step, Np2))
-            L = _quadratic_rows(ds, 2 * kp, every_j, shifted)
-            # (p, k, j, l, a, b): contract j, then realify and contract (k, a)
-            Y = np.matmul(W.T, L.reshape(p * kp.size, Nq, -1))
-            Y = Y.reshape(p, kp.size, -1, Np2, 2, m, m)
-            R = _real_pairs(Y, 1, cols=(4,))
-            core = core + np.tensordot(R, Vk[kp], axes=([1, 2, 6], [0, 1, 2]))
-        quad = core.transpose(0, 5, 1, 2, 3, 4).reshape(-1, nc)
-        rows.append(np.vstack([_real_linear_rows(ds, shifted), quad]))
-    return DataMatrices(H=rows[0], M=rows[1],
-                        h=_compress_h(h, nl, Vk.reshape(Np, m, -1), Vj),
-                        g=g, K=K, domain="freq")
+    def cross(shifted):
+        # (q, k pair, slot, j pair, slot, a, column) -> rows (k, a), j
+        R = _real_quadratic(ds, kp, jp, shifted).transpose(1, 2, 5, 3, 4, 0, 6)
+        R = R.reshape(2 * m * kp.size, 2 * jp.size, p, Np * m)
+        return R[k_rows][:, j_rows]
+
+    return _compressed_matrices(
+        lambda shifted: _real_linear_rows(ds, shifted), cross, bases,
+        h, g, K, "freq")
 
 
 def _loewner_fibres(ds):
@@ -864,14 +837,36 @@ def _loewner_fibres(ds):
     return unfolding
 
 
-def _compress_h(h, nl, Vk, Vj):
-    """`h` with its quadratic rows, laid out (q, k, j, a), compressed onto
-    ``I_p (x) V_k (x) V_j`` (`Vk` shaped ``(N_p, m, r_k)``); the first `nl`
-    rows are linear and kept."""
-    Np, m, _ = Vk.shape
-    quad = h[nl:].reshape(-1, Np, Vj.shape[0], m, m)
-    quad = np.einsum("kar,js,qkjab->qrsb", Vk, Vj, quad, optimize=True)
-    return np.vstack([h[:nl], quad.reshape(-1, m)])
+def _compressed_matrices(linear, cross, bases, h, g, K, domain):
+    """Data matrices with the quadratic rows compressed onto
+    ``I_p (x) V_k (x) V_j``, read off a cross of the samples.
+
+    `bases` holds ``(V_k, I_k)`` and ``(V_j, I_j)`` from
+    :func:`_mode_bases`. ``linear(shifted)`` gives the linear rows of
+    ``H`` (`shifted` false) or ``M``; ``cross(shifted)`` gives their
+    weighted quadratic samples at the rows ``I_k`` and ``I_j``, shaped
+    ``(r_k, r_j, p, columns)``. As the samples lie in the range of
+    ``V_k (x) V_j``, their core ``(V_k' (x) V_j') X`` equals
+    ``(V_k[I_k]^{-1} (x) V_j[I_j]^{-1}) X[I_k, I_j]``; it becomes the rows
+    ``(q, r_k, r_j)``. The quadratic rows of `h`, given whole, are
+    projected onto the bases."""
+    (Vk, Ik), (Vj, Ij) = bases
+    Gk, Gj = np.linalg.inv(Vk[Ik]), np.linalg.inv(Vj[Ij])
+
+    def rows(shifted):
+        X = cross(shifted)
+        Y = (Gk @ X.reshape(Ik.size, -1)).reshape(Ik.size, Ij.size, -1)
+        core = np.matmul(Gj, Y).reshape(X.shape).transpose(2, 0, 1, 3)
+        return np.vstack([linear(shifted), core.reshape(-1, X.shape[-1])])
+
+    p, m = len(K), h.shape[1]
+    nl = h.shape[0] - p * Vk.shape[0] * Vj.shape[0]
+    quad = h[nl:].reshape(p, -1, Vj.shape[0], m, m)  # (q, k, j, a, b)
+    quad = np.einsum("kar,js,qkjab->qrsb", Vk.reshape(-1, m, Ik.size), Vj,
+                     quad, optimize=True)
+    h = np.vstack([h[:nl], quad.reshape(-1, m)])
+    return DataMatrices(H=rows(False), M=rows(True), h=h, g=g, K=K,
+                        domain=domain)
 
 
 def lqo_qbt_streamed(sampler, rule_p, rule_q, orders):
@@ -881,23 +876,22 @@ def lqo_qbt_streamed(sampler, rule_p, rule_q, orders):
     t_i)[a, b]`` have rank at most ``n`` in their ``(k, a)`` mode and in
     their ``j`` mode. Orthonormal bases ``V_k``, ``V_j`` of these modes
     (:func:`_mode_bases`) compress the rows by ``I_p (x) V_k (x) V_j``,
-    whose range holds that of ``H``, which leaves the reduced model of
-    :func:`lqo_qbt` unchanged: it sees the rows of ``[H | M | h]`` only
-    through inner products. The quadratic rows shrink from ``p N_p N_q m``
-    to ``p r_k r_j``.
+    whose range holds that of ``H``, which leaves the reduced model
+    unchanged: it sees the rows of ``[H | M | h]`` only through inner
+    products. The quadratic rows shrink from ``p N_p N_q m`` to
+    ``p r_k r_j``.
 
     The compressed rows are read off a cross of the samples, not
-    contracted from all ``N_p^2 N_q`` of them. As the samples lie in the
-    range of ``V_k (x) V_j``, their core ``(V_k' (x) V_j') X`` equals
-    ``(V_k[I_k]^{-1} (x) V_j[I_j]^{-1}) X[I_k, I_j, :]`` for any rows
-    ``I_k``, ``I_j`` that make the two blocks invertible; column-pivoted
-    QR of ``V_k'`` and ``V_j'`` picks well-conditioned ones (Q-DEIM,
-    :func:`_interpolation_rows`). So beyond the probe fibres the sampler is
-    asked for one ``h2_grid(t[K], tau[I_j], t)`` and one ``dh2_grid`` call,
-    with ``K`` the nodes of the rows ``I_k``. The derivative samples need
-    no basis of their own: ``A`` maps the reachable subspace into itself,
-    so they lie in the same mode ranges. The held-out probe fibres must
-    match the interpolant as they match the bases, or this raises.
+    contracted from all ``N_p^2 N_q`` of them: the core equals
+    ``(V_k[I_k]^{-1} (x) V_j[I_j]^{-1}) X[I_k, I_j, :]`` at Q-DEIM rows
+    ``I_k``, ``I_j`` of the bases (:func:`_compressed_matrices`). So
+    beyond the probe fibres the sampler is asked for one
+    ``h2_grid(t[K], tau[I_j], t)`` and one ``dh2_grid`` call, with ``K``
+    the nodes of the rows ``I_k``. The derivative samples need no basis
+    of their own: ``A`` maps the reachable subspace into itself, so they
+    lie in the same mode ranges. The held-out probe fibres must match the
+    interpolant as they match the bases, or this raises. :func:`lqo_qbt`
+    runs the same driver on a time dataset's arrays.
 
     Parameters
     ----------
@@ -914,42 +908,22 @@ def lqo_qbt_streamed(sampler, rule_p, rule_q, orders):
     tuple ``(singular_values, roms)`` with the singular values of ``H``
     and one reduced model per entry of `orders`.
     """
-    t, rho = rule_p.nodes, rule_p.sqrt_weights
-    tau, phi = rule_q.nodes, rule_q.sqrt_weights
-    Np, Nq = t.size, tau.size
-
+    t, tau = rule_p.nodes, rule_q.nodes
     h1_sum = _channel_grid(sampler, "h1_grid", (tau, t))
     p, m = h1_sum.shape[2:]
     dh1_sum = _grid(sampler, "dh1_grid", (tau, t), (p, m))
-    h1_in, h2_in, h1_out, h2_quad = _io_samples(sampler, t, tau, p, m)
+    h1_in, h2_in, h1_out, h2_quad = io = _io_samples(sampler, t, tau, p, m)
     _require_finite("h1_grid", h1_sum, h1_in, h1_out)
     _require_finite("dh1_grid", dh1_sum)
     _require_finite("h2_grid", h2_in, h2_quad)
-    h, g, K = _io_blocks(h1_in, h2_in, h1_out, h2_quad, phi, rho)
-    (Vk, Ik), (Vj, Ij) = _mode_bases(
-        _kernel_fibres(sampler, t, rho, tau, phi, (p, m, m)), Np, Nq,
-        interpolate=True)
-    k_of, a_of = np.divmod(Ik, m)
-    ks, k_at = np.unique(k_of, return_inverse=True)
-    # V[I]^{-1} with the sample weights of the rows folded in
-    Gk = np.linalg.solve(Vk[Ik], np.diag(rho[k_of]))
-    Gj = np.linalg.solve(Vj[Ij], np.diag(phi[Ij]))
 
-    def rows(method, linear):
-        """Linear rows over the rows of the (r_k, r_j, i, q, b) core."""
-        vals = _grid(sampler, method, (t[ks], tau[Ij], t), (p, m, m))
+    def read(method, ks, js):
+        vals = _grid(sampler, method, (t[ks], tau[js], t), (p, m, m))
         _require_finite(method, vals)
-        X = vals[k_at, :, :, :, a_of]  # the rows (k, a) in I_k
-        Y = (Gk @ X.reshape(Ik.size, -1)).reshape(Ik.size, Ij.size, -1)
-        core = np.matmul(Gj, Y).reshape(X.shape) * rho[:, None, None]
-        quad = core.transpose(3, 0, 1, 2, 4).reshape(-1, Np * m)
-        return np.vstack([_linear_block(linear, phi, rho), quad])
+        return vals
 
-    dm = DataMatrices(
-        H=rows("h2_grid", h1_sum), M=rows("dh2_grid", dh1_sum),
-        h=_compress_h(h, Nq * p, Vk.reshape(Np, m, -1), Vj), g=g, K=K,
-        domain="time",
-    )
+    dm = _time_compressed(read, rule_p.sqrt_weights, rule_q.sqrt_weights,
+                          h1_sum, dh1_sum, io)
     return _reduce_orders(dm, orders)
 
 
@@ -958,57 +932,80 @@ def _require_finite(method, *arrays):
         raise ValueError(f"sampler.{method} returned NaN or inf")
 
 
-def _kernel_fibres(sampler, t, rho, tau, phi, tail):
+def _time_compressed(read, rho, phi, h1_sum, dh1_sum, io):
+    """Data matrices of time-domain samples with the quadratic rows
+    compressed onto ``I_p (x) V_k (x) V_j``: the driver of both time inputs.
+
+    ``read(method, ks, js)`` returns the ``"h2_grid"`` or ``"dh2_grid"``
+    samples at ``(t[ks], tau[js], t)`` (index arrays or slices) in the
+    sampler's layout ``(k, j, i, q, a, b)``. The square-root weights, the
+    linear samples and the single-node samples `io` (``h1_in``, ``h2_in``,
+    ``h1_out``, ``h2_quad``) are in dataset layout."""
+    p, m = h1_sum.shape[2:]
+    bases = _mode_bases(_kernel_fibres(read, rho, phi), rho.size, phi.size)
+    (_, Ik), (_, Ij) = bases
+    k_of, a_of = np.divmod(Ik, m)
+    ks, k_at = np.unique(k_of, return_inverse=True)
+    w = (rho[k_of, None] * phi[Ij])[:, :, None] * rho
+
+    def cross(shifted):
+        vals = read("dh2_grid" if shifted else "h2_grid", ks, Ij)
+        X = vals[k_at, :, :, :, a_of] * w[..., None, None]  # (r_k, r_j, i, q, b)
+        return X.transpose(0, 1, 3, 2, 4).reshape(Ik.size, Ij.size, p, -1)
+
+    return _compressed_matrices(
+        lambda shifted: _linear_block(dh1_sum if shifted else h1_sum, phi, rho),
+        cross, bases, *_io_blocks(*io, phi, rho), "time")
+
+
+def _kernel_fibres(read, rho, phi):
     """The unfoldings of the weighted quadratic kernel samples that
-    :func:`_mode_bases` probes: ``h2_grid(t, tau[idx], t)`` unfolded to
-    rows ``(k, a)``, or ``h2_grid(t[idx], tau, t)`` unfolded to rows
-    ``j``."""
+    :func:`_mode_bases` probes, from the reader of
+    :func:`_time_compressed`: ``read("h2_grid", :, idx)`` unfolded to rows
+    ``(k, a)``, or ``read("h2_grid", idx, :)`` unfolded to rows ``j``."""
     def unfolding(mode, idx):
         ks, js = (slice(None), idx) if mode == "k" else (idx, slice(None))
-        vals = _grid(sampler, "h2_grid", (t[ks], tau[js], t), tail)
-        _require_finite("h2_grid", vals)
+        vals = read("h2_grid", ks, js)
         vals = vals * (rho[ks, None, None] * phi[js, None] * rho)[..., None, None, None]
         if mode == "k":
-            return np.moveaxis(vals, 4, 1).reshape(t.size * tail[-1], -1)
-        return np.moveaxis(vals, 1, 0).reshape(tau.size, -1)
+            return np.moveaxis(vals, 4, 1).reshape(rho.size * vals.shape[-1], -1)
+        return np.moveaxis(vals, 1, 0).reshape(phi.size, -1)
 
     return unfolding
 
 
-def _mode_bases(unfolding, n_k, n_j, interpolate=False):
+def _mode_bases(unfolding, n_k, n_j):
     """Orthonormal bases ``V_k`` (rows ``(k, a)``) and ``V_j`` (rows ``j``)
-    of the two modes of the quadratic rows: the left singular vectors
-    above ``RANK_TOL`` of ``unfolding(mode, idx)``, the fibres at
-    ``PROBES`` evenly spread indices `idx` into the other node set (of
-    ``n_j`` indices for mode ``"k"``, ``n_k`` for mode ``"j"``) unfolded to
-    the mode's rows. This range finder needs no Gram matrix. The fibres
-    midway between the probes must lie in the basis to within ``MODE_TOL``
-    of their norm, or the samples are not of low rank in that mode and
-    this raises.
+    of the two modes of the quadratic rows, each with its interpolation
+    rows ``I`` (:func:`_interpolation_rows`), as pairs ``(V, I)``.
 
-    With `interpolate`, each basis comes as a pair ``(V, I)`` with its
-    interpolation rows ``I`` (:func:`_interpolation_rows`), and the
-    held-out fibres must also match their interpolant ``V V[I]^{-1} F[I]``
-    to within ``MODE_TOL``."""
+    Each basis holds the left singular vectors above ``RANK_TOL`` of
+    ``unfolding(mode, idx)``, the fibres at ``PROBES`` evenly spread
+    indices `idx` into the other node set (of ``n_j`` indices for mode
+    ``"k"``, ``n_k`` for mode ``"j"``) unfolded to the mode's rows. This
+    range finder needs no Gram matrix. The fibres midway between the
+    probes must lie in the basis, and match their interpolant
+    ``V V[I]^{-1} F[I]``, to within ``MODE_TOL`` of their norm, or this
+    raises: the samples are not of low rank in that mode, or the rows
+    ``I`` are ill-conditioned."""
     bases = []
     for mode, n in (("k", n_j), ("j", n_k)):
         probes = np.unique(np.linspace(0, n - 1, PROBES).round().astype(int))
         held = np.setdiff1d((probes[:-1] + probes[1:]) // 2, probes)
         # the transpose is tall, so its SVD runs on a small triangle
         res = svd(unfolding(mode, probes).T, left=False)
-        V = res.Y[:, res.S > RANK_TOL * res.S[0]]
+        # an identically zero mode keeps one direction, which reads zeros
+        V = res.Y[:, :max(1, np.count_nonzero(res.S > RANK_TOL * res.S[0]))]
         F = unfolding(mode, held) if held.size else V[:, :0]
         _check_held_out(F, V @ (V.T @ F), f"outside the {mode}-mode basis of "
                         "the probes; the samples are not of low rank")
-        if interpolate:
-            rows = _interpolation_rows(V)
-            _check_held_out(
-                F, V @ np.linalg.solve(V[rows], F[rows]),
-                f"off their interpolant on {rows.size} rows of the {mode}-mode "
-                f"basis (condition number {np.linalg.cond(V[rows]):.2e}); the "
-                "interpolation rows are ill-conditioned")
-            V = (V, rows)
-        bases.append(V)
+        rows = _interpolation_rows(V)
+        _check_held_out(
+            F, V @ np.linalg.solve(V[rows], F[rows]),
+            f"off their interpolant on {rows.size} rows of the {mode}-mode "
+            f"basis (condition number {np.linalg.cond(V[rows]):.2e}); the "
+            "interpolation rows are ill-conditioned")
+        bases.append((V, rows))
     return bases
 
 

@@ -307,6 +307,16 @@ def test_freq_domain_size_guard(tmp_path):
               "--np", "1200", "--out", str(tmp_path / "hsv")])
 
 
+def test_reduce_freq_size_guard_names_a_flag_reduce_accepts(tmp_path):
+    # reduce takes no --domain, so the advice must also name its method
+    manifest = _synth(tmp_path, n=4)
+    out = tmp_path / "rom"
+    with pytest.raises(ValueError, match="lower --np.*--method qbt-time"):
+        main(["reduce", "--system", manifest, "--method", "qbt-freq",
+              "--order", "2", "--np", "1200", "--out", str(out)])
+    assert not out.exists()
+
+
 def test_default_node_count_passes_the_freq_size_guard(tmp_path, monkeypatch):
     # with the default --np the frequency route gets past its size guard
     # to sampling, which this sampler refuses

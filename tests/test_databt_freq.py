@@ -29,7 +29,6 @@ from lqobt import (
     QuadratureRule,
     build_data_matrices,
     build_freq_matrices,
-    build_htilde,
     collect_freq_data,
     collect_time_data,
     h2_error,
@@ -392,9 +391,6 @@ def test_compressed_route_never_builds_the_whole_rows(monkeypatch):
     monkeypatch.setattr(databt, "build_freq_matrices", whole)
     monkeypatch.setattr(databt, "build_data_matrices", whole)
     monkeypatch.setattr(databt, "_quadratic_rows", recorded)
-    # one node a block
-    monkeypatch.setattr(databt, "FREQ_BLOCK_BYTES",
-                        16 * ds.p * ds.m**2 * ds.Np * ds.Nq)
     rom = lqo_qbt(ds, 3)
     _, (rom_auto,) = lqo_qbt_auto(sys_, rule_p, rule_q, [3], domain="freq")
     # the positive-node half of the complex quadratic rows, which the
@@ -406,23 +402,59 @@ def test_compressed_route_never_builds_the_whole_rows(monkeypatch):
         tf_agree(rom_ref, got, pts, rtol=1e-9, scale_sys=sys_)
 
 
-def test_compressed_route_is_independent_of_block_size(monkeypatch):
+def _spy(monkeypatch, name, seen):
+    """Rebind ``databt.<name>`` to record its calls' results in `seen`."""
+    fn = getattr(databt, name)
+
+    def spied(*args, **kwargs):
+        seen[name] = fn(*args, **kwargs)
+        return seen[name]
+
+    monkeypatch.setattr(databt, name, spied)
+
+
+def test_freq_cross_core_equals_compressed_whole_rows(monkeypatch):
+    # the rows read off the cross of the real Loewner rows are the whole
+    # real rows of every (k, j) pair compressed onto I_p (x) V_k (x) V_j;
+    # two inputs and outputs, so the rows I_k pick inputs and pair slots
     rng = np.random.default_rng(137)
-    sys_ = random_stable_system(rng, n=6, m=2, p=1)
-    rule_p = log_trapezoid(0.05, 20.0, 9)
-    rule_q = log_trapezoid(0.07, 28.0, 9)
-    ds = collect_freq_data(sys_, rule_p, rule_q)
-    node = 16 * ds.p * ds.m**2 * ds.Np * ds.Nq
-    outs = []
-    for nodes_per_block in (1, 4, 9):
-        monkeypatch.setattr(databt, "FREQ_BLOCK_BYTES", nodes_per_block * node)
-        dm = databt._freq_compressed(ds)
-        outs.append((svd(dm.H).S, lqo_qbt(ds, 3)))
-    (S_ref, rom_ref), *rest = outs
-    for S, rom in rest:
-        # values below RANK_TOL are rounding noise, held to 1e-15 of S[0]
-        assert np.allclose(S, S_ref, rtol=1e-12, atol=1e-15 * S_ref[0])
-        assert np.allclose(rom.A, rom_ref.A, rtol=0, atol=1e-10)
+    sys_ = random_stable_system(rng, n=6, m=2, p=2)
+    ds = collect_freq_data(sys_, log_trapezoid(0.05, 20.0, 9),
+                           log_trapezoid(0.07, 28.0, 9))
+    seen = {}
+    _spy(monkeypatch, "_mode_bases", seen)
+    cross = databt._freq_compressed(ds)
+    (Vk, Ik), (Vj, Ij) = seen["_mode_bases"]
+    assert (Ik.size, Ij.size) == (Vk.shape[1], Vj.shape[1])
+    whole = build_freq_matrices(ds)
+    Np, Nq, m, p = ds.Np, ds.Nq, ds.m, ds.p
+    nl = Nq * p
+    for got, rows in ((cross.H, whole.H), (cross.M, whole.M)):
+        quad = rows[nl:].reshape(p, Np, Nq, m, -1)
+        quad = np.einsum("kar,js,qkjac->qrsc", Vk.reshape(Np, m, -1), Vj, quad)
+        want = np.vstack([rows[:nl], quad.reshape(-1, rows.shape[1])])
+        assert got.shape == want.shape
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def test_freq_ill_conditioned_interpolation_rows_raise(monkeypatch):
+    # as on the time route: rows on which the basis is nearly singular
+    # amplify the round-off off the basis past MODE_TOL, and the held-out
+    # fibres catch it
+    rng = np.random.default_rng(79)
+    sys_ = random_stable_system(rng, n=5)
+    a, b, n_nodes = 1e-2, 1e4, 23
+    shift = (b / a) ** (0.5 / (n_nodes - 1))
+    ds = collect_freq_data(sys_, log_trapezoid(a, b, n_nodes),
+                           log_trapezoid(a * shift, b * shift, n_nodes))
+
+    def last_rows(V):
+        # the highest frequencies, where every resolvent is nearly 1/(i w)
+        return np.arange(V.shape[0] - V.shape[1], V.shape[0])
+
+    monkeypatch.setattr(databt, "_interpolation_rows", last_rows)
+    with pytest.raises(ValueError, match="k-mode basis .* ill-conditioned"):
+        lqo_qbt(ds, 2)
 
 
 def test_dataset_route_refuses_rows_past_the_block(monkeypatch):
@@ -479,9 +511,14 @@ def test_domain_guards():
     time_ds = collect_time_data(sys_, rule, rule)
     with pytest.raises(ValueError, match="freq"):
         build_freq_matrices(time_ds)
+    with pytest.raises(ValueError, match="freq"):
+        databt._freq_compressed(time_ds)
+    # the other entry points dispatch on the dataset's domain
     freq_ds = collect_freq_data(sys_, rule, rule_of([0.5, 3.0]))
-    with pytest.raises(ValueError, match="time"):
-        build_htilde(freq_ds)
+    assert build_data_matrices(time_ds).domain == "time"
+    assert build_data_matrices(freq_ds).domain == "freq"
+    assert lqo_qbt(time_ds, 1).provenance == "time-qbt"
+    assert lqo_qbt(freq_ds, 1).provenance == "freq-qbt"
 
 
 def test_freq_dataset_round_trip_is_bit_exact(tmp_path):
@@ -536,11 +573,11 @@ class TwoInputUncallableSampler(UncallableSampler):
 
 
 def test_auto_freq_size_guard_bounds_the_peak():
-    # the route holds the samples and the probe slices, about 34 times the
-    # complex Loewner rows at one controllability node, plus one block of
-    # FREQ_BLOCK_BYTES; so a collection whose rows at one node exceed the
-    # block is refused: one input and output admit 512 nodes a side (1024
-    # after closure, 16 MiB a node) and refuse 513, two inputs a quarter
+    # the route's probe stage holds the samples and the probe slices, about
+    # 34 times the complex Loewner rows at one controllability node; so a
+    # collection whose rows at one node exceed FREQ_BLOCK_BYTES is refused:
+    # one input and output admit 512 nodes a side (1024 after closure,
+    # 16 MiB a node) and refuse 513, two inputs a quarter
     def rules(n_nodes):
         return (log_trapezoid(1e-2, 1e2, n_nodes),
                 log_trapezoid(2e-2, 5e1, n_nodes))

@@ -26,9 +26,7 @@ from lqobt import (
     LqoSystem,
     QuadratureRule,
     build_data_matrices,
-    build_htilde,
-    build_htilde_gtilde_ktilde,
-    build_mtilde,
+    collect_freq_data,
     collect_time_data,
     h2_error,
     h2_norm,
@@ -44,6 +42,7 @@ from lqobt import (
 )
 from lqobt import databt
 from lqobt.numcore import svd
+from test_acceptance import _equivalence_cases, _mimo_cases
 
 
 def unit_rule(nodes):
@@ -63,7 +62,8 @@ def test_sample_matrix_layout_scalar():
     ds = collect_time_data(sys_, rule_p, rule_q)
     t, tau = rule_p.nodes, rule_q.nodes
 
-    H = build_htilde(ds)
+    dm = build_data_matrices(ds)
+    H = dm.H
     assert H.shape == (6, 2)
     for i in range(2):
         col = [
@@ -76,11 +76,11 @@ def test_sample_matrix_layout_scalar():
         ]
         assert np.allclose(H[:, i], col, rtol=0, atol=1e-14)
 
-    M = build_mtilde(ds)
+    M = dm.M
     assert abs(M[0, 0] - sys_.dh1(tau[0] + t[0])[0, 0]) <= 1e-14
     assert abs(M[3, 1] - sys_.dh2_dz2(t[0], tau[1] + t[1])[0, 0, 0]) <= 1e-14
 
-    h, g, K = build_htilde_gtilde_ktilde(ds)
+    h, g, K = dm.h, dm.g, dm.K
     want_h = [
         sys_.h1(tau[0])[0, 0],
         sys_.h1(tau[1])[0, 0],
@@ -101,7 +101,7 @@ def test_weights_enter_as_square_roots():
     rule_p = QuadratureRule(np.array([1.0, 2.0]), np.array([0.7, 1.3]))
     rule_q = QuadratureRule(np.array([0.5]), np.array([2.0]))
     ds = collect_time_data(sys_, rule_p, rule_q)
-    H = build_htilde(ds)
+    H = build_data_matrices(ds).H
     # linear row j=0, column i=1: phi_0 rho_1 h1(tau_0 + t_1)
     want = 2.0 * 1.3 * sys_.h1(2.5)[0, 0]
     assert abs(H[0, 1] - want) <= 1e-14
@@ -171,8 +171,7 @@ def test_quadratic_sample_symmetry():
     rng = np.random.default_rng(47)
     sys_ = random_stable_system(rng, n=7, m=2, p=2)
     ds = collect_time_data(sys_, random_rule(rng), random_rule(rng))
-    _, _, K = build_htilde_gtilde_ktilde(ds)
-    for Kq in K:
+    for Kq in build_data_matrices(ds).K:
         assert np.abs(Kq - Kq.T).max() <= 1e-13 * (1.0 + np.abs(Kq).max())
 
 
@@ -190,6 +189,27 @@ def test_silent_quadratic_channel_gives_zero_blocks():
     start = Nq * p + rows_per_channel  # channel q=1 block
     assert np.abs(dm.H[start:start + rows_per_channel]).max() <= 1e-14
     assert np.abs(dm.K[1]).max() <= 1e-14
+
+
+def test_zero_quadratic_output_reduces_on_every_data_route():
+    # identically zero quadratic samples leave both modes without a
+    # direction above the rank tolerance; every data route must still
+    # reduce the linear part as the whole matrices do
+    rng = np.random.default_rng(53)
+    base = random_stable_system(rng, n=5, m=2, p=2)
+    sys_ = LqoSystem(base.A, base.B, base.C, [np.zeros((5, 5))] * 2)
+    a, b, n = 1e-2, 10.0, 12
+    shift = (b / a) ** (0.5 / (n - 1))
+    rule_p, rule_q = log_trapezoid(a, b, n), log_trapezoid(a * shift, b * shift, n)
+    pts = [0.4 + 1.0j, 2.0 + 0.3j]
+    ds = collect_time_data(sys_, rule_p, rule_p)
+    ref = reduce_from_matrices(build_data_matrices(ds), 3)
+    tf_agree(ref, lqo_qbt(ds, 3), pts, rtol=1e-9, scale_sys=sys_)
+    tf_agree(ref, lqo_qbt_streamed(sys_, rule_p, rule_p, [3])[1][0], pts,
+             rtol=1e-9, scale_sys=sys_)
+    ds_f = collect_freq_data(sys_, rule_p, rule_q)
+    tf_agree(reduce_from_matrices(build_data_matrices(ds_f), 3), lqo_qbt(ds_f, 3),
+             pts, rtol=1e-9, scale_sys=sys_)
 
 
 # ------------------------------------------------------ sampler contract
@@ -489,7 +509,8 @@ def test_streamed_rank_guard():
 
 
 def test_auto_dispatch_is_transparent():
-    # the time domain takes the streamed path at every node count
+    # the time domain takes the streamed path at every node count; its
+    # models match those of the whole-matrix oracle
     rng = np.random.default_rng(79)
     sys_ = random_stable_system(rng, n=6, m=1, p=1)
     rule = log_trapezoid(1e-2, 10.0, 12)
@@ -499,9 +520,33 @@ def test_auto_dispatch_is_transparent():
     for a, b in ((rom_auto.A, rom_stream.A), (rom_auto.B, rom_stream.B),
                  (rom_auto.C, rom_stream.C), (rom_auto.Ms[0], rom_stream.Ms[0])):
         assert np.array_equal(a, b)
-    rom_ref = lqo_qbt(collect_time_data(sys_, rule, rule), 3)
+    rom_ref = reduce_from_matrices(
+        build_data_matrices(collect_time_data(sys_, rule, rule)), 3)
     pts = [0.5 + 0.5j, 1.5]
     tf_agree(rom_ref, rom_auto, pts, rtol=1e-9, scale_sys=sys_)
+
+
+def test_dataset_route_matches_oracle_on_equivalence_cases(monkeypatch):
+    # lqo_qbt on a time dataset reads its arrays through the sampler
+    # route's cross, never the whole matrices, and gives their models
+    cases = _equivalence_cases() + _mimo_cases()
+    oracle = []
+    for sys_, rule_p, rule_q in cases:
+        ds = collect_time_data(sys_, rule_p, rule_q)
+        dm = build_data_matrices(ds)
+        S = svd(dm.H).S
+        rank = int(np.count_nonzero(S > databt.RANK_TOL * S[0]))
+        oracle.append((ds, {r: reduce_from_matrices(dm, r)
+                            for r in sorted({1, (rank + 1) // 2})}))
+
+    def whole(*args, **kwargs):
+        raise AssertionError("the whole data matrices were assembled")
+
+    monkeypatch.setattr(databt, "build_data_matrices", whole)
+    pts = [0.3 + 1.2j, 1.0, 2.5 + 0.4j]
+    for (sys_, _, _), (ds, refs) in zip(cases, oracle):
+        for r, rom_ref in refs.items():
+            tf_agree(rom_ref, lqo_qbt(ds, r), pts, rtol=1e-9, scale_sys=sys_)
 
 
 class ChannelBlindSampler:
