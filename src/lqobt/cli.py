@@ -28,6 +28,7 @@ precision.
 
 import argparse
 import json
+import math
 import os
 
 import numpy as np
@@ -66,16 +67,17 @@ def _make_rule(kind, interval, n):
 def _rules_from_args(args, domain):
     """Build the two quadrature rules requested on the command line.
 
-    In the frequency domain the observability-side nodes are shifted by a
-    geometric half step so the two node sets interleave instead of
-    colliding (divided differences need distinct points)."""
+    In the frequency domain the observability-side nodes are shifted by
+    half the step of the finest log lattice holding the trapezoid nodes of
+    both counts, so the two node sets interleave instead of colliding
+    (divided differences need distinct points)."""
     interval = _parse_pair(args.interval, "--interval")
     n_p = args.np
     n_q = args.nq if args.nq is not None else n_p
     rule_p = _make_rule(args.rule, interval, n_p)
     if domain == "freq":
         a, b = interval
-        shift = (b / a) ** (0.5 / max(n_p - 1, 1))
+        shift = (b / a) ** (0.5 / max(math.lcm(n_p - 1, n_q - 1), 1))
         rule_q = _make_rule(args.rule, (a * shift, b * shift), n_q)
     else:
         rule_q = _make_rule(args.rule, interval, n_q)

@@ -28,16 +28,17 @@ controllability-side node is the outer index), and channels are stacked
 outermost. Any orthogonal transform of the rows of ``[H | M | h]``, a
 fixed row permutation for one, yields an equivalent reduced model, and
 so does a compression onto any orthonormal basis whose range holds that
-of ``H``. Every data input, a time sampler, a time dataset or a
-frequency dataset, reduces through one path: bases of the quadratic
-rows' two node modes from probe fibres (:func:`_mode_bases`), Q-DEIM
-interpolation rows of those bases, and the compressed rows read off a
-cross of the samples at those rows (:func:`_compressed_matrices`). So a
-sampler is asked for O(N^2) quadratic samples instead of all O(N^3)
-(:func:`lqo_qbt_streamed`), a time dataset's arrays are sliced at the
-same places (:func:`lqo_qbt`), and the real Loewner rows are evaluated
-only at the node pairs that hold the rows (:func:`_freq_compressed`).
-No route holds the quadratic rows whole.
+of ``H``. Every data input (time sampler, time dataset, frequency
+dataset) gives one reducer, :func:`_compressed_matrices`, one function
+``quad(shifted, ku, ju)``: its weighted quadratic rows of ``H`` (``M``
+if `shifted`) at sample units `ku`, `ju`, a node in time and a
+conjugate node pair in frequency. The reducer takes the bases of the
+rows' two modes from probe fibres (:func:`_mode_bases`) and reads the
+compressed rows off a cross at their Q-DEIM rows. So a sampler gives
+O(N^2) quadratic samples, not all O(N^3) (:func:`lqo_qbt_streamed`), a
+time dataset is sliced at the same places (:func:`lqo_qbt`), and the
+real Loewner rows are evaluated only at the node pairs read
+(:func:`_freq_compressed`). No route holds the quadratic rows whole.
 
 Frequency-domain data closed under conjugation gives complex matrices that
 a fixed unitary pairing of each ``(+w, -w)`` node pair makes real. The
@@ -167,6 +168,17 @@ class KernelDataset:
     def __post_init__(self):
         if self.domain not in ("time", "freq"):
             raise ValueError(f"unknown domain {self.domain!r}")
+        for x, w in (("p_nodes", "p_sqrt_weights"), ("q_nodes", "q_sqrt_weights")):
+            X, W = np.asarray(getattr(self, x)), np.asarray(getattr(self, w))
+            for name, arr in ((x, X), (w, W)):
+                if arr.ndim != 1 or not np.isfinite(arr).all():
+                    raise ValueError(f"{name} must be a 1-d array of finite values")
+            if W.size != X.size:
+                raise ValueError(f"{w} has {W.size} entries for {X.size} {x}")
+            if self.conjugate_closure and not (X.size % 2 == 0 and np.array_equal(
+                    X[1::2], -X[0::2]) and np.array_equal(W[1::2], W[0::2])):
+                raise ValueError(f"conjugate-closed {x} must come in (+w, -w) "
+                                 f"pairs of equal {w}")
         Np, Nq, m, p = self.Np, self.Nq, self.m, self.p
         if self.domain == "time":
             expected = {
@@ -256,7 +268,7 @@ def collect_time_data(sampler, rule_p, rule_q):
     t = rule_p.nodes
     tau = rule_q.nodes
 
-    h1_sum = _channel_grid(sampler, "h1_grid", (tau, t))
+    h1_sum = _grid(sampler, "h1_grid", (tau, t))
     p, m = h1_sum.shape[2:]
     h1_in, h2_in, h1_out, h2_quad = _io_samples(sampler, t, tau, p, m)
     h2_sum = np.moveaxis(_grid(sampler, "h2_grid", (t, tau, t), (p, m, m)), 3, 0)
@@ -273,30 +285,22 @@ def collect_time_data(sampler, rule_p, rule_q):
     )
 
 
-def _grid(sampler, method, nodes, tail):
+def _grid(sampler, method, nodes, tail=None):
     """``sampler.<method>(*nodes)`` as an array, checked to have one axis
-    per node set followed by the channel axes `tail`."""
-    out = np.asarray(getattr(sampler, method)(*nodes))
-    expected = tuple(z.size for z in nodes) + tuple(tail)
-    if out.shape != expected:
-        raise ValueError(
-            f"sampler.{method} returned shape {out.shape}, expected {expected}"
-        )
-    return out
-
-
-def _channel_grid(sampler, method, nodes):
-    """The first grid call of a collection, ``sampler.<method>(*nodes)``,
-    checked to have one axis per node set; its two trailing axes fix the
-    channel counts ``(p, m)`` that every later grid call is checked
-    against."""
+    per node set followed by the channel axes `tail`. With no `tail`, as
+    on the first grid call of a collection, any two channel axes pass:
+    they fix the counts ``(p, m)`` that later calls are checked against."""
     out = np.asarray(getattr(sampler, method)(*nodes))
     lead = tuple(z.size for z in nodes)
-    if out.ndim != len(lead) + 2 or out.shape[: len(lead)] != lead:
-        expected = ", ".join(map(str, lead))
+    if tail is None:
+        tail = ("p", "m")
+        ok = out.ndim == len(lead) + 2 and out.shape[: len(lead)] == lead
+    else:
+        ok = out.shape == lead + tuple(tail)
+    if not ok:
+        expected = ", ".join(map(str, lead + tuple(tail)))
         raise ValueError(
-            f"sampler.{method} returned shape {out.shape}, expected "
-            f"({expected}, p, m)"
+            f"sampler.{method} returned shape {out.shape}, expected ({expected})"
         )
     return out
 
@@ -360,7 +364,7 @@ def collect_freq_data(sampler, rule_p, rule_q, conjugate_closure=True):
         th, rho = rule_p.nodes.copy(), rule_p.sqrt_weights.copy()
         s, phi = rule_q.nodes.copy(), rule_q.sqrt_weights.copy()
 
-    tf1_in = _channel_grid(sampler, "tf1", (1j * s,))
+    tf1_in = _grid(sampler, "tf1", (1j * s,))
     p, m = tf1_in.shape[1:]
     tf1_out = _grid(sampler, "tf1", (1j * th,), (p, m))
     tf2_cross, tf2_quad = (
@@ -727,12 +731,11 @@ def lqo_qbt(ds, r):
     """
     if ds.domain == "freq":
         return reduce_from_matrices(_freq_compressed(ds), r)
-    families = {"h2_grid": ds.h2_sum, "dh2_grid": ds.dh2_sum}
 
-    def read(method, ks, js):
+    def read(shifted, ku, ju):
         # one slice of (q, k, j, i, a, b), moved to the sampler's layout
-        k, j = np.arange(ds.Np)[ks, None], np.arange(ds.Nq)[js]
-        return np.moveaxis(families[method][:, k, j], 0, 3)
+        samples = ds.dh2_sum if shifted else ds.h2_sum
+        return np.moveaxis(samples[:, ku[:, None], ju], 0, 3)
 
     dm = _time_compressed(read, ds.p_sqrt_weights, ds.q_sqrt_weights,
                           ds.h1_sum, ds.dh1_sum,
@@ -783,17 +786,15 @@ def _freq_size_guard(p, m, Np, Nq):
 
 def _freq_compressed(ds):
     """Real data matrices of a conjugate-closed frequency dataset with the
-    quadratic rows compressed onto ``I_p (x) V_k (x) V_j``.
+    quadratic rows compressed onto ``I_p (x) V_k (x) V_j``
+    (:func:`_compressed_matrices`, a conjugate node pair as the unit).
 
-    The bases and their interpolation rows come from real Loewner rows at
-    probe node pairs (:func:`_mode_bases`). The real quadratic rows are
-    then evaluated only at the node pairs that hold the rows ``I_k`` (each
-    ``(k pair, slot, a)``) and ``I_j`` (each ``(j pair, slot)``), and the
-    cross is contracted as on the time route
-    (:func:`_compressed_matrices`). The linear rows, ``h``, ``g`` and
-    ``K`` are built as in :func:`build_freq_matrices`. A dataset whose
-    complex quadratic rows at one node exceed ``FREQ_BLOCK_BYTES`` is
-    refused, as the probes hold about 34 times those rows.
+    The real quadratic Loewner rows are evaluated only at the pairs read,
+    at the positive node of each controllability pair. The linear rows,
+    ``h``, ``g`` and ``K`` are built as in :func:`build_freq_matrices`. A
+    dataset whose complex quadratic rows at one node exceed
+    ``FREQ_BLOCK_BYTES`` is refused, as the probes hold about 34 times
+    those rows.
     """
     _require_domain(ds, "freq")
     if not ds.conjugate_closure:
@@ -801,72 +802,66 @@ def _freq_compressed(ds):
     Np, Nq, m, p = ds.Np, ds.Nq, ds.m, ds.p
     _freq_size_guard(p, m, Np, Nq)
     _check_conjugate_symmetry(ds)
-    h, g, K = _real_io_blocks(ds)
-    bases = _mode_bases(_loewner_fibres(ds), Np // 2, Nq // 2)
-    (_, Ik), (_, Ij) = bases
-    kp, k_at = np.unique(Ik // (2 * m), return_inverse=True)
-    jp, j_at = np.unique(Ij // 2, return_inverse=True)
-    k_rows, j_rows = 2 * m * k_at + Ik % (2 * m), 2 * j_at + Ij % 2
 
-    def cross(shifted):
-        # (q, k pair, slot, j pair, slot, a, column) -> rows (k, a), j
-        R = _real_quadratic(ds, kp, jp, shifted).transpose(1, 2, 5, 3, 4, 0, 6)
-        R = R.reshape(2 * m * kp.size, 2 * jp.size, p, Np * m)
-        return R[k_rows][:, j_rows]
+    def quad(shifted, ku, ju):
+        # (q, k pair, slot, j pair, slot, a, column)
+        #   -> (k pair, (slot, a), j pair, slot, q, column)
+        R = _real_quadratic(ds, ku, ju, shifted).transpose(1, 2, 5, 3, 4, 0, 6)
+        return R.reshape(ku.size, 2 * m, ju.size, 2, p, Np * m)
 
     return _compressed_matrices(
-        lambda shifted: _real_linear_rows(ds, shifted), cross, bases,
-        h, g, K, "freq")
+        quad, (Np // 2, Nq // 2), lambda shifted: _real_linear_rows(ds, shifted),
+        lambda: _real_io_blocks(ds), "freq")
 
 
-def _loewner_fibres(ds):
-    """The unfoldings of the real quadratic Loewner rows of a
-    conjugate-closed dataset that :func:`_mode_bases` probes: both rows of
-    each observability node pair in `idx` unfolded to rows ``(k, a)``, or
-    both rows of each controllability node pair in `idx` unfolded to rows
-    ``j``."""
-    Np2, Nq2 = ds.Np // 2, ds.Nq // 2
-
-    def unfolding(mode, idx):
-        if mode == "k":
-            R = _real_quadratic(ds, np.arange(Np2), idx, False)
-            return np.moveaxis(R, (1, 2, 5), (0, 1, 2)).reshape(ds.Np * ds.m, -1)
-        R = _real_quadratic(ds, idx, np.arange(Nq2), False)
-        return np.moveaxis(R, (3, 4), (0, 1)).reshape(ds.Nq, -1)
-
-    return unfolding
-
-
-def _compressed_matrices(linear, cross, bases, h, g, K, domain):
+def _compressed_matrices(quad, units, linear, io, domain):
     """Data matrices with the quadratic rows compressed onto
-    ``I_p (x) V_k (x) V_j``, read off a cross of the samples.
+    ``I_p (x) V_k (x) V_j``, read off a cross: the reducer of every input.
 
-    `bases` holds ``(V_k, I_k)`` and ``(V_j, I_j)`` from
-    :func:`_mode_bases`. ``linear(shifted)`` gives the linear rows of
-    ``H`` (`shifted` false) or ``M``; ``cross(shifted)`` gives their
-    weighted quadratic samples at the rows ``I_k`` and ``I_j``, shaped
-    ``(r_k, r_j, p, columns)``. As the samples lie in the range of
-    ``V_k (x) V_j``, their core ``(V_k' (x) V_j') X`` equals
-    ``(V_k[I_k]^{-1} (x) V_j[I_j]^{-1}) X[I_k, I_j]``; it becomes the rows
-    ``(q, r_k, r_j)``. The quadratic rows of `h`, given whole, are
-    projected onto the bases."""
-    (Vk, Ik), (Vj, Ij) = bases
+    ``quad(shifted, ku, ju)`` gives the weighted quadratic rows of ``H``
+    (``M`` if `shifted`) at index arrays of sample units, ``units =
+    (n_k, n_j)`` a side, laid out ``(ku.size, w_k, ju.size, w_j, p,
+    columns)``. A unit is a node on the time route (``w_k = m``: rows
+    ``(k, a)``; ``w_j = 1``), a conjugate node pair on the frequency route
+    (``w_k = 2m``: rows ``(k pair, slot, a)``; ``w_j = 2``).
+    ``linear(shifted)`` gives the linear rows, and ``io()`` gives ``h``,
+    ``g`` and ``K``, called past the probe stage, which sets the peak. The
+    bases and their rows ``I_k``, ``I_j`` come from :func:`_mode_bases`,
+    and the cross is read at the units holding those rows. As the samples
+    lie in the range of ``V_k (x) V_j``, their core ``(V_k' (x) V_j') X``
+    equals ``(V_k[I_k]^{-1} (x) V_j[I_j]^{-1}) X[I_k, I_j]``; it becomes
+    the rows ``(q, r_k, r_j)``. The quadratic rows of ``h``, given whole,
+    are projected onto the bases."""
+    n_k, n_j = units
+    (Vk, Ik), (Vj, Ij) = _mode_bases(quad, n_k, n_j)
+    h, g, K = io()
+    wk, wj = Vk.shape[0] // n_k, Vj.shape[0] // n_j
+    ku, k_rows = _units(Ik, wk)
+    ju, j_rows = _units(Ij, wj)
     Gk, Gj = np.linalg.inv(Vk[Ik]), np.linalg.inv(Vj[Ij])
+    p, m = len(K), h.shape[1]
 
     def rows(shifted):
-        X = cross(shifted)
+        X = quad(shifted, ku, ju).reshape(ku.size * wk, ju.size * wj, p, -1)
+        X = X[k_rows[:, None], j_rows]  # (r_k, r_j, q, column)
         Y = (Gk @ X.reshape(Ik.size, -1)).reshape(Ik.size, Ij.size, -1)
         core = np.matmul(Gj, Y).reshape(X.shape).transpose(2, 0, 1, 3)
         return np.vstack([linear(shifted), core.reshape(-1, X.shape[-1])])
 
-    p, m = len(K), h.shape[1]
     nl = h.shape[0] - p * Vk.shape[0] * Vj.shape[0]
-    quad = h[nl:].reshape(p, -1, Vj.shape[0], m, m)  # (q, k, j, a, b)
-    quad = np.einsum("kar,js,qkjab->qrsb", Vk.reshape(-1, m, Ik.size), Vj,
-                     quad, optimize=True)
-    h = np.vstack([h[:nl], quad.reshape(-1, m)])
+    quad_h = h[nl:].reshape(p, -1, Vj.shape[0], m, m)  # (q, k, j, a, b)
+    quad_h = np.einsum("kar,js,qkjab->qrsb", Vk.reshape(-1, m, Ik.size), Vj,
+                       quad_h, optimize=True)
+    h = np.vstack([h[:nl], quad_h.reshape(-1, m)])
     return DataMatrices(H=rows(False), M=rows(True), h=h, g=g, K=K,
                         domain=domain)
+
+
+def _units(I, w):
+    """The sample units, of `w` rows of a mode each, that hold the rows
+    `I` of that mode, and where those rows sit among the units' rows."""
+    units, at = np.unique(I // w, return_inverse=True)
+    return units, w * at + I % w
 
 
 def lqo_qbt_streamed(sampler, rule_p, rule_q, orders):
@@ -909,7 +904,7 @@ def lqo_qbt_streamed(sampler, rule_p, rule_q, orders):
     and one reduced model per entry of `orders`.
     """
     t, tau = rule_p.nodes, rule_q.nodes
-    h1_sum = _channel_grid(sampler, "h1_grid", (tau, t))
+    h1_sum = _grid(sampler, "h1_grid", (tau, t))
     p, m = h1_sum.shape[2:]
     dh1_sum = _grid(sampler, "dh1_grid", (tau, t), (p, m))
     h1_in, h2_in, h1_out, h2_quad = io = _io_samples(sampler, t, tau, p, m)
@@ -917,8 +912,9 @@ def lqo_qbt_streamed(sampler, rule_p, rule_q, orders):
     _require_finite("dh1_grid", dh1_sum)
     _require_finite("h2_grid", h2_in, h2_quad)
 
-    def read(method, ks, js):
-        vals = _grid(sampler, method, (t[ks], tau[js], t), (p, m, m))
+    def read(shifted, ku, ju):
+        method = "dh2_grid" if shifted else "h2_grid"
+        vals = _grid(sampler, method, (t[ku], tau[ju], t), (p, m, m))
         _require_finite(method, vals)
         return vals
 
@@ -934,60 +930,50 @@ def _require_finite(method, *arrays):
 
 def _time_compressed(read, rho, phi, h1_sum, dh1_sum, io):
     """Data matrices of time-domain samples with the quadratic rows
-    compressed onto ``I_p (x) V_k (x) V_j``: the driver of both time inputs.
+    compressed onto ``I_p (x) V_k (x) V_j`` (:func:`_compressed_matrices`,
+    with a node as the sample unit): the source of both time inputs.
 
-    ``read(method, ks, js)`` returns the ``"h2_grid"`` or ``"dh2_grid"``
-    samples at ``(t[ks], tau[js], t)`` (index arrays or slices) in the
-    sampler's layout ``(k, j, i, q, a, b)``. The square-root weights, the
-    linear samples and the single-node samples `io` (``h1_in``, ``h2_in``,
-    ``h1_out``, ``h2_quad``) are in dataset layout."""
+    ``read(shifted, ku, ju)`` returns the ``h2_grid`` samples, or with
+    `shifted` the ``dh2_grid`` ones, at ``(t[ku], tau[ju], t)`` (index
+    arrays) in the sampler's layout ``(k, j, i, q, a, b)``. The
+    square-root weights, the linear samples and the single-node samples
+    `io` (``h1_in``, ``h2_in``, ``h1_out``, ``h2_quad``) are in dataset
+    layout."""
     p, m = h1_sum.shape[2:]
-    bases = _mode_bases(_kernel_fibres(read, rho, phi), rho.size, phi.size)
-    (_, Ik), (_, Ij) = bases
-    k_of, a_of = np.divmod(Ik, m)
-    ks, k_at = np.unique(k_of, return_inverse=True)
-    w = (rho[k_of, None] * phi[Ij])[:, :, None] * rho
 
-    def cross(shifted):
-        vals = read("dh2_grid" if shifted else "h2_grid", ks, Ij)
-        X = vals[k_at, :, :, :, a_of] * w[..., None, None]  # (r_k, r_j, i, q, b)
-        return X.transpose(0, 1, 3, 2, 4).reshape(Ik.size, Ij.size, p, -1)
+    def quad(shifted, ku, ju):
+        w = (rho[ku, None] * phi[ju])[:, :, None] * rho
+        X = read(shifted, ku, ju) * w[..., None, None, None]
+        # (k, j, i, q, a, b) -> (k, a, j, 1, q, (i, b))
+        return X.transpose(0, 4, 1, 3, 2, 5).reshape(ku.size, m, ju.size, 1, p, -1)
 
     return _compressed_matrices(
+        quad, (rho.size, phi.size),
         lambda shifted: _linear_block(dh1_sum if shifted else h1_sum, phi, rho),
-        cross, bases, *_io_blocks(*io, phi, rho), "time")
+        lambda: _io_blocks(*io, phi, rho), "time")
 
 
-def _kernel_fibres(read, rho, phi):
-    """The unfoldings of the weighted quadratic kernel samples that
-    :func:`_mode_bases` probes, from the reader of
-    :func:`_time_compressed`: ``read("h2_grid", :, idx)`` unfolded to rows
-    ``(k, a)``, or ``read("h2_grid", idx, :)`` unfolded to rows ``j``."""
-    def unfolding(mode, idx):
-        ks, js = (slice(None), idx) if mode == "k" else (idx, slice(None))
-        vals = read("h2_grid", ks, js)
-        vals = vals * (rho[ks, None, None] * phi[js, None] * rho)[..., None, None, None]
-        if mode == "k":
-            return np.moveaxis(vals, 4, 1).reshape(rho.size * vals.shape[-1], -1)
-        return np.moveaxis(vals, 1, 0).reshape(phi.size, -1)
+def _mode_bases(quad, n_k, n_j):
+    """Orthonormal bases ``V_k`` and ``V_j`` of the two modes of the
+    quadratic rows ``quad`` of :func:`_compressed_matrices`, each with its
+    interpolation rows ``I`` (:func:`_interpolation_rows`), as pairs
+    ``(V, I)``. A basis's rows are the mode's rows ``(unit, w)``.
 
-    return unfolding
-
-
-def _mode_bases(unfolding, n_k, n_j):
-    """Orthonormal bases ``V_k`` (rows ``(k, a)``) and ``V_j`` (rows ``j``)
-    of the two modes of the quadratic rows, each with its interpolation
-    rows ``I`` (:func:`_interpolation_rows`), as pairs ``(V, I)``.
-
-    Each basis holds the left singular vectors above ``RANK_TOL`` of
-    ``unfolding(mode, idx)``, the fibres at ``PROBES`` evenly spread
-    indices `idx` into the other node set (of ``n_j`` indices for mode
-    ``"k"``, ``n_k`` for mode ``"j"``) unfolded to the mode's rows. This
-    range finder needs no Gram matrix. The fibres midway between the
-    probes must lie in the basis, and match their interpolant
+    Each basis holds the left singular vectors above ``RANK_TOL`` of the
+    mode's probe fibres: the rows of ``H`` at every unit of the mode and
+    at ``PROBES`` evenly spread units of the other, unfolded to the mode's
+    rows. This range finder needs no Gram matrix. The fibres midway
+    between the probes must lie in the basis, and match their interpolant
     ``V V[I]^{-1} F[I]``, to within ``MODE_TOL`` of their norm, or this
     raises: the samples are not of low rank in that mode, or the rows
     ``I`` are ill-conditioned."""
+    def unfolding(mode, idx):
+        if mode == "k":
+            X = quad(False, np.arange(n_k), idx)
+        else:
+            X = np.moveaxis(quad(False, idx, np.arange(n_j)), (2, 3), (0, 1))
+        return X.reshape(X.shape[0] * X.shape[1], -1)
+
     bases = []
     for mode, n in (("k", n_j), ("j", n_k)):
         probes = np.unique(np.linspace(0, n - 1, PROBES).round().astype(int))

@@ -5,6 +5,7 @@ wiring, file formats, and determinism are exercised exactly as a shell
 user would see them.
 """
 
+import argparse
 import json
 import os
 
@@ -189,6 +190,28 @@ def test_reduce_qbt_freq_staggers_nodes_by_default(tmp_path):
     assert report["n_p"] == 16 and report["n_q"] == 16
     if report["rom_stable"]:
         assert np.isfinite(float(report["h2_error_relative"]))
+
+
+def test_freq_stagger_separates_unequal_node_counts(tmp_path):
+    # the q side is shifted by half the common log-lattice step, so the
+    # node sets stay apart at every pair of counts, equal or not
+    worst = np.inf
+    for n_p in range(2, 120):
+        for n_q in range(2, 120):
+            args = argparse.Namespace(interval="1e-1:1e2", np=n_p, nq=n_q,
+                                      rule="trapezoid")
+            rule_p, rule_q = cli._rules_from_args(args, "freq")
+            gaps = np.log(rule_q.nodes)[:, None] - np.log(rule_p.nodes)
+            worst = min(worst, np.abs(gaps).min())
+    # half a step of the finest lattice, lcm(117, 118) steps over 1e3
+    assert worst >= 0.5 * np.log(1e3) / (117 * 118) * (1 - 1e-9)
+    manifest = _synth(tmp_path, n=4)
+    out = str(tmp_path / "rom")
+    rc = main(["reduce", "--system", manifest, "--method", "qbt-freq",
+               "--order", "2", "--np", "10", "--nq", "19", "--out", out])
+    assert rc == 0
+    report = _read_report(os.path.join(out, "rom.manifest"))
+    assert report["n_p"] == 10 and report["n_q"] == 19
 
 
 def test_simulate_table_schema_and_errors(tmp_path):

@@ -6,6 +6,8 @@ conftest), so reduction from data must reproduce reduction from factors
 without ever seeing state-space matrices.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,32 @@ def test_dataset_validation():
             q_nodes=rule.nodes, q_sqrt_weights=rule.sqrt_weights,
             rule_p=rule, rule_q=rule,
         )
+    # nodes and weights arrive from outside through load_dataset; each bad
+    # array is named where it enters, on either domain
+    sys_ = scalar_s1()
+    datasets = (
+        collect_time_data(sys_, log_trapezoid(0.1, 2.0, 3), log_trapezoid(0.1, 2.0, 3)),
+        collect_freq_data(sys_, log_trapezoid(0.1, 2.0, 3), log_trapezoid(0.15, 3.0, 3)),
+    )
+    for ds in datasets:
+        for name in ("p_nodes", "p_sqrt_weights", "q_nodes", "q_sqrt_weights"):
+            good = getattr(ds, name)
+            bad_nan = good.copy()
+            bad_nan[1] = np.nan
+            for bad in (bad_nan, good[:, None]):
+                with pytest.raises(ValueError, match=f"^{name} must be a 1-d array"):
+                    replace(ds, **{name: bad})
+        for side in ("p", "q"):
+            with pytest.raises(ValueError, match=f"^{side}_sqrt_weights has 1 entries"):
+                replace(ds, **{f"{side}_sqrt_weights": np.ones(1)})
+    # realification pairs each +w with the -w after it, at equal weights
+    ds = datasets[1]
+    unpaired = ds.q_sqrt_weights.copy()
+    unpaired[1] *= 2.0
+    for change in ({"q_sqrt_weights": unpaired}, {"p_nodes": np.abs(ds.p_nodes)},
+                   {"q_nodes": ds.q_nodes[:-1], "q_sqrt_weights": ds.q_sqrt_weights[:-1]}):
+        with pytest.raises(ValueError, match=r"\(\+w, -w\) pairs"):
+            replace(ds, **change)
 
 
 # ----------------------------------------------- factor-product identity

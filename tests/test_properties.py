@@ -1,15 +1,27 @@
-"""Property tests for the invariance the compressed time-domain reducer
-rests on: the reduced model sees the rows of ``[H | M | h]`` only through
-inner products, so it does not change under an orthogonal transform of
-those rows, nor under a row compression ``Q'`` whenever the range of
-``Q`` holds the range of ``H``."""
+"""Property tests for the invariance the compressed reducers rest on: the
+reduced model sees the rows of ``[H | M | h]`` only through inner
+products, so it does not change under an orthogonal transform of those
+rows, nor under a row compression ``Q'`` whenever the range of ``Q``
+holds the range of ``H``. Every data input applies such a compression,
+``I_p (x) V_k (x) V_j``, read off a cross of its samples."""
+
+from unittest import mock
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_rule, random_stable_system, tf_agree
-from lqobt import DataMatrices, build_data_matrices, collect_time_data, reduce_from_matrices
+from lqobt import (
+    DataMatrices,
+    build_data_matrices,
+    collect_freq_data,
+    collect_time_data,
+    lqo_qbt,
+    lqo_qbt_streamed,
+    reduce_from_matrices,
+)
+from lqobt import databt
 from lqobt.databt import RANK_TOL
 from lqobt.numcore import svd
 
@@ -62,3 +74,64 @@ def test_rom_is_invariant_under_range_preserving_compression(seed, m, p, extra):
     Q, _ = np.linalg.qr(np.hstack([Z, rng.standard_normal((Z.shape[0], extra))]))
     tf_agree(reduce_from_matrices(dm, r), reduce_from_matrices(_rows_mapped(dm, Q.T), r),
              PTS, rtol=1e-8, scale_sys=sys_)
+
+
+def _recorded(name, seen):
+    """``databt.<name>``, recording its last result in `seen`."""
+    fn = getattr(databt, name)
+
+    def spied(*args, **kwargs):
+        seen[name] = fn(*args, **kwargs)
+        return seen[name]
+
+    return spied
+
+
+@examples
+@given(seed=seeds, m=st.integers(1, 2), p=st.integers(1, 2),
+       source=st.sampled_from(["time sampler", "time dataset", "freq dataset"]))
+def test_cross_rows_are_the_oracle_rows_on_the_mode_bases(seed, m, p, source):
+    # every input reads the same rows off its cross: the oracle's whole
+    # rows at the interpolation rows, mapped onto I_p (x) V_k (x) V_j; a
+    # sample unit is a node (m rows of the k mode) in time and a conjugate
+    # pair (2m) in frequency. The rows of H lie in the bases' range, so
+    # there they equal the projection. Those of M need not: when the
+    # columns U do not span an A-invariant subspace (N_p m < n), A U
+    # leaves it, and M's cross differs from its projection
+    rng = np.random.default_rng(seed)
+    sys_ = random_stable_system(rng, n=int(rng.integers(2, 9)), m=m, p=p)
+    if source == "freq dataset":
+        rule_p = random_rule(rng, max_nodes=6, lo=0.2, hi=3.0)
+        rule_q = random_rule(rng, max_nodes=6, lo=0.2, hi=3.0, avoid=rule_p)
+        ds = collect_freq_data(sys_, rule_p, rule_q)
+    else:
+        rule_p, rule_q = random_rule(rng, max_nodes=12), random_rule(rng, max_nodes=12)
+        ds = collect_time_data(sys_, rule_p, rule_q)
+    seen = {}
+    spies = {name: _recorded(name, seen)
+             for name in ("_mode_bases", "_compressed_matrices")}
+    with mock.patch.multiple(databt, **spies):
+        if source == "time sampler":
+            lqo_qbt_streamed(sys_, rule_p, rule_q, [])
+        else:
+            lqo_qbt(ds, 1)
+    (Vk, Ik), (Vj, Ij) = seen["_mode_bases"]
+    assert (Ik.size, Ij.size) == (Vk.shape[1], Vj.shape[1])
+    Gk, Gj = np.linalg.inv(Vk[Ik]), np.linalg.inv(Vj[Ij])
+    got, whole = seen["_compressed_matrices"], build_data_matrices(ds)
+    nl = ds.Nq * p
+
+    def k_mode(oracle):
+        # quadratic rows (q, k, j, a) -> (q, k-mode row (k, a), j, column)
+        quad = np.moveaxis(oracle[nl:].reshape(p, ds.Np, ds.Nq, m, -1), 3, 2)
+        return quad.reshape(p, ds.Np * m, ds.Nq, -1)
+
+    def assert_rows(rows, oracle, core):
+        want = np.vstack([oracle[:nl], core.reshape(-1, oracle.shape[1])])
+        assert rows.shape == want.shape
+        assert np.linalg.norm(rows - want) <= 1e-10 * np.linalg.norm(want)
+
+    for rows, oracle in ((got.H, whole.H), (got.M, whole.M)):
+        cross = k_mode(oracle)[:, Ik][:, :, Ij]
+        assert_rows(rows, oracle, np.einsum("rk,sj,qkjc->qrsc", Gk, Gj, cross))
+    assert_rows(got.H, whole.H, np.einsum("kr,js,qkjc->qrsc", Vk, Vj, k_mode(whole.H)))
