@@ -55,6 +55,25 @@ def _parse_pair(text, name):
     return float(parts[0]), float(parts[1])
 
 
+def _int_at_least(low):
+    """An argparse type: an integer no smaller than `low`."""
+    def parse(text):
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        return int(text)
+
+    return parse
+
+
+def _order_range(text):
+    """An argparse type: the orders ``LO..HI`` of ``LO:HI``, 1 <= LO <= HI."""
+    lo, _, hi = text.partition(":")
+    if not (lo.isdigit() and hi.isdigit() and 1 <= int(lo) <= int(hi)):
+        raise argparse.ArgumentTypeError(
+            f"needs LO:HI with 1 <= LO <= HI, got {text!r}")
+    return list(range(int(lo), int(hi) + 1))
+
+
 def _make_rule(kind, interval, n):
     a, b = interval
     if kind == "trapezoid":
@@ -128,7 +147,7 @@ def cmd_hsv(args):
     hsv_f = hankel_singular_values(compute_gramians(sys_))
     rule_p, rule_q = _rules_from_args(args, args.domain)
     hsv_r, _ = lqo_qbt_auto(sys_, rule_p, rule_q, [], domain=args.domain)
-    r = args.order if args.order else min(hsv_f.size, hsv_r.size)
+    r = args.order if args.order is not None else min(hsv_f.size, hsv_r.size)
     os.makedirs(args.out, exist_ok=True)
     for fname, values in (("HSV_f.csv", hsv_f), ("HSV_r.csv", hsv_r)):
         normalized = values[:r] / values[0]
@@ -192,6 +211,8 @@ def cmd_simulate(args):
         return _input_signal(t) * ones
 
     q = args.channel
+    if q >= sys_.p:
+        args.error(f"argument --channel: {q} is not below the output count {sys_.p}")
     y_f = sys_.simulate(u, times).outputs[:, q]
     y_q = rom_qbt.simulate(u, times).outputs[:, q]
     y_b = rom_bt.simulate(u, times).outputs[:, q]
@@ -230,8 +251,7 @@ def cmd_h2_sweep(args):
             rows.append((n, bt_err, _safe_error(sys_, rom)))
         _write_csv(args.out, "N,BT_Error,QBT_Error", rows)
     else:
-        lo, hi = (int(v) for v in args.orders.split(":"))
-        orders = list(range(lo, hi + 1))
+        orders = args.orders
         rule_p, rule_q = _rules_from_args(args, args.domain)
         _, roms = lqo_qbt_auto(sys_, rule_p, rule_q, orders, domain=args.domain)
         rows = [(r, _safe_error(sys_, intrusive_bt(sys_, r, gram)),
@@ -287,7 +307,7 @@ def main(argv=None):
     _add_system_flags(s)
     _add_quadrature_flags(s)
     s.add_argument("--domain", choices=["time", "freq"], default="time")
-    s.add_argument("--order", type=int, default=None,
+    s.add_argument("--order", type=_int_at_least(1), default=None,
                    help="number of leading values to keep (default: all)")
     s.add_argument("--out", required=True, help="output directory")
     s.set_defaults(func=cmd_hsv)
@@ -310,10 +330,11 @@ def main(argv=None):
     s.add_argument("--bt", required=True,
                    help="manifest of the intrusive reduced model")
     s.add_argument("--steps", type=int, default=2000)
-    s.add_argument("--channel", type=int, default=0,
+    s.add_argument("--channel", type=_int_at_least(0), default=0,
                    help="output channel to tabulate (zero-based)")
     s.add_argument("--out", required=True, help="output CSV path")
-    s.set_defaults(func=cmd_simulate)
+    # the channel's upper bound is known once the system is loaded
+    s.set_defaults(func=cmd_simulate, error=s.error)
 
     s = subs.add_parser("h2-sweep", help="sweep the H2 reduction error")
     _add_system_flags(s)
@@ -322,8 +343,9 @@ def main(argv=None):
     group = s.add_mutually_exclusive_group(required=True)
     group.add_argument("--nodes", default=None,
                        help="comma-separated node counts (error vs N)")
-    group.add_argument("--orders", default=None, metavar="LO:HI",
-                       help="inclusive order range (error vs r)")
+    group.add_argument("--orders", type=_order_range, default=None,
+                       metavar="LO:HI",
+                       help="inclusive order range, 1 <= LO <= HI (error vs r)")
     s.add_argument("--order", type=int, default=10,
                    help="reduction order for the node sweep (default 10)")
     s.add_argument("--out", required=True, help="output CSV path")

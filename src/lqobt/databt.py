@@ -40,20 +40,21 @@ time dataset is sliced at the same places (:func:`lqo_qbt`), and the
 real Loewner rows are evaluated only at the node pairs read
 (:func:`_freq_compressed`). No route holds the quadratic rows whole.
 
-Frequency-domain data closed under conjugation gives complex matrices that
-a fixed unitary pairing of each ``(+w, -w)`` node pair makes real. The
-real matrices are assembled directly, from the divided differences at the
-positive node of each outer pair, and the samples' conjugate symmetry that
-this relies on is checked first. :func:`build_data_matrices` (with
-:func:`build_freq_matrices` for frequency data) assembles the matrices
-whole, as the oracle the compressed routes are tested against.
+Frequency-domain data is always closed under conjugation, which gives
+complex matrices that a fixed unitary pairing of each ``(+w, -w)`` node
+pair makes real. The real matrices are assembled directly, from the
+divided differences at the positive node of each outer pair, and the
+samples' conjugate symmetry that this relies on is checked first.
+:func:`build_data_matrices` (with :func:`build_freq_matrices` for
+frequency data) assembles the matrices whole, as the oracle the
+compressed routes are tested against.
 """
 
 import json
 import os
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import qr
@@ -89,8 +90,6 @@ MODE_TOL = 1e-10
 # collection whose rows at one node exceed it is refused
 FREQ_BLOCK_BYTES = 2**24
 _PACKAGE = os.path.dirname(__file__) + os.sep
-_COMPLEX_ROM = ("complex data matrices cannot produce a real reduced model; "
-                "collect with conjugate closure and realify")
 
 
 # ---------------------------------------------------------------------------
@@ -98,16 +97,22 @@ _COMPLEX_ROM = ("complex data matrices cannot produce a real reduced model; "
 # ---------------------------------------------------------------------------
 
 
+_TIME_FIELDS = ("h1_sum", "dh1_sum", "h1_in", "h1_out",
+                "h2_sum", "dh2_sum", "h2_in", "h2_quad")
+_FREQ_FIELDS = ("tf1_in", "tf1_out", "tf2_cross", "tf2_quad")
+
+
 @dataclass
 class KernelDataset:
-    """Raw weighted-sample ingredients of the data matrices.
+    """Two quadrature rules and the samples taken at them.
 
-    ``p_nodes``/``q_nodes`` are the effective sampling nodes on the
-    controllability ("P") and observability ("Q") side together with their
-    square-root weights. In the time domain they equal the generating rule's
-    arrays. In the frequency domain with conjugate closure they are the
-    signed, interleaved node lists ``(+w_1, -w_1, +w_2, ...)`` with weights
-    scaled by ``1/(2 pi)``.
+    The rest is derived. ``p_nodes``/``q_nodes`` and ``p_sqrt_weights``/
+    ``q_sqrt_weights`` are the effective nodes and square-root weights on
+    the controllability ("P") and observability ("Q") side: the rules'
+    own arrays in the time domain, and in the frequency domain, which is
+    always conjugate closed, the signed, interleaved nodes ``(+w_1, -w_1,
+    +w_2, ...)`` with weights scaled by ``1/(2 pi)``. The channel counts
+    ``p`` and ``m`` come from ``h1_in`` (``tf1_in``).
 
     Time-domain sample arrays (``N_p = len(p_nodes)``, ``N_q = len(q_nodes)``):
 
@@ -135,15 +140,8 @@ class KernelDataset:
     """
 
     domain: str
-    m: int
-    p: int
-    p_nodes: np.ndarray
-    p_sqrt_weights: np.ndarray
-    q_nodes: np.ndarray
-    q_sqrt_weights: np.ndarray
     rule_p: QuadratureRule
     rule_q: QuadratureRule
-    conjugate_closure: bool = False
     h1_sum: np.ndarray = None
     dh1_sum: np.ndarray = None
     h1_in: np.ndarray = None
@@ -156,56 +154,45 @@ class KernelDataset:
     tf1_out: np.ndarray = None
     tf2_cross: np.ndarray = None
     tf2_quad: np.ndarray = None
-
-    @property
-    def Np(self):
-        return self.p_nodes.size
-
-    @property
-    def Nq(self):
-        return self.q_nodes.size
+    p_nodes: np.ndarray = field(init=False, repr=False)
+    p_sqrt_weights: np.ndarray = field(init=False, repr=False)
+    q_nodes: np.ndarray = field(init=False, repr=False)
+    q_sqrt_weights: np.ndarray = field(init=False, repr=False)
+    Np: int = field(init=False)
+    Nq: int = field(init=False)
+    p: int = field(init=False)
+    m: int = field(init=False)
 
     def __post_init__(self):
         if self.domain not in ("time", "freq"):
             raise ValueError(f"unknown domain {self.domain!r}")
-        for x, w in (("p_nodes", "p_sqrt_weights"), ("q_nodes", "q_sqrt_weights")):
-            X, W = np.asarray(getattr(self, x)), np.asarray(getattr(self, w))
-            for name, arr in ((x, X), (w, W)):
-                if arr.ndim != 1 or not np.isfinite(arr).all():
-                    raise ValueError(f"{name} must be a 1-d array of finite values")
-            if W.size != X.size:
-                raise ValueError(f"{w} has {W.size} entries for {X.size} {x}")
-            if self.conjugate_closure and not (X.size % 2 == 0 and np.array_equal(
-                    X[1::2], -X[0::2]) and np.array_equal(W[1::2], W[0::2])):
-                raise ValueError(f"conjugate-closed {x} must come in (+w, -w) "
-                                 f"pairs of equal {w}")
-        Np, Nq, m, p = self.Np, self.Nq, self.m, self.p
-        if self.domain == "time":
-            expected = {
-                "h1_sum": (Nq, Np, p, m),
-                "dh1_sum": (Nq, Np, p, m),
-                "h1_in": (Nq, p, m),
-                "h1_out": (Np, p, m),
-                "h2_sum": (p, Np, Nq, Np, m, m),
-                "dh2_sum": (p, Np, Nq, Np, m, m),
-                "h2_in": (p, Np, Nq, m, m),
-                "h2_quad": (p, Np, Np, m, m),
-            }
-        else:
-            expected = {
-                "tf1_in": (Nq, p, m),
-                "tf1_out": (Np, p, m),
-                "tf2_cross": (p, Np, Nq, m, m),
-                "tf2_quad": (p, Np, Np, m, m),
-            }
-        for name, shape in expected.items():
-            arr = getattr(self, name)
-            if arr is None:
+        for side in ("rule_p", "rule_q"):
+            if not isinstance(getattr(self, side), QuadratureRule):
+                raise TypeError(f"{side} must be a QuadratureRule")
+        nodes = (_closed_nodes if self.domain == "freq"
+                 else lambda rule: (rule.nodes, rule.sqrt_weights))
+        self.p_nodes, self.p_sqrt_weights = nodes(self.rule_p)
+        self.q_nodes, self.q_sqrt_weights = nodes(self.rule_q)
+        self.Np, self.Nq = self.p_nodes.size, self.q_nodes.size
+        families = _TIME_FIELDS if self.domain == "time" else _FREQ_FIELDS
+        for name in families:
+            if getattr(self, name) is None:
                 raise ValueError(f"{self.domain} dataset is missing {name}")
+        first = "h1_in" if self.domain == "time" else "tf1_in"
+        shape = getattr(self, first).shape
+        if len(shape) != 3:
+            raise ValueError(f"{first} has shape {shape}, expected (N_q, p, m)")
+        self.p, self.m = shape[1:]
+        Np, Nq, m, p = self.Np, self.Nq, self.m, self.p
+        # the tables above; the single-node families match across domains
+        single = ((Nq, p, m), (Np, p, m), (p, Np, Nq, m, m), (p, Np, Np, m, m))
+        lin, quad = (Nq, Np, p, m), (p, Np, Nq, Np, m, m)
+        shapes = (single if self.domain == "freq"
+                  else (lin, lin, *single[:2], quad, quad, *single[2:]))
+        for name, shape in zip(families, shapes):
+            arr = getattr(self, name)
             if arr.shape != shape:
-                raise ValueError(
-                    f"{name} has shape {arr.shape}, expected {shape}"
-                )
+                raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
             if not np.isfinite(arr).all():
                 raise ValueError(f"{name} holds non-finite samples")
 
@@ -276,10 +263,7 @@ def collect_time_data(sampler, rule_p, rule_q):
     dh2_sum = np.moveaxis(_grid(sampler, "dh2_grid", (t, tau, t), (p, m, m)), 3, 0)
 
     return KernelDataset(
-        domain="time", m=m, p=p,
-        p_nodes=t.copy(), p_sqrt_weights=rule_p.sqrt_weights.copy(),
-        q_nodes=tau.copy(), q_sqrt_weights=rule_q.sqrt_weights.copy(),
-        rule_p=rule_p, rule_q=rule_q,
+        domain="time", rule_p=rule_p, rule_q=rule_q,
         h1_sum=h1_sum, dh1_sum=dh1_sum, h1_in=h1_in, h1_out=h1_out,
         h2_sum=h2_sum, dh2_sum=dh2_sum, h2_in=h2_in, h2_quad=h2_quad,
     )
@@ -323,26 +307,23 @@ def _closed_nodes(rule):
     """Interleaved signed nodes ``(+w1, -w1, +w2, ...)`` with square-root
     weights scaled for an integral over the whole real frequency axis
     against the measure ``dw / (2 pi)``."""
-    nodes = np.empty(2 * len(rule))
-    nodes[0::2] = rule.nodes
-    nodes[1::2] = -rule.nodes
+    nodes = np.stack([rule.nodes, -rule.nodes], axis=1).ravel()
     sw = np.repeat(rule.sqrt_weights / np.sqrt(2.0 * np.pi), 2)
     return nodes, sw
 
 
-def collect_freq_data(sampler, rule_p, rule_q, conjugate_closure=True):
+def collect_freq_data(sampler, rule_p, rule_q):
     """Sample transfer functions of `sampler` on the imaginary axis.
 
     The sampler must provide ``tf1(s)`` (vectorized over an array of complex
     points) and ``tf2_grid(s1s, s2s)`` returning all output channels; see
     :class:`~lqobt.model.LqoSystem`.
 
-    With `conjugate_closure` (the default) each rule's nodes are mirrored to
-    negative frequencies and the weights are scaled by ``1/(2 pi)``, so the
-    implicit quadrature approximates the Gramians' spectral integrals over
-    the whole axis and the sample matrices can be transformed to real ones.
-    Without closure the raw positive-frequency rules are used; the matrices
-    stay complex and are useful for analysis only.
+    The data is always closed under conjugation: each rule's nodes are
+    mirrored to negative frequencies and the weights are scaled by
+    ``1/(2 pi)`` (:func:`_closed_nodes`), so the implicit quadrature
+    approximates the Gramians' spectral integrals over the whole axis and
+    the sample matrices can be made real, as a real reduced model needs.
 
     Node sets of the two sides must not intersect (divided differences);
     collisions raise :class:`~lqobt.errors.FrequencyCollisionError`.
@@ -357,13 +338,7 @@ def collect_freq_data(sampler, rule_p, rule_q, conjugate_closure=True):
         raise FrequencyCollisionError(
             "controllability- and observability-side frequency nodes collide"
         )
-    if conjugate_closure:
-        th, rho = _closed_nodes(rule_p)
-        s, phi = _closed_nodes(rule_q)
-    else:
-        th, rho = rule_p.nodes.copy(), rule_p.sqrt_weights.copy()
-        s, phi = rule_q.nodes.copy(), rule_q.sqrt_weights.copy()
-
+    th, s = _closed_nodes(rule_p)[0], _closed_nodes(rule_q)[0]
     tf1_in = _grid(sampler, "tf1", (1j * s,))
     p, m = tf1_in.shape[1:]
     tf1_out = _grid(sampler, "tf1", (1j * th,), (p, m))
@@ -373,11 +348,7 @@ def collect_freq_data(sampler, rule_p, rule_q, conjugate_closure=True):
     )
 
     return KernelDataset(
-        domain="freq", m=m, p=p,
-        p_nodes=th, p_sqrt_weights=rho,
-        q_nodes=s, q_sqrt_weights=phi,
-        rule_p=rule_p, rule_q=rule_q,
-        conjugate_closure=conjugate_closure,
+        domain="freq", rule_p=rule_p, rule_q=rule_q,
         tf1_in=tf1_in, tf1_out=tf1_out,
         tf2_cross=tf2_cross, tf2_quad=tf2_quad,
     )
@@ -427,8 +398,8 @@ def build_data_matrices(ds):
 
     Time-domain samples are weighted and laid out as in the module
     docstring; frequency-domain datasets go to :func:`build_freq_matrices`,
-    which realifies them when they are conjugate closed. Single-input
-    single-output data is the one-by-one block case of the general layout.
+    which realifies them. Single-input single-output data is the
+    one-by-one block case of the general layout.
     The reducers never call this: they compress the quadratic rows instead
     (:func:`lqo_qbt`), and the tests hold them to these whole matrices.
     """
@@ -462,7 +433,7 @@ def build_freq_matrices(ds):
     the second argument of the two-variable transfer function with the first
     argument held at a (negated) controllability-side node.
 
-    On a conjugate-closed dataset the matrices are the complex ones
+    The matrices are the complex ones (:func:`_complex_freq_matrices`)
     transformed by a fixed unitary pairing of conjugate nodes, which makes
     them real; this requires samples that are conjugate symmetric. The
     real matrices are built directly: as ``X(-w) = conj X(w)`` on every
@@ -481,20 +452,6 @@ def build_freq_matrices(ds):
     _require_domain(ds, "freq")
     Np, Nq, m, p = ds.Np, ds.Nq, ds.m, ds.p
     nl, nc = Nq * p, Np * m
-
-    if not ds.conjugate_closure:
-        h, g, K = _io_blocks(ds.tf1_in, ds.tf2_cross, ds.tf1_out, ds.tf2_quad,
-                             ds.q_sqrt_weights, ds.p_sqrt_weights)
-        H, M = (
-            np.vstack([
-                _linear_rows(ds, slice(None), d).reshape(nl, nc),
-                _quadratic_rows(ds, np.arange(Np), np.arange(Nq), d)
-                .transpose(0, 1, 2, 4, 3, 5).reshape(-1, nc),
-            ])
-            for d in (False, True)
-        )
-        return DataMatrices(H=H, M=M, h=h, g=g, K=K, domain="freq")
-
     _check_conjugate_symmetry(ds)
     h, g, K = _real_io_blocks(ds)
     H = np.empty((h.shape[0], nc))
@@ -503,6 +460,25 @@ def build_freq_matrices(ds):
         _real_linear_rows(ds, shifted, out=out[:nl])
         _real_quadratic(ds, np.arange(Np // 2), np.arange(Nq // 2), shifted,
                         out=out[nl:])
+    return DataMatrices(H=H, M=M, h=h, g=g, K=K, domain="freq")
+
+
+def _complex_freq_matrices(ds):
+    """The complex data matrices of a frequency dataset, whole, before the
+    pairing that makes them real: the tests' oracle, which no route calls."""
+    _require_domain(ds, "freq")
+    Np, Nq, m, p = ds.Np, ds.Nq, ds.m, ds.p
+    nl, nc = Nq * p, Np * m
+    h, g, K = _io_blocks(ds.tf1_in, ds.tf2_cross, ds.tf1_out, ds.tf2_quad,
+                         ds.q_sqrt_weights, ds.p_sqrt_weights)
+    H, M = (
+        np.vstack([
+            _linear_rows(ds, slice(None), d).reshape(nl, nc),
+            _quadratic_rows(ds, np.arange(Np), np.arange(Nq), d)
+            .transpose(0, 1, 2, 4, 3, 5).reshape(-1, nc),
+        ])
+        for d in (False, True)
+    )
     return DataMatrices(H=H, M=M, h=h, g=g, K=K, domain="freq")
 
 
@@ -528,7 +504,7 @@ def _quadratic_rows(ds, k, j, shifted):
 
 
 def _real_linear_rows(ds, shifted, out=None):
-    """Real linear rows of a conjugate-closed dataset, ``(N_q p, N_p m)``."""
+    """Real linear rows of a frequency dataset, ``(N_q p, N_p m)``."""
     Np, Nq, m, p = ds.Np, ds.Nq, ds.m, ds.p
     Y = _linear_rows(ds, slice(None, None, 2), shifted)
     return _real_pairs(Y.reshape(Nq // 2, p, Np // 2, 2, m), 0, cols=(3,),
@@ -536,7 +512,7 @@ def _real_linear_rows(ds, shifted, out=None):
 
 
 def _real_quadratic(ds, kp, jp, shifted, out=None):
-    """Real quadratic rows of a conjugate-closed dataset at the pairs `kp`
+    """Real quadratic rows of a frequency dataset at the pairs `kp`
     of controllability nodes and `jp` of observability nodes (pair index
     arrays): both rows of every pair, laid out (p, k, 2, j, 2, m, N_p m)
     with the pair slots after the pair indices. Only the positive node of
@@ -550,7 +526,7 @@ def _real_quadratic(ds, kp, jp, shifted, out=None):
 
 
 def _real_io_blocks(ds):
-    """Real ``h``, ``g`` and ``K`` of a conjugate-closed dataset."""
+    """Real ``h``, ``g`` and ``K`` of a frequency dataset."""
     Np, Nq, m, p = ds.Np, ds.Nq, ds.m, ds.p
     Np2, Nq2, nl, nc = Np // 2, Nq // 2, Nq * p, Np * m
     h, g, K = _io_blocks(ds.tf1_in, ds.tf2_cross, ds.tf1_out, ds.tf2_quad,
@@ -687,7 +663,8 @@ def reduce_from_matrices(dm, r, factors=None):
     ``"<domain>-qbt"``.
     """
     if np.iscomplexobj(dm.H):
-        raise ValueError(_COMPLEX_ROM)
+        raise ValueError("complex data matrices cannot produce a real reduced "
+                         "model; realify them as build_freq_matrices does")
     res = svd(dm.H) if factors is None else factors
     _truncation_guard(res.S, r, dm.H.shape[1])
     scale = 1.0 / np.sqrt(res.S[:r])
@@ -713,10 +690,10 @@ def lqo_qbt(ds, r):
     Reduces the five data matrices to order `r`; see
     :func:`reduce_from_matrices`. Time-domain datasets give provenance
     ``"time-qbt"`` and run the driver of :func:`lqo_qbt_streamed` on
-    slices of their arrays. Frequency-domain ones give ``"freq-qbt"``;
-    they must be conjugate closed so the model can be made real
-    (:func:`_freq_compressed`). Neither assembles the quadratic rows
-    whole; both give the model of :func:`build_data_matrices`.
+    slices of their arrays. Frequency-domain ones give ``"freq-qbt"``
+    through their real matrices (:func:`_freq_compressed`). Neither
+    assembles the quadratic rows whole; both give the model of
+    :func:`build_data_matrices`.
 
     Parameters
     ----------
@@ -785,9 +762,9 @@ def _freq_size_guard(p, m, Np, Nq):
 
 
 def _freq_compressed(ds):
-    """Real data matrices of a conjugate-closed frequency dataset with the
-    quadratic rows compressed onto ``I_p (x) V_k (x) V_j``
-    (:func:`_compressed_matrices`, a conjugate node pair as the unit).
+    """Real data matrices of a frequency dataset with the quadratic rows
+    compressed onto ``I_p (x) V_k (x) V_j`` (:func:`_compressed_matrices`,
+    a conjugate node pair as the unit).
 
     The real quadratic Loewner rows are evaluated only at the pairs read,
     at the positive node of each controllability pair. The linear rows,
@@ -797,8 +774,6 @@ def _freq_compressed(ds):
     those rows.
     """
     _require_domain(ds, "freq")
-    if not ds.conjugate_closure:
-        raise ValueError(_COMPLEX_ROM)
     Np, Nq, m, p = ds.Np, ds.Nq, ds.m, ds.p
     _freq_size_guard(p, m, Np, Nq)
     _check_conjugate_symmetry(ds)
@@ -830,8 +805,11 @@ def _compressed_matrices(quad, units, linear, io, domain):
     and the cross is read at the units holding those rows. As the samples
     lie in the range of ``V_k (x) V_j``, their core ``(V_k' (x) V_j') X``
     equals ``(V_k[I_k]^{-1} (x) V_j[I_j]^{-1}) X[I_k, I_j]``; it becomes
-    the rows ``(q, r_k, r_j)``. The quadratic rows of ``h``, given whole,
-    are projected onto the bases."""
+    the rows ``(q, r_k, r_j)``. ``M``'s core, read the same way, equals its
+    projection only when the columns ``U`` span an ``A``-invariant subspace
+    (say ``N_p m >= n``, ``U`` of full rank); otherwise it was measured
+    1.3e-7 off (:func:`lqo_qbt_streamed`). The quadratic rows of ``h``,
+    given whole, are projected onto the bases."""
     n_k, n_j = units
     (Vk, Ik), (Vj, Ij) = _mode_bases(quad, n_k, n_j)
     h, g, K = io()
@@ -882,11 +860,15 @@ def lqo_qbt_streamed(sampler, rule_p, rule_q, orders):
     ``I_k``, ``I_j`` of the bases (:func:`_compressed_matrices`). So
     beyond the probe fibres the sampler is asked for one
     ``h2_grid(t[K], tau[I_j], t)`` and one ``dh2_grid`` call, with ``K``
-    the nodes of the rows ``I_k``. The derivative samples need no basis
-    of their own: ``A`` maps the reachable subspace into itself, so they
-    lie in the same mode ranges. The held-out probe fibres must match the
-    interpolant as they match the bases, or this raises. :func:`lqo_qbt`
-    runs the same driver on a time dataset's arrays.
+    the nodes of the rows ``I_k``. The derivative samples get no basis of
+    their own: they lie in the same mode ranges only when the columns
+    ``U`` span an ``A``-invariant subspace, say when ``N_p m >= n`` and
+    ``U`` has full rank. Otherwise ``M``'s compressed rows leave their
+    projection, by 1.3e-7 of their norm on one measured system (n=5,
+    ``N_p m = 2``), unchecked, as a check needs ``dh2_grid`` probes. The
+    held-out probe fibres must match the interpolant as they match the
+    bases, or this raises. :func:`lqo_qbt` runs the same driver on a time
+    dataset's arrays.
 
     Parameters
     ----------
@@ -1018,35 +1000,26 @@ def _interpolation_rows(V):
 # dataset persistence
 # ---------------------------------------------------------------------------
 
-_TIME_FIELDS = ("h1_sum", "dh1_sum", "h1_in", "h1_out",
-                "h2_sum", "dh2_sum", "h2_in", "h2_quad")
-_FREQ_FIELDS = ("tf1_in", "tf1_out", "tf2_cross", "tf2_quad")
-_NODE_FIELDS = ("p_nodes", "p_sqrt_weights", "q_nodes", "q_sqrt_weights")
 _SAMPLES_FILE = "samples.npz"
 
 
 def save_dataset(ds, directory):
     """Write a dataset as one ``samples.npz`` archive plus a JSON manifest.
 
-    The archive holds every array (sample families, effective nodes and
-    weights, and both generating rules) in numpy's binary format, so
-    :func:`load_dataset` restores the dataset bit-exactly; the manifest
-    holds the scalars and names the arrays.
+    The archive holds the sample families and both generating rules in
+    numpy's binary format, so :func:`load_dataset` restores the dataset
+    bit-exactly; the manifest holds the domain and the rules' kinds and
+    names the arrays.
     """
     os.makedirs(directory, exist_ok=True)
     fields = _TIME_FIELDS if ds.domain == "time" else _FREQ_FIELDS
-    arrays = {name: getattr(ds, name) for name in _NODE_FIELDS + fields}
+    arrays = {name: getattr(ds, name) for name in fields}
     for side, rule in (("rule_p", ds.rule_p), ("rule_q", ds.rule_q)):
         arrays[f"{side}_nodes"] = rule.nodes
         arrays[f"{side}_sqrt_weights"] = rule.sqrt_weights
     np.savez(os.path.join(directory, _SAMPLES_FILE), **arrays)
     manifest = {
         "domain": ds.domain,
-        "m": int(ds.m),
-        "p": int(ds.p),
-        "N_p": int(ds.Np),
-        "N_q": int(ds.Nq),
-        "conjugate_closure": bool(ds.conjugate_closure),
         "rule_p": {"kind": ds.rule_p.kind},
         "rule_q": {"kind": ds.rule_q.kind},
         "file": _SAMPLES_FILE,
@@ -1057,25 +1030,36 @@ def save_dataset(ds, directory):
 
 
 def load_dataset(directory):
-    """Read a dataset written by :func:`save_dataset`."""
+    """Read a dataset written by :func:`save_dataset`.
+
+    Files in the earlier format also store the nodes, weights and
+    channel counts, and load when those equal what the rules and samples
+    give. A frequency file written without conjugate closure is refused.
+    """
     with open(os.path.join(directory, "manifest.json")) as f:
         manifest = json.load(f)
     path = os.path.join(directory, manifest["file"])
+    rules = {}
     with np.load(path, allow_pickle=False) as archive:
-        arrays = {name: archive[name]
-                  for name in _NODE_FIELDS + tuple(manifest["fields"])}
-        rules = {
-            side: QuadratureRule(
-                archive[f"{side}_nodes"], archive[f"{side}_sqrt_weights"],
-                kind=manifest[side]["kind"],
-            )
-            for side in ("rule_p", "rule_q")
-        }
-    return KernelDataset(
-        domain=manifest["domain"],
-        m=manifest["m"],
-        p=manifest["p"],
-        conjugate_closure=manifest["conjugate_closure"],
-        **rules,
-        **arrays,
-    )
+        arrays = {name: archive[name] for name in manifest["fields"]}
+        stored = {name: archive[name] for name in archive.files if name in (
+            "p_nodes", "p_sqrt_weights", "q_nodes", "q_sqrt_weights")}
+        for side in ("rule_p", "rule_q"):
+            try:
+                rules[side] = QuadratureRule(
+                    archive[f"{side}_nodes"], archive[f"{side}_sqrt_weights"],
+                    kind=manifest[side]["kind"])
+            except ValueError as exc:
+                raise ValueError(f"{side}: {exc}") from exc
+    if (manifest["domain"] == "freq"
+            and np.shape(arrays.get("tf1_in"))[:1] == (len(rules["rule_q"]),)):
+        raise ValueError("frequency file written without conjugate closure: "
+                         "its matrices are complex and give no real reduced "
+                         "model; collect the data again with collect_freq_data")
+    ds = KernelDataset(domain=manifest["domain"], **rules, **arrays)
+    stored.update((name, manifest[name]) for name in ("m", "p") if name in manifest)
+    for name, value in stored.items():
+        if not np.array_equal(value, getattr(ds, name)):
+            raise ValueError(f"stored {name} disagrees with the {name} that "
+                             "the dataset's rules and samples give")
+    return ds

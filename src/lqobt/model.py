@@ -280,7 +280,7 @@ class LqoSystem:
         `s` may be a complex scalar or array; result shape is
         ``s.shape + (p, m)``.
         """
-        return _pointwise(lambda z: self.C @ self._resolvent_rhs(z),
+        return _pointwise(lambda z: self.C @ self._resolvent(z, self.A, self.B),
                           (s,), (self.p, self.m), dtype=complex)
 
     def tf2(self, s1, s2):
@@ -290,8 +290,8 @@ class LqoSystem:
         Channels and broadcasting as in :meth:`h2`.
         """
         def at(a, b):
-            X = self._resolvent_rhs(b)
-            return [self.B.T @ self._resolvent_t_rhs(a, M @ X) for M in self.Ms]
+            X = self._resolvent(b, self.A, self.B)
+            return [self.B.T @ self._resolvent(a, self.A.T, M @ X) for M in self.Ms]
 
         return _pointwise(at, (s1, s2), (self.p, self.m, self.m), dtype=complex)
 
@@ -307,26 +307,19 @@ class LqoSystem:
         s2s = np.asarray(s2s, dtype=complex)
         n, m, a, b = self.n, self.m, s1s.size, s2s.size
         nodes, inv = np.unique(np.concatenate([s1s, s2s]), return_inverse=True)
-        X = np.stack([self._resolvent_rhs(z) for z in nodes])  # (nodes, n, m)
+        # (nodes, n, m)
+        X = np.stack([self._resolvent(z, self.A, self.B) for z in nodes])
         L = X[inv[:a]].transpose(0, 2, 1).reshape(a * m, n)
         R = X[inv[a:]].transpose(1, 0, 2).reshape(n, b * m)
         out = np.stack([L @ (M @ R) for M in self.Ms])          # (q, a m, b m)
         out = out.reshape(self.p, a, m, b, m).transpose(1, 3, 0, 2, 4)
         return np.ascontiguousarray(out)
 
-    def _resolvent_rhs(self, s):
-        """``(sI - A)^{-1} B``."""
+    def _resolvent(self, s, A, rhs):
+        """``(sI - A)^{-1} rhs``, with `A` the state matrix or its
+        transpose."""
         try:
-            return np.linalg.solve(s * np.eye(self.n) - self.A, self.B)
-        except np.linalg.LinAlgError as exc:
-            raise FrequencyCollisionError(
-                f"resolvent singular at s = {s}"
-            ) from exc
-
-    def _resolvent_t_rhs(self, s, rhs):
-        """``(sI - A')^{-1} rhs``."""
-        try:
-            return np.linalg.solve(s * np.eye(self.n) - self.A.T, rhs)
+            return np.linalg.solve(s * np.eye(self.n) - A, rhs)
         except np.linalg.LinAlgError as exc:
             raise FrequencyCollisionError(
                 f"resolvent singular at s = {s}"

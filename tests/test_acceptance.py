@@ -23,7 +23,6 @@ from conftest import (
 from lqobt import (
     UnstableSystemError,
     build_data_matrices,
-    build_freq_matrices,
     collect_freq_data,
     collect_time_data,
     compute_gramians,
@@ -38,6 +37,7 @@ from lqobt import (
     svd,
     synthesize_system,
 )
+from lqobt import databt
 
 _CACHE = {}
 
@@ -133,10 +133,12 @@ def _equivalence_devs(cases):
         prod = factor_products(sys_, *time_factors(sys_, rule_p, rule_q))
         worst_t = max(worst_t, _worst_matrix_dev(dm, prod))
 
-        ds_f = collect_freq_data(sys_, rule_p, rule_q, conjugate_closure=False)
-        dm_f = build_freq_matrices(ds_f)
-        U, L = freq_factors(sys_, rule_p.nodes, rule_p.sqrt_weights,
-                            rule_q.nodes, rule_q.sqrt_weights)
+        # the complex matrices at the conjugate-closed nodes, before the
+        # pairing that makes them real
+        ds_f = collect_freq_data(sys_, rule_p, rule_q)
+        dm_f = databt._complex_freq_matrices(ds_f)
+        U, L = freq_factors(sys_, ds_f.p_nodes, ds_f.p_sqrt_weights,
+                            ds_f.q_nodes, ds_f.q_sqrt_weights)
         prod_f = factor_products(sys_, U, L, hermitian=True)
         worst_f = max(worst_f, _worst_matrix_dev(dm_f, prod_f))
     return worst_t, worst_f

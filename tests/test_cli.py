@@ -395,3 +395,38 @@ def test_reduce_rejects_bad_order(tmp_path):
     with pytest.raises(ValueError):
         main(["reduce", "--system", manifest, "--method", "bt",
               "--order", "0", "--out", str(tmp_path / "rom")])
+
+
+def test_out_of_range_integers_are_usage_errors(tmp_path, capsys):
+    # a negative or zero count, an empty order range and a channel the
+    # system does not have are argparse errors (exit 2) that name the
+    # flag, and nothing is written
+    manifest = _synth(tmp_path, n=4)
+    rom_dir = str(tmp_path / "rom")
+    main(["reduce", "--system", manifest, "--method", "bt", "--order", "2",
+          "--out", rom_dir])
+    rom = os.path.join(rom_dir, "rom.manifest")
+    out = str(tmp_path / "out")
+    hsv = ["hsv", "--system", manifest, "--np", "16", "--out", out]
+    simulate = ["simulate", "--system", manifest, "--qbt", rom, "--bt", rom,
+                "--steps", "10", "--out", out]
+    cases = [
+        (hsv + ["--order", "-3"], "argument --order: must be at least 1"),
+        (hsv + ["--order", "0"], "argument --order: must be at least 1"),
+        (["h2-sweep", "--system", manifest, "--orders", "5:3", "--np", "16",
+          "--out", out], "argument --orders: needs LO:HI with 1 <= LO <= HI"),
+        (["h2-sweep", "--system", manifest, "--orders", "0:3", "--np", "16",
+          "--out", out], "argument --orders: needs LO:HI with 1 <= LO <= HI"),
+        (["h2-sweep", "--system", manifest, "--orders", "1:2:3", "--np", "16",
+          "--out", out], "argument --orders: needs LO:HI with 1 <= LO <= HI"),
+        (simulate + ["--channel", "-1"], "argument --channel: must be at least 0"),
+        (simulate + ["--channel", "1"],
+         "argument --channel: 1 is not below the output count 1"),
+    ]
+    capsys.readouterr()
+    for argv, message in cases:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not os.path.exists(out)

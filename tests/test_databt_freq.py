@@ -1,13 +1,12 @@
 """Tests for frequency-domain data-driven balanced truncation.
 
 The sample matrices are Loewner-type divided differences of transfer
-function values. With conjugate closure the node sets are mirrored to
-negative frequencies and a fixed conjugate-pair unitary turns all matrices
-real; reduction must then agree with the time-domain route and, at full
-rank, with the original system exactly.
+function values. Collection always closes the node sets under
+conjugation, mirroring them to negative frequencies, and a fixed
+conjugate-pair unitary turns all matrices real; reduction must then agree
+with the time-domain route and, at full rank, with the original system
+exactly. The complex matrices before that pairing are the oracle.
 """
-
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -48,11 +47,6 @@ from lqobt.numcore import svd
 from test_acceptance import _equivalence_cases
 
 
-def complex_matrices(ds):
-    """The complex matrices of a dataset, conjugate-closed or not."""
-    return build_freq_matrices(replace(ds, conjugate_closure=False))
-
-
 def rule_of(nodes, sw=None):
     nodes = np.asarray(nodes, dtype=float)
     sw = np.ones(nodes.size) if sw is None else np.asarray(sw, dtype=float)
@@ -67,22 +61,12 @@ def test_conjugate_closure_interleaves_signed_nodes():
     rule_p = rule_of([1.0, 3.0], [0.8, 1.2])
     rule_q = rule_of([0.5, 2.0, 5.0])
     ds = collect_freq_data(sys_, rule_p, rule_q)
-    assert ds.domain == "freq" and ds.conjugate_closure
+    assert ds.domain == "freq" and (ds.m, ds.p) == (1, 1)
     assert np.array_equal(ds.p_nodes, [1.0, -1.0, 3.0, -3.0])
     assert np.array_equal(ds.q_nodes, [0.5, -0.5, 2.0, -2.0, 5.0, -5.0])
     want = np.repeat(np.array([0.8, 1.2]) / np.sqrt(2.0 * np.pi), 2)
     assert np.allclose(ds.p_sqrt_weights, want, rtol=1e-15)
     assert ds.tf2_cross.shape == (1, 4, 6, 1, 1)
-
-
-def test_closure_off_keeps_raw_rules():
-    sys_ = scalar_s1()
-    rule_p = rule_of([1.0, 3.0])
-    rule_q = rule_of([0.5, 2.0])
-    ds = collect_freq_data(sys_, rule_p, rule_q, conjugate_closure=False)
-    assert not ds.conjugate_closure
-    assert np.array_equal(ds.p_nodes, rule_p.nodes)
-    assert np.array_equal(ds.q_sqrt_weights, rule_q.sqrt_weights)
 
 
 def test_colliding_node_sets_rejected():
@@ -97,9 +81,7 @@ def test_colliding_node_sets_rejected():
 
 def test_samples_are_transfer_values():
     sys_ = scalar_s1()
-    ds = collect_freq_data(
-        sys_, rule_of([1.0, 3.0]), rule_of([0.5, 2.0]), conjugate_closure=False
-    )
+    ds = collect_freq_data(sys_, rule_of([1.0, 3.0]), rule_of([0.5, 2.0]))
     th, s = ds.p_nodes, ds.q_nodes
     for j, sj in enumerate(s):
         assert abs(ds.tf1_in[j, 0, 0] - 1.0 / (1.0 + 1j * sj)) <= 1e-14
@@ -117,30 +99,31 @@ def test_samples_are_transfer_values():
 
 def test_scalar_loewner_entries_closed_form():
     # for H1(s) = 1/(s+1) the divided differences collapse to products of
-    # simple poles, giving every matrix entry in closed form
+    # simple poles, giving every entry of the complex matrices in closed
+    # form, at the mirrored nodes as at the positive ones
     sys_ = scalar_s1()
     rule_p = rule_of([1.0, 3.0], [0.8, 1.2])
     rule_q = rule_of([0.5, 2.0], [1.5, 0.6])
-    ds = collect_freq_data(sys_, rule_p, rule_q, conjugate_closure=False)
-    dm = build_freq_matrices(ds)
+    ds = collect_freq_data(sys_, rule_p, rule_q)
+    dm = databt._complex_freq_matrices(ds)
     th, rho = ds.p_nodes, ds.p_sqrt_weights
     s, phi = ds.q_nodes, ds.q_sqrt_weights
 
-    for k in range(2):
-        for l in range(2):
+    for k in range(4):
+        for l in range(4):
             pole = (1.0 + 1j * s[k]) * (1.0 + 1j * th[l])
             assert abs(dm.H[k, l] - phi[k] * rho[l] / pole) <= 1e-14
             assert abs(dm.M[k, l] + phi[k] * rho[l] / pole) <= 1e-14
-    row = 2  # quadratic block, (k=0, j=0)
-    for l in range(2):
+    row = 4  # quadratic block, (k=0, j=0)
+    for l in range(4):
         want = (
             rho[0] * phi[0] * rho[l]
             / ((1.0 - 1j * th[0]) * (1.0 + 1j * s[0]) * (1.0 + 1j * th[l]))
         )
         assert abs(dm.H[row, l] - want) <= 1e-14
-    for l in range(2):
+    for l in range(4):
         assert abs(dm.g[0, l] - rho[l] / (1.0 + 1j * th[l])) <= 1e-14
-        for k in range(2):
+        for k in range(4):
             want = rho[l] * rho[k] / ((1.0 - 1j * th[l]) * (1.0 + 1j * th[k]))
             assert abs(dm.K[0][l, k] - want) <= 1e-14
     # input block: first linear, then quadratic rows
@@ -150,23 +133,21 @@ def test_scalar_loewner_entries_closed_form():
 
 
 def test_sample_matrices_equal_resolvent_factor_products():
-    # both with and without closure the complex matrices are conjugate
-    # transposed products of explicit resolvent factors
+    # the complex matrices are conjugate transposed products of explicit
+    # resolvent factors at the closed nodes and weights
     rng = np.random.default_rng(89)
     for m, p in [(1, 1), (2, 1), (1, 2), (2, 2)]:
         sys_ = random_stable_system(rng, n=int(rng.integers(3, 11)), m=m, p=p)
         rule_p = random_rule(rng, max_nodes=5, lo=0.2, hi=4.0)
         rule_q = random_rule(rng, max_nodes=4, lo=0.2, hi=4.0, avoid=rule_p)
-        for closure in (False, True):
-            ds = collect_freq_data(sys_, rule_p, rule_q,
-                                   conjugate_closure=closure)
-            dm = complex_matrices(ds)
-            U, L = freq_factors(
-                sys_, ds.p_nodes, ds.p_sqrt_weights,
-                ds.q_nodes, ds.q_sqrt_weights,
-            )
-            prods = factor_products(sys_, U, L, hermitian=True)
-            assert_matrices_match(dm, prods, tol=1e-10)
+        ds = collect_freq_data(sys_, rule_p, rule_q)
+        dm = databt._complex_freq_matrices(ds)
+        U, L = freq_factors(
+            sys_, ds.p_nodes, ds.p_sqrt_weights,
+            ds.q_nodes, ds.q_sqrt_weights,
+        )
+        prods = factor_products(sys_, U, L, hermitian=True)
+        assert_matrices_match(dm, prods, tol=1e-10)
 
 
 def test_quadratic_blocks_are_hermitian():
@@ -175,7 +156,7 @@ def test_quadratic_blocks_are_hermitian():
     rule_p = random_rule(rng, lo=0.3, hi=5.0)
     rule_q = random_rule(rng, lo=0.3, hi=5.0, avoid=rule_p)
     ds = collect_freq_data(sys_, rule_p, rule_q)
-    dm = complex_matrices(ds)
+    dm = databt._complex_freq_matrices(ds)
     for Kq in dm.K:
         assert np.abs(Kq - Kq.conj().T).max() <= 1e-13 * (1 + np.abs(Kq).max())
 
@@ -202,7 +183,7 @@ def test_realification_matches_explicit_unitary():
 
 
 def _check_against_explicit_unitary(ds):
-    dm_c = complex_matrices(ds)
+    dm_c = databt._complex_freq_matrices(ds)
     dm_r = build_freq_matrices(ds)
     for X in (dm_r.H, dm_r.M, dm_r.h, dm_r.g, *dm_r.K):
         assert not np.iscomplexobj(X)
@@ -242,28 +223,19 @@ def test_realification_preserves_singular_values():
     rule_p = random_rule(rng, lo=0.2, hi=3.0)
     rule_q = random_rule(rng, lo=0.2, hi=3.0, avoid=rule_p)
     ds = collect_freq_data(sys_, rule_p, rule_q)
-    S_c = svd(complex_matrices(ds).H).S
+    S_c = svd(databt._complex_freq_matrices(ds).H).S
     S_r = svd(build_freq_matrices(ds).H).S
     assert np.allclose(S_r, S_c, rtol=1e-10, atol=1e-12 * S_c[0])
 
 
-def test_complex_matrices_cannot_be_reduced(monkeypatch):
+def test_complex_matrices_cannot_be_reduced():
     sys_ = scalar_s1()
-    ds = collect_freq_data(
-        sys_, rule_of([1.0, 2.0]), rule_of([0.5, 3.0]), conjugate_closure=False
-    )
-
-    def no_compression(*args, **kwargs):
-        raise AssertionError("compression started on a complex dataset")
-
-    for name in ("_check_conjugate_symmetry", "_real_io_blocks", "_mode_bases",
-                 "_quadratic_rows"):
-        monkeypatch.setattr(databt, name, no_compression)
+    ds = collect_freq_data(sys_, rule_of([1.0, 2.0]), rule_of([0.5, 3.0]))
     with pytest.raises(ValueError, match=(
         r"^complex data matrices cannot produce a real reduced model; "
-        r"collect with conjugate closure and realify$"
+        r"realify them as build_freq_matrices does$"
     )):
-        lqo_qbt(ds, 1)
+        reduce_from_matrices(databt._complex_freq_matrices(ds), 1)
 
 
 # --------------------------------------------------------------- reduction
@@ -529,7 +501,7 @@ def test_freq_dataset_round_trip_is_bit_exact(tmp_path):
     ds = collect_freq_data(sys_, rule_p, rule_q)
     save_dataset(ds, tmp_path / "ds")
     back = load_dataset(tmp_path / "ds")
-    assert back.domain == "freq" and back.conjugate_closure
+    assert back.domain == "freq" and (back.m, back.p) == (ds.m, ds.p)
     assert np.array_equal(back.p_nodes, ds.p_nodes)
     assert np.array_equal(back.q_sqrt_weights, ds.q_sqrt_weights)
     for name in ("tf1_in", "tf1_out", "tf2_cross", "tf2_quad"):
@@ -645,4 +617,4 @@ def test_conjugate_asymmetric_samples_are_rejected(family, index):
     with pytest.raises(ValueError, match=f"{family} is not conjugate symmetric"):
         lqo_qbt(ds, 2)
     # the complex analysis path does not realify and needs no symmetry
-    assert np.iscomplexobj(complex_matrices(ds).H)
+    assert np.iscomplexobj(databt._complex_freq_matrices(ds).H)

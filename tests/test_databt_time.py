@@ -6,6 +6,7 @@ conftest), so reduction from data must reproduce reduction from factors
 without ever seeing state-space matrices.
 """
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -118,6 +119,9 @@ def test_dataset_shapes_and_counts():
     rule_p, rule_q = unit_rule([0.2, 0.8, 1.7]), unit_rule([0.4, 1.1])
     ds = collect_time_data(sys_, rule_p, rule_q)
     assert (ds.Np, ds.Nq, ds.m, ds.p) == (3, 2, 2, 3)
+    # time-domain nodes and weights are the rules' own
+    assert np.array_equal(ds.p_nodes, rule_p.nodes)
+    assert np.array_equal(ds.q_sqrt_weights, rule_q.sqrt_weights)
     assert ds.h1_sum.shape == (2, 3, 3, 2)
     assert ds.dh1_sum.shape == (2, 3, 3, 2)
     assert ds.h1_in.shape == (2, 3, 2)
@@ -135,47 +139,32 @@ def test_dataset_shapes_and_counts():
 
 
 def test_dataset_validation():
+    # a dataset is its domain, its two rules and its samples; the nodes,
+    # weights and channel counts are derived, so they cannot be passed in
     rule = unit_rule([1.0])
     with pytest.raises(ValueError, match="domain"):
-        KernelDataset(
-            domain="laplace", m=1, p=1,
-            p_nodes=rule.nodes, p_sqrt_weights=rule.sqrt_weights,
-            q_nodes=rule.nodes, q_sqrt_weights=rule.sqrt_weights,
-            rule_p=rule, rule_q=rule,
-        )
-    with pytest.raises(ValueError, match="missing"):
-        KernelDataset(
-            domain="time", m=1, p=1,
-            p_nodes=rule.nodes, p_sqrt_weights=rule.sqrt_weights,
-            q_nodes=rule.nodes, q_sqrt_weights=rule.sqrt_weights,
-            rule_p=rule, rule_q=rule,
-        )
-    # nodes and weights arrive from outside through load_dataset; each bad
-    # array is named where it enters, on either domain
+        KernelDataset("laplace", rule, rule)
+    with pytest.raises(ValueError, match="time dataset is missing h1_sum"):
+        KernelDataset("time", rule, rule)
+    with pytest.raises(ValueError, match="freq dataset is missing tf1_in"):
+        KernelDataset("freq", rule, rule)
+    for side in ("rule_p", "rule_q"):
+        rules = {"rule_p": rule, "rule_q": rule, side: rule.nodes}
+        with pytest.raises(TypeError, match=f"^{side} must be a QuadratureRule"):
+            KernelDataset("time", **rules)
     sys_ = scalar_s1()
-    datasets = (
-        collect_time_data(sys_, log_trapezoid(0.1, 2.0, 3), log_trapezoid(0.1, 2.0, 3)),
-        collect_freq_data(sys_, log_trapezoid(0.1, 2.0, 3), log_trapezoid(0.15, 3.0, 3)),
-    )
-    for ds in datasets:
-        for name in ("p_nodes", "p_sqrt_weights", "q_nodes", "q_sqrt_weights"):
-            good = getattr(ds, name)
-            bad_nan = good.copy()
-            bad_nan[1] = np.nan
-            for bad in (bad_nan, good[:, None]):
-                with pytest.raises(ValueError, match=f"^{name} must be a 1-d array"):
-                    replace(ds, **{name: bad})
-        for side in ("p", "q"):
-            with pytest.raises(ValueError, match=f"^{side}_sqrt_weights has 1 entries"):
-                replace(ds, **{f"{side}_sqrt_weights": np.ones(1)})
-    # realification pairs each +w with the -w after it, at equal weights
-    ds = datasets[1]
-    unpaired = ds.q_sqrt_weights.copy()
-    unpaired[1] *= 2.0
-    for change in ({"q_sqrt_weights": unpaired}, {"p_nodes": np.abs(ds.p_nodes)},
-                   {"q_nodes": ds.q_nodes[:-1], "q_sqrt_weights": ds.q_sqrt_weights[:-1]}):
-        with pytest.raises(ValueError, match=r"\(\+w, -w\) pairs"):
-            replace(ds, **change)
+    ds = collect_time_data(sys_, log_trapezoid(0.1, 2.0, 3), log_trapezoid(0.1, 2.0, 3))
+    with pytest.raises(TypeError, match="p_nodes"):
+        KernelDataset("time", ds.rule_p, ds.rule_q, p_nodes=ds.p_nodes)
+    # every family must fit the node counts of the rules and the channel
+    # counts of h1_in (tf1_in), which must have one node and two channel axes
+    with pytest.raises(ValueError, match=r"^h1_in has shape \(3,\), expected \(N_q, p, m\)"):
+        replace(ds, h1_in=ds.h1_in[:, 0, 0])
+    with pytest.raises(ValueError, match=r"^h2_quad has shape \(1, 3, 2, 1, 1\)"):
+        replace(ds, h2_quad=ds.h2_quad[:, :, :2])
+    ds_f = collect_freq_data(sys_, log_trapezoid(0.1, 2.0, 3), log_trapezoid(0.15, 3.0, 3))
+    with pytest.raises(ValueError, match=r"^tf1_in has shape \(6, 1, 1\), expected \(8, 1, 1\)"):
+        replace(ds_f, rule_q=log_trapezoid(0.15, 3.0, 4))
 
 
 # ----------------------------------------------- factor-product identity
@@ -645,6 +634,111 @@ def test_dataset_round_trip_is_bit_exact(tmp_path):
     rom_a = lqo_qbt(ds, 2)
     rom_b = lqo_qbt(back, 2)
     assert np.array_equal(rom_a.A, rom_b.A)
+
+
+def _write_earlier_format(ds, directory, **changes):
+    """Write `ds` as save_dataset did before datasets derived their nodes,
+    weights and channel counts: the archive also holds the effective
+    nodes and weights, and the manifest ``m``, ``p`` and a
+    ``conjugate_closure`` flag. `changes` replaces stored arrays or
+    manifest entries by name."""
+    fields = (["h1_sum", "dh1_sum", "h1_in", "h1_out",
+               "h2_sum", "dh2_sum", "h2_in", "h2_quad"] if ds.domain == "time"
+              else ["tf1_in", "tf1_out", "tf2_cross", "tf2_quad"])
+    nodes = ("p_nodes", "p_sqrt_weights", "q_nodes", "q_sqrt_weights")
+    arrays = {name: getattr(ds, name) for name in nodes + tuple(fields)}
+    for side in ("rule_p", "rule_q"):
+        arrays[f"{side}_nodes"] = getattr(ds, side).nodes
+        arrays[f"{side}_sqrt_weights"] = getattr(ds, side).sqrt_weights
+    manifest = {
+        "domain": ds.domain, "m": ds.m, "p": ds.p, "N_p": ds.Np, "N_q": ds.Nq,
+        "conjugate_closure": ds.domain == "freq",
+        "rule_p": {"kind": ds.rule_p.kind}, "rule_q": {"kind": ds.rule_q.kind},
+        "file": "samples.npz", "fields": fields,
+    }
+    for name, value in changes.items():
+        (arrays if name in arrays else manifest)[name] = value
+    directory.mkdir()
+    np.savez(directory / "samples.npz", **arrays)
+    (directory / "manifest.json").write_text(json.dumps(manifest, indent=1))
+
+
+def _earlier_datasets():
+    rng = np.random.default_rng(139)
+    sys_ = random_stable_system(rng, n=5, m=2, p=2)
+    rule_p = log_trapezoid(0.05, 20.0, 6)
+    rule_q = log_trapezoid(0.07, 28.0, 5)
+    return sys_, (collect_time_data(sys_, rule_p, rule_q),
+                  collect_freq_data(sys_, rule_p, rule_q))
+
+
+def test_earlier_format_files_reduce_to_the_same_rom(tmp_path):
+    # files that also store nodes, weights and channel counts load to the
+    # dataset they were written from, and reduce to its model bit for bit
+    _, datasets = _earlier_datasets()
+    for ds in datasets:
+        _write_earlier_format(ds, tmp_path / ds.domain)
+        back = load_dataset(tmp_path / ds.domain)
+        for name in ("p_nodes", "p_sqrt_weights", "q_nodes", "q_sqrt_weights"):
+            assert np.array_equal(getattr(back, name), getattr(ds, name)), name
+        assert (back.m, back.p) == (ds.m, ds.p)
+        rom, want = lqo_qbt(back, 3), lqo_qbt(ds, 3)
+        for got, ref in zip((rom.A, rom.B, rom.C, *rom.Ms),
+                            (want.A, want.B, want.C, *want.Ms)):
+            assert np.array_equal(got, ref), ds.domain
+
+
+def test_load_refuses_earlier_files_that_disagree(tmp_path):
+    sys_, (ds, ds_f) = _earlier_datasets()
+    # stored weights that differ from the rule's, even where every
+    # (+w, -w) pair still agrees, and stored counts that differ
+    cases = [
+        (ds, {"q_sqrt_weights": 2.0 * ds.q_sqrt_weights}, "q_sqrt_weights"),
+        (ds_f, {"q_sqrt_weights": 2.0 * ds_f.q_sqrt_weights}, "q_sqrt_weights"),
+        (ds_f, {"p_nodes": np.abs(ds_f.p_nodes)}, "p_nodes"),
+        (ds, {"m": 1}, "m"),
+    ]
+    for i, (dataset, changes, name) in enumerate(cases):
+        _write_earlier_format(dataset, tmp_path / str(i), **changes)
+        with pytest.raises(ValueError, match=f"^stored {name} disagrees with"):
+            load_dataset(tmp_path / str(i))
+    # a frequency file collected without conjugate closure holds samples
+    # at the positive nodes only, whose matrices stay complex
+    th, s = 1j * ds_f.rule_p.nodes, 1j * ds_f.rule_q.nodes
+    raw = {
+        "conjugate_closure": False,
+        "p_nodes": ds_f.rule_p.nodes, "p_sqrt_weights": ds_f.rule_p.sqrt_weights,
+        "q_nodes": ds_f.rule_q.nodes, "q_sqrt_weights": ds_f.rule_q.sqrt_weights,
+        "N_p": th.size, "N_q": s.size,
+        "tf1_in": sys_.tf1(s), "tf1_out": sys_.tf1(th),
+        "tf2_cross": np.moveaxis(sys_.tf2_grid(-th, s), 2, 0),
+        "tf2_quad": np.moveaxis(sys_.tf2_grid(-th, th), 2, 0),
+    }
+    _write_earlier_format(ds_f, tmp_path / "raw", **raw)
+    with pytest.raises(ValueError, match="written without conjugate closure"):
+        load_dataset(tmp_path / "raw")
+
+
+def test_load_names_the_side_of_a_bad_rule(tmp_path):
+    # the rules arrive from outside through the file; a bad array is
+    # refused where it enters, with the side it belongs to
+    _, datasets = _earlier_datasets()
+    for ds in datasets:
+        save_dataset(ds, tmp_path / ds.domain)
+        path = tmp_path / ds.domain / "samples.npz"
+        with np.load(path) as archive:
+            good = dict(archive)
+        for side in ("rule_p", "rule_q"):
+            nodes = good[f"{side}_nodes"]
+            nan = nodes.copy()
+            nan[1] = np.nan
+            for name, bad in ((f"{side}_nodes", nan),
+                              (f"{side}_nodes", nodes[:, None]),
+                              (f"{side}_nodes", nodes[::-1]),
+                              (f"{side}_sqrt_weights", -good[f"{side}_sqrt_weights"])):
+                np.savez(path, **{**good, name: bad})
+                with pytest.raises(ValueError, match=f"^{side}: "):
+                    load_dataset(tmp_path / ds.domain)
 
 
 # ------------------------------------------------------- non-finite input

@@ -387,13 +387,13 @@ def test_tf2_grid_solves_one_resolvent_per_distinct_node(monkeypatch):
     rng = np.random.default_rng(12)
     sys_ = random_stable_system(rng, n=5, m=2, p=2)
     calls = []
-    solve = LqoSystem._resolvent_rhs
+    solve = LqoSystem._resolvent
 
-    def counted(self, s):
+    def counted(self, s, A, rhs):
         calls.append(s)
-        return solve(self, s)
+        return solve(self, s, A, rhs)
 
-    monkeypatch.setattr(LqoSystem, "_resolvent_rhs", counted)
+    monkeypatch.setattr(LqoSystem, "_resolvent", counted)
     th = np.array([0.3, -0.3, 1.2, -1.2, 4.0, -4.0])
     G = sys_.tf2_grid(-1j * th, 1j * th)
     assert len(calls) == th.size
