@@ -8,7 +8,8 @@ Subcommands
 ``hsv``
     Write normalized Hankel singular values of a system, both the exact
     ones (``HSV_f.csv``) and the singular values of the assembled sample
-    matrix (``HSV_r.csv``), one ``Index,HSV_f`` pair per row.
+    matrix (``HSV_r.csv``), one ``Index,HSV_f`` pair per row, up to the
+    resolvable rank (values above ``1e-13`` of the largest).
 ``reduce``
     Reduce a system by intrusive balanced truncation or by the
     data-driven method (time or frequency domain) and write the reduced
@@ -30,10 +31,11 @@ import argparse
 import json
 import math
 import os
+import sys
 
 import numpy as np
 
-from .databt import lqo_qbt_auto
+from .databt import _resolvable_rank, lqo_qbt_auto
 from .errors import UnstableSystemError
 from .gramians import (
     compute_gramians,
@@ -150,7 +152,11 @@ def cmd_hsv(args):
     r = args.order if args.order is not None else min(hsv_f.size, hsv_r.size)
     os.makedirs(args.out, exist_ok=True)
     for fname, values in (("HSV_f.csv", hsv_f), ("HSV_r.csv", hsv_r)):
-        normalized = values[:r] / values[0]
+        rank = _resolvable_rank(values)  # the values past it are round-off
+        if args.order is not None and r > rank:
+            print(f"{fname}: --order {r} exceeds the resolvable rank {rank}",
+                  file=sys.stderr)
+        normalized = values[:min(r, rank)] / values[0]
         _write_csv(
             os.path.join(args.out, fname),
             "Index,HSV_f",

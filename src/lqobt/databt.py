@@ -61,7 +61,7 @@ from scipy.linalg import qr
 
 from .errors import FrequencyCollisionError
 from .model import ReducedLqoSystem
-from .numcore import svd
+from .numcore import SvdResult, svd
 from .quadrature import QuadratureRule
 
 __all__ = [
@@ -85,6 +85,7 @@ TIE_TOL = 1e-12
 # held-out residuals up to 9e-11, eight 2e-12), and the residual that raises
 PROBES = 8
 MODE_TOL = 1e-10
+SKETCH, SKETCH_MARGIN = 64, 8  # _leading_svd's first width, and its margin
 # bound on the complex quadratic Loewner rows at one controllability node;
 # the frequency route's probe stage holds about 34 times those rows, so a
 # collection whose rows at one node exceed it is refused
@@ -624,12 +625,16 @@ def _real_pairs(Y, outer, rows=(), cols=(), sign=1.0, out=None):
 # ---------------------------------------------------------------------------
 
 
+def _resolvable_rank(S):
+    """How many of the singular values `S` exceed ``RANK_TOL * S[0]``."""
+    return int(np.count_nonzero(S > RANK_TOL * S[:1]))
+
+
 def _truncation_guard(S, r, max_r):
     if S.size == 0 or S[0] == 0.0:
         raise ValueError("H, the product L'U of the Gramian factors or its "
                          "quadrature, is identically zero")
-    rank = int(np.count_nonzero(S > RANK_TOL * S[0]))
-    limit = min(rank, max_r)
+    limit = min(_resolvable_rank(S), max_r)
     if not 1 <= r <= limit:
         raise ValueError(f"order {r} outside [1, {limit}] (resolvable rank)")
     if r < S.size and S[r - 1] - S[r] <= TIE_TOL * S[0]:
@@ -658,9 +663,9 @@ def reduce_from_matrices(dm, r, factors=None):
     ``A_r = S^{-1/2} Z' M Y S^{-1/2}``, ``B_r = S^{-1/2} Z' h``,
     ``C_r = g Y S^{-1/2}``, ``M_rq = S^{-1/2} Y' K_q Y S^{-1/2}``
     with ``(Z, S, Y)`` the rank-`r` truncated SVD of ``H``. A precomputed
-    decomposition of ``dm.H`` can be passed as `factors` so that sweeps
-    over several orders decompose only once. The model's provenance is
-    ``"<domain>-qbt"``.
+    decomposition of ``dm.H`` (or its leading triplets) can be passed as
+    `factors` so that sweeps over several orders decompose only once. The
+    model's provenance is ``"<domain>-qbt"``.
     """
     if np.iscomplexobj(dm.H):
         raise ValueError("complex data matrices cannot produce a real reduced "
@@ -678,22 +683,39 @@ def reduce_from_matrices(dm, r, factors=None):
 
 
 def _reduce_orders(dm, orders):
-    """Singular values of ``dm.H`` and one reduced model per entry of
-    `orders`, all from a single decomposition."""
-    res = svd(dm.H)
+    """Leading singular values of ``dm.H`` (:func:`_leading_svd`) and one
+    reduced model per entry of `orders`, all from a single decomposition."""
+    res = _leading_svd(dm.H)
     return res.S, [reduce_from_matrices(dm, r, factors=res) for r in orders]
+
+
+def _leading_svd(X):
+    """Leading singular triplets ``(Q Z_B, S, Y)`` of `X` from ``Q'X = Z_B S
+    Y'``, ``Q = orth(X W)`` (Halko-Martinsson-Tropp, SIAM Rev. 2011, Alg.
+    4.1/4.2). The Gaussian `W`, from a fresh seed-0 generator, has `k` =
+    ``SKETCH`` columns, doubled while ``k - SKETCH_MARGIN`` values or more
+    are resolvable; at ``min(X.shape)`` this is the exact SVD."""
+    rng = np.random.default_rng(0)
+    k = SKETCH
+    while k < min(X.shape):
+        Q = qr(X @ rng.standard_normal((X.shape[1], k)), mode="economic")[0]
+        res = svd(Q.T @ X)
+        if _resolvable_rank(res.S) < k - SKETCH_MARGIN:
+            return SvdResult(Q @ res.Z, res.S, res.Y)
+        k *= 2
+    return svd(X)
 
 
 def lqo_qbt(ds, r):
     """Quadrature-based balanced truncation from a kernel dataset.
 
-    Reduces the five data matrices to order `r`; see
-    :func:`reduce_from_matrices`. Time-domain datasets give provenance
-    ``"time-qbt"`` and run the driver of :func:`lqo_qbt_streamed` on
-    slices of their arrays. Frequency-domain ones give ``"freq-qbt"``
-    through their real matrices (:func:`_freq_compressed`). Neither
-    assembles the quadratic rows whole; both give the model of
-    :func:`build_data_matrices`.
+    Reduces the five data matrices to order `r` through the leading
+    triplets of ``H`` (:func:`_reduce_orders`). Time-domain datasets give
+    provenance ``"time-qbt"`` and run the driver of
+    :func:`lqo_qbt_streamed` on slices of their arrays. Frequency-domain
+    ones give ``"freq-qbt"`` through their real matrices
+    (:func:`_freq_compressed`). Neither assembles the quadratic rows
+    whole; both give the model of :func:`build_data_matrices`.
 
     Parameters
     ----------
@@ -707,7 +729,7 @@ def lqo_qbt(ds, r):
     :class:`~lqobt.model.ReducedLqoSystem`
     """
     if ds.domain == "freq":
-        return reduce_from_matrices(_freq_compressed(ds), r)
+        return _reduce_orders(_freq_compressed(ds), [r])[1][0]
 
     def read(shifted, ku, ju):
         # one slice of (q, k, j, i, a, b), moved to the sampler's layout
@@ -717,7 +739,7 @@ def lqo_qbt(ds, r):
     dm = _time_compressed(read, ds.p_sqrt_weights, ds.q_sqrt_weights,
                           ds.h1_sum, ds.dh1_sum,
                           (ds.h1_in, ds.h2_in, ds.h1_out, ds.h2_quad))
-    return reduce_from_matrices(dm, r)
+    return _reduce_orders(dm, [r])[1][0]
 
 
 def lqo_qbt_auto(sampler, rule_p, rule_q, orders, domain="time"):
@@ -735,7 +757,9 @@ def lqo_qbt_auto(sampler, rule_p, rule_q, orders, domain="time"):
     Returns
     -------
     tuple ``(singular_values, roms)`` with one reduced model per entry of
-    `orders`.
+    `orders`. The singular values are the leading ones of ``H``: all above
+    ``RANK_TOL`` of the largest and at least 8 more, or all when ``H`` is
+    no wider than the sketch (:func:`_leading_svd`).
     """
     if domain == "time":
         return lqo_qbt_streamed(sampler, rule_p, rule_q, orders)
@@ -854,8 +878,10 @@ def lqo_qbt_streamed(sampler, rule_p, rule_q, orders):
     products. The quadratic rows shrink from ``p N_p N_q m`` to
     ``p r_k r_j``.
 
-    The compressed rows are read off a cross of the samples, not
-    contracted from all ``N_p^2 N_q`` of them: the core equals
+    The bases and ``H``'s truncated SVD come from sketches whose width
+    follows the rank (:func:`_leading_svd`). The compressed rows are read
+    off a cross of the samples, not contracted from all ``N_p^2 N_q`` of
+    them: the core equals
     ``(V_k[I_k]^{-1} (x) V_j[I_j]^{-1}) X[I_k, I_j, :]`` at Q-DEIM rows
     ``I_k``, ``I_j`` of the bases (:func:`_compressed_matrices`). So
     beyond the probe fibres the sampler is asked for one
@@ -882,8 +908,7 @@ def lqo_qbt_streamed(sampler, rule_p, rule_q, orders):
 
     Returns
     -------
-    tuple ``(singular_values, roms)`` with the singular values of ``H``
-    and one reduced model per entry of `orders`.
+    tuple ``(singular_values, roms)`` as :func:`lqo_qbt_auto` gives it.
     """
     t, tau = rule_p.nodes, rule_q.nodes
     h1_sum = _grid(sampler, "h1_grid", (tau, t))
@@ -944,11 +969,11 @@ def _mode_bases(quad, n_k, n_j):
     Each basis holds the left singular vectors above ``RANK_TOL`` of the
     mode's probe fibres: the rows of ``H`` at every unit of the mode and
     at ``PROBES`` evenly spread units of the other, unfolded to the mode's
-    rows. This range finder needs no Gram matrix. The fibres midway
-    between the probes must lie in the basis, and match their interpolant
-    ``V V[I]^{-1} F[I]``, to within ``MODE_TOL`` of their norm, or this
-    raises: the samples are not of low rank in that mode, or the rows
-    ``I`` are ill-conditioned."""
+    rows, from the seeded range finder :func:`_leading_svd`. The fibres
+    midway between the probes must lie in the basis, and match their
+    interpolant ``V V[I]^{-1} F[I]``, to within ``MODE_TOL`` of their
+    norm, or this raises: the samples are not of low rank in that mode, or
+    the rows ``I`` are ill-conditioned."""
     def unfolding(mode, idx):
         if mode == "k":
             X = quad(False, np.arange(n_k), idx)
@@ -960,10 +985,9 @@ def _mode_bases(quad, n_k, n_j):
     for mode, n in (("k", n_j), ("j", n_k)):
         probes = np.unique(np.linspace(0, n - 1, PROBES).round().astype(int))
         held = np.setdiff1d((probes[:-1] + probes[1:]) // 2, probes)
-        # the transpose is tall, so its SVD runs on a small triangle
-        res = svd(unfolding(mode, probes).T, left=False)
+        res = _leading_svd(unfolding(mode, probes))
         # an identically zero mode keeps one direction, which reads zeros
-        V = res.Y[:, :max(1, np.count_nonzero(res.S > RANK_TOL * res.S[0]))]
+        V = res.Z[:, :max(1, _resolvable_rank(res.S))]
         F = unfolding(mode, held) if held.size else V[:, :0]
         _check_held_out(F, V @ (V.T @ F), f"outside the {mode}-mode basis of "
                         "the probes; the samples are not of low rank")

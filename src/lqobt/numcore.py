@@ -194,8 +194,7 @@ class SvdResult:
     `Z` and `Y` have orthonormal columns; `S` is nonincreasing and
     nonnegative. Column signs (phases, in the complex case) are fixed
     deterministically: the first entry of each left singular vector with
-    magnitude above 1e-12 is made real and positive. A right-factor-only
-    decomposition has ``Z = None`` and fixes the signs on `Y` instead.
+    magnitude above 1e-12 is made real and positive.
     """
 
     Z: np.ndarray
@@ -203,21 +202,17 @@ class SvdResult:
     Y: np.ndarray
 
 
-def svd(M, left=True):
-    """Economy SVD with a deterministic sign convention.
+def svd(M):
+    """Economy SVD (LAPACK ``gesdd``) with a deterministic sign convention.
 
-    LAPACK's ``gesdd`` reduces a tall matrix through its QR factorization
-    itself (on 2 cores 0.07 s for 2,700 x 200, where an explicit ``Q R``
-    followed by ``Q @ Zr`` took 0.14 s); only a right-factor-only call
-    reduces it here, to the triangle alone.
+    The data routes factor only the small projections of their sketches
+    through it (:func:`lqobt.databt._leading_svd`), or a matrix no wider
+    than the sketch; the intrusive route factors its whole ``L'U``.
 
     Parameters
     ----------
     M
         Real or complex matrix (may have zero rows or columns).
-    left
-        With ``False`` the left factor is not formed (``Z`` is None) and
-        the sign convention pins `Y` instead.
 
     Returns
     -------
@@ -228,13 +223,8 @@ def svd(M, left=True):
         raise ValueError(f"expected a matrix, got shape {M.shape}")
     if M.size and not np.isfinite(M).all():
         raise ValueError("non-finite input to svd")
-    if not left and M.shape[0] > 2 * M.shape[1] > 0:
-        M = spla.qr(M, mode="raw")[1]  # the triangle; Q is never formed
     Z, S, Yh = spla.svd(M, full_matrices=False)
     Y = Yh.conj().T
-    if not left:
-        Y /= _lead_phases(Y)
-        return SvdResult(Z=None, S=S, Y=Y)
     phase = _lead_phases(Z)
     Z /= phase
     Y *= phase.conj()

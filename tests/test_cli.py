@@ -107,6 +107,21 @@ def test_hsv_order_flag_limits_rows(tmp_path):
         assert len(rows) == 3
 
 
+def test_hsv_order_past_the_resolvable_rank_writes_no_round_off(tmp_path, capsys):
+    # an n=6 system resolves 6 values; the other 34 sample-matrix values
+    # are round-off, which no table may list
+    manifest = _synth(tmp_path, n=6)
+    out = str(tmp_path / "hsv")
+    main(["hsv", "--system", manifest, "--np", "40", "--order", "100",
+          "--out", out])
+    err = capsys.readouterr().err
+    for fname in ("HSV_f.csv", "HSV_r.csv"):
+        _, rows = _read_csv(os.path.join(out, fname))
+        values = np.array([float(r[1]) for r in rows])
+        assert len(rows) == 6 and values.min() > 1e-13
+        assert f"{fname}: --order 100 exceeds the resolvable rank 6" in err
+
+
 def test_reduce_bt_full_order_reproduces_system(tmp_path):
     manifest = _synth(tmp_path, n=4)
     out = str(tmp_path / "rom")

@@ -31,6 +31,7 @@ from lqobt import (
     build_data_matrices,
     collect_freq_data,
     collect_time_data,
+    compute_gramians,
     h2_error,
     h2_norm,
     intrusive_bt,
@@ -493,6 +494,31 @@ def test_streamed_samples_come_in_bounded_blocks(monkeypatch):
         assert a <= Vk.shape[1] < len(rule_p)
         assert b <= Vj.shape[1] < len(rule_q)
         assert c == len(rule_p)
+
+
+def test_data_route_factors_only_sketch_sized_matrices(monkeypatch):
+    # the probe unfoldings and H are factored through their projections
+    # onto sketches of SKETCH columns, never whole; the intrusive oracle,
+    # which checks that route, still factors its whole L'U
+    sys_ = synthesize_system(10, damping=(0.1, 3.0), gain_decay=0.85, seed=21)
+    rule = log_trapezoid(1e-2, 1e2, 200)
+    factored, exact = [], databt.svd
+
+    def spied(*args, **kwargs):
+        factored.append(args[0])
+        return exact(*args, **kwargs)
+
+    monkeypatch.setattr(databt, "svd", spied)
+    lqo_qbt_auto(sys_, rule, rule, [4])
+    assert len(factored) == 3
+    assert all(min(X.shape) <= databt.SKETCH for X in factored)
+    factored.clear()
+    # at n=70 L'U is 140 x 70, past the sketch width on both sides
+    big = synthesize_system(70, damping=(0.1, 3.0), gain_decay=0.85, seed=21)
+    gram = compute_gramians(big)
+    intrusive_bt(big, 4, gram)
+    assert len(factored) == 1 and min(factored[0].shape) > databt.SKETCH
+    assert np.array_equal(factored[0], gram.L.T @ gram.U)
 
 
 def test_ill_conditioned_interpolation_rows_raise(monkeypatch):

@@ -361,23 +361,6 @@ def test_svd_sign_fix_matches_column_loop():
         assert np.abs(res.Y - Y_want).max(initial=0.0) <= tol
 
 
-def test_svd_right_factor_only():
-    rng = np.random.default_rng(37)
-    for M in (rng.standard_normal((120, 7)), rng.standard_normal((5, 8)),
-              rng.standard_normal((60, 4)) + 1j * rng.standard_normal((60, 4))):
-        full, right = svd(M), svd(M, left=False)
-        assert right.Z is None
-        assert np.allclose(right.S, full.S, rtol=1e-13, atol=0)
-        k = right.S.size
-        assert np.abs(right.Y.conj().T @ right.Y - np.eye(k)).max() <= 1e-12
-        # the same vectors up to phase, now pinned on Y: its first sizable
-        # entry of each column is real and positive
-        overlap = np.abs(full.Y.conj().T @ right.Y)
-        assert np.allclose(overlap, np.eye(k), rtol=0, atol=1e-10)
-        lead = right.Y[np.argmax(np.abs(right.Y) > 1e-12, axis=0), np.arange(k)]
-        assert np.all(lead.real > 0) and np.allclose(lead.imag, 0.0, atol=1e-15)
-
-
 def test_svd_rejects_nonfinite():
     with pytest.raises(ValueError):
         svd(np.array([[1.0, np.inf]]))

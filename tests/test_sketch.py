@@ -1,0 +1,91 @@
+"""Tests for the seeded randomized range finder of the data routes,
+``databt._leading_svd``, against the exact SVD of ``numcore.svd``."""
+
+import numpy as np
+
+from lqobt import databt
+from lqobt.databt import SKETCH, _leading_svd, _resolvable_rank
+from lqobt.numcore import svd
+
+
+def _of_rank(rank, shape, seed):
+    """A random matrix of exactly `rank` with geometrically spread values,
+    from 1 down to 1e-6: every one is resolvable, and the subspaces are
+    determined to about 1e-10."""
+    rng = np.random.default_rng(seed)
+    U = np.linalg.qr(rng.standard_normal((shape[0], rank)))[0]
+    V = np.linalg.qr(rng.standard_normal((shape[1], rank)))[0]
+    return (U * np.logspace(0, -6, rank)) @ V.T
+
+
+def _count_svd_calls(monkeypatch):
+    calls = []
+
+    def counted(M):
+        calls.append(M.shape)
+        return svd(M)
+
+    monkeypatch.setattr(databt, "svd", counted)
+    return calls
+
+
+def _assert_leading_triplets_match(got, X):
+    want = svd(X)
+    rank = _resolvable_rank(want.S)
+    assert _resolvable_rank(got.S) == rank
+    assert np.abs(got.S[:rank] - want.S[:rank]).max() <= 1e-13 * want.S[0]
+    # the same subspaces on both sides, through their projectors
+    for a, b in ((got.Z, want.Z), (got.Y, want.Y)):
+        a, b = a[:, :rank], b[:, :rank]
+        assert np.abs(a.T @ a - np.eye(rank)).max() <= 1e-12
+        assert np.linalg.norm(a @ a.T - b @ b.T, 2) <= 1e-8
+
+
+def test_low_rank_matches_the_exact_svd(monkeypatch):
+    calls = _count_svd_calls(monkeypatch)
+    for rank, shape in ((1, (300, 200)), (20, (300, 200)), (40, (150, 900))):
+        X = _of_rank(rank, shape, seed=rank)
+        calls.clear()
+        res = _leading_svd(X)
+        # one sketch, and an SVD of its small projection only
+        assert calls == [(SKETCH, shape[1])]
+        assert res.S.size == SKETCH
+        _assert_leading_triplets_match(res, X)
+
+
+def test_rank_near_the_sketch_width_doubles_it(monkeypatch):
+    calls = _count_svd_calls(monkeypatch)
+    X = _of_rank(60, (400, 300), seed=60)
+    res = _leading_svd(X)
+    assert calls == [(SKETCH, 300), (2 * SKETCH, 300)]
+    assert res.S.size == 2 * SKETCH
+    _assert_leading_triplets_match(res, X)
+
+
+def test_full_rank_takes_the_exact_path():
+    rng = np.random.default_rng(5)
+    # no wider than the sketch, and wider than it but of full rank
+    for shape in ((200, 50), (100, 70), (90, 300)):
+        X = rng.standard_normal(shape)
+        res, want = _leading_svd(X), svd(X)
+        for got, exact in zip((res.Z, res.S, res.Y), (want.Z, want.S, want.Y)):
+            assert np.array_equal(got, exact)
+
+
+def test_zero_matrix_gives_zero_values_and_orthonormal_factors():
+    res = _leading_svd(np.zeros((200, 100)))
+    assert res.S.size == SKETCH and not res.S.any()
+    assert _resolvable_rank(res.S) == 0
+    for F in (res.Z, res.Y):
+        assert np.abs(F.T @ F - np.eye(SKETCH)).max() <= 1e-14
+
+
+def test_sketch_is_seeded_apart_from_the_global_state():
+    X = _of_rank(30, (250, 180), seed=9)
+    np.random.seed(123)
+    state = np.random.get_state()
+    a, b = _leading_svd(X), _leading_svd(X)
+    after = np.random.get_state()
+    assert all(np.array_equal(u, v) for u, v in zip(state, after))
+    for u, v in zip((a.Z, a.S, a.Y), (b.Z, b.S, b.Y)):
+        assert np.array_equal(u, v)
