@@ -76,6 +76,16 @@ def _order_range(text):
     return list(range(int(lo), int(hi) + 1))
 
 
+def _node_counts(text):
+    """An argparse type: comma-separated node counts, each at least 2, as
+    a rule needs."""
+    counts = text.split(",")
+    if not all(v.isdigit() and int(v) >= 2 for v in counts):
+        raise argparse.ArgumentTypeError(
+            f"needs comma-separated integers of at least 2, got {text!r}")
+    return [int(v) for v in counts]
+
+
 def _make_rule(kind, interval, n):
     a, b = interval
     if kind == "trapezoid":
@@ -243,12 +253,11 @@ def cmd_h2_sweep(args):
     sys_ = _load(args)
     gram = compute_gramians(sys_)
 
-    if args.nodes:
-        counts = [int(v) for v in args.nodes.split(",")]
+    if args.nodes is not None:
         bt_err = _safe_error(sys_, intrusive_bt(sys_, args.order, gram))
 
         rows = []
-        for n in counts:
+        for n in args.nodes:
             sub = argparse.Namespace(**vars(args))
             sub.np, sub.nq = n, n
             rule_p, rule_q = _rules_from_args(sub, args.domain)
@@ -347,8 +356,10 @@ def main(argv=None):
     _add_quadrature_flags(s)
     s.add_argument("--domain", choices=["time", "freq"], default="time")
     group = s.add_mutually_exclusive_group(required=True)
-    group.add_argument("--nodes", default=None,
-                       help="comma-separated node counts (error vs N)")
+    group.add_argument("--nodes", type=_node_counts, default=None,
+                       metavar="N1,N2,...",
+                       help="comma-separated node counts, each at least 2 "
+                            "(error vs N)")
     group.add_argument("--orders", type=_order_range, default=None,
                        metavar="LO:HI",
                        help="inclusive order range, 1 <= LO <= HI (error vs r)")

@@ -1,5 +1,5 @@
-"""Shared test helpers: random stable systems, random rules, and explicit
-quadrature-factor oracles.
+"""Shared test helpers: random stable systems, random rules, explicit
+quadrature-factor oracles, and the complex frequency matrices.
 
 The factor builders are deliberately naive (one matrix exponential or
 resolvent solve per node, columns assembled with hstack) so that they form
@@ -12,6 +12,7 @@ import numpy as np
 import scipy.linalg as spla
 
 from lqobt import LqoSystem, QuadratureRule, compute_gramians, h2_norm
+from lqobt.databt import DataMatrices, _io_blocks, _loewner
 from lqobt.numcore import expm
 
 
@@ -106,6 +107,35 @@ def freq_factors(sys_, th, rho, s, phi):
         for j in range(s.size)
     ])
     return U, np.hstack([L1, L2])
+
+
+def complex_freq_matrices(ds):
+    """The complex data matrices of a frequency dataset, whole, before the
+    pairing that makes them real: linear rows ``(j, q)``, quadratic rows
+    ``(q, k, j, a)`` and columns ``(l, b)`` at all the closed nodes. The
+    realification's oracle, which no route calls."""
+    th, rho = ds.p_nodes, ds.p_sqrt_weights
+    s, phi = ds.q_nodes, ds.q_sqrt_weights
+    nc = ds.Np * ds.m
+    h, g, K = _io_blocks(ds.tf1_in, ds.tf2_cross, ds.tf1_out, ds.tf2_quad,
+                         phi, rho)
+    rk = rho[:, None, None, None, None]
+    # row node j and column node l on the last four axes (j, x, l, y)
+    sj, thl = s[:, None, None, None], th[:, None]
+    w = phi[:, None, None, None] * rho[:, None]
+
+    def rows(shifted):
+        # (j, q, l, b)
+        linear = _loewner(ds.tf1_in[:, :, None], ds.tf1_out.transpose(1, 0, 2),
+                          sj, thl, w, shifted)
+        # (q, k, j, a, l, b)
+        quad = _loewner(rk * ds.tf2_cross[..., None, :],
+                        rk * ds.tf2_quad.transpose(0, 1, 3, 2, 4)[:, :, None],
+                        sj, thl, w, shifted)
+        return np.vstack([linear.reshape(-1, nc), quad.reshape(-1, nc)])
+
+    return DataMatrices(H=rows(False), M=rows(True), h=h, g=g, K=K,
+                        domain="freq")
 
 
 def factor_products(sys_, U, L, hermitian=False):

@@ -13,6 +13,7 @@ import time
 import numpy as np
 
 from conftest import (
+    complex_freq_matrices,
     factor_products,
     freq_factors,
     random_rule,
@@ -37,7 +38,6 @@ from lqobt import (
     svd,
     synthesize_system,
 )
-from lqobt import databt
 
 _CACHE = {}
 
@@ -136,7 +136,7 @@ def _equivalence_devs(cases):
         # the complex matrices at the conjugate-closed nodes, before the
         # pairing that makes them real
         ds_f = collect_freq_data(sys_, rule_p, rule_q)
-        dm_f = databt._complex_freq_matrices(ds_f)
+        dm_f = complex_freq_matrices(ds_f)
         U, L = freq_factors(sys_, ds_f.p_nodes, ds_f.p_sqrt_weights,
                             ds_f.q_nodes, ds_f.q_sqrt_weights)
         prod_f = factor_products(sys_, U, L, hermitian=True)

@@ -326,6 +326,22 @@ def test_h2_sweep_over_orders(tmp_path):
     assert np.all(table[:, 1:] >= 0.0)
 
 
+def test_h2_sweep_malformed_node_counts_are_usage_errors(tmp_path, capsys):
+    # an empty list, a trailing comma and a count a rule cannot take are
+    # argparse errors (exit 2) that name the flag, and nothing is written
+    manifest = _synth(tmp_path, n=4)
+    out = str(tmp_path / "sweep.csv")
+    capsys.readouterr()
+    for nodes in ("", "5,", "10,x", "1", "10,-3"):
+        with pytest.raises(SystemExit) as exc:
+            main(["h2-sweep", "--system", manifest, "--nodes", nodes,
+                  "--order", "2", "--out", out])
+        assert exc.value.code == 2
+        assert ("argument --nodes: needs comma-separated integers of at "
+                f"least 2, got {nodes!r}") in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+
 def test_select_restricts_to_one_channel_pair(tmp_path):
     manifest = _synth(tmp_path, n=4, extra=("--inputs", "2", "--outputs", "2"))
     out = str(tmp_path / "hsv")

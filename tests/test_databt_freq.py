@@ -16,6 +16,7 @@ from conftest import (
     ShortSampler,
     UncallableSampler,
     assert_matrices_match,
+    complex_freq_matrices,
     factor_products,
     freq_factors,
     random_rule,
@@ -105,7 +106,7 @@ def test_scalar_loewner_entries_closed_form():
     rule_p = rule_of([1.0, 3.0], [0.8, 1.2])
     rule_q = rule_of([0.5, 2.0], [1.5, 0.6])
     ds = collect_freq_data(sys_, rule_p, rule_q)
-    dm = databt._complex_freq_matrices(ds)
+    dm = complex_freq_matrices(ds)
     th, rho = ds.p_nodes, ds.p_sqrt_weights
     s, phi = ds.q_nodes, ds.q_sqrt_weights
 
@@ -141,7 +142,7 @@ def test_sample_matrices_equal_resolvent_factor_products():
         rule_p = random_rule(rng, max_nodes=5, lo=0.2, hi=4.0)
         rule_q = random_rule(rng, max_nodes=4, lo=0.2, hi=4.0, avoid=rule_p)
         ds = collect_freq_data(sys_, rule_p, rule_q)
-        dm = databt._complex_freq_matrices(ds)
+        dm = complex_freq_matrices(ds)
         U, L = freq_factors(
             sys_, ds.p_nodes, ds.p_sqrt_weights,
             ds.q_nodes, ds.q_sqrt_weights,
@@ -156,7 +157,7 @@ def test_quadratic_blocks_are_hermitian():
     rule_p = random_rule(rng, lo=0.3, hi=5.0)
     rule_q = random_rule(rng, lo=0.3, hi=5.0, avoid=rule_p)
     ds = collect_freq_data(sys_, rule_p, rule_q)
-    dm = databt._complex_freq_matrices(ds)
+    dm = complex_freq_matrices(ds)
     for Kq in dm.K:
         assert np.abs(Kq - Kq.conj().T).max() <= 1e-13 * (1 + np.abs(Kq).max())
 
@@ -168,13 +169,15 @@ def _pair_unitary():
     return np.array([[1.0, 1.0], [-1.0j, 1.0j]]) / np.sqrt(2.0)
 
 
-def test_realification_matches_explicit_unitary():
+@pytest.mark.parametrize("m, p", [(2, 1), (1, 2), (2, 2)])
+def test_realification_matches_explicit_unitary(m, p):
     # the axis-wise pair transform must equal the full Kronecker unitary
     # (formed explicitly here, which only the test can afford); the second
     # rule pair has different node counts on the two sides (10 and 8 after
-    # closure), so a swapped axis in the layout cannot go unnoticed
+    # closure), and the input and output counts differ, so a swapped axis
+    # in the layout cannot go unnoticed
     rng = np.random.default_rng(101)
-    sys_ = random_stable_system(rng, n=3, m=2, p=2)
+    sys_ = random_stable_system(rng, n=3, m=m, p=p)
     for rule_p, rule_q in [
         (rule_of([0.7, 2.0], [0.9, 1.4]), rule_of([0.4, 1.1], [1.2, 0.8])),
         (log_trapezoid(0.05, 20.0, 5), log_trapezoid(0.07, 28.0, 4)),
@@ -183,7 +186,7 @@ def test_realification_matches_explicit_unitary():
 
 
 def _check_against_explicit_unitary(ds):
-    dm_c = databt._complex_freq_matrices(ds)
+    dm_c = complex_freq_matrices(ds)
     dm_r = build_freq_matrices(ds)
     for X in (dm_r.H, dm_r.M, dm_r.h, dm_r.g, *dm_r.K):
         assert not np.iscomplexobj(X)
@@ -203,7 +206,9 @@ def _check_against_explicit_unitary(ds):
     T_rows = np.zeros((dm_c.H.shape[0],) * 2, dtype=complex)
     T_rows[:nl, :nl] = T_lin
     T_rows[nl:, nl:] = T_quad
-    T_cols = np.kron(np.eye(Np // 2), np.kron(T2, np.eye(m)))
+    # columns (l pair, slot, b) paired, then permuted to (l pair, b, slot)
+    perm = np.arange(Np * m).reshape(Np // 2, 2, m).transpose(0, 2, 1).ravel()
+    T_cols = np.kron(np.eye(Np // 2), np.kron(T2, np.eye(m)))[perm]
 
     def close(got, want):
         scale = 1.0 + np.abs(want).max()
@@ -223,7 +228,7 @@ def test_realification_preserves_singular_values():
     rule_p = random_rule(rng, lo=0.2, hi=3.0)
     rule_q = random_rule(rng, lo=0.2, hi=3.0, avoid=rule_p)
     ds = collect_freq_data(sys_, rule_p, rule_q)
-    S_c = svd(databt._complex_freq_matrices(ds).H).S
+    S_c = svd(complex_freq_matrices(ds).H).S
     S_r = svd(build_freq_matrices(ds).H).S
     assert np.allclose(S_r, S_c, rtol=1e-10, atol=1e-12 * S_c[0])
 
@@ -235,7 +240,7 @@ def test_complex_matrices_cannot_be_reduced():
         r"^complex data matrices cannot produce a real reduced model; "
         r"realify them as build_freq_matrices does$"
     )):
-        reduce_from_matrices(databt._complex_freq_matrices(ds), 1)
+        reduce_from_matrices(complex_freq_matrices(ds), 1)
 
 
 # --------------------------------------------------------------- reduction
@@ -353,16 +358,16 @@ def test_compressed_route_never_builds_the_whole_rows(monkeypatch):
         raise AssertionError("the whole data matrices were assembled")
 
     sizes = []
-    quadratic_rows = databt._quadratic_rows
+    loewner = databt._loewner
 
     def recorded(*args):
-        out = quadratic_rows(*args)
+        out = loewner(*args)
         sizes.append(out.nbytes)
         return out
 
     monkeypatch.setattr(databt, "build_freq_matrices", whole)
     monkeypatch.setattr(databt, "build_data_matrices", whole)
-    monkeypatch.setattr(databt, "_quadratic_rows", recorded)
+    monkeypatch.setattr(databt, "_loewner", recorded)
     rom = lqo_qbt(ds, 3)
     _, (rom_auto,) = lqo_qbt_auto(sys_, rule_p, rule_q, [3], domain="freq")
     # the positive-node half of the complex quadratic rows, which the
@@ -546,7 +551,7 @@ class TwoInputUncallableSampler(UncallableSampler):
 
 def test_auto_freq_size_guard_bounds_the_peak():
     # the route's probe stage holds the samples and the probe slices, about
-    # 34 times the complex Loewner rows at one controllability node; so a
+    # 26 times the complex Loewner rows at one controllability node; so a
     # collection whose rows at one node exceed FREQ_BLOCK_BYTES is refused:
     # one input and output admit 512 nodes a side (1024 after closure,
     # 16 MiB a node) and refuse 513, two inputs a quarter
@@ -617,4 +622,4 @@ def test_conjugate_asymmetric_samples_are_rejected(family, index):
     with pytest.raises(ValueError, match=f"{family} is not conjugate symmetric"):
         lqo_qbt(ds, 2)
     # the complex analysis path does not realify and needs no symmetry
-    assert np.iscomplexobj(databt._complex_freq_matrices(ds).H)
+    assert np.iscomplexobj(complex_freq_matrices(ds).H)
