@@ -63,11 +63,10 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import qr
 
 from .errors import FrequencyCollisionError
 from .model import ReducedLqoSystem
-from .numcore import SvdResult, svd
+from .numcore import SvdResult, _lead_phases, svd
 from .quadrature import QuadratureRule
 
 __all__ = [
@@ -665,16 +664,24 @@ def _reduce_orders(dm, orders):
 def _leading_svd(X):
     """Leading singular triplets ``(Q Z_B, S, Y)`` of `X` from ``Q'X = Z_B S
     Y'``, ``Q = orth(X W)`` (Halko-Martinsson-Tropp, SIAM Rev. 2011, Alg.
-    4.1/4.2). The Gaussian `W`, from a fresh seed-0 generator, has `k` =
-    ``SKETCH`` columns, doubled while ``k - SKETCH_MARGIN`` values or more
-    are resolvable; at ``min(X.shape)`` this is the exact SVD."""
+    4.1/4.2), with :func:`~lqobt.numcore.svd`'s signs. The Gaussian `W`,
+    from a fresh seed-0 generator, has `k` = ``SKETCH`` columns, doubled
+    while ``k - SKETCH_MARGIN`` values or more are resolvable; at
+    ``min(X.shape)`` this is the exact SVD."""
+    # numpy's LAPACK, not scipy's, so that one OpenBLAS thread pool runs
+    # both the products and the factorizations: scipy loads its own, and
+    # two pools of spinning threads alternating on two cores left the
+    # time route at N=400 at 0.95 s a pass against 0.58 s in one pool.
+    # The tall transpose (Q'X)' = Y S Z_B' is the faster layout.
     rng = np.random.default_rng(0)
     k = SKETCH
     while k < min(X.shape):
-        Q = qr(X @ rng.standard_normal((X.shape[1], k)), mode="economic")[0]
-        res = svd(Q.T @ X)
-        if _resolvable_rank(res.S) < k - SKETCH_MARGIN:
-            return SvdResult(Q @ res.Z, res.S, res.Y)
+        Q = np.linalg.qr(X @ rng.standard_normal((X.shape[1], k)))[0]
+        Y, S, ZBt = np.linalg.svd((Q.T @ X).T, full_matrices=False)
+        if _resolvable_rank(S) < k - SKETCH_MARGIN:
+            ZB = ZBt.T
+            phase = _lead_phases(ZB)
+            return SvdResult(Q @ (ZB / phase), S, Y * phase)
         k *= 2
     return svd(X)
 
@@ -983,10 +990,21 @@ def _check_held_out(F, approx, failure):
 
 def _interpolation_rows(V):
     """Q-DEIM rows of a basis `V` (Drmac-Gugercin 2016): the first
-    ``V.shape[1]`` pivots of a column-pivoted QR of ``V'``, in ascending
-    order, so that ``V[I]`` is square and well-conditioned."""
-    pivots = qr(V.T, mode="r", pivoting=True)[1]
-    return np.sort(pivots[: V.shape[1]])
+    ``V.shape[1]`` pivots of a column-pivoted QR of ``V'`` (Businger-
+    Golub), in ascending order, so that ``V[I]`` is square and
+    well-conditioned."""
+    # in numpy, for the one thread pool of _leading_svd: scipy's pivoted
+    # QR of a 50 x 400 V' took 1.4 ms alone but 2-115 ms a call inside the
+    # time route on two cores, and this loop takes 3-4 ms there
+    W = V.T.copy()
+    rows = []
+    for _ in range(V.shape[1]):
+        # the remaining column of largest norm, projected out of the rest
+        i = int(np.argmax(np.einsum("ij,ij->j", W, W)))
+        q = W[:, i] / np.linalg.norm(W[:, i])
+        W -= np.outer(q, q @ W)
+        rows.append(i)
+    return np.sort(rows)
 
 
 # ---------------------------------------------------------------------------

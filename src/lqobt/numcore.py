@@ -205,9 +205,10 @@ class SvdResult:
 def svd(M):
     """Economy SVD (LAPACK ``gesdd``) with a deterministic sign convention.
 
-    The data routes factor only the small projections of their sketches
-    through it (:func:`lqobt.databt._leading_svd`), or a matrix no wider
-    than the sketch; the intrusive route factors its whole ``L'U``.
+    The intrusive route factors its whole ``L'U`` through it. The data
+    routes factor their sketches' projections with numpy's LAPACK
+    (:func:`lqobt.databt._leading_svd`) and call it only on a matrix no
+    wider than the sketch.
 
     Parameters
     ----------

@@ -498,21 +498,27 @@ def test_streamed_samples_come_in_bounded_blocks(monkeypatch):
 
 def test_data_route_factors_only_sketch_sized_matrices(monkeypatch):
     # the probe unfoldings and H are factored through their projections
-    # onto sketches of SKETCH columns, never whole; the intrusive oracle,
-    # which checks that route, still factors its whole L'U
+    # onto sketches of SKETCH columns (transposed, by numpy's LAPACK),
+    # never whole; the intrusive oracle, which checks that route, still
+    # factors its whole L'U through numcore.svd
     sys_ = synthesize_system(10, damping=(0.1, 3.0), gain_decay=0.85, seed=21)
     rule = log_trapezoid(1e-2, 1e2, 200)
-    factored, exact = [], databt.svd
+    sketched, factored = [], []
 
-    def spied(*args, **kwargs):
-        factored.append(args[0])
-        return exact(*args, **kwargs)
+    def spy(module, calls):
+        exact = module.svd
 
-    monkeypatch.setattr(databt, "svd", spied)
+        def spied(*args, **kwargs):
+            calls.append(args[0])
+            return exact(*args, **kwargs)
+
+        monkeypatch.setattr(module, "svd", spied)
+
+    spy(np.linalg, sketched)
+    spy(databt, factored)
     lqo_qbt_auto(sys_, rule, rule, [4])
-    assert len(factored) == 3
-    assert all(min(X.shape) <= databt.SKETCH for X in factored)
-    factored.clear()
+    assert len(sketched) == 3 and not factored
+    assert all(min(X.shape) <= databt.SKETCH for X in sketched)
     # at n=70 L'U is 140 x 70, past the sketch width on both sides
     big = synthesize_system(70, damping=(0.1, 3.0), gain_decay=0.85, seed=21)
     gram = compute_gramians(big)

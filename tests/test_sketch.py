@@ -1,10 +1,21 @@
-"""Tests for the seeded randomized range finder of the data routes,
-``databt._leading_svd``, against the exact SVD of ``numcore.svd``."""
+"""Tests for the factorizations of the data routes: the seeded randomized
+range finder ``databt._leading_svd``, against the exact SVD of
+``numcore.svd``, and the Q-DEIM rows ``databt._interpolation_rows``,
+against scipy's column-pivoted QR."""
 
 import numpy as np
+import scipy.linalg as spla
 
+from conftest import random_stable_system
+from lqobt import (
+    collect_time_data,
+    log_trapezoid,
+    lqo_qbt,
+    lqo_qbt_auto,
+    synthesize_system,
+)
 from lqobt import databt
-from lqobt.databt import SKETCH, _leading_svd, _resolvable_rank
+from lqobt.databt import SKETCH, _interpolation_rows, _leading_svd, _resolvable_rank
 from lqobt.numcore import svd
 
 
@@ -19,13 +30,14 @@ def _of_rank(rank, shape, seed):
 
 
 def _count_svd_calls(monkeypatch):
-    calls = []
+    # the sketch's projections are factored by numpy's LAPACK, transposed
+    calls, exact = [], np.linalg.svd
 
-    def counted(M):
+    def counted(M, *args, **kwargs):
         calls.append(M.shape)
-        return svd(M)
+        return exact(M, *args, **kwargs)
 
-    monkeypatch.setattr(databt, "svd", counted)
+    monkeypatch.setattr(np.linalg, "svd", counted)
     return calls
 
 
@@ -48,7 +60,7 @@ def test_low_rank_matches_the_exact_svd(monkeypatch):
         calls.clear()
         res = _leading_svd(X)
         # one sketch, and an SVD of its small projection only
-        assert calls == [(SKETCH, shape[1])]
+        assert calls == [(shape[1], SKETCH)]
         assert res.S.size == SKETCH
         _assert_leading_triplets_match(res, X)
 
@@ -57,7 +69,7 @@ def test_rank_near_the_sketch_width_doubles_it(monkeypatch):
     calls = _count_svd_calls(monkeypatch)
     X = _of_rank(60, (400, 300), seed=60)
     res = _leading_svd(X)
-    assert calls == [(SKETCH, 300), (2 * SKETCH, 300)]
+    assert calls == [(300, SKETCH), (300, 2 * SKETCH)]
     assert res.S.size == 2 * SKETCH
     _assert_leading_triplets_match(res, X)
 
@@ -89,3 +101,57 @@ def test_sketch_is_seeded_apart_from_the_global_state():
     assert all(np.array_equal(u, v) for u, v in zip(state, after))
     for u, v in zip((a.Z, a.S, a.Y), (b.Z, b.S, b.Y)):
         assert np.array_equal(u, v)
+
+
+def _scipy_rows(V):
+    """The Q-DEIM rows from scipy's column-pivoted QR (LAPACK ``geqp3``)."""
+    return np.sort(spla.qr(V.T, mode="r", pivoting=True)[1][: V.shape[1]])
+
+
+def _assert_scipy_rows(V):
+    rows = _interpolation_rows(V)
+    assert np.array_equal(rows, _scipy_rows(V))
+    assert np.linalg.matrix_rank(V[rows]) == V.shape[1]
+    assert np.linalg.cond(V[rows]) <= 1e3
+
+
+def test_interpolation_rows_are_scipys_pivots():
+    rng = np.random.default_rng(3)
+    for shape in ((400, 50), (200, 1), (160, 40)):
+        _assert_scipy_rows(np.linalg.qr(rng.standard_normal(shape))[0])
+
+
+def test_interpolation_rows_on_two_input_bases(monkeypatch):
+    # the k-mode rows (k, a) of a two-input route pick inputs as well as
+    # nodes; both of its bases pivot as scipy's QR does
+    seen = []
+
+    def spied(V):
+        seen.append(V)
+        return _interpolation_rows(V)
+
+    monkeypatch.setattr(databt, "_interpolation_rows", spied)
+    sys_ = random_stable_system(np.random.default_rng(8), n=12, m=2, p=2)
+    rule = log_trapezoid(1e-2, 20.0, 40)
+    lqo_qbt_auto(sys_, rule, rule, [4])
+    assert len(seen) == 2 and seen[0].shape[0] == 2 * len(rule)
+    for V in seen:
+        _assert_scipy_rows(V)
+
+
+def test_data_routes_call_no_scipy_factorization(monkeypatch):
+    # every factorization of the sketches and the Q-DEIM rows runs in
+    # numpy's LAPACK, whose BLAS pool the routes' products share
+    def refused(*args, **kwargs):
+        raise AssertionError("a data route called a scipy factorization")
+
+    monkeypatch.setattr(spla, "svd", refused)
+    monkeypatch.setattr(spla, "qr", refused)
+    sys_ = synthesize_system(10, damping=(0.1, 3.0), gain_decay=0.85, seed=21)
+    rule = log_trapezoid(1e-2, 1e2, 200)
+    lqo_qbt_auto(sys_, rule, rule, [4])
+    shift = (1e4) ** (0.5 / 59)
+    lqo_qbt_auto(sys_, log_trapezoid(1e-2, 1e2, 60),
+                 log_trapezoid(1e-2 * shift, 1e2 * shift, 60), [4], domain="freq")
+    rule = log_trapezoid(1e-2, 1e2, 2 * SKETCH)
+    lqo_qbt(collect_time_data(sys_, rule, rule), 4)
