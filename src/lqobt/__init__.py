@@ -13,7 +13,6 @@ from .databt import (
     DataMatrices,
     KernelDataset,
     build_data_matrices,
-    build_freq_matrices,
     collect_freq_data,
     collect_time_data,
     load_dataset,
@@ -72,7 +71,6 @@ __all__ = [
     "Trajectory",
     "UnstableSystemError",
     "build_data_matrices",
-    "build_freq_matrices",
     "clenshaw_curtis",
     "collect_freq_data",
     "collect_time_data",

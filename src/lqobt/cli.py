@@ -36,7 +36,6 @@ import sys
 import numpy as np
 
 from .databt import _resolvable_rank, lqo_qbt_auto
-from .errors import UnstableSystemError
 from .gramians import (
     compute_gramians,
     h2_error,
@@ -49,12 +48,35 @@ from .quadrature import clenshaw_curtis, log_trapezoid
 
 __all__ = ["main"]
 
+RULES = {"trapezoid": log_trapezoid, "clenshaw-curtis": clenshaw_curtis}
 
-def _parse_pair(text, name):
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise ValueError(f"{name} must be given as low:high, got {text!r}")
-    return float(parts[0]), float(parts[1])
+
+def _positive_range(strict):
+    """An argparse type: the finite floats ``(low, high)`` of ``low:high``
+    with ``0 < low < high`` if `strict` (a quadrature interval), else
+    ``0 < low <= high``."""
+    def parse(text):
+        try:
+            low, high = map(float, text.split(":"))
+        except ValueError:
+            low = high = math.nan
+        if not 0 < low <= high < math.inf or (strict and low == high):
+            raise argparse.ArgumentTypeError(
+                f"needs low:high with 0 < low {'<' if strict else '<='} high, "
+                f"got {text!r}")
+        return low, high
+
+    return parse
+
+
+def _channel_pair(text):
+    """An argparse type: the zero-based channels ``(IN, OUT)`` of
+    ``IN:OUT``; their bound is checked once the system is loaded."""
+    inp, _, out = text.partition(":")
+    if not (inp.isdigit() and out.isdigit()):
+        raise argparse.ArgumentTypeError(
+            f"needs IN:OUT with zero-based channel indices, got {text!r}")
+    return int(inp), int(out)
 
 
 def _int_at_least(low):
@@ -86,39 +108,30 @@ def _node_counts(text):
     return [int(v) for v in counts]
 
 
-def _make_rule(kind, interval, n):
-    a, b = interval
-    if kind == "trapezoid":
-        return log_trapezoid(a, b, n)
-    if kind == "clenshaw-curtis":
-        return clenshaw_curtis(a, b, n)
-    raise ValueError(f"unknown quadrature rule {kind!r}")
-
-
-def _rules_from_args(args, domain):
-    """Build the two quadrature rules requested on the command line.
+def _rules_from_args(args, domain, n_p, n_q=None):
+    """The two quadrature rules of `n_p` and `n_q` (default `n_p`) nodes
+    that ``--rule`` and ``--interval`` ask for.
 
     In the frequency domain the observability-side nodes are shifted by
     half the step of the finest log lattice holding the trapezoid nodes of
     both counts, so the two node sets interleave instead of colliding
     (divided differences need distinct points)."""
-    interval = _parse_pair(args.interval, "--interval")
-    n_p = args.np
-    n_q = args.nq if args.nq is not None else n_p
-    rule_p = _make_rule(args.rule, interval, n_p)
+    n_q = n_p if n_q is None else n_q
+    a, b = args.interval
+    rule = RULES[args.rule]
+    shift = 1.0
     if domain == "freq":
-        a, b = interval
         shift = (b / a) ** (0.5 / max(math.lcm(n_p - 1, n_q - 1), 1))
-        rule_q = _make_rule(args.rule, (a * shift, b * shift), n_q)
-    else:
-        rule_q = _make_rule(args.rule, interval, n_q)
-    return rule_p, rule_q
+    return rule(a, b, n_p), rule(a * shift, b * shift, n_q)
 
 
 def _load(args):
     sys_ = load_system(args.system)
     if args.select:
-        i, q = (int(v) for v in args.select.split(":"))
+        i, q = args.select
+        if i >= sys_.m or q >= sys_.p:
+            args.error(f"argument --select: {i}:{q} is not below the input "
+                       f"and output counts {sys_.m}:{sys_.p}")
         sys_ = select_channels(sys_, i, q)
     return sys_
 
@@ -144,9 +157,7 @@ def cmd_synth(args):
 
     sys_ = synthesize_system(
         args.n, m=args.inputs, p=args.outputs,
-        damping=_parse_pair(args.damping, "--damping"),
-        freq=_parse_pair(args.freq, "--freq"),
-        gain_decay=args.decay,
+        damping=args.damping, freq=args.freq, gain_decay=args.decay,
         seed=args.seed,
     )
     path = save_system(sys_, args.out, name=args.name)
@@ -157,7 +168,7 @@ def cmd_synth(args):
 def cmd_hsv(args):
     sys_ = _load(args)
     hsv_f = hankel_singular_values(compute_gramians(sys_))
-    rule_p, rule_q = _rules_from_args(args, args.domain)
+    rule_p, rule_q = _rules_from_args(args, args.domain, args.np, args.nq)
     hsv_r, _ = lqo_qbt_auto(sys_, rule_p, rule_q, [], domain=args.domain)
     r = args.order if args.order is not None else min(hsv_f.size, hsv_r.size)
     os.makedirs(args.out, exist_ok=True)
@@ -184,24 +195,20 @@ def cmd_reduce(args):
     else:
         # the method decides the domain; the node stagger depends on it
         domain = "freq" if args.method == "qbt-freq" else "time"
-        rule_p, rule_q = _rules_from_args(args, domain)
+        rule_p, rule_q = _rules_from_args(args, domain, args.np, args.nq)
         _, (rom,) = lqo_qbt_auto(sys_, rule_p, rule_q, [args.order],
                                  domain=domain)
         n_p, n_q = rule_p.nodes.size, rule_q.nodes.size
 
     path = save_system(rom, args.out, name=args.name)
-    try:
-        err = h2_error(sys_, rom)
-        stable = True
-    except UnstableSystemError:
-        err = None
-        stable = False
+    # an H2 error needs both models stable; the full one need not be
+    err = h2_error(sys_, rom) if sys_.is_stable and rom.is_stable else None
     report = {
         "method": args.method,
         "order": args.order,
         "n_p": n_p,
         "n_q": n_q,
-        "rom_stable": stable,
+        "rom_stable": rom.is_stable,
         "h2_error_absolute": None if err is None else repr(err),
         "h2_error_relative": None if err is None else repr(err / h2_norm(sys_)),
     }
@@ -243,10 +250,7 @@ def cmd_simulate(args):
 
 
 def _safe_error(sys_, rom):
-    try:
-        return h2_error(sys_, rom)
-    except UnstableSystemError:
-        return float("nan")
+    return h2_error(sys_, rom) if sys_.is_stable and rom.is_stable else math.nan
 
 
 def cmd_h2_sweep(args):
@@ -258,16 +262,14 @@ def cmd_h2_sweep(args):
 
         rows = []
         for n in args.nodes:
-            sub = argparse.Namespace(**vars(args))
-            sub.np, sub.nq = n, n
-            rule_p, rule_q = _rules_from_args(sub, args.domain)
+            rule_p, rule_q = _rules_from_args(args, args.domain, n)
             _, (rom,) = lqo_qbt_auto(sys_, rule_p, rule_q, [args.order],
                                      domain=args.domain)
             rows.append((n, bt_err, _safe_error(sys_, rom)))
         _write_csv(args.out, "N,BT_Error,QBT_Error", rows)
     else:
         orders = args.orders
-        rule_p, rule_q = _rules_from_args(args, args.domain)
+        rule_p, rule_q = _rules_from_args(args, args.domain, args.np, args.nq)
         _, roms = lqo_qbt_auto(sys_, rule_p, rule_q, orders, domain=args.domain)
         rows = [(r, _safe_error(sys_, intrusive_bt(sys_, r, gram)),
                  _safe_error(sys_, rom)) for r, rom in zip(orders, roms)]
@@ -277,22 +279,24 @@ def cmd_h2_sweep(args):
 
 
 def _add_quadrature_flags(sub):
-    sub.add_argument("--np", type=int, default=400,
+    sub.add_argument("--np", type=_int_at_least(2), default=400,
                      help="controllability-side node count (default 400)")
-    sub.add_argument("--nq", type=int, default=None,
+    sub.add_argument("--nq", type=_int_at_least(2), default=None,
                      help="observability-side node count (default: same as --np)")
-    sub.add_argument("--interval", default="1e-1:1e2",
+    sub.add_argument("--interval", type=_positive_range(True), default="1e-1:1e2",
                      help="quadrature interval low:high (default 1e-1:1e2)")
-    sub.add_argument("--rule", choices=["trapezoid", "clenshaw-curtis"],
-                     default="trapezoid")
+    sub.add_argument("--rule", choices=list(RULES), default="trapezoid")
 
 
 def _add_system_flags(sub):
     sub.add_argument("--system", required=True,
                      help="path to a system manifest")
-    sub.add_argument("--select", default=None, metavar="IN:OUT",
+    sub.add_argument("--select", type=_channel_pair, default=None,
+                     metavar="IN:OUT",
                      help="restrict to one input and one output channel "
                           "(zero-based)")
+    # channel bounds are known once the system is loaded
+    sub.set_defaults(error=sub.error)
 
 
 def main(argv=None):
@@ -304,12 +308,13 @@ def main(argv=None):
     subs = parser.add_subparsers(dest="command", required=True)
 
     s = subs.add_parser("synth", help="generate a stable benchmark system")
-    s.add_argument("-n", type=int, required=True, help="state dimension")
-    s.add_argument("--inputs", type=int, default=1)
-    s.add_argument("--outputs", type=int, default=1)
-    s.add_argument("--damping", default="1e-3:1e-1",
+    s.add_argument("-n", type=_int_at_least(1), required=True,
+                   help="state dimension")
+    s.add_argument("--inputs", type=_int_at_least(1), default=1)
+    s.add_argument("--outputs", type=_int_at_least(1), default=1)
+    s.add_argument("--damping", type=_positive_range(False), default="1e-3:1e-1",
                    help="decay-rate range low:high (default 1e-3:1e-1)")
-    s.add_argument("--freq", default="1e-1:1e2",
+    s.add_argument("--freq", type=_positive_range(False), default="1e-1:1e2",
                    help="rotation-frequency range low:high (default 1e-1:1e2)")
     s.add_argument("--decay", type=float, default=1.0,
                    help="per-block gain decay in (0, 1] (default 1: flat)")
@@ -332,7 +337,7 @@ def main(argv=None):
     _add_quadrature_flags(s)
     s.add_argument("--method", choices=["bt", "qbt-time", "qbt-freq"],
                    required=True)
-    s.add_argument("--order", type=int, required=True)
+    s.add_argument("--order", type=_int_at_least(1), required=True)
     s.add_argument("--out", required=True, help="output directory")
     s.add_argument("--name", default="rom")
     s.set_defaults(func=cmd_reduce)
@@ -344,12 +349,11 @@ def main(argv=None):
                    help="manifest of the data-driven reduced model")
     s.add_argument("--bt", required=True,
                    help="manifest of the intrusive reduced model")
-    s.add_argument("--steps", type=int, default=2000)
+    s.add_argument("--steps", type=_int_at_least(1), default=2000)
     s.add_argument("--channel", type=_int_at_least(0), default=0,
                    help="output channel to tabulate (zero-based)")
     s.add_argument("--out", required=True, help="output CSV path")
-    # the channel's upper bound is known once the system is loaded
-    s.set_defaults(func=cmd_simulate, error=s.error)
+    s.set_defaults(func=cmd_simulate)
 
     s = subs.add_parser("h2-sweep", help="sweep the H2 reduction error")
     _add_system_flags(s)
@@ -363,7 +367,7 @@ def main(argv=None):
     group.add_argument("--orders", type=_order_range, default=None,
                        metavar="LO:HI",
                        help="inclusive order range, 1 <= LO <= HI (error vs r)")
-    s.add_argument("--order", type=int, default=10,
+    s.add_argument("--order", type=_int_at_least(1), default=10,
                    help="reduction order for the node sweep (default 10)")
     s.add_argument("--out", required=True, help="output CSV path")
     s.set_defaults(func=cmd_h2_sweep)

@@ -51,9 +51,8 @@ place, and the two columns of each pair are then ``sqrt(2) Re`` and
 read as floats. The real columns of ``H``, ``M``, ``g`` and both sides
 of each ``K`` are thus ``(l pair, b, slot)``. The samples' conjugate
 symmetry that this relies on is checked first.
-:func:`build_data_matrices` (with :func:`build_freq_matrices` for
-frequency data) assembles the matrices whole, as the oracle the
-compressed routes are tested against.
+:func:`build_data_matrices` assembles the matrices of either domain
+whole, as the oracle the compressed routes are tested against.
 """
 
 import json
@@ -74,7 +73,6 @@ __all__ = [
     "DataMatrices",
     "collect_time_data",
     "collect_freq_data",
-    "build_freq_matrices",
     "build_data_matrices",
     "lqo_qbt",
     "lqo_qbt_auto",
@@ -258,15 +256,13 @@ def collect_time_data(sampler, rule_p, rule_q):
     -------
     :class:`KernelDataset` with ``domain="time"``.
     """
-    t = rule_p.nodes
-    tau = rule_q.nodes
-
-    h1_sum = _grid(sampler, "h1_grid", (tau, t))
+    t, tau = rule_p.nodes, rule_q.nodes
+    h1_sum, dh1_sum, h1_in, h2_in, h1_out, h2_quad = _time_samples(sampler, t, tau)
     p, m = h1_sum.shape[2:]
-    h1_in, h2_in, h1_out, h2_quad = _io_samples(sampler, t, tau, p, m)
-    h2_sum = np.moveaxis(_grid(sampler, "h2_grid", (t, tau, t), (p, m, m)), 3, 0)
-    dh1_sum = _grid(sampler, "dh1_grid", (tau, t), (p, m))
-    dh2_sum = np.moveaxis(_grid(sampler, "dh2_grid", (t, tau, t), (p, m, m)), 3, 0)
+    h2_sum, dh2_sum = (
+        np.moveaxis(_grid(sampler, method, (t, tau, t), (p, m, m)), 3, 0)
+        for method in ("h2_grid", "dh2_grid")
+    )
 
     return KernelDataset(
         domain="time", rule_p=rule_p, rule_q=rule_q,
@@ -277,9 +273,11 @@ def collect_time_data(sampler, rule_p, rule_q):
 
 def _grid(sampler, method, nodes, tail=None):
     """``sampler.<method>(*nodes)`` as an array, checked to have one axis
-    per node set followed by the channel axes `tail`. With no `tail`, as
-    on the first grid call of a collection, any two channel axes pass:
-    they fix the counts ``(p, m)`` that later calls are checked against."""
+    per node set followed by the channel axes `tail`, and to be finite:
+    a NaN or inf anywhere in it raises, naming the method. With no `tail`,
+    as on the first grid call of a collection, any two channel axes pass:
+    they fix the counts ``(p, m)`` that later calls are checked against.
+    Every sample the package reads from a sampler comes through here."""
     out = np.asarray(getattr(sampler, method)(*nodes))
     lead = tuple(z.size for z in nodes)
     if tail is None:
@@ -292,16 +290,23 @@ def _grid(sampler, method, nodes, tail=None):
         raise ValueError(
             f"sampler.{method} returned shape {out.shape}, expected ({expected})"
         )
+    if not np.isfinite(out).all():
+        raise ValueError(f"sampler.{method} returned NaN or inf")
     return out
 
 
-def _io_samples(sampler, t, tau, p, m):
-    """The single-node samples ``h1_in``, ``h2_in``, ``h1_out`` and
-    ``h2_quad`` in dataset layout, in the argument order of
-    :func:`_io_blocks`."""
+def _time_samples(sampler, t, tau):
+    """The linear samples ``h1_sum`` and ``dh1_sum`` and the single-node
+    samples ``h1_in``, ``h2_in``, ``h1_out`` and ``h2_quad`` at the time
+    nodes `t` and `tau`, in dataset layout: all but the quadratic sums,
+    which the two time inputs sample differently."""
+    h1_sum = _grid(sampler, "h1_grid", (tau, t))
+    p, m = h1_sum.shape[2:]
     zero = np.zeros(1)
     pm, pmm = (p, m), (p, m, m)
     return (
+        h1_sum,
+        _grid(sampler, "dh1_grid", (tau, t), pm),
         _grid(sampler, "h1_grid", (tau, zero), pm)[:, 0],
         np.moveaxis(_grid(sampler, "h2_grid", (t, tau, zero), pmm)[:, :, 0], 2, 0),
         _grid(sampler, "h1_grid", (t, zero), pm)[:, 0],
@@ -365,13 +370,6 @@ def collect_freq_data(sampler, rule_p, rule_q):
 # ---------------------------------------------------------------------------
 
 
-def _require_domain(ds, domain):
-    if ds.domain != domain:
-        raise ValueError(
-            f"expected a {domain}-domain dataset, got {ds.domain!r}"
-        )
-
-
 def _linear_block(samples, phi, rho):
     """(N_q, N_p, p, m) samples -> (N_q p, N_p m) weighted matrix."""
     Nq, Np, p, m = samples.shape
@@ -403,14 +401,43 @@ def build_data_matrices(ds):
     """Assemble :class:`DataMatrices` whole from a dataset of either domain.
 
     Time-domain samples are weighted and laid out as in the module
-    docstring; frequency-domain datasets go to :func:`build_freq_matrices`,
-    which realifies them. Single-input single-output data is the
-    one-by-one block case of the general layout.
-    The reducers never call this: they compress the quadratic rows instead
-    (:func:`lqo_qbt`), and the tests hold them to these whole matrices.
+    docstring. Single-input single-output data is the one-by-one block
+    case of the general layout.
+
+    Frequency-domain entries are divided differences of transfer-function
+    values: the linear part is a Loewner matrix over the two node sets,
+    its derivative companion the shifted Loewner matrix, and the
+    quadratic rows repeat the pattern in the second argument of the
+    two-variable transfer function with the first argument held at a
+    (negated) controllability-side node. The matrices are the complex
+    ones at the closed nodes made real by a fixed unitary pairing of each
+    ``(+w, -w)`` node pair, ``[[1, 1], [-i, i]] / sqrt(2)`` on the rows
+    and its conjugate on the columns; this requires samples that are
+    conjugate symmetric. The complex entries are evaluated only at the
+    positive column node of each pair, with the rows paired in place
+    (:func:`_real_view`). Rows are laid out ``(j pair, slot, q)`` for the
+    linear part and ``(q, k pair, slot, j pair, slot, a)`` for the
+    quadratic part; the columns of ``H``, ``M``, ``g`` and both sides of
+    each ``K`` are ``(l pair, b, slot)``.
+
+    This is the whole-matrix oracle: the reducers never call it, as they
+    compress the quadratic rows instead (:func:`lqo_qbt`,
+    :func:`lqo_qbt_auto`), and the tests hold them to these matrices.
     """
     if ds.domain == "freq":
-        return build_freq_matrices(ds)
+        Np2, Nq2, m, p = ds.Np // 2, ds.Nq // 2, ds.m, ds.p
+        nl, nc = ds.Nq * p, ds.Np * m
+        _check_conjugate_symmetry(ds)
+        h, g, K = _real_io_blocks(ds)
+        H = np.empty((h.shape[0], nc))
+        M = np.empty_like(H)
+        for out, shifted in ((H, False), (M, True)):
+            out[:nl] = _real_linear_rows(ds, shifted)
+            R = _real_quadratic(ds, np.arange(Np2), np.arange(Nq2), shifted)
+            # (k pair, slot, a, j pair, slot, q) -> (q, k pair, slot, j pair, slot, a)
+            out[nl:].reshape(p, Np2, 2, Nq2, 2, m, nc)[...] = (
+                R.reshape(Np2, 2, m, Nq2, 2, p, nc).transpose(5, 0, 1, 3, 4, 2, 6))
+        return DataMatrices(H=H, M=M, h=h, g=g, K=K, domain="freq")
     rho, phi = ds.p_sqrt_weights, ds.q_sqrt_weights
     w = (rho[:, None, None] * phi[:, None] * rho)[None, ..., None, None]
     H, M = (
@@ -426,51 +453,8 @@ def build_data_matrices(ds):
 
 
 # ---------------------------------------------------------------------------
-# frequency-domain assembly
+# frequency-domain blocks
 # ---------------------------------------------------------------------------
-
-
-def build_freq_matrices(ds):
-    """Assemble all five matrices, whole, from transfer-function samples.
-
-    Entries are divided differences of transfer-function values: the linear
-    part is a Loewner matrix over the two node sets, its derivative companion
-    the shifted Loewner matrix, and the quadratic rows repeat the pattern in
-    the second argument of the two-variable transfer function with the first
-    argument held at a (negated) controllability-side node.
-
-    The matrices are the complex ones at the closed nodes made real by a
-    fixed unitary pairing of each ``(+w, -w)`` node pair, ``[[1, 1], [-i,
-    i]] / sqrt(2)`` on the rows and its conjugate on the columns; this
-    requires samples that are conjugate symmetric. The complex entries
-    are evaluated only at the positive column node of each pair, with
-    the rows paired in place (:func:`_real_view`). Rows are laid out
-    ``(j pair, slot, q)`` for the linear part and ``(q, k pair, slot, j
-    pair, slot, a)`` for the quadratic part; the columns of ``H``, ``M``,
-    ``g`` and both sides of each ``K`` are ``(l pair, b, slot)``.
-
-    This is the full-matrix oracle: the reduction itself (:func:`lqo_qbt`,
-    :func:`lqo_qbt_auto`) never forms the quadratic rows whole but
-    assembles them compressed onto their mode bases.
-
-    Returns
-    -------
-    :class:`DataMatrices` with ``domain="freq"``.
-    """
-    _require_domain(ds, "freq")
-    Np2, Nq2, m, p = ds.Np // 2, ds.Nq // 2, ds.m, ds.p
-    nl, nc = ds.Nq * p, ds.Np * m
-    _check_conjugate_symmetry(ds)
-    h, g, K = _real_io_blocks(ds)
-    H = np.empty((h.shape[0], nc))
-    M = np.empty_like(H)
-    for out, shifted in ((H, False), (M, True)):
-        out[:nl] = _real_linear_rows(ds, shifted)
-        R = _real_quadratic(ds, np.arange(Np2), np.arange(Nq2), shifted)
-        # (k pair, slot, a, j pair, slot, q) -> (q, k pair, slot, j pair, slot, a)
-        out[nl:].reshape(p, Np2, 2, Nq2, 2, m, nc)[...] = (
-            R.reshape(Np2, 2, m, Nq2, 2, p, nc).transpose(5, 0, 1, 3, 4, 2, 6))
-    return DataMatrices(H=H, M=M, h=h, g=g, K=K, domain="freq")
 
 
 def _real_linear_rows(ds, shifted):
@@ -641,7 +625,7 @@ def reduce_from_matrices(dm, r, factors=None):
     """
     if np.iscomplexobj(dm.H):
         raise ValueError("complex data matrices cannot produce a real reduced "
-                         "model; realify them as build_freq_matrices does")
+                         "model; realify them as build_data_matrices does")
     res = svd(dm.H) if factors is None else factors
     _truncation_guard(res.S, r, dm.H.shape[1])
     scale = 1.0 / np.sqrt(res.S[:r])
@@ -773,11 +757,10 @@ def _freq_compressed(ds):
     The real quadratic Loewner rows are evaluated only at the pairs read
     (:func:`_real_quadratic`, at the positive node of each column pair).
     The linear rows, ``h``, ``g`` and ``K`` are built as in
-    :func:`build_freq_matrices`. A dataset whose complex quadratic rows at
+    :func:`build_data_matrices`. A dataset whose complex quadratic rows at
     one node exceed ``FREQ_BLOCK_BYTES`` is refused, as the probes hold
     about 26 times those rows.
     """
-    _require_domain(ds, "freq")
     Np, Nq, m, p = ds.Np, ds.Nq, ds.m, ds.p
     _freq_size_guard(p, m, Np, Nq)
     _check_conjugate_symmetry(ds)
@@ -887,28 +870,16 @@ def lqo_qbt_streamed(sampler, rule_p, rule_q, orders):
     tuple ``(singular_values, roms)`` as :func:`lqo_qbt_auto` gives it.
     """
     t, tau = rule_p.nodes, rule_q.nodes
-    h1_sum = _grid(sampler, "h1_grid", (tau, t))
+    h1_sum, dh1_sum, *io = _time_samples(sampler, t, tau)
     p, m = h1_sum.shape[2:]
-    dh1_sum = _grid(sampler, "dh1_grid", (tau, t), (p, m))
-    h1_in, h2_in, h1_out, h2_quad = io = _io_samples(sampler, t, tau, p, m)
-    _require_finite("h1_grid", h1_sum, h1_in, h1_out)
-    _require_finite("dh1_grid", dh1_sum)
-    _require_finite("h2_grid", h2_in, h2_quad)
 
     def read(shifted, ku, ju):
         method = "dh2_grid" if shifted else "h2_grid"
-        vals = _grid(sampler, method, (t[ku], tau[ju], t), (p, m, m))
-        _require_finite(method, vals)
-        return vals
+        return _grid(sampler, method, (t[ku], tau[ju], t), (p, m, m))
 
     dm = _time_compressed(read, rule_p.sqrt_weights, rule_q.sqrt_weights,
                           h1_sum, dh1_sum, io)
     return _reduce_orders(dm, orders)
-
-
-def _require_finite(method, *arrays):
-    if not all(np.isfinite(arr).all() for arr in arrays):
-        raise ValueError(f"sampler.{method} returned NaN or inf")
 
 
 def _time_compressed(read, rho, phi, h1_sum, dh1_sum, io):

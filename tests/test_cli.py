@@ -14,6 +14,7 @@ import pytest
 
 from conftest import UncallableSampler, tf_agree
 from lqobt import (
+    LqoSystem,
     ReducedLqoSystem,
     compute_gramians,
     h2_error,
@@ -22,6 +23,7 @@ from lqobt import (
     load_system,
     log_trapezoid,
     lqo_qbt_auto,
+    save_system,
     select_channels,
     synthesize_system,
 )
@@ -211,11 +213,10 @@ def test_freq_stagger_separates_unequal_node_counts(tmp_path):
     # the q side is shifted by half the common log-lattice step, so the
     # node sets stay apart at every pair of counts, equal or not
     worst = np.inf
+    args = argparse.Namespace(interval=(1e-1, 1e2), rule="trapezoid")
     for n_p in range(2, 120):
         for n_q in range(2, 120):
-            args = argparse.Namespace(interval="1e-1:1e2", np=n_p, nq=n_q,
-                                      rule="trapezoid")
-            rule_p, rule_q = cli._rules_from_args(args, "freq")
+            rule_p, rule_q = cli._rules_from_args(args, "freq", n_p, n_q)
             gaps = np.log(rule_q.nodes)[:, None] - np.log(rule_p.nodes)
             worst = min(worst, np.abs(gaps).min())
     # half a step of the finest lattice, lcm(117, 118) steps over 1e3
@@ -384,15 +385,20 @@ def test_default_node_count_passes_the_freq_size_guard(tmp_path, monkeypatch):
               "--out", str(tmp_path / "hsv")])
 
 
-def test_malformed_pair_flags_raise(tmp_path):
-    with pytest.raises(ValueError, match="low:high"):
+def test_malformed_pair_flags_raise(tmp_path, capsys):
+    # a range flag that is not low:high is a usage error naming the flag
+    with pytest.raises(SystemExit) as exc:
         main(["synth", "-n", "4", "--damping", "bogus",
               "--out", str(tmp_path / "s")])
+    assert exc.value.code == 2
+    assert "argument --damping: needs low:high" in capsys.readouterr().err
     manifest = _synth(tmp_path, n=4)
-    with pytest.raises(ValueError, match="low:high"):
+    with pytest.raises(SystemExit) as exc:
         main(["reduce", "--system", manifest, "--method", "qbt-time",
               "--order", "2", "--interval", "everything",
               "--out", str(tmp_path / "rom")])
+    assert exc.value.code == 2
+    assert "argument --interval: needs low:high" in capsys.readouterr().err
 
 
 def test_parser_rejects_unknown_choices(tmp_path):
@@ -423,15 +429,18 @@ def test_reduce_rejects_domain_flag(tmp_path, capsys):
 
 def test_reduce_rejects_bad_order(tmp_path):
     manifest = _synth(tmp_path, n=4)
-    with pytest.raises(ValueError):
+    with pytest.raises(SystemExit) as exc:
         main(["reduce", "--system", manifest, "--method", "bt",
               "--order", "0", "--out", str(tmp_path / "rom")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "rom").exists()
 
 
 def test_out_of_range_integers_are_usage_errors(tmp_path, capsys):
-    # a negative or zero count, an empty order range and a channel the
-    # system does not have are argparse errors (exit 2) that name the
-    # flag, and nothing is written
+    # a count or order below its least value, an empty order range, a
+    # range that is not 0 < low <= high (low < high for an interval), a
+    # malformed channel pair and a channel the system does not have are
+    # argparse errors (exit 2) that name the flag, and nothing is written
     manifest = _synth(tmp_path, n=4)
     rom_dir = str(tmp_path / "rom")
     main(["reduce", "--system", manifest, "--method", "bt", "--order", "2",
@@ -439,9 +448,32 @@ def test_out_of_range_integers_are_usage_errors(tmp_path, capsys):
     rom = os.path.join(rom_dir, "rom.manifest")
     out = str(tmp_path / "out")
     hsv = ["hsv", "--system", manifest, "--np", "16", "--out", out]
+    reduce = ["reduce", "--system", manifest, "--method", "qbt-time",
+              "--order", "2", "--np", "16", "--out", out]
     simulate = ["simulate", "--system", manifest, "--qbt", rom, "--bt", rom,
                 "--steps", "10", "--out", out]
+    sweep = ["h2-sweep", "--system", manifest, "--nodes", "16", "--out", out]
+    synth = ["synth", "-n", "4", "--out", out]
     cases = [
+        (reduce + ["--np", "1"], "argument --np: must be at least 2"),
+        (hsv + ["--nq", "1"], "argument --nq: must be at least 2"),
+        (reduce + ["--order", "0"], "argument --order: must be at least 1"),
+        (sweep + ["--order", "0"], "argument --order: must be at least 1"),
+        (simulate + ["--steps", "0"], "argument --steps: must be at least 1"),
+        (["synth", "-n", "0", "--out", out], "argument -n: must be at least 1"),
+        (synth + ["--inputs", "0"], "argument --inputs: must be at least 1"),
+        (synth + ["--outputs", "0"], "argument --outputs: must be at least 1"),
+        (reduce + ["--interval", "1e-2"], "argument --interval: needs low:high"),
+        (reduce + ["--interval", "1:1"], "argument --interval: needs low:high"),
+        (hsv + ["--interval", "0:1"], "argument --interval: needs low:high"),
+        (synth + ["--damping", "2:1"], "argument --damping: needs low:high"),
+        (synth + ["--freq", "1:inf"], "argument --freq: needs low:high"),
+        (reduce + ["--select", "0"], "argument --select: needs IN:OUT"),
+        (reduce + ["--select", "x"], "argument --select: needs IN:OUT"),
+        (reduce + ["--select", "3:0"],
+         "argument --select: 3:0 is not below the input and output counts 1:1"),
+        (simulate + ["--select", "0:1"],
+         "argument --select: 0:1 is not below the input and output counts 1:1"),
         (hsv + ["--order", "-3"], "argument --order: must be at least 1"),
         (hsv + ["--order", "0"], "argument --order: must be at least 1"),
         (["h2-sweep", "--system", manifest, "--orders", "5:3", "--np", "16",
@@ -461,3 +493,27 @@ def test_out_of_range_integers_are_usage_errors(tmp_path, capsys):
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
         assert not os.path.exists(out)
+
+
+def test_reduce_labels_a_stable_rom_of_an_unstable_system(tmp_path):
+    # the time route reduces a system with two slowly growing, weakly
+    # coupled states to a stable model; only the full model is unstable,
+    # so the report calls the model stable and, as an H2 error needs both
+    # models stable, leaves both errors null
+    sys_ = synthesize_system(8, damping=(0.1, 3.0), gain_decay=0.5, seed=3)
+    A, B, C = sys_.A.copy(), sys_.B.copy(), sys_.C.copy()
+    A[-2, -2] = A[-1, -1] = 0.001
+    B[-2:] *= 1e-3
+    C[:, -2:] *= 1e-3
+    fom = LqoSystem(A, B, C, sys_.Ms)
+    assert not fom.is_stable
+    manifest = save_system(fom, str(tmp_path / "fom"))
+    out = str(tmp_path / "rom")
+    assert main(["reduce", "--system", manifest, "--method", "qbt-time",
+                 "--order", "2", "--np", "40", "--interval", "1e-2:1e1",
+                 "--out", out]) == 0
+    report = _read_report(os.path.join(out, "rom.manifest"))
+    assert load_system(os.path.join(out, "rom.manifest")).is_stable
+    assert report["rom_stable"] is True
+    assert report["h2_error_absolute"] is None
+    assert report["h2_error_relative"] is None

@@ -28,7 +28,6 @@ from lqobt import (
     LqoSystem,
     QuadratureRule,
     build_data_matrices,
-    build_freq_matrices,
     collect_freq_data,
     collect_time_data,
     h2_error,
@@ -187,7 +186,7 @@ def test_realification_matches_explicit_unitary(m, p):
 
 def _check_against_explicit_unitary(ds):
     dm_c = complex_freq_matrices(ds)
-    dm_r = build_freq_matrices(ds)
+    dm_r = build_data_matrices(ds)
     for X in (dm_r.H, dm_r.M, dm_r.h, dm_r.g, *dm_r.K):
         assert not np.iscomplexobj(X)
 
@@ -229,7 +228,7 @@ def test_realification_preserves_singular_values():
     rule_q = random_rule(rng, lo=0.2, hi=3.0, avoid=rule_p)
     ds = collect_freq_data(sys_, rule_p, rule_q)
     S_c = svd(complex_freq_matrices(ds).H).S
-    S_r = svd(build_freq_matrices(ds).H).S
+    S_r = svd(build_data_matrices(ds).H).S
     assert np.allclose(S_r, S_c, rtol=1e-10, atol=1e-12 * S_c[0])
 
 
@@ -238,7 +237,7 @@ def test_complex_matrices_cannot_be_reduced():
     ds = collect_freq_data(sys_, rule_of([1.0, 2.0]), rule_of([0.5, 3.0]))
     with pytest.raises(ValueError, match=(
         r"^complex data matrices cannot produce a real reduced model; "
-        r"realify them as build_freq_matrices does$"
+        r"realify them as build_data_matrices does$"
     )):
         reduce_from_matrices(complex_freq_matrices(ds), 1)
 
@@ -309,7 +308,7 @@ def _assert_matches_oracle(sys_, ds, orders, pts, floor=0.0):
     """The compressed route against the whole real matrices: resolved
     singular values, and the reduced models through their transfer
     functions (the routes may differ by a diagonal sign similarity)."""
-    dm_full = build_freq_matrices(ds)
+    dm_full = build_data_matrices(ds)
     S_full = svd(dm_full.H).S
     dm = databt._freq_compressed(ds)
     _assert_resolved_values_match(svd(dm.H).S, S_full, floor)
@@ -327,7 +326,7 @@ def test_compressed_route_matches_oracle_on_equivalence_cases():
     pts = [0.3 + 1.2j, 1.0, 2.5 + 0.4j]
     for sys_, rule_p, rule_q in _equivalence_cases():
         ds = collect_freq_data(sys_, rule_p, rule_q)
-        S = svd(build_freq_matrices(ds).H).S
+        S = svd(build_data_matrices(ds).H).S
         rank = int(np.count_nonzero(S > databt.RANK_TOL * S[0]))
         _assert_matches_oracle(sys_, ds, sorted({1, (rank + 1) // 2}), pts,
                                floor=1e-14)
@@ -352,7 +351,7 @@ def test_compressed_route_never_builds_the_whole_rows(monkeypatch):
     rule_p = log_trapezoid(0.05, 20.0, 12)
     rule_q = log_trapezoid(0.07, 28.0, 12)
     ds = collect_freq_data(sys_, rule_p, rule_q)
-    rom_ref = reduce_from_matrices(build_freq_matrices(ds), 3)
+    rom_ref = reduce_from_matrices(build_data_matrices(ds), 3)
 
     def whole(*args, **kwargs):
         raise AssertionError("the whole data matrices were assembled")
@@ -365,7 +364,6 @@ def test_compressed_route_never_builds_the_whole_rows(monkeypatch):
         sizes.append(out.nbytes)
         return out
 
-    monkeypatch.setattr(databt, "build_freq_matrices", whole)
     monkeypatch.setattr(databt, "build_data_matrices", whole)
     monkeypatch.setattr(databt, "_loewner", recorded)
     rom = lqo_qbt(ds, 3)
@@ -403,7 +401,7 @@ def test_freq_cross_core_equals_compressed_whole_rows(monkeypatch):
     cross = databt._freq_compressed(ds)
     (Vk, Ik), (Vj, Ij) = seen["_mode_bases"]
     assert (Ik.size, Ij.size) == (Vk.shape[1], Vj.shape[1])
-    whole = build_freq_matrices(ds)
+    whole = build_data_matrices(ds)
     Np, Nq, m, p = ds.Np, ds.Nq, ds.m, ds.p
     nl = Nq * p
     for got, rows in ((cross.H, whole.H), (cross.M, whole.M)):
@@ -486,11 +484,7 @@ def test_domain_guards():
     sys_ = scalar_s1()
     rule = rule_of([1.0, 2.0])
     time_ds = collect_time_data(sys_, rule, rule)
-    with pytest.raises(ValueError, match="freq"):
-        build_freq_matrices(time_ds)
-    with pytest.raises(ValueError, match="freq"):
-        databt._freq_compressed(time_ds)
-    # the other entry points dispatch on the dataset's domain
+    # the entry points dispatch on the dataset's domain
     freq_ds = collect_freq_data(sys_, rule, rule_of([0.5, 3.0]))
     assert build_data_matrices(time_ds).domain == "time"
     assert build_data_matrices(freq_ds).domain == "freq"
@@ -587,7 +581,7 @@ def test_tied_spectrum_warns_on_split():
 
 def test_non_finite_transfer_samples_are_rejected():
     sys_ = scalar_s1()
-    with pytest.raises(ValueError, match="tf2_cross holds non-finite"):
+    with pytest.raises(ValueError, match=r"sampler\.tf2_grid returned NaN or inf"):
         collect_freq_data(PoisonedSampler(sys_), rule_of([1.0, 2.0]),
                           rule_of([0.5, 3.0]))
 
@@ -618,7 +612,7 @@ def test_conjugate_asymmetric_samples_are_rejected(family, index):
     samples = getattr(ds, family)
     samples[index] += 1e-6 * np.abs(samples).max()
     with pytest.raises(ValueError, match=f"{family} is not conjugate symmetric"):
-        build_freq_matrices(ds)
+        build_data_matrices(ds)
     with pytest.raises(ValueError, match=f"{family} is not conjugate symmetric"):
         lqo_qbt(ds, 2)
     # the complex analysis path does not realify and needs no symmetry
