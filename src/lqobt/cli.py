@@ -89,6 +89,14 @@ def _int_at_least(low):
     return parse
 
 
+def _unit_fraction(text):
+    """An argparse type: a float in (0, 1]."""
+    value = float(text)
+    if not 0 < value <= 1:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1], got {text}")
+    return value
+
+
 def _order_range(text):
     """An argparse type: the orders ``LO..HI`` of ``LO:HI``, 1 <= LO <= HI."""
     lo, _, hi = text.partition(":")
@@ -316,9 +324,9 @@ def main(argv=None):
                    help="decay-rate range low:high (default 1e-3:1e-1)")
     s.add_argument("--freq", type=_positive_range(False), default="1e-1:1e2",
                    help="rotation-frequency range low:high (default 1e-1:1e2)")
-    s.add_argument("--decay", type=float, default=1.0,
+    s.add_argument("--decay", type=_unit_fraction, default=1.0,
                    help="per-block gain decay in (0, 1] (default 1: flat)")
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=_int_at_least(0), default=0)
     s.add_argument("--out", required=True, help="output directory")
     s.add_argument("--name", default="system")
     s.set_defaults(func=cmd_synth)

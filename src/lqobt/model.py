@@ -6,9 +6,11 @@ A system holds real matrices ``(A, B, C, M_1 .. M_p)`` describing
     y_q(t) = (C x(t))_q + x(t)' M_q x(t),      q = 0 .. p-1,
 
 with ``A`` of order n, ``B`` n-by-m, ``C`` p-by-n and one symmetric ``M_q``
-per output channel. The class exposes the system's time-domain kernels and
-transfer functions, which is all the data-driven reduction layer is allowed
-to see, plus a fixed-step simulator and Matrix Market based persistence.
+per output channel. The class exposes the sampler interface (the kernel
+grids ``h1_grid``, ``dh1_grid``, ``h2_grid`` and ``dh2_grid`` and the
+transfer functions ``tf1`` and ``tf2_grid``), which is all the data-driven
+reduction layer is allowed to see, plus a fixed-step RK4 simulator and the
+stability queries. Matrix Market files persist a system.
 """
 
 import functools
@@ -19,7 +21,7 @@ import numpy as np
 import scipy.io
 import scipy.sparse
 
-from .errors import FrequencyCollisionError, UnstableSystemError
+from .errors import FrequencyCollisionError
 from .numcore import expm
 
 __all__ = [
@@ -46,14 +48,6 @@ def _node_exp(A, t):
     return E
 
 
-def _pointwise(fn, points, tail, dtype=float):
-    """`fn` at each point of the broadcast arrays `points`, one call per
-    point, shaped ``points.shape + tail``."""
-    points = np.broadcast_arrays(*(np.asarray(z, dtype=dtype) for z in points))
-    vals = [fn(*pt) for pt in zip(*(z.ravel() for z in points))]
-    return np.array(vals, dtype=dtype).reshape(points[0].shape + tail)
-
-
 def _check_nonnegative(*arrays):
     """Kernel time arguments live on [0, inf); reject anything negative."""
     for z in arrays:
@@ -64,6 +58,12 @@ def _check_nonnegative(*arrays):
 class LqoSystem:
     """Linear time-invariant system with quadratic output terms.
 
+    It exposes the sampler interface that the data-driven routes read
+    (:meth:`h1_grid`, :meth:`dh1_grid`, :meth:`h2_grid`, :meth:`dh2_grid`,
+    :meth:`tf1` and :meth:`tf2_grid`), the RK4 simulator :meth:`simulate`
+    and the stability queries :meth:`spectral_abscissa` and
+    :attr:`is_stable`.
+
     Parameters
     ----------
     A, B, C
@@ -73,12 +73,9 @@ class LqoSystem:
         Symmetric quadratic output matrix, or a sequence with one matrix per
         output channel. Matrices are symmetrized as ``(M + M') / 2``, which
         leaves the output map unchanged.
-    check_stability
-        If True, raise :class:`~lqobt.errors.UnstableSystemError` unless all
-        eigenvalues of `A` have negative real part.
     """
 
-    def __init__(self, A, B, C, Ms, check_stability=False):
+    def __init__(self, A, B, C, Ms):
         A = np.atleast_2d(np.asarray(A, dtype=float))
         if A.shape[0] != A.shape[1]:
             raise ValueError(f"A must be square, got shape {A.shape}")
@@ -121,10 +118,6 @@ class LqoSystem:
         self._exp_cache = functools.lru_cache(maxsize=_CACHE_BYTES // A.nbytes)(
             functools.partial(_node_exp, A)
         )
-        if check_stability and not self.is_stable:
-            raise UnstableSystemError(
-                f"spectral abscissa {self.spectral_abscissa():.3e} >= 0"
-            )
 
     @property
     def n(self):
@@ -151,65 +144,19 @@ class LqoSystem:
     def is_stable(self):
         return self.spectral_abscissa() < 0.0
 
-    # -- time-domain kernels ------------------------------------------------
-
-    def h1(self, z):
-        """Linear impulse-response kernel ``C exp(A z) B``.
-
-        `z` may be a scalar or an array; the result has shape
-        ``z.shape + (p, m)``.
-        """
-        return self._kernel_pointwise(z, shift=False)
-
-    def dh1(self, z):
-        """Derivative of :meth:`h1`, ``C A exp(A z) B``."""
-        return self._kernel_pointwise(z, shift=True)
-
-    def _kernel_pointwise(self, z, shift):
-        z = np.asarray(z, dtype=float)
-        _check_nonnegative(z)
-        CA = self.C @ self.A if shift else self.C
-        return _pointwise(lambda t: CA @ expm(self.A, t) @ self.B,
-                          (z,), (self.p, self.m))
-
-    def h2(self, z1, z2):
-        """Quadratic-output kernel ``B' exp(A' z1) M_q exp(A z2) B``.
-
-        All channels are returned stacked in an axis of length `p` before
-        the trailing ``(m, m)`` block. Scalars broadcast.
-        """
-        return self._h2_pointwise(z1, z2, shift=False)
-
-    def dh2_dz2(self, z1, z2):
-        """Partial derivative of :meth:`h2` in its second argument,
-        ``B' exp(A' z1) M_q A exp(A z2) B``."""
-        return self._h2_pointwise(z1, z2, shift=True)
-
-    def _h2_pointwise(self, z1, z2, shift):
-        z1, z2 = np.asarray(z1, dtype=float), np.asarray(z2, dtype=float)
-        _check_nonnegative(z1, z2)
-
-        def at(a, b):
-            S = (expm(self.A, a) @ self.B).T
-            E = expm(self.A, b) @ self.B
-            if shift:
-                E = self.A @ E
-            return [S @ M @ E for M in self.Ms]
-
-        return _pointwise(at, (z1, z2), (self.p, self.m, self.m))
-
-    # -- grid kernel evaluations (the bulk sampling interface) --------------
+    # -- time-domain kernels on grids (the sampling interface) --------------
 
     def h1_grid(self, a, b):
-        """``h1`` at all pairwise sums: entry ``[u, v]`` is ``h1(a_u + b_v)``.
+        """The linear impulse-response kernel ``h1(z) = C exp(A z) B`` at all
+        pairwise sums: entry ``[u, v]`` is ``h1(a_u + b_v)``.
 
-        Returns shape ``(len(a), len(b), p, m)``. Bulk counterpart of
-        :meth:`h1` used by data collection; values are identical.
+        Returns shape ``(len(a), len(b), p, m)``. Times must be ``>= 0``.
         """
         return self._h1_grid(a, b, shift=False)
 
     def dh1_grid(self, a, b):
-        """``dh1`` at all pairwise sums, shape ``(len(a), len(b), p, m)``."""
+        """Its derivative ``dh1(z) = C A exp(A z) B`` at all pairwise sums,
+        shape ``(len(a), len(b), p, m)``."""
         return self._h1_grid(a, b, shift=True)
 
     def _h1_grid(self, a, b, shift):
@@ -219,15 +166,17 @@ class LqoSystem:
         return np.einsum("upn,vnm->uvpm", L, R, optimize=True)
 
     def h2_grid(self, a, b, c):
-        """``h2`` on a structured grid: entry ``[u, v, w, q]`` is
-        ``h2(a_u, b_v + c_w, q)``.
+        """The quadratic-output kernel
+        ``h2(z1, z2)_q = B' exp(A' z1) M_q exp(A z2) B`` on a structured
+        grid: entry ``[u, v, w, q]`` is ``h2(a_u, b_v + c_w)_q``.
 
         Returns shape ``(len(a), len(b), len(c), p, m, m)``.
         """
         return self._h2_grid(a, b, c, shift=False)
 
     def dh2_grid(self, a, b, c):
-        """``dh2_dz2`` on the same structured grid as :meth:`h2_grid`."""
+        """``h2``'s derivative in its second argument,
+        ``B' exp(A' z1) M_q A exp(A z2) B``, on the grid of :meth:`h2_grid`."""
         return self._h2_grid(a, b, c, shift=True)
 
     def _h2_grid(self, a, b, c, shift):
@@ -266,10 +215,7 @@ class LqoSystem:
 
     def _exp(self, t):
         """``exp(A t)``, computed once per distinct node on this system
-        while the cache has room.
-
-        Only the grid evaluators use it; the pointwise kernels stay
-        uncached, as they are the tests' oracle."""
+        while the cache has room."""
         return self._exp_cache(float(t))
 
     # -- transfer functions --------------------------------------------------
@@ -280,24 +226,14 @@ class LqoSystem:
         `s` may be a complex scalar or array; result shape is
         ``s.shape + (p, m)``.
         """
-        return _pointwise(lambda z: self.C @ self._resolvent(z, self.A, self.B),
-                          (s,), (self.p, self.m), dtype=complex)
-
-    def tf2(self, s1, s2):
-        """Two-variable transfer function of the quadratic output term,
-        ``B' (s1 I - A')^{-1} M_q (s2 I - A)^{-1} B``.
-
-        Channels and broadcasting as in :meth:`h2`.
-        """
-        def at(a, b):
-            X = self._resolvent(b, self.A, self.B)
-            return [self.B.T @ self._resolvent(a, self.A.T, M @ X) for M in self.Ms]
-
-        return _pointwise(at, (s1, s2), (self.p, self.m, self.m), dtype=complex)
+        s = np.asarray(s, dtype=complex)
+        X = self._resolvents(s.ravel())
+        return (self.C @ X).reshape(s.shape + (self.p, self.m))
 
     def tf2_grid(self, s1s, s2s):
-        """:meth:`tf2` on the full grid ``s1s x s2s``; shape
-        ``(len(s1s), len(s2s), p, m, m)``.
+        """Two-variable transfer function of the quadratic output term,
+        ``tf2(s1, s2)_q = B' (s1 I - A')^{-1} M_q (s2 I - A)^{-1} B``, on
+        the full grid ``s1s x s2s``; shape ``(len(s1s), len(s2s), p, m, m)``.
 
         One resolvent ``X(s) = (sI - A)^{-1} B`` is solved per distinct
         node of both sets; as ``B' (s1 I - A')^{-1} = X(s1)'`` (a plain
@@ -307,23 +243,25 @@ class LqoSystem:
         s2s = np.asarray(s2s, dtype=complex)
         n, m, a, b = self.n, self.m, s1s.size, s2s.size
         nodes, inv = np.unique(np.concatenate([s1s, s2s]), return_inverse=True)
-        # (nodes, n, m)
-        X = np.stack([self._resolvent(z, self.A, self.B) for z in nodes])
+        X = self._resolvents(nodes)
         L = X[inv[:a]].transpose(0, 2, 1).reshape(a * m, n)
         R = X[inv[a:]].transpose(1, 0, 2).reshape(n, b * m)
         out = np.stack([L @ (M @ R) for M in self.Ms])          # (q, a m, b m)
         out = out.reshape(self.p, a, m, b, m).transpose(1, 3, 0, 2, 4)
         return np.ascontiguousarray(out)
 
-    def _resolvent(self, s, A, rhs):
-        """``(sI - A)^{-1} rhs``, with `A` the state matrix or its
-        transpose."""
-        try:
-            return np.linalg.solve(s * np.eye(self.n) - A, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise FrequencyCollisionError(
-                f"resolvent singular at s = {s}"
-            ) from exc
+    def _resolvents(self, nodes):
+        """``(sI - A)^{-1} B`` at each of the 1-d `nodes`, shape
+        ``(len(nodes), n, m)``; one solve per node."""
+        I = np.eye(self.n)
+        X = np.empty((len(nodes), self.n, self.m), dtype=complex)
+        for i, s in enumerate(nodes):
+            try:
+                X[i] = np.linalg.solve(s * I - self.A, self.B)
+            except np.linalg.LinAlgError as exc:
+                raise FrequencyCollisionError(
+                    f"resolvent singular at s = {s}") from exc
+        return X
 
     # -- simulation -----------------------------------------------------------
 
@@ -393,8 +331,8 @@ class ReducedLqoSystem(LqoSystem):
     ``"time-qbt"`` or ``"freq-qbt"``.
     """
 
-    def __init__(self, A, B, C, Ms, provenance, check_stability=False):
-        super().__init__(A, B, C, Ms, check_stability=check_stability)
+    def __init__(self, A, B, C, Ms, provenance):
+        super().__init__(A, B, C, Ms)
         self.provenance = str(provenance)
 
     @property
@@ -476,7 +414,7 @@ def save_system(sys, directory, name="system"):
     return manifest
 
 
-def load_system(manifest_path, check_stability=False):
+def load_system(manifest_path):
     """Read a system written by :func:`save_system`.
 
     The manifest is a plain-text file of ``key value`` lines: integer
@@ -511,13 +449,8 @@ def load_system(manifest_path, check_stability=False):
         mat = scipy.io.mmread(os.path.join(base, fname))
         return np.asarray(mat.todense() if scipy.sparse.issparse(mat) else mat)
 
-    sys = LqoSystem(
-        read(paths["A"]),
-        read(paths["B"]),
-        read(paths["C"]),
-        [read(f) for f in paths["M"]],
-        check_stability=check_stability,
-    )
+    sys = LqoSystem(*(read(paths[key]) for key in ("A", "B", "C")),
+                    [read(f) for f in paths["M"]])
     for key, expected in (("n", sys.n), ("m", sys.m), ("p", sys.p)):
         if key in dims and dims[key] != expected:
             raise ValueError(

@@ -19,6 +19,7 @@ from conftest import (
     random_rule,
     random_stable_system,
     scalar_s1,
+    tf2,
     time_factors,
 )
 from lqobt import (
@@ -163,8 +164,8 @@ def _exactness_dev(m, p, seed):
         dev1 = np.abs(rom_q.tf1(sp) - rom_b.tf1(sp)).max()
         ref1 = max(np.abs(rom_b.tf1(sp)).max(), 1e-12)
         s2 = points[(i + 3) % points.size]
-        t_q = np.asarray(rom_q.tf2(sp, s2))
-        t_b = np.asarray(rom_b.tf2(sp, s2))
+        t_q = tf2(rom_q, sp, s2)
+        t_b = tf2(rom_b, sp, s2)
         dev2 = np.abs(t_q - t_b).max()
         ref2 = max(np.abs(t_b).max(), 1e-12)
         worst = max(worst, dev1 / ref1, dev2 / ref2)
@@ -202,10 +203,10 @@ def test_criterion_2_scalar_analytic_values():
         np.abs(gram.Q - 0.75).max(),
         abs(hankel_singular_values(gram)[0] - np.sqrt(3.0 / 8.0)),
         abs(h2_norm(s1, gram) - np.sqrt(0.75)),
-        np.abs(s1.h1(0.7) - np.exp(-0.7)).max(),
-        np.abs(s1.h2(0.3, 0.4) - np.exp(-0.7)).max(),
+        np.abs(s1.h1_grid([0.7], [0.0]) - np.exp(-0.7)).max(),
+        np.abs(s1.h2_grid([0.3], [0.4], [0.0]) - np.exp(-0.7)).max(),
         np.abs(s1.tf1(1.0j) - (0.5 - 0.5j)).max(),
-        np.abs(np.asarray(s1.tf2(1.0j, -1.0j)) - 0.5).max(),
+        np.abs(s1.tf2_grid([1.0j], [-1.0j]) - 0.5).max(),
     ]
     dt = time.perf_counter() - t0
     worst = max(devs)

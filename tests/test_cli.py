@@ -437,9 +437,10 @@ def test_reduce_rejects_bad_order(tmp_path):
 
 
 def test_out_of_range_integers_are_usage_errors(tmp_path, capsys):
-    # a count or order below its least value, an empty order range, a
-    # range that is not 0 < low <= high (low < high for an interval), a
-    # malformed channel pair and a channel the system does not have are
+    # a count, order or seed below its least value, a gain decay outside
+    # (0, 1], an empty order range, a range that is not 0 < low <= high
+    # (low < high for an interval), a malformed channel pair and a channel
+    # the system does not have are
     # argparse errors (exit 2) that name the flag, and nothing is written
     manifest = _synth(tmp_path, n=4)
     rom_dir = str(tmp_path / "rom")
@@ -468,6 +469,11 @@ def test_out_of_range_integers_are_usage_errors(tmp_path, capsys):
         (hsv + ["--interval", "0:1"], "argument --interval: needs low:high"),
         (synth + ["--damping", "2:1"], "argument --damping: needs low:high"),
         (synth + ["--freq", "1:inf"], "argument --freq: needs low:high"),
+        (synth + ["--decay", "0"], "argument --decay: must be in (0, 1]"),
+        (synth + ["--decay", "1.5"], "argument --decay: must be in (0, 1]"),
+        (synth + ["--decay", "nan"], "argument --decay: must be in (0, 1]"),
+        (synth + ["--decay", "inf"], "argument --decay: must be in (0, 1]"),
+        (synth + ["--seed", "-1"], "argument --seed: must be at least 0"),
         (reduce + ["--select", "0"], "argument --select: needs IN:OUT"),
         (reduce + ["--select", "x"], "argument --select: needs IN:OUT"),
         (reduce + ["--select", "3:0"],

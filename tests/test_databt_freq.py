@@ -22,6 +22,7 @@ from conftest import (
     random_rule,
     random_stable_system,
     scalar_s1,
+    tf2,
     tf_agree,
 )
 from lqobt import (
@@ -254,7 +255,7 @@ def test_scalar_freq_rom_recovers_system():
     assert rom.provenance == "freq-qbt"
     assert abs(rom.A[0, 0] + 1.0) <= 1e-6
     assert abs(rom.tf1(0.0)[0, 0] - 1.0) <= 1e-6
-    assert abs(rom.tf2(0.0, 0.0)[0, 0, 0] - 1.0) <= 1e-6
+    assert abs(tf2(rom, 0.0, 0.0)[0, 0, 0] - 1.0) <= 1e-6
 
 
 def test_full_rank_freq_reduction_is_exact():

@@ -16,10 +16,15 @@ from conftest import (
     PoisonedSampler,
     ShortSampler,
     assert_matrices_match,
+    dh1,
+    dh2_dz2,
     factor_products,
+    h1,
+    h2,
     random_rule,
     random_stable_system,
     scalar_s1,
+    tf2,
     tf_agree,
     time_factors,
 )
@@ -71,32 +76,32 @@ def test_sample_matrix_layout_scalar():
     assert H.shape == (6, 2)
     for i in range(2):
         col = [
-            sys_.h1(tau[0] + t[i])[0, 0],
-            sys_.h1(tau[1] + t[i])[0, 0],
-            sys_.h2(t[0], tau[0] + t[i])[0, 0, 0],
-            sys_.h2(t[0], tau[1] + t[i])[0, 0, 0],
-            sys_.h2(t[1], tau[0] + t[i])[0, 0, 0],
-            sys_.h2(t[1], tau[1] + t[i])[0, 0, 0],
+            h1(sys_, tau[0] + t[i])[0, 0],
+            h1(sys_, tau[1] + t[i])[0, 0],
+            h2(sys_, t[0], tau[0] + t[i])[0, 0, 0],
+            h2(sys_, t[0], tau[1] + t[i])[0, 0, 0],
+            h2(sys_, t[1], tau[0] + t[i])[0, 0, 0],
+            h2(sys_, t[1], tau[1] + t[i])[0, 0, 0],
         ]
         assert np.allclose(H[:, i], col, rtol=0, atol=1e-14)
 
     M = dm.M
-    assert abs(M[0, 0] - sys_.dh1(tau[0] + t[0])[0, 0]) <= 1e-14
-    assert abs(M[3, 1] - sys_.dh2_dz2(t[0], tau[1] + t[1])[0, 0, 0]) <= 1e-14
+    assert abs(M[0, 0] - dh1(sys_, tau[0] + t[0])[0, 0]) <= 1e-14
+    assert abs(M[3, 1] - dh2_dz2(sys_, t[0], tau[1] + t[1])[0, 0, 0]) <= 1e-14
 
     h, g, K = dm.h, dm.g, dm.K
     want_h = [
-        sys_.h1(tau[0])[0, 0],
-        sys_.h1(tau[1])[0, 0],
-        sys_.h2(t[0], tau[0])[0, 0, 0],
-        sys_.h2(t[0], tau[1])[0, 0, 0],
-        sys_.h2(t[1], tau[0])[0, 0, 0],
-        sys_.h2(t[1], tau[1])[0, 0, 0],
+        h1(sys_, tau[0])[0, 0],
+        h1(sys_, tau[1])[0, 0],
+        h2(sys_, t[0], tau[0])[0, 0, 0],
+        h2(sys_, t[0], tau[1])[0, 0, 0],
+        h2(sys_, t[1], tau[0])[0, 0, 0],
+        h2(sys_, t[1], tau[1])[0, 0, 0],
     ]
     assert np.allclose(h[:, 0], want_h, rtol=0, atol=1e-14)
-    assert np.allclose(g[0], [sys_.h1(t[0])[0, 0], sys_.h1(t[1])[0, 0]], atol=1e-14)
-    want_k = [[sys_.h2(t[0], t[0]), sys_.h2(t[0], t[1])],
-              [sys_.h2(t[1], t[0]), sys_.h2(t[1], t[1])]]
+    assert np.allclose(g[0], [h1(sys_, t[0])[0, 0], h1(sys_, t[1])[0, 0]], atol=1e-14)
+    want_k = [[h2(sys_, t[0], t[0]), h2(sys_, t[0], t[1])],
+              [h2(sys_, t[1], t[0]), h2(sys_, t[1], t[1])]]
     assert np.allclose(K[0], np.array(want_k)[:, :, 0, 0, 0], rtol=0, atol=1e-14)
 
 
@@ -107,10 +112,10 @@ def test_weights_enter_as_square_roots():
     ds = collect_time_data(sys_, rule_p, rule_q)
     H = build_data_matrices(ds).H
     # linear row j=0, column i=1: phi_0 rho_1 h1(tau_0 + t_1)
-    want = 2.0 * 1.3 * sys_.h1(2.5)[0, 0]
+    want = 2.0 * 1.3 * h1(sys_, 2.5)[0, 0]
     assert abs(H[0, 1] - want) <= 1e-14
     # quadratic row (k=1, j=0), column i=0: rho_1 phi_0 rho_0 h2(t_1, tau_0+t_0)
-    want = 1.3 * 2.0 * 0.7 * sys_.h2(2.0, 1.5)[0, 0, 0]
+    want = 1.3 * 2.0 * 0.7 * h2(sys_, 2.0, 1.5)[0, 0, 0]
     assert abs(H[2, 0] - want) <= 1e-14
 
 
@@ -286,7 +291,7 @@ def test_scalar_rom_recovers_unit_gains():
     rom = lqo_qbt(ds, 1)
     assert rom.provenance == "time-qbt"
     assert abs(rom.tf1(0.0)[0, 0] - 1.0) <= 1e-3
-    assert abs(rom.tf2(0.0, 0.0)[0, 0, 0] - 1.0) <= 1e-3
+    assert abs(tf2(rom, 0.0, 0.0)[0, 0, 0] - 1.0) <= 1e-3
 
 
 def test_full_rank_reduction_reproduces_system():

@@ -67,7 +67,8 @@ def test_gramians_match_kernel_integrals():
     assert np.abs(Q1_num - g.Q1).max() <= 1e-3 * (1.0 + np.abs(g.Q1).max())
 
     # squared H2-type norm = int ||h1||^2 + sum_q double int of h2_q^2
-    lin = np.trapezoid(np.einsum("tpm,tpm->t", sys_.h1(t), sys_.h1(t)), t)
+    H1 = sys_.h1_grid(t, np.array([0.0]))[:, 0]  # (T, p, m)
+    lin = np.trapezoid(np.einsum("tpm,tpm->t", H1, H1), t)
     K = sys_.h2_grid(t, t, np.array([0.0]))[:, :, 0]  # (T, T, p, m, m)
     dens = np.einsum("stqlk,stqlk->st", K, K)
     quad = np.trapezoid(np.trapezoid(dens, t, axis=1), t)

@@ -1,5 +1,6 @@
-"""Tests for the system container: construction contracts, kernel and
-transfer-function evaluators, simulation, and persistence."""
+"""Tests for the system container: construction contracts, the sampler
+interface (kernel grids and transfer functions, against the pointwise
+oracles of conftest), simulation, and persistence."""
 
 import sys
 import time
@@ -8,7 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from conftest import random_stable_system, scalar_s1
+from conftest import dh1, dh2_dz2, h1, h2, random_stable_system, scalar_s1, tf2
 from lqobt import (
     LqoSystem,
     ReducedLqoSystem,
@@ -22,7 +23,7 @@ from lqobt import (
     select_channels,
 )
 from lqobt import databt, model
-from lqobt.errors import FrequencyCollisionError, UnstableSystemError
+from lqobt.errors import FrequencyCollisionError
 from lqobt.numcore import expm
 
 
@@ -60,8 +61,7 @@ def test_constructor_shape_errors():
 
 
 def test_constructor_stability_check():
-    with pytest.raises(UnstableSystemError):
-        LqoSystem([[1.0]], [1.0], [1.0], [np.eye(1)], check_stability=True)
+    # construction accepts an unstable system; the queries report it
     sys_ = LqoSystem([[1.0]], [1.0], [1.0], [np.eye(1)])
     assert not sys_.is_stable
     assert sys_.spectral_abscissa() == 1.0
@@ -80,31 +80,45 @@ def test_repr_mentions_dimensions():
 
 
 # -------------------------------------------------------------- kernels
+#
+# The kernels at single points, through the shipped grid evaluators: a zero
+# second node leaves h1_grid(z, [0]) = h1(z) and h2_grid([z1], [z2], [0]) =
+# h2(z1, z2).
+
+
+def _h1(sys_, z, shift=False):
+    grid = sys_.dh1_grid if shift else sys_.h1_grid
+    return grid(np.atleast_1d(z), [0.0])[:, 0]
+
+
+def _h2(sys_, z1, z2, shift=False):
+    grid = sys_.dh2_grid if shift else sys_.h2_grid
+    return grid([z1], np.atleast_1d(z2), [0.0])[0, :, 0]
 
 
 def test_scalar_kernel_closed_forms():
     sys_ = scalar_s1()
-    assert abs(sys_.h1(0.0)[0, 0] - 1.0) <= 1e-14
-    assert abs(sys_.h1(np.log(2.0))[0, 0] - 0.5) <= 1e-14
-    assert abs(sys_.dh1(0.5)[0, 0] + np.exp(-0.5)) <= 1e-14
-    assert abs(sys_.h2(1.0, 2.0)[0, 0, 0] - np.exp(-3.0)) <= 1e-14
-    assert abs(sys_.dh2_dz2(1.0, 2.0)[0, 0, 0] + np.exp(-3.0)) <= 1e-14
+    assert abs(_h1(sys_, 0.0)[0, 0, 0] - 1.0) <= 1e-14
+    assert abs(_h1(sys_, np.log(2.0))[0, 0, 0] - 0.5) <= 1e-14
+    assert abs(_h1(sys_, 0.5, shift=True)[0, 0, 0] + np.exp(-0.5)) <= 1e-14
+    assert abs(_h2(sys_, 1.0, 2.0)[0, 0, 0, 0] - np.exp(-3.0)) <= 1e-14
+    assert abs(_h2(sys_, 1.0, 2.0, shift=True)[0, 0, 0, 0] + np.exp(-3.0)) <= 1e-14
 
 
 def test_kernel_array_shapes_and_broadcasting():
     rng = np.random.default_rng(1)
     sys_ = random_stable_system(rng, n=5, m=2, p=3)
     z = np.array([0.1, 0.4, 1.0])
-    assert sys_.h1(z).shape == (3, 3, 2)
-    assert np.allclose(sys_.h1(z)[1], sys_.h1(z[1]))
-    # scalar z1 broadcasts against array z2
-    vals = sys_.h2(0.3, z)
-    assert vals.shape == (3, 3, 2, 2)
-    assert np.allclose(vals[2], sys_.h2(0.3, z[2]))
+    assert sys_.h1_grid(z, [0.0]).shape == (3, 1, 3, 2)
+    assert np.allclose(_h1(sys_, z)[1], _h1(sys_, z[1])[0])
+    # one left node against an array of right nodes
+    vals = _h2(sys_, 0.3, z)
+    assert sys_.h2_grid([0.3], z, [0.0]).shape == (1, 3, 1, 3, 2, 2)
+    assert np.allclose(vals[2], _h2(sys_, 0.3, z[2])[0])
     # channel 1 against its closed form
     left = expm(sys_.A, 0.3) @ sys_.B
     right = expm(sys_.A, 0.7) @ sys_.B
-    assert np.allclose(sys_.h2(0.3, 0.7)[1], left.T @ sys_.Ms[1] @ right,
+    assert np.allclose(_h2(sys_, 0.3, 0.7)[0, 1], left.T @ sys_.Ms[1] @ right,
                        rtol=0, atol=1e-13)
 
 
@@ -114,8 +128,8 @@ def test_h2_transpose_symmetry():
     for _ in range(5):
         sys_ = random_stable_system(rng, n=int(rng.integers(2, 8)), m=2, p=2)
         z1, z2 = rng.uniform(0.05, 2.0, 2)
-        left = sys_.h2(z1, z2)
-        right = sys_.h2(z2, z1).transpose(0, 2, 1)
+        left = _h2(sys_, z1, z2)
+        right = _h2(sys_, z2, z1).transpose(0, 1, 3, 2)
         assert np.allclose(left, right, rtol=0, atol=1e-13)
 
 
@@ -125,7 +139,7 @@ def test_h1_semigroup_consistency():
         sys_ = random_stable_system(rng, n=int(rng.integers(2, 10)))
         z1, z2 = rng.uniform(0.05, 1.5, 2)
         want = sys_.C @ expm(sys_.A, z1) @ expm(sys_.A, z2) @ sys_.B
-        got = sys_.h1(z1 + z2)
+        got = _h1(sys_, z1 + z2)[0]
         assert np.allclose(got, want, rtol=1e-12, atol=1e-13)
 
 
@@ -134,24 +148,26 @@ def test_kernel_derivatives_match_finite_differences():
     sys_ = random_stable_system(rng, n=6, m=2, p=2)
     d = 1e-5
     for z in (0.3, 1.1):
-        fd = (sys_.h1(z + d) - sys_.h1(z - d)) / (2 * d)
+        fd = (_h1(sys_, z + d) - _h1(sys_, z - d)) / (2 * d)
         scale = 1.0 + np.abs(fd).max()
-        assert np.abs(sys_.dh1(z) - fd).max() <= 1e-8 * scale
+        assert np.abs(_h1(sys_, z, shift=True) - fd).max() <= 1e-8 * scale
     z1 = 0.7
     for z2 in (0.2, 1.4):
-        fd = (sys_.h2(z1, z2 + d) - sys_.h2(z1, z2 - d)) / (2 * d)
+        fd = (_h2(sys_, z1, z2 + d) - _h2(sys_, z1, z2 - d)) / (2 * d)
         scale = 1.0 + np.abs(fd).max()
-        assert np.abs(sys_.dh2_dz2(z1, z2) - fd).max() <= 1e-8 * scale
+        assert np.abs(_h2(sys_, z1, z2, shift=True) - fd).max() <= 1e-8 * scale
 
 
 def test_kernels_reject_negative_times():
     sys_ = scalar_s1()
     with pytest.raises(ValueError):
-        sys_.h1(-0.1)
+        sys_.h1_grid([-0.1], [0.0])
     with pytest.raises(ValueError):
-        sys_.dh1(np.array([0.5, -0.5]))
+        sys_.dh1_grid([0.5, -0.5], [0.0])
     with pytest.raises(ValueError):
-        sys_.h2(1.0, -1.0)
+        sys_.h2_grid([1.0], [-1.0], [0.0])
+    with pytest.raises(ValueError):
+        sys_.dh2_grid([-1.0], [1.0], [0.0])
     with pytest.raises(ValueError):
         sys_.h1_grid([0.5], [-0.1])
     with pytest.raises(ValueError):
@@ -175,8 +191,8 @@ def test_grid_evaluators_match_pointwise():
         D1 = sys_.dh1_grid(a, b)
         for u in range(a.size):
             for v in range(b.size):
-                assert np.allclose(G1[u, v], sys_.h1(a[u] + b[v]), atol=1e-13)
-                assert np.allclose(D1[u, v], sys_.dh1(a[u] + b[v]), atol=1e-13)
+                assert np.allclose(G1[u, v], h1(sys_, a[u] + b[v]), atol=1e-13)
+                assert np.allclose(D1[u, v], dh1(sys_, a[u] + b[v]), atol=1e-13)
 
         G2 = sys_.h2_grid(a, b, c)
         assert G2.shape == (a.size, 3, c.size, 2, 2, 2)
@@ -184,9 +200,9 @@ def test_grid_evaluators_match_pointwise():
         for u in range(a.size):
             for v in range(b.size):
                 for w in range(c.size):
-                    want = sys_.h2(a[u], b[v] + c[w])
+                    want = h2(sys_, a[u], b[v] + c[w])
                     assert np.allclose(G2[u, v, w], want, atol=1e-12)
-                    wantd = sys_.dh2_dz2(a[u], b[v] + c[w])
+                    wantd = dh2_dz2(sys_, a[u], b[v] + c[w])
                     assert np.allclose(D2[u, v, w], wantd, atol=1e-12)
 
 
@@ -309,15 +325,6 @@ def test_cache_is_consistent_under_concurrent_use(monkeypatch, evict):
     assert info.currsize == min(info.maxsize, len(set(t) | set(tau)))
 
 
-def test_pointwise_kernels_stay_uncached():
-    sys_, _, _, _ = _cache_case()
-    sys_.h1(np.array([0.3, 0.7]))
-    sys_.h2(0.2, np.array([0.4, 0.9]))
-    sys_.dh2_dz2(0.2, 0.4)
-    info = sys_._exp_cache.cache_info()
-    assert info.currsize == info.misses == info.hits == 0
-
-
 # ---------------------------------------------------- transfer functions
 
 
@@ -325,8 +332,8 @@ def test_scalar_transfer_closed_forms():
     sys_ = scalar_s1()
     assert abs(sys_.tf1(0.0)[0, 0] - 1.0) <= 1e-14
     assert abs(sys_.tf1(1.0j)[0, 0] - (0.5 - 0.5j)) <= 1e-14
-    assert abs(sys_.tf2(0.0, 0.0)[0, 0, 0] - 1.0) <= 1e-14
-    assert abs(sys_.tf2(1.0j, -1.0j)[0, 0, 0] - 0.5) <= 1e-14
+    assert abs(sys_.tf2_grid([0.0], [0.0])[0, 0, 0, 0, 0] - 1.0) <= 1e-14
+    assert abs(sys_.tf2_grid([1.0j], [-1.0j])[0, 0, 0, 0, 0] - 0.5) <= 1e-14
 
 
 def test_transfer_functions_match_modal_expansion():
@@ -342,16 +349,23 @@ def test_transfer_functions_match_modal_expansion():
         want1 = (C / (s1 - a)[None, :]) @ B
         assert np.allclose(sys_.tf1(s1), want1, rtol=1e-12, atol=1e-13)
         want2 = (B / (s1 - a)[:, None]).T @ M @ (B / (s2 - a)[:, None])
-        got = sys_.tf2(s1, s2)
+        got = sys_.tf2_grid([s1], [s2])[0, 0]
         assert np.allclose(got[0], want2, rtol=1e-12, atol=1e-13)
         assert np.allclose(got[1], 0.5 * want2, rtol=1e-12, atol=1e-13)
+    # tf1 keeps the shape of a 2-d argument
+    s = np.array([[0.4 + 1.1j, 2.0, 0.5j], [-0.3 + 0.7j, 1.0, 0.6 - 2.0j]])
+    got = sys_.tf1(s)
+    assert got.shape == (2, 3, 2, 2)
+    for idx in np.ndindex(s.shape):
+        want1 = (C / (s[idx] - a)[None, :]) @ B
+        assert np.allclose(got[idx], want1, rtol=1e-12, atol=1e-13)
 
 
 def test_tf1_matches_laplace_integral():
     # dense trapezoid transform of the kernel reproduces the resolvent form
     sys_ = scalar_s1()
     t = np.linspace(0.0, 40.0, 20001)
-    h = sys_.h1(t)[:, 0, 0]
+    h = h1(sys_, t)[:, 0, 0]
     for s in (0.3, 0.5 + 0.8j):
         want = np.trapezoid(h * np.exp(-s * t), t)
         got = sys_.tf1(s)[0, 0]
@@ -367,17 +381,18 @@ def test_tf2_grid_matches_pairwise():
     assert G.shape == (2, 3, 2, 2, 2)
     for u in range(2):
         for v in range(3):
-            assert np.allclose(G[u, v], sys_.tf2(s1s[u], s2s[v]), atol=1e-13)
+            assert np.allclose(G[u, v], tf2(sys_, s1s[u], s2s[v]), atol=1e-13)
 
 
 def test_resolvent_at_eigenvalue_raises():
+    # the error names the node
     sys_ = scalar_s1()
-    with pytest.raises(FrequencyCollisionError):
+    with pytest.raises(FrequencyCollisionError, match=r"s = \(-1\+0j\)"):
         sys_.tf1(-1.0)
-    with pytest.raises(FrequencyCollisionError):
-        sys_.tf2(-1.0, 0.0)
+    with pytest.raises(FrequencyCollisionError, match=r"s = \(-1\+0j\)"):
+        sys_.tf1(np.array([[0.5j, 2.0], [-1.0, 1.0j]]))
     for s1s, s2s in (([-1.0], [0.5j]), ([0.5j], [2.0, -1.0])):
-        with pytest.raises(FrequencyCollisionError):
+        with pytest.raises(FrequencyCollisionError, match=r"s = \(-1\+0j\)"):
             sys_.tf2_grid(np.array(s1s), np.array(s2s))
 
 
@@ -387,24 +402,25 @@ def test_tf2_grid_solves_one_resolvent_per_distinct_node(monkeypatch):
     rng = np.random.default_rng(12)
     sys_ = random_stable_system(rng, n=5, m=2, p=2)
     calls = []
-    solve = LqoSystem._resolvent
+    solve = np.linalg.solve
 
-    def counted(self, s, A, rhs):
-        calls.append(s)
-        return solve(self, s, A, rhs)
+    def counted(a, b):
+        # the nodes are imaginary, so each is the imaginary part of sI - A
+        calls.append(a[0, 0].imag)
+        return solve(a, b)
 
-    monkeypatch.setattr(LqoSystem, "_resolvent", counted)
+    monkeypatch.setattr(np.linalg, "solve", counted)
     th = np.array([0.3, -0.3, 1.2, -1.2, 4.0, -4.0])
     G = sys_.tf2_grid(-1j * th, 1j * th)
     assert len(calls) == th.size
-    assert sorted(calls, key=lambda z: z.imag) == sorted(1j * th, key=lambda z: z.imag)
+    assert sorted(calls) == sorted(th)
     calls.clear()
     sys_.tf2_grid(-1j * th, 1j * np.array([0.5, 2.0]))
     assert len(calls) == th.size + 2
     monkeypatch.undo()
     for u in range(th.size):
         for v in range(th.size):
-            want = sys_.tf2(-1j * th[u], 1j * th[v])
+            want = tf2(sys_, -1j * th[u], 1j * th[v])
             assert np.abs(G[u, v] - want).max() <= 1e-13 * np.abs(want).max()
 
 
@@ -519,10 +535,3 @@ def test_load_system_manifest_errors(tmp_path):
     with pytest.raises(ValueError):
         load_system(bad)
 
-
-def test_load_system_stability_flag(tmp_path):
-    unstable = LqoSystem([[1.0]], [1.0], [1.0], [np.eye(1)])
-    manifest = save_system(unstable, tmp_path, name="u")
-    load_system(manifest)  # no check by default
-    with pytest.raises(UnstableSystemError):
-        load_system(manifest, check_stability=True)
