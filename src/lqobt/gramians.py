@@ -7,6 +7,8 @@ to the state-space matrices; the data-driven counterpart lives in
 :mod:`lqobt.databt`.
 """
 
+import functools
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +34,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Gramians:
     """Controllability and (split) observability Gramians with factors.
 
@@ -41,6 +43,11 @@ class Gramians:
     solves ``A' Q2 + Q2 A + sum_q M_q P M_q = 0``. ``U``, ``L1``, ``L2`` are
     square-root factors of ``P``, ``Q1``, ``Q2``; ``L = [L1, L2]`` so that
     ``L L' = Q``.
+
+    :attr:`hankel`, the SVD of ``L'U``, is computed on first use and kept,
+    so :func:`hankel_singular_values` and every :func:`intrusive_bt` given
+    the same instance as ``gramians=`` share one factorization. The
+    instance is frozen so that the kept SVD cannot go stale.
     """
 
     P: np.ndarray
@@ -51,6 +58,15 @@ class Gramians:
     L1: np.ndarray
     L2: np.ndarray
     L: np.ndarray
+
+    @functools.cached_property
+    def hankel(self):
+        """:class:`~lqobt.numcore.SvdResult` of ``L'U``, read-only; its
+        singular values are the Hankel singular values."""
+        res = svd(self.L.T @ self.U)
+        for X in (res.Z, res.S, res.Y):
+            X.flags.writeable = False
+        return res
 
 
 def _require_stable(sys, what="system"):
@@ -76,18 +92,32 @@ def compute_gramians(sys):
     return Gramians(P=P, Q1=Q1, Q2=Q2, Q=Q1 + Q2, U=U, L1=L1, L2=L2, L=np.hstack([L1, L2]))
 
 
+# Q of each system object, dropped with the system. A system's matrices are
+# read-only (as its cache of node exponentials also assumes), so a stored Q
+# cannot go stale.
+_Q_MEMO = weakref.WeakKeyDictionary()
+
+
 def _observability_gramian(sys, what="system"):
     """``Q = Q1 + Q2`` of a stable `sys` from two Lyapunov solves: ``P``,
-    then ``Q``, which is linear in its source ``C'C + sum_q M_q P M_q``."""
-    _require_stable(sys, what)
-    P = solve_lyapunov(sys.A.T, sys.B @ sys.B.T)
-    return solve_lyapunov(sys.A, sys.C.T @ sys.C + sum(M @ P @ M for M in sys.Ms))
+    then ``Q``, which is linear in its source ``C'C + sum_q M_q P M_q``.
+    Solved once per system object and kept in ``_Q_MEMO``."""
+    Q = _Q_MEMO.get(sys)
+    if Q is None:
+        _require_stable(sys, what)
+        P = solve_lyapunov(sys.A.T, sys.B @ sys.B.T)
+        Q = solve_lyapunov(sys.A, sys.C.T @ sys.C + sum(M @ P @ M for M in sys.Ms))
+        Q.flags.writeable = False
+        _Q_MEMO[sys] = Q
+    return Q
 
 
 def hankel_singular_values(gramians):
     """Singular values of ``L' U``: the Hankel singular values of the
-    quadratic-output system, nonincreasing."""
-    return svd(gramians.L.T @ gramians.U).S
+    quadratic-output system, nonincreasing. They come from
+    ``gramians.hankel``, the one factorization that :func:`intrusive_bt`
+    shares when given the same `gramians`."""
+    return gramians.hankel.S
 
 
 def intrusive_bt(sys, r, gramians=None):
@@ -109,7 +139,9 @@ def intrusive_bt(sys, r, gramians=None):
     r
         Reduced order, within the numerical rank of ``L'U``.
     gramians
-        Optional precomputed :class:`Gramians`.
+        Optional precomputed :class:`Gramians`. Pass the same instance to
+        every order of a sweep: the SVD of ``L'U`` (``gramians.hankel``)
+        is computed once and shared.
 
     Returns
     -------
@@ -120,7 +152,7 @@ def intrusive_bt(sys, r, gramians=None):
     L, U = gramians.L, gramians.U
     dm = DataMatrices(H=L.T @ U, M=L.T @ sys.A @ U, h=L.T @ sys.B,
                       g=sys.C @ U, K=[U.T @ M @ U for M in sys.Ms])
-    rom = reduce_from_matrices(dm, r)
+    rom = reduce_from_matrices(dm, r, factors=gramians.hankel)
     rom.provenance = "intrusive-bt"
     return rom
 
@@ -132,6 +164,10 @@ def h2_norm(sys, gramians=None):
     Equals the L2 norm of the kernel family: the squared norm is the
     integral of ``||h1||_F^2`` plus the double integral of the squared
     quadratic kernels summed over channels.
+
+    Without `gramians`, ``Q`` is solved once per system object and kept
+    while the object lives (:func:`h2_error` shares it); this relies on the
+    system's matrices being read-only.
     """
     Q = _observability_gramian(sys) if gramians is None else gramians.Q
     val = np.trace(sys.B.T @ Q @ sys.B)
@@ -158,6 +194,11 @@ def h2_error(sys, rom):
     controllability Gramian as the sum of squares
     ``||C R_1 - C_r R_2||_F^2 + sum_q ||R_1^H M_q R_1 - R_2^H M_r,q R_2||_F^2``,
     which resolves errors down to about ``eps ||sys||``.
+
+    ``Q`` and ``Q_r`` are each solved once per system object and kept
+    while the object lives, so scoring several ROMs against one `sys` (an
+    order sweep) solves the full model's ``Q`` once; this relies on the
+    systems' matrices being read-only.
 
     Raises :class:`~lqobt.errors.UnstableSystemError` if `sys` or `rom` is
     unstable; data-driven reduction can produce an unstable `rom`.

@@ -49,7 +49,7 @@ from lqobt import (
     save_dataset,
     synthesize_system,
 )
-from lqobt import databt
+from lqobt import databt, gramians
 from lqobt.numcore import svd
 from test_acceptance import _equivalence_cases, _mimo_cases
 
@@ -505,10 +505,11 @@ def test_data_route_factors_only_sketch_sized_matrices(monkeypatch):
     # the probe unfoldings and H are factored through their projections
     # onto sketches of SKETCH columns (transposed, by numpy's LAPACK),
     # never whole; the intrusive oracle, which checks that route, still
-    # factors its whole L'U through numcore.svd
+    # factors its whole L'U through numcore.svd, once per Gramians
+    # (Gramians.hankel), so in the gramians module
     sys_ = synthesize_system(10, damping=(0.1, 3.0), gain_decay=0.85, seed=21)
     rule = log_trapezoid(1e-2, 1e2, 200)
-    sketched, factored = [], []
+    sketched, fallback, factored = [], [], []
 
     def spy(module, calls):
         exact = module.svd
@@ -520,14 +521,16 @@ def test_data_route_factors_only_sketch_sized_matrices(monkeypatch):
         monkeypatch.setattr(module, "svd", spied)
 
     spy(np.linalg, sketched)
-    spy(databt, factored)
+    spy(databt, fallback)
+    spy(gramians, factored)
     lqo_qbt_auto(sys_, rule, rule, [4])
-    assert len(sketched) == 3 and not factored
+    assert len(sketched) == 3 and not fallback and not factored
     assert all(min(X.shape) <= databt.SKETCH for X in sketched)
     # at n=70 L'U is 140 x 70, past the sketch width on both sides
     big = synthesize_system(70, damping=(0.1, 3.0), gain_decay=0.85, seed=21)
     gram = compute_gramians(big)
     intrusive_bt(big, 4, gram)
+    assert not fallback
     assert len(factored) == 1 and min(factored[0].shape) > databt.SKETCH
     assert np.array_equal(factored[0], gram.L.T @ gram.U)
 

@@ -7,6 +7,10 @@ Lyapunov solution is an explicit ratio. One test verifies the Gramian
 definitions directly against dense numerical integrals of the kernels.
 """
 
+import gc
+import weakref
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
@@ -21,6 +25,7 @@ from lqobt import (
     intrusive_bt,
     synthesize_system,
 )
+from lqobt import gramians
 from lqobt.errors import UnstableSystemError
 from lqobt.numcore import expm, solve_lyapunov
 
@@ -322,6 +327,72 @@ def test_unstable_full_model_raises_unstable_system_error():
             h2_norm(sys_)
         with pytest.raises(UnstableSystemError):
             h2_error(sys_, rom)
+
+
+def _twin(sys_):
+    return LqoSystem(sys_.A, sys_.B, sys_.C, sys_.Ms)
+
+
+def _sweep_equals_fresh_objects(sys_, orders, roms, errors):
+    # each order from a fresh system and fresh Gramians, bit for bit
+    for r, rom, err in zip(orders, roms, errors):
+        fresh = _twin(sys_)
+        ref = intrusive_bt(fresh, r, gramians=compute_gramians(fresh))
+        for X, Y in zip((rom.A, rom.B, rom.C, *rom.Ms), (ref.A, ref.B, ref.C, *ref.Ms)):
+            assert np.array_equal(X, Y), r
+        assert h2_error(_twin(sys_), ref) == err, r
+    assert h2_norm(sys_) == h2_norm(_twin(sys_))
+
+
+def test_order_sweep_factors_once_and_solves_the_full_q_once(monkeypatch):
+    # one Gramians factors L'U once for all orders; one system solves its
+    # Q once for all the ROMs it scores, each ROM its own Q_r once
+    memo = weakref.WeakKeyDictionary()
+    monkeypatch.setattr(gramians, "_Q_MEMO", memo)
+    sys_ = synthesize_system(12, damping=(0.1, 3.0), gain_decay=0.85, seed=21)
+    g = compute_gramians(sys_)
+    orders = range(2, 9)
+    calls = {"svd": 0, "solve_lyapunov": 0}
+
+    def count(name):
+        original = getattr(gramians, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return counted
+
+    with monkeypatch.context() as m:
+        for name in calls:
+            m.setattr(gramians, name, count(name))
+        roms = [intrusive_bt(sys_, r, gramians=g) for r in orders]
+        assert calls["svd"] == 1
+        errors = [h2_error(sys_, rom) for rom in roms]
+        assert calls["solve_lyapunov"] == 2 + 2 * len(roms)
+        h2_norm(sys_)
+        assert calls["solve_lyapunov"] == 2 + 2 * len(roms)
+    _sweep_equals_fresh_objects(sys_, orders, roms, errors)
+    # an entry lives as long as its system
+    del sys_, roms
+    gc.collect()
+    assert len(memo) == 0
+    # a failed stability check stores nothing
+    unstable = LqoSystem([[0.5]], [1.0], [1.0], [np.eye(1)])
+    with pytest.raises(UnstableSystemError):
+        h2_norm(unstable)
+    assert len(memo) == 0
+
+
+def test_kept_factorization_and_q_cannot_change():
+    # the kept SVD and Q are handed to every caller, so none may change them
+    g = compute_gramians(scalar_s1())
+    with pytest.raises(ValueError):
+        hankel_singular_values(g)[0] = 1.0
+    with pytest.raises(ValueError):
+        gramians._observability_gramian(scalar_s1())[0, 0] = 1.0
+    with pytest.raises(FrozenInstanceError):
+        g.L = 2.0 * g.L
 
 
 @pytest.mark.parametrize("case", ["acceptance", "mimo", "linear"])
