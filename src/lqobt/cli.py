@@ -133,7 +133,9 @@ def _rules_from_args(args, domain, n_p, n_q=None):
     return rule(a, b, n_p), rule(a * shift, b * shift, n_q)
 
 
-def _load(args):
+def _load(args, order=None):
+    """The system of ``--system``, restricted to ``--select``. An `order`
+    ``(flag, r)`` above the system order is a usage error naming `flag`."""
     sys_ = load_system(args.system)
     if args.select:
         i, q = args.select
@@ -141,6 +143,9 @@ def _load(args):
             args.error(f"argument --select: {i}:{q} is not below the input "
                        f"and output counts {sys_.m}:{sys_.p}")
         sys_ = select_channels(sys_, i, q)
+    if order is not None and order[1] > sys_.n:
+        args.error(f"argument {order[0]}: order {order[1]} exceeds the "
+                   f"system order {sys_.n}")
     return sys_
 
 
@@ -196,7 +201,7 @@ def cmd_hsv(args):
 
 
 def cmd_reduce(args):
-    sys_ = _load(args)
+    sys_ = _load(args, ("--order", args.order))
     if args.method == "bt":
         rom = intrusive_bt(sys_, args.order)
         n_p = n_q = None
@@ -262,7 +267,8 @@ def _safe_error(sys_, rom):
 
 
 def cmd_h2_sweep(args):
-    sys_ = _load(args)
+    sys_ = _load(args, ("--order", args.order) if args.nodes is not None
+                 else ("--orders", args.orders[-1]))
     gram = compute_gramians(sys_)
 
     if args.nodes is not None:

@@ -73,10 +73,8 @@ __all__ = [
     "DataMatrices",
     "collect_time_data",
     "collect_freq_data",
-    "build_data_matrices",
     "lqo_qbt",
     "lqo_qbt_auto",
-    "lqo_qbt_streamed",
     "reduce_from_matrices",
     "save_dataset",
     "load_dataset",
@@ -337,22 +335,28 @@ def collect_freq_data(sampler, rule_p, rule_q):
     the sample matrices can be made real, as a real reduced model needs.
 
     Node sets of the two sides must not intersect (divided differences);
-    collisions raise :class:`~lqobt.errors.FrequencyCollisionError`.
+    collisions raise :class:`~lqobt.errors.FrequencyCollisionError`. A
+    collection whose complex quadratic Loewner rows at one controllability
+    node would exceed ``FREQ_BLOCK_BYTES`` is refused, as the reduction's
+    probe stage holds many times those rows. Both checks run before the
+    O(N^2) ``tf2_grid`` call; the size check reads the channel counts off
+    the ``tf1`` samples.
 
     Returns
     -------
     :class:`KernelDataset` with ``domain="freq"``.
     """
+    th, s = _closed_nodes(rule_p)[0], _closed_nodes(rule_q)[0]
+    tf1_in = _grid(sampler, "tf1", (1j * s,))
+    p, m = tf1_in.shape[1:]
+    tf1_out = _grid(sampler, "tf1", (1j * th,), (p, m))
+    _freq_size_guard(p, m, th.size, s.size)
     scale = max(rule_p.nodes[-1], rule_q.nodes[-1])
     dist = np.abs(rule_p.nodes[:, None] - rule_q.nodes[None, :]).min()
     if dist <= 1e-12 * scale:
         raise FrequencyCollisionError(
             "controllability- and observability-side frequency nodes collide"
         )
-    th, s = _closed_nodes(rule_p)[0], _closed_nodes(rule_q)[0]
-    tf1_in = _grid(sampler, "tf1", (1j * s,))
-    p, m = tf1_in.shape[1:]
-    tf1_out = _grid(sampler, "tf1", (1j * th,), (p, m))
     tf2_cross, tf2_quad = (
         np.moveaxis(_grid(sampler, "tf2_grid", (-1j * th, 1j * z), (p, m, m)), 2, 0)
         for z in (s, th)
@@ -625,7 +629,8 @@ def reduce_from_matrices(dm, r, factors=None):
     """
     if np.iscomplexobj(dm.H):
         raise ValueError("complex data matrices cannot produce a real reduced "
-                         "model; realify them as build_data_matrices does")
+                         "model; collect frequency data with collect_freq_data, "
+                         "whose routes realify it")
     res = svd(dm.H) if factors is None else factors
     _truncation_guard(res.S, r, dm.H.shape[1])
     scale = 1.0 / np.sqrt(res.S[:r])
@@ -711,12 +716,9 @@ def lqo_qbt_auto(sampler, rule_p, rule_q, orders, domain="time"):
 
     The time domain runs :func:`lqo_qbt_streamed` at every node count,
     which takes the channel counts from the first grid it samples.
-    Frequency data is conjugate closed and reduced through
-    :func:`_freq_compressed`. A collection whose complex quadratic
-    Loewner rows at a single controllability node exceed
-    ``FREQ_BLOCK_BYTES`` is refused before sampling, as the route's probe
-    stage holds many times those rows; only that check reads the
-    sampler's ``m`` and ``p`` attributes.
+    Frequency data is collected by :func:`collect_freq_data`, which
+    refuses a collection too large for the route before its O(N^2)
+    samples, and reduced through :func:`_freq_compressed`.
 
     Returns
     -------
@@ -729,8 +731,6 @@ def lqo_qbt_auto(sampler, rule_p, rule_q, orders, domain="time"):
         return lqo_qbt_streamed(sampler, rule_p, rule_q, orders)
     if domain != "freq":
         raise ValueError(f"unknown domain {domain!r}")
-    # closure doubles both node sets
-    _freq_size_guard(sampler.p, sampler.m, 2 * len(rule_p), 2 * len(rule_q))
     ds = collect_freq_data(sampler, rule_p, rule_q)
     return _reduce_orders(_freq_compressed(ds), orders)
 
@@ -759,7 +759,9 @@ def _freq_compressed(ds):
     The linear rows, ``h``, ``g`` and ``K`` are built as in
     :func:`build_data_matrices`. A dataset whose complex quadratic rows at
     one node exceed ``FREQ_BLOCK_BYTES`` is refused, as the probes hold
-    about 26 times those rows.
+    about 26 times those rows; :func:`collect_freq_data` refuses such a
+    collection before sampling it, and this check covers datasets loaded
+    or built by hand.
     """
     Np, Nq, m, p = ds.Np, ds.Nq, ds.m, ds.p
     _freq_size_guard(p, m, Np, Nq)

@@ -1,5 +1,12 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "LyapunovError",
+    "IndefiniteMatrixError",
+    "UnstableSystemError",
+    "FrequencyCollisionError",
+]
+
 
 class LyapunovError(RuntimeError):
     """A Lyapunov or Sylvester equation has no unique stable solution.

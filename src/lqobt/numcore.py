@@ -12,10 +12,8 @@ import scipy.linalg as spla
 
 from .errors import IndefiniteMatrixError, LyapunovError
 
-__all__ = [
-    "expm", "solve_lyapunov", "solve_sylvester", "lyapunov_factor",
-    "psd_sqrt_factor", "svd", "SvdResult",
-]
+# lyapunov_factor and psd_sqrt_factor serve lqobt.gramians only
+__all__ = ["expm", "solve_lyapunov", "solve_sylvester", "svd", "SvdResult"]
 
 # psd_sqrt_factor: relative eigenvalue cut of the factor's rank, and the
 # relative negative eigenvalue still taken for rounding and clipped to zero

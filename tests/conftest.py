@@ -285,14 +285,16 @@ class PoisonedSampler:
 
 
 class UncallableSampler:
-    """Declares its channel counts and fails on any evaluation."""
+    """Gives zero ``tf1`` samples of its channel counts and fails on any
+    ``tf2_grid`` evaluation."""
 
     m = p = 1
 
     def tf1(self, s):
-        raise AssertionError("sampled despite the size guard")
+        return np.zeros((len(s), self.p, self.m), dtype=complex)
 
-    tf2_grid = tf1
+    def tf2_grid(self, s1, s2):
+        raise AssertionError("sampled despite the size guard")
 
 
 class ShortSampler:

@@ -24,7 +24,6 @@ from conftest import (
 )
 from lqobt import (
     UnstableSystemError,
-    build_data_matrices,
     collect_freq_data,
     collect_time_data,
     compute_gramians,
@@ -39,6 +38,7 @@ from lqobt import (
     svd,
     synthesize_system,
 )
+from lqobt.databt import build_data_matrices
 
 _CACHE = {}
 

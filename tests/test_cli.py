@@ -61,6 +61,11 @@ def test_synth_writes_loadable_system(tmp_path):
     assert np.array_equal(sys_.B, want.B)
     assert np.array_equal(sys_.C, want.C)
     assert np.array_equal(sys_.Ms[0], want.Ms[0])
+    decayed = load_system(_synth(tmp_path, "decayed", n=5, extra=("--decay", "0.5")))
+    want = synthesize_system(5, damping=(0.2, 2.0), freq=(0.5, 20.0),
+                             gain_decay=0.5, seed=3)
+    assert np.array_equal(decayed.B, want.B)
+    assert not np.array_equal(decayed.B, sys_.B)
 
 
 def test_synth_reruns_are_byte_identical(tmp_path):
@@ -439,8 +444,8 @@ def test_reduce_rejects_bad_order(tmp_path):
 def test_out_of_range_integers_are_usage_errors(tmp_path, capsys):
     # a count, order or seed below its least value, a gain decay outside
     # (0, 1], an empty order range, a range that is not 0 < low <= high
-    # (low < high for an interval), a malformed channel pair and a channel
-    # the system does not have are
+    # (low < high for an interval), a malformed channel pair, a channel
+    # the system does not have and an order above the system's are
     # argparse errors (exit 2) that name the flag, and nothing is written
     manifest = _synth(tmp_path, n=4)
     rom_dir = str(tmp_path / "rom")
@@ -491,6 +496,13 @@ def test_out_of_range_integers_are_usage_errors(tmp_path, capsys):
         (simulate + ["--channel", "-1"], "argument --channel: must be at least 0"),
         (simulate + ["--channel", "1"],
          "argument --channel: 1 is not below the output count 1"),
+        # an order above the system order, once the system is loaded
+        (reduce + ["--order", "5"], "argument --order: order 5 exceeds the system order 4"),
+        (["reduce", "--system", manifest, "--method", "bt", "--order", "5",
+          "--out", out], "argument --order: order 5 exceeds the system order 4"),
+        (sweep + ["--order", "5"], "argument --order: order 5 exceeds the system order 4"),
+        (["h2-sweep", "--system", manifest, "--orders", "3:5", "--np", "16",
+          "--out", out], "argument --orders: order 5 exceeds the system order 4"),
     ]
     capsys.readouterr()
     for argv, message in cases:

@@ -28,7 +28,6 @@ from conftest import (
 from lqobt import (
     LqoSystem,
     QuadratureRule,
-    build_data_matrices,
     collect_freq_data,
     collect_time_data,
     h2_error,
@@ -43,6 +42,7 @@ from lqobt import (
     synthesize_system,
 )
 from lqobt import databt
+from lqobt.databt import build_data_matrices
 from lqobt.errors import FrequencyCollisionError
 from lqobt.numcore import svd
 from test_acceptance import _equivalence_cases
@@ -238,7 +238,7 @@ def test_complex_matrices_cannot_be_reduced():
     ds = collect_freq_data(sys_, rule_of([1.0, 2.0]), rule_of([0.5, 3.0]))
     with pytest.raises(ValueError, match=(
         r"^complex data matrices cannot produce a real reduced model; "
-        r"realify them as build_data_matrices does$"
+        r"collect frequency data with collect_freq_data, whose routes realify it$"
     )):
         reduce_from_matrices(complex_freq_matrices(ds), 1)
 
@@ -529,6 +529,29 @@ def test_auto_freq_matches_lqo_qbt_bit_for_bit():
         for name in ("A", "B", "C"):
             assert np.array_equal(getattr(rom, name), getattr(ref, name)), name
         for got, want in zip(rom.Ms, ref.Ms):
+            assert np.array_equal(got, want)
+
+
+class TransferSampler:
+    """Nothing but a system's two transfer-function evaluations: no
+    channel counts and no state-space matrices."""
+
+    def __init__(self, sys_):
+        self.tf1, self.tf2_grid = sys_.tf1, sys_.tf2_grid
+
+
+def test_auto_freq_needs_only_transfer_evaluations():
+    # the frequency route reads the channel counts off the tf1 samples, so
+    # a sampler without m and p reduces to the system's models bit for bit
+    rng = np.random.default_rng(109)
+    sys_ = random_stable_system(rng, n=5, m=2, p=2)
+    rule_p = log_trapezoid(0.05, 20.0, 8)
+    rule_q = log_trapezoid(0.07, 28.0, 8)
+    S, roms = lqo_qbt_auto(TransferSampler(sys_), rule_p, rule_q, [2, 4], domain="freq")
+    S_ref, roms_ref = lqo_qbt_auto(sys_, rule_p, rule_q, [2, 4], domain="freq")
+    assert np.array_equal(S, S_ref)
+    for rom, ref in zip(roms, roms_ref):
+        for got, want in zip((rom.A, rom.B, rom.C, *rom.Ms), (ref.A, ref.B, ref.C, *ref.Ms)):
             assert np.array_equal(got, want)
 
 

@@ -33,7 +33,6 @@ from lqobt import (
     KernelDataset,
     LqoSystem,
     QuadratureRule,
-    build_data_matrices,
     collect_freq_data,
     collect_time_data,
     compute_gramians,
@@ -44,12 +43,12 @@ from lqobt import (
     log_trapezoid,
     lqo_qbt,
     lqo_qbt_auto,
-    lqo_qbt_streamed,
     reduce_from_matrices,
     save_dataset,
     synthesize_system,
 )
 from lqobt import databt, gramians
+from lqobt.databt import build_data_matrices, lqo_qbt_streamed
 from lqobt.numcore import svd
 from test_acceptance import _equivalence_cases, _mimo_cases
 
@@ -171,6 +170,22 @@ def test_dataset_validation():
     ds_f = collect_freq_data(sys_, log_trapezoid(0.1, 2.0, 3), log_trapezoid(0.15, 3.0, 3))
     with pytest.raises(ValueError, match=r"^tf1_in has shape \(6, 1, 1\), expected \(8, 1, 1\)"):
         replace(ds_f, rule_q=log_trapezoid(0.15, 3.0, 4))
+
+
+def test_data_matrices_validation():
+    # H and M share their shape, h its rows with H, and g and each square
+    # K block their columns with H
+    H, h, g, K = np.ones((4, 3)), np.ones((4, 1)), np.ones((1, 3)), [np.eye(3)]
+    DataMatrices(H, H, h, g, K)
+    cases = [
+        ((H, H[:, :2], h, g, K), "H and M must have identical shapes"),
+        ((H, H, h[:3], g, K), "h must match the rows of H"),
+        ((H, H, h, g[:, :2], K), "g must match the columns of H"),
+        ((H, H, h, g, [np.eye(2)]), "each K block must be square in the columns of H"),
+    ]
+    for fields, message in cases:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            DataMatrices(*fields)
 
 
 # ----------------------------------------------- factor-product identity

@@ -18,11 +18,11 @@ from lqobt import (
     load_system,
     log_trapezoid,
     lqo_qbt_auto,
-    lqo_qbt_streamed,
     save_system,
     select_channels,
 )
 from lqobt import databt, model
+from lqobt.databt import lqo_qbt_streamed
 from lqobt.errors import FrequencyCollisionError
 from lqobt.numcore import expm
 
@@ -58,6 +58,8 @@ def test_constructor_shape_errors():
         LqoSystem(A, np.ones(2), np.ones(2), [np.eye(2), np.eye(2)])
     with pytest.raises(ValueError):
         LqoSystem(A, np.array([np.nan, 1.0]), np.ones(2), [np.eye(2)])
+    with pytest.raises(ValueError, match="non-finite entries in a quadratic matrix"):
+        LqoSystem(A, np.ones(2), np.ones(2), [np.diag([np.inf, 1.0])])
 
 
 def test_constructor_stability_check():
@@ -523,6 +525,11 @@ def test_load_system_manifest_errors(tmp_path):
     bad = tmp_path / "missing_b.manifest"
     bad.write_text("\n".join(l for l in text.splitlines() if not l.startswith("B ")))
     with pytest.raises(ValueError):
+        load_system(bad)
+
+    bad = tmp_path / "missing_m.manifest"
+    bad.write_text("\n".join(l for l in text.splitlines() if not l.startswith("M ")))
+    with pytest.raises(ValueError, match="lists no quadratic matrices"):
         load_system(bad)
 
     bad = tmp_path / "unknown_key.manifest"

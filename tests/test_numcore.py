@@ -21,6 +21,7 @@ from lqobt.numcore import (
 
 def test_expm_zero_matrix_is_identity():
     assert np.array_equal(expm(np.zeros((3, 3))), np.eye(3))
+    assert expm(np.zeros((0, 0))).shape == (0, 0)
 
 
 def test_expm_diagonal_closed_form():
@@ -116,6 +117,8 @@ def test_lyapunov_shape_errors():
         solve_lyapunov(np.ones((2, 3)), np.eye(2))
     with pytest.raises(ValueError):
         solve_lyapunov(-np.eye(2), np.eye(3))
+    with pytest.raises(ValueError, match="non-finite input to solve_lyapunov"):
+        solve_lyapunov(-np.eye(2), np.diag([1.0, np.nan]))
 
 
 # ------------------------------------------------------ solve_sylvester
@@ -250,6 +253,8 @@ def test_psd_sqrt_rejects_indefinite():
 def test_psd_sqrt_rejects_asymmetric():
     with pytest.raises(ValueError):
         psd_sqrt_factor(np.array([[1.0, 1.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="non-finite input to psd_sqrt_factor"):
+        psd_sqrt_factor(np.diag([1.0, np.inf]))
 
 
 def test_psd_sqrt_tiny_negative_dust_is_clipped():
@@ -364,3 +369,5 @@ def test_svd_sign_fix_matches_column_loop():
 def test_svd_rejects_nonfinite():
     with pytest.raises(ValueError):
         svd(np.array([[1.0, np.inf]]))
+    with pytest.raises(ValueError, match="expected a matrix"):
+        svd(np.zeros((2, 2, 2)))

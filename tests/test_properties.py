@@ -14,15 +14,13 @@ from hypothesis import strategies as st
 from conftest import random_rule, random_stable_system, tf_agree
 from lqobt import (
     DataMatrices,
-    build_data_matrices,
     collect_freq_data,
     collect_time_data,
     lqo_qbt,
-    lqo_qbt_streamed,
     reduce_from_matrices,
 )
 from lqobt import databt
-from lqobt.databt import RANK_TOL
+from lqobt.databt import RANK_TOL, build_data_matrices, lqo_qbt_streamed
 from lqobt.numcore import svd
 
 PTS = [0.4 + 1.0j, 2.0 + 0.3j]
