@@ -36,6 +36,7 @@ import sys
 import numpy as np
 
 from .databt import _resolvable_rank, lqo_qbt_auto
+from .errors import OrderError
 from .gramians import (
     compute_gramians,
     h2_error,
@@ -387,4 +388,10 @@ def main(argv=None):
     s.set_defaults(func=cmd_h2_sweep)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OrderError as exc:
+        # the resolvable rank is known only once the data is reduced, which
+        # reduce and h2-sweep do before they write anything
+        flag = "--orders" if getattr(args, "orders", None) else "--order"
+        args.error(f"argument {flag}: {exc}")

@@ -50,7 +50,10 @@ place, and the two columns of each pair are then ``sqrt(2) Re`` and
 ``-sqrt(2) Im`` of the positive one, so the block is ``sqrt(2) conj X``
 read as floats. The real columns of ``H``, ``M``, ``g`` and both sides
 of each ``K`` are thus ``(l pair, b, slot)``. The samples' conjugate
-symmetry that this relies on is checked first.
+symmetry that this relies on, the separation of the two node sets that
+the divided differences need, and the size bound of the compressed
+route are checked once, where a dataset is made (:class:`KernelDataset`),
+and every route trusts a dataset from then on.
 :func:`build_data_matrices` assembles the matrices of either domain
 whole, as the oracle the compressed routes are tested against.
 """
@@ -63,7 +66,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FrequencyCollisionError
+from .errors import FrequencyCollisionError, OrderError
 from .model import ReducedLqoSystem
 from .numcore import SvdResult, _lead_phases, svd
 from .quadrature import QuadratureRule
@@ -115,6 +118,16 @@ class KernelDataset:
     always conjugate closed, the signed, interleaved nodes ``(+w_1, -w_1,
     +w_2, ...)`` with weights scaled by ``1/(2 pi)``. The channel counts
     ``p`` and ``m`` come from ``h1_in`` (``tf1_in``).
+
+    A dataset is checked once, when it is made, whether collected, loaded,
+    built by hand or copied by :func:`dataclasses.replace`: each sample
+    family must have the shape of the tables below and be finite. A
+    frequency dataset must also fit the size bound and keep its two node
+    sets apart (:func:`_check_freq_rules`, raising ``ValueError`` or
+    :class:`~lqobt.errors.FrequencyCollisionError`), and its samples must
+    be conjugate symmetric (:func:`_check_conjugate_symmetry`). The
+    checked sample arrays are then made read-only, so the reducers and
+    :func:`build_data_matrices` trust a dataset without checking it again.
 
     Time-domain sample arrays (``N_p = len(p_nodes)``, ``N_q = len(q_nodes)``):
 
@@ -197,6 +210,11 @@ class KernelDataset:
                 raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
             if not np.isfinite(arr).all():
                 raise ValueError(f"{name} holds non-finite samples")
+        if self.domain == "freq":
+            _check_freq_rules(self.rule_p, self.rule_q, p, m)
+            _check_conjugate_symmetry(self)
+        for name in families:  # read-only, so the checks above keep holding
+            getattr(self, name).flags.writeable = False
 
 
 @dataclass
@@ -338,9 +356,10 @@ def collect_freq_data(sampler, rule_p, rule_q):
     collisions raise :class:`~lqobt.errors.FrequencyCollisionError`. A
     collection whose complex quadratic Loewner rows at one controllability
     node would exceed ``FREQ_BLOCK_BYTES`` is refused, as the reduction's
-    probe stage holds many times those rows. Both checks run before the
-    O(N^2) ``tf2_grid`` call; the size check reads the channel counts off
-    the ``tf1`` samples.
+    probe stage holds many times those rows. Both checks
+    (:func:`_check_freq_rules`, which :class:`KernelDataset` runs on every
+    frequency dataset) run here before the O(N^2) ``tf2_grid`` call; the
+    size check reads the channel counts off the ``tf1`` samples.
 
     Returns
     -------
@@ -350,13 +369,7 @@ def collect_freq_data(sampler, rule_p, rule_q):
     tf1_in = _grid(sampler, "tf1", (1j * s,))
     p, m = tf1_in.shape[1:]
     tf1_out = _grid(sampler, "tf1", (1j * th,), (p, m))
-    _freq_size_guard(p, m, th.size, s.size)
-    scale = max(rule_p.nodes[-1], rule_q.nodes[-1])
-    dist = np.abs(rule_p.nodes[:, None] - rule_q.nodes[None, :]).min()
-    if dist <= 1e-12 * scale:
-        raise FrequencyCollisionError(
-            "controllability- and observability-side frequency nodes collide"
-        )
+    _check_freq_rules(rule_p, rule_q, p, m)
     tf2_cross, tf2_quad = (
         np.moveaxis(_grid(sampler, "tf2_grid", (-1j * th, 1j * z), (p, m, m)), 2, 0)
         for z in (s, th)
@@ -417,8 +430,9 @@ def build_data_matrices(ds):
     ones at the closed nodes made real by a fixed unitary pairing of each
     ``(+w, -w)`` node pair, ``[[1, 1], [-i, i]] / sqrt(2)`` on the rows
     and its conjugate on the columns; this requires samples that are
-    conjugate symmetric. The complex entries are evaluated only at the
-    positive column node of each pair, with the rows paired in place
+    conjugate symmetric, which every frequency :class:`KernelDataset` is
+    checked to be when it is made. The complex entries are evaluated only
+    at the positive column node of each pair, with the rows paired in place
     (:func:`_real_view`). Rows are laid out ``(j pair, slot, q)`` for the
     linear part and ``(q, k pair, slot, j pair, slot, a)`` for the
     quadratic part; the columns of ``H``, ``M``, ``g`` and both sides of
@@ -431,7 +445,6 @@ def build_data_matrices(ds):
     if ds.domain == "freq":
         Np2, Nq2, m, p = ds.Np // 2, ds.Nq // 2, ds.m, ds.p
         nl, nc = ds.Nq * p, ds.Np * m
-        _check_conjugate_symmetry(ds)
         h, g, K = _real_io_blocks(ds)
         H = np.empty((h.shape[0], nc))
         M = np.empty_like(H)
@@ -530,6 +543,31 @@ def _loewner(a, b, s, th, w, shifted):
     return L
 
 
+def _check_freq_rules(rule_p, rule_q, p, m):
+    """Raise if the complex quadratic Loewner rows at one controllability
+    node of a frequency dataset of these rules and channel counts would
+    exceed ``FREQ_BLOCK_BYTES``, as the reduction's probe stage holds about
+    26 times those rows; then raise
+    :class:`~lqobt.errors.FrequencyCollisionError` if a node of one side
+    lies within ``1e-12`` times the largest node of one of the other,
+    which breaks the divided differences."""
+    # the nodes of each side after conjugate closure
+    per_node = 16 * p * m * m * (2 * len(rule_p)) * (2 * len(rule_q))
+    if per_node > FREQ_BLOCK_BYTES:
+        raise ValueError(
+            f"frequency-domain reduction needs {per_node / 2**20:.0f} MiB of "
+            "Loewner rows per node, more than its "
+            f"{FREQ_BLOCK_BYTES / 2**20:.0f} MiB bound; lower --np/--nq, or "
+            "reduce in the time domain (reduce --method qbt-time; hsv and "
+            "h2-sweep --domain time), which has no such bound"
+        )
+    dist = np.abs(rule_p.nodes[:, None] - rule_q.nodes[None, :]).min()
+    if dist <= 1e-12 * max(rule_p.nodes[-1], rule_q.nodes[-1]):
+        raise FrequencyCollisionError(
+            "controllability- and observability-side frequency nodes collide"
+        )
+
+
 def _check_conjugate_symmetry(ds):
     """Reject samples that realification would silently corrupt: in each
     family, flipping the sign of every paired node must conjugate the
@@ -596,7 +634,7 @@ def _truncation_guard(S, r, max_r):
                          "quadrature, is identically zero")
     limit = min(_resolvable_rank(S), max_r)
     if not 1 <= r <= limit:
-        raise ValueError(f"order {r} outside [1, {limit}] (resolvable rank)")
+        raise OrderError(f"order {r} outside [1, {limit}] (resolvable rank)")
     if r < S.size and S[r - 1] - S[r] <= TIE_TOL * S[0]:
         warnings.warn(
             f"truncation at r={r} splits a near-tied singular value pair; "
@@ -684,7 +722,9 @@ def lqo_qbt(ds, r):
     :func:`lqo_qbt_streamed` on slices of their arrays. Frequency-domain
     ones give ``"freq-qbt"`` through their real matrices
     (:func:`_freq_compressed`). Neither assembles the quadratic rows
-    whole; both give the model of :func:`build_data_matrices`.
+    whole; both give the model of :func:`build_data_matrices`. Nothing
+    is checked here: a dataset is checked when it is made, and its
+    samples cannot change after (:class:`KernelDataset`).
 
     Parameters
     ----------
@@ -735,20 +775,6 @@ def lqo_qbt_auto(sampler, rule_p, rule_q, orders, domain="time"):
     return _reduce_orders(_freq_compressed(ds), orders)
 
 
-def _freq_size_guard(p, m, Np, Nq):
-    """Raise if the complex quadratic Loewner rows at one controllability
-    node exceed ``FREQ_BLOCK_BYTES``."""
-    per_node = 16 * p * m * m * Np * Nq
-    if per_node > FREQ_BLOCK_BYTES:
-        raise ValueError(
-            f"frequency-domain reduction needs {per_node / 2**20:.0f} MiB of "
-            "Loewner rows per node, more than its "
-            f"{FREQ_BLOCK_BYTES / 2**20:.0f} MiB bound; lower --np/--nq, or "
-            "reduce in the time domain (reduce --method qbt-time; hsv and "
-            "h2-sweep --domain time), which has no such bound"
-        )
-
-
 def _freq_compressed(ds):
     """Real data matrices of a frequency dataset with the quadratic rows
     compressed onto ``I_p (x) V_k (x) V_j`` (:func:`_compressed_matrices`,
@@ -757,18 +783,15 @@ def _freq_compressed(ds):
     The real quadratic Loewner rows are evaluated only at the pairs read
     (:func:`_real_quadratic`, at the positive node of each column pair).
     The linear rows, ``h``, ``g`` and ``K`` are built as in
-    :func:`build_data_matrices`. A dataset whose complex quadratic rows at
-    one node exceed ``FREQ_BLOCK_BYTES`` is refused, as the probes hold
-    about 26 times those rows; :func:`collect_freq_data` refuses such a
-    collection before sampling it, and this check covers datasets loaded
-    or built by hand.
+    :func:`build_data_matrices`. The probes hold about 26 times the
+    complex quadratic rows at one node, which no dataset lets exceed
+    ``FREQ_BLOCK_BYTES``: :class:`KernelDataset` checks the bound, the
+    node separation and the conjugate symmetry when a dataset is made, so
+    this trusts it.
     """
-    Np, Nq, m, p = ds.Np, ds.Nq, ds.m, ds.p
-    _freq_size_guard(p, m, Np, Nq)
-    _check_conjugate_symmetry(ds)
     return _compressed_matrices(
         lambda shifted, ku, ju: _real_quadratic(ds, ku, ju, shifted),
-        (Np // 2, Nq // 2), lambda shifted: _real_linear_rows(ds, shifted),
+        (ds.Np // 2, ds.Nq // 2), lambda shifted: _real_linear_rows(ds, shifted),
         lambda: _real_io_blocks(ds), "freq")
 
 
@@ -1018,7 +1041,10 @@ def load_dataset(directory):
 
     Files in the earlier format also store the nodes, weights and
     channel counts, and load when those equal what the rules and samples
-    give. A frequency file written without conjugate closure is refused.
+    give. A frequency file written without conjugate closure is refused,
+    and the loaded dataset is checked as any other (:class:`KernelDataset`):
+    one whose node sets collide raises
+    :class:`~lqobt.errors.FrequencyCollisionError`.
     """
     with open(os.path.join(directory, "manifest.json")) as f:
         manifest = json.load(f)

@@ -5,6 +5,7 @@ __all__ = [
     "IndefiniteMatrixError",
     "UnstableSystemError",
     "FrequencyCollisionError",
+    "OrderError",
 ]
 
 
@@ -29,3 +30,9 @@ class UnstableSystemError(ValueError):
 class FrequencyCollisionError(ValueError):
     """A resolvent is evaluated at (numerically) an eigenvalue, or two
     sampling frequencies collide and break a divided difference."""
+
+
+class OrderError(ValueError):
+    """A reduction order lies outside ``[1, limit]``, the limit being the
+    resolvable rank of ``H`` (its singular values above ``RANK_TOL`` of the
+    largest) or ``H``'s column count, if smaller."""

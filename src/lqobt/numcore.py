@@ -51,12 +51,14 @@ def expm(A, t=1.0):
     return spla.expm(A * float(t))
 
 
-def _hurwitz_schur(A):
-    """Real Schur form ``A = U T U'``. LAPACK puts each 2x2 block of `T` in
-    standard form (equal diagonal entries), so ``diag(T)`` holds the real
-    parts of the eigenvalues; a nonnegative one raises LyapunovError."""
-    T, U = spla.schur(A, output="real")
-    abscissa = T.diagonal().max(initial=-np.inf)
+def _hurwitz_schur(A, output="real"):
+    """Schur form ``A = U T U'`` (``U T U^H`` with `output` ``"complex"``).
+    In the real form LAPACK puts each 2x2 block of `T` in standard form
+    (equal diagonal entries), so in either form ``Re diag(T)`` holds the
+    real parts of the eigenvalues; a nonnegative one raises
+    LyapunovError."""
+    T, U = spla.schur(A, output=output)
+    abscissa = T.diagonal().real.max(initial=-np.inf)
     if abscissa >= 0.0:
         raise LyapunovError(f"coefficient has an eigenvalue of real part {abscissa:.3e} >= 0")
     return T, U
@@ -131,10 +133,7 @@ def lyapunov_factor(A, B):
         raise ValueError(f"shape mismatch: A is {A.shape}, B is {B.shape}")
     if not (np.isfinite(A).all() and np.isfinite(B).all()):
         raise ValueError("non-finite input to lyapunov_factor")
-    T, Z = spla.schur(A, output="complex")
-    abscissa = T.diagonal().real.max(initial=-np.inf)
-    if abscissa >= 0.0:
-        raise LyapunovError(f"coefficient has an eigenvalue of real part {abscissa:.3e} >= 0")
+    T, Z = _hurwitz_schur(A, output="complex")
     n = A.shape[0]
     W = Z.conj().T @ B
     U = np.zeros((n, n), dtype=complex)

@@ -445,8 +445,9 @@ def test_out_of_range_integers_are_usage_errors(tmp_path, capsys):
     # a count, order or seed below its least value, a gain decay outside
     # (0, 1], an empty order range, a range that is not 0 < low <= high
     # (low < high for an interval), a malformed channel pair, a channel
-    # the system does not have and an order above the system's are
-    # argparse errors (exit 2) that name the flag, and nothing is written
+    # the system does not have, an order above the system's and one above
+    # the rank the data resolve are argparse errors (exit 2) that name the
+    # flag, and nothing is written
     manifest = _synth(tmp_path, n=4)
     rom_dir = str(tmp_path / "rom")
     main(["reduce", "--system", manifest, "--method", "bt", "--order", "2",
@@ -503,6 +504,14 @@ def test_out_of_range_integers_are_usage_errors(tmp_path, capsys):
         (sweep + ["--order", "5"], "argument --order: order 5 exceeds the system order 4"),
         (["h2-sweep", "--system", manifest, "--orders", "3:5", "--np", "16",
           "--out", out], "argument --orders: order 5 exceeds the system order 4"),
+        # an order within the system order but past the resolvable rank of
+        # the data, known once they are reduced
+        (reduce + ["--order", "3", "--np", "2"],
+         "argument --order: order 3 outside [1, 2] (resolvable rank)"),
+        (sweep + ["--order", "3", "--nodes", "2"],
+         "argument --order: order 3 outside [1, 2] (resolvable rank)"),
+        (["h2-sweep", "--system", manifest, "--orders", "1:3", "--np", "2",
+          "--out", out], "argument --orders: order 3 outside [1, 2] (resolvable rank)"),
     ]
     capsys.readouterr()
     for argv, message in cases:

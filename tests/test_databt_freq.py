@@ -8,6 +8,8 @@ with the time-domain route and, at full rank, with the original system
 exactly. The complex matrices before that pairing are the oracle.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -70,7 +72,7 @@ def test_conjugate_closure_interleaves_signed_nodes():
     assert ds.tf2_cross.shape == (1, 4, 6, 1, 1)
 
 
-def test_colliding_node_sets_rejected():
+def test_colliding_node_sets_rejected(tmp_path):
     sys_ = scalar_s1()
     with pytest.raises(FrequencyCollisionError):
         collect_freq_data(sys_, rule_of([1.0, 2.0]), rule_of([2.0, 3.0]))
@@ -78,6 +80,20 @@ def test_colliding_node_sets_rejected():
         collect_freq_data(
             sys_, rule_of([1.0]), rule_of([1.0 + 1e-14])
         )
+    # a dataset made any other way is checked as well: one copied with the
+    # same rule on both sides, or loaded from a file whose rules collide
+    ds = collect_freq_data(sys_, rule_of([1.0, 3.0]), rule_of([0.5, 2.0]))
+    with pytest.raises(FrequencyCollisionError):
+        replace(ds, rule_q=ds.rule_p)
+    save_dataset(ds, tmp_path / "ds")
+    path = tmp_path / "ds" / "samples.npz"
+    with np.load(path) as archive:
+        arrays = dict(archive)
+    for name in ("nodes", "sqrt_weights"):
+        arrays[f"rule_q_{name}"] = arrays[f"rule_p_{name}"]
+    np.savez(path, **arrays)
+    with pytest.raises(FrequencyCollisionError):
+        load_dataset(tmp_path / "ds")
 
 
 def test_samples_are_transfer_values():
@@ -434,8 +450,9 @@ def test_freq_ill_conditioned_interpolation_rows_raise(monkeypatch):
 
 
 def test_dataset_route_refuses_rows_past_the_block(monkeypatch):
-    # lqo_qbt on a dataset applies the guard of lqo_qbt_auto: a node whose
-    # complex quadratic rows exceed the block is refused, not run anyway
+    # a dataset is held to the guard of lqo_qbt_auto when it is made, so
+    # one whose complex quadratic rows at a node exceed the block cannot
+    # reach lqo_qbt: it is refused, not run anyway
     rng = np.random.default_rng(137)
     sys_ = random_stable_system(rng, n=6, m=2, p=1)
     ds = collect_freq_data(sys_, log_trapezoid(0.05, 20.0, 9),
@@ -443,9 +460,9 @@ def test_dataset_route_refuses_rows_past_the_block(monkeypatch):
     node = 16 * ds.p * ds.m**2 * ds.Np * ds.Nq
     monkeypatch.setattr(databt, "FREQ_BLOCK_BYTES", node - 1)
     with pytest.raises(ValueError, match="lower --np/--nq"):
-        lqo_qbt(ds, 3)
+        replace(ds)
     monkeypatch.setattr(databt, "FREQ_BLOCK_BYTES", node)
-    assert lqo_qbt(ds, 3).r == 3
+    assert lqo_qbt(replace(ds), 3).r == 3
 
 
 class MovingPoleTransfer:
@@ -627,17 +644,14 @@ def test_wrong_transfer_shape_names_the_method():
 ])
 def test_conjugate_asymmetric_samples_are_rejected(family, index):
     # a closed dataset is realified from the positive-frequency half, which
-    # relies on X(-w) = conj X(w); one sample breaking it must be refused
+    # relies on X(-w) = conj X(w); a dataset with one sample breaking it
+    # must be refused when it is made, so no route ever sees it
     rng = np.random.default_rng(127)
     sys_ = random_stable_system(rng, n=4, m=2, p=2)
     rule_p = log_trapezoid(0.05, 20.0, 4)
     rule_q = log_trapezoid(0.07, 28.0, 4)
     ds = collect_freq_data(sys_, rule_p, rule_q)
-    samples = getattr(ds, family)
+    samples = getattr(ds, family).copy()
     samples[index] += 1e-6 * np.abs(samples).max()
     with pytest.raises(ValueError, match=f"{family} is not conjugate symmetric"):
-        build_data_matrices(ds)
-    with pytest.raises(ValueError, match=f"{family} is not conjugate symmetric"):
-        lqo_qbt(ds, 2)
-    # the complex analysis path does not realify and needs no symmetry
-    assert np.iscomplexobj(complex_freq_matrices(ds).H)
+        replace(ds, **{family: samples})

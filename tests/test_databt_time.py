@@ -170,6 +170,11 @@ def test_dataset_validation():
     ds_f = collect_freq_data(sys_, log_trapezoid(0.1, 2.0, 3), log_trapezoid(0.15, 3.0, 3))
     with pytest.raises(ValueError, match=r"^tf1_in has shape \(6, 1, 1\), expected \(8, 1, 1\)"):
         replace(ds_f, rule_q=log_trapezoid(0.15, 3.0, 4))
+    # a dataset is checked when it is made, so its samples cannot change
+    for dataset, families in ((ds, databt._TIME_FIELDS), (ds_f, databt._FREQ_FIELDS)):
+        for name in families:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(dataset, name)[...] = 0.0
 
 
 def test_data_matrices_validation():
