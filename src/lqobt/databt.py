@@ -128,6 +128,12 @@ class KernelDataset:
     be conjugate symmetric (:func:`_check_conjugate_symmetry`). The
     checked sample arrays are then made read-only, so the reducers and
     :func:`build_data_matrices` trust a dataset without checking it again.
+    So are the arrays they are views of (every ndarray on their ``.base``
+    chain), which the caller may still hold: after
+    ``replace(ds, tf1_out=base[:])``, ``base`` is read-only too. A sample
+    array over a writable buffer that numpy cannot lock (a ``bytearray``
+    or a writable ``mmap``) is copied instead, so datasets loaded from
+    files or collected from samplers that return ndarrays are never copied.
 
     Time-domain sample arrays (``N_p = len(p_nodes)``, ``N_q = len(q_nodes)``):
 
@@ -214,7 +220,29 @@ class KernelDataset:
             _check_freq_rules(self.rule_p, self.rule_q, p, m)
             _check_conjugate_symmetry(self)
         for name in families:  # read-only, so the checks above keep holding
-            getattr(self, name).flags.writeable = False
+            setattr(self, name, _read_only(getattr(self, name)))
+
+
+def _read_only(arr):
+    """`arr` made read-only together with every ndarray on its ``.base``
+    chain, so that no other view of the same memory can write to it. Memory
+    that a writable buffer other than an ndarray owns (a ``bytearray``, a
+    writable ``mmap``) cannot be locked that way; such an array is copied."""
+    owner = arr
+    while isinstance(owner, np.ndarray):
+        owner.flags.writeable = False
+        owner = owner.base
+    if owner is not None and _writable_buffer(owner):
+        arr = arr.copy()
+        arr.flags.writeable = False
+    return arr
+
+
+def _writable_buffer(obj):
+    try:
+        return not memoryview(obj).readonly
+    except TypeError:  # no buffer interface to ask: assume it can change
+        return True
 
 
 @dataclass

@@ -4,7 +4,8 @@ and the complex frequency matrices.
 
 The pointwise kernels and the factor builders are deliberately naive (one
 matrix exponential or resolvent solve per point or node, uncached, columns
-assembled with hstack) so that they form an independent oracle for the
+assembled with hstack; the exponentials are scipy's, not the package's own
+``numcore.expm``) so that they form an independent oracle for the
 system's grid evaluators and the vectorized sample-matrix assembly in the
 package: agreement between the two is the central correctness property of
 the data-driven route.
@@ -15,7 +16,6 @@ import scipy.linalg as spla
 
 from lqobt import LqoSystem, QuadratureRule, compute_gramians, h2_norm
 from lqobt.databt import DataMatrices, _io_blocks, _loewner
-from lqobt.numcore import expm
 
 
 def random_stable_system(rng, n=None, m=1, p=1, ms_scale=1.0):
@@ -68,7 +68,7 @@ def _pointwise(fn, points, tail, dtype=float):
 
 def _linear_kernel(sys_, z, shift):
     CA = sys_.C @ sys_.A if shift else sys_.C
-    return _pointwise(lambda t: CA @ expm(sys_.A, t) @ sys_.B,
+    return _pointwise(lambda t: CA @ spla.expm(sys_.A * t) @ sys_.B,
                       (z,), (sys_.p, sys_.m))
 
 
@@ -85,8 +85,8 @@ def dh1(sys_, z):
 
 def _quadratic_kernel(sys_, z1, z2, shift):
     def at(a, b):
-        S = (expm(sys_.A, a) @ sys_.B).T
-        E = expm(sys_.A, b) @ sys_.B
+        S = (spla.expm(sys_.A * a) @ sys_.B).T
+        E = spla.expm(sys_.A * b) @ sys_.B
         if shift:
             E = sys_.A @ E
         return [S @ M @ E for M in sys_.Ms]
@@ -131,10 +131,10 @@ def time_factors(sys_, rule_p, rule_q):
     A, B, C = sys_.A, sys_.B, sys_.C
     t, rho = rule_p.nodes, rule_p.sqrt_weights
     tau, phi = rule_q.nodes, rule_q.sqrt_weights
-    U = np.hstack([rho[i] * expm(A, t[i]) @ B for i in range(t.size)])
-    L1 = np.hstack([phi[j] * expm(A.T, tau[j]) @ C.T for j in range(tau.size)])
+    U = np.hstack([rho[i] * spla.expm(A * t[i]) @ B for i in range(t.size)])
+    L1 = np.hstack([phi[j] * spla.expm(A.T * tau[j]) @ C.T for j in range(tau.size)])
     L2 = np.hstack([
-        rho[k] * phi[j] * expm(A.T, tau[j]) @ M @ expm(A, t[k]) @ B
+        rho[k] * phi[j] * spla.expm(A.T * tau[j]) @ M @ spla.expm(A * t[k]) @ B
         for M in sys_.Ms
         for k in range(t.size)
         for j in range(tau.size)

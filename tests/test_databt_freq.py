@@ -655,3 +655,28 @@ def test_conjugate_asymmetric_samples_are_rejected(family, index):
     samples[index] += 1e-6 * np.abs(samples).max()
     with pytest.raises(ValueError, match=f"{family} is not conjugate symmetric"):
         replace(ds, **{family: samples})
+
+
+def test_views_cannot_change_a_dataset_after_it_is_checked(tmp_path):
+    # the arrays a dataset's samples are views of become read-only too, so
+    # the caller's own handle cannot break conjugate symmetry afterwards;
+    # memory numpy cannot lock is copied, and nothing else is
+    rng = np.random.default_rng(131)
+    sys_ = random_stable_system(rng, n=6)
+    ds = collect_freq_data(sys_, log_trapezoid(0.05, 20.0, 9),
+                           log_trapezoid(0.07, 28.0, 9))
+    base = ds.tf1_out.copy()
+    viewed = replace(ds, tf1_out=base[:])
+    with pytest.raises(ValueError, match="read-only"):
+        base[3] += 1.0
+    assert np.shares_memory(viewed.tf1_out, base)
+    buffer = bytearray(base.tobytes())
+    over = replace(ds, tf1_out=np.frombuffer(buffer, base.dtype).reshape(base.shape))
+    buffer[:] = bytes(len(buffer))
+    assert np.array_equal(over.tf1_out, base)
+    # collected, replaced and loaded datasets keep their arrays
+    save_dataset(ds, tmp_path / "ds")
+    for made in (ds, load_dataset(tmp_path / "ds")):
+        again = replace(made)
+        for name in databt._FREQ_FIELDS:
+            assert getattr(again, name) is getattr(made, name)

@@ -47,7 +47,7 @@ from lqobt import (
     save_dataset,
     synthesize_system,
 )
-from lqobt import databt, gramians
+from lqobt import databt, gramians, numcore
 from lqobt.databt import build_data_matrices, lqo_qbt_streamed
 from lqobt.numcore import svd
 from test_acceptance import _equivalence_cases, _mimo_cases
@@ -553,6 +553,23 @@ def test_data_route_factors_only_sketch_sized_matrices(monkeypatch):
     assert not fallback
     assert len(factored) == 1 and min(factored[0].shape) > databt.SKETCH
     assert np.array_equal(factored[0], gram.L.T @ gram.U)
+
+
+class _NoScipy:
+    def __getattr__(self, name):
+        raise AssertionError(f"scipy.linalg.{name} called on a time route")
+
+
+def test_time_routes_run_in_numpy_linear_algebra_only(monkeypatch):
+    # numpy and scipy each link their own OpenBLAS, whose idle workers keep
+    # spinning; the time routes (node exponentials, probes, sketches, cross
+    # and projection) use numpy's alone, so one thread pool runs them. Past
+    # SKETCH nodes no factorization takes numcore.svd's exact fallback.
+    monkeypatch.setattr(numcore, "spla", _NoScipy())
+    sys_ = synthesize_system(8, damping=(0.1, 3.0), gain_decay=0.85, seed=21)
+    rule = log_trapezoid(1e-2, 1e2, databt.SKETCH + 16)
+    _, (rom,) = lqo_qbt_auto(sys_, rule, rule, [4], domain="time")
+    assert lqo_qbt(collect_time_data(sys_, rule, rule), 4).n == rom.n == 4
 
 
 def test_ill_conditioned_interpolation_rows_raise(monkeypatch):

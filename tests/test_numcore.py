@@ -1,10 +1,13 @@
 """Tests for the dense numerical kernels: matrix exponential, Lyapunov
 and Sylvester solvers, semidefinite square-root factors, and the deterministic SVD."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg as spla
 
+from lqobt import numcore
 from lqobt.errors import IndefiniteMatrixError, LyapunovError
 from lqobt.numcore import (
     expm,
@@ -22,6 +25,71 @@ from lqobt.numcore import (
 def test_expm_zero_matrix_is_identity():
     assert np.array_equal(expm(np.zeros((3, 3))), np.eye(3))
     assert expm(np.zeros((0, 0))).shape == (0, 0)
+    A = np.random.default_rng(2).standard_normal((5, 5))
+    assert np.array_equal(expm(A, 0.0), np.eye(5))
+    assert np.array_equal(expm(A, -0.0), np.eye(5))
+
+
+def _rel_onenorm(X, Y):
+    return np.abs(X - Y).sum(axis=0).max() / np.abs(Y).sum(axis=0).max()
+
+
+def test_expm_matches_scipy_on_every_pade_degree(monkeypatch):
+    # A = t G with G ~ N(0, 1/n), so the spectral radius of A is about t;
+    # t from 1e-3 to 3 reaches the degrees 3, 5, 7 and 9, and degree 13
+    # both with and without squarings
+    reached = set()
+    pade, pade13 = numcore._pade, numcore._pade13
+
+    def spied(A, even, m):
+        reached.add(m)
+        return pade(A, even, m)
+
+    def spied13(A, *powers):
+        reached.add("13 scaled" if np.abs(A).sum() < np.abs(At).sum() else 13)
+        return pade13(A, *powers)
+
+    monkeypatch.setattr(numcore, "_pade", spied)
+    monkeypatch.setattr(numcore, "_pade13", spied13)
+    rng = np.random.default_rng(5)
+    for t in (1e-3, 2e-2, 0.1, 0.3, 0.8, 3.0):
+        for n in (1, 2, 3, 5, 8, 16, 33, 64):
+            for _ in range(3):
+                G = rng.standard_normal((n, n)) / np.sqrt(n)
+                At = G * t
+                assert _rel_onenorm(expm(G, t), spla.expm(At)) <= 1e-12
+    assert reached == {3, 5, 7, 9, 13, "13 scaled"}
+
+
+def test_expm_extra_squarings_follow_their_definition():
+    # ell(A, m) = max(ceil(log2(alpha / u) / (2m)), 0), u = 2^-53, with
+    # alpha = |c_{2m+1}| || |A|^{2m+1} ||_1 / ||A||_1 and
+    # |c_{2m+1}| = m!^2 / ((2m)! (2m+1)!), evaluated here without the
+    # kernel's normalization of |A|
+    def ell(A, m):
+        c = math.factorial(m) ** 2 / (math.factorial(2 * m) * math.factorial(2 * m + 1))
+        power = np.linalg.matrix_power(np.abs(A), 2 * m + 1)
+        alpha = c * np.abs(power).sum(axis=0).max() / np.abs(A).sum(axis=0).max()
+        return max(math.ceil(math.log2(alpha / 2.0**-53) / (2 * m)), 0)
+
+    rng = np.random.default_rng(11)
+    cases = [np.array([[1.0, 1e4], [0.0, -1.0]]) * t for t in (0.1, 1.0, 5.0)]
+    cases += [rng.standard_normal((6, 6)) * t for t in (0.01, 0.5, 3.0)]
+    values = [[numcore._ell(A, m) for m in (3, 5, 7, 9, 13)] for A in cases]
+    assert values == [[ell(A, m) for m in (3, 5, 7, 9, 13)] for A in cases]
+    assert any(v > 0 for row in values for v in row)
+    assert numcore._ell(np.zeros((3, 3)), 13) == 0
+
+
+@pytest.mark.parametrize("t", [1e-2, 1.0, 10.0])
+def test_expm_non_normal_triangular_closed_form(t):
+    # |a_12| = 1e4 puts ||A t|| far above the spectral radius; squarings
+    # chosen from ||A t|| alone cost accuracy (1.2e-13 at t = 1, 2e-12 at
+    # t = 10), which the norms of powers, ||(A t)^k||^(1/k), avoid
+    A = np.array([[-1.0, 1e4], [0.0, -2.0]])
+    e1, e2 = np.exp(-t), np.exp(-2 * t)
+    want = np.array([[e1, 1e4 * (e1 - e2)], [0.0, e2]])
+    assert _rel_onenorm(expm(A, t), want) <= 1e-14
 
 
 def test_expm_diagonal_closed_form():
