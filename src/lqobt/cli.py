@@ -235,12 +235,12 @@ def cmd_reduce(args):
 
 def cmd_simulate(args):
     sys_ = _load(args)
-    rom_qbt = load_system(args.qbt)
-    rom_bt = load_system(args.bt)
-    for rom in (rom_qbt, rom_bt):
-        if rom.m != sys_.m or rom.p != sys_.p:
-            raise ValueError("reduced models must match the full model's "
-                             "input and output counts")
+    roms = [load_system(args.qbt), load_system(args.bt)]
+    for flag, rom in zip(("--qbt", "--bt"), roms):
+        if (rom.m, rom.p) != (sys_.m, sys_.p):
+            args.error(f"argument {flag}: the reduced model's input and output "
+                       f"counts {rom.m}:{rom.p} differ from the full model's "
+                       f"{sys_.m}:{sys_.p}")
     times = np.linspace(0.0, 5.0, args.steps + 1)
     ones = np.ones(sys_.m)
 
@@ -250,9 +250,7 @@ def cmd_simulate(args):
     q = args.channel
     if q >= sys_.p:
         args.error(f"argument --channel: {q} is not below the output count {sys_.p}")
-    y_f = sys_.simulate(u, times).outputs[:, q]
-    y_q = rom_qbt.simulate(u, times).outputs[:, q]
-    y_b = rom_bt.simulate(u, times).outputs[:, q]
+    y_f, y_q, y_b = (s.simulate(u, times).outputs[:, q] for s in (sys_, *roms))
     rows = zip(times, y_f, y_q, y_b, np.abs(y_f - y_q), np.abs(y_f - y_b))
     _write_csv(
         args.out,
@@ -270,10 +268,8 @@ def _safe_error(sys_, rom):
 def cmd_h2_sweep(args):
     sys_ = _load(args, ("--order", args.order) if args.nodes is not None
                  else ("--orders", args.orders[-1]))
-    gram = compute_gramians(sys_)
-
     if args.nodes is not None:
-        bt_err = _safe_error(sys_, intrusive_bt(sys_, args.order, gram))
+        bt_err = _safe_error(sys_, intrusive_bt(sys_, args.order))
 
         rows = []
         for n in args.nodes:
@@ -286,7 +282,7 @@ def cmd_h2_sweep(args):
         orders = args.orders
         rule_p, rule_q = _rules_from_args(args, args.domain, args.np, args.nq)
         _, roms = lqo_qbt_auto(sys_, rule_p, rule_q, orders, domain=args.domain)
-        rows = [(r, _safe_error(sys_, intrusive_bt(sys_, r, gram)),
+        rows = [(r, _safe_error(sys_, intrusive_bt(sys_, r)),
                  _safe_error(sys_, rom)) for r, rom in zip(orders, roms)]
         _write_csv(args.out, "Truncation_Index,H2_BT_Error,H2_r_Error", rows)
     print(args.out)

@@ -121,7 +121,8 @@ class KernelDataset:
 
     A dataset is checked once, when it is made, whether collected, loaded,
     built by hand or copied by :func:`dataclasses.replace`: each sample
-    family must have the shape of the tables below and be finite. A
+    family must be a numeric array (real in the time domain) of the shape
+    of the tables below and be finite. A
     frequency dataset must also fit the size bound and keep its two node
     sets apart (:func:`_check_freq_rules`, raising ``ValueError`` or
     :class:`~lqobt.errors.FrequencyCollisionError`), and its samples must
@@ -196,9 +197,16 @@ class KernelDataset:
         self.q_nodes, self.q_sqrt_weights = nodes(self.rule_q)
         self.Np, self.Nq = self.p_nodes.size, self.q_nodes.size
         families = _TIME_FIELDS if self.domain == "time" else _FREQ_FIELDS
+        # numpy kinds: integer, unsigned, float and, in frequency, complex
+        kinds, numbers = (("iuf", "real numbers") if self.domain == "time"
+                          else ("iufc", "numbers"))
         for name in families:
-            if getattr(self, name) is None:
+            arr = getattr(self, name)
+            if arr is None:
                 raise ValueError(f"{self.domain} dataset is missing {name}")
+            if not (isinstance(arr, np.ndarray) and arr.dtype.kind in kinds):
+                got = getattr(arr, "dtype", type(arr).__name__)
+                raise ValueError(f"{name} must be an array of {numbers}, got {got}")
         first = "h1_in" if self.domain == "time" else "tf1_in"
         shape = getattr(self, first).shape
         if len(shape) != 3:
@@ -1067,37 +1075,52 @@ def save_dataset(ds, directory):
 def load_dataset(directory):
     """Read a dataset written by :func:`save_dataset`.
 
-    Files in the earlier format also store the nodes, weights and
-    channel counts, and load when those equal what the rules and samples
-    give. A frequency file written without conjugate closure is refused,
-    and the loaded dataset is checked as any other (:class:`KernelDataset`):
-    one whose node sets collide raises
+    The manifest's ``file`` must be the plain name of a file in
+    `directory`, and a missing manifest key or archive member raises a
+    ``ValueError`` that names it. Files in the earlier format also store
+    the nodes, weights and channel counts, and load when those equal what
+    the rules and samples give. A frequency file written without
+    conjugate closure is refused, and the loaded dataset is checked as any
+    other (:class:`KernelDataset`): one whose node sets collide raises
     :class:`~lqobt.errors.FrequencyCollisionError`.
     """
     with open(os.path.join(directory, "manifest.json")) as f:
         manifest = json.load(f)
-    path = os.path.join(directory, manifest["file"])
+    domain, fields, file = (_entry(manifest, key, "manifest")
+                            for key in ("domain", "fields", "file"))
+    path = os.path.join(directory, file)
+    if os.path.basename(file) != file or not os.path.isfile(path):
+        raise ValueError(f"manifest file {file!r} is not a file in {directory}")
     rules = {}
     with np.load(path, allow_pickle=False) as archive:
-        arrays = {name: archive[name] for name in manifest["fields"]}
+        arrays = {name: _entry(archive, name, file) for name in fields}
         stored = {name: archive[name] for name in archive.files if name in (
             "p_nodes", "p_sqrt_weights", "q_nodes", "q_sqrt_weights")}
         for side in ("rule_p", "rule_q"):
             try:
                 rules[side] = QuadratureRule(
-                    archive[f"{side}_nodes"], archive[f"{side}_sqrt_weights"],
-                    kind=manifest[side]["kind"])
+                    _entry(archive, f"{side}_nodes", file),
+                    _entry(archive, f"{side}_sqrt_weights", file),
+                    kind=_entry(_entry(manifest, side, "manifest"), "kind", "manifest"))
             except ValueError as exc:
                 raise ValueError(f"{side}: {exc}") from exc
-    if (manifest["domain"] == "freq"
+    if (domain == "freq"
             and np.shape(arrays.get("tf1_in"))[:1] == (len(rules["rule_q"]),)):
         raise ValueError("frequency file written without conjugate closure: "
                          "its matrices are complex and give no real reduced "
                          "model; collect the data again with collect_freq_data")
-    ds = KernelDataset(domain=manifest["domain"], **rules, **arrays)
+    ds = KernelDataset(domain=domain, **rules, **arrays)
     stored.update((name, manifest[name]) for name in ("m", "p") if name in manifest)
     for name, value in stored.items():
         if not np.array_equal(value, getattr(ds, name)):
             raise ValueError(f"stored {name} disagrees with the {name} that "
                              "the dataset's rules and samples give")
     return ds
+
+
+def _entry(mapping, key, where):
+    """``mapping[key]``, or a ``ValueError`` naming `key` and `where`."""
+    try:
+        return mapping[key]
+    except KeyError:
+        raise ValueError(f"{where} has no {key!r}") from None

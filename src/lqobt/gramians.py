@@ -14,15 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import block_diag
 
-from .databt import DataMatrices, reduce_from_matrices
+from .databt import DataMatrices, _read_only, reduce_from_matrices
 from .errors import UnstableSystemError
-from .numcore import (
-    lyapunov_factor,
-    psd_sqrt_factor,
-    solve_lyapunov,
-    solve_sylvester,
-    svd,
-)
+from .numcore import (_hurwitz_schur, _solve_quasi_triangular, lyapunov_factor,
+                      psd_sqrt_factor, solve_lyapunov, svd)
 
 __all__ = [
     "Gramians",
@@ -36,36 +31,40 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Gramians:
-    """Controllability and (split) observability Gramians with factors.
+    """Controllability and (split) observability Gramians of one system,
+    with the real Schur form of its ``A``.
 
     ``P`` solves ``A P + P A' + B B' = 0``. The observability Gramian is
     ``Q = Q1 + Q2`` where ``Q1`` solves ``A' Q1 + Q1 A + C'C = 0`` and ``Q2``
-    solves ``A' Q2 + Q2 A + sum_q M_q P M_q = 0``. ``U``, ``L1``, ``L2`` are
-    square-root factors of ``P``, ``Q1``, ``Q2``; ``L = [L1, L2]`` so that
-    ``L L' = Q``.
+    solves ``A' Q2 + Q2 A + sum_q M_q P M_q = 0``. ``schur`` is ``(T, Z)``
+    with ``A = Z T Z'``, ``T`` quasi-triangular; :func:`h2_error` solves its
+    Sylvester equations on it.
 
-    :attr:`hankel`, the SVD of ``L'U``, is computed on first use and kept,
-    so :func:`hankel_singular_values` and every :func:`intrusive_bt` given
-    the same instance as ``gramians=`` share one factorization. The
-    instance is frozen so that the kept SVD cannot go stale.
+    The square-root factors ``U``, ``L1``, ``L2`` of ``P``, ``Q1``, ``Q2``,
+    ``L = [L1, L2]`` (so ``L L' = Q``) and :attr:`hankel`, the SVD of
+    ``L'U``, are computed on first use and kept, so a system that is only
+    scored by :func:`h2_error` is never factored, and every
+    :func:`intrusive_bt` of an order sweep shares one SVD. Every array is
+    read-only and the instance is frozen, so nothing kept can go stale.
     """
 
     P: np.ndarray
     Q1: np.ndarray
     Q2: np.ndarray
     Q: np.ndarray
-    U: np.ndarray
-    L1: np.ndarray
-    L2: np.ndarray
-    L: np.ndarray
+    schur: tuple
+
+    U = functools.cached_property(lambda g: _read_only(psd_sqrt_factor(g.P)))
+    L1 = functools.cached_property(lambda g: _read_only(psd_sqrt_factor(g.Q1)))
+    L2 = functools.cached_property(lambda g: _read_only(psd_sqrt_factor(g.Q2)))
+    L = functools.cached_property(lambda g: _read_only(np.hstack([g.L1, g.L2])))
 
     @functools.cached_property
     def hankel(self):
         """:class:`~lqobt.numcore.SvdResult` of ``L'U``, read-only; its
         singular values are the Hankel singular values."""
         res = svd(self.L.T @ self.U)
-        for X in (res.Z, res.S, res.Y):
-            X.flags.writeable = False
+        res.Z, res.S, res.Y = map(_read_only, (res.Z, res.S, res.Y))
         return res
 
 
@@ -77,46 +76,37 @@ def _require_stable(sys, what="system"):
         )
 
 
+# the Gramians of each system object, dropped with the system; a system's
+# matrices are read-only (as its cache of node exponentials also assumes),
+# so a kept record cannot go stale
+_RECORDS = weakref.WeakKeyDictionary()
+
+
 def compute_gramians(sys):
-    """Solve the three Lyapunov equations of `sys` and factor the results.
+    """The :class:`Gramians` of `sys`: three Lyapunov solves and a Schur
+    form on the first call for a system object, the same record from then
+    on while the object lives.
 
     Raises :class:`~lqobt.errors.UnstableSystemError` for systems that are
-    not asymptotically stable (the Gramians do not exist then).
+    not asymptotically stable (the Gramians do not exist then), and keeps
+    nothing for them.
     """
-    _require_stable(sys)
-    A = sys.A
-    P = solve_lyapunov(A.T, sys.B @ sys.B.T)
-    Q1 = solve_lyapunov(A, sys.C.T @ sys.C)
-    Q2 = solve_lyapunov(A, sum((M @ P @ M for M in sys.Ms), np.zeros_like(P)))
-    U, L1, L2 = (psd_sqrt_factor(X) for X in (P, Q1, Q2))
-    return Gramians(P=P, Q1=Q1, Q2=Q2, Q=Q1 + Q2, U=U, L1=L1, L2=L2, L=np.hstack([L1, L2]))
-
-
-# Q of each system object, dropped with the system. A system's matrices are
-# read-only (as its cache of node exponentials also assumes), so a stored Q
-# cannot go stale.
-_Q_MEMO = weakref.WeakKeyDictionary()
-
-
-def _observability_gramian(sys, what="system"):
-    """``Q = Q1 + Q2`` of a stable `sys` from two Lyapunov solves: ``P``,
-    then ``Q``, which is linear in its source ``C'C + sum_q M_q P M_q``.
-    Solved once per system object and kept in ``_Q_MEMO``."""
-    Q = _Q_MEMO.get(sys)
-    if Q is None:
-        _require_stable(sys, what)
-        P = solve_lyapunov(sys.A.T, sys.B @ sys.B.T)
-        Q = solve_lyapunov(sys.A, sys.C.T @ sys.C + sum(M @ P @ M for M in sys.Ms))
-        Q.flags.writeable = False
-        _Q_MEMO[sys] = Q
-    return Q
+    if sys not in _RECORDS:
+        _require_stable(sys)
+        A = sys.A
+        P = solve_lyapunov(A.T, sys.B @ sys.B.T)
+        Q1 = solve_lyapunov(A, sys.C.T @ sys.C)
+        Q2 = solve_lyapunov(A, sum((M @ P @ M for M in sys.Ms), np.zeros_like(P)))
+        _RECORDS[sys] = Gramians(*map(_read_only, (P, Q1, Q2, Q1 + Q2)),
+                                 schur=tuple(map(_read_only, _hurwitz_schur(A))))
+    return _RECORDS[sys]
 
 
 def hankel_singular_values(gramians):
     """Singular values of ``L' U``: the Hankel singular values of the
     quadratic-output system, nonincreasing. They come from
     ``gramians.hankel``, the one factorization that :func:`intrusive_bt`
-    shares when given the same `gramians`."""
+    shares for the same system."""
     return gramians.hankel.S
 
 
@@ -139,9 +129,9 @@ def intrusive_bt(sys, r, gramians=None):
     r
         Reduced order, within the numerical rank of ``L'U``.
     gramians
-        Optional precomputed :class:`Gramians`. Pass the same instance to
-        every order of a sweep: the SVD of ``L'U`` (``gramians.hankel``)
-        is computed once and shared.
+        The :class:`Gramians` of `sys`; by default ``compute_gramians(sys)``,
+        the same kept record, so every order of a sweep shares one SVD of
+        ``L'U`` (``gramians.hankel``) either way.
 
     Returns
     -------
@@ -165,11 +155,10 @@ def h2_norm(sys, gramians=None):
     integral of ``||h1||_F^2`` plus the double integral of the squared
     quadratic kernels summed over channels.
 
-    Without `gramians`, ``Q`` is solved once per system object and kept
-    while the object lives (:func:`h2_error` shares it); this relies on the
-    system's matrices being read-only.
+    ``Q`` comes from `gramians`, by default ``compute_gramians(sys)``, the
+    record that :func:`h2_error` also reads.
     """
-    Q = _observability_gramian(sys) if gramians is None else gramians.Q
+    Q = (compute_gramians(sys) if gramians is None else gramians).Q
     val = np.trace(sys.B.T @ Q @ sys.B)
     return float(np.sqrt(max(val, 0.0)))
 
@@ -195,10 +184,11 @@ def h2_error(sys, rom):
     ``||C R_1 - C_r R_2||_F^2 + sum_q ||R_1^H M_q R_1 - R_2^H M_r,q R_2||_F^2``,
     which resolves errors down to about ``eps ||sys||``.
 
-    ``Q`` and ``Q_r`` are each solved once per system object and kept
-    while the object lives, so scoring several ROMs against one `sys` (an
-    order sweep) solves the full model's ``Q`` once; this relies on the
-    systems' matrices being read-only.
+    ``Q``, ``Q_r`` and the real Schur forms of ``A`` and ``A_r``, on which
+    LAPACK ``trsyl`` solves both Sylvester equations (the second through
+    its transpose flags), come from :func:`compute_gramians`, which keeps
+    them per system object: scoring several ROMs against one `sys` (an
+    order sweep) solves and factors the full model once.
 
     Raises :class:`~lqobt.errors.UnstableSystemError` if `sys` or `rom` is
     unstable; data-driven reduction can produce an unstable `rom`.
@@ -208,14 +198,14 @@ def h2_error(sys, rom):
             f"input/output dimensions differ: ({sys.m}, {sys.p}) vs "
             f"({rom.m}, {rom.p})"
         )
-    Qr = _observability_gramian(rom, "reduced model")
-    Q = _observability_gramian(sys)
+    _require_stable(rom, "reduced model")
+    g, gr = compute_gramians(sys), compute_gramians(rom)
     B, Br = sys.B, rom.B
-    X = solve_sylvester(sys.A, rom.A, B @ Br.T)
+    X = _cross_sylvester(g, gr, B @ Br.T, "N", "T")
     W = -sys.C.T @ rom.C - sum(M @ X @ Mr for M, Mr in zip(sys.Ms, rom.Ms))
-    K = solve_sylvester(sys.A.T, rom.A.T, W)
-    full = np.trace(B.T @ Q @ B)
-    val = full + 2.0 * np.trace(B.T @ K @ Br) + np.trace(Br.T @ Qr @ Br)
+    K = _cross_sylvester(g, gr, W, "T", "N")
+    full = np.trace(B.T @ g.Q @ B)
+    val = full + 2.0 * np.trace(B.T @ K @ Br) + np.trace(Br.T @ gr.Q @ Br)
     if val <= 1e-12 * full:
         R = lyapunov_factor(block_diag(sys.A, rom.A), np.vstack([B, Br]))
         R1, R2 = R[: sys.n], R[sys.n:]
@@ -224,3 +214,12 @@ def h2_error(sys, rom):
             for M, Mr in zip(sys.Ms, rom.Ms)
         )
     return float(np.sqrt(max(val, 0.0)))
+
+
+def _cross_sylvester(g, gr, W, trana, tranb):
+    """``X`` with ``op(A) X + X op(A_r) + W = 0`` from the Schur forms
+    ``A = Z T Z'`` of `g` and ``A_r = Z_r T_r Z_r'`` of `gr`: ``op(T) Y +
+    Y op(T_r) = -Z' W Z_r`` and ``X = Z Y Z_r'``, ``op`` transposing where
+    the flag is ``"T"``."""
+    (T, Z), (Tr, Zr) = g.schur, gr.schur
+    return Z @ _solve_quasi_triangular(T, Tr, -(Z.T @ W @ Zr), trana, tranb) @ Zr.T

@@ -1,11 +1,13 @@
 """Dense linear-algebra kernels used throughout the package.
 
 Thin, contract-checked wrappers around LAPACK-backed routines, including
-Bartels-Stewart Lyapunov and Sylvester solvers and a Hammarling
-square-root Lyapunov factor. Everything operates on plain numpy arrays.
-The matrix exponential, which the time-domain samplers call at every
-node, runs in numpy's BLAS and LAPACK alone; the intrusive kernels also
-call scipy's (Schur forms, ``trsyl``, ``gesdd``).
+a Bartels-Stewart Lyapunov solver and a Hammarling square-root Lyapunov
+factor. :mod:`lqobt.gramians` solves its Sylvester equations with
+:func:`_solve_quasi_triangular` on the Schur forms it keeps. Everything
+operates on plain numpy arrays. The matrix exponential, which the
+time-domain samplers call at every node, runs in numpy's BLAS and LAPACK
+alone; the intrusive kernels also call scipy's (Schur forms, ``trsyl``,
+``gesdd``).
 """
 
 import math
@@ -17,7 +19,7 @@ import scipy.linalg as spla
 from .errors import IndefiniteMatrixError, LyapunovError
 
 # lyapunov_factor and psd_sqrt_factor serve lqobt.gramians only
-__all__ = ["expm", "solve_lyapunov", "solve_sylvester", "svd", "SvdResult"]
+__all__ = ["expm", "solve_lyapunov", "svd", "SvdResult"]
 
 # psd_sqrt_factor: relative eigenvalue cut of the factor's rank, and the
 # relative negative eigenvalue still taken for rounding and clipped to zero
@@ -202,25 +204,6 @@ def solve_lyapunov(A, W):
     T, U = _hurwitz_schur(A)
     X = U @ _solve_quasi_triangular(T, T, -(U.T @ W @ U), "T", "N") @ U.T
     return 0.5 * (X + X.T)
-
-
-def solve_sylvester(A, F, W):
-    """Solve the Sylvester equation ``A X + X F' + W = 0``.
-
-    Bartels-Stewart on the real Schur forms ``A = U S U'`` and
-    ``F = V R V'``: ``S Y + Y R' = -U' W V`` with ``X = U Y V'``. `A` is
-    n x n, `F` is r x r and `W` is n x r. Both `A` and `F` must be Hurwitz,
-    which makes the solution unique; otherwise a
-    :class:`~lqobt.errors.LyapunovError` is raised.
-    """
-    A, F, W = _square(A), _square(F), np.asarray(W, dtype=float)
-    if W.shape != (A.shape[0], F.shape[0]):
-        raise ValueError(f"shape mismatch: A is {A.shape}, F is {F.shape}, W is {W.shape}")
-    if not (np.isfinite(A).all() and np.isfinite(F).all() and np.isfinite(W).all()):
-        raise ValueError("non-finite input to solve_sylvester")
-    S, U = _hurwitz_schur(A)
-    R, V = _hurwitz_schur(F)
-    return U @ _solve_quasi_triangular(S, R, -(U.T @ W @ V), "N", "T") @ V.T
 
 
 def lyapunov_factor(A, B):

@@ -268,17 +268,28 @@ def test_simulate_table_schema_and_errors(tmp_path):
     assert open(sim, "rb").read() == open(again, "rb").read()
 
 
-def test_simulate_rejects_channel_count_mismatch(tmp_path):
+def test_simulate_rejects_channel_count_mismatch(tmp_path, capsys):
+    # a reduced model whose input or output count differs from the full
+    # model's is a usage error (exit 2) naming its flag, and nothing is
+    # written
     manifest = _synth(tmp_path, n=4)
     wide = _synth(tmp_path, "wide", n=4, extra=("--inputs", "2"))
-    rom_dir = str(tmp_path / "rom")
-    main(["reduce", "--system", wide, "--method", "bt", "--order", "2",
-          "--out", rom_dir])
-    rom_manifest = os.path.join(rom_dir, "rom.manifest")
-    with pytest.raises(ValueError, match="input and output counts"):
-        main(["simulate", "--system", manifest, "--qbt", rom_manifest,
-              "--bt", rom_manifest, "--steps", "10",
-              "--out", str(tmp_path / "x.csv")])
+    roms = {}
+    for name, system in (("fit", manifest), ("wide", wide)):
+        main(["reduce", "--system", system, "--method", "bt", "--order", "2",
+              "--out", str(tmp_path / name)])
+        roms[name] = os.path.join(tmp_path / name, "rom.manifest")
+    out = tmp_path / "x.csv"
+    capsys.readouterr()
+    for flag, qbt, bt in (("--qbt", "wide", "fit"), ("--bt", "fit", "wide")):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--system", manifest, "--qbt", roms[qbt],
+                  "--bt", roms[bt], "--steps", "10", "--out", str(out)])
+        assert exc.value.code == 2
+        assert (f"argument {flag}: the reduced model's input and output "
+                "counts 2:1 differ from the full model's 1:1"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
 
 def test_h2_sweep_over_node_counts(tmp_path):

@@ -818,6 +818,73 @@ def test_load_names_the_side_of_a_bad_rule(tmp_path):
                     load_dataset(tmp_path / ds.domain)
 
 
+
+def test_dataset_refuses_samples_of_the_wrong_kind(tmp_path):
+    # time-domain kernels are real, so a complex time sample is refused
+    # where the dataset is made, naming its field, instead of losing its
+    # imaginary part in the reduction; samples of either domain must be
+    # numbers
+    _, (ds, ds_f) = _earlier_datasets()
+    for name in ("h1_in", "h2_sum"):
+        with pytest.raises(ValueError, match=f"^{name} must be an array of real "
+                                             "numbers, got complex128$"):
+            replace(ds, **{name: getattr(ds, name) + 1e-3j})
+    for dataset, name, numbers in ((ds, "h1_out", "real numbers"),
+                                   (ds_f, "tf2_quad", "numbers")):
+        arr = getattr(dataset, name)
+        for bad, kind in ((arr.astype(object), "object"), (arr.astype(str), "<U"),
+                          (arr > 0, "bool"), (arr.tolist(), "list")):
+            with pytest.raises(ValueError, match=f"^{name} must be an array of "
+                                                 f"{numbers}, got {kind}"):
+                replace(dataset, **{name: bad})
+    save_dataset(ds, tmp_path / "ds")
+    path = tmp_path / "ds" / "samples.npz"
+    with np.load(path) as archive:
+        arrays = dict(archive)
+    np.savez(path, **{**arrays, "h1_in": arrays["h1_in"] + 1e-3j})
+    with pytest.raises(ValueError, match="^h1_in must be an array of real numbers"):
+        load_dataset(tmp_path / "ds")
+
+
+def test_load_names_a_damaged_manifest_or_archive(tmp_path):
+    _, (ds, ds_f) = _earlier_datasets()
+    save_dataset(ds, tmp_path / "other")
+    for dataset in (ds, ds_f):
+        directory = tmp_path / dataset.domain
+        save_dataset(dataset, directory)
+        manifest = json.loads((directory / "manifest.json").read_text())
+        path = directory / "samples.npz"
+        with np.load(path) as archive:
+            arrays = dict(archive)
+
+        def load(changed=manifest, members=arrays):
+            (directory / "manifest.json").write_text(json.dumps(changed))
+            np.savez(path, **members)
+            return load_dataset(directory)
+
+        # the archive must sit in the manifest's own directory
+        for file in ("../other/samples.npz", str(tmp_path / "other" / "samples.npz"),
+                     "", "..", "absent.npz"):
+            with pytest.raises(ValueError, match=f"^manifest file {file!r} is not "
+                                                 "a file in"):
+                load({**manifest, "file": file})
+        for key in ("domain", "fields", "file"):
+            with pytest.raises(ValueError, match=f"^manifest has no '{key}'$"):
+                load({k: v for k, v in manifest.items() if k != key})
+        with pytest.raises(ValueError, match="^rule_q: manifest has no 'rule_q'$"):
+            load({k: v for k, v in manifest.items() if k != "rule_q"})
+        with pytest.raises(ValueError, match="^rule_p: manifest has no 'kind'$"):
+            load({**manifest, "rule_p": {}})
+        for member, prefix in ((manifest["fields"][1], ""),
+                               ("rule_q_sqrt_weights", "rule_q: ")):
+            with pytest.raises(ValueError, match=f"^{prefix}samples.npz has no "
+                                                 f"'{member}'$"):
+                load(members={k: v for k, v in arrays.items() if k != member})
+        back = load()
+        for name in manifest["fields"]:
+            assert np.array_equal(getattr(back, name), getattr(dataset, name))
+
+
 # ------------------------------------------------------- non-finite input
 
 

@@ -26,7 +26,7 @@ from lqobt import (
     intrusive_bt,
     synthesize_system,
 )
-from lqobt import gramians
+from lqobt import gramians, numcore
 from lqobt.errors import UnstableSystemError
 from lqobt.numcore import solve_lyapunov
 
@@ -345,55 +345,89 @@ def _sweep_equals_fresh_objects(sys_, orders, roms, errors):
     assert h2_norm(sys_) == h2_norm(_twin(sys_))
 
 
-def test_order_sweep_factors_once_and_solves_the_full_q_once(monkeypatch):
-    # one Gramians factors L'U once for all orders; one system solves its
-    # Q once for all the ROMs it scores, each ROM its own Q_r once
-    memo = weakref.WeakKeyDictionary()
-    monkeypatch.setattr(gramians, "_Q_MEMO", memo)
+def _counting(calls, module, name):
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+
+    return counted
+
+
+def test_order_sweep_factors_once_and_solves_each_system_once(monkeypatch):
+    # one system's record factors L'U once for all orders and solves its
+    # Gramians once for all the ROMs it scores; each scored ROM solves its
+    # own once and is never factored
     sys_ = synthesize_system(12, damping=(0.1, 3.0), gain_decay=0.85, seed=21)
-    g = compute_gramians(sys_)
     orders = range(2, 9)
-    calls = {"svd": 0, "solve_lyapunov": 0}
-
-    def count(name):
-        original = getattr(gramians, name)
-
-        def counted(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-
-        return counted
-
+    calls = {"svd": 0, "solve_lyapunov": 0, "psd_sqrt_factor": 0}
     with monkeypatch.context() as m:
         for name in calls:
-            m.setattr(gramians, name, count(name))
-        roms = [intrusive_bt(sys_, r, gramians=g) for r in orders]
-        assert calls["svd"] == 1
+            m.setattr(gramians, name, _counting(calls, gramians, name))
+        compute_gramians(sys_)
+        roms = [intrusive_bt(sys_, r) for r in orders]
+        assert calls == {"svd": 1, "solve_lyapunov": 3, "psd_sqrt_factor": 3}
         errors = [h2_error(sys_, rom) for rom in roms]
-        assert calls["solve_lyapunov"] == 2 + 2 * len(roms)
         h2_norm(sys_)
-        assert calls["solve_lyapunov"] == 2 + 2 * len(roms)
+        assert calls == {"svd": 1, "solve_lyapunov": 3 + 3 * len(roms),
+                         "psd_sqrt_factor": 3}
     _sweep_equals_fresh_objects(sys_, orders, roms, errors)
-    # an entry lives as long as its system
-    del sys_, roms
+
+
+def test_gramians_are_kept_once_per_system_and_cannot_change(monkeypatch):
+    # compute_gramians hands every caller the same record, so none may
+    # change it, and it lives exactly as long as its system
+    records = weakref.WeakKeyDictionary()
+    monkeypatch.setattr(gramians, "_RECORDS", records)
+    sys_ = scalar_s1()
+    g = compute_gramians(sys_)
+    assert compute_gramians(sys_) is g
+    assert compute_gramians(_twin(sys_)) is not g
+    intrusive_bt(sys_, 1)
+    T, Z = g.schur
+    for X in (g.P, g.Q1, g.Q2, g.Q, T, Z, g.U, g.L1, g.L2, g.L,
+              g.hankel.Z, g.hankel.S, g.hankel.Y):
+        with pytest.raises(ValueError):
+            X[0, ...] = 1.0
+    for name in ("P", "Q", "schur", "L", "hankel"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(g, name, None)
+    del sys_, g, T, Z
     gc.collect()
-    assert len(memo) == 0
+    assert len(records) == 0
     # a failed stability check stores nothing
     unstable = LqoSystem([[0.5]], [1.0], [1.0], [np.eye(1)])
     with pytest.raises(UnstableSystemError):
         h2_norm(unstable)
-    assert len(memo) == 0
+    assert len(records) == 0
 
 
-def test_kept_factorization_and_q_cannot_change():
-    # the kept SVD and Q are handed to every caller, so none may change them
-    g = compute_gramians(scalar_s1())
-    with pytest.raises(ValueError):
-        hankel_singular_values(g)[0] = 1.0
-    with pytest.raises(ValueError):
-        gramians._observability_gramian(scalar_s1())[0, 0] = 1.0
-    with pytest.raises(FrozenInstanceError):
-        g.L = 2.0 * g.L
+def test_order_sweep_schur_forms_of_a_do_not_grow_with_orders(monkeypatch):
+    # Bartels-Stewart needs one Schur form per coefficient; the record
+    # keeps the full model's for every Sylvester solve of h2_error, so an
+    # order sweep makes as many Schur forms of A at 7 orders as at 2 (each
+    # ROM's own come on top); two fresh Schur forms per error made it
+    # 5 + 2 * orders
+    n = 12
+    original = numcore._hurwitz_schur
+    shapes = []
+
+    def spy(A, *args, **kwargs):
+        shapes.append(A.shape)
+        return original(A, *args, **kwargs)
+
+    for module in (numcore, gramians):  # gramians imports it by name
+        monkeypatch.setattr(module, "_hurwitz_schur", spy, raising=False)
+    counts = []
+    for n_orders in (2, 7):
+        shapes.clear()
+        sys_ = synthesize_system(n, damping=(0.1, 3.0), gain_decay=0.85, seed=21)
+        g = compute_gramians(sys_)
+        for r in range(2, 2 + n_orders):
+            h2_error(sys_, intrusive_bt(sys_, r, gramians=g))
+        counts.append(shapes.count((n, n)))
+    assert counts[0] == counts[1] <= 4, counts
 
 
 @pytest.mark.parametrize("case", ["acceptance", "mimo", "linear"])

@@ -1,5 +1,6 @@
 """Tests for the dense numerical kernels: matrix exponential, Lyapunov
-and Sylvester solvers, semidefinite square-root factors, and the deterministic SVD."""
+solver and square-root factor, semidefinite square-root factors, and the
+deterministic SVD."""
 
 import math
 
@@ -14,7 +15,6 @@ from lqobt.numcore import (
     lyapunov_factor,
     psd_sqrt_factor,
     solve_lyapunov,
-    solve_sylvester,
     svd,
 )
 
@@ -189,47 +189,12 @@ def test_lyapunov_shape_errors():
         solve_lyapunov(-np.eye(2), np.diag([1.0, np.nan]))
 
 
-# ------------------------------------------------------ solve_sylvester
+# ------------------------------------------------------ lyapunov_factor
 
 
 def _hurwitz(rng, n):
     G = rng.standard_normal((n, n)) / np.sqrt(n)
     return G - (np.linalg.eigvals(G).real.max() + rng.uniform(0.3, 1.0)) * np.eye(n)
-
-
-def test_sylvester_residual():
-    rng = np.random.default_rng(43)
-    for _ in range(10):
-        n, r = (int(k) for k in rng.integers(1, 25, 2))
-        A, F = _hurwitz(rng, n), _hurwitz(rng, r)
-        W = rng.standard_normal((n, r))
-        X = solve_sylvester(A, F, W)
-        res = A @ X + X @ F.T + W
-        assert np.linalg.norm(res) <= 1e-10 * max(1.0, np.linalg.norm(W))
-
-
-def test_sylvester_diagonal_closed_form():
-    # A X + X F' + W = 0 with diagonal A, F: X_ij = -W_ij / (a_i + f_j)
-    a, f = np.array([-1.0, -2.0, -5.0]), np.array([-0.5, -3.0])
-    W = np.arange(6.0).reshape(3, 2)
-    X = solve_sylvester(np.diag(a), np.diag(f), W)
-    assert np.allclose(X, -W / (a[:, None] + f[None, :]), rtol=1e-13, atol=0)
-
-
-def test_sylvester_rejects_bad_input():
-    A, F = -np.eye(3), -np.eye(2)
-    with pytest.raises(ValueError):
-        solve_sylvester(np.ones((3, 2)), F, np.ones((3, 2)))
-    with pytest.raises(ValueError):
-        solve_sylvester(A, np.ones((2, 3)), np.ones((3, 2)))
-    with pytest.raises(ValueError):
-        solve_sylvester(A, F, np.ones((2, 3)))
-    with pytest.raises(ValueError):
-        solve_sylvester(A, F, np.full((3, 2), np.nan))
-    with pytest.raises(ValueError):
-        solve_sylvester(A, np.diag([-1.0, np.inf]), np.ones((3, 2)))
-    with pytest.raises(LyapunovError):
-        solve_sylvester(A, np.diag([-1.0, 0.5]), np.ones((3, 2)))
 
 
 def test_lyapunov_factor_reproduces_gramian():
