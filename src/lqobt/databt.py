@@ -68,7 +68,7 @@ import numpy as np
 
 from .errors import FrequencyCollisionError, OrderError
 from .model import ReducedLqoSystem
-from .numcore import SvdResult, _lead_phases, svd
+from .numcore import SvdResult, _lead_phases, _read_only, svd
 from .quadrature import QuadratureRule
 
 __all__ = [
@@ -107,7 +107,7 @@ _TIME_FIELDS = ("h1_sum", "dh1_sum", "h1_in", "h1_out",
 _FREQ_FIELDS = ("tf1_in", "tf1_out", "tf2_cross", "tf2_quad")
 
 
-@dataclass
+@dataclass(frozen=True)
 class KernelDataset:
     """Two quadrature rules and the samples taken at them.
 
@@ -127,14 +127,17 @@ class KernelDataset:
     sets apart (:func:`_check_freq_rules`, raising ``ValueError`` or
     :class:`~lqobt.errors.FrequencyCollisionError`), and its samples must
     be conjugate symmetric (:func:`_check_conjugate_symmetry`). The
-    checked sample arrays are then made read-only, so the reducers and
-    :func:`build_data_matrices` trust a dataset without checking it again.
-    So are the arrays they are views of (every ndarray on their ``.base``
-    chain), which the caller may still hold: after
-    ``replace(ds, tf1_out=base[:])``, ``base`` is read-only too. A sample
-    array over a writable buffer that numpy cannot lock (a ``bytearray``
-    or a writable ``mmap``) is copied instead, so datasets loaded from
-    files or collected from samplers that return ndarrays are never copied.
+    dataset is frozen, so no checked field can be swapped, and
+    :func:`dataclasses.replace` builds a new, checked dataset. The checked
+    sample arrays and the derived nodes and weights are read-only, so the
+    reducers and :func:`build_data_matrices` trust a dataset without
+    checking it again. So are the arrays they are views of
+    (:func:`lqobt.numcore._read_only`), which the caller may still hold:
+    after ``replace(ds, tf1_out=base[:])``, ``base`` is read-only too. A
+    sample array over a writable buffer that numpy cannot lock (a
+    ``bytearray`` or a writable ``mmap``) is copied instead, so datasets
+    loaded from files or collected from samplers that return ndarrays are
+    never copied.
 
     Time-domain sample arrays (``N_p = len(p_nodes)``, ``N_q = len(q_nodes)``):
 
@@ -193,9 +196,9 @@ class KernelDataset:
                 raise TypeError(f"{side} must be a QuadratureRule")
         nodes = (_closed_nodes if self.domain == "freq"
                  else lambda rule: (rule.nodes, rule.sqrt_weights))
-        self.p_nodes, self.p_sqrt_weights = nodes(self.rule_p)
-        self.q_nodes, self.q_sqrt_weights = nodes(self.rule_q)
-        self.Np, self.Nq = self.p_nodes.size, self.q_nodes.size
+        kept = dict(zip(("p_nodes", "p_sqrt_weights", "q_nodes", "q_sqrt_weights"),
+                        map(_read_only, (*nodes(self.rule_p), *nodes(self.rule_q)))))
+        Np, Nq = kept["p_nodes"].size, kept["q_nodes"].size
         families = _TIME_FIELDS if self.domain == "time" else _FREQ_FIELDS
         # numpy kinds: integer, unsigned, float and, in frequency, complex
         kinds, numbers = (("iuf", "real numbers") if self.domain == "time"
@@ -211,8 +214,7 @@ class KernelDataset:
         shape = getattr(self, first).shape
         if len(shape) != 3:
             raise ValueError(f"{first} has shape {shape}, expected (N_q, p, m)")
-        self.p, self.m = shape[1:]
-        Np, Nq, m, p = self.Np, self.Nq, self.m, self.p
+        p, m = shape[1:]
         # the tables above; the single-node families match across domains
         single = ((Nq, p, m), (Np, p, m), (p, Np, Nq, m, m), (p, Np, Np, m, m))
         lin, quad = (Nq, Np, p, m), (p, Np, Nq, Np, m, m)
@@ -227,30 +229,11 @@ class KernelDataset:
         if self.domain == "freq":
             _check_freq_rules(self.rule_p, self.rule_q, p, m)
             _check_conjugate_symmetry(self)
-        for name in families:  # read-only, so the checks above keep holding
-            setattr(self, name, _read_only(getattr(self, name)))
-
-
-def _read_only(arr):
-    """`arr` made read-only together with every ndarray on its ``.base``
-    chain, so that no other view of the same memory can write to it. Memory
-    that a writable buffer other than an ndarray owns (a ``bytearray``, a
-    writable ``mmap``) cannot be locked that way; such an array is copied."""
-    owner = arr
-    while isinstance(owner, np.ndarray):
-        owner.flags.writeable = False
-        owner = owner.base
-    if owner is not None and _writable_buffer(owner):
-        arr = arr.copy()
-        arr.flags.writeable = False
-    return arr
-
-
-def _writable_buffer(obj):
-    try:
-        return not memoryview(obj).readonly
-    except TypeError:  # no buffer interface to ask: assume it can change
-        return True
+        # read-only, so the checks above keep holding
+        kept.update((name, _read_only(getattr(self, name))) for name in families)
+        kept.update(Np=Np, Nq=Nq, p=p, m=m)
+        for name, value in kept.items():
+            object.__setattr__(self, name, value)
 
 
 @dataclass
@@ -1051,8 +1034,7 @@ def save_dataset(ds, directory):
 
     The archive holds the sample families and both generating rules in
     numpy's binary format, so :func:`load_dataset` restores the dataset
-    bit-exactly; the manifest holds the domain and the rules' kinds and
-    names the arrays.
+    bit-exactly; the manifest holds the domain and the rules' kinds.
     """
     os.makedirs(directory, exist_ok=True)
     fields = _TIME_FIELDS if ds.domain == "time" else _FREQ_FIELDS
@@ -1065,8 +1047,6 @@ def save_dataset(ds, directory):
         "domain": ds.domain,
         "rule_p": {"kind": ds.rule_p.kind},
         "rule_q": {"kind": ds.rule_q.kind},
-        "file": _SAMPLES_FILE,
-        "fields": list(fields),
     }
     with open(os.path.join(directory, "manifest.json"), "w") as f:
         json.dump(manifest, f, indent=1)
@@ -1075,37 +1055,38 @@ def save_dataset(ds, directory):
 def load_dataset(directory):
     """Read a dataset written by :func:`save_dataset`.
 
-    The manifest's ``file`` must be the plain name of a file in
-    `directory`, and a missing manifest key or archive member raises a
-    ``ValueError`` that names it. Files in the earlier format also store
-    the nodes, weights and channel counts, and load when those equal what
-    the rules and samples give. A frequency file written without
-    conjugate closure is refused, and the loaded dataset is checked as any
-    other (:class:`KernelDataset`): one whose node sets collide raises
+    The manifest gives the domain, whose sample families (and both rules'
+    arrays) are read from ``samples.npz`` in `directory`; the ``file`` and
+    ``fields`` keys that earlier manifests carry are ignored. A missing
+    manifest key or archive member raises a ``ValueError`` that names it.
+    Files in the earlier format also store the nodes, weights and channel
+    counts, and load when those equal what the rules and samples give. A
+    frequency file written without conjugate closure is refused, and the
+    loaded dataset is checked as any other (:class:`KernelDataset`): one
+    whose node sets collide raises
     :class:`~lqobt.errors.FrequencyCollisionError`.
     """
     with open(os.path.join(directory, "manifest.json")) as f:
         manifest = json.load(f)
-    domain, fields, file = (_entry(manifest, key, "manifest")
-                            for key in ("domain", "fields", "file"))
-    path = os.path.join(directory, file)
-    if os.path.basename(file) != file or not os.path.isfile(path):
-        raise ValueError(f"manifest file {file!r} is not a file in {directory}")
+    domain = _entry(manifest, "domain", "manifest")
+    if domain not in ("time", "freq"):
+        raise ValueError(f"unknown domain {domain!r}")
     rules = {}
-    with np.load(path, allow_pickle=False) as archive:
-        arrays = {name: _entry(archive, name, file) for name in fields}
+    with np.load(os.path.join(directory, _SAMPLES_FILE), allow_pickle=False) as archive:
+        arrays = {name: _entry(archive, name, _SAMPLES_FILE) for name in
+                  (_TIME_FIELDS if domain == "time" else _FREQ_FIELDS)}
         stored = {name: archive[name] for name in archive.files if name in (
             "p_nodes", "p_sqrt_weights", "q_nodes", "q_sqrt_weights")}
         for side in ("rule_p", "rule_q"):
             try:
                 rules[side] = QuadratureRule(
-                    _entry(archive, f"{side}_nodes", file),
-                    _entry(archive, f"{side}_sqrt_weights", file),
+                    _entry(archive, f"{side}_nodes", _SAMPLES_FILE),
+                    _entry(archive, f"{side}_sqrt_weights", _SAMPLES_FILE),
                     kind=_entry(_entry(manifest, side, "manifest"), "kind", "manifest"))
             except ValueError as exc:
                 raise ValueError(f"{side}: {exc}") from exc
     if (domain == "freq"
-            and np.shape(arrays.get("tf1_in"))[:1] == (len(rules["rule_q"]),)):
+            and np.shape(arrays["tf1_in"])[:1] == (len(rules["rule_q"]),)):
         raise ValueError("frequency file written without conjugate closure: "
                          "its matrices are complex and give no real reduced "
                          "model; collect the data again with collect_freq_data")

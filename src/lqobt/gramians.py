@@ -14,10 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import block_diag
 
-from .databt import DataMatrices, _read_only, reduce_from_matrices
+from .databt import DataMatrices, reduce_from_matrices
 from .errors import UnstableSystemError
-from .numcore import (_hurwitz_schur, _solve_quasi_triangular, lyapunov_factor,
-                      psd_sqrt_factor, solve_lyapunov, svd)
+from .numcore import (_hurwitz_schur, _read_only, _solve_quasi_triangular,
+                      lyapunov_factor, psd_sqrt_factor, solve_lyapunov, svd)
 
 __all__ = [
     "Gramians",

@@ -22,7 +22,7 @@ import scipy.io
 import scipy.sparse
 
 from .errors import FrequencyCollisionError
-from .numcore import expm
+from .numcore import _read_only, _real, expm
 
 __all__ = [
     "LqoSystem",
@@ -43,9 +43,7 @@ def _node_exp(A, t):
     """``exp(A t)``, read-only, as a cache hands the same array to every
     caller. Looks up the module's `expm` at call time, so that tracing and
     tests can count the exponentiations."""
-    E = expm(A, t)
-    E.flags.writeable = False
-    return E
+    return _read_only(expm(A, t))
 
 
 def _check_nonnegative(*arrays):
@@ -64,6 +62,12 @@ class LqoSystem:
     and the stability queries :meth:`spectral_abscissa` and
     :attr:`is_stable`.
 
+    The matrices are read-only once the system is made, and so is every
+    array they are views of (:func:`lqobt.numcore._read_only`): a caller's
+    ``full`` behind ``A = full[:, :]``, or a 1-D ``B``. So neither the
+    cache of node exponentials nor the system's
+    :func:`~lqobt.gramians.compute_gramians` record can go stale.
+
     Parameters
     ----------
     A, B, C
@@ -73,17 +77,19 @@ class LqoSystem:
         Symmetric quadratic output matrix, or a sequence with one matrix per
         output channel. Matrices are symmetrized as ``(M + M') / 2``, which
         leaves the output map unchanged.
+
+    A complex matrix raises ``ValueError`` naming it (``A``, ``B``, ``C``
+    or ``M_q``), where numpy would keep its real part.
     """
 
     def __init__(self, A, B, C, Ms):
-        A = np.atleast_2d(np.asarray(A, dtype=float))
+        A = np.atleast_2d(_real(A, "A"))
         if A.shape[0] != A.shape[1]:
             raise ValueError(f"A must be square, got shape {A.shape}")
         n = A.shape[0]
-        B = np.asarray(B, dtype=float)
+        B, C = _real(B, "B"), _real(C, "C")
         if B.ndim == 1:
             B = B[:, None]
-        C = np.asarray(C, dtype=float)
         if C.ndim == 1:
             C = C[None, :]
         if B.ndim != 2 or B.shape[0] != n:
@@ -94,7 +100,7 @@ class LqoSystem:
 
         if isinstance(Ms, np.ndarray) and Ms.ndim == 2:
             Ms = [Ms]
-        Ms = [np.atleast_2d(np.asarray(M, dtype=float)) for M in Ms]
+        Ms = [np.atleast_2d(_real(M, f"M_{q}")) for q, M in enumerate(Ms)]
         if len(Ms) != p:
             raise ValueError(f"{p} output rows but {len(Ms)} quadratic matrices")
         for M in Ms:
@@ -109,10 +115,8 @@ class LqoSystem:
             if not np.isfinite(M).all():
                 raise ValueError("non-finite entries in a quadratic matrix")
 
-        for mat in (A, B, C, *Ms):
-            mat.flags.writeable = False
-        self.A, self.B, self.C = A, B, C
-        self.Ms = tuple(Ms)
+        self.A, self.B, self.C = map(_read_only, (A, B, C))
+        self.Ms = tuple(map(_read_only, Ms))
         self._abscissa = None
         # least recently used node exponentials, within _CACHE_BYTES
         self._exp_cache = functools.lru_cache(maxsize=_CACHE_BYTES // A.nbytes)(

@@ -7,7 +7,8 @@ factor. :mod:`lqobt.gramians` solves its Sylvester equations with
 operates on plain numpy arrays. The matrix exponential, which the
 time-domain samplers call at every node, runs in numpy's BLAS and LAPACK
 alone; the intrusive kernels also call scipy's (Schur forms, ``trsyl``,
-``gesdd``).
+``gesdd``). :func:`_read_only` is the package's one rule for an array it
+keeps, and :func:`_real` its one check that a system or rule is real.
 """
 
 import math
@@ -25,6 +26,41 @@ __all__ = ["expm", "solve_lyapunov", "svd", "SvdResult"]
 # relative negative eigenvalue still taken for rounding and clipped to zero
 PSD_RANK_TOL = 1e-13
 PSD_DUST_TOL = 1e-12
+
+
+def _read_only(arr):
+    """`arr` made read-only together with every ndarray on its ``.base``
+    chain, so that no other view of the same memory can write to it. Memory
+    that a writable buffer other than an ndarray owns (a ``bytearray``, a
+    writable ``mmap``) cannot be locked that way; such an array is copied.
+    Every array the package keeps (a system's matrices, a rule's nodes and
+    weights, a dataset's samples, a Gramians record, a cached node
+    exponential) goes through here, so what was checked or cached cannot
+    change."""
+    owner = arr
+    while isinstance(owner, np.ndarray):
+        owner.flags.writeable = False
+        owner = owner.base
+    if owner is not None and _writable_buffer(owner):
+        arr = arr.copy()
+        arr.flags.writeable = False
+    return arr
+
+
+def _writable_buffer(obj):
+    try:
+        return not memoryview(obj).readonly
+    except TypeError:  # no buffer interface to ask: assume it can change
+        return True
+
+
+def _real(x, name):
+    """`x` as a float array. Complex input raises, naming `x`, where numpy
+    would keep the real part with only a ``ComplexWarning``."""
+    x = np.asarray(x)
+    if x.dtype.kind == "c":
+        raise ValueError(f"{name} must be an array of real numbers, got {x.dtype}")
+    return x.astype(float, copy=False)
 
 
 def _square(A):

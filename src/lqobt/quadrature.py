@@ -6,9 +6,11 @@ matters far more than near the right. Rules store square-root weights because
 downstream factorizations weight samples by ``sqrt(w)`` on each side.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+from .numcore import _read_only, _real
 
 __all__ = ["QuadratureRule", "log_trapezoid", "clenshaw_curtis"]
 
@@ -17,8 +19,11 @@ __all__ = ["QuadratureRule", "log_trapezoid", "clenshaw_curtis"]
 class QuadratureRule:
     """Nodes and square-root weights of a quadrature rule.
 
-    Invariants, enforced at construction: nodes strictly increasing and
-    positive, square-root weights positive, equal lengths.
+    Invariants, enforced at construction: real arrays (a complex one
+    raises, naming it), nodes strictly increasing and positive, square-root
+    weights positive, equal lengths. Both arrays are then read-only, with
+    every array they are views of (:func:`lqobt.numcore._read_only`), so
+    the invariants keep holding.
     """
 
     nodes: np.ndarray
@@ -26,8 +31,8 @@ class QuadratureRule:
     kind: str = "custom"
 
     def __post_init__(self):
-        nodes = np.atleast_1d(np.asarray(self.nodes, dtype=float))
-        sw = np.atleast_1d(np.asarray(self.sqrt_weights, dtype=float))
+        nodes = np.atleast_1d(_real(self.nodes, "nodes"))
+        sw = np.atleast_1d(_real(self.sqrt_weights, "sqrt_weights"))
         if nodes.ndim != 1 or sw.ndim != 1:
             raise ValueError("nodes and sqrt_weights must be 1-d")
         if nodes.shape != sw.shape:
@@ -42,10 +47,8 @@ class QuadratureRule:
             raise ValueError("nodes must be positive and strictly increasing")
         if np.any(sw <= 0.0):
             raise ValueError("weights must be positive")
-        nodes.flags.writeable = False
-        sw.flags.writeable = False
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "sqrt_weights", sw)
+        object.__setattr__(self, "nodes", _read_only(nodes))
+        object.__setattr__(self, "sqrt_weights", _read_only(sw))
 
     def __len__(self):
         return self.nodes.size

@@ -7,10 +7,14 @@ without ever seeing state-space matrices.
 """
 
 import json
+import os
+import tempfile
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     PoisonedSampler,
@@ -848,7 +852,6 @@ def test_dataset_refuses_samples_of_the_wrong_kind(tmp_path):
 
 def test_load_names_a_damaged_manifest_or_archive(tmp_path):
     _, (ds, ds_f) = _earlier_datasets()
-    save_dataset(ds, tmp_path / "other")
     for dataset in (ds, ds_f):
         directory = tmp_path / dataset.domain
         save_dataset(dataset, directory)
@@ -856,33 +859,115 @@ def test_load_names_a_damaged_manifest_or_archive(tmp_path):
         path = directory / "samples.npz"
         with np.load(path) as archive:
             arrays = dict(archive)
+        families = databt._TIME_FIELDS if dataset.domain == "time" else databt._FREQ_FIELDS
 
         def load(changed=manifest, members=arrays):
             (directory / "manifest.json").write_text(json.dumps(changed))
             np.savez(path, **members)
             return load_dataset(directory)
 
-        # the archive must sit in the manifest's own directory
-        for file in ("../other/samples.npz", str(tmp_path / "other" / "samples.npz"),
-                     "", "..", "absent.npz"):
-            with pytest.raises(ValueError, match=f"^manifest file {file!r} is not "
-                                                 "a file in"):
-                load({**manifest, "file": file})
-        for key in ("domain", "fields", "file"):
-            with pytest.raises(ValueError, match=f"^manifest has no '{key}'$"):
-                load({k: v for k, v in manifest.items() if k != key})
+        with pytest.raises(ValueError, match="^manifest has no 'domain'$"):
+            load({k: v for k, v in manifest.items() if k != "domain"})
+        with pytest.raises(ValueError, match="^unknown domain 'Time'$"):
+            load({**manifest, "domain": "Time"})
         with pytest.raises(ValueError, match="^rule_q: manifest has no 'rule_q'$"):
             load({k: v for k, v in manifest.items() if k != "rule_q"})
         with pytest.raises(ValueError, match="^rule_p: manifest has no 'kind'$"):
             load({**manifest, "rule_p": {}})
-        for member, prefix in ((manifest["fields"][1], ""),
-                               ("rule_q_sqrt_weights", "rule_q: ")):
+        for member, prefix in ((families[1], ""), ("rule_q_sqrt_weights", "rule_q: ")):
             with pytest.raises(ValueError, match=f"^{prefix}samples.npz has no "
                                                  f"'{member}'$"):
                 load(members={k: v for k, v in arrays.items() if k != member})
         back = load()
-        for name in manifest["fields"]:
+        for name in families:
             assert np.array_equal(getattr(back, name), getattr(dataset, name))
+        path.unlink()
+        with pytest.raises(FileNotFoundError, match="samples.npz"):
+            load_dataset(directory)
+
+
+def test_load_reads_the_domain_families_whatever_the_manifest_lists(tmp_path):
+    # the archive's members follow from the domain; the file name and
+    # field list of earlier manifests are not read, so a listed name that
+    # is no sample family, or a file elsewhere, changes nothing
+    _, (ds, ds_f) = _earlier_datasets()
+    save_dataset(ds, tmp_path / "elsewhere")
+    for dataset in (ds, ds_f):
+        directory = tmp_path / dataset.domain
+        save_dataset(dataset, directory)
+        families = databt._TIME_FIELDS if dataset.domain == "time" else databt._FREQ_FIELDS
+        manifest = json.loads((directory / "manifest.json").read_text())
+        assert set(manifest) == {"domain", "rule_p", "rule_q"}
+        for extra in ({"fields": [*families, "rule_p_nodes"]},
+                      {"fields": ["h1_in"], "file": "../elsewhere/samples.npz"}):
+            (directory / "manifest.json").write_text(json.dumps({**manifest, **extra}))
+            back = load_dataset(directory)
+            for name in (*families, "p_nodes", "p_sqrt_weights", "q_nodes",
+                         "q_sqrt_weights"):
+                assert np.array_equal(getattr(back, name), getattr(dataset, name)), name
+
+
+def _corrupt(corruption, pick, manifest, arrays, families):
+    """Apply one corruption to a saved dataset's manifest and archive
+    members, in place; returns the name an error must give."""
+    name = families[pick % len(families)]
+    if corruption in ("drop member", "rename member", "nan in member"):
+        name = sorted(arrays)[pick % len(arrays)]
+    if corruption == "drop domain":
+        del manifest["domain"]
+        return "domain"
+    if corruption == "drop kind":
+        side = ("rule_p", "rule_q")[pick % 2]
+        del manifest[side]["kind"]
+        return f"{side}: manifest has no 'kind'"
+    if corruption in ("drop member", "rename member"):
+        value = arrays.pop(name)
+        if corruption == "rename member":
+            arrays[name + "_old"] = value
+        return name
+    if corruption == "complex family":
+        arrays[name] = arrays[name] + 1e-3j
+    elif corruption == "truncate family":
+        arrays[name] = arrays[name][:-1]
+    else:  # nan in member
+        arrays[name] = arrays[name].astype(arrays[name].dtype, copy=True)
+        arrays[name].flat[pick % arrays[name].size] = np.nan
+    # a rule's arrays are refused with the side they belong to
+    return f"{name[:6]}: " if name.startswith("rule_") else name
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(domain=st.sampled_from(["time", "freq"]),
+       corruption=st.sampled_from(["drop member", "rename member", "drop domain",
+                                   "drop kind", "complex family", "truncate family",
+                                   "nan in member"]),
+       pick=st.integers(0, 2**16))
+def test_load_names_a_corruption_or_returns_the_saved_dataset(domain, corruption, pick):
+    # a damaged file either raises a ValueError naming the key or field, or
+    # loads to the dataset it was saved from, array for array
+    ds = dict(zip(("time", "freq"), _earlier_datasets()[1]))[domain]
+    families = databt._TIME_FIELDS if domain == "time" else databt._FREQ_FIELDS
+    with tempfile.TemporaryDirectory() as directory:
+        save_dataset(ds, directory)
+        with open(os.path.join(directory, "manifest.json")) as f:
+            manifest = json.load(f)
+        with np.load(os.path.join(directory, "samples.npz")) as archive:
+            arrays = dict(archive)
+        named = _corrupt(corruption, pick, manifest, arrays, families)
+        with open(os.path.join(directory, "manifest.json"), "w") as f:
+            json.dump(manifest, f)
+        np.savez(os.path.join(directory, "samples.npz"), **arrays)
+        try:
+            back = load_dataset(directory)
+        except ValueError as exc:
+            assert named in str(exc), (corruption, str(exc))
+            return
+    for side in ("rule_p", "rule_q"):
+        for name in ("nodes", "sqrt_weights"):
+            assert np.array_equal(getattr(getattr(back, side), name),
+                                  getattr(getattr(ds, side), name))
+    for name in families:
+        assert np.array_equal(getattr(back, name), getattr(ds, name)), name
 
 
 # ------------------------------------------------------- non-finite input

@@ -8,6 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+import scipy.io
 import scipy.linalg as spla
 
 from conftest import dh1, dh2_dz2, h1, h2, random_stable_system, scalar_s1, tf2
@@ -74,6 +75,27 @@ def test_system_matrices_are_frozen():
     sys_ = scalar_s1()
     with pytest.raises(ValueError):
         sys_.A[0, 0] = 5.0
+
+
+def test_system_refuses_complex_matrices_by_name(tmp_path):
+    # numpy's float conversion would keep the real part with only a
+    # ComplexWarning; a system and a Matrix Market file name the matrix
+    sys_ = random_stable_system(np.random.default_rng(3), n=4, m=2, p=2)
+    A, B, C, (M0, M1) = sys_.A, sys_.B, sys_.C, sys_.Ms
+    cases = [((A + 1e-3j, B, C, [M0, M1]), "A"),
+             ((A, B[:, 0] + 1e-3j, C[0], [M0]), "B"),
+             ((A, B, C.astype(complex), [M0, M1]), "C"),
+             ((A, B, C, [M0, M1 * (1 + 1e-3j)]), "M_1")]
+    for args, name in cases:
+        with pytest.raises(ValueError, match=f"^{name} must be an array of real "
+                                             "numbers, got complex128$"):
+            LqoSystem(*args)
+    with pytest.raises(ValueError, match="^A must be an array of real numbers"):
+        ReducedLqoSystem(A + 1e-3j, B, C, [M0, M1], "intrusive-bt")
+    manifest = save_system(sys_, tmp_path)
+    scipy.io.mmwrite(tmp_path / "M_0.mtx", M0 + 1e-3j * np.eye(4))
+    with pytest.raises(ValueError, match="^M_0 must be an array of real numbers"):
+        load_system(manifest)
 
 
 def test_repr_mentions_dimensions():

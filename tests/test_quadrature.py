@@ -27,6 +27,12 @@ def test_rule_validation_errors():
         QuadratureRule(np.array([0.0, 1.0]), good_w)
     with pytest.raises(ValueError):
         QuadratureRule(good_n, np.array([1.0, 0.0]))
+    # numpy's float conversion would keep the real part with only a warning
+    for args, name in (((good_n + 1e-9j, good_w), "nodes"),
+                       ((good_n, good_w.astype(complex)), "sqrt_weights")):
+        with pytest.raises(ValueError, match=f"^{name} must be an array of real "
+                                             "numbers, got complex128$"):
+            QuadratureRule(*args)
 
 
 def test_rule_arrays_are_frozen():
