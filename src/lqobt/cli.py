@@ -35,8 +35,8 @@ import sys
 
 import numpy as np
 
-from .databt import _resolvable_rank, lqo_qbt_auto
-from .errors import OrderError
+from .databt import lqo_qbt_auto
+from .errors import NodeCountError, OrderError
 from .gramians import (
     compute_gramians,
     h2_error,
@@ -45,6 +45,7 @@ from .gramians import (
     intrusive_bt,
 )
 from .model import load_system, save_system, select_channels
+from .numcore import _resolvable_rank
 from .quadrature import clenshaw_curtis, log_trapezoid
 
 __all__ = ["main"]
@@ -390,4 +391,9 @@ def main(argv=None):
         # the resolvable rank is known only once the data is reduced, which
         # reduce and h2-sweep do before they write anything
         flag = "--orders" if getattr(args, "orders", None) else "--order"
+        args.error(f"argument {flag}: {exc}")
+    except NodeCountError as exc:
+        # the frequency route refuses its node counts before it samples,
+        # and so before any command writes
+        flag = "--nodes" if getattr(args, "nodes", None) else "--np/--nq"
         args.error(f"argument {flag}: {exc}")

@@ -66,9 +66,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FrequencyCollisionError, OrderError
+from .errors import FrequencyCollisionError, NodeCountError, OrderError
 from .model import ReducedLqoSystem
-from .numcore import SvdResult, _lead_phases, _read_only, svd
+from .numcore import _read_only, _resolvable_rank, svd
 from .quadrature import QuadratureRule
 
 __all__ = [
@@ -83,13 +83,11 @@ __all__ = [
     "load_dataset",
 ]
 
-RANK_TOL = 1e-13
 TIE_TOL = 1e-12
 # probe fibres per mode of the quadratic samples (on random systems four left
 # held-out residuals up to 9e-11, eight 2e-12), and the residual that raises
 PROBES = 8
 MODE_TOL = 1e-10
-SKETCH, SKETCH_MARGIN = 64, 8  # _leading_svd's first width, and its margin
 # bound on the complex quadratic Loewner rows at one controllability node;
 # the frequency route's probe stage holds about 26 times those rows, so a
 # collection whose rows at one node exceed it is refused
@@ -124,7 +122,8 @@ class KernelDataset:
     family must be a numeric array (real in the time domain) of the shape
     of the tables below and be finite. A
     frequency dataset must also fit the size bound and keep its two node
-    sets apart (:func:`_check_freq_rules`, raising ``ValueError`` or
+    sets apart (:func:`_check_freq_rules`, raising
+    :class:`~lqobt.errors.NodeCountError` or
     :class:`~lqobt.errors.FrequencyCollisionError`), and its samples must
     be conjugate symmetric (:func:`_check_conjugate_symmetry`). The
     dataset is frozen, so no checked field can be swapped, and
@@ -374,8 +373,9 @@ def collect_freq_data(sampler, rule_p, rule_q):
     Node sets of the two sides must not intersect (divided differences);
     collisions raise :class:`~lqobt.errors.FrequencyCollisionError`. A
     collection whose complex quadratic Loewner rows at one controllability
-    node would exceed ``FREQ_BLOCK_BYTES`` is refused, as the reduction's
-    probe stage holds many times those rows. Both checks
+    node would exceed ``FREQ_BLOCK_BYTES`` is refused with
+    :class:`~lqobt.errors.NodeCountError`, as the reduction's probe stage
+    holds many times those rows. Both checks
     (:func:`_check_freq_rules`, which :class:`KernelDataset` runs on every
     frequency dataset) run here before the O(N^2) ``tf2_grid`` call; the
     size check reads the channel counts off the ``tf1`` samples.
@@ -563,17 +563,18 @@ def _loewner(a, b, s, th, w, shifted):
 
 
 def _check_freq_rules(rule_p, rule_q, p, m):
-    """Raise if the complex quadratic Loewner rows at one controllability
-    node of a frequency dataset of these rules and channel counts would
-    exceed ``FREQ_BLOCK_BYTES``, as the reduction's probe stage holds about
-    26 times those rows; then raise
+    """Raise :class:`~lqobt.errors.NodeCountError` if the complex
+    quadratic Loewner rows at one controllability node of a frequency
+    dataset of these rules and channel counts would exceed
+    ``FREQ_BLOCK_BYTES``, as the reduction's probe stage holds about 26
+    times those rows; then raise
     :class:`~lqobt.errors.FrequencyCollisionError` if a node of one side
     lies within ``1e-12`` times the largest node of one of the other,
     which breaks the divided differences."""
     # the nodes of each side after conjugate closure
     per_node = 16 * p * m * m * (2 * len(rule_p)) * (2 * len(rule_q))
     if per_node > FREQ_BLOCK_BYTES:
-        raise ValueError(
+        raise NodeCountError(
             f"frequency-domain reduction needs {per_node / 2**20:.0f} MiB of "
             "Loewner rows per node, more than its "
             f"{FREQ_BLOCK_BYTES / 2**20:.0f} MiB bound; lower --np/--nq, or "
@@ -642,11 +643,6 @@ def _real_view(X, rows=()):
 # ---------------------------------------------------------------------------
 
 
-def _resolvable_rank(S):
-    """How many of the singular values `S` exceed ``RANK_TOL * S[0]``."""
-    return int(np.count_nonzero(S > RANK_TOL * S[:1]))
-
-
 def _truncation_guard(S, r, max_r):
     if S.size == 0 or S[0] == 0.0:
         raise ValueError("H, the product L'U of the Gramian factors or its "
@@ -701,35 +697,11 @@ def reduce_from_matrices(dm, r, factors=None):
 
 
 def _reduce_orders(dm, orders):
-    """Leading singular values of ``dm.H`` (:func:`_leading_svd`) and one
-    reduced model per entry of `orders`, all from a single decomposition."""
-    res = _leading_svd(dm.H)
+    """Leading singular values of ``dm.H`` (:func:`~lqobt.numcore.svd`) and
+    one reduced model per entry of `orders`, all from a single
+    decomposition."""
+    res = svd(dm.H)
     return res.S, [reduce_from_matrices(dm, r, factors=res) for r in orders]
-
-
-def _leading_svd(X):
-    """Leading singular triplets ``(Q Z_B, S, Y)`` of `X` from ``Q'X = Z_B S
-    Y'``, ``Q = orth(X W)`` (Halko-Martinsson-Tropp, SIAM Rev. 2011, Alg.
-    4.1/4.2), with :func:`~lqobt.numcore.svd`'s signs. The Gaussian `W`,
-    from a fresh seed-0 generator, has `k` = ``SKETCH`` columns, doubled
-    while ``k - SKETCH_MARGIN`` values or more are resolvable; at
-    ``min(X.shape)`` this is the exact SVD."""
-    # numpy's LAPACK, not scipy's, so that one OpenBLAS thread pool runs
-    # both the products and the factorizations: scipy loads its own, and
-    # two pools of spinning threads alternating on two cores left the
-    # time route at N=400 at 0.95 s a pass against 0.58 s in one pool.
-    # The tall transpose (Q'X)' = Y S Z_B' is the faster layout.
-    rng = np.random.default_rng(0)
-    k = SKETCH
-    while k < min(X.shape):
-        Q = np.linalg.qr(X @ rng.standard_normal((X.shape[1], k)))[0]
-        Y, S, ZBt = np.linalg.svd((Q.T @ X).T, full_matrices=False)
-        if _resolvable_rank(S) < k - SKETCH_MARGIN:
-            ZB = ZBt.T
-            phase = _lead_phases(ZB)
-            return SvdResult(Q @ (ZB / phase), S, Y * phase)
-        k *= 2
-    return svd(X)
 
 
 def lqo_qbt(ds, r):
@@ -782,9 +754,10 @@ def lqo_qbt_auto(sampler, rule_p, rule_q, orders, domain="time"):
     Returns
     -------
     tuple ``(singular_values, roms)`` with one reduced model per entry of
-    `orders`. The singular values are the leading ones of ``H``: all above
-    ``RANK_TOL`` of the largest and at least 8 more, or all when ``H`` is
-    no wider than the sketch (:func:`_leading_svd`).
+    `orders`. The singular values are the leading ones of ``H`` that
+    :func:`~lqobt.numcore.svd` returns: all above ``RANK_TOL`` of the
+    largest and at least 8 more, or all when ``H`` is no wider than the
+    sketch.
     """
     if domain == "time":
         return lqo_qbt_streamed(sampler, rule_p, rule_q, orders)
@@ -880,9 +853,9 @@ def lqo_qbt_streamed(sampler, rule_p, rule_q, orders):
     ``p r_k r_j``.
 
     The bases and ``H``'s truncated SVD come from sketches whose width
-    follows the rank (:func:`_leading_svd`). The compressed rows are read
-    off a cross of the samples, not contracted from all ``N_p^2 N_q`` of
-    them: the core equals
+    follows the rank (:func:`~lqobt.numcore.svd`). The compressed rows
+    are read off a cross of the samples, not contracted from all
+    ``N_p^2 N_q`` of them: the core equals
     ``(V_k[I_k]^{-1} (x) V_j[I_j]^{-1}) X[I_k, I_j, :]`` at Q-DEIM rows
     ``I_k``, ``I_j`` of the bases (:func:`_compressed_matrices`). So
     beyond the probe fibres the sampler is asked for one
@@ -960,11 +933,11 @@ def _mode_bases(quad, n_k, n_j):
     Each basis holds the left singular vectors above ``RANK_TOL`` of the
     mode's probe fibres: the rows of ``H`` at every unit of the mode and
     at ``PROBES`` evenly spread units of the other, unfolded to the mode's
-    rows, from the seeded range finder :func:`_leading_svd`. The fibres
-    midway between the probes must lie in the basis, and match their
-    interpolant ``V V[I]^{-1} F[I]``, to within ``MODE_TOL`` of their
-    norm, or this raises: the samples are not of low rank in that mode, or
-    the rows ``I`` are ill-conditioned."""
+    rows, from the seeded range finder :func:`~lqobt.numcore.svd`. The
+    fibres midway between the probes must lie in the basis, and match
+    their interpolant ``V V[I]^{-1} F[I]``, to within ``MODE_TOL`` of
+    their norm, or this raises: the samples are not of low rank in that
+    mode, or the rows ``I`` are ill-conditioned."""
     def unfolding(mode, idx):
         if mode == "k":
             X = quad(False, np.arange(n_k), idx)
@@ -976,7 +949,7 @@ def _mode_bases(quad, n_k, n_j):
     for mode, n in (("k", n_j), ("j", n_k)):
         probes = np.unique(np.linspace(0, n - 1, PROBES).round().astype(int))
         held = np.setdiff1d((probes[:-1] + probes[1:]) // 2, probes)
-        res = _leading_svd(unfolding(mode, probes))
+        res = svd(unfolding(mode, probes))
         # an identically zero mode keeps one direction, which reads zeros
         V = res.Z[:, :max(1, _resolvable_rank(res.S))]
         F = unfolding(mode, held) if held.size else V[:, :0]
@@ -1008,7 +981,7 @@ def _interpolation_rows(V):
     ``V.shape[1]`` pivots of a column-pivoted QR of ``V'`` (Businger-
     Golub), in ascending order, so that ``V[I]`` is square and
     well-conditioned."""
-    # in numpy, for the one thread pool of _leading_svd: scipy's pivoted
+    # in numpy, for the one thread pool of numcore.svd: scipy's pivoted
     # QR of a 50 x 400 V' took 1.4 ms alone but 2-115 ms a call inside the
     # time route on two cores, and this loop takes 3-4 ms there
     W = V.T.copy()

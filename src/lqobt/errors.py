@@ -6,6 +6,7 @@ __all__ = [
     "UnstableSystemError",
     "FrequencyCollisionError",
     "OrderError",
+    "NodeCountError",
 ]
 
 
@@ -36,3 +37,9 @@ class OrderError(ValueError):
     """A reduction order lies outside ``[1, limit]``, the limit being the
     resolvable rank of ``H`` (its singular values above ``RANK_TOL`` of the
     largest) or ``H``'s column count, if smaller."""
+
+
+class NodeCountError(ValueError):
+    """The node counts of a frequency collection ask for more Loewner rows
+    at one node than the route's bound (``databt.FREQ_BLOCK_BYTES``)
+    admits; raised before anything is sampled."""

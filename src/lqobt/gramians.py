@@ -61,8 +61,9 @@ class Gramians:
 
     @functools.cached_property
     def hankel(self):
-        """:class:`~lqobt.numcore.SvdResult` of ``L'U``, read-only; its
-        singular values are the Hankel singular values."""
+        """:class:`~lqobt.numcore.SvdResult` of ``L'U``
+        (:func:`~lqobt.numcore.svd`), read-only; its singular values are
+        the leading Hankel singular values."""
         res = svd(self.L.T @ self.U)
         res.Z, res.S, res.Y = map(_read_only, (res.Z, res.S, res.Y))
         return res
@@ -106,7 +107,11 @@ def hankel_singular_values(gramians):
     """Singular values of ``L' U``: the Hankel singular values of the
     quadratic-output system, nonincreasing. They come from
     ``gramians.hankel``, the one factorization that :func:`intrusive_bt`
-    shares for the same system."""
+    shares for the same system, by :func:`~lqobt.numcore.svd`. Up to
+    system order 64 (``L'U`` has at most ``n`` columns) they are all
+    there. Past n = 64 the tail below ``RANK_TOL`` (``1e-13``) of the
+    largest is omitted, but for at least 8 values: it is round-off, which
+    the CLI drops as well."""
     return gramians.hankel.S
 
 

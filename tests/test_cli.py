@@ -371,20 +371,34 @@ def test_select_restricts_to_one_channel_pair(tmp_path):
     assert np.allclose(got, want / want[0], rtol=1e-12)
 
 
-def test_freq_domain_size_guard(tmp_path):
+def test_freq_domain_size_guard(tmp_path, capsys):
+    # the refusal comes before sampling and is a usage error naming the
+    # node-count flags, exit 2 with nothing written; the --nodes sweep names
+    # --nodes
     manifest = _synth(tmp_path, n=4)
-    with pytest.raises(ValueError, match="lower --np"):
-        main(["hsv", "--system", manifest, "--domain", "freq",
-              "--np", "1200", "--out", str(tmp_path / "hsv")])
+    for argv, flag in (
+            (["hsv", "--domain", "freq", "--np", "1200"], "--np/--nq"),
+            (["h2-sweep", "--domain", "freq", "--nodes", "1200", "--order", "2"],
+             "--nodes")):
+        out = tmp_path / argv[0]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--system", manifest, "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"argument {flag}: " in capsys.readouterr().err
+        assert not out.exists()
 
 
-def test_reduce_freq_size_guard_names_a_flag_reduce_accepts(tmp_path):
+def test_reduce_freq_size_guard_names_a_flag_reduce_accepts(tmp_path, capsys):
     # reduce takes no --domain, so the advice must also name its method
     manifest = _synth(tmp_path, n=4)
     out = tmp_path / "rom"
-    with pytest.raises(ValueError, match="lower --np.*--method qbt-time"):
+    with pytest.raises(SystemExit) as exc:
         main(["reduce", "--system", manifest, "--method", "qbt-freq",
               "--order", "2", "--np", "1200", "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --np/--nq: " in err
+    assert "lower --np/--nq" in err and "reduce --method qbt-time" in err
     assert not out.exists()
 
 

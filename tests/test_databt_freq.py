@@ -45,8 +45,8 @@ from lqobt import (
 )
 from lqobt import databt
 from lqobt.databt import build_data_matrices
-from lqobt.errors import FrequencyCollisionError
-from lqobt.numcore import svd
+from lqobt.errors import FrequencyCollisionError, NodeCountError
+from lqobt.numcore import RANK_TOL, svd
 from test_acceptance import _equivalence_cases
 
 
@@ -315,8 +315,8 @@ def test_time_and_freq_routes_agree():
 def _assert_resolved_values_match(S, S_full, floor=0.0):
     """The singular values above ``RANK_TOL`` agree in count, and in value
     to 1e-8 relative or `floor` times the largest."""
-    lead = S_full > databt.RANK_TOL * S_full[0]
-    assert np.count_nonzero(S > databt.RANK_TOL * S[0]) == lead.sum()
+    lead = S_full > RANK_TOL * S_full[0]
+    assert np.count_nonzero(S > RANK_TOL * S[0]) == lead.sum()
     assert np.allclose(S[: lead.sum()], S_full[lead], rtol=1e-8,
                        atol=floor * S_full[0])
 
@@ -344,7 +344,7 @@ def test_compressed_route_matches_oracle_on_equivalence_cases():
     for sys_, rule_p, rule_q in _equivalence_cases():
         ds = collect_freq_data(sys_, rule_p, rule_q)
         S = svd(build_data_matrices(ds).H).S
-        rank = int(np.count_nonzero(S > databt.RANK_TOL * S[0]))
+        rank = int(np.count_nonzero(S > RANK_TOL * S[0]))
         _assert_matches_oracle(sys_, ds, sorted({1, (rank + 1) // 2}), pts,
                                floor=1e-14)
 
@@ -573,9 +573,11 @@ def test_auto_freq_needs_only_transfer_evaluations():
 
 
 def test_auto_freq_size_guard_precedes_sampling():
+    # a ValueError, of the subclass the CLI reports as a usage error
     rule = log_trapezoid(1e-2, 1e2, 1200)
-    with pytest.raises(ValueError, match="lower --np/--nq"):
+    with pytest.raises(ValueError, match="lower --np/--nq") as exc:
         lqo_qbt_auto(UncallableSampler(), rule, rule, [2], domain="freq")
+    assert isinstance(exc.value, NodeCountError)
     with pytest.raises(ValueError, match="domain"):
         lqo_qbt_auto(UncallableSampler(), rule, rule, [1], domain="laplace")
 

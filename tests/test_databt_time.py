@@ -53,7 +53,7 @@ from lqobt import (
 )
 from lqobt import databt, gramians, numcore
 from lqobt.databt import build_data_matrices, lqo_qbt_streamed
-from lqobt.numcore import svd
+from lqobt.numcore import RANK_TOL, SKETCH, svd
 from test_acceptance import _equivalence_cases, _mimo_cases
 
 
@@ -436,8 +436,8 @@ def test_streamed_reduction_matches_direct():
     S_stream, roms = lqo_qbt_streamed(sys_, rule_p, rule_q, orders)
     assert len(roms) == len(orders)
     # the compressed rows keep every singular value the direct path resolves
-    lead = S_direct > databt.RANK_TOL * S_direct[0]
-    assert np.count_nonzero(S_stream > databt.RANK_TOL * S_stream[0]) == lead.sum()
+    lead = S_direct > RANK_TOL * S_direct[0]
+    assert np.count_nonzero(S_stream > RANK_TOL * S_stream[0]) == lead.sum()
     assert np.allclose(S_stream[: lead.sum()], S_direct[lead], rtol=1e-8, atol=0)
     # the two routes may differ by a diagonal sign similarity, so compare
     # models through their transfer functions, not their matrices
@@ -526,14 +526,15 @@ def test_streamed_samples_come_in_bounded_blocks(monkeypatch):
 
 
 def test_data_route_factors_only_sketch_sized_matrices(monkeypatch):
-    # the probe unfoldings and H are factored through their projections
-    # onto sketches of SKETCH columns (transposed, by numpy's LAPACK),
-    # never whole; the intrusive oracle, which checks that route, still
-    # factors its whole L'U through numcore.svd, once per Gramians
-    # (Gramians.hankel), so in the gramians module
+    # every factorization goes through numcore.svd, which the data routes
+    # call as databt.svd: per time pass the two probe unfoldings and H, each
+    # factored through its projection onto a sketch of SKETCH columns
+    # (transposed, by numpy's LAPACK), never whole. The intrusive route
+    # factors its whole L'U once per Gramians record (Gramians.hankel), in
+    # the gramians module
     sys_ = synthesize_system(10, damping=(0.1, 3.0), gain_decay=0.85, seed=21)
     rule = log_trapezoid(1e-2, 1e2, 200)
-    sketched, fallback, factored = [], [], []
+    lapack, routed, factored = [], [], []
 
     def spy(module, calls):
         exact = module.svd
@@ -544,19 +545,25 @@ def test_data_route_factors_only_sketch_sized_matrices(monkeypatch):
 
         monkeypatch.setattr(module, "svd", spied)
 
-    spy(np.linalg, sketched)
-    spy(databt, fallback)
+    spy(np.linalg, lapack)
+    spy(databt, routed)
     spy(gramians, factored)
-    lqo_qbt_auto(sys_, rule, rule, [4])
-    assert len(sketched) == 3 and not fallback and not factored
-    assert all(min(X.shape) <= databt.SKETCH for X in sketched)
-    # at n=70 L'U is 140 x 70, past the sketch width on both sides
+    for passes in (1, 2):
+        lqo_qbt_auto(sys_, rule, rule, [4])
+        assert len(routed) == 3 * passes and not factored
+    assert all(min(X.shape) > SKETCH for X in routed)
+    assert len(lapack) == len(routed)
+    assert all(min(X.shape) <= SKETCH for X in lapack)
+    # at n=70 L'U is 140 x 70, past the sketch width on both sides; an
+    # order sweep shares its record's one SVD, a second record makes one
     big = synthesize_system(70, damping=(0.1, 3.0), gain_decay=0.85, seed=21)
     gram = compute_gramians(big)
-    intrusive_bt(big, 4, gram)
-    assert not fallback
-    assert len(factored) == 1 and min(factored[0].shape) > databt.SKETCH
+    for r in (2, 4, 6):
+        intrusive_bt(big, r, gram)
+    assert len(factored) == 1 and min(factored[0].shape) > SKETCH
     assert np.array_equal(factored[0], gram.L.T @ gram.U)
+    intrusive_bt(sys_, 4)
+    assert len(factored) == 2 and len(routed) == 6
 
 
 class _NoScipy:
@@ -567,11 +574,10 @@ class _NoScipy:
 def test_time_routes_run_in_numpy_linear_algebra_only(monkeypatch):
     # numpy and scipy each link their own OpenBLAS, whose idle workers keep
     # spinning; the time routes (node exponentials, probes, sketches, cross
-    # and projection) use numpy's alone, so one thread pool runs them. Past
-    # SKETCH nodes no factorization takes numcore.svd's exact fallback.
+    # and projection) use numpy's alone, so one thread pool runs them.
     monkeypatch.setattr(numcore, "spla", _NoScipy())
     sys_ = synthesize_system(8, damping=(0.1, 3.0), gain_decay=0.85, seed=21)
-    rule = log_trapezoid(1e-2, 1e2, databt.SKETCH + 16)
+    rule = log_trapezoid(1e-2, 1e2, SKETCH + 16)
     _, (rom,) = lqo_qbt_auto(sys_, rule, rule, [4], domain="time")
     assert lqo_qbt(collect_time_data(sys_, rule, rule), 4).n == rom.n == 4
 
@@ -600,7 +606,7 @@ def test_streamed_rank_guard():
     S, (rom,) = lqo_qbt_streamed(sys_, rule, rule, [14])
     S_direct = svd(build_data_matrices(collect_time_data(sys_, rule, rule)).H).S
     for values in (S, S_direct):
-        assert np.count_nonzero(values > databt.RANK_TOL * values[0]) == 14
+        assert np.count_nonzero(values > RANK_TOL * values[0]) == 14
     assert rom.r == 14
     with pytest.raises(ValueError, match="resolvable rank"):
         lqo_qbt_streamed(sys_, rule, rule, [15])
@@ -633,7 +639,7 @@ def test_dataset_route_matches_oracle_on_equivalence_cases(monkeypatch):
         ds = collect_time_data(sys_, rule_p, rule_q)
         dm = build_data_matrices(ds)
         S = svd(dm.H).S
-        rank = int(np.count_nonzero(S > databt.RANK_TOL * S[0]))
+        rank = int(np.count_nonzero(S > RANK_TOL * S[0]))
         oracle.append((ds, {r: reduce_from_matrices(dm, r)
                             for r in sorted({1, (rank + 1) // 2})}))
 

@@ -318,10 +318,19 @@ def test_svd_zero_matrix():
     assert np.abs(res.S).max() == 0.0
 
 
+def test_svd_of_an_empty_matrix_is_empty():
+    for shape in ((0, 5), (4, 0)):
+        res = svd(np.zeros(shape))
+        assert res.S.shape == (0,)
+        assert (res.Z @ (res.S[:, None] * res.Y.T)).shape == shape
+
+
 def _check_svd(M):
+    # no wider than the sketch, every value, as scipy's SVD gives them
     res = svd(M)
     k = res.S.size
     assert k == min(M.shape)
+    assert np.abs(res.S - spla.svdvals(M)).max() <= 1e-13 * res.S[0]
     assert np.all(np.diff(res.S) <= 1e-12 * (res.S[0] + 1.0))
     recon = res.Z @ (res.S[:, None] * res.Y.conj().T)
     scale = 1.0 + np.abs(M).max()
@@ -380,11 +389,12 @@ def _loop_sign_fix(Z, Y):
 
 
 def test_svd_sign_fix_matches_column_loop():
-    # real phases are +-1, so the arithmetic is the loop's and the result
-    # bit for bit the same; numpy's array and scalar complex divisions
-    # round differently, so complex vectors agree to a few ulps. The zero
-    # rows leave some columns' lead entry past the first row, and the zero
-    # matrix has none at all
+    # no wider than the sketch, svd is the exact SVD of M' with the sign
+    # fix: real phases are +-1, so the arithmetic is the loop's and the
+    # result bit for bit the same; numpy's array and scalar complex
+    # divisions round differently, so complex vectors agree to a few ulps.
+    # The zero rows leave some columns' lead entry past the first row, and
+    # the zero matrix has none at all
     rng = np.random.default_rng(31)
     real = rng.standard_normal((6, 5))
     real[:2] = 0.0
@@ -392,8 +402,8 @@ def test_svd_sign_fix_matches_column_loop():
              (np.zeros((3, 2)), 0.0),
              (real + 1j * rng.standard_normal((6, 5)), 4 * np.finfo(float).eps)]
     for M, tol in cases:
-        Z, S, Yh = spla.svd(M, full_matrices=False)
-        Z_want, Y_want = _loop_sign_fix(Z, Yh.conj().T)
+        Y, S, Zh = np.linalg.svd(M.conj().T, full_matrices=False)
+        Z_want, Y_want = _loop_sign_fix(Zh.conj().T, Y)
         res = svd(M)
         assert np.abs(res.Z - Z_want).max(initial=0.0) <= tol
         assert np.abs(res.Y - Y_want).max(initial=0.0) <= tol

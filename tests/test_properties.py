@@ -20,8 +20,8 @@ from lqobt import (
     reduce_from_matrices,
 )
 from lqobt import databt
-from lqobt.databt import RANK_TOL, build_data_matrices, lqo_qbt_streamed
-from lqobt.numcore import svd
+from lqobt.databt import build_data_matrices, lqo_qbt_streamed
+from lqobt.numcore import RANK_TOL, svd
 
 PTS = [0.4 + 1.0j, 2.0 + 0.3j]
 seeds = st.integers(0, 2**32 - 1)
