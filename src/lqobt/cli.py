@@ -393,7 +393,7 @@ def main(argv=None):
         flag = "--orders" if getattr(args, "orders", None) else "--order"
         args.error(f"argument {flag}: {exc}")
     except NodeCountError as exc:
-        # the frequency route refuses its node counts before it samples,
-        # and so before any command writes
+        # the frequency route refuses its node counts before its O(N^2)
+        # tf2_grid samples, and so before any command writes
         flag = "--nodes" if getattr(args, "nodes", None) else "--np/--nq"
         args.error(f"argument {flag}: {exc}")

@@ -8,14 +8,17 @@ assembled with hstack; the exponentials are scipy's, not the package's own
 ``numcore.expm``) so that they form an independent oracle for the
 system's grid evaluators and the vectorized sample-matrix assembly in the
 package: agreement between the two is the central correctness property of
-the data-driven route.
+the data-driven route. Whole-matrix oracles factor with
+:func:`exact_svd`, ``np.linalg.svd`` called directly, never with the
+package's own range finder.
 """
 
 import numpy as np
 import scipy.linalg as spla
 
 from lqobt import LqoSystem, QuadratureRule, compute_gramians, h2_norm
-from lqobt.databt import DataMatrices, _io_blocks, _loewner
+from lqobt.databt import DataMatrices, _io_blocks, _loewner, reduce_from_matrices
+from lqobt.numcore import SvdResult
 
 
 def random_stable_system(rng, n=None, m=1, p=1, ms_scale=1.0):
@@ -240,6 +243,25 @@ def tf_agree(sys_a, sys_b, points, rtol, scale_sys=None):
         denom2 = max(np.abs(tr).max(), 1e-12)
         dev2 = np.abs(ta - tb).max()
         assert dev2 <= rtol * denom2, f"H2 at {sp}: {dev2:.3e} > {rtol * denom2:.3e}"
+
+
+def exact_svd(M):
+    """The economy SVD of `M` from ``np.linalg.svd`` called directly, as a
+    :class:`~lqobt.numcore.SvdResult`: an oracle for the package's seeded
+    range finder ``numcore.svd``, which the routes under test also run."""
+    Z, S, Yh = np.linalg.svd(M, full_matrices=False)
+    return SvdResult(Z, S, Yh.conj().T)
+
+
+def exact_values(M):
+    """All singular values of `M`, from ``np.linalg.svd`` called directly."""
+    return np.linalg.svd(M, compute_uv=False)
+
+
+def exact_rom(dm, r):
+    """The reduced model of the data matrices `dm` at order `r`, truncating
+    the exact SVD of ``dm.H`` (:func:`exact_svd`)."""
+    return reduce_from_matrices(dm, r, factors=exact_svd(dm.H))
 
 
 def reference_h2_error(sys_, rom):

@@ -19,6 +19,8 @@ from conftest import (
     UncallableSampler,
     assert_matrices_match,
     complex_freq_matrices,
+    exact_rom,
+    exact_values,
     factor_products,
     freq_factors,
     random_rule,
@@ -244,8 +246,8 @@ def test_realification_preserves_singular_values():
     rule_p = random_rule(rng, lo=0.2, hi=3.0)
     rule_q = random_rule(rng, lo=0.2, hi=3.0, avoid=rule_p)
     ds = collect_freq_data(sys_, rule_p, rule_q)
-    S_c = svd(complex_freq_matrices(ds).H).S
-    S_r = svd(build_data_matrices(ds).H).S
+    S_c = exact_values(complex_freq_matrices(ds).H)
+    S_r = exact_values(build_data_matrices(ds).H)
     assert np.allclose(S_r, S_c, rtol=1e-10, atol=1e-12 * S_c[0])
 
 
@@ -282,7 +284,7 @@ def test_full_rank_freq_reduction_is_exact():
     rule_p = log_trapezoid(0.05, 20.0, 6)
     rule_q = log_trapezoid(0.08, 25.0, 6)
     ds = collect_freq_data(sys_, rule_p, rule_q)
-    S = svd(build_data_matrices(ds).H).S
+    S = exact_values(build_data_matrices(ds).H)
     assert int(np.count_nonzero(S > 1e-13 * S[0])) == 4
     rom = lqo_qbt(ds, 4)
     pts = [0.3 + 1.0j, 1.5 + 0.2j, 0.1 - 2.0j]
@@ -322,15 +324,16 @@ def _assert_resolved_values_match(S, S_full, floor=0.0):
 
 
 def _assert_matches_oracle(sys_, ds, orders, pts, floor=0.0):
-    """The compressed route against the whole real matrices: resolved
-    singular values, and the reduced models through their transfer
-    functions (the routes may differ by a diagonal sign similarity)."""
+    """The compressed route against the whole real matrices and their
+    exact SVD: resolved singular values, and the reduced models through
+    their transfer functions (the routes may differ by a diagonal sign
+    similarity)."""
     dm_full = build_data_matrices(ds)
-    S_full = svd(dm_full.H).S
+    S_full = exact_values(dm_full.H)
     dm = databt._freq_compressed(ds)
     _assert_resolved_values_match(svd(dm.H).S, S_full, floor)
     for r in orders:
-        tf_agree(reduce_from_matrices(dm_full, r), lqo_qbt(ds, r), pts,
+        tf_agree(exact_rom(dm_full, r), lqo_qbt(ds, r), pts,
                  rtol=1e-9, scale_sys=sys_)
     return dm
 
@@ -343,7 +346,7 @@ def test_compressed_route_matches_oracle_on_equivalence_cases():
     pts = [0.3 + 1.2j, 1.0, 2.5 + 0.4j]
     for sys_, rule_p, rule_q in _equivalence_cases():
         ds = collect_freq_data(sys_, rule_p, rule_q)
-        S = svd(build_data_matrices(ds).H).S
+        S = exact_values(build_data_matrices(ds).H)
         rank = int(np.count_nonzero(S > RANK_TOL * S[0]))
         _assert_matches_oracle(sys_, ds, sorted({1, (rank + 1) // 2}), pts,
                                floor=1e-14)
@@ -368,7 +371,7 @@ def test_compressed_route_never_builds_the_whole_rows(monkeypatch):
     rule_p = log_trapezoid(0.05, 20.0, 12)
     rule_q = log_trapezoid(0.07, 28.0, 12)
     ds = collect_freq_data(sys_, rule_p, rule_q)
-    rom_ref = reduce_from_matrices(build_data_matrices(ds), 3)
+    rom_ref = exact_rom(build_data_matrices(ds), 3)
 
     def whole(*args, **kwargs):
         raise AssertionError("the whole data matrices were assembled")
@@ -539,7 +542,7 @@ def test_auto_freq_matches_lqo_qbt_bit_for_bit():
     ds = collect_freq_data(sys_, rule_p, rule_q)
     # the singular values are those of the compressed rows, which keep
     # every one the whole matrix resolves
-    _assert_resolved_values_match(S, svd(build_data_matrices(ds).H).S)
+    _assert_resolved_values_match(S, exact_values(build_data_matrices(ds).H))
     for r, rom in zip([2, 4], roms):
         ref = lqo_qbt(ds, r)
         assert rom.provenance == "freq-qbt"

@@ -22,6 +22,8 @@ from conftest import (
     assert_matrices_match,
     dh1,
     dh2_dz2,
+    exact_rom,
+    exact_values,
     factor_products,
     h1,
     h2,
@@ -53,7 +55,7 @@ from lqobt import (
 )
 from lqobt import databt, gramians, numcore
 from lqobt.databt import build_data_matrices, lqo_qbt_streamed
-from lqobt.numcore import RANK_TOL, SKETCH, svd
+from lqobt.numcore import RANK_TOL, SKETCH
 from test_acceptance import _equivalence_cases, _mimo_cases
 
 
@@ -250,12 +252,12 @@ def test_zero_quadratic_output_reduces_on_every_data_route():
     rule_p, rule_q = log_trapezoid(a, b, n), log_trapezoid(a * shift, b * shift, n)
     pts = [0.4 + 1.0j, 2.0 + 0.3j]
     ds = collect_time_data(sys_, rule_p, rule_p)
-    ref = reduce_from_matrices(build_data_matrices(ds), 3)
+    ref = exact_rom(build_data_matrices(ds), 3)
     tf_agree(ref, lqo_qbt(ds, 3), pts, rtol=1e-9, scale_sys=sys_)
     tf_agree(ref, lqo_qbt_streamed(sys_, rule_p, rule_p, [3])[1][0], pts,
              rtol=1e-9, scale_sys=sys_)
     ds_f = collect_freq_data(sys_, rule_p, rule_q)
-    tf_agree(reduce_from_matrices(build_data_matrices(ds_f), 3), lqo_qbt(ds_f, 3),
+    tf_agree(exact_rom(build_data_matrices(ds_f), 3), lqo_qbt(ds_f, 3),
              pts, rtol=1e-9, scale_sys=sys_)
 
 
@@ -325,8 +327,7 @@ def test_full_rank_reduction_reproduces_system():
     sys_ = random_stable_system(rng, n=5)
     ds = collect_time_data(sys_, log_trapezoid(1e-2, 50.0, 12),
                            log_trapezoid(2e-2, 40.0, 12))
-    dm = build_data_matrices(ds)
-    S = svd(dm.H).S
+    S = exact_values(build_data_matrices(ds).H)
     rank = int(np.count_nonzero(S > 1e-13 * S[0]))
     assert rank == 5
     rom = lqo_qbt(ds, 5)
@@ -431,7 +432,7 @@ def test_streamed_reduction_matches_direct():
     rule_q = log_trapezoid(2e-2, 15.0, 9)
     ds = collect_time_data(sys_, rule_p, rule_q)
     dm = build_data_matrices(ds)
-    S_direct = svd(dm.H).S
+    S_direct = exact_values(dm.H)
     orders = [3, 5]
     S_stream, roms = lqo_qbt_streamed(sys_, rule_p, rule_q, orders)
     assert len(roms) == len(orders)
@@ -443,8 +444,7 @@ def test_streamed_reduction_matches_direct():
     # models through their transfer functions, not their matrices
     pts = [0.3 + 1.2j, 1.0, 2.5 + 0.4j]
     for r, rom_s in zip(orders, roms):
-        rom_d = reduce_from_matrices(dm, r)
-        tf_agree(rom_d, rom_s, pts, rtol=1e-9, scale_sys=sys_)
+        tf_agree(exact_rom(dm, r), rom_s, pts, rtol=1e-9, scale_sys=sys_)
 
 
 def _spy(monkeypatch, name, seen):
@@ -604,7 +604,7 @@ def test_streamed_rank_guard():
     sys_ = synthesize_system(14, damping=(0.3, 3.0), gain_decay=0.2, seed=1)
     rule = log_trapezoid(1e-2, 50.0, 30)
     S, (rom,) = lqo_qbt_streamed(sys_, rule, rule, [14])
-    S_direct = svd(build_data_matrices(collect_time_data(sys_, rule, rule)).H).S
+    S_direct = exact_values(build_data_matrices(collect_time_data(sys_, rule, rule)).H)
     for values in (S, S_direct):
         assert np.count_nonzero(values > RANK_TOL * values[0]) == 14
     assert rom.r == 14
@@ -624,8 +624,7 @@ def test_auto_dispatch_is_transparent():
     for a, b in ((rom_auto.A, rom_stream.A), (rom_auto.B, rom_stream.B),
                  (rom_auto.C, rom_stream.C), (rom_auto.Ms[0], rom_stream.Ms[0])):
         assert np.array_equal(a, b)
-    rom_ref = reduce_from_matrices(
-        build_data_matrices(collect_time_data(sys_, rule, rule)), 3)
+    rom_ref = exact_rom(build_data_matrices(collect_time_data(sys_, rule, rule)), 3)
     pts = [0.5 + 0.5j, 1.5]
     tf_agree(rom_ref, rom_auto, pts, rtol=1e-9, scale_sys=sys_)
 
@@ -638,9 +637,9 @@ def test_dataset_route_matches_oracle_on_equivalence_cases(monkeypatch):
     for sys_, rule_p, rule_q in cases:
         ds = collect_time_data(sys_, rule_p, rule_q)
         dm = build_data_matrices(ds)
-        S = svd(dm.H).S
+        S = exact_values(dm.H)
         rank = int(np.count_nonzero(S > RANK_TOL * S[0]))
-        oracle.append((ds, {r: reduce_from_matrices(dm, r)
+        oracle.append((ds, {r: exact_rom(dm, r)
                             for r in sorted({1, (rank + 1) // 2})}))
 
     def whole(*args, **kwargs):

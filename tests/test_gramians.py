@@ -225,6 +225,37 @@ def test_bt_warns_on_tied_truncation():
         intrusive_bt(sys_, 1)
 
 
+def test_hankel_values_and_bt_past_the_sketch_width_match_an_exact_svd():
+    # past order 64, L'U is wider than numcore.svd's first sketch. Its
+    # resolvable values and the BT models it gives must match an exact SVD
+    # of the same L'U by scipy, and the square-root projection W'AV of that
+    # SVD's factors. The H2 errors are compared up to r = 10: past it,
+    # h2_error's cancelling trace form moves them by more than 1e-6
+    # relative between two exact LAPACK drivers alone.
+    systems = [synthesize_system(100, damping=(0.1, 3.0), gain_decay=0.85, seed=s)
+               for s in (1, 2, 3)]
+    systems.append(synthesize_system(100, seed=21))  # flat decay, synth's default
+    pts = [0.3 + 1.2j, 1.0, 2.5 + 0.4j]
+    for sys_ in systems:
+        g = compute_gramians(sys_)
+        H = g.L.T @ g.U
+        assert min(H.shape) > numcore.SKETCH
+        Z, S, Yh = spla.svd(H, full_matrices=False)
+        hsv = hankel_singular_values(g)
+        rank = numcore._resolvable_rank(S)
+        assert numcore._resolvable_rank(hsv) == rank
+        assert np.abs(hsv[:rank] - S[:rank]).max() <= 1e-14 * S[0]
+        for r in (2, 4, 6, 10):
+            scale = 1.0 / np.sqrt(S[:r])
+            W, V = g.L @ Z[:, :r] * scale, g.U @ Yh[:r].T * scale
+            ref = LqoSystem(W.T @ sys_.A @ V, W.T @ sys_.B, sys_.C @ V,
+                            [V.T @ M @ V for M in sys_.Ms])
+            rom = intrusive_bt(sys_, r, g)
+            tf_agree(ref, rom, pts, rtol=1e-9, scale_sys=sys_)
+            e, e_ref = h2_error(sys_, rom), h2_error(sys_, ref)
+            assert abs(e - e_ref) <= 1e-6 * e_ref
+
+
 @pytest.mark.parametrize("case", ["acceptance", "random"])
 def test_bt_rom_is_balanced_on_the_controllability_side(case):
     # the truncated model of balanced coordinates keeps the leading block

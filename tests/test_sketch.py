@@ -101,6 +101,7 @@ def test_full_rank_takes_the_exact_path():
 def test_zero_matrix_gives_zero_values_and_orthonormal_factors():
     res = svd(np.zeros((200, 100)))
     assert res.S.size == SKETCH and not res.S.any()
+    assert _resolvable_rank(res.S) == 0
     for F in (res.Z, res.Y):
         assert np.abs(F.T @ F - np.eye(SKETCH)).max() <= 1e-14
 
