@@ -377,18 +377,20 @@ def collect_freq_data(sampler, rule_p, rule_q):
     :class:`~lqobt.errors.NodeCountError`, as the reduction's probe stage
     holds many times those rows. Both checks
     (:func:`_check_freq_rules`, which :class:`KernelDataset` runs on every
-    frequency dataset) run here before the O(N^2) ``tf2_grid`` call; the
-    size check reads the channel counts off the ``tf1`` samples.
+    frequency dataset) run here after one ``tf1`` sample, at the first
+    observability node, which gives the channel counts, and before the
+    O(N) ``tf1`` and O(N^2) ``tf2_grid`` samples: a refusal costs one
+    resolvent.
 
     Returns
     -------
     :class:`KernelDataset` with ``domain="freq"``.
     """
     th, s = _closed_nodes(rule_p)[0], _closed_nodes(rule_q)[0]
-    tf1_in = _grid(sampler, "tf1", (1j * s,))
-    p, m = tf1_in.shape[1:]
-    tf1_out = _grid(sampler, "tf1", (1j * th,), (p, m))
+    p, m = _grid(sampler, "tf1", (1j * s[:1],)).shape[1:]
     _check_freq_rules(rule_p, rule_q, p, m)
+    tf1_in = _grid(sampler, "tf1", (1j * s,), (p, m))
+    tf1_out = _grid(sampler, "tf1", (1j * th,), (p, m))
     tf2_cross, tf2_quad = (
         np.moveaxis(_grid(sampler, "tf2_grid", (-1j * th, 1j * z), (p, m, m)), 2, 0)
         for z in (s, th)
@@ -748,8 +750,8 @@ def lqo_qbt_auto(sampler, rule_p, rule_q, orders, domain="time"):
     The time domain runs :func:`lqo_qbt_streamed` at every node count,
     which takes the channel counts from the first grid it samples.
     Frequency data is collected by :func:`collect_freq_data`, which
-    refuses a collection too large for the route before its O(N^2)
-    samples, and reduced through :func:`_freq_compressed`.
+    refuses a collection too large for the route after a single ``tf1``
+    sample, and reduced through :func:`_freq_compressed`.
 
     Returns
     -------
@@ -799,22 +801,23 @@ def _compressed_matrices(quad, units, linear, io, domain):
     (``w_k = 2m``: rows ``(k pair, slot, a)``; ``w_j = 2``).
     ``linear(shifted)`` gives the linear rows, and ``io()`` gives ``h``,
     ``g`` and ``K``, called past the probe stage, which sets the peak. The
-    bases and their rows ``I_k``, ``I_j`` come from :func:`_mode_bases`,
-    and the cross is read at the units holding those rows. As the samples
-    lie in the range of ``V_k (x) V_j``, their core ``(V_k' (x) V_j') X``
-    equals ``(V_k[I_k]^{-1} (x) V_j[I_j]^{-1}) X[I_k, I_j]``; it becomes
-    the rows ``(q, r_k, r_j)``. ``M``'s core, read the same way, equals its
-    projection only when the columns ``U`` span an ``A``-invariant subspace
-    (say ``N_p m >= n``, ``U`` of full rank); otherwise the reduced model
-    can move, by up to 1.6e-4 measured (:func:`lqo_qbt_streamed`). The
-    quadratic rows of ``h``, given whole, are projected onto the bases."""
+    bases, their rows ``I_k``, ``I_j`` and the inverses ``G_k =
+    V_k[I_k]^{-1}``, ``G_j = V_j[I_j]^{-1}`` come from :func:`_mode_bases`,
+    which checked those very inverses on held-out fibres, and the cross is
+    read at the units holding the rows. As the samples lie in the range of
+    ``V_k (x) V_j``, their core ``(V_k' (x) V_j') X`` equals ``(G_k (x)
+    G_j) X[I_k, I_j]``; it becomes the rows ``(q, r_k, r_j)``. ``M``'s
+    core, read the same way, equals its projection only when the columns
+    ``U`` span an ``A``-invariant subspace (say ``N_p m >= n``, ``U`` of
+    full rank); otherwise the reduced model can move, by up to 1.6e-4
+    measured (:func:`lqo_qbt_streamed`). The quadratic rows of ``h``,
+    given whole, are projected onto the bases."""
     n_k, n_j = units
-    (Vk, Ik), (Vj, Ij) = _mode_bases(quad, n_k, n_j)
+    (Vk, Ik, Gk), (Vj, Ij, Gj) = _mode_bases(quad, n_k, n_j)
     h, g, K = io()
     wk, wj = Vk.shape[0] // n_k, Vj.shape[0] // n_j
     ku, k_rows = _units(Ik, wk)
     ju, j_rows = _units(Ij, wj)
-    Gk, Gj = np.linalg.inv(Vk[Ik]), np.linalg.inv(Vj[Ij])
     p, m = len(K), h.shape[1]
 
     def rows(shifted):
@@ -868,9 +871,9 @@ def lqo_qbt_streamed(sampler, rule_p, rule_q, orders):
     random systems with ``N_p < n`` (n = 2..8, one input and output), the
     model at the full resolvable rank left the whole-matrix one by more
     than 1e-8 in ``H1`` on 11, by up to 1.6e-4 (n=6, ``N_p = 2``). The
-    held-out probe fibres must match the interpolant as they match the
-    bases, or this raises. :func:`lqo_qbt` runs the same driver on a time
-    dataset's arrays.
+    held-out probe fibres must match their interpolant on each basis, the
+    one check of the bases (:func:`_mode_bases`), or this raises.
+    :func:`lqo_qbt` runs the same driver on a time dataset's arrays.
 
     Parameters
     ----------
@@ -926,18 +929,21 @@ def _time_compressed(read, rho, phi, h1_sum, dh1_sum, io):
 
 def _mode_bases(quad, n_k, n_j):
     """Orthonormal bases ``V_k`` and ``V_j`` of the two modes of the
-    quadratic rows ``quad`` of :func:`_compressed_matrices`, each with its
-    interpolation rows ``I`` (:func:`_interpolation_rows`), as pairs
-    ``(V, I)``. A basis's rows are the mode's rows ``(unit, w)``.
+    quadratic rows ``quad`` of :func:`_compressed_matrices`, each as a
+    triple ``(V, I, G)`` with its interpolation rows ``I``
+    (:func:`_interpolation_rows`) and ``G = V[I]^{-1}``, the one inverse
+    the cross applies. A basis's rows are the mode's rows ``(unit, w)``.
 
     Each basis holds the left singular vectors above ``RANK_TOL`` of the
     mode's probe fibres: the rows of ``H`` at every unit of the mode and
     at ``PROBES`` evenly spread units of the other, unfolded to the mode's
     rows, from the seeded range finder :func:`~lqobt.numcore.svd`. The
-    fibres midway between the probes must lie in the basis, and match
-    their interpolant ``V V[I]^{-1} F[I]``, to within ``MODE_TOL`` of
-    their norm, or this raises: the samples are not of low rank in that
-    mode, or the rows ``I`` are ill-conditioned."""
+    fibres ``F`` midway between the probes must match their interpolant
+    ``V G F[I]`` to within ``MODE_TOL`` of their norm, or this raises.
+    That one gate also bounds their distance from the basis, as ``V V' F``
+    is the point of its range closest to ``F``; only on a failure is that
+    distance computed, to say why: the samples are not of low rank in
+    that mode, or the rows ``I`` are ill-conditioned."""
     def unfolding(mode, idx):
         if mode == "k":
             X = quad(False, np.arange(n_k), idx)
@@ -953,27 +959,24 @@ def _mode_bases(quad, n_k, n_j):
         # an identically zero mode keeps one direction, which reads zeros
         V = res.Z[:, :max(1, _resolvable_rank(res.S))]
         F = unfolding(mode, held) if held.size else V[:, :0]
-        _check_held_out(F, V @ (V.T @ F), f"outside the {mode}-mode basis of "
-                        "the probes; the samples are not of low rank")
         rows = _interpolation_rows(V)
-        _check_held_out(
-            F, V @ np.linalg.solve(V[rows], F[rows]),
-            f"off their interpolant on {rows.size} rows of the {mode}-mode "
-            f"basis (condition number {np.linalg.cond(V[rows]):.2e}); the "
-            "interpolation rows are ill-conditioned")
-        bases.append((V, rows))
+        G = np.linalg.inv(V[rows])
+        norm, residual = np.linalg.norm(F), np.linalg.norm(F - V @ (G @ F[rows]))
+        if residual > MODE_TOL * norm:
+            outside = np.linalg.norm(F - V @ (V.T @ F))
+            if outside > MODE_TOL * norm:
+                residual = outside
+                failure = (f"outside the {mode}-mode basis of the probes; the "
+                           "samples are not of low rank")
+            else:
+                failure = (f"off their interpolant on {rows.size} rows of the "
+                           f"{mode}-mode basis (condition number "
+                           f"{np.linalg.cond(V[rows]):.2e}); the interpolation rows "
+                           "are ill-conditioned")
+            raise ValueError(f"held-out quadratic fibres leave {residual / norm:.2e} "
+                             f"of their norm (> {MODE_TOL:g}) {failure}")
+        bases.append((V, rows, G))
     return bases
-
-
-def _check_held_out(F, approx, failure):
-    """Raise unless `approx` matches the held-out fibres `F` to within
-    ``MODE_TOL`` of their norm; `failure` ends the message."""
-    norm, residual = np.linalg.norm(F), np.linalg.norm(F - approx)
-    if residual > MODE_TOL * norm:
-        raise ValueError(
-            f"held-out quadratic fibres leave {residual / norm:.2e} of their "
-            f"norm (> {MODE_TOL:g}) {failure}"
-        )
 
 
 def _interpolation_rows(V):

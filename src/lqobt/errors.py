@@ -42,5 +42,5 @@ class OrderError(ValueError):
 class NodeCountError(ValueError):
     """The node counts of a frequency collection ask for more Loewner rows
     at one node than the route's bound (``databt.FREQ_BLOCK_BYTES``)
-    admits; raised after the ``tf1`` samples, which give the channel
-    counts, and before the O(N^2) ``tf2_grid`` samples."""
+    admits; raised after one ``tf1`` sample, which gives the channel
+    counts, and before the O(N) ``tf1`` and O(N^2) ``tf2_grid`` samples."""

@@ -16,8 +16,8 @@ from scipy.linalg import block_diag
 
 from .databt import DataMatrices, reduce_from_matrices
 from .errors import UnstableSystemError
-from .numcore import (_hurwitz_schur, _read_only, _solve_quasi_triangular,
-                      lyapunov_factor, psd_sqrt_factor, solve_lyapunov, svd)
+from .numcore import (_hurwitz_schur, _read_only, _sylvester, lyapunov_factor,
+                      psd_sqrt_factor, solve_lyapunov, svd)
 
 __all__ = [
     "Gramians",
@@ -190,10 +190,11 @@ def h2_error(sys, rom):
     which resolves errors down to about ``eps ||sys||``.
 
     ``Q``, ``Q_r`` and the real Schur forms of ``A`` and ``A_r``, on which
-    LAPACK ``trsyl`` solves both Sylvester equations (the second through
-    its transpose flags), come from :func:`compute_gramians`, which keeps
-    them per system object: scoring several ROMs against one `sys` (an
-    order sweep) solves and factors the full model once.
+    :func:`~lqobt.numcore._sylvester` solves both Sylvester equations (the
+    second through its transpose flags), come from
+    :func:`compute_gramians`, which keeps them per system object: scoring
+    several ROMs against one `sys` (an order sweep) solves and factors the
+    full model once.
 
     Raises :class:`~lqobt.errors.UnstableSystemError` if `sys` or `rom` is
     unstable; data-driven reduction can produce an unstable `rom`.
@@ -206,9 +207,9 @@ def h2_error(sys, rom):
     _require_stable(rom, "reduced model")
     g, gr = compute_gramians(sys), compute_gramians(rom)
     B, Br = sys.B, rom.B
-    X = _cross_sylvester(g, gr, B @ Br.T, "N", "T")
+    X = _sylvester(g.schur, gr.schur, B @ Br.T, "N", "T")
     W = -sys.C.T @ rom.C - sum(M @ X @ Mr for M, Mr in zip(sys.Ms, rom.Ms))
-    K = _cross_sylvester(g, gr, W, "T", "N")
+    K = _sylvester(g.schur, gr.schur, W, "T", "N")
     full = np.trace(B.T @ g.Q @ B)
     val = full + 2.0 * np.trace(B.T @ K @ Br) + np.trace(Br.T @ gr.Q @ Br)
     if val <= 1e-12 * full:
@@ -219,12 +220,3 @@ def h2_error(sys, rom):
             for M, Mr in zip(sys.Ms, rom.Ms)
         )
     return float(np.sqrt(max(val, 0.0)))
-
-
-def _cross_sylvester(g, gr, W, trana, tranb):
-    """``X`` with ``op(A) X + X op(A_r) + W = 0`` from the Schur forms
-    ``A = Z T Z'`` of `g` and ``A_r = Z_r T_r Z_r'`` of `gr`: ``op(T) Y +
-    Y op(T_r) = -Z' W Z_r`` and ``X = Z Y Z_r'``, ``op`` transposing where
-    the flag is ``"T"``."""
-    (T, Z), (Tr, Zr) = g.schur, gr.schur
-    return Z @ _solve_quasi_triangular(T, Tr, -(Z.T @ W @ Zr), trana, tranb) @ Zr.T

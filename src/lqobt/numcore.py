@@ -1,9 +1,10 @@
 """Dense linear-algebra kernels used throughout the package.
 
 Thin, contract-checked wrappers around LAPACK-backed routines, including
-a Bartels-Stewart Lyapunov solver and a Hammarling square-root Lyapunov
-factor. :mod:`lqobt.gramians` solves its Sylvester equations with
-:func:`_solve_quasi_triangular` on the Schur forms it keeps. Everything
+one Schur-form Sylvester solve, :func:`_sylvester`, which the
+Bartels-Stewart Lyapunov solver :func:`solve_lyapunov` and
+:func:`lqobt.gramians.h2_error` (on the Schur forms its records keep)
+both call, and a Hammarling square-root Lyapunov factor. Everything
 operates on plain numpy arrays. The package's one SVD, :func:`svd`, a
 seeded range finder that returns the leading triplets, and the matrix
 exponential, which the time-domain samplers call at every node, run in
@@ -215,25 +216,33 @@ def _hurwitz_schur(A, output="real"):
     return T, U
 
 
-def _solve_quasi_triangular(S, R, C, trana, tranb):
-    """``op(S) Y + Y op(R) = C`` for real Schur forms `S` and `R` (LAPACK
-    ``trsyl``; ``op`` transposes where the flag is ``"T"``)."""
-    if C.size == 0:
-        return C
-    Y, scale, info = spla.lapack.dtrsyl(S, R, C, trana=trana, tranb=tranb)
-    if info != 0:
-        raise LyapunovError(f"trsyl failed (info={info}): eigenvalues nearly cancel")
-    return Y / scale
+def _sylvester(schur, schur_r, W, trana, tranb):
+    """``X`` with ``op(A) X + X op(A_r) + W = 0`` from the real Schur forms
+    ``schur = (T, Z)`` of ``A = Z T Z'`` and ``schur_r = (T_r, Z_r)`` of
+    ``A_r = Z_r T_r Z_r'``, ``op`` transposing where the flag is ``"T"``:
+    LAPACK ``trsyl`` solves ``op(T) Y + Y op(T_r) = -Z' W Z_r`` by back
+    substitution, and ``X = Z Y Z_r'``. The package's one Sylvester solve.
+    Raises :class:`~lqobt.errors.LyapunovError` when ``trsyl`` reports that
+    eigenvalues of ``op(T)`` and ``-op(T_r)`` nearly coincide."""
+    (T, Z), (Tr, Zr) = schur, schur_r
+    Y = -(Z.T @ W @ Zr)
+    if Y.size:
+        Y, scale, info = spla.lapack.dtrsyl(T, Tr, Y, trana=trana, tranb=tranb)
+        if info != 0:
+            raise LyapunovError(f"trsyl failed (info={info}): eigenvalues nearly cancel")
+        Y = Y / scale
+    return Z @ Y @ Zr.T
 
 
 def solve_lyapunov(A, W):
     """Solve the observability-side Lyapunov equation ``A' X + X A + W = 0``.
 
-    Bartels-Stewart: one real Schur factorization ``A = U T U'`` turns the
-    equation into ``T' Y + Y T = -U' W U``, which LAPACK ``trsyl`` solves by
-    back substitution. `A` must be Hurwitz (all eigenvalues in the open left
-    half plane); otherwise a :class:`~lqobt.errors.LyapunovError` is raised.
-    The solution is symmetrized on exit.
+    Bartels-Stewart: one real Schur factorization ``A = U T U'``
+    (:func:`_hurwitz_schur`) serves as both forms of :func:`_sylvester`,
+    which solves ``T' Y + Y T = -U' W U`` and returns ``U Y U'``. `A` must
+    be Hurwitz (all eigenvalues in the open left half plane); otherwise a
+    :class:`~lqobt.errors.LyapunovError` is raised. The solution is
+    symmetrized on exit.
 
     For the controllability-side equation ``A P + P A' + W = 0`` call
     ``solve_lyapunov(A.T, W)``.
@@ -243,8 +252,8 @@ def solve_lyapunov(A, W):
         raise ValueError(f"shape mismatch: A is {A.shape}, W is {W.shape}")
     if not (np.isfinite(A).all() and np.isfinite(W).all()):
         raise ValueError("non-finite input to solve_lyapunov")
-    T, U = _hurwitz_schur(A)
-    X = U @ _solve_quasi_triangular(T, T, -(U.T @ W @ U), "T", "N") @ U.T
+    schur = _hurwitz_schur(A)
+    X = _sylvester(schur, schur, W, "T", "N")
     return 0.5 * (X + X.T)
 
 

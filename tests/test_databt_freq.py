@@ -419,7 +419,7 @@ def test_freq_cross_core_equals_compressed_whole_rows(monkeypatch):
     seen = {}
     _spy(monkeypatch, "_mode_bases", seen)
     cross = databt._freq_compressed(ds)
-    (Vk, Ik), (Vj, Ij) = seen["_mode_bases"]
+    (Vk, Ik, _), (Vj, Ij, _) = seen["_mode_bases"]
     assert (Ik.size, Ij.size) == (Vk.shape[1], Vj.shape[1])
     whole = build_data_matrices(ds)
     Np, Nq, m, p = ds.Np, ds.Nq, ds.m, ds.p
@@ -575,12 +575,31 @@ def test_auto_freq_needs_only_transfer_evaluations():
             assert np.array_equal(got, want)
 
 
+class NodeCountingSampler(UncallableSampler):
+    """Records the node counts of every sampling call."""
+
+    def __init__(self):
+        self.calls = []
+
+    def tf1(self, s):
+        self.calls.append(("tf1", len(s)))
+        return super().tf1(s)
+
+    def tf2_grid(self, s1, s2):
+        self.calls.append(("tf2_grid", len(s1), len(s2)))
+        return super().tf2_grid(s1, s2)
+
+
 def test_auto_freq_size_guard_precedes_sampling():
-    # a ValueError, of the subclass the CLI reports as a usage error
+    # a ValueError, of the subclass the CLI reports as a usage error, raised
+    # once a single tf1 sample gives the channel counts: a refusal costs
+    # one resolvent, not the O(N) tf1 and O(N^2) tf2_grid samples
     rule = log_trapezoid(1e-2, 1e2, 1200)
+    sampler = NodeCountingSampler()
     with pytest.raises(ValueError, match="lower --np/--nq") as exc:
-        lqo_qbt_auto(UncallableSampler(), rule, rule, [2], domain="freq")
+        lqo_qbt_auto(sampler, rule, rule, [2], domain="freq")
     assert isinstance(exc.value, NodeCountError)
+    assert sampler.calls == [("tf1", 1)]
     with pytest.raises(ValueError, match="domain"):
         lqo_qbt_auto(UncallableSampler(), rule, rule, [1], domain="laplace")
 

@@ -468,7 +468,7 @@ def test_streamed_cross_core_equals_compressed_whole_rows(monkeypatch):
     _spy(monkeypatch, "_mode_bases", seen)
     _spy(monkeypatch, "_reduce_orders", seen)
     lqo_qbt_streamed(sys_, rule, rule, [2])
-    (Vk, _), (Vj, _) = seen["_mode_bases"][1]
+    (Vk, _, _), (Vj, _, _) = seen["_mode_bases"][1]
     cross = seen["_reduce_orders"][0][0]
     whole = build_data_matrices(collect_time_data(sys_, rule, rule))
     N, m, p = len(rule), 2, 2
@@ -479,6 +479,52 @@ def test_streamed_cross_core_equals_compressed_whole_rows(monkeypatch):
         want = np.vstack([rows[:nl], quad.reshape(-1, rows.shape[1])])
         assert got.shape == want.shape
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def _recording(fn, outputs):
+    """`fn`, appending each call's result to `outputs`."""
+
+    def recorded(*args, **kwargs):
+        outputs.append(fn(*args, **kwargs))
+        return outputs[-1]
+
+    return recorded
+
+
+def test_each_mode_basis_is_checked_once_and_its_inverse_feeds_the_cross(monkeypatch):
+    # a passing pass, in time and in frequency, checks each basis once on
+    # its held-out fibres: it inverts each interpolation block once, in
+    # _mode_bases, and computes no condition number; the cross applies the
+    # inverse _mode_bases returns, so doubling it doubles the core in each
+    # mode (exactly: a power of two) and leaves the linear rows alone
+    rng = np.random.default_rng(73)
+    sys_ = random_stable_system(rng, n=6, m=2, p=2)
+    rule = log_trapezoid(1e-2, 10.0, 11)
+    ds = collect_freq_data(sys_, log_trapezoid(0.05, 20.0, 9),
+                           log_trapezoid(0.07, 28.0, 9))
+    for run in (lambda: lqo_qbt_streamed(sys_, rule, rule, []),
+                lambda: databt._freq_compressed(ds)):
+        seen, calls = {}, {"inv": [], "cond": []}
+        with monkeypatch.context() as mp:
+            for name, outputs in calls.items():
+                mp.setattr(np.linalg, name, _recording(getattr(np.linalg, name), outputs))
+            _spy(mp, "_mode_bases", seen)
+            _spy(mp, "_compressed_matrices", seen)
+            run()
+        bases, dm = seen["_mode_bases"][1], seen["_compressed_matrices"][1]
+        assert not calls["cond"]
+        assert len(calls["inv"]) == len(bases) == 2
+        assert all(out is G for out, (_, _, G) in zip(calls["inv"], bases))
+        with monkeypatch.context() as mp:
+            mp.setattr(databt, "_mode_bases",
+                       lambda *args: [(V, I, 2.0 * G) for V, I, G in bases])
+            _spy(mp, "_compressed_matrices", seen)
+            run()
+        doubled = seen["_compressed_matrices"][1]
+        nl = dm.H.shape[0] - len(dm.K) * bases[0][0].shape[1] * bases[1][0].shape[1]
+        for got, want in ((doubled.H, dm.H), (doubled.M, dm.M)):
+            np.testing.assert_array_equal(got[:nl], want[:nl])
+            np.testing.assert_allclose(got[nl:], 4.0 * want[nl:], rtol=1e-14, atol=0.0)
 
 
 class CountingSampler:
@@ -512,7 +558,7 @@ def test_streamed_samples_come_in_bounded_blocks(monkeypatch):
     _spy(monkeypatch, "_mode_bases", seen)
     sampler = CountingSampler(sys_)
     lqo_qbt_streamed(sampler, rule_p, rule_q, [2])
-    (Vk, Ik), (Vj, Ij) = seen["_mode_bases"][1]
+    (Vk, Ik, _), (Vj, Ij, _) = seen["_mode_bases"][1]
     assert (Ik.size, Ij.size) == (Vk.shape[1], Vj.shape[1])
     h2_calls = [c[1:] for c in sampler.calls if c[0] == "h2_grid"]
     dh2_calls = [c[1:] for c in sampler.calls if c[0] == "dh2_grid"]

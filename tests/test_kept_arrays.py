@@ -16,7 +16,16 @@ from lqobt import (
     compute_gramians,
     log_trapezoid,
     lqo_qbt,
+    numcore,
 )
+
+
+class AddressOnly:
+    """Exposes the memory of an array through ``__array_interface__``
+    alone, without the buffer protocol."""
+
+    def __init__(self, arr):
+        self._arr, self.__array_interface__ = arr, arr.__array_interface__
 
 
 def _copy(sys_):
@@ -51,6 +60,20 @@ def test_writes_through_the_callers_arrays_raise():
     with pytest.raises(ValueError, match="read-only"):
         nodes[2] = 0.01
     assert np.all(np.diff(rule.nodes) > 0.0)
+
+
+def test_memory_owned_without_a_buffer_is_copied():
+    # an owner that exposes its memory only through __array_interface__
+    # has no buffer to ask whether it can change, so the kept array is a
+    # read-only copy, and the caller's array is neither locked nor written
+    original = np.arange(6.0)
+    view = np.asarray(AddressOnly(original))
+    kept = numcore._read_only(view)
+    assert not kept.flags.writeable and not np.shares_memory(kept, original)
+    assert original.flags.writeable
+    assert np.array_equal(original, np.arange(6.0))
+    original[0] = -1.0
+    assert np.array_equal(kept, np.arange(6.0))
 
 
 def test_datasets_keep_their_derived_arrays_and_fields():

@@ -189,6 +189,19 @@ def test_lyapunov_shape_errors():
         solve_lyapunov(-np.eye(2), np.diag([1.0, np.nan]))
 
 
+def test_lyapunov_of_an_empty_matrix_is_empty():
+    X = solve_lyapunov(np.zeros((0, 0)), np.zeros((0, 0)))
+    assert X.shape == (0, 0)
+
+
+def test_sylvester_raises_when_eigenvalues_cancel():
+    # A X + X (-A) + W = 0: every eigenvalue of A meets its negative in
+    # -A, so the Sylvester operator is singular and trsyl reports it
+    A = _hurwitz(np.random.default_rng(5), 4)
+    with pytest.raises(LyapunovError, match="nearly cancel"):
+        numcore._sylvester(spla.schur(A), spla.schur(-A), np.eye(4), "N", "N")
+
+
 # ------------------------------------------------------ lyapunov_factor
 
 

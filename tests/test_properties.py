@@ -113,7 +113,7 @@ def test_cross_rows_are_the_oracle_rows_on_the_mode_bases(seed, m, p, source):
             lqo_qbt_streamed(sys_, rule_p, rule_q, [])
         else:
             lqo_qbt(ds, 1)
-    (Vk, Ik), (Vj, Ij) = seen["_mode_bases"]
+    (Vk, Ik, _), (Vj, Ij, _) = seen["_mode_bases"]
     assert (Ik.size, Ij.size) == (Vk.shape[1], Vj.shape[1])
     Gk, Gj = np.linalg.inv(Vk[Ik]), np.linalg.inv(Vj[Ij])
     got, whole = seen["_compressed_matrices"], build_data_matrices(ds)

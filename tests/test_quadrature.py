@@ -109,6 +109,14 @@ def test_clenshaw_curtis_log_constant_identity():
         assert abs(got - np.log(100.0)) <= 1e-12 * np.log(100.0)
 
 
+def test_two_node_clenshaw_curtis_integrates_the_log_constant():
+    # two nodes, the endpoints, each of weight 1 on [-1, 1]: no cosine
+    # correction, and 1/t, a constant on the log axis, integrates exactly
+    rule = clenshaw_curtis(0.1, 10.0, 2)
+    assert np.array_equal(rule.nodes, [0.1, 10.0])
+    assert abs(rule.integrate(1.0 / rule.nodes) - np.log(100.0)) <= 1e-15 * np.log(100.0)
+
+
 def test_clenshaw_curtis_converges_spectrally():
     a, b = 0.1, 30.0
     exact = np.exp(-a) - np.exp(-b)
