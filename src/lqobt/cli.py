@@ -36,7 +36,7 @@ import sys
 import numpy as np
 
 from .databt import lqo_qbt_auto
-from .errors import NodeCountError, OrderError
+from .errors import NodeCountError, OrderError, StepSizeError
 from .gramians import (
     compute_gramians,
     h2_error,
@@ -182,9 +182,11 @@ def cmd_synth(args):
 
 def cmd_hsv(args):
     sys_ = _load(args)
-    hsv_f = hankel_singular_values(compute_gramians(sys_))
+    # the data route first: it refuses node counts before it samples, and
+    # so before the Gramians are paid for
     rule_p, rule_q = _rules_from_args(args, args.domain, args.np, args.nq)
     hsv_r, _ = lqo_qbt_auto(sys_, rule_p, rule_q, [], domain=args.domain)
+    hsv_f = hankel_singular_values(compute_gramians(sys_))
     r = args.order if args.order is not None else min(hsv_f.size, hsv_r.size)
     os.makedirs(args.out, exist_ok=True)
     for fname, values in (("HSV_f.csv", hsv_f), ("HSV_r.csv", hsv_r)):
@@ -270,14 +272,17 @@ def cmd_h2_sweep(args):
     sys_ = _load(args, ("--order", args.order) if args.nodes is not None
                  else ("--orders", args.orders[-1]))
     if args.nodes is not None:
-        bt_err = _safe_error(sys_, intrusive_bt(sys_, args.order))
-
-        rows = []
+        # every node count is reduced, or refused, before the intrusive
+        # reference is paid for
+        roms = []
         for n in args.nodes:
             rule_p, rule_q = _rules_from_args(args, args.domain, n)
             _, (rom,) = lqo_qbt_auto(sys_, rule_p, rule_q, [args.order],
                                      domain=args.domain)
-            rows.append((n, bt_err, _safe_error(sys_, rom)))
+            roms.append(rom)
+        bt_err = _safe_error(sys_, intrusive_bt(sys_, args.order))
+        rows = [(n, bt_err, _safe_error(sys_, rom))
+                for n, rom in zip(args.nodes, roms)]
         _write_csv(args.out, "N,BT_Error,QBT_Error", rows)
     else:
         orders = args.orders
@@ -397,3 +402,6 @@ def main(argv=None):
         # sample, and so before any command writes
         flag = "--nodes" if getattr(args, "nodes", None) else "--np/--nq"
         args.error(f"argument {flag}: {exc}")
+    except StepSizeError as exc:
+        # simulate checks every model's steps before it writes the table
+        args.error(f"argument --steps: {exc}")

@@ -7,6 +7,7 @@ __all__ = [
     "FrequencyCollisionError",
     "OrderError",
     "NodeCountError",
+    "StepSizeError",
 ]
 
 
@@ -44,3 +45,10 @@ class NodeCountError(ValueError):
     at one node than the route's bound (``databt.FREQ_BLOCK_BYTES``)
     admits; raised after one ``tf1`` sample, which gives the channel
     counts, and before the O(N) ``tf1`` and O(N^2) ``tf2_grid`` samples."""
+
+
+class StepSizeError(ValueError):
+    """A step of a simulation grid leaves RK4's stability region: at some
+    eigenvalue ``lam`` of ``A`` with ``Re lam < 0``, the step's
+    amplification ``|1 + z + z^2/2 + z^3/6 + z^4/24|`` at ``z = h lam``
+    exceeds 1, so RK4 would grow a decaying mode without bound."""

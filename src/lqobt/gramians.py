@@ -16,8 +16,8 @@ from scipy.linalg import block_diag
 
 from .databt import DataMatrices, reduce_from_matrices
 from .errors import UnstableSystemError
-from .numcore import (_hurwitz_schur, _read_only, _sylvester, lyapunov_factor,
-                      psd_sqrt_factor, solve_lyapunov, svd)
+from .numcore import (_read_only, _sylvester, lyapunov_factor, psd_sqrt_factor,
+                      solve_lyapunov, svd)
 
 __all__ = [
     "Gramians",
@@ -31,14 +31,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Gramians:
-    """Controllability and (split) observability Gramians of one system,
-    with the real Schur form of its ``A``.
+    """Controllability and (split) observability Gramians of one system:
+    four n x n arrays.
 
     ``P`` solves ``A P + P A' + B B' = 0``. The observability Gramian is
     ``Q = Q1 + Q2`` where ``Q1`` solves ``A' Q1 + Q1 A + C'C = 0`` and ``Q2``
-    solves ``A' Q2 + Q2 A + sum_q M_q P M_q = 0``. ``schur`` is ``(T, Z)``
-    with ``A = Z T Z'``, ``T`` quasi-triangular; :func:`h2_error` solves its
-    Sylvester equations on it.
+    solves ``A' Q2 + Q2 A + sum_q M_q P M_q = 0``. The real Schur form of
+    ``A`` is the system's own (:attr:`lqobt.model.LqoSystem.schur`).
 
     The square-root factors ``U``, ``L1``, ``L2`` of ``P``, ``Q1``, ``Q2``,
     ``L = [L1, L2]`` (so ``L L' = Q``) and :attr:`hankel`, the SVD of
@@ -52,7 +51,6 @@ class Gramians:
     Q1: np.ndarray
     Q2: np.ndarray
     Q: np.ndarray
-    schur: tuple
 
     U = functools.cached_property(lambda g: _read_only(psd_sqrt_factor(g.P)))
     L1 = functools.cached_property(lambda g: _read_only(psd_sqrt_factor(g.Q1)))
@@ -84,9 +82,11 @@ _RECORDS = weakref.WeakKeyDictionary()
 
 
 def compute_gramians(sys):
-    """The :class:`Gramians` of `sys`: three Lyapunov solves and a Schur
-    form on the first call for a system object, the same record from then
-    on while the object lives.
+    """The :class:`Gramians` of `sys`: three Lyapunov solves on the first
+    call for a system object, the same record from then on while the
+    object lives. Its stability is read off the system's kept Schur form;
+    each :func:`~lqobt.numcore.solve_lyapunov` still makes its own, as it
+    takes the matrix ``A``.
 
     Raises :class:`~lqobt.errors.UnstableSystemError` for systems that are
     not asymptotically stable (the Gramians do not exist then), and keeps
@@ -98,8 +98,7 @@ def compute_gramians(sys):
         P = solve_lyapunov(A.T, sys.B @ sys.B.T)
         Q1 = solve_lyapunov(A, sys.C.T @ sys.C)
         Q2 = solve_lyapunov(A, sum((M @ P @ M for M in sys.Ms), np.zeros_like(P)))
-        _RECORDS[sys] = Gramians(*map(_read_only, (P, Q1, Q2, Q1 + Q2)),
-                                 schur=tuple(map(_read_only, _hurwitz_schur(A))))
+        _RECORDS[sys] = Gramians(*map(_read_only, (P, Q1, Q2, Q1 + Q2)))
     return _RECORDS[sys]
 
 
@@ -189,12 +188,12 @@ def h2_error(sys, rom):
     ``||C R_1 - C_r R_2||_F^2 + sum_q ||R_1^H M_q R_1 - R_2^H M_r,q R_2||_F^2``,
     which resolves errors down to about ``eps ||sys||``.
 
-    ``Q``, ``Q_r`` and the real Schur forms of ``A`` and ``A_r``, on which
-    :func:`~lqobt.numcore._sylvester` solves both Sylvester equations (the
-    second through its transpose flags), come from
-    :func:`compute_gramians`, which keeps them per system object: scoring
-    several ROMs against one `sys` (an order sweep) solves and factors the
-    full model once.
+    ``Q`` and ``Q_r`` come from :func:`compute_gramians`, which keeps them
+    per system object, and :func:`~lqobt.numcore._sylvester` solves both
+    Sylvester equations (the second through its transpose flags) on the
+    real Schur forms that `sys` and `rom` keep
+    (:attr:`~lqobt.model.LqoSystem.schur`): scoring several ROMs against
+    one `sys` (an order sweep) solves and factors the full model once.
 
     Raises :class:`~lqobt.errors.UnstableSystemError` if `sys` or `rom` is
     unstable; data-driven reduction can produce an unstable `rom`.
@@ -207,9 +206,9 @@ def h2_error(sys, rom):
     _require_stable(rom, "reduced model")
     g, gr = compute_gramians(sys), compute_gramians(rom)
     B, Br = sys.B, rom.B
-    X = _sylvester(g.schur, gr.schur, B @ Br.T, "N", "T")
+    X = _sylvester(sys.schur, rom.schur, B @ Br.T, "N", "T")
     W = -sys.C.T @ rom.C - sum(M @ X @ Mr for M, Mr in zip(sys.Ms, rom.Ms))
-    K = _sylvester(g.schur, gr.schur, W, "T", "N")
+    K = _sylvester(sys.schur, rom.schur, W, "T", "N")
     full = np.trace(B.T @ g.Q @ B)
     val = full + 2.0 * np.trace(B.T @ K @ Br) + np.trace(Br.T @ gr.Q @ Br)
     if val <= 1e-12 * full:

@@ -9,8 +9,10 @@ with ``A`` of order n, ``B`` n-by-m, ``C`` p-by-n and one symmetric ``M_q``
 per output channel. The class exposes the sampler interface (the kernel
 grids ``h1_grid``, ``dh1_grid``, ``h2_grid`` and ``dh2_grid`` and the
 transfer functions ``tf1`` and ``tf2_grid``), which is all the data-driven
-reduction layer is allowed to see, plus a fixed-step RK4 simulator and the
-stability queries. Matrix Market files persist a system.
+reduction layer is allowed to see, plus a fixed-step RK4 simulator, which
+refuses a step outside RK4's stability region, and the stability queries,
+which read the system's kept real Schur form. Matrix Market files persist
+a system.
 """
 
 import functools
@@ -18,11 +20,9 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.io
-import scipy.sparse
 
-from .errors import FrequencyCollisionError
-from .numcore import _read_only, _real, expm
+from .errors import FrequencyCollisionError, StepSizeError
+from .numcore import _read_only, _real, _schur, _schur_eigenvalues, expm
 
 __all__ = [
     "LqoSystem",
@@ -60,12 +60,13 @@ class LqoSystem:
     (:meth:`h1_grid`, :meth:`dh1_grid`, :meth:`h2_grid`, :meth:`dh2_grid`,
     :meth:`tf1` and :meth:`tf2_grid`), the RK4 simulator :meth:`simulate`
     and the stability queries :meth:`spectral_abscissa` and
-    :attr:`is_stable`.
+    :attr:`is_stable`, which read the system's one real Schur form
+    :attr:`schur`.
 
     The matrices are read-only once the system is made, and so is every
     array they are views of (:func:`lqobt.numcore._read_only`): a caller's
     ``full`` behind ``A = full[:, :]``, or a 1-D ``B``. So neither the
-    cache of node exponentials nor the system's
+    cache of node exponentials, nor the kept Schur form, nor the system's
     :func:`~lqobt.gramians.compute_gramians` record can go stale.
 
     Parameters
@@ -117,7 +118,6 @@ class LqoSystem:
 
         self.A, self.B, self.C = map(_read_only, (A, B, C))
         self.Ms = tuple(map(_read_only, Ms))
-        self._abscissa = None
         # least recently used node exponentials, within _CACHE_BYTES
         self._exp_cache = functools.lru_cache(maxsize=_CACHE_BYTES // A.nbytes)(
             functools.partial(_node_exp, A)
@@ -138,11 +138,18 @@ class LqoSystem:
     def __repr__(self):
         return f"{type(self).__name__}(n={self.n}, m={self.m}, p={self.p})"
 
+    @functools.cached_property
+    def schur(self):
+        """The real Schur form ``(T, Z)`` of ``A = Z T Z'``
+        (:func:`lqobt.numcore._schur`), read-only, made on first use and
+        kept: the stability queries, :meth:`simulate`'s step check and
+        :func:`~lqobt.gramians.h2_error`'s Sylvester solves all read it."""
+        return _schur(self.A)
+
     def spectral_abscissa(self):
-        """Largest real part over the eigenvalues of `A`."""
-        if self._abscissa is None:
-            self._abscissa = float(np.linalg.eigvals(self.A).real.max())
-        return self._abscissa
+        """Largest real part over the eigenvalues of `A`: the largest
+        diagonal entry of its real Schur form."""
+        return float(self.schur[0].diagonal().max())
 
     @property
     def is_stable(self):
@@ -287,6 +294,14 @@ class LqoSystem:
         Returns
         -------
         :class:`Trajectory`
+
+        Raises :class:`~lqobt.errors.StepSizeError` before the first step
+        when a step ``h`` of the grid leaves RK4's stability region: when
+        RK4's amplification ``|1 + z + z^2/2 + z^3/6 + z^4/24|`` at
+        ``z = h lam`` exceeds ``1 + 1e-8`` for an eigenvalue ``lam`` of `A`
+        (from its kept Schur form, :attr:`schur`) with ``Re lam < 0``. Such
+        a step grows a decaying mode by that factor at every step, to
+        outputs that are finite but meaningless.
         """
         times = np.asarray(times, dtype=float)
         if times.ndim != 1 or times.size < 2:
@@ -298,6 +313,16 @@ class LqoSystem:
         x0 = np.asarray(x0, dtype=float).reshape(-1)
         if x0.size != self.n:
             raise ValueError(f"x0 must have length {self.n}")
+        steps, lam = np.unique(np.diff(times)), _schur_eigenvalues(self.schur[0])
+        lam = lam[lam.real < 0.0]  # a growing mode grows in fact
+        z = np.multiply.outer(steps, lam)
+        gain = np.abs(1.0 + z + z**2 / 2 + z**3 / 6 + z**4 / 24)
+        if gain.size and gain.max() > 1.0 + 1e-8:
+            i, k = np.unravel_index(gain.argmax(), gain.shape)
+            raise StepSizeError(
+                f"step {steps[i]:.3e} leaves RK4's stability region: it grows the "
+                f"decaying mode of eigenvalue {lam[k]:.3e} by {gain[i, k]:.4g} "
+                "a step; take smaller steps")
 
         def force(t):
             val = np.atleast_1d(np.asarray(u(t), dtype=float)).reshape(-1)
@@ -397,6 +422,8 @@ def save_system(sys, directory, name="system"):
     and a manifest ``<name>.manifest`` listing dimensions and file names.
     Returns the manifest path.
     """
+    import scipy.io  # here, so that a process that writes no file never loads it
+
     os.makedirs(directory, exist_ok=True)
     files = {"A": "A.mtx", "B": "B.mtx", "C": "C.mtx"}
     scipy.io.mmwrite(os.path.join(directory, files["A"]), sys.A)
@@ -425,6 +452,9 @@ def load_system(manifest_path):
     dimensions ``n``, ``m``, ``p`` and file entries ``A``, ``B``, ``C`` and
     one ``M`` line per output channel, with paths relative to the manifest.
     """
+    import scipy.io  # here, so that a process that reads no file never loads it
+    import scipy.sparse
+
     base = os.path.dirname(os.path.abspath(manifest_path))
     dims = {}
     paths = {"M": []}

@@ -1,10 +1,12 @@
 """Dense linear-algebra kernels used throughout the package.
 
 Thin, contract-checked wrappers around LAPACK-backed routines, including
-one Schur-form Sylvester solve, :func:`_sylvester`, which the
+one Schur factorization, :func:`_schur`, whose real form every
+Lyapunov and Sylvester solve and every stability query reads; one
+Schur-form Sylvester solve, :func:`_sylvester`, which the
 Bartels-Stewart Lyapunov solver :func:`solve_lyapunov` and
-:func:`lqobt.gramians.h2_error` (on the Schur forms its records keep)
-both call, and a Hammarling square-root Lyapunov factor. Everything
+:func:`lqobt.gramians.h2_error` (on the Schur forms its systems keep)
+both call; and a Hammarling square-root Lyapunov factor. Everything
 operates on plain numpy arrays. The package's one SVD, :func:`svd`, a
 seeded range finder that returns the leading triplets, and the matrix
 exponential, which the time-domain samplers call at every node, run in
@@ -77,19 +79,15 @@ def _square(A):
     return A
 
 
-# Al-Mohy & Higham (2009): the largest bound eta on ||A^k||^(1/k) at which
-# the [m/m] Pade approximant of exp(A) meets double precision's backward
-# error. Degree 13 takes 4.25, below its bound of 5.37, as scipy's own
+# Al-Mohy & Higham (2009): the bound eta on ||A^k||^(1/k) at which the
+# [13/13] Pade approximant of exp(A) meets double precision's backward
+# error. It takes 4.25, below the bound of 5.37, as scipy's own
 # implementation of the algorithm does.
-_PADE_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1,
-               7: 9.504178996162932e-1, 9: 2.097847961257068, 13: 4.25}
-# [m/m] Pade coefficients of exp scaled to integers, b_j = (2m-j)!/(j!(m-j)!),
-# exact in double precision
-_PADE_B = {
-    m: [float(math.factorial(2 * m - j) // (math.factorial(j) * math.factorial(m - j)))
-        for j in range(m + 1)]
-    for m in _PADE_THETA
-}
+_THETA13 = 4.25
+# [13/13] Pade coefficients of exp scaled to integers,
+# b_j = (26-j)!/(j!(13-j)!), exact in double precision
+_B13 = [float(math.factorial(26 - j) // (math.factorial(j) * math.factorial(13 - j)))
+        for j in range(14)]
 
 
 def _onenorm(X):
@@ -101,9 +99,9 @@ def _ell(A, m):
     of `A` bring the leading term of the [m/m] approximant's backward error,
     ``|c_{2m+1}| || |A|^{2m+1} ||_1 / ||A||_1``, to unit roundoff. The
     bounds ``eta`` on the norms of powers may understate that error; a
-    positive ``ell`` then rules out a low degree or adds squarings. It is 0
-    for most matrices. ``|A|`` is divided by its norm first, so that its
-    power cannot overflow."""
+    positive ``ell`` then adds squarings. It is 0 for most matrices.
+    ``|A|`` is divided by its norm first, so that its power cannot
+    overflow."""
     norm = _onenorm(A)
     if norm == 0.0:
         return 0
@@ -120,20 +118,10 @@ def _ell(A, m):
     return max(math.ceil((log2_alpha + 53) / (2 * m)), 0)
 
 
-def _pade(A, even, m):
-    """The [m/m] Pade approximant of ``exp(A)`` for m <= 9 from the even
-    powers ``even = (I, A^2, A^4, ...)``: ``V = sum b_2k A^2k`` and
-    ``U = A sum b_2k+1 A^2k``, then ``(V - U)^{-1} (V + U)``."""
-    b = _PADE_B[m]
-    U = A @ sum(b[2 * k + 1] * P for k, P in enumerate(even))
-    V = sum(b[2 * k] * P for k, P in enumerate(even))
-    return np.linalg.solve(V - U, V + U)
-
-
 def _pade13(A, I, A2, A4, A6):
     """The [13/13] approximant, in Higham's (2005) evaluation with three
     products beyond the powers."""
-    b = _PADE_B[13]
+    b = _B13
     U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
              + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * I)
     V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
@@ -146,13 +134,15 @@ def expm(A, t=1.0):
     approximants (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 2009,
     Algorithm 6.1).
 
-    The approximant's degree (3, 5, 7, 9 or 13) and the number of squarings
-    ``s`` follow from the 1-norms of powers, ``||(A t)^k||^(1/k)``, which
-    for a matrix far from normal lie well below ``||A t||`` and so avoid
-    the overscaling a bound by ``||A t||`` causes; the correction ``ell``
-    (:func:`_ell`) adds squarings where those norms understate the error.
-    Each power is formed only once a branch needs it: ``A^8`` past degree
-    5 and ``A^10`` past degree 9. The products and the Pade quotient
+    One approximant, the [13/13] Pade quotient, serves every `A` and `t`;
+    the number of squarings ``s`` follows from the 1-norms of powers,
+    ``eta = min(max(d6, d8), max(d8, d10))`` with ``d_k = ||(A t)^k||^(1/k)``,
+    which for a matrix far from normal lie well below ``||A t||`` and so
+    avoid the overscaling a bound by ``||A t||`` causes; the correction
+    ``ell`` (:func:`_ell`) adds squarings where those norms understate the
+    error. The lower degrees of the algorithm would save up to three
+    products at the smallest nodes only, where degree 13 meets the same
+    backward-error bound. The products and the Pade quotient
     (``np.linalg.solve``) run in numpy's BLAS and LAPACK, so that the
     samplers built on it share one thread pool with the rest of the time
     routes: scipy links its own OpenBLAS, and on two cores the idle,
@@ -173,29 +163,16 @@ def expm(A, t=1.0):
     A = _square(A)
     if not np.isfinite(A).all() or not np.isfinite(t):
         raise ValueError("non-finite input to expm")
-    n = A.shape[0]
-    if n == 0:
-        return np.zeros((0, 0))
     A = A * float(t)
-    I = np.eye(n)
+    if not A.any():  # exactly, where LAPACK's quotient would round
+        return np.eye(A.shape[0])
+    I = np.eye(A.shape[0])
     A2 = A @ A
     A4 = A2 @ A2
     A6 = A2 @ A4
-    d4, d6 = _onenorm(A4) ** (1 / 4), _onenorm(A6) ** (1 / 6)
-    eta = max(d4, d6)
-    if eta <= _PADE_THETA[3] and _ell(A, 3) == 0:
-        return _pade(A, (I, A2), 3)
-    if eta <= _PADE_THETA[5] and _ell(A, 5) == 0:
-        return _pade(A, (I, A2, A4), 5)
-    A8 = A4 @ A4
-    d8 = _onenorm(A8) ** (1 / 8)
-    eta = max(d6, d8)
-    if eta <= _PADE_THETA[7] and _ell(A, 7) == 0:
-        return _pade(A, (I, A2, A4, A6), 7)
-    if eta <= _PADE_THETA[9] and _ell(A, 9) == 0:
-        return _pade(A, (I, A2, A4, A6, A8), 9)
-    eta = min(eta, max(d8, _onenorm(A4 @ A6) ** (1 / 10)))
-    s = math.ceil(math.log2(eta / _PADE_THETA[13])) if eta > _PADE_THETA[13] else 0
+    d6, d8 = _onenorm(A6) ** (1 / 6), _onenorm(A4 @ A4) ** (1 / 8)
+    eta = min(max(d6, d8), max(d8, _onenorm(A4 @ A6) ** (1 / 10)))
+    s = math.ceil(math.log2(eta / _THETA13)) if eta > _THETA13 else 0
     s += _ell(A / 2**s, 13)
     X = _pade13(A / 2**s, I, A2 / 4**s, A4 / 16**s, A6 / 64**s)
     for _ in range(s):
@@ -203,17 +180,31 @@ def expm(A, t=1.0):
     return X
 
 
-def _hurwitz_schur(A, output="real"):
-    """Schur form ``A = U T U'`` (``U T U^H`` with `output` ``"complex"``).
-    In the real form LAPACK puts each 2x2 block of `T` in standard form
-    (equal diagonal entries), so in either form ``Re diag(T)`` holds the
-    real parts of the eigenvalues; a nonnegative one raises
-    LyapunovError."""
-    T, U = spla.schur(A, output=output)
-    abscissa = T.diagonal().real.max(initial=-np.inf)
+def _schur(A):
+    """The real Schur form ``(T, Z)`` of ``A = Z T Z'``, read-only: the
+    package's one Schur factorization. LAPACK puts each 2x2 block of the
+    quasi-triangular `T` in standard form (equal diagonal entries), so
+    ``diag(T)`` holds the real parts of the eigenvalues."""
+    return tuple(map(_read_only, spla.schur(A)))
+
+
+def _schur_eigenvalues(T):
+    """The eigenvalues of a matrix, read off the diagonal blocks of its
+    real Schur form `T` (:func:`_schur`): LAPACK's standard 2x2 block
+    ``[[a, b], [c, a]]`` holds ``a +- i sqrt(-bc)``, and outside the blocks
+    the subdiagonal is zero."""
+    w = np.sqrt(np.abs(T.diagonal(1) * T.diagonal(-1)))
+    return T.diagonal() + 1j * (np.append(w, 0.0) - np.insert(w, 0, 0.0))
+
+
+def _hurwitz_schur(A):
+    """:func:`_schur` of `A`, which must be Hurwitz: an eigenvalue of real
+    part >= 0 raises LyapunovError."""
+    T, Z = _schur(A)
+    abscissa = T.diagonal().max(initial=-np.inf)
     if abscissa >= 0.0:
         raise LyapunovError(f"coefficient has an eigenvalue of real part {abscissa:.3e} >= 0")
-    return T, U
+    return T, Z
 
 
 def _sylvester(schur, schur_r, W, trana, tranb):
@@ -261,8 +252,9 @@ def lyapunov_factor(A, B):
     """Square-root factor ``R`` (complex, n x n) with ``R R^H = P`` for the
     controllability-side equation ``A P + P A' + B B' = 0``.
 
-    Hammarling's method on the complex Schur form ``A = Z T Z^H``: the
-    upper triangular factor of ``Z^H P Z`` is found column by column from
+    Hammarling's method on the complex Schur form ``A = Z T Z^H``, which
+    ``scipy.linalg.rsf2csf`` makes from the real one (:func:`_hurwitz_schur`):
+    the upper triangular factor of ``Z^H P Z`` is found column by column from
     the last, each step one triangular solve and a rank-one update of the
     right-hand side. `P` is never formed, so the factor keeps its accuracy
     where `P` is (nearly) rank deficient, which a factorization of a
@@ -274,7 +266,7 @@ def lyapunov_factor(A, B):
         raise ValueError(f"shape mismatch: A is {A.shape}, B is {B.shape}")
     if not (np.isfinite(A).all() and np.isfinite(B).all()):
         raise ValueError("non-finite input to lyapunov_factor")
-    T, Z = _hurwitz_schur(A, output="complex")
+    T, Z = spla.rsf2csf(*_hurwitz_schur(A))
     n = A.shape[0]
     W = Z.conj().T @ B
     U = np.zeros((n, n), dtype=complex)

@@ -8,6 +8,8 @@ user would see them.
 import argparse
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -292,6 +294,31 @@ def test_simulate_rejects_channel_count_mismatch(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_simulate_refuses_steps_outside_rk4s_stability_region(tmp_path, capsys):
+    # CI's smoke system at 100 steps on [0, 5] grows its -3 +- 100i modes
+    # 21-fold a step to finite outputs of about 1e261, which a finiteness
+    # check passes; the step check refuses it as a usage error naming
+    # --steps, before anything is written
+    out = str(tmp_path / "fom")
+    main(["synth", "-n", "20", "--damping", "0.1:3.0", "--decay", "0.85",
+          "--seed", "21", "--out", out])
+    manifest = os.path.join(out, "system.manifest")
+    main(["reduce", "--system", manifest, "--method", "bt", "--order", "6",
+          "--out", str(tmp_path / "bt")])
+    rom = os.path.join(tmp_path / "bt", "rom.manifest")
+    sim = tmp_path / "sim.csv"
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--system", manifest, "--qbt", rom, "--bt", rom,
+              "--steps", "100", "--out", str(sim)])
+    assert exc.value.code == 2
+    assert ("argument --steps: step 5.000e-02 leaves RK4's stability region"
+            in capsys.readouterr().err)
+    assert not sim.exists()
+    assert main(["simulate", "--system", manifest, "--qbt", rom, "--bt", rom,
+                 "--steps", "400", "--out", str(sim)]) == 0
+
+
 def test_h2_sweep_over_node_counts(tmp_path):
     manifest = _synth(tmp_path, n=4)
     out = str(tmp_path / "sweep.csv")
@@ -386,6 +413,37 @@ def test_freq_domain_size_guard(tmp_path, capsys):
         assert exc.value.code == 2
         assert f"argument {flag}: " in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_refused_node_counts_cost_no_gramians(tmp_path, capsys, monkeypatch):
+    # hsv asks the data route before the intrusive reference, and a node
+    # sweep reduces every count before its BT error, so a refused count
+    # solves no Lyapunov equation
+    def uncalled(*args, **kwargs):
+        raise AssertionError("intrusive reference computed before the refusal")
+
+    monkeypatch.setattr(cli, "compute_gramians", uncalled)
+    monkeypatch.setattr(cli, "intrusive_bt", uncalled)
+    manifest = _synth(tmp_path, n=4)
+    for argv in (["hsv", "--domain", "freq", "--np", "600"],
+                 ["h2-sweep", "--domain", "freq", "--nodes", "10,600", "--order", "2"]):
+        out = tmp_path / argv[0]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--system", manifest, "--out", str(out)])
+        assert exc.value.code == 2
+        assert "argument --" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_cli_import_leaves_matrix_market_io_unloaded():
+    # scipy.io is imported by save_system and load_system, where the
+    # Matrix Market files are read and written; it costs every process
+    # that loads it about 45 ms
+    code = "import sys, lqobt.cli; print('scipy.io' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_reduce_freq_size_guard_names_a_flag_reduce_accepts(tmp_path, capsys):

@@ -22,11 +22,12 @@ from lqobt import (
     lqo_qbt_auto,
     save_system,
     select_channels,
+    synthesize_system,
 )
 from lqobt import databt, model
 from lqobt.databt import lqo_qbt_streamed
-from lqobt.errors import FrequencyCollisionError
-from lqobt.numcore import expm
+from lqobt.errors import FrequencyCollisionError, StepSizeError
+from lqobt.numcore import _schur_eigenvalues, expm
 
 
 # --------------------------------------------------------- construction
@@ -69,6 +70,36 @@ def test_constructor_stability_check():
     sys_ = LqoSystem([[1.0]], [1.0], [1.0], [np.eye(1)])
     assert not sys_.is_stable
     assert sys_.spectral_abscissa() == 1.0
+
+
+@pytest.mark.parametrize("kind", ["complex pairs", "real", "unstable"])
+def test_stability_queries_read_the_kept_schur_form(kind, monkeypatch):
+    # the diagonal of the real Schur form holds the real parts of the
+    # eigenvalues, each 2x2 block in LAPACK's standard form, so the
+    # queries need no eigenvalue solve; its blocks give the eigenvalues
+    rng = np.random.default_rng(["complex pairs", "real", "unstable"].index(kind))
+    blocks = 0
+    for _ in range(20):
+        n = int(rng.integers(1, 16))
+        G = rng.standard_normal((n, n)) / np.sqrt(n)
+        if kind == "real":  # a non-normal matrix with real eigenvalues
+            Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+            G = Q @ np.triu(G) @ Q.T
+        shift = rng.uniform(0.3, 1.0) * (1 if kind == "unstable" else -1)
+        A = G - (np.linalg.eigvals(G).real.max() - shift) * np.eye(n)
+        want = np.linalg.eigvals(A)
+        sys_ = LqoSystem(A, np.ones(n), np.ones(n), [np.eye(n)])
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "eigvals", None)
+            assert abs(sys_.spectral_abscissa() - want.real.max()) <= 1e-12 * abs(A).max()
+            assert sys_.is_stable == (kind != "unstable")
+        T, Z = sys_.schur
+        assert sys_.schur is sys_.schur and not (T.flags.writeable or Z.flags.writeable)
+        got = _schur_eigenvalues(T)
+        gap = np.abs(np.subtract.outer(got, want))
+        assert max(gap.min(axis=0).max(), gap.min(axis=1).max()) <= 1e-10 * abs(A).max()
+        blocks += np.count_nonzero(T.diagonal(-1))
+    assert (blocks > 0) == (kind != "real")
 
 
 def test_system_matrices_are_frozen():
@@ -480,6 +511,27 @@ def test_simulate_step_doubling_shows_fourth_order():
         errs.append(abs(got - ref))
     ratio = errs[0] / errs[1]
     assert 14.0 <= ratio <= 18.0
+
+
+def test_simulate_refuses_a_step_outside_rk4s_stability_region():
+    # RK4 multiplies a mode of eigenvalue lam by R(h lam) a step, with
+    # R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24; on the negative real axis
+    # |R| <= 1 up to h |lam| = 2.7853
+    decay = LqoSystem([[-1.0]], [1.0], [1.0], [np.eye(1)])
+    decay.simulate(lambda t: 1.0, [0.0, 2.78, 5.56])
+    with pytest.raises(StepSizeError, match="leaves RK4's stability region"):
+        decay.simulate(lambda t: 1.0, [0.0, 2.78, 5.57])
+    # a growing mode grows in fact, so no step is refused for it
+    LqoSystem([[1.0]], [1.0], [1.0], [np.eye(1)]).simulate(lambda t: 0.0, [0.0, 5.0])
+    # the smoke system's fastest modes are -3 +- 100i: a 2x2 block of its
+    # Schur form, whose diagonal alone (-0.15 at h = 0.05) passes. At 100
+    # steps on [0, 5] they grow 21-fold a step, to outputs that are finite
+    # but meaningless; at 400 steps they decay
+    sys_ = synthesize_system(20, damping=(0.1, 3.0), gain_decay=0.85, seed=21)
+    with pytest.raises(StepSizeError, match="by 20.98 a step") as exc:
+        sys_.simulate(np.sin, np.linspace(0.0, 5.0, 101))
+    assert isinstance(exc.value, ValueError)
+    assert np.isfinite(sys_.simulate(np.sin, np.linspace(0.0, 5.0, 401)).outputs).all()
 
 
 def test_simulate_validates_inputs():
