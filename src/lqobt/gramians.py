@@ -1,4 +1,5 @@
-"""System Gramians, Hankel singular values and intrusive balanced truncation.
+"""System Gramians, Hankel singular values, intrusive balanced truncation
+and the H2-type norm and error.
 
 The observability Gramian of a quadratic-output system splits into a linear
 part (driven by ``C'C``) and a quadratic part (driven by ``M_q P M_q``, one
@@ -12,12 +13,11 @@ import weakref
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .databt import DataMatrices, reduce_from_matrices
 from .errors import UnstableSystemError
-from .numcore import (_read_only, _sylvester, lyapunov_factor, psd_sqrt_factor,
-                      solve_lyapunov, svd)
+from .numcore import (_complex_schur, _hammarling, _read_only, _sylvester,
+                      psd_sqrt_factor, solve_lyapunov, svd)
 
 __all__ = [
     "Gramians",
@@ -41,10 +41,11 @@ class Gramians:
 
     The square-root factors ``U``, ``L1``, ``L2`` of ``P``, ``Q1``, ``Q2``,
     ``L = [L1, L2]`` (so ``L L' = Q``) and :attr:`hankel`, the SVD of
-    ``L'U``, are computed on first use and kept, so a system that is only
-    scored by :func:`h2_error` is never factored, and every
+    ``L'U``, are computed on first use and kept, so every
     :func:`intrusive_bt` of an order sweep shares one SVD. Every array is
     read-only and the instance is frozen, so nothing kept can go stale.
+    :func:`h2_error` reads no Gramians: a model it scores needs none, and
+    the full model's part is Hammarling's factor (:class:`_ErrorFactor`).
     """
 
     P: np.ndarray
@@ -160,62 +161,89 @@ def h2_norm(sys, gramians=None):
     quadratic kernels summed over channels.
 
     ``Q`` comes from `gramians`, by default ``compute_gramians(sys)``, the
-    record that :func:`h2_error` also reads.
+    record that :func:`intrusive_bt` also reads.
     """
     Q = (compute_gramians(sys) if gramians is None else gramians).Q
     val = np.trace(sys.B.T @ Q @ sys.B)
     return float(np.sqrt(max(val, 0.0)))
 
 
+@dataclass(frozen=True)
+class _ErrorFactor:
+    """The full model's part of Hammarling's recursion on every error
+    system it is scored in (:func:`h2_error`), all read-only: on its complex
+    Schur form ``A = Z T Z^H`` (:func:`~lqobt.numcore._complex_schur` of
+    the system's own real form), :func:`~lqobt.numcore._hammarling` of
+    ``(T, Z^H B)`` gives the factor ``U`` and the rows ``V`` (``alpha_k
+    w_k``). Kept: ``S = diag(T) - triu(V V^H, 1)``, whose conjugate
+    transpose couples the reduced rows of the full model's columns;
+    ``V``; ``CU = C Z U``; and ``K_q = U^H Z^H M_q Z U``."""
+
+    S: np.ndarray
+    V: np.ndarray
+    CU: np.ndarray
+    K: tuple
+
+
+# each system's _ErrorFactor, dropped with the system, as _RECORDS is
+_ERROR_FACTORS = weakref.WeakKeyDictionary()
+
+
+def _error_factor(sys):
+    if sys not in _ERROR_FACTORS:
+        _require_stable(sys)
+        T, Z = _complex_schur(*sys.schur)
+        U, V = _hammarling(T, Z.conj().T @ sys.B)
+        ZU = Z @ U
+        S = np.diag(T.diagonal()) - np.triu(V @ V.conj().T, 1)
+        K = tuple(_read_only(ZU.conj().T @ M @ ZU) for M in sys.Ms)
+        _ERROR_FACTORS[sys] = _ErrorFactor(*map(_read_only, (S, V, sys.C @ ZU)), K)
+    return _ERROR_FACTORS[sys]
+
+
 def h2_error(sys, rom):
     """H2-type norm of the difference system between `sys` and `rom`.
 
-    The difference system has dynamics ``diag(A, A_r)``, stacked inputs,
-    outputs ``[C, -C_r]`` and quadratic terms ``diag(M_q, -M_r,q)``. Its
-    Gramians are never formed whole: with ``X`` and ``K`` the n x r cross
-    blocks of its controllability and observability Gramians,
+    The difference system has dynamics ``diag(A_r, A)``, stacked inputs,
+    outputs ``[-C_r, C]`` and quadratic terms ``diag(-M_r,q, M_q)``. With
+    ``R R^H`` its controllability Gramian, the squared error is the sum of
+    squares ``||C_e R||_F^2 + sum_q ||R^H M_e,q R||_F^2``, which resolves
+    errors down to about ``eps ||sys||``: nothing cancels. ``R`` is
+    Hammarling's factor on the complex Schur forms ``(T_r, Z_r)`` of
+    ``A_r`` and ``(T, Z)`` of ``A``, with the reduced states first, so it
+    is ``[[R_r, X], [0, U]]`` in those coordinates:
 
-    * ``A X + X A_r' + B B_r' = 0``,
-    * ``A' K + K A_r - C'C_r - sum_q M_q X M_r,q = 0``,
+    * ``U`` and the rows ``V`` that its recursion consumed depend on `sys`
+      alone and are kept once per system object (:class:`_ErrorFactor`);
+    * ``X`` (r x n) solves ``T_r X + X S^H + Z_r^H B_r V^H = 0``;
+    * ``Y = R_r R_r^H`` solves ``T_r Y + Y T_r^H + W W^H = 0`` with the
+      input left over, ``W = Z_r^H B_r - X V``.
 
-    and the squared error is
-    ``trace(B'QB) + 2 trace(B'K B_r) + trace(B_r'Q_r B_r)``. That sum
-    cancels, so its round-off is about ``eps ||sys||^2``; when it falls
-    below ``1e-12 trace(B'QB)`` (an error under 1e-6 of the norm, such as a
-    reduced model that only changes coordinates) the error is taken instead
-    from a square-root factor ``R = [R_1; R_2]`` of the difference system's
-    controllability Gramian as the sum of squares
-    ``||C R_1 - C_r R_2||_F^2 + sum_q ||R_1^H M_q R_1 - R_2^H M_r,q R_2||_F^2``,
-    which resolves errors down to about ``eps ||sys||``.
-
-    ``Q`` and ``Q_r`` come from :func:`compute_gramians`, which keeps them
-    per system object, and :func:`~lqobt.numcore._sylvester` solves both
-    Sylvester equations (the second through its transpose flags) on the
-    real Schur forms that `sys` and `rom` keep
-    (:attr:`~lqobt.model.LqoSystem.schur`): scoring several ROMs against
-    one `sys` (an order sweep) solves and factors the full model once.
+    Then, with ``C~_r = C_r Z_r`` and ``M~_r,q = Z_r^H M_r,q Z_r``,
+    ``err^2 = ||CU - C~_r X||^2 + tr(C~_r Y C~_r^H) + sum_q (||K_q -
+    X^H M~_r,q X||^2 + tr(M~_r,q Y M~_r,q Y) + 2 tr(X^H M~_r,q Y M~_r,q X))``,
+    every term nonnegative. Both solves go through
+    :func:`~lqobt.numcore._sylvester`. So scoring several ROMs against one
+    `sys` (an order sweep) runs the full model's recursion once, and a
+    scored ROM needs no Gramians of its own: the complex form of its kept
+    real Schur form, one r x n and one r x r triangular solve.
 
     Raises :class:`~lqobt.errors.UnstableSystemError` if `sys` or `rom` is
     unstable; data-driven reduction can produce an unstable `rom`.
     """
     if (sys.m, sys.p) != (rom.m, rom.p):
-        raise ValueError(
-            f"input/output dimensions differ: ({sys.m}, {sys.p}) vs "
-            f"({rom.m}, {rom.p})"
-        )
+        raise ValueError(f"input/output dimensions differ: {sys.m, sys.p} vs {rom.m, rom.p}")
     _require_stable(rom, "reduced model")
-    g, gr = compute_gramians(sys), compute_gramians(rom)
-    B, Br = sys.B, rom.B
-    X = _sylvester(sys.schur, rom.schur, B @ Br.T, "N", "T")
-    W = -sys.C.T @ rom.C - sum(M @ X @ Mr for M, Mr in zip(sys.Ms, rom.Ms))
-    K = _sylvester(sys.schur, rom.schur, W, "T", "N")
-    full = np.trace(B.T @ g.Q @ B)
-    val = full + 2.0 * np.trace(B.T @ K @ Br) + np.trace(Br.T @ gr.Q @ Br)
-    if val <= 1e-12 * full:
-        R = lyapunov_factor(block_diag(sys.A, rom.A), np.vstack([B, Br]))
-        R1, R2 = R[: sys.n], R[sys.n:]
-        val = np.linalg.norm(sys.C @ R1 - rom.C @ R2) ** 2 + sum(
-            np.linalg.norm(R1.conj().T @ M @ R1 - R2.conj().T @ Mr @ R2) ** 2
-            for M, Mr in zip(sys.Ms, rom.Ms)
-        )
-    return float(np.sqrt(max(val, 0.0)))
+    f = _error_factor(sys)
+    Tr, Zr = _complex_schur(*rom.schur)
+    W = Zr.conj().T @ rom.B
+    X = _sylvester(Tr, f.S, W @ f.V.conj().T, "N", "C")
+    W = W - X @ f.V
+    Y = _sylvester(Tr, Tr, W @ W.conj().T, "N", "C")
+    Cr = rom.C @ Zr
+    val = np.linalg.norm(f.CU - Cr @ X) ** 2 + np.vdot(Cr, Cr @ Y)
+    for K, Mr in zip(f.K, (Zr.conj().T @ M @ Zr for M in rom.Ms)):
+        MX, MY = Mr @ X, Mr @ Y
+        val += (np.linalg.norm(K - X.conj().T @ MX) ** 2 + np.sum(MY * MY.T)
+                + 2 * np.vdot(MX, Y @ MX))
+    return float(np.sqrt(max(val.real, 0.0)))

@@ -143,7 +143,8 @@ class LqoSystem:
         """The real Schur form ``(T, Z)`` of ``A = Z T Z'``
         (:func:`lqobt.numcore._schur`), read-only, made on first use and
         kept: the stability queries, :meth:`simulate`'s step check and
-        :func:`~lqobt.gramians.h2_error`'s Sylvester solves all read it."""
+        :func:`~lqobt.gramians.h2_error` (through the complex form that
+        :func:`lqobt.numcore._complex_schur` makes of it) all read it."""
         return _schur(self.A)
 
     def spectral_abscissa(self):

@@ -2,18 +2,21 @@
 
 Thin, contract-checked wrappers around LAPACK-backed routines, including
 one Schur factorization, :func:`_schur`, whose real form every
-Lyapunov and Sylvester solve and every stability query reads; one
-Schur-form Sylvester solve, :func:`_sylvester`, which the
-Bartels-Stewart Lyapunov solver :func:`solve_lyapunov` and
-:func:`lqobt.gramians.h2_error` (on the Schur forms its systems keep)
-both call; and a Hammarling square-root Lyapunov factor. Everything
-operates on plain numpy arrays. The package's one SVD, :func:`svd`, a
-seeded range finder that returns the leading triplets, and the matrix
-exponential, which the time-domain samplers call at every node, run in
-numpy's BLAS and LAPACK alone; the intrusive kernels also call scipy's
-(Schur forms and ``trsyl``). :func:`_read_only` is the package's one
-rule for an array it keeps, and :func:`_real` its one check that a
-system or rule is real.
+Lyapunov and Sylvester solve and every stability query reads, and whose
+complex form :func:`_complex_schur` makes from it without another
+factorization; one triangular Sylvester solve, :func:`_sylvester`, real
+or complex, which the Bartels-Stewart Lyapunov solver
+:func:`solve_lyapunov` and :func:`lqobt.gramians.h2_error` (on the Schur
+forms its systems keep) both call; and one Hammarling recursion,
+:func:`_hammarling`, which gives the square-root Lyapunov factor
+:func:`lyapunov_factor` and each scored system's part of an H2 error.
+Everything operates on plain numpy arrays. The package's one SVD,
+:func:`svd`, a seeded range finder that returns the leading triplets, and
+the matrix exponential, which the time-domain samplers call at every
+node, run in numpy's BLAS and LAPACK alone; the intrusive kernels also
+call scipy's (Schur forms, ``trsyl`` and ``trtrs``). :func:`_read_only`
+is the package's one rule for an array it keeps, and :func:`_real` its
+one check that a system or rule is real.
 """
 
 import math
@@ -24,7 +27,8 @@ import scipy.linalg as spla
 
 from .errors import IndefiniteMatrixError, LyapunovError
 
-# lyapunov_factor and psd_sqrt_factor serve lqobt.gramians only
+# not exported: psd_sqrt_factor serves lqobt.gramians, and lyapunov_factor,
+# a whole system's factor, serves the tests as an oracle
 __all__ = ["expm", "solve_lyapunov", "svd", "SvdResult"]
 
 # psd_sqrt_factor: relative eigenvalue cut of the factor's rank, and the
@@ -207,30 +211,45 @@ def _hurwitz_schur(A):
     return T, Z
 
 
-def _sylvester(schur, schur_r, W, trana, tranb):
-    """``X`` with ``op(A) X + X op(A_r) + W = 0`` from the real Schur forms
-    ``schur = (T, Z)`` of ``A = Z T Z'`` and ``schur_r = (T_r, Z_r)`` of
-    ``A_r = Z_r T_r Z_r'``, ``op`` transposing where the flag is ``"T"``:
-    LAPACK ``trsyl`` solves ``op(T) Y + Y op(T_r) = -Z' W Z_r`` by back
-    substitution, and ``X = Z Y Z_r'``. The package's one Sylvester solve.
-    Raises :class:`~lqobt.errors.LyapunovError` when ``trsyl`` reports that
-    eigenvalues of ``op(T)`` and ``-op(T_r)`` nearly coincide."""
-    (T, Z), (Tr, Zr) = schur, schur_r
-    Y = -(Z.T @ W @ Zr)
-    if Y.size:
-        Y, scale, info = spla.lapack.dtrsyl(T, Tr, Y, trana=trana, tranb=tranb)
-        if info != 0:
-            raise LyapunovError(f"trsyl failed (info={info}): eigenvalues nearly cancel")
-        Y = Y / scale
-    return Z @ Y @ Zr.T
+def _complex_schur(T, Z):
+    """The complex Schur form ``(T_c, Z_c)`` of ``A = Z T Z'``, made from
+    the real one (:func:`_schur`) with no further factorization: LAPACK's
+    standard 2x2 block ``[[a, b], [c, a]]`` is made upper triangular by the
+    unitary with columns ``[b, i w] / s`` and ``[i w, b] / s``, where
+    ``w = sqrt(-bc)`` and ``s = sqrt(b^2 - bc)``. ``A = Z_c T_c Z_c^H``,
+    and ``diag(T_c)`` is :func:`_schur_eigenvalues` of `T`."""
+    Q = np.eye(len(T), dtype=complex)
+    i = np.flatnonzero(T.diagonal(-1))
+    b, w = T[i, i + 1], np.sqrt(-T[i, i + 1] * T[i + 1, i])
+    s = np.hypot(b, w)
+    Q[i, i] = Q[i + 1, i + 1] = b / s
+    Q[i, i + 1] = Q[i + 1, i] = 1j * w / s
+    Tc = np.triu(Q.conj().T @ T @ Q)
+    np.fill_diagonal(Tc, _schur_eigenvalues(T))
+    return Tc, Z @ Q
+
+
+def _sylvester(T, Tr, W, trana, tranb):
+    """``Y`` with ``op(T) Y + Y op(Tr) + W = 0`` for upper (quasi-)triangular
+    Schur forms `T` and `Tr`, real or complex, ``op`` taking the conjugate
+    transpose where the flag is ``"C"``: LAPACK ``trsyl``'s back
+    substitution. The package's one Sylvester solve. Raises
+    :class:`~lqobt.errors.LyapunovError` when ``trsyl`` reports that
+    eigenvalues of ``op(T)`` and ``-op(Tr)`` nearly coincide."""
+    if not W.size:
+        return -W
+    Y, scale, info = spla.get_lapack_funcs("trsyl", (T, Tr, W))(T, Tr, -W, trana, tranb)
+    if info != 0:
+        raise LyapunovError(f"trsyl failed (info={info}): eigenvalues nearly cancel")
+    return Y / scale
 
 
 def solve_lyapunov(A, W):
     """Solve the observability-side Lyapunov equation ``A' X + X A + W = 0``.
 
-    Bartels-Stewart: one real Schur factorization ``A = U T U'``
+    Bartels-Stewart: one real Schur factorization ``A = Z T Z'``
     (:func:`_hurwitz_schur`) serves as both forms of :func:`_sylvester`,
-    which solves ``T' Y + Y T = -U' W U`` and returns ``U Y U'``. `A` must
+    which solves ``T' Y + Y T + Z' W Z = 0``, and ``X = Z Y Z'``. `A` must
     be Hurwitz (all eigenvalues in the open left half plane); otherwise a
     :class:`~lqobt.errors.LyapunovError` is raised. The solution is
     symmetrized on exit.
@@ -243,22 +262,48 @@ def solve_lyapunov(A, W):
         raise ValueError(f"shape mismatch: A is {A.shape}, W is {W.shape}")
     if not (np.isfinite(A).all() and np.isfinite(W).all()):
         raise ValueError("non-finite input to solve_lyapunov")
-    schur = _hurwitz_schur(A)
-    X = _sylvester(schur, schur, W, "T", "N")
+    T, Z = _hurwitz_schur(A)
+    X = Z @ _sylvester(T, T, Z.T @ W @ Z, "C", "N") @ Z.T
     return 0.5 * (X + X.T)
+
+
+def _hammarling(T, W):
+    """Hammarling's recursion (IMA J. Numer. Anal. 2, 1982) on a complex
+    upper triangular, Hurwitz `T` and an input `W`: the upper triangular
+    ``U`` with ``T U U^H + U U^H T^H + W W^H = 0``, found column by column
+    from the last, each step one triangular solve (LAPACK ``trtrs``) and a
+    rank-one update of the input rows above. Also returns ``V``, whose row
+    `k` is the input row that step `k` consumed, ``alpha_k w_k`` with
+    ``alpha_k = sqrt(-2 Re T_kk)`` and ``w_k`` of unit norm (zero where
+    the row vanished): the coupling that rows appended above `T` in a
+    block-diagonal system would see (:func:`lqobt.gramians.h2_error`)."""
+    W, U, work = W.astype(complex), np.zeros_like(T), np.array(T, order="F")
+    V, lam = np.zeros_like(W), T.diagonal()
+    for k in range(len(T) - 1, -1, -1):
+        alpha, norm = np.sqrt(-2.0 * lam[k].real), np.linalg.norm(W[k])
+        U[k, k] = norm / alpha
+        if norm == 0.0:
+            continue
+        V[k] = alpha / norm * W[k]
+        if k == 0:
+            break
+        rhs = W[:k] @ V[k].conj() + T[:k, k] * U[k, k]
+        work[range(k), range(k)] = lam[:k] + lam[k].conj()
+        U[:k, k] = -spla.lapack.ztrtrs(work[:, :k], rhs[:, None])[0][:, 0]
+        W[:k] -= np.outer(U[:k, k], V[k])
+    return U, V
 
 
 def lyapunov_factor(A, B):
     """Square-root factor ``R`` (complex, n x n) with ``R R^H = P`` for the
     controllability-side equation ``A P + P A' + B B' = 0``.
 
-    Hammarling's method on the complex Schur form ``A = Z T Z^H``, which
-    ``scipy.linalg.rsf2csf`` makes from the real one (:func:`_hurwitz_schur`):
-    the upper triangular factor of ``Z^H P Z`` is found column by column from
-    the last, each step one triangular solve and a rank-one update of the
-    right-hand side. `P` is never formed, so the factor keeps its accuracy
-    where `P` is (nearly) rank deficient, which a factorization of a
-    computed `P` cannot. `A` must be Hurwitz; otherwise a
+    Hammarling's method (:func:`_hammarling`) on the complex Schur form
+    ``A = Z T Z^H`` (:func:`_complex_schur` of :func:`_hurwitz_schur`):
+    ``R = Z U`` with ``U`` the upper triangular factor of ``Z^H P Z``.
+    `P` is never formed, so the factor keeps its accuracy where `P` is
+    (nearly) rank deficient, which a factorization of a computed `P`
+    cannot. `A` must be Hurwitz; otherwise a
     :class:`~lqobt.errors.LyapunovError` is raised.
     """
     A, B = _square(A), np.asarray(B, dtype=float)
@@ -266,23 +311,8 @@ def lyapunov_factor(A, B):
         raise ValueError(f"shape mismatch: A is {A.shape}, B is {B.shape}")
     if not (np.isfinite(A).all() and np.isfinite(B).all()):
         raise ValueError("non-finite input to lyapunov_factor")
-    T, Z = spla.rsf2csf(*_hurwitz_schur(A))
-    n = A.shape[0]
-    W = Z.conj().T @ B
-    U = np.zeros((n, n), dtype=complex)
-    for k in range(n - 1, -1, -1):
-        lam = T[k, k]
-        alpha = np.sqrt(-2.0 * lam.real)
-        norm = np.linalg.norm(W[k])
-        U[k, k] = norm / alpha
-        if k == 0 or norm == 0.0:
-            continue
-        w = W[k] / norm
-        rhs = alpha * (W[:k] @ w.conj()) + T[:k, k] * U[k, k]
-        u = -spla.solve_triangular(T[:k, :k] + np.conj(lam) * np.eye(k), rhs)
-        U[:k, k] = u
-        W[:k] -= alpha * np.outer(u, w)
-    return Z @ U
+    T, Z = _complex_schur(*_hurwitz_schur(A))
+    return Z @ _hammarling(T, Z.conj().T @ B)[0]
 
 
 def psd_sqrt_factor(X):

@@ -267,9 +267,11 @@ def exact_rom(dm, r):
 def reference_h2_error(sys_, rom):
     """H2 error from the whole (n+r) difference system: block-diagonal
     dynamics, stacked inputs, differenced outputs and ``diag(M_q, -M_r,q)``
-    quadratic terms, with its full Gramians. This is the assembly that
-    ``h2_error`` replaces by n x r cross-block solves; it is kept as the
-    oracle for them."""
+    quadratic terms, with its full Gramians, as ``h2_norm`` reads them:
+    ``sqrt(trace(B'QB))``. ``h2_error`` never assembles that system; it sums
+    squares over a Hammarling factor. This trace cancels down to the
+    error's size, so it carries round-off of about ``eps ||sys||^2``; see
+    :func:`mp_h2_errors` for a reference without it."""
     err_sys = LqoSystem(
         spla.block_diag(sys_.A, rom.A),
         np.vstack([sys_.B, rom.B]),
@@ -277,6 +279,50 @@ def reference_h2_error(sys_, rom):
         [spla.block_diag(M, -Mr) for M, Mr in zip(sys_.Ms, rom.Ms)],
     )
     return h2_norm(err_sys, compute_gramians(err_sys))
+
+
+def _mp_modal(mp, sys_, sign):
+    # eigenvalues and the eigenvector coordinates of B, sign * C and
+    # sign * M_q: A = V diag(lam) V^-1, b = V^-1 B, c = C V, m_q = V^H M_q V
+    lam, V = mp.eig(mp.matrix(sys_.A.tolist()))
+    return (list(lam), mp.inverse(V) * mp.matrix(sys_.B.tolist()),
+            sign * (mp.matrix(sys_.C.tolist()) * V),
+            [sign * (V.H * mp.matrix(M.tolist()) * V) for M in sys_.Ms])
+
+
+def mp_h2_errors(sys_, roms, dps=40):
+    """H2 errors of each model in `roms` against `sys_` at `dps` decimal
+    digits (mpmath), from one eigendecomposition of ``A`` and one of each
+    ``A_r``. The difference system is block diagonal, so in eigenvector
+    coordinates its controllability Gramian has the entries
+    ``P_ij = -b_i b_j^H / (lam_i + conj(lam_j))``, and the squared error is
+    ``tr(C P C^H) + sum_q tr(M_q P M_q P)``. That sum cancels to the
+    error's size, which 40 digits resolve: an oracle for ``h2_error`` that
+    shares no factorization with it."""
+    import mpmath as mp
+
+    errors = []
+    with mp.workdps(dps):
+        lam, b, c, ms = _mp_modal(mp, sys_, 1)
+        for rom in roms:
+            lam_r, b_r, c_r, ms_r = _mp_modal(mp, rom, -1)
+            lam_e, n, ne = lam + lam_r, sys_.n, sys_.n + rom.n
+            b_e = [b[i, :] if i < n else b_r[i - n, :] for i in range(ne)]
+            P = mp.matrix(ne, ne)
+            for i in range(ne):
+                for j in range(ne):
+                    P[i, j] = -mp.fsum(x * mp.conj(y) for x, y in zip(b_e[i], b_e[j])) / (
+                        lam_e[i] + mp.conj(lam_e[j]))
+            C = mp.matrix(sys_.p, ne)
+            C[:, :n], C[:, n:] = c, c_r
+            err2 = sum((C * P * C.H)[k, k] for k in range(sys_.p))
+            for m, m_r in zip(ms, ms_r):
+                MP = mp.matrix(ne, ne)
+                MP[:n, :] = m * P[:n, :]
+                MP[n:, :] = m_r * P[n:, :]
+                err2 += mp.fsum(MP[i, j] * MP[j, i] for i in range(ne) for j in range(ne))
+            errors.append(float(mp.sqrt(mp.re(err2))))
+    return errors
 
 
 def scalar_s1():

@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 import scipy.linalg as spla
 
-from conftest import random_stable_system, reference_h2_error, scalar_s1, tf_agree
+from conftest import (mp_h2_errors, random_stable_system, reference_h2_error, scalar_s1,
+                      tf_agree)
 from lqobt import (
     LqoSystem,
     ReducedLqoSystem,
@@ -229,9 +230,8 @@ def test_hankel_values_and_bt_past_the_sketch_width_match_an_exact_svd():
     # past order 64, L'U is wider than numcore.svd's first sketch. Its
     # resolvable values and the BT models it gives must match an exact SVD
     # of the same L'U by scipy, and the square-root projection W'AV of that
-    # SVD's factors. The H2 errors are compared up to r = 10: past it,
-    # h2_error's cancelling trace form moves them by more than 1e-6
-    # relative between two exact LAPACK drivers alone.
+    # SVD's factors. The models are compared up to r = 10, their H2
+    # errors up to r = 18.
     systems = [synthesize_system(100, damping=(0.1, 3.0), gain_decay=0.85, seed=s)
                for s in (1, 2, 3)]
     systems.append(synthesize_system(100, seed=21))  # flat decay, synth's default
@@ -245,15 +245,16 @@ def test_hankel_values_and_bt_past_the_sketch_width_match_an_exact_svd():
         rank = numcore._resolvable_rank(S)
         assert numcore._resolvable_rank(hsv) == rank
         assert np.abs(hsv[:rank] - S[:rank]).max() <= 1e-14 * S[0]
-        for r in (2, 4, 6, 10):
+        for r in (2, 4, 6, 10, 14, 18):
             scale = 1.0 / np.sqrt(S[:r])
             W, V = g.L @ Z[:, :r] * scale, g.U @ Yh[:r].T * scale
             ref = LqoSystem(W.T @ sys_.A @ V, W.T @ sys_.B, sys_.C @ V,
                             [V.T @ M @ V for M in sys_.Ms])
             rom = intrusive_bt(sys_, r, g)
-            tf_agree(ref, rom, pts, rtol=1e-9, scale_sys=sys_)
+            if r <= 10:
+                tf_agree(ref, rom, pts, rtol=1e-9, scale_sys=sys_)
             e, e_ref = h2_error(sys_, rom), h2_error(sys_, ref)
-            assert abs(e - e_ref) <= 1e-6 * e_ref
+            assert abs(e - e_ref) <= 1e-10 * e_ref, r
 
 
 @pytest.mark.parametrize("case", ["acceptance", "random"])
@@ -300,15 +301,16 @@ def test_h2_error_of_identical_copy_is_negligible():
     rng = np.random.default_rng(37)
     sys_ = random_stable_system(rng, n=6, m=2, p=2)
     copy = ReducedLqoSystem(sys_.A, sys_.B, sys_.C, list(sys_.Ms), "intrusive-bt")
-    # the trace form cancels fully here; the factored form resolves it
+    # a trace form of the squared error would cancel fully here; the sum
+    # of squares over the Hammarling factor resolves it
     assert h2_error(sys_, copy) <= 1e-12 * h2_norm(sys_)
 
 
 def test_h2_error_resolves_errors_below_sqrt_eps():
-    # The trace form of the squared error cancels to its round-off, about
-    # eps * ||sys||^2, so on its own it cannot tell errors below
-    # sqrt(eps) * ||sys|| apart. A change of coordinates has no error at
-    # all, and a perturbation dC of C alone has the closed form
+    # A trace form of the squared error cancels to its round-off, about
+    # eps * ||sys||^2, so it cannot tell errors below sqrt(eps) * ||sys||
+    # apart; h2_error's sum of squares must. A change of coordinates has
+    # no error at all, and a perturbation dC of C alone has the closed form
     # err^2 = trace(dC P dC'), as states and quadratic terms are unchanged.
     rng = np.random.default_rng(59)
     sys_ = random_stable_system(rng, n=8, m=2, p=2)
@@ -331,9 +333,19 @@ def test_h2_error_resolves_errors_below_sqrt_eps():
 
 
 def test_h2_error_against_silent_rom_equals_norm():
-    sys_ = scalar_s1()
-    rom = ReducedLqoSystem([[-1.0]], [0.0], [1.0], [np.eye(1)], "intrusive-bt")
-    assert abs(h2_error(sys_, rom) - h2_norm(sys_)) <= 1e-10
+    # a reduced model without input leaves h2_error the full model's kept
+    # Hammarling factor alone, which must give the norm that h2_norm reads
+    # off the Bartels-Stewart Q
+    systems = [
+        scalar_s1(),
+        synthesize_system(50, damping=(0.1, 3.0), gain_decay=0.85, seed=21),
+        synthesize_system(40, m=2, p=2, damping=(0.1, 3.0), gain_decay=0.85, seed=5),
+    ]
+    for sys_ in systems:
+        rom = ReducedLqoSystem([[-1.0]], np.zeros((1, sys_.m)), np.ones((sys_.p, 1)),
+                               [np.eye(1)] * sys_.p, "intrusive-bt")
+        norm = h2_norm(sys_)
+        assert abs(h2_error(sys_, rom) - norm) <= 1e-12 * norm, sys_.n
 
 
 def test_h2_error_input_validation():
@@ -341,7 +353,7 @@ def test_h2_error_input_validation():
     wrong = ReducedLqoSystem(
         -np.eye(2), np.eye(2), np.ones((1, 2)), [np.eye(2)], "intrusive-bt"
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="input/output dimensions differ"):
         h2_error(sys_, wrong)
     unstable = ReducedLqoSystem([[0.5]], [1.0], [1.0], [np.eye(1)], "time-qbt")
     with pytest.raises(UnstableSystemError):
@@ -388,61 +400,71 @@ def _counting(calls, module, name):
 
 def test_order_sweep_factors_once_and_solves_each_system_once(monkeypatch):
     # one system's record factors L'U once for all orders and solves its
-    # Gramians once for all the ROMs it scores; each scored ROM solves its
-    # own once and is never factored
+    # Gramians once; the ROMs it scores reuse its one Hammarling recursion
+    # and have no Gramians of their own
     sys_ = synthesize_system(12, damping=(0.1, 3.0), gain_decay=0.85, seed=21)
     orders = range(2, 9)
-    calls = {"svd": 0, "solve_lyapunov": 0, "psd_sqrt_factor": 0}
+    calls = {"svd": 0, "solve_lyapunov": 0, "psd_sqrt_factor": 0,
+             "compute_gramians": 0, "_hammarling": 0}
     with monkeypatch.context() as m:
         for name in calls:
             m.setattr(gramians, name, _counting(calls, gramians, name))
         compute_gramians(sys_)
         roms = [intrusive_bt(sys_, r) for r in orders]
-        assert calls == {"svd": 1, "solve_lyapunov": 3, "psd_sqrt_factor": 3}
+        assert calls == {"svd": 1, "solve_lyapunov": 3, "psd_sqrt_factor": 3,
+                         "compute_gramians": len(roms), "_hammarling": 0}
         errors = [h2_error(sys_, rom) for rom in roms]
-        h2_norm(sys_)
-        assert calls == {"svd": 1, "solve_lyapunov": 3 + 3 * len(roms),
-                         "psd_sqrt_factor": 3}
+        h2_norm(sys_)  # the one compute_gramians call past intrusive_bt's
+        assert calls == {"svd": 1, "solve_lyapunov": 3, "psd_sqrt_factor": 3,
+                         "compute_gramians": len(roms) + 1, "_hammarling": 1}
     _sweep_equals_fresh_objects(sys_, orders, roms, errors)
 
 
 def test_gramians_are_kept_once_per_system_and_cannot_change(monkeypatch):
-    # compute_gramians hands every caller the same record, so none may
-    # change it, and it lives exactly as long as its system
-    records = weakref.WeakKeyDictionary()
+    # compute_gramians hands every caller the same record, and h2_error
+    # every ROM the same part of the full model's Hammarling recursion, so
+    # none may change them, and they live exactly as long as their system
+    records, factors = weakref.WeakKeyDictionary(), weakref.WeakKeyDictionary()
     monkeypatch.setattr(gramians, "_RECORDS", records)
-    sys_ = scalar_s1()
+    monkeypatch.setattr(gramians, "_ERROR_FACTORS", factors)
+    sys_ = synthesize_system(4, m=2, p=2, seed=21)
     g = compute_gramians(sys_)
     assert compute_gramians(sys_) is g
     assert compute_gramians(_twin(sys_)) is not g
-    intrusive_bt(sys_, 1)
+    rom = intrusive_bt(sys_, 2)
+    h2_error(sys_, rom)
+    f = factors[sys_]
+    h2_error(sys_, intrusive_bt(sys_, 3))
+    assert factors[sys_] is f
+    assert rom not in records and rom not in factors  # a scored ROM keeps nothing
     T, Z = sys_.schur  # the system's one Schur form, which h2_error reads
     assert sys_.schur is sys_.schur
     for X in (g.P, g.Q1, g.Q2, g.Q, T, Z, g.U, g.L1, g.L2, g.L,
-              g.hankel.Z, g.hankel.S, g.hankel.Y):
+              g.hankel.Z, g.hankel.S, g.hankel.Y, f.S, f.V, f.CU, *f.K):
         with pytest.raises(ValueError):
             X[0, ...] = 1.0
-    for name in ("P", "Q", "L", "hankel"):
+    for rec, name in ((g, "P"), (g, "Q"), (g, "L"), (g, "hankel"), (f, "S"), (f, "K")):
         with pytest.raises(FrozenInstanceError):
-            setattr(g, name, None)
-    del sys_, g, T, Z
+            setattr(rec, name, None)
+    del sys_, g, f, T, Z
     gc.collect()
-    assert len(records) == 0
+    assert len(records) == 0 and len(factors) == 0
     # a failed stability check stores nothing
-    unstable = LqoSystem([[0.5]], [1.0], [1.0], [np.eye(1)])
+    unstable = LqoSystem([[0.5]], np.ones((1, 2)), np.ones((2, 1)), [np.eye(1)] * 2)
     with pytest.raises(UnstableSystemError):
         h2_norm(unstable)
-    assert len(records) == 0
+    with pytest.raises(UnstableSystemError):
+        h2_error(unstable, rom)
+    assert len(records) == 0 and len(factors) == 0
 
 
 def test_order_sweep_schur_forms_of_a_do_not_grow_with_orders(monkeypatch):
-    # Bartels-Stewart needs one Schur form per coefficient; the system
-    # keeps its own, which decides its stability and serves every
-    # Sylvester solve of h2_error, so an order sweep makes 4 real Schur
-    # forms of A (that one and one in each of compute_gramians' three
-    # solve_lyapunov calls) at 7 orders as at 2, each ROM's own on top,
-    # and no eigenvalue solve; two fresh Schur forms per error made it
-    # 5 + 2 * orders, and the stability query solved for eigenvalues
+    # Bartels-Stewart needs one Schur form per coefficient; each system
+    # keeps its own real one, which decides its stability and whose
+    # complex form h2_error makes without another factorization. So an
+    # order sweep makes 4 real Schur forms of A (the kept one and one in
+    # each of compute_gramians' three solve_lyapunov calls) and one of each
+    # scored ROM, and no eigenvalue solve.
     n = 12
     original = spla.schur
     shapes = []
@@ -456,29 +478,30 @@ def test_order_sweep_schur_forms_of_a_do_not_grow_with_orders(monkeypatch):
 
     monkeypatch.setattr(spla, "schur", spy)
     monkeypatch.setattr(np.linalg, "eigvals", no_eigvals)
-    counts = []
     for n_orders in (2, 7):
         shapes.clear()
         sys_ = synthesize_system(n, damping=(0.1, 3.0), gain_decay=0.85, seed=21)
         g = compute_gramians(sys_)
         for r in range(2, 2 + n_orders):
             h2_error(sys_, intrusive_bt(sys_, r, gramians=g))
-        counts.append(shapes.count((n, n)))
-    assert counts == [4, 4], counts
+        assert shapes.count((n, n)) == 4, shapes
+        assert len(shapes) == 4 + n_orders, shapes
 
 
 @pytest.mark.parametrize("case", ["acceptance", "mimo", "linear"])
 def test_h2_error_matches_assembled_error_system(case):
-    # The error is the square root of a trace that cancels down to the
-    # error's size, and both forms carry round-off of order eps * ||sys||^2
-    # in that trace. So agreement is bounded on the squared error, scaled by
-    # the squared norm of the full model. A 1e-12 bound relative to the
-    # error itself cannot hold: on the acceptance system the forms already
-    # differ by 6e-9 of the error at r=18. The synthesized systems' errors
-    # stay above 3e-4 of their norms, so there the error itself agrees to
-    # 1e-10 of the norm. The random linear system's errors fall to 1e-7 of
-    # its norm (its numerical rank is 11), and near such an error round-off
-    # alone moves either form by up to sqrt(eps) of the norm.
+    # The assembled reference is the square root of a trace, tr(B'QB) of
+    # the whole difference system, that cancels down to the error's size,
+    # so it carries round-off of order eps * ||sys||^2 in the squared error;
+    # h2_error's sum of squares does not cancel. So agreement is bounded on
+    # the squared error, scaled by the squared norm of the full model: a
+    # 1e-12 bound relative to the error itself would test the reference's
+    # round-off (test_h2_error_matches_a_40_digit_reference holds h2_error
+    # to that). The synthesized systems' errors stay above 3e-4 of their
+    # norms, so there the error itself agrees to 1e-10 of the norm. The
+    # random linear system's errors fall to 1e-7 of its norm (its numerical
+    # rank is 11), and near such an error the trace's round-off alone moves
+    # the reference by up to sqrt(eps) of the norm.
     if case == "acceptance":
         sys_ = synthesize_system(50, damping=(0.1, 3.0), gain_decay=0.85, seed=21)
     elif case == "mimo":
@@ -495,3 +518,15 @@ def test_h2_error_matches_assembled_error_system(case):
         assert abs(got**2 - want**2) <= 1e-12 * norm**2, r
         if case != "linear":
             assert abs(got - want) <= 1e-10 * norm, r
+
+
+def test_h2_error_matches_a_40_digit_reference():
+    # the reference eigendecomposes A and each A_r at 40 digits, so its
+    # cancelling trace is exact to double precision; a trace form in double
+    # precision is off by up to 2.2e-9 of the error on these models
+    sys_ = synthesize_system(12, damping=(0.1, 3.0), gain_decay=0.85, seed=3)
+    g = compute_gramians(sys_)
+    orders = range(2, 11)
+    roms = [intrusive_bt(sys_, r, g) for r in orders]
+    for r, rom, want in zip(orders, roms, mp_h2_errors(sys_, roms)):
+        assert abs(h2_error(sys_, rom) - want) <= 1e-12 * want, r

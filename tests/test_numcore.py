@@ -117,9 +117,9 @@ def test_expm_semigroup_property():
 
 
 def test_expm_rejects_bad_input():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="expected a square matrix"):
         expm(np.ones((2, 3)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="non-finite input to expm"):
         expm(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
@@ -180,9 +180,9 @@ def test_lyapunov_imaginary_axis_pair_fails():
 
 
 def test_lyapunov_shape_errors():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="expected a square matrix"):
         solve_lyapunov(np.ones((2, 3)), np.eye(2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="shape mismatch"):
         solve_lyapunov(-np.eye(2), np.eye(3))
     with pytest.raises(ValueError, match="non-finite input to solve_lyapunov"):
         solve_lyapunov(-np.eye(2), np.diag([1.0, np.nan]))
@@ -198,10 +198,35 @@ def test_sylvester_raises_when_eigenvalues_cancel():
     # -A, so the Sylvester operator is singular and trsyl reports it
     A = _hurwitz(np.random.default_rng(5), 4)
     with pytest.raises(LyapunovError, match="nearly cancel"):
-        numcore._sylvester(spla.schur(A), spla.schur(-A), np.eye(4), "N", "N")
+        numcore._sylvester(spla.schur(A)[0], spla.schur(-A)[0], np.eye(4), "N", "N")
 
 
-# ------------------------------------------------------ lyapunov_factor
+# ----------------------------------------- complex Schur form, lyapunov_factor
+
+
+@pytest.mark.parametrize("spectrum", ["real", "mixed", "scalar"])
+def test_complex_schur_form_from_the_real_one(spectrum):
+    # the unitary of each standard 2x2 block makes the real form upper
+    # triangular with the block's eigenvalues on the diagonal, and no
+    # other factorization is made
+    rng = np.random.default_rng(61)
+    if spectrum == "real":
+        Q = np.linalg.qr(rng.standard_normal((7, 7)))[0]
+        A = Q @ np.triu(rng.standard_normal((7, 7))) @ Q.T
+    elif spectrum == "mixed":
+        A = rng.standard_normal((9, 9))
+    else:
+        A = np.array([[-2.5]])
+    T, Z = numcore._schur(A)
+    blocks = np.count_nonzero(T.diagonal(-1))
+    assert (blocks > 0) == (spectrum == "mixed")
+    Tc, Zc = numcore._complex_schur(T, Z)
+    n = A.shape[0]
+    assert np.array_equal(Tc, np.triu(Tc))
+    assert np.abs(Zc.conj().T @ Zc - np.eye(n)).max() <= 1e-14 * n
+    assert np.abs(Zc @ Tc @ Zc.conj().T - A).max() <= 1e-13 * np.linalg.norm(A, 2)
+    assert np.array_equal(Tc.diagonal(), numcore._schur_eigenvalues(T))
+    assert np.count_nonzero(Tc.diagonal().imag) == 2 * blocks
 
 
 def _hurwitz(rng, n):
@@ -244,11 +269,11 @@ def test_lyapunov_factor_keeps_rank_deficient_directions_exact():
 
 
 def test_lyapunov_factor_rejects_bad_input():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="expected a square matrix"):
         lyapunov_factor(np.ones((3, 2)), np.ones((3, 1)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="shape mismatch"):
         lyapunov_factor(-np.eye(3), np.ones((2, 1)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="non-finite input to lyapunov_factor"):
         lyapunov_factor(-np.eye(2), np.full((2, 1), np.nan))
     with pytest.raises(LyapunovError):
         lyapunov_factor(np.diag([-1.0, 0.5]), np.ones((2, 1)))
