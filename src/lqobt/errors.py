@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+:class:`OrderError` and :class:`NodeCountError` are the two that the
+command line turns into usage errors naming a flag: the computation, not
+the flag's parser, finds them.
+"""
 
 __all__ = [
     "LyapunovError",
@@ -7,7 +12,6 @@ __all__ = [
     "FrequencyCollisionError",
     "OrderError",
     "NodeCountError",
-    "StepSizeError",
 ]
 
 
@@ -46,9 +50,3 @@ class NodeCountError(ValueError):
     admits; raised after one ``tf1`` sample, which gives the channel
     counts, and before the O(N) ``tf1`` and O(N^2) ``tf2_grid`` samples."""
 
-
-class StepSizeError(ValueError):
-    """A step of a simulation grid leaves RK4's stability region: at some
-    eigenvalue ``lam`` of ``A`` with ``Re lam < 0``, the step's
-    amplification ``|1 + z + z^2/2 + z^3/6 + z^4/24|`` at ``z = h lam``
-    exceeds 1, so RK4 would grow a decaying mode without bound."""

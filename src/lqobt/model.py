@@ -9,10 +9,10 @@ with ``A`` of order n, ``B`` n-by-m, ``C`` p-by-n and one symmetric ``M_q``
 per output channel. The class exposes the sampler interface (the kernel
 grids ``h1_grid``, ``dh1_grid``, ``h2_grid`` and ``dh2_grid`` and the
 transfer functions ``tf1`` and ``tf2_grid``), which is all the data-driven
-reduction layer is allowed to see, plus a fixed-step RK4 simulator, which
-refuses a step outside RK4's stability region, and the stability queries,
-which read the system's kept real Schur form. Matrix Market files persist
-a system.
+reduction layer is allowed to see, plus a simulator that advances the state
+exactly between grid points, with one matrix exponential per distinct step
+size, and the stability queries, which read the system's kept real Schur
+form. Matrix Market files persist a system.
 """
 
 import functools
@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FrequencyCollisionError, StepSizeError
-from .numcore import _read_only, _real, _schur, _schur_eigenvalues, expm
+from .errors import FrequencyCollisionError
+from .numcore import _read_only, _real, _schur, expm
 
 __all__ = [
     "LqoSystem",
@@ -37,6 +37,10 @@ __all__ = [
 # about 50,000 nodes (16 MB at N=800), so a collection evicts nothing it
 # would reuse.
 _CACHE_BYTES = 2**30
+
+# The scaled Taylor coefficients h^k u^(k)(t), k = 0..3, of the cubic
+# through an input's values at t, t + h/3, t + 2h/3 and t + h
+_CUBIC = np.linalg.inv(np.vander(np.arange(4) / 3.0, increasing=True) / [1, 1, 2, 6])
 
 
 def _node_exp(A, t):
@@ -58,8 +62,8 @@ class LqoSystem:
 
     It exposes the sampler interface that the data-driven routes read
     (:meth:`h1_grid`, :meth:`dh1_grid`, :meth:`h2_grid`, :meth:`dh2_grid`,
-    :meth:`tf1` and :meth:`tf2_grid`), the RK4 simulator :meth:`simulate`
-    and the stability queries :meth:`spectral_abscissa` and
+    :meth:`tf1` and :meth:`tf2_grid`), the exact-propagation simulator
+    :meth:`simulate` and the stability queries :meth:`spectral_abscissa` and
     :attr:`is_stable`, which read the system's one real Schur form
     :attr:`schur`.
 
@@ -142,9 +146,9 @@ class LqoSystem:
     def schur(self):
         """The real Schur form ``(T, Z)`` of ``A = Z T Z'``
         (:func:`lqobt.numcore._schur`), read-only, made on first use and
-        kept: the stability queries, :meth:`simulate`'s step check and
-        :func:`~lqobt.gramians.h2_error` (through the complex form that
-        :func:`lqobt.numcore._complex_schur` makes of it) all read it."""
+        kept: the stability queries and :func:`~lqobt.gramians.h2_error`
+        (through the complex form that :func:`lqobt.numcore._complex_schur`
+        makes of it) read it."""
         return _schur(self.A)
 
     def spectral_abscissa(self):
@@ -278,17 +282,34 @@ class LqoSystem:
     # -- simulation -----------------------------------------------------------
 
     def simulate(self, u, times, x0=None):
-        """Integrate the state equation with the classical fixed-step
-        Runge-Kutta scheme of order four and evaluate both output terms.
+        """Advance the state exactly between the grid points, under the
+        cubic interpolant of the input on each step, and evaluate both
+        output terms.
+
+        On a step ``[t, t + h]`` the input is the cubic through its values
+        at ``t``, ``t + h/3``, ``t + 2h/3`` and ``t + h``; one constant 4x4
+        matrix turns those values into the cubic's scaled Taylor
+        coefficients ``h^k u^(k)(t)``, k = 0..3. The state and those
+        coefficients solve a linear system of order ``n + 4m`` (Van Loan,
+        IEEE TAC 1978), so a step is one product with ``exp(h G)``,
+        ``G = [[A, B, 0, 0, 0], [0, 0, I, 0, 0], [0, 0, 0, I, 0],
+        [0, 0, 0, 0, I], [0]]``, taken in the scaled coordinates. The
+        method is exact for the homogeneous part and for cubic inputs, and
+        stable at every step when ``A`` is Hurwitz, so the grid may be as
+        coarse as the input allows. It costs one
+        :func:`~lqobt.numcore.expm` of order ``n + 4m`` per distinct step
+        size (13 on a 2,000-step ``np.linspace`` grid, whose steps differ
+        in their last bits), so a grid whose steps all differ costs one
+        exponential a step.
 
         Parameters
         ----------
         u
             Input signal, a callable ``t -> array of shape (m,)`` (a scalar
-            return value is accepted for single-input systems).
+            return value is accepted for single-input systems), called
+            three times a step.
         times
-            Strictly increasing sample grid; one RK4 step is taken per
-            interval.
+            Strictly increasing, finite sample grid.
         x0
             Initial state, default zero.
 
@@ -296,57 +317,52 @@ class LqoSystem:
         -------
         :class:`Trajectory`
 
-        Raises :class:`~lqobt.errors.StepSizeError` before the first step
-        when a step ``h`` of the grid leaves RK4's stability region: when
-        RK4's amplification ``|1 + z + z^2/2 + z^3/6 + z^4/24|`` at
-        ``z = h lam`` exceeds ``1 + 1e-8`` for an eigenvalue ``lam`` of `A`
-        (from its kept Schur form, :attr:`schur`) with ``Re lam < 0``. Such
-        a step grows a decaying mode by that factor at every step, to
-        outputs that are finite but meaningless.
+        Complex or non-finite times, initial state or input values raise
+        ``ValueError`` naming them, where numpy would keep the real part
+        or carry the NaN into every later output.
         """
-        times = np.asarray(times, dtype=float)
+        times = _real(times, "times")
         if times.ndim != 1 or times.size < 2:
             raise ValueError("need a 1-d grid with at least two points")
+        if not np.isfinite(times).all():
+            raise ValueError("times must be finite")
         if np.any(np.diff(times) <= 0.0):
             raise ValueError("time grid must be strictly increasing")
-        if x0 is None:
-            x0 = np.zeros(self.n)
-        x0 = np.asarray(x0, dtype=float).reshape(-1)
-        if x0.size != self.n:
-            raise ValueError(f"x0 must have length {self.n}")
-        steps, lam = np.unique(np.diff(times)), _schur_eigenvalues(self.schur[0])
-        lam = lam[lam.real < 0.0]  # a growing mode grows in fact
-        z = np.multiply.outer(steps, lam)
-        gain = np.abs(1.0 + z + z**2 / 2 + z**3 / 6 + z**4 / 24)
-        if gain.size and gain.max() > 1.0 + 1e-8:
-            i, k = np.unravel_index(gain.argmax(), gain.shape)
-            raise StepSizeError(
-                f"step {steps[i]:.3e} leaves RK4's stability region: it grows the "
-                f"decaying mode of eigenvalue {lam[k]:.3e} by {gain[i, k]:.4g} "
-                "a step; take smaller steps")
+        n, m = self.n, self.m
+        x0 = np.zeros(n) if x0 is None else _real(x0, "x0").reshape(-1)
+        if x0.size != n:
+            raise ValueError(f"x0 must have length {n}")
+        if not np.isfinite(x0).all():
+            raise ValueError("x0 must be finite")
 
-        def force(t):
-            val = np.atleast_1d(np.asarray(u(t), dtype=float)).reshape(-1)
-            if val.size != self.m:
-                raise ValueError(f"input signal must return {self.m} values")
-            return self.B @ val
+        def sample(t):
+            val = _real(u(t), "the input signal").reshape(-1)
+            if val.size != m:
+                raise ValueError(f"input signal must return {m} values")
+            if not np.isfinite(val).all():
+                raise ValueError(f"the input signal is not finite at t = {float(t)!r}")
+            return val
 
-        A = self.A
-        X = np.empty((times.size, self.n))
+        # exp(h G + shift) maps [x; h^k u^(k)] at t to x at t + h: G holds
+        # [A, B] in its first rows, and shift makes h^(k+1) u^(k+1) the
+        # derivative of h^k u^(k) in the time scaled by h
+        steps, which = np.unique(np.diff(times), return_inverse=True)
+        G = np.zeros((n + 4 * m, n + 4 * m))
+        G[:n, :n], G[:n, n:n + m] = self.A, self.B
+        shift = np.eye(n + 4 * m, k=m)
+        shift[:n] = 0.0
+        maps = [expm(h * G + shift)[:n] for h in steps]
+        lift = np.kron(_CUBIC, np.eye(m))
+
+        X = np.empty((times.size, n))
         X[0] = x0
-        x = x0.copy()
-        f_lo = force(times[0])
-        for i in range(times.size - 1):
-            h = times[i + 1] - times[i]
-            f_mid = force(times[i] + 0.5 * h)
-            f_hi = force(times[i + 1])
-            k1 = A @ x + f_lo
-            k2 = A @ (x + 0.5 * h * k1) + f_mid
-            k3 = A @ (x + 0.5 * h * k2) + f_mid
-            k4 = A @ (x + h * k3) + f_hi
-            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            X[i + 1] = x
-            f_lo = f_hi
+        lo = sample(times[0])
+        for i, h in enumerate(np.diff(times)):
+            hi = sample(times[i + 1])
+            knots = np.concatenate(
+                [lo, sample(times[i] + h / 3.0), sample(times[i] + 2.0 * h / 3.0), hi])
+            X[i + 1] = maps[which[i]] @ np.concatenate([X[i], lift @ knots])
+            lo = hi
 
         Y = X @ self.C.T
         for k, M in enumerate(self.Ms):

@@ -294,11 +294,10 @@ def test_simulate_rejects_channel_count_mismatch(tmp_path, capsys):
         assert not out.exists()
 
 
-def test_simulate_refuses_steps_outside_rk4s_stability_region(tmp_path, capsys):
-    # CI's smoke system at 100 steps on [0, 5] grows its -3 +- 100i modes
-    # 21-fold a step to finite outputs of about 1e261, which a finiteness
-    # check passes; the step check refuses it as a usage error naming
-    # --steps, before anything is written
+def test_simulate_runs_a_coarse_grid(tmp_path):
+    # CI's smoke system at 100 steps on [0, 5]: its -3 +- 100i modes turn
+    # 5 rad a step, which exact propagation follows, so the table is
+    # written in full and finite
     out = str(tmp_path / "fom")
     main(["synth", "-n", "20", "--damping", "0.1:3.0", "--decay", "0.85",
           "--seed", "21", "--out", out])
@@ -306,17 +305,12 @@ def test_simulate_refuses_steps_outside_rk4s_stability_region(tmp_path, capsys):
     main(["reduce", "--system", manifest, "--method", "bt", "--order", "6",
           "--out", str(tmp_path / "bt")])
     rom = os.path.join(tmp_path / "bt", "rom.manifest")
-    sim = tmp_path / "sim.csv"
-    capsys.readouterr()
-    with pytest.raises(SystemExit) as exc:
-        main(["simulate", "--system", manifest, "--qbt", rom, "--bt", rom,
-              "--steps", "100", "--out", str(sim)])
-    assert exc.value.code == 2
-    assert ("argument --steps: step 5.000e-02 leaves RK4's stability region"
-            in capsys.readouterr().err)
-    assert not sim.exists()
+    sim = str(tmp_path / "sim.csv")
     assert main(["simulate", "--system", manifest, "--qbt", rom, "--bt", rom,
-                 "--steps", "400", "--out", str(sim)]) == 0
+                 "--steps", "100", "--out", sim]) == 0
+    _, rows = _read_csv(sim)
+    assert len(rows) == 101
+    assert np.isfinite(np.array(rows, dtype=float)).all()
 
 
 def test_h2_sweep_over_node_counts(tmp_path):

@@ -209,7 +209,8 @@ def test_bt_order_bounds():
 
 def test_bt_rejects_zero_hankel_spectrum():
     sys_ = LqoSystem(-np.eye(2), np.zeros((2, 1)), np.ones(2), [np.eye(2)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="L'U of the Gramian factors .* is "
+                                         "identically zero"):
         intrusive_bt(sys_, 1)
 
 

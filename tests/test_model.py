@@ -26,7 +26,8 @@ from lqobt import (
 )
 from lqobt import databt, model
 from lqobt.databt import lqo_qbt_streamed
-from lqobt.errors import FrequencyCollisionError, StepSizeError
+from lqobt.cli import _input_signal
+from lqobt.errors import FrequencyCollisionError
 from lqobt.numcore import _schur_eigenvalues, expm
 
 
@@ -492,58 +493,77 @@ def test_simulate_zero_input_stays_at_rest():
 
 
 def test_simulate_homogeneous_scalar_closed_form():
-    # x0=1, u=0: x(t)=exp(-t), y(t) = exp(-t) + exp(-2t)
+    # x0=1, u=0: x(t)=exp(-t), y(t) = exp(-t) + exp(-2t); one exponential
+    # per distinct step, each exact to round-off, also on an uneven grid
     sys_ = scalar_s1()
-    times = np.linspace(0.0, 1.0, 2001)
-    traj = sys_.simulate(lambda t: 0.0, times, x0=[1.0])
-    want = np.exp(-times) + np.exp(-2.0 * times)
-    assert np.abs(traj.outputs[:, 0] - want).max() <= 1e-10
-    assert abs(traj.outputs[-1, 0] - 0.503214724408055) <= 1e-10
+    for times, tol in ((np.linspace(0.0, 1.0, 2001), 1e-10),
+                       (np.array([0.0, 0.3, 1.0]), 1e-14)):
+        traj = sys_.simulate(lambda t: 0.0, times, x0=[1.0])
+        want = np.exp(-times) + np.exp(-2.0 * times)
+        assert np.abs(traj.outputs[:, 0] - want).max() <= tol
+        assert abs(traj.outputs[-1, 0] - 0.503214724408055) <= 1e-10
+
+
+def test_simulate_follows_a_growing_mode_exactly():
+    # x' = x from x0=1: x(5) = e^5, y = e^5 + e^10, in one step
+    grow = LqoSystem([[1.0]], [1.0], [1.0], [np.eye(1)])
+    y = grow.simulate(lambda t: 0.0, [0.0, 5.0], x0=[1.0]).outputs[-1, 0]
+    want = np.exp(5.0) + np.exp(10.0)
+    assert abs(y - want) <= 1e-14 * want
 
 
 def test_simulate_step_doubling_shows_fourth_order():
+    # x' = -x + sin 2t from rest: x = (sin 2t - 2 cos 2t)/5 + 0.4 exp(-t)
+    # and y = x + x^2, here at t = 2. The homogeneous part is exact, so the
+    # error is the input's cubic interpolant's, O(h^4); at 250 and 500
+    # steps on [0, 1] it falls to round-off (6e-13 and 2e-14)
+    x = (np.sin(4.0) - 2.0 * np.cos(4.0)) / 5.0 + 0.4 * np.exp(-2.0)
     sys_ = scalar_s1()
-    u = lambda t: np.sin(2.0 * t)
-    ref = sys_.simulate(u, np.linspace(0.0, 2.0, 16001)).outputs[-1, 0]
     errs = []
-    for steps in (250, 500):
-        got = sys_.simulate(u, np.linspace(0.0, 2.0, steps + 1)).outputs[-1, 0]
-        errs.append(abs(got - ref))
+    for steps in (50, 100):
+        got = sys_.simulate(lambda t: np.sin(2.0 * t),
+                            np.linspace(0.0, 2.0, steps + 1)).outputs[-1, 0]
+        errs.append(abs(got - (x + x * x)))
     ratio = errs[0] / errs[1]
     assert 14.0 <= ratio <= 18.0
 
 
-def test_simulate_refuses_a_step_outside_rk4s_stability_region():
-    # RK4 multiplies a mode of eigenvalue lam by R(h lam) a step, with
-    # R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24; on the negative real axis
-    # |R| <= 1 up to h |lam| = 2.7853
-    decay = LqoSystem([[-1.0]], [1.0], [1.0], [np.eye(1)])
-    decay.simulate(lambda t: 1.0, [0.0, 2.78, 5.56])
-    with pytest.raises(StepSizeError, match="leaves RK4's stability region"):
-        decay.simulate(lambda t: 1.0, [0.0, 2.78, 5.57])
-    # a growing mode grows in fact, so no step is refused for it
-    LqoSystem([[1.0]], [1.0], [1.0], [np.eye(1)]).simulate(lambda t: 0.0, [0.0, 5.0])
-    # the smoke system's fastest modes are -3 +- 100i: a 2x2 block of its
-    # Schur form, whose diagonal alone (-0.15 at h = 0.05) passes. At 100
-    # steps on [0, 5] they grow 21-fold a step, to outputs that are finite
-    # but meaningless; at 400 steps they decay
+def test_simulate_is_accurate_on_a_coarse_grid():
+    # the smoke system's fastest modes are -3 +- 100i, which turn 5 rad a
+    # step at 100 steps on [0, 5]; propagation is exact for them, so only
+    # the input's interpolation errs. The CLI's excitation turns faster, so
+    # it is held to the same bound at the CLI's default 2,000 steps
     sys_ = synthesize_system(20, damping=(0.1, 3.0), gain_decay=0.85, seed=21)
-    with pytest.raises(StepSizeError, match="by 20.98 a step") as exc:
-        sys_.simulate(np.sin, np.linspace(0.0, 5.0, 101))
-    assert isinstance(exc.value, ValueError)
-    assert np.isfinite(sys_.simulate(np.sin, np.linspace(0.0, 5.0, 401)).outputs).all()
+    for u, steps in ((np.sin, 100), (_input_signal, 2000)):
+        ref = sys_.simulate(u, np.linspace(0.0, 5.0, 20001)).outputs[::20000 // steps]
+        got = sys_.simulate(u, np.linspace(0.0, 5.0, steps + 1)).outputs
+        assert np.abs(got - ref).max() <= 1e-6, steps
 
 
 def test_simulate_validates_inputs():
+    # each refusal by its message; numpy would keep the real part of a
+    # complex value with only a ComplexWarning, and a NaN or inf would pass
+    # the grid checks into every later output
     sys_ = scalar_s1()
-    with pytest.raises(ValueError):
-        sys_.simulate(lambda t: 0.0, np.array([0.0]))
-    with pytest.raises(ValueError):
-        sys_.simulate(lambda t: 0.0, np.array([0.0, 1.0, 0.5]))
-    with pytest.raises(ValueError):
-        sys_.simulate(lambda t: 0.0, np.array([0.0, 1.0]), x0=[1.0, 2.0])
-    with pytest.raises(ValueError):
-        sys_.simulate(lambda t: np.zeros(3), np.array([0.0, 1.0]))
+    grid = np.array([0.0, 1.0])
+    cases = [
+        (dict(times=[0.0]), "need a 1-d grid with at least two points"),
+        (dict(times=[0.0, 1.0, 0.5]), "time grid must be strictly increasing"),
+        (dict(x0=[1.0, 2.0]), "x0 must have length 1"),
+        (dict(u=lambda t: np.zeros(3)), "input signal must return 1 values"),
+        (dict(times=grid + 0j), "times must be an array of real numbers"),
+        (dict(times=[0.0, np.nan, 1.0]), "times must be finite"),
+        (dict(times=[0.0, np.inf]), "times must be finite"),
+        (dict(x0=np.array([1 + 2j])), "x0 must be an array of real numbers"),
+        (dict(x0=[np.nan]), "x0 must be finite"),
+        (dict(u=lambda t: 1 + 1j), "the input signal must be an array of real numbers"),
+        (dict(u=lambda t: np.nan if 0.2 < t < 0.5 else 0.0),
+         "the input signal is not finite at t = 0.3333"),
+    ]
+    for kwargs, message in cases:
+        call = dict(u=lambda t: 0.0, times=grid, x0=None) | kwargs
+        with pytest.raises(ValueError, match=message):
+            sys_.simulate(**call)
 
 
 def test_trajectory_validates_lengths():

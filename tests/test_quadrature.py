@@ -13,7 +13,7 @@ from lqobt import QuadratureRule, clenshaw_curtis, log_trapezoid
 def test_rule_validation_errors():
     good_n = np.array([1.0, 2.0])
     good_w = np.array([1.0, 1.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="nodes and sqrt_weights must be 1-d"):
         QuadratureRule(np.array([[1.0, 2.0]]), good_w)
     with pytest.raises(ValueError):
         QuadratureRule(good_n, np.array([1.0]))
@@ -56,7 +56,7 @@ def test_integrate_contract():
     # array-valued samples integrate along the leading axis
     mat = np.stack([np.full((2, 2), v) for v in vals])
     assert np.allclose(rule.integrate(mat), 8.0 * np.ones((2, 2)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="sample count does not match node count"):
         rule.integrate(np.ones(4))
 
 
