@@ -38,7 +38,7 @@ import sys
 import numpy as np
 
 from .databt import lqo_qbt_auto
-from .errors import NodeCountError, OrderError
+from .errors import OrderError
 from .gramians import (
     compute_gramians,
     h2_error,
@@ -184,8 +184,7 @@ def cmd_synth(args):
 
 def cmd_hsv(args):
     sys_ = _load(args)
-    # the data route first: it refuses node counts before it samples, and
-    # so before the Gramians are paid for
+    # the data route first, so that a refusal there costs no Gramians
     rule_p, rule_q = _rules_from_args(args, args.domain, args.np, args.nq)
     hsv_r, _ = lqo_qbt_auto(sys_, rule_p, rule_q, [], domain=args.domain)
     hsv_f = hankel_singular_values(compute_gramians(sys_))
@@ -400,9 +399,4 @@ def main(argv=None):
         # the resolvable rank is known only once the data is reduced, which
         # reduce and h2-sweep do before they write anything
         flag = "--orders" if getattr(args, "orders", None) else "--order"
-        args.error(f"argument {flag}: {exc}")
-    except NodeCountError as exc:
-        # the frequency route refuses its node counts after one tf1
-        # sample, and so before any command writes
-        flag = "--nodes" if getattr(args, "nodes", None) else "--np/--nq"
         args.error(f"argument {flag}: {exc}")

@@ -30,14 +30,15 @@ fixed row permutation for one, yields an equivalent reduced model, and
 so does a compression onto any orthonormal basis whose range holds that
 of ``H``. Every data input (time sampler, time dataset, frequency
 dataset) gives one reducer, :func:`_compressed_matrices`, one function
-``quad(shifted, ku, ju)``: its weighted quadratic rows of ``H`` (``M``
-if `shifted`) at sample units `ku`, `ju`, a node in time and a
-conjugate node pair in frequency. The reducer takes the bases of the
-rows' two modes from probe fibres (:func:`_mode_bases`) and reads the
-compressed rows off a cross at their Q-DEIM rows. So a sampler gives
-O(N^2) quadratic samples, not all O(N^3) (:func:`lqo_qbt_streamed`), a
-time dataset is sliced at the same places (:func:`lqo_qbt`), and the
-real Loewner rows are evaluated only at the node pairs read
+``quad(shifted, ku, ju, lu)``: its weighted quadratic rows of ``H``
+(``M`` if `shifted`) at sample units `ku`, `ju` and column units `lu`,
+a node in time and a conjugate node pair in frequency. The reducer
+takes the bases of the rows' two modes from probe fibres at a column
+subset (:func:`_mode_bases`) and reads the compressed rows off a cross
+at their Q-DEIM rows, over every column. So a sampler gives O(N^2)
+quadratic samples, not all O(N^3) (:func:`lqo_qbt_streamed`), a time
+dataset is sliced at the same places (:func:`lqo_qbt`), and the real
+Loewner rows are evaluated only at the node pairs read
 (:func:`_freq_compressed`). No route holds the quadratic rows whole.
 
 Frequency-domain data is always closed under conjugation, which gives
@@ -50,10 +51,10 @@ place, and the two columns of each pair are then ``sqrt(2) Re`` and
 ``-sqrt(2) Im`` of the positive one, so the block is ``sqrt(2) conj X``
 read as floats. The real columns of ``H``, ``M``, ``g`` and both sides
 of each ``K`` are thus ``(l pair, b, slot)``. The samples' conjugate
-symmetry that this relies on, the separation of the two node sets that
-the divided differences need, and the size bound of the compressed
-route are checked once, where a dataset is made (:class:`KernelDataset`),
-and every route trusts a dataset from then on.
+symmetry that this relies on and the separation of the two node sets
+that the divided differences need are checked once, where a dataset is
+made (:class:`KernelDataset`), and every route trusts a dataset from
+then on.
 :func:`build_data_matrices` assembles the matrices of either domain
 whole, as the oracle the compressed routes are tested against.
 """
@@ -66,7 +67,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FrequencyCollisionError, NodeCountError, OrderError
+from .errors import FrequencyCollisionError, OrderError
 from .model import ReducedLqoSystem
 from .numcore import _read_only, _resolvable_rank, svd
 from .quadrature import QuadratureRule
@@ -85,13 +86,10 @@ __all__ = [
 
 TIE_TOL = 1e-12
 # probe fibres per mode of the quadratic samples (on random systems four left
-# held-out residuals up to 9e-11, eight 2e-12), and the residual that raises
+# held-out residuals up to 9e-11, eight 2e-12), taken first at 2 * PROBES
+# column units, and the residual that raises
 PROBES = 8
 MODE_TOL = 1e-10
-# bound on the complex quadratic Loewner rows at one controllability node;
-# the frequency route's probe stage holds about 26 times those rows, so a
-# collection whose rows at one node exceed it is refused
-FREQ_BLOCK_BYTES = 2**24
 _PACKAGE = os.path.dirname(__file__) + os.sep
 
 
@@ -121,9 +119,8 @@ class KernelDataset:
     built by hand or copied by :func:`dataclasses.replace`: each sample
     family must be a numeric array (real in the time domain) of the shape
     of the tables below and be finite. A
-    frequency dataset must also fit the size bound and keep its two node
-    sets apart (:func:`_check_freq_rules`, raising
-    :class:`~lqobt.errors.NodeCountError` or
+    frequency dataset must also keep its two node sets apart
+    (:func:`_check_freq_rules`, raising
     :class:`~lqobt.errors.FrequencyCollisionError`), and its samples must
     be conjugate symmetric (:func:`_check_conjugate_symmetry`). The
     dataset is frozen, so no checked field can be swapped, and
@@ -226,7 +223,7 @@ class KernelDataset:
             if not np.isfinite(arr).all():
                 raise ValueError(f"{name} holds non-finite samples")
         if self.domain == "freq":
-            _check_freq_rules(self.rule_p, self.rule_q, p, m)
+            _check_freq_rules(self.rule_p, self.rule_q)
             _check_conjugate_symmetry(self)
         # read-only, so the checks above keep holding
         kept.update((name, _read_only(getattr(self, name))) for name in families)
@@ -371,25 +368,20 @@ def collect_freq_data(sampler, rule_p, rule_q):
     the sample matrices can be made real, as a real reduced model needs.
 
     Node sets of the two sides must not intersect (divided differences);
-    collisions raise :class:`~lqobt.errors.FrequencyCollisionError`. A
-    collection whose complex quadratic Loewner rows at one controllability
-    node would exceed ``FREQ_BLOCK_BYTES`` is refused with
-    :class:`~lqobt.errors.NodeCountError`, as the reduction's probe stage
-    holds many times those rows. Both checks
-    (:func:`_check_freq_rules`, which :class:`KernelDataset` runs on every
-    frequency dataset) run here after one ``tf1`` sample, at the first
-    observability node, which gives the channel counts, and before the
-    O(N) ``tf1`` and O(N^2) ``tf2_grid`` samples: a refusal costs one
-    resolvent.
+    collisions raise :class:`~lqobt.errors.FrequencyCollisionError`. The
+    check (:func:`_check_freq_rules`, which :class:`KernelDataset` runs on
+    every frequency dataset) runs here on the rules, before any sample.
+    The channel counts come from the ``tf1`` samples at the observability
+    nodes.
 
     Returns
     -------
     :class:`KernelDataset` with ``domain="freq"``.
     """
+    _check_freq_rules(rule_p, rule_q)
     th, s = _closed_nodes(rule_p)[0], _closed_nodes(rule_q)[0]
-    p, m = _grid(sampler, "tf1", (1j * s[:1],)).shape[1:]
-    _check_freq_rules(rule_p, rule_q, p, m)
-    tf1_in = _grid(sampler, "tf1", (1j * s,), (p, m))
+    tf1_in = _grid(sampler, "tf1", (1j * s,))
+    p, m = tf1_in.shape[1:]
     tf1_out = _grid(sampler, "tf1", (1j * th,), (p, m))
     tf2_cross, tf2_quad = (
         np.moveaxis(_grid(sampler, "tf2_grid", (-1j * th, 1j * z), (p, m, m)), 2, 0)
@@ -471,7 +463,8 @@ def build_data_matrices(ds):
         M = np.empty_like(H)
         for out, shifted in ((H, False), (M, True)):
             out[:nl] = _real_linear_rows(ds, shifted)
-            R = _real_quadratic(ds, np.arange(Np2), np.arange(Nq2), shifted)
+            R = _real_quadratic(ds, np.arange(Np2), np.arange(Nq2),
+                                np.arange(Np2), shifted)
             # (k pair, slot, a, j pair, slot, q) -> (q, k pair, slot, j pair, slot, a)
             out[nl:].reshape(p, Np2, 2, Nq2, 2, m, nc)[...] = (
                 R.reshape(Np2, 2, m, Nq2, 2, p, nc).transpose(5, 0, 1, 3, 4, 2, 6))
@@ -508,25 +501,25 @@ def _real_linear_rows(ds, shifted):
     return _real_view(L, (1,)).reshape(ds.Nq * p, ds.Np * m)
 
 
-def _real_quadratic(ds, ku, ju, shifted):
+def _real_quadratic(ds, ku, ju, lu, shifted):
     """Real quadratic rows of a frequency dataset at the pairs `ku` of
-    controllability nodes and `ju` of observability nodes (pair index
-    arrays), in the layout of :func:`_compressed_matrices`: ``(k pair,
-    (slot, a), j pair, slot, q, columns)``, columns ``(l pair, b,
-    slot)``."""
-    Np2, m, p, nk, nj = ds.Np // 2, ds.m, ds.p, ku.size, ju.size
+    controllability nodes and `ju` of observability nodes, and the column
+    pairs `lu` of controllability nodes (pair index arrays), in the layout
+    of :func:`_compressed_matrices`: ``(k pair, (slot, a), j pair, slot,
+    q, columns)``, columns ``(l pair, b, slot)``."""
+    m, p, nk, nj, nl = ds.m, ds.p, ku.size, ju.size, lu.size
     k = (2 * ku[:, None] + np.arange(2)).ravel()
     j = (2 * ju[:, None] + np.arange(2)).ravel()
     rk = ds.p_sqrt_weights[k].reshape(nk, 2, 1, 1, 1, 1, 1, 1)
     phi = ds.q_sqrt_weights[j].reshape(nj, 2, 1, 1, 1)
     s = ds.q_nodes[j].reshape(nj, 2, 1, 1, 1)
-    th, rho = ds.p_nodes[::2, None], ds.p_sqrt_weights[::2, None]
+    th, rho = ds.p_nodes[2 * lu, None], ds.p_sqrt_weights[2 * lu, None]
     L = _loewner(
         # (q, k, j, a, b) -> (k pair, slot, a, j pair, slot, q, 1, b)
         rk * ds.tf2_cross[:, k[:, None], j].reshape(p, nk, 2, nj, 2, m, m)
         .transpose(1, 2, 5, 3, 4, 0, 6)[..., None, :],
         # (q, k, l, a, b) -> (k pair, slot, a, 1, 1, q, l pair, b)
-        rk * ds.tf2_quad[:, k, ::2].reshape(p, nk, 2, Np2, m, m)
+        rk * ds.tf2_quad[:, k[:, None], 2 * lu].reshape(p, nk, 2, nl, m, m)
         .transpose(1, 2, 4, 0, 3, 5)[:, :, :, None, None],
         s, th, phi * rho, shifted)
     return _real_view(L, (1, 4)).reshape(nk, 2 * m, nj, 2, p, -1)
@@ -564,25 +557,10 @@ def _loewner(a, b, s, th, w, shifted):
     return L
 
 
-def _check_freq_rules(rule_p, rule_q, p, m):
-    """Raise :class:`~lqobt.errors.NodeCountError` if the complex
-    quadratic Loewner rows at one controllability node of a frequency
-    dataset of these rules and channel counts would exceed
-    ``FREQ_BLOCK_BYTES``, as the reduction's probe stage holds about 26
-    times those rows; then raise
-    :class:`~lqobt.errors.FrequencyCollisionError` if a node of one side
-    lies within ``1e-12`` times the largest node of one of the other,
-    which breaks the divided differences."""
-    # the nodes of each side after conjugate closure
-    per_node = 16 * p * m * m * (2 * len(rule_p)) * (2 * len(rule_q))
-    if per_node > FREQ_BLOCK_BYTES:
-        raise NodeCountError(
-            f"frequency-domain reduction needs {per_node / 2**20:.0f} MiB of "
-            "Loewner rows per node, more than its "
-            f"{FREQ_BLOCK_BYTES / 2**20:.0f} MiB bound; lower --np/--nq, or "
-            "reduce in the time domain (reduce --method qbt-time; hsv and "
-            "h2-sweep --domain time), which has no such bound"
-        )
+def _check_freq_rules(rule_p, rule_q):
+    """Raise :class:`~lqobt.errors.FrequencyCollisionError` if a node of
+    one rule lies within ``1e-12`` times the largest node of one of the
+    other, which breaks the divided differences."""
     dist = np.abs(rule_p.nodes[:, None] - rule_q.nodes[None, :]).min()
     if dist <= 1e-12 * max(rule_p.nodes[-1], rule_q.nodes[-1]):
         raise FrequencyCollisionError(
@@ -733,10 +711,10 @@ def lqo_qbt(ds, r):
     if ds.domain == "freq":
         return _reduce_orders(_freq_compressed(ds), [r])[1][0]
 
-    def read(shifted, ku, ju):
+    def read(shifted, ku, ju, lu):
         # one slice of (q, k, j, i, a, b), moved to the sampler's layout
         samples = ds.dh2_sum if shifted else ds.h2_sum
-        return np.moveaxis(samples[:, ku[:, None], ju], 0, 3)
+        return np.moveaxis(samples[:, ku[:, None, None], ju[:, None], lu], 0, 3)
 
     dm = _time_compressed(read, ds.p_sqrt_weights, ds.q_sqrt_weights,
                           ds.h1_sum, ds.dh1_sum,
@@ -750,8 +728,8 @@ def lqo_qbt_auto(sampler, rule_p, rule_q, orders, domain="time"):
     The time domain runs :func:`lqo_qbt_streamed` at every node count,
     which takes the channel counts from the first grid it samples.
     Frequency data is collected by :func:`collect_freq_data`, which
-    refuses a collection too large for the route after a single ``tf1``
-    sample, and reduced through :func:`_freq_compressed`.
+    refuses colliding node sets before it samples, and reduced through
+    :func:`_freq_compressed`; neither route bounds the node counts.
 
     Returns
     -------
@@ -777,15 +755,16 @@ def _freq_compressed(ds):
     The real quadratic Loewner rows are evaluated only at the pairs read
     (:func:`_real_quadratic`, at the positive node of each column pair).
     The linear rows, ``h``, ``g`` and ``K`` are built as in
-    :func:`build_data_matrices`. The probes hold about 26 times the
-    complex quadratic rows at one node, which no dataset lets exceed
-    ``FREQ_BLOCK_BYTES``: :class:`KernelDataset` checks the bound, the
-    node separation and the conjugate symmetry when a dataset is made, so
-    this trusts it.
+    :func:`build_data_matrices`. The probes hold the rows at a subset of
+    the column pairs (:func:`_mode_bases`), so the route's memory is set
+    by the O(N^2) samples and the cross, not by O(N^3) probe slabs.
+    :class:`KernelDataset` checks the node separation and the conjugate
+    symmetry when a dataset is made, so this trusts it.
     """
     return _compressed_matrices(
-        lambda shifted, ku, ju: _real_quadratic(ds, ku, ju, shifted),
-        (ds.Np // 2, ds.Nq // 2), lambda shifted: _real_linear_rows(ds, shifted),
+        lambda shifted, ku, ju, lu: _real_quadratic(ds, ku, ju, lu, shifted),
+        (ds.Np // 2, ds.Nq // 2, ds.Np // 2),
+        lambda shifted: _real_linear_rows(ds, shifted),
         lambda: _real_io_blocks(ds), "freq")
 
 
@@ -793,14 +772,17 @@ def _compressed_matrices(quad, units, linear, io, domain):
     """Data matrices with the quadratic rows compressed onto
     ``I_p (x) V_k (x) V_j``, read off a cross: the reducer of every input.
 
-    ``quad(shifted, ku, ju)`` gives the weighted quadratic rows of ``H``
-    (``M`` if `shifted`) at index arrays of sample units, ``units =
-    (n_k, n_j)`` a side, laid out ``(ku.size, w_k, ju.size, w_j, p,
-    columns)``. A unit is a node on the time route (``w_k = m``: rows
-    ``(k, a)``; ``w_j = 1``), a conjugate node pair on the frequency route
-    (``w_k = 2m``: rows ``(k pair, slot, a)``; ``w_j = 2``).
+    ``quad(shifted, ku, ju, lu)`` gives the weighted quadratic rows of
+    ``H`` (``M`` if `shifted`) at index arrays of sample units, ``units =
+    (n_k, n_j, n_l)`` a side and in the columns, laid out ``(ku.size,
+    w_k, ju.size, w_j, p, columns)`` with the columns of the units `lu`.
+    A unit is a node on the time route (``w_k = m``: rows ``(k, a)``;
+    ``w_j = 1``; columns ``(i, b)``), a conjugate node pair on the
+    frequency route (``w_k = 2m``: rows ``(k pair, slot, a)``; ``w_j =
+    2``; columns ``(l pair, b, slot)``). The probes read column subsets;
+    the cross reads every column.
     ``linear(shifted)`` gives the linear rows, and ``io()`` gives ``h``,
-    ``g`` and ``K``, called past the probe stage, which sets the peak. The
+    ``g`` and ``K``, called past the probe stage. The
     bases, their rows ``I_k``, ``I_j`` and the inverses ``G_k =
     V_k[I_k]^{-1}``, ``G_j = V_j[I_j]^{-1}`` come from :func:`_mode_bases`,
     which checked those very inverses on held-out fibres, and the cross is
@@ -812,8 +794,8 @@ def _compressed_matrices(quad, units, linear, io, domain):
     full rank); otherwise the reduced model can move, by up to 1.6e-4
     measured (:func:`lqo_qbt_streamed`). The quadratic rows of ``h``,
     given whole, are projected onto the bases."""
-    n_k, n_j = units
-    (Vk, Ik, Gk), (Vj, Ij, Gj) = _mode_bases(quad, n_k, n_j)
+    n_k, n_j, n_l = units
+    (Vk, Ik, Gk), (Vj, Ij, Gj) = _mode_bases(quad, n_k, n_j, n_l)
     h, g, K = io()
     wk, wj = Vk.shape[0] // n_k, Vj.shape[0] // n_j
     ku, k_rows = _units(Ik, wk)
@@ -821,7 +803,8 @@ def _compressed_matrices(quad, units, linear, io, domain):
     p, m = len(K), h.shape[1]
 
     def rows(shifted):
-        X = quad(shifted, ku, ju).reshape(ku.size * wk, ju.size * wj, p, -1)
+        X = quad(shifted, ku, ju, np.arange(n_l))
+        X = X.reshape(ku.size * wk, ju.size * wj, p, -1)
         X = X[k_rows[:, None], j_rows]  # (r_k, r_j, q, column)
         Y = (Gk @ X.reshape(Ik.size, -1)).reshape(Ik.size, Ij.size, -1)
         core = np.matmul(Gj, Y).reshape(X.shape).transpose(2, 0, 1, 3)
@@ -861,18 +844,19 @@ def lqo_qbt_streamed(sampler, rule_p, rule_q, orders):
     ``N_p^2 N_q`` of them: the core equals
     ``(V_k[I_k]^{-1} (x) V_j[I_j]^{-1}) X[I_k, I_j, :]`` at Q-DEIM rows
     ``I_k``, ``I_j`` of the bases (:func:`_compressed_matrices`). So
-    beyond the probe fibres the sampler is asked for one
-    ``h2_grid(t[K], tau[I_j], t)`` and one ``dh2_grid`` call, with ``K``
-    the nodes of the rows ``I_k``. The derivative samples get no basis of
-    their own: they lie in the same mode ranges only when the columns
-    ``U`` span an ``A``-invariant subspace, say when ``N_p m >= n`` and
-    ``U`` has full rank. Otherwise ``M``'s compressed rows leave their
-    projection, unchecked, as a check needs ``dh2_grid`` probes: on 100
-    random systems with ``N_p < n`` (n = 2..8, one input and output), the
-    model at the full resolvable rank left the whole-matrix one by more
-    than 1e-8 in ``H1`` on 11, by up to 1.6e-4 (n=6, ``N_p = 2``). The
-    held-out probe fibres must match their interpolant on each basis, the
-    one check of the bases (:func:`_mode_bases`), or this raises.
+    beyond the probe fibres, which take a subset of the columns ``t_i``,
+    the sampler is asked for one ``h2_grid(t[K], tau[I_j], t)`` and one
+    ``dh2_grid`` call, with ``K`` the nodes of the rows ``I_k``. The
+    derivative samples get no basis of their own: they lie in the same
+    mode ranges only when the columns ``U`` span an ``A``-invariant
+    subspace, say when ``N_p m >= n`` and ``U`` has full rank. Otherwise
+    ``M``'s compressed rows leave their projection, unchecked, as a check
+    needs ``dh2_grid`` probes: on 100 random systems with ``N_p < n`` (n
+    = 2..8, one input and output), the model at the full resolvable rank
+    left the whole-matrix one by more than 1e-8 in ``H1`` on 11, by up to
+    1.6e-4 (n=6, ``N_p = 2``). The held-out probe fibres must match their
+    interpolant on each basis, the one check of the bases
+    (:func:`_mode_bases`), or this raises.
     :func:`lqo_qbt` runs the same driver on a time dataset's arrays.
 
     Parameters
@@ -893,9 +877,9 @@ def lqo_qbt_streamed(sampler, rule_p, rule_q, orders):
     h1_sum, dh1_sum, *io = _time_samples(sampler, t, tau)
     p, m = h1_sum.shape[2:]
 
-    def read(shifted, ku, ju):
+    def read(shifted, ku, ju, lu):
         method = "dh2_grid" if shifted else "h2_grid"
-        return _grid(sampler, method, (t[ku], tau[ju], t), (p, m, m))
+        return _grid(sampler, method, (t[ku], tau[ju], t[lu]), (p, m, m))
 
     dm = _time_compressed(read, rule_p.sqrt_weights, rule_q.sqrt_weights,
                           h1_sum, dh1_sum, io)
@@ -907,61 +891,75 @@ def _time_compressed(read, rho, phi, h1_sum, dh1_sum, io):
     compressed onto ``I_p (x) V_k (x) V_j`` (:func:`_compressed_matrices`,
     with a node as the sample unit): the source of both time inputs.
 
-    ``read(shifted, ku, ju)`` returns the ``h2_grid`` samples, or with
-    `shifted` the ``dh2_grid`` ones, at ``(t[ku], tau[ju], t)`` (index
-    arrays) in the sampler's layout ``(k, j, i, q, a, b)``. The
+    ``read(shifted, ku, ju, lu)`` returns the ``h2_grid`` samples, or
+    with `shifted` the ``dh2_grid`` ones, at ``(t[ku], tau[ju], t[lu])``
+    (index arrays) in the sampler's layout ``(k, j, i, q, a, b)``. The
     square-root weights, the linear samples and the single-node samples
     `io` (``h1_in``, ``h2_in``, ``h1_out``, ``h2_quad``) are in dataset
     layout."""
     p, m = h1_sum.shape[2:]
 
-    def quad(shifted, ku, ju):
-        w = (rho[ku, None] * phi[ju])[:, :, None] * rho
-        X = read(shifted, ku, ju) * w[..., None, None, None]
+    def quad(shifted, ku, ju, lu):
+        w = (rho[ku, None] * phi[ju])[:, :, None] * rho[lu]
+        X = read(shifted, ku, ju, lu) * w[..., None, None, None]
         # (k, j, i, q, a, b) -> (k, a, j, 1, q, (i, b))
         return X.transpose(0, 4, 1, 3, 2, 5).reshape(ku.size, m, ju.size, 1, p, -1)
 
     return _compressed_matrices(
-        quad, (rho.size, phi.size),
+        quad, (rho.size, phi.size, rho.size),
         lambda shifted: _linear_block(dh1_sum if shifted else h1_sum, phi, rho),
         lambda: _io_blocks(*io, phi, rho), "time")
 
 
-def _mode_bases(quad, n_k, n_j):
+def _mode_bases(quad, n_k, n_j, n_l):
     """Orthonormal bases ``V_k`` and ``V_j`` of the two modes of the
     quadratic rows ``quad`` of :func:`_compressed_matrices`, each as a
     triple ``(V, I, G)`` with its interpolation rows ``I``
     (:func:`_interpolation_rows`) and ``G = V[I]^{-1}``, the one inverse
-    the cross applies. A basis's rows are the mode's rows ``(unit, w)``.
+    the cross applies. A basis's rows are the mode's rows ``(unit, w)``;
+    ``n_l`` is the number of column units.
 
     Each basis holds the left singular vectors above ``RANK_TOL`` of the
-    mode's probe fibres: the rows of ``H`` at every unit of the mode and
-    at ``PROBES`` evenly spread units of the other, unfolded to the mode's
-    rows, from the seeded range finder :func:`~lqobt.numcore.svd`. The
-    fibres ``F`` midway between the probes must match their interpolant
-    ``V G F[I]`` to within ``MODE_TOL`` of their norm, or this raises.
-    That one gate also bounds their distance from the basis, as ``V V' F``
-    is the point of its range closest to ``F``; only on a failure is that
-    distance computed, to say why: the samples are not of low rank in
-    that mode, or the rows ``I`` are ill-conditioned."""
-    def unfolding(mode, idx):
+    mode's probe fibres: the rows of ``H`` at every unit of the mode, at
+    ``PROBES`` evenly spread units of the other and at ``2 * PROBES``
+    evenly spread column units, unfolded to the mode's rows, from the
+    seeded range finder :func:`~lqobt.numcore.svd`. The held-out fibres
+    ``F``, at the units of the other mode midway between the probes and,
+    until the last step, at the column units midway between the probed
+    ones, must match their interpolant ``V G F[I]`` to within ``MODE_TOL``
+    of their norm. While they do not, the column count doubles; the last
+    step probes every column and holds out the midway units of the other
+    mode at every column, and only its failure raises. (With no midway
+    unit there is nothing to hold out, so every column is probed at
+    once.) That one gate also bounds the fibres' distance from the basis,
+    as ``V V' F`` is the point of its range closest to ``F``; only on a
+    failure is that distance computed, to say why: the samples are not of
+    low rank in that mode, or the rows ``I`` are ill-conditioned."""
+    def unfolding(mode, idx, lu):
         if mode == "k":
-            X = quad(False, np.arange(n_k), idx)
+            X = quad(False, np.arange(n_k), idx, lu)
         else:
-            X = np.moveaxis(quad(False, idx, np.arange(n_j)), (2, 3), (0, 1))
+            X = np.moveaxis(quad(False, idx, np.arange(n_j), lu), (2, 3), (0, 1))
         return X.reshape(X.shape[0] * X.shape[1], -1)
 
     bases = []
     for mode, n in (("k", n_j), ("j", n_k)):
-        probes = np.unique(np.linspace(0, n - 1, PROBES).round().astype(int))
-        held = np.setdiff1d((probes[:-1] + probes[1:]) // 2, probes)
-        res = svd(unfolding(mode, probes))
-        # an identically zero mode keeps one direction, which reads zeros
-        V = res.Z[:, :max(1, _resolvable_rank(res.S))]
-        F = unfolding(mode, held) if held.size else V[:, :0]
-        rows = _interpolation_rows(V)
-        G = np.linalg.inv(V[rows])
-        norm, residual = np.linalg.norm(F), np.linalg.norm(F - V @ (G @ F[rows]))
+        probes, held = _spread(n, PROBES)
+        count = 2 * PROBES if held.size else n_l
+        while True:
+            cols, held_cols = _spread(n_l, count)
+            last = cols.size == n_l
+            res = svd(unfolding(mode, probes, cols))
+            # an identically zero mode keeps one direction, which reads zeros
+            V = res.Z[:, :max(1, _resolvable_rank(res.S))]
+            F = (unfolding(mode, held, cols if last else held_cols) if held.size
+                 else V[:, :0])
+            rows = _interpolation_rows(V)
+            G = np.linalg.inv(V[rows])
+            norm, residual = np.linalg.norm(F), np.linalg.norm(F - V @ (G @ F[rows]))
+            if residual <= MODE_TOL * norm or last:
+                break
+            count *= 2
         if residual > MODE_TOL * norm:
             outside = np.linalg.norm(F - V @ (V.T @ F))
             if outside > MODE_TOL * norm:
@@ -977,6 +975,13 @@ def _mode_bases(quad, n_k, n_j):
                              f"of their norm (> {MODE_TOL:g}) {failure}")
         bases.append((V, rows, G))
     return bases
+
+
+def _spread(n, count):
+    """`count` indices evenly spread over ``range(n)`` (all of them when
+    `count` >= `n`), and the indices midway between them."""
+    idx = np.unique(np.linspace(0, n - 1, count).round().astype(int))
+    return idx, np.setdiff1d((idx[:-1] + idx[1:]) // 2, idx)
 
 
 def _interpolation_rows(V):

@@ -1,8 +1,7 @@
 """Exception types shared across the package.
 
-:class:`OrderError` and :class:`NodeCountError` are the two that the
-command line turns into usage errors naming a flag: the computation, not
-the flag's parser, finds them.
+:class:`OrderError` is the one that the command line turns into a usage
+error naming a flag: the computation, not the flag's parser, finds it.
 """
 
 __all__ = [
@@ -11,7 +10,6 @@ __all__ = [
     "UnstableSystemError",
     "FrequencyCollisionError",
     "OrderError",
-    "NodeCountError",
 ]
 
 
@@ -42,11 +40,3 @@ class OrderError(ValueError):
     """A reduction order lies outside ``[1, limit]``, the limit being the
     resolvable rank of ``H`` (its singular values above ``RANK_TOL`` of the
     largest) or ``H``'s column count, if smaller."""
-
-
-class NodeCountError(ValueError):
-    """The node counts of a frequency collection ask for more Loewner rows
-    at one node than the route's bound (``databt.FREQ_BLOCK_BYTES``)
-    admits; raised after one ``tf1`` sample, which gives the channel
-    counts, and before the O(N) ``tf1`` and O(N^2) ``tf2_grid`` samples."""
-

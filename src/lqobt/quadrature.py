@@ -76,7 +76,7 @@ def log_trapezoid(a, b, n):
     n
         Number of nodes, at least 2.
     """
-    _check_interval(a, b, n)
+    n = _check_interval(a, b, n)
     nodes = np.geomspace(a, b, n)
     w = np.empty(n)
     w[0] = 0.5 * (nodes[1] - nodes[0])
@@ -100,7 +100,7 @@ def clenshaw_curtis(a, b, n):
     n
         Number of nodes, at least 2.
     """
-    _check_interval(a, b, n)
+    n = _check_interval(a, b, n)
     m = n - 1
     j = np.arange(n)
     x = np.cos(np.pi * j / m)[::-1]
@@ -130,7 +130,10 @@ def _cc_weights(m):
 
 
 def _check_interval(a, b, n):
+    """The node count `n` as an ``int``, once the interval and the count
+    are checked; an integral float such as ``10.0`` counts as 10."""
     if not (np.isfinite(a) and np.isfinite(b) and 0.0 < a < b):
         raise ValueError(f"need 0 < a < b, got a={a}, b={b}")
     if int(n) != n or n < 2:
         raise ValueError(f"need at least 2 nodes, got {n}")
+    return int(n)

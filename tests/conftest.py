@@ -353,16 +353,10 @@ class PoisonedSampler:
 
 
 class UncallableSampler:
-    """Gives zero ``tf1`` samples of its channel counts and fails on any
-    ``tf2_grid`` evaluation."""
+    """Fails on any sampling call."""
 
-    m = p = 1
-
-    def tf1(self, s):
-        return np.zeros((len(s), self.p, self.m), dtype=complex)
-
-    def tf2_grid(self, s1, s2):
-        raise AssertionError("sampled despite the size guard")
+    def __getattr__(self, name):
+        raise AssertionError(f"sampler.{name} called")
 
 
 class ShortSampler:

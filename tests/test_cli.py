@@ -14,7 +14,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import UncallableSampler, tf_agree
+from conftest import tf_agree
 from lqobt import (
     LqoSystem,
     ReducedLqoSystem,
@@ -392,41 +392,22 @@ def test_select_restricts_to_one_channel_pair(tmp_path):
     assert np.allclose(got, want / want[0], rtol=1e-12)
 
 
-def test_freq_domain_size_guard(tmp_path, capsys):
-    # the refusal comes before sampling and is a usage error naming the
-    # node-count flags, exit 2 with nothing written; the --nodes sweep names
-    # --nodes
-    manifest = _synth(tmp_path, n=4)
-    for argv, flag in (
-            (["hsv", "--domain", "freq", "--np", "1200"], "--np/--nq"),
-            (["h2-sweep", "--domain", "freq", "--nodes", "1200", "--order", "2"],
-             "--nodes")):
-        out = tmp_path / argv[0]
-        with pytest.raises(SystemExit) as exc:
-            main(argv + ["--system", manifest, "--out", str(out)])
-        assert exc.value.code == 2
-        assert f"argument {flag}: " in capsys.readouterr().err
-        assert not out.exists()
-
-
 def test_refused_node_counts_cost_no_gramians(tmp_path, capsys, monkeypatch):
-    # hsv asks the data route before the intrusive reference, and a node
-    # sweep reduces every count before its BT error, so a refused count
-    # solves no Lyapunov equation
+    # a node sweep reduces every count before its BT error, so a count
+    # that cannot resolve the order solves no Lyapunov equation
     def uncalled(*args, **kwargs):
         raise AssertionError("intrusive reference computed before the refusal")
 
     monkeypatch.setattr(cli, "compute_gramians", uncalled)
     monkeypatch.setattr(cli, "intrusive_bt", uncalled)
     manifest = _synth(tmp_path, n=4)
-    for argv in (["hsv", "--domain", "freq", "--np", "600"],
-                 ["h2-sweep", "--domain", "freq", "--nodes", "10,600", "--order", "2"]):
-        out = tmp_path / argv[0]
-        with pytest.raises(SystemExit) as exc:
-            main(argv + ["--system", manifest, "--out", str(out)])
-        assert exc.value.code == 2
-        assert "argument --" in capsys.readouterr().err
-        assert not out.exists()
+    out = tmp_path / "sweep.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["h2-sweep", "--nodes", "10,2", "--order", "3",
+              "--system", manifest, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "argument --order: order 3 outside [1, 2]" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_import_leaves_matrix_market_io_unloaded():
@@ -438,33 +419,6 @@ def test_cli_import_leaves_matrix_market_io_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
-
-
-def test_reduce_freq_size_guard_names_a_flag_reduce_accepts(tmp_path, capsys):
-    # reduce takes no --domain, so the advice must also name its method
-    manifest = _synth(tmp_path, n=4)
-    out = tmp_path / "rom"
-    with pytest.raises(SystemExit) as exc:
-        main(["reduce", "--system", manifest, "--method", "qbt-freq",
-              "--order", "2", "--np", "1200", "--out", str(out)])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert "argument --np/--nq: " in err
-    assert "lower --np/--nq" in err and "reduce --method qbt-time" in err
-    assert not out.exists()
-
-
-def test_default_node_count_passes_the_freq_size_guard(tmp_path, monkeypatch):
-    # with the default --np the frequency route gets past its size guard
-    # to sampling, which this sampler refuses
-    def guarded(sys_, rule_p, rule_q, orders, domain):
-        return lqo_qbt_auto(UncallableSampler(), rule_p, rule_q, orders, domain)
-
-    monkeypatch.setattr(cli, "lqo_qbt_auto", guarded)
-    manifest = _synth(tmp_path, n=4)
-    with pytest.raises(AssertionError, match="sampled despite"):
-        main(["hsv", "--system", manifest, "--domain", "freq",
-              "--out", str(tmp_path / "hsv")])
 
 
 def test_malformed_pair_flags_raise(tmp_path, capsys):

@@ -8,6 +8,7 @@ with the time-domain route and, at full rank, with the original system
 exactly. The complex matrices before that pairing are the oracle.
 """
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -47,7 +48,7 @@ from lqobt import (
 )
 from lqobt import databt
 from lqobt.databt import build_data_matrices
-from lqobt.errors import FrequencyCollisionError, NodeCountError
+from lqobt.errors import FrequencyCollisionError
 from lqobt.numcore import RANK_TOL, svd
 from test_acceptance import _equivalence_cases
 
@@ -432,6 +433,53 @@ def test_freq_cross_core_equals_compressed_whole_rows(monkeypatch):
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
+def test_probe_columns_double_until_the_held_out_gate_passes(monkeypatch):
+    # at 40 nodes a side the n=50 system's k-mode probes at 16 column
+    # pairs leave held-out fibres off their interpolant; the probes widen
+    # to 32 of the 40 pairs, and the route still gives the oracle's model
+    sys_ = synthesize_system(50, damping=(0.1, 3.0), gain_decay=0.85, seed=21)
+    a, b, n_nodes = 1e-2, 1e2, 40
+    shift = (b / a) ** (0.5 / (n_nodes - 1))
+    ds = collect_freq_data(sys_, log_trapezoid(a, b, n_nodes),
+                           log_trapezoid(a * shift, b * shift, n_nodes))
+    shapes = []
+    factor = databt.svd
+
+    def spied(X, *args, **kwargs):
+        shapes.append(X.shape)
+        return factor(X, *args, **kwargs)
+
+    monkeypatch.setattr(databt, "svd", spied)
+    lqo_qbt(ds, 10)
+    # the k mode twice, then the j mode and H
+    assert len(shapes) == 4
+    assert shapes[1] == (shapes[0][0], 2 * shapes[0][1])
+    # two real fibres per probe pair, two real columns per column pair
+    assert shapes[1][1] == (2 * databt.PROBES) * 2 * 32
+    _assert_matches_oracle(sys_, ds, [4, 10, 20], [0.3 + 1.2j, 1.0, 2.5 + 0.4j])
+
+
+def test_freq_route_memory_has_no_node_count_bound():
+    # the probes hold the real Loewner rows at a column subset, not O(N^3)
+    # slabs: 163 MiB traced at 512 nodes a side, against 409 MiB when they
+    # took every column pair; and 513 a side, which a size bound used to
+    # refuse, runs as well
+    a, b = 1e-2, 1e2
+    for n_nodes in (512, 513):
+        sys_ = synthesize_system(50, damping=(0.1, 3.0), gain_decay=0.85, seed=21)
+        shift = (b / a) ** (0.5 / (n_nodes - 1))
+        rules = (log_trapezoid(a, b, n_nodes),
+                 log_trapezoid(a * shift, b * shift, n_nodes))
+        tracemalloc.start()
+        try:
+            _, (rom,) = lqo_qbt_auto(sys_, *rules, [10], domain="freq")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rom.r == 10
+        assert peak <= 200 * 2**20
+
+
 def test_freq_ill_conditioned_interpolation_rows_raise(monkeypatch):
     # as on the time route: rows on which the basis is nearly singular
     # amplify the round-off off the basis past MODE_TOL, and the held-out
@@ -450,22 +498,6 @@ def test_freq_ill_conditioned_interpolation_rows_raise(monkeypatch):
     monkeypatch.setattr(databt, "_interpolation_rows", last_rows)
     with pytest.raises(ValueError, match="k-mode basis .* ill-conditioned"):
         lqo_qbt(ds, 2)
-
-
-def test_dataset_route_refuses_rows_past_the_block(monkeypatch):
-    # a dataset is held to the guard of lqo_qbt_auto when it is made, so
-    # one whose complex quadratic rows at a node exceed the block cannot
-    # reach lqo_qbt: it is refused, not run anyway
-    rng = np.random.default_rng(137)
-    sys_ = random_stable_system(rng, n=6, m=2, p=1)
-    ds = collect_freq_data(sys_, log_trapezoid(0.05, 20.0, 9),
-                           log_trapezoid(0.07, 28.0, 9))
-    node = 16 * ds.p * ds.m**2 * ds.Np * ds.Nq
-    monkeypatch.setattr(databt, "FREQ_BLOCK_BYTES", node - 1)
-    with pytest.raises(ValueError, match="lower --np/--nq"):
-        replace(ds)
-    monkeypatch.setattr(databt, "FREQ_BLOCK_BYTES", node)
-    assert lqo_qbt(replace(ds), 3).r == 3
 
 
 class MovingPoleTransfer:
@@ -575,58 +607,21 @@ def test_auto_freq_needs_only_transfer_evaluations():
             assert np.array_equal(got, want)
 
 
-class NodeCountingSampler(UncallableSampler):
-    """Records the node counts of every sampling call."""
-
-    def __init__(self):
-        self.calls = []
-
-    def tf1(self, s):
-        self.calls.append(("tf1", len(s)))
-        return super().tf1(s)
-
-    def tf2_grid(self, s1, s2):
-        self.calls.append(("tf2_grid", len(s1), len(s2)))
-        return super().tf2_grid(s1, s2)
-
-
-def test_auto_freq_size_guard_precedes_sampling():
-    # a ValueError, of the subclass the CLI reports as a usage error, raised
-    # once a single tf1 sample gives the channel counts: a refusal costs
-    # one resolvent, not the O(N) tf1 and O(N^2) tf2_grid samples
-    rule = log_trapezoid(1e-2, 1e2, 1200)
-    sampler = NodeCountingSampler()
-    with pytest.raises(ValueError, match="lower --np/--nq") as exc:
-        lqo_qbt_auto(sampler, rule, rule, [2], domain="freq")
-    assert isinstance(exc.value, NodeCountError)
-    assert sampler.calls == [("tf1", 1)]
-    # the frequency route's size refusal names the domain too, so the match
-    # names the unknown one
+def test_auto_refuses_an_unknown_domain():
+    # the match names the unknown domain, so that no later refusal of
+    # another check passes for this one
+    rule = log_trapezoid(1e-2, 1e2, 20)
     with pytest.raises(ValueError, match="^unknown domain 'laplace'$"):
         lqo_qbt_auto(UncallableSampler(), rule, rule, [1], domain="laplace")
 
 
-class TwoInputUncallableSampler(UncallableSampler):
-    m = 2
-
-
-def test_auto_freq_size_guard_bounds_the_peak():
-    # the route's probe stage holds the samples and the probe slices, about
-    # 26 times the complex Loewner rows at one controllability node; so a
-    # collection whose rows at one node exceed FREQ_BLOCK_BYTES is refused:
-    # one input and output admit 512 nodes a side (1024 after closure,
-    # 16 MiB a node) and refuse 513, two inputs a quarter
-    def rules(n_nodes):
-        return (log_trapezoid(1e-2, 1e2, n_nodes),
-                log_trapezoid(2e-2, 5e1, n_nodes))
-
-    assert databt.FREQ_BLOCK_BYTES == 16 * 1024**2
-    for sampler, admitted in ((UncallableSampler(), 512),
-                              (TwoInputUncallableSampler(), 256)):
-        with pytest.raises(ValueError, match="lower --np/--nq"):
-            lqo_qbt_auto(sampler, *rules(admitted + 1), [2], domain="freq")
-        with pytest.raises(AssertionError, match="sampled despite"):
-            lqo_qbt_auto(sampler, *rules(admitted), [2], domain="freq")
+def test_collision_is_refused_before_any_sample():
+    # the collision check reads only the rules, so a refusal costs no
+    # resolvent
+    rule = log_trapezoid(1e-2, 1e2, 20)
+    for run in (collect_freq_data, lambda *args: lqo_qbt_auto(*args, [1], "freq")):
+        with pytest.raises(FrequencyCollisionError):
+            run(UncallableSampler(), rule, rule)
 
 
 def test_tied_spectrum_warns_on_split():

@@ -571,6 +571,19 @@ def test_streamed_samples_come_in_bounded_blocks(monkeypatch):
         assert c == len(rule_p)
 
 
+def test_time_pass_asks_for_linear_quadratic_samples():
+    # the probes take a column subset, so a pass on the benchmark's system
+    # at N=400 asks for at most 3 n^2 N quadratic entries (2.51 M, mostly
+    # the cross's 2 n^2 N), where probes at every column took 7.12 M
+    n, N = 50, 400
+    sys_ = synthesize_system(n, damping=(0.1, 3.0), gain_decay=0.85, seed=21)
+    rule = log_trapezoid(1e-2, 1e2, N)
+    sampler = CountingSampler(sys_)
+    lqo_qbt_auto(sampler, rule, rule, [10])
+    # one input and output, so an entry per node triple
+    assert sum(a * b * c for _, a, b, c in sampler.calls) <= 3 * n**2 * N
+
+
 def test_data_route_factors_only_sketch_sized_matrices(monkeypatch):
     # every factorization goes through numcore.svd, which the data routes
     # call as databt.svd: per time pass the two probe unfoldings and H, each

@@ -90,6 +90,17 @@ def test_log_trapezoid_rejects_bad_intervals():
         log_trapezoid(1.0, 2.0, 1)
 
 
+@pytest.mark.parametrize("rule", [log_trapezoid, clenshaw_curtis])
+def test_integral_float_counts_give_the_integer_rule(rule):
+    # both generators take the count that the interval check returns
+    want, got = rule(1e-2, 1e2, 10), rule(1e-2, 1e2, 10.0)
+    assert np.array_equal(got.nodes, want.nodes)
+    assert np.array_equal(got.sqrt_weights, want.sqrt_weights)
+    for bad in (2.5, True):
+        with pytest.raises(ValueError, match="need at least 2 nodes"):
+            rule(1e-2, 1e2, bad)
+
+
 # ------------------------------------------------------ Clenshaw-Curtis
 
 
