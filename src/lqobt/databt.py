@@ -117,8 +117,9 @@ class KernelDataset:
 
     A dataset is checked once, when it is made, whether collected, loaded,
     built by hand or copied by :func:`dataclasses.replace`: each sample
-    family must be a numeric array (real in the time domain) of the shape
-    of the tables below and be finite. A
+    family of its domain must be a numeric array (real in the time domain)
+    of the shape of the tables below and be finite, and each family of the
+    other domain must be ``None``, as nothing checks, locks or saves it. A
     frequency dataset must also keep its two node sets apart
     (:func:`_check_freq_rules`, raising
     :class:`~lqobt.errors.FrequencyCollisionError`), and its samples must
@@ -195,7 +196,12 @@ class KernelDataset:
         kept = dict(zip(("p_nodes", "p_sqrt_weights", "q_nodes", "q_sqrt_weights"),
                         map(_read_only, (*nodes(self.rule_p), *nodes(self.rule_q)))))
         Np, Nq = kept["p_nodes"].size, kept["q_nodes"].size
-        families = _TIME_FIELDS if self.domain == "time" else _FREQ_FIELDS
+        families, other = ((_TIME_FIELDS, _FREQ_FIELDS) if self.domain == "time"
+                           else (_FREQ_FIELDS, _TIME_FIELDS))
+        for name in other:
+            if getattr(self, name) is not None:
+                raise ValueError(
+                    f"{self.domain} dataset cannot hold {name}, a family of the other domain")
         # numpy kinds: integer, unsigned, float and, in frequency, complex
         kinds, numbers = (("iuf", "real numbers") if self.domain == "time"
                           else ("iufc", "numbers"))
@@ -571,14 +577,23 @@ def _check_freq_rules(rule_p, rule_q):
 def _check_conjugate_symmetry(ds):
     """Reject samples that realification would silently corrupt: in each
     family, flipping the sign of every paired node must conjugate the
-    sample, to within ``1e-8`` of the family's largest magnitude."""
-    for name, axes in (("tf1_in", (0,)), ("tf1_out", (0,)),
-                       ("tf2_cross", (1, 2)), ("tf2_quad", (1, 2))):
+    sample, to within ``1e-8`` of the family's largest magnitude.
+
+    Each node axis is read as ``(pair, slot)``, as :func:`_pair` and
+    :func:`_real_view` do. The flip swaps the slots of every axis, so it
+    pairs each sample with exactly one other, and comparing the first
+    slot of the row pairs with the conjugate of the flipped second slot
+    reads each such pair once, with no copy of the whole family."""
+    for name in _FREQ_FIELDS:
         X = getattr(ds, name)
-        mirror = X
-        for ax in axes:
-            mirror = np.take(mirror, np.arange(X.shape[ax]) ^ 1, axis=ax)
-        dev = np.abs(mirror - X.conj()).max()
+        if X.ndim == 3:  # tf1: (nodes, p, m)
+            Y = X.reshape(-1, 2, *X.shape[1:])
+            a, b = Y[:, 0], Y[:, 1]
+        else:  # tf2: (p, row nodes, column nodes, m, m)
+            p, n_k, n_j = X.shape[:3]
+            Y = X.reshape(p, n_k // 2, 2, n_j // 2, 2, *X.shape[3:])
+            a, b = Y[:, :, 0], Y[:, :, 1, :, ::-1]
+        dev = np.abs(np.conjugate(b) - a).max()
         if dev > 1e-8 * np.abs(X).max():
             raise ValueError(
                 f"{name} is not conjugate symmetric (deviation {dev:.3e}); "

@@ -32,31 +32,30 @@ __all__ = [
 @dataclass(frozen=True)
 class Gramians:
     """Controllability and (split) observability Gramians of one system:
-    four n x n arrays.
+    the three n x n arrays :func:`compute_gramians` solves.
 
     ``P`` solves ``A P + P A' + B B' = 0``. The observability Gramian is
     ``Q = Q1 + Q2`` where ``Q1`` solves ``A' Q1 + Q1 A + C'C = 0`` and ``Q2``
     solves ``A' Q2 + Q2 A + sum_q M_q P M_q = 0``. The real Schur form of
     ``A`` is the system's own (:attr:`lqobt.model.LqoSystem.schur`).
 
-    The square-root factors ``U``, ``L1``, ``L2`` of ``P``, ``Q1``, ``Q2``,
-    ``L = [L1, L2]`` (so ``L L' = Q``) and :attr:`hankel`, the SVD of
-    ``L'U``, are computed on first use and kept, so every
-    :func:`intrusive_bt` of an order sweep shares one SVD. Every array is
-    read-only and the instance is frozen, so nothing kept can go stale.
-    :func:`h2_error` reads no Gramians: a model it scores needs none, and
-    the full model's part is Hammarling's factor (:class:`_ErrorFactor`).
+    ``Q``, the square-root factors ``U`` of ``P`` and ``L`` of ``Q`` (so
+    ``U U' = P`` and ``L L' = Q``, each as wide as its Gramian's numerical
+    rank) and :attr:`hankel`, the SVD of ``L'U``, are derived on first use
+    and kept, so every :func:`intrusive_bt` of an order sweep shares one
+    SVD. Every array is read-only and the instance is frozen, so nothing
+    kept can go stale. :func:`h2_error` reads no Gramians: a model it
+    scores needs none, and the full model's part is Hammarling's factor
+    (:class:`_ErrorFactor`).
     """
 
     P: np.ndarray
     Q1: np.ndarray
     Q2: np.ndarray
-    Q: np.ndarray
 
+    Q = functools.cached_property(lambda g: _read_only(g.Q1 + g.Q2))
     U = functools.cached_property(lambda g: _read_only(psd_sqrt_factor(g.P)))
-    L1 = functools.cached_property(lambda g: _read_only(psd_sqrt_factor(g.Q1)))
-    L2 = functools.cached_property(lambda g: _read_only(psd_sqrt_factor(g.Q2)))
-    L = functools.cached_property(lambda g: _read_only(np.hstack([g.L1, g.L2])))
+    L = functools.cached_property(lambda g: _read_only(psd_sqrt_factor(g.Q)))
 
     @functools.cached_property
     def hankel(self):
@@ -84,7 +83,8 @@ _RECORDS = weakref.WeakKeyDictionary()
 
 def compute_gramians(sys):
     """The :class:`Gramians` of `sys`: three Lyapunov solves on the first
-    call for a system object, the same record from then on while the
+    call for a system object, whose solutions ``P``, ``Q1`` and ``Q2`` are
+    all the record holds, and the same record from then on while the
     object lives. Its stability is read off the system's kept Schur form;
     each :func:`~lqobt.numcore.solve_lyapunov` still makes its own, as it
     takes the matrix ``A``.
@@ -99,16 +99,17 @@ def compute_gramians(sys):
         P = solve_lyapunov(A.T, sys.B @ sys.B.T)
         Q1 = solve_lyapunov(A, sys.C.T @ sys.C)
         Q2 = solve_lyapunov(A, sum((M @ P @ M for M in sys.Ms), np.zeros_like(P)))
-        _RECORDS[sys] = Gramians(*map(_read_only, (P, Q1, Q2, Q1 + Q2)))
+        _RECORDS[sys] = Gramians(*map(_read_only, (P, Q1, Q2)))
     return _RECORDS[sys]
 
 
 def hankel_singular_values(gramians):
     """Singular values of ``L' U``: the Hankel singular values of the
-    quadratic-output system, nonincreasing. They come from
-    ``gramians.hankel``, the one factorization that :func:`intrusive_bt`
-    shares for the same system, by :func:`~lqobt.numcore.svd`. Up to
-    system order 64 (``L'U`` has at most ``n`` columns) they are all
+    quadratic-output system, the square roots of the eigenvalues of
+    ``P Q``, nonincreasing. ``L`` factors the whole ``Q = Q1 + Q2``, so
+    ``L'U`` is at most n x n. They come from ``gramians.hankel``, the one
+    factorization that :func:`intrusive_bt` shares for the same system,
+    by :func:`~lqobt.numcore.svd`. Up to system order 64 they are all
     there. Past n = 64 the tail below ``RANK_TOL`` (``1e-13``) of the
     largest is omitted, but for at least 8 values: it is round-off, which
     the CLI drops as well."""
@@ -156,7 +157,7 @@ def h2_norm(sys, gramians=None):
     """H2-type norm ``sqrt(trace(B' Q B))`` with ``Q`` the full
     observability Gramian.
 
-    Equals the L2 norm of the kernel family: the squared norm is the
+    Equals the L^2 norm of the kernel family: the squared norm is the
     integral of ``||h1||_F^2`` plus the double integral of the squared
     quadratic kernels summed over channels.
 

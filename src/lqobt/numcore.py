@@ -323,21 +323,19 @@ def psd_sqrt_factor(X):
     with ``k`` the numerical rank. Small negative eigenvalues (down to
     ``-PSD_DUST_TOL * ||X||_2``) are tolerated and clipped to zero; anything
     more negative raises :class:`~lqobt.errors.IndefiniteMatrixError`.
+    `X` must have at least one entry. A :class:`~lqobt.gramians.Gramians`
+    record makes two calls, on ``P`` and on the whole ``Q``.
     """
     X = _square(X)
     if not np.isfinite(X).all():
         raise ValueError("non-finite input to psd_sqrt_factor")
     if not np.allclose(X, X.T, rtol=0.0, atol=1e-12 * max(1.0, abs(X).max())):
         raise ValueError("input matrix is not symmetric")
-    n = X.shape[0]
-    if n == 0:
-        return np.zeros((0, 0))
-
     lam, V = np.linalg.eigh(0.5 * (X + X.T))
     lam, V = lam[::-1], V[:, ::-1]
-    norm2 = abs(lam).max() if n else 0.0
+    norm2 = abs(lam).max()
     if norm2 == 0.0:
-        return np.zeros((n, 0))
+        return np.zeros((len(X), 0))
     if lam.min() < -PSD_DUST_TOL * norm2:
         raise IndefiniteMatrixError(
             f"matrix has eigenvalue {lam.min():.3e} below -{PSD_DUST_TOL:.0e} * ||X||"

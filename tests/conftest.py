@@ -325,6 +325,34 @@ def mp_h2_errors(sys_, roms, dps=40):
     return errors
 
 
+def mp_hankel_values(sys_, dps=40):
+    """Hankel singular values of `sys_` at `dps` decimal digits (mpmath),
+    nonincreasing: the square roots of the eigenvalues of ``P (Q1 + Q2)``.
+    In eigenvector coordinates (``A = V diag(lam) V^-1``, ``P = V P~ V^H``,
+    ``Q = V^-H Q~ V^-1``) every Gramian is an explicit ratio,
+    ``P~_ij = -b_i b_j^H / (lam_i + conj(lam_j))``, ``Q1~_ij = -c_i^H c_j /
+    (conj(lam_i) + lam_j)`` and ``Q2~`` the same with ``sum_q m_q P~ m_q``
+    in place of ``c^H c``, and ``P Q`` is similar to ``P~ Q~``: an oracle
+    for ``hankel_singular_values`` that shares no factorization with it."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        lam, b, c, ms = _mp_modal(mp, sys_, 1)
+        n = sys_.n
+
+        def solve(rhs, left, right):
+            return mp.matrix([[-rhs[i, j] / (left(lam[i]) + right(lam[j])) for j in range(n)]
+                              for i in range(n)])
+
+        P = solve(b * b.H, lambda x: x, mp.conj)
+        W = c.H * c
+        for m in ms:
+            W += m * P * m
+        Q = solve(W, mp.conj, lambda x: x)
+        ev = mp.eig(P * Q, left=False, right=False)
+        return np.array(sorted((float(mp.sqrt(mp.re(x))) for x in ev), reverse=True))
+
+
 def scalar_s1():
     """The unit scalar benchmark: A=-1, B=C=1, M=1."""
     return LqoSystem([[-1.0]], [1.0], [1.0], np.array([[1.0]]))

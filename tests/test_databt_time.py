@@ -887,6 +887,25 @@ def test_load_names_the_side_of_a_bad_rule(tmp_path):
 
 
 
+def test_dataset_refuses_the_other_domains_samples():
+    # a family of the other domain would be neither checked, nor locked,
+    # nor saved, so a dataset refuses it by name however it is made
+    sys_ = scalar_s1()
+    rule_p, rule_q = log_trapezoid(0.1, 2.0, 3), log_trapezoid(0.15, 3.0, 3)
+    ds_t, ds_f = collect_time_data(sys_, rule_p, rule_q), collect_freq_data(sys_, rule_p, rule_q)
+    for ds, twin, own, other in ((ds_t, ds_f, databt._TIME_FIELDS, databt._FREQ_FIELDS),
+                                 (ds_f, ds_t, databt._FREQ_FIELDS, databt._TIME_FIELDS)):
+        samples = {name: getattr(ds, name) for name in own}
+        for name in other:
+            match = f"^{ds.domain} dataset cannot hold {name}, a family of the other domain$"
+            for bad in (np.array([np.nan, 1j]), getattr(twin, name)):
+                with pytest.raises(ValueError, match=match):
+                    KernelDataset(ds.domain, rule_p, rule_q, **samples, **{name: bad})
+                with pytest.raises(ValueError, match=match):
+                    replace(ds, **{name: bad})
+        assert replace(ds, **{name: None for name in other}).domain == ds.domain
+
+
 def test_dataset_refuses_samples_of_the_wrong_kind(tmp_path):
     # time-domain kernels are real, so a complex time sample is refused
     # where the dataset is made, naming its field, instead of losing its

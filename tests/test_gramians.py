@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 import scipy.linalg as spla
 
-from conftest import (mp_h2_errors, random_stable_system, reference_h2_error, scalar_s1,
-                      tf_agree)
+from conftest import (mp_h2_errors, mp_hankel_values, random_stable_system,
+                      reference_h2_error, scalar_s1, tf_agree)
 from lqobt import (
     LqoSystem,
     ReducedLqoSystem,
@@ -88,12 +88,9 @@ def test_gramian_factors_reproduce_gramians():
     for _ in range(5):
         sys_ = random_stable_system(rng, n=int(rng.integers(2, 15)), m=2, p=2)
         g = compute_gramians(sys_)
-        for fac, full in ((g.U, g.P), (g.L1, g.Q1), (g.L2, g.Q2)):
+        for fac, full in ((g.U, g.P), (g.L, g.Q)):
             scale = 1.0 + np.abs(full).max()
             assert np.abs(fac @ fac.T - full).max() <= 1e-9 * scale
-        assert g.L.shape[1] == g.L1.shape[1] + g.L2.shape[1]
-        scale = 1.0 + np.abs(g.Q).max()
-        assert np.abs(g.L @ g.L.T - g.Q).max() <= 1e-9 * scale
 
 
 def test_gramians_require_stability():
@@ -149,6 +146,19 @@ def test_hankel_values_reduce_to_classical_without_quadratic_term():
     # the eigenvalue route squares the values, so it only carries about
     # half machine precision near the bottom of the spectrum
     assert np.abs(hsv - want[:k]).max() <= 1e-7 * (1.0 + want[0])
+
+
+@pytest.mark.parametrize("seed", [21, 3, 7])
+def test_hankel_values_match_a_40_digit_reference(seed):
+    # L factors the whole Q = Q1 + Q2 and U factors P; every value of L'U
+    # must match the square roots of the eigenvalues of P Q, built in
+    # eigenvector coordinates at 40 digits, to 1e-12 relative (measured:
+    # at most 5e-14 on these three systems)
+    sys_ = synthesize_system(20, damping=(0.1, 3.0), gain_decay=0.85, seed=seed)
+    want = mp_hankel_values(sys_)
+    hsv = hankel_singular_values(compute_gramians(sys_))
+    assert hsv.shape == want.shape
+    assert np.abs(hsv / want - 1.0).max() <= 1e-12
 
 
 # ------------------------------------------------------------ intrusive BT
@@ -400,8 +410,8 @@ def _counting(calls, module, name):
 
 
 def test_order_sweep_factors_once_and_solves_each_system_once(monkeypatch):
-    # one system's record factors L'U once for all orders and solves its
-    # Gramians once; the ROMs it scores reuse its one Hammarling recursion
+    # one system's record solves its Gramians once, factors P and the whole
+    # Q once each and L'U once for all orders; the ROMs it scores reuse its one Hammarling recursion
     # and have no Gramians of their own
     sys_ = synthesize_system(12, damping=(0.1, 3.0), gain_decay=0.85, seed=21)
     orders = range(2, 9)
@@ -412,11 +422,11 @@ def test_order_sweep_factors_once_and_solves_each_system_once(monkeypatch):
             m.setattr(gramians, name, _counting(calls, gramians, name))
         compute_gramians(sys_)
         roms = [intrusive_bt(sys_, r) for r in orders]
-        assert calls == {"svd": 1, "solve_lyapunov": 3, "psd_sqrt_factor": 3,
+        assert calls == {"svd": 1, "solve_lyapunov": 3, "psd_sqrt_factor": 2,
                          "compute_gramians": len(roms), "_hammarling": 0}
         errors = [h2_error(sys_, rom) for rom in roms]
         h2_norm(sys_)  # the one compute_gramians call past intrusive_bt's
-        assert calls == {"svd": 1, "solve_lyapunov": 3, "psd_sqrt_factor": 3,
+        assert calls == {"svd": 1, "solve_lyapunov": 3, "psd_sqrt_factor": 2,
                          "compute_gramians": len(roms) + 1, "_hammarling": 1}
     _sweep_equals_fresh_objects(sys_, orders, roms, errors)
 
@@ -440,7 +450,7 @@ def test_gramians_are_kept_once_per_system_and_cannot_change(monkeypatch):
     assert rom not in records and rom not in factors  # a scored ROM keeps nothing
     T, Z = sys_.schur  # the system's one Schur form, which h2_error reads
     assert sys_.schur is sys_.schur
-    for X in (g.P, g.Q1, g.Q2, g.Q, T, Z, g.U, g.L1, g.L2, g.L,
+    for X in (g.P, g.Q1, g.Q2, g.Q, T, Z, g.U, g.L,
               g.hankel.Z, g.hankel.S, g.hankel.Y, f.S, f.V, f.CU, *f.K):
         with pytest.raises(ValueError):
             X[0, ...] = 1.0
