@@ -8,8 +8,9 @@ Subcommands
 ``hsv``
     Write normalized Hankel singular values of a system, both the exact
     ones (``HSV_f.csv``) and the singular values of the assembled sample
-    matrix (``HSV_r.csv``), one ``Index,HSV_f`` pair per row, up to the
-    resolvable rank (values above ``1e-13`` of the largest).
+    matrix (``HSV_r.csv``), one ``Index,HSV_f`` or ``Index,HSV_r`` pair
+    per row, up to the resolvable rank (values above ``1e-13`` of the
+    largest).
 ``reduce``
     Reduce a system by intrusive balanced truncation or by the
     data-driven method (time or frequency domain) and write the reduced
@@ -190,7 +191,8 @@ def cmd_hsv(args):
     hsv_f = hankel_singular_values(compute_gramians(sys_))
     r = args.order if args.order is not None else min(hsv_f.size, hsv_r.size)
     os.makedirs(args.out, exist_ok=True)
-    for fname, values in (("HSV_f.csv", hsv_f), ("HSV_r.csv", hsv_r)):
+    for column, values in (("HSV_f", hsv_f), ("HSV_r", hsv_r)):
+        fname = f"{column}.csv"
         rank = _resolvable_rank(values)  # the values past it are round-off
         if args.order is not None and r > rank:
             print(f"{fname}: --order {r} exceeds the resolvable rank {rank}",
@@ -198,7 +200,7 @@ def cmd_hsv(args):
         normalized = values[:min(r, rank)] / values[0]
         _write_csv(
             os.path.join(args.out, fname),
-            "Index,HSV_f",
+            f"Index,{column}",
             ((i + 1, v) for i, v in enumerate(normalized)),
         )
     print(args.out)

@@ -9,10 +9,11 @@ with ``A`` of order n, ``B`` n-by-m, ``C`` p-by-n and one symmetric ``M_q``
 per output channel. The class exposes the sampler interface (the kernel
 grids ``h1_grid``, ``dh1_grid``, ``h2_grid`` and ``dh2_grid`` and the
 transfer functions ``tf1`` and ``tf2_grid``), which is all the data-driven
-reduction layer is allowed to see, plus a simulator that advances the state
-exactly between grid points, with one matrix exponential per distinct step
-size, and the stability queries, which read the system's kept real Schur
-form. Matrix Market files persist a system.
+reduction layer is allowed to see and which computes each node's
+exponential or resolvent once per system, plus a simulator that advances
+the state exactly between grid points, with one matrix exponential per
+distinct step size, and the stability queries, which read the system's kept
+real Schur form. Matrix Market files persist a system.
 """
 
 import functools
@@ -33,9 +34,11 @@ __all__ = [
     "save_system",
 ]
 
-# Byte budget of each system's node exponentials: at n=50 it holds those of
-# about 50,000 nodes (16 MB at N=800), so a collection evicts nothing it
-# would reuse.
+# Byte budget of each of a system's two node caches, its exponentials and its
+# resolvents: at n=50 it holds the exponentials of about 50,000 nodes (16 MB
+# at N=800) and, at one input, the resolvents of about 1.3 million (3.3 MB
+# for the 4,096 closed nodes of 1,024 a side), so a collection evicts
+# nothing it would reuse.
 _CACHE_BYTES = 2**30
 
 # The scaled Taylor coefficients h^k u^(k)(t), k = 0..3, of the cubic
@@ -48,6 +51,18 @@ def _node_exp(A, t):
     caller. Looks up the module's `expm` at call time, so that tracing and
     tests can count the exponentiations."""
     return _read_only(expm(A, t))
+
+
+def _node_resolvent(A, B, s):
+    """``(sI - A)^{-1} B``, read-only, as a cache hands the same array to
+    every caller. Looks up ``np.linalg.solve`` at call time, so that tests
+    can count the solves. A singular ``sI - A`` raises
+    :class:`~lqobt.errors.FrequencyCollisionError` naming `s`."""
+    try:
+        X = np.linalg.solve(s * np.eye(A.shape[0]) - A, B)
+    except np.linalg.LinAlgError as exc:
+        raise FrequencyCollisionError(f"resolvent singular at s = {s}") from exc
+    return _read_only(X)
 
 
 def _check_nonnegative(*arrays):
@@ -70,8 +85,9 @@ class LqoSystem:
     The matrices are read-only once the system is made, and so is every
     array they are views of (:func:`lqobt.numcore._read_only`): a caller's
     ``full`` behind ``A = full[:, :]``, or a 1-D ``B``. So neither the
-    cache of node exponentials, nor the kept Schur form, nor the system's
-    :func:`~lqobt.gramians.compute_gramians` record can go stale.
+    caches of node exponentials and node resolvents, nor the kept Schur
+    form, nor the system's :func:`~lqobt.gramians.compute_gramians` record
+    can go stale.
 
     Parameters
     ----------
@@ -126,6 +142,10 @@ class LqoSystem:
         self._exp_cache = functools.lru_cache(maxsize=_CACHE_BYTES // A.nbytes)(
             functools.partial(_node_exp, A)
         )
+        # least recently used node resolvents (complex, so 2 B.nbytes each)
+        self._resolvent_cache = functools.lru_cache(
+            maxsize=_CACHE_BYTES // max(2 * B.nbytes, 1)
+        )(functools.partial(_node_resolvent, self.A, self.B))
 
     @property
     def n(self):
@@ -251,32 +271,27 @@ class LqoSystem:
         ``tf2(s1, s2)_q = B' (s1 I - A')^{-1} M_q (s2 I - A)^{-1} B``, on
         the full grid ``s1s x s2s``; shape ``(len(s1s), len(s2s), p, m, m)``.
 
-        One resolvent ``X(s) = (sI - A)^{-1} B`` is solved per distinct
-        node of both sets; as ``B' (s1 I - A')^{-1} = X(s1)'`` (a plain
-        transpose), each channel is then the product ``X(s1)' M_q X(s2)``
-        over the whole grid."""
+        Each node's resolvent ``X(s) = (sI - A)^{-1} B`` comes from the
+        system's cache, so it is solved once per distinct node across all
+        calls, of this method and of :meth:`tf1`; as
+        ``B' (s1 I - A')^{-1} = X(s1)'`` (a plain transpose), each channel
+        is then the product ``X(s1)' M_q X(s2)`` over the whole grid."""
         s1s = np.asarray(s1s, dtype=complex)
         s2s = np.asarray(s2s, dtype=complex)
         n, m, a, b = self.n, self.m, s1s.size, s2s.size
-        nodes, inv = np.unique(np.concatenate([s1s, s2s]), return_inverse=True)
-        X = self._resolvents(nodes)
-        L = X[inv[:a]].transpose(0, 2, 1).reshape(a * m, n)
-        R = X[inv[a:]].transpose(1, 0, 2).reshape(n, b * m)
+        L = self._resolvents(s1s).transpose(0, 2, 1).reshape(a * m, n)
+        R = self._resolvents(s2s).transpose(1, 0, 2).reshape(n, b * m)
         out = np.stack([L @ (M @ R) for M in self.Ms])          # (q, a m, b m)
         out = out.reshape(self.p, a, m, b, m).transpose(1, 3, 0, 2, 4)
         return np.ascontiguousarray(out)
 
     def _resolvents(self, nodes):
         """``(sI - A)^{-1} B`` at each of the 1-d `nodes`, shape
-        ``(len(nodes), n, m)``; one solve per node."""
-        I = np.eye(self.n)
+        ``(len(nodes), n, m)``, solved once per distinct node on this
+        system while the cache has room."""
         X = np.empty((len(nodes), self.n, self.m), dtype=complex)
         for i, s in enumerate(nodes):
-            try:
-                X[i] = np.linalg.solve(s * I - self.A, self.B)
-            except np.linalg.LinAlgError as exc:
-                raise FrequencyCollisionError(
-                    f"resolvent singular at s = {s}") from exc
+            X[i] = self._resolvent_cache(complex(s))
         return X
 
     # -- simulation -----------------------------------------------------------

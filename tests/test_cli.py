@@ -94,9 +94,9 @@ def test_hsv_writes_normalized_tables(tmp_path):
     assert rc == 0
     sys_ = load_system(manifest)
     want = hankel_singular_values(compute_gramians(sys_))
-    for fname in ("HSV_f.csv", "HSV_r.csv"):
-        header, rows = _read_csv(os.path.join(out, fname))
-        assert header == "Index,HSV_f"
+    for column in ("HSV_f", "HSV_r"):
+        header, rows = _read_csv(os.path.join(out, f"{column}.csv"))
+        assert header == f"Index,{column}"
         assert [r[0] for r in rows] == [str(i + 1) for i in range(6)]
         values = np.array([float(r[1]) for r in rows])
         assert values[0] == 1.0

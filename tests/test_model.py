@@ -16,6 +16,7 @@ from lqobt import (
     LqoSystem,
     ReducedLqoSystem,
     Trajectory,
+    collect_freq_data,
     collect_time_data,
     load_system,
     log_trapezoid,
@@ -328,6 +329,7 @@ def test_reduction_leaves_only_node_exponentials_cached():
     info = sys_._exp_cache.cache_info()
     assert info.currsize == info.misses == n_exp
     assert info.maxsize == model._CACHE_BYTES // sys_.A.nbytes
+    assert sys_._resolvent_cache.cache_info().currsize == 0
 
 
 def test_cache_budget_evicts_without_changing_samples(monkeypatch):
@@ -453,32 +455,134 @@ def test_resolvent_at_eigenvalue_raises():
             sys_.tf2_grid(np.array(s1s), np.array(s2s))
 
 
+def _count_solves(monkeypatch, pause=0.0):
+    calls = []
+    solve = np.linalg.solve
+
+    def counting(a, b):
+        # the nodes are imaginary, so each is the imaginary part of sI - A
+        calls.append(float(a[0, 0].imag))
+        time.sleep(pause)
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    return calls
+
+
 def test_tf2_grid_solves_one_resolvent_per_distinct_node(monkeypatch):
     # the conjugate-closed quadratic grid has the same node set on both
     # sides, so it needs one resolvent per node, not one per grid entry
     rng = np.random.default_rng(12)
     sys_ = random_stable_system(rng, n=5, m=2, p=2)
-    calls = []
-    solve = np.linalg.solve
-
-    def counted(a, b):
-        # the nodes are imaginary, so each is the imaginary part of sI - A
-        calls.append(a[0, 0].imag)
-        return solve(a, b)
-
-    monkeypatch.setattr(np.linalg, "solve", counted)
+    calls = _count_solves(monkeypatch)
     th = np.array([0.3, -0.3, 1.2, -1.2, 4.0, -4.0])
     G = sys_.tf2_grid(-1j * th, 1j * th)
     assert len(calls) == th.size
     assert sorted(calls) == sorted(th)
     calls.clear()
+    # the system keeps the resolvents, so a second call solves only its
+    # new nodes
     sys_.tf2_grid(-1j * th, 1j * np.array([0.5, 2.0]))
-    assert len(calls) == th.size + 2
+    assert sorted(calls) == [0.5, 2.0]
     monkeypatch.undo()
     for u in range(th.size):
         for v in range(th.size):
             want = tf2(sys_, -1j * th[u], 1j * th[v])
             assert np.abs(G[u, v] - want).max() <= 1e-13 * np.abs(want).max()
+
+
+# -------------------------------------------------- node resolvent cache
+
+
+def _closed_freqs(rule_p, rule_q):
+    """The frequencies of both rules' conjugate-closed nodes."""
+    return sorted(np.concatenate(
+        [databt._closed_nodes(rule)[0] for rule in (rule_p, rule_q)]))
+
+
+def test_collection_solves_each_frequency_node_once(monkeypatch):
+    # tf1 and tf2_grid read the same closed nodes from one cache: 2 (N_p +
+    # N_q) solves, where a solve per call would make 2.5 times as many
+    sys_, rule_p, rule_q, _ = _cache_case()
+    calls = _count_solves(monkeypatch)
+    collect_freq_data(sys_, rule_p, rule_q)
+    assert len(calls) == 2 * (rule_p.nodes.size + rule_q.nodes.size)
+    assert sorted(calls) == _closed_freqs(rule_p, rule_q)
+
+
+def test_freq_route_solves_each_frequency_node_once(monkeypatch):
+    sys_, rule_p, rule_q, _ = _cache_case()
+    calls = _count_solves(monkeypatch)
+    lqo_qbt_auto(sys_, rule_p, rule_q, [2], domain="freq")
+    assert sorted(calls) == _closed_freqs(rule_p, rule_q)
+
+
+def test_freq_reduction_leaves_only_node_resolvents_cached():
+    sys_, rule_p, rule_q, _ = _cache_case()
+    lqo_qbt_auto(sys_, rule_p, rule_q, [2], domain="freq")
+    n_res = 2 * (rule_p.nodes.size + rule_q.nodes.size)
+    info = sys_._resolvent_cache.cache_info()
+    assert info.currsize == info.misses == n_res
+    assert info.maxsize == model._CACHE_BYTES // (2 * sys_.B.nbytes)
+    assert sys_._exp_cache.cache_info().currsize == 0
+
+
+def test_resolvent_cache_budget_evicts_without_changing_samples(monkeypatch):
+    sys_, rule_p, rule_q, _ = _cache_case()
+    reference = collect_freq_data(_fresh(sys_), rule_p, rule_q)
+    # room for eight resolvents, so the collection must evict
+    monkeypatch.setattr(model, "_CACHE_BYTES", 8 * 2 * sys_.B.nbytes)
+    calls = _count_solves(monkeypatch)
+    capped_sys = _fresh(sys_)
+    capped = collect_freq_data(capped_sys, rule_p, rule_q)
+    assert len(calls) > 2 * (rule_p.nodes.size + rule_q.nodes.size)
+    for name in databt._FREQ_FIELDS:
+        assert np.array_equal(getattr(capped, name), getattr(reference, name)), name
+    info = capped_sys._resolvent_cache.cache_info()
+    assert info.currsize == info.maxsize == 8
+
+
+def test_warm_system_collects_the_same_freq_samples():
+    # a collection on a system whose cache already holds every node, and
+    # others, reads the very samples a fresh system solves for
+    sys_, rule_p, rule_q, _ = _cache_case()
+    reference = collect_freq_data(_fresh(sys_), rule_p, rule_q)
+    sys_.tf2_grid(1j * rule_q.nodes, -1j * np.array([0.5, 2.0]))
+    collect_freq_data(sys_, rule_p, rule_q)
+    warm = collect_freq_data(sys_, rule_p, rule_q)
+    for name in databt._FREQ_FIELDS:
+        assert np.array_equal(getattr(warm, name), getattr(reference, name)), name
+
+
+@pytest.mark.parametrize("evict", [False, True])
+def test_resolvent_cache_is_consistent_under_concurrent_use(monkeypatch, evict):
+    # as for the exponentials: every solve gives up the interpreter, so
+    # threads miss the same node together and race to store it, or to
+    # evict, while others read
+    sys_, rule_p, rule_q, _ = _cache_case()
+    if evict:
+        monkeypatch.setattr(model, "_CACHE_BYTES", 8 * 2 * sys_.B.nbytes)
+    sys_ = _fresh(sys_)
+    th, s = (databt._closed_nodes(rule)[0] for rule in (rule_p, rule_q))
+    ref_sys = _fresh(sys_)
+    want = (ref_sys.tf2_grid(-1j * th, 1j * s), ref_sys.tf1(1j * th))
+    _count_solves(monkeypatch, pause=1e-4)
+
+    def work(_):
+        return sys_.tf2_grid(-1j * th, 1j * s), sys_.tf1(1j * th)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(work, i) for i in range(16)]
+            results = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for got in results:
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    info = sys_._resolvent_cache.cache_info()
+    assert info.currsize == min(info.maxsize, th.size + s.size)
 
 
 # ------------------------------------------------------------ simulation
