@@ -35,7 +35,8 @@ dataset) gives one reducer, :func:`_compressed_matrices`, one function
 a node in time and a conjugate node pair in frequency. The reducer
 takes the bases of the rows' two modes from probe fibres at a column
 subset (:func:`_mode_bases`) and reads the compressed rows off a cross
-at their Q-DEIM rows, over every column. So a sampler gives O(N^2)
+at their Q-DEIM rows, over every column, one block of columns at a
+time. So a sampler gives O(N^2)
 quadratic samples, not all O(N^3) (:func:`lqo_qbt_streamed`), a time
 dataset is sliced at the same places (:func:`lqo_qbt`), and the real
 Loewner rows are evaluated only at the node pairs read
@@ -60,6 +61,7 @@ whole, as the oracle the compressed routes are tested against.
 """
 
 import json
+import operator
 import os
 import sys
 import warnings
@@ -90,6 +92,13 @@ TIE_TOL = 1e-12
 # column units, and the residual that raises
 PROBES = 8
 MODE_TOL = 1e-10
+# column units per block of the cross, which H and M take one block at a
+# time. On the time route at N=400 (the benchmark's system, orders 2..20,
+# 2 vCPUs), units per block against tracemalloc's peak and the median
+# pass: 25: 35.9 MiB, 0.33 s; 50: 36.9 MiB, 0.32 s; 100: 39.7 MiB, 0.30 s;
+# 200: 47.3 MiB, 0.29 s; 400 (one block): 54.9 MiB, 0.31 s. 50 units left
+# the resident peak at 113.6 MB, as 100 did, for twice the sampler calls
+_CROSS_UNITS = 100
 _PACKAGE = os.path.dirname(__file__) + os.sep
 
 
@@ -639,6 +648,12 @@ def _real_view(X, rows=()):
 
 
 def _truncation_guard(S, r, max_r):
+    try:  # Python and numpy integers pass; bools and integral floats do not
+        if isinstance(r, bool):
+            raise TypeError
+        operator.index(r)
+    except TypeError:
+        raise OrderError(f"order {r!r} is not an integer") from None
     if S.size == 0 or S[0] == 0.0:
         raise ValueError("H, the product L'U of the Gramian factors or its "
                          "quadrature, is identically zero")
@@ -795,9 +810,12 @@ def _compressed_matrices(quad, units, linear, io, domain):
     ``w_j = 1``; columns ``(i, b)``), a conjugate node pair on the
     frequency route (``w_k = 2m``: rows ``(k pair, slot, a)``; ``w_j =
     2``; columns ``(l pair, b, slot)``). The probes read column subsets;
-    the cross reads every column.
-    ``linear(shifted)`` gives the linear rows, and ``io()`` gives ``h``,
-    ``g`` and ``K``, called past the probe stage. The
+    the cross reads every column, in blocks of ``_CROSS_UNITS`` column
+    units. ``linear(shifted)`` gives the linear rows, and ``io()`` gives
+    ``h``, ``g`` and ``K``, called past the probe stage. ``H`` and ``M``
+    are each allocated once, the linear rows at the top, and each block
+    of the cross, compressed, is written into its columns of the rows
+    below, so no copy of the whole cross is held. The
     bases, their rows ``I_k``, ``I_j`` and the inverses ``G_k =
     V_k[I_k]^{-1}``, ``G_j = V_j[I_j]^{-1}`` come from :func:`_mode_bases`,
     which checked those very inverses on held-out fibres, and the cross is
@@ -816,16 +834,27 @@ def _compressed_matrices(quad, units, linear, io, domain):
     ku, k_rows = _units(Ik, wk)
     ju, j_rows = _units(Ij, wj)
     p, m = len(K), h.shape[1]
+    nl = h.shape[0] - p * Vk.shape[0] * Vj.shape[0]
+    width = g.shape[1] // n_l  # columns per unit
 
     def rows(shifted):
-        X = quad(shifted, ku, ju, np.arange(n_l))
-        X = X.reshape(ku.size * wk, ju.size * wj, p, -1)
-        X = X[k_rows[:, None], j_rows]  # (r_k, r_j, q, column)
-        Y = (Gk @ X.reshape(Ik.size, -1)).reshape(Ik.size, Ij.size, -1)
-        core = np.matmul(Gj, Y).reshape(X.shape).transpose(2, 0, 1, 3)
-        return np.vstack([linear(shifted), core.reshape(-1, X.shape[-1])])
+        # the linear rows' temporaries are gone before out is allocated, and
+        # the rows themselves before the cross is read
+        lin = linear(shifted)
+        out = np.empty((nl + p * Ik.size * Ij.size, g.shape[1]))
+        out[:nl] = lin
+        del lin
+        core = out[nl:].reshape(p, Ik.size, Ij.size, -1)
+        for start in range(0, n_l, _CROSS_UNITS):
+            stop = min(start + _CROSS_UNITS, n_l)
+            X = quad(shifted, ku, ju, np.arange(start, stop))
+            X = X.reshape(ku.size * wk, ju.size * wj, -1)[k_rows[:, None], j_rows]
+            X = (Gk @ X.reshape(Ik.size, -1)).reshape(Ik.size, Ij.size, -1)
+            X = np.matmul(Gj, X).reshape(Ik.size, Ij.size, p, -1)
+            # (r_k, r_j, q, column) -> rows (q, r_k, r_j)
+            core[..., width * start:width * stop] = X.transpose(2, 0, 1, 3)
+        return out
 
-    nl = h.shape[0] - p * Vk.shape[0] * Vj.shape[0]
     quad_h = h[nl:].reshape(p, -1, Vj.shape[0], m, m)  # (q, k, j, a, b)
     quad_h = np.einsum("kar,js,qkjab->qrsb", Vk.reshape(-1, m, Ik.size), Vj,
                        quad_h, optimize=True)
@@ -860,8 +889,10 @@ def lqo_qbt_streamed(sampler, rule_p, rule_q, orders):
     ``(V_k[I_k]^{-1} (x) V_j[I_j]^{-1}) X[I_k, I_j, :]`` at Q-DEIM rows
     ``I_k``, ``I_j`` of the bases (:func:`_compressed_matrices`). So
     beyond the probe fibres, which take a subset of the columns ``t_i``,
-    the sampler is asked for one ``h2_grid(t[K], tau[I_j], t)`` and one
-    ``dh2_grid`` call, with ``K`` the nodes of the rows ``I_k``. The
+    the sampler is asked for ``h2_grid(t[K], tau[I_j], t[B])`` and
+    ``dh2_grid`` at the same nodes, with ``K`` the nodes of the rows
+    ``I_k``, for each block ``B`` of at most ``_CROSS_UNITS`` consecutive
+    columns. The
     derivative samples get no basis of their own: they lie in the same
     mode ranges only when the columns ``U`` span an ``A``-invariant
     subspace, say when ``N_p m >= n`` and ``U`` has full rank. Otherwise

@@ -37,6 +37,7 @@ class FrequencyCollisionError(ValueError):
 
 
 class OrderError(ValueError):
-    """A reduction order lies outside ``[1, limit]``, the limit being the
-    resolvable rank of ``H`` (its singular values above ``RANK_TOL`` of the
-    largest) or ``H``'s column count, if smaller."""
+    """A reduction order is not an integer (a bool or a float is not), or
+    lies outside ``[1, limit]``, the limit being the resolvable rank of
+    ``H`` (its singular values above ``RANK_TOL`` of the largest) or
+    ``H``'s column count, if smaller."""

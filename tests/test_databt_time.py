@@ -9,6 +9,7 @@ without ever seeing state-space matrices.
 import json
 import os
 import tempfile
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -55,6 +56,7 @@ from lqobt import (
 )
 from lqobt import databt, gramians, numcore
 from lqobt.databt import build_data_matrices, lqo_qbt_streamed
+from lqobt.errors import OrderError
 from lqobt.numcore import RANK_TOL, SKETCH
 from test_acceptance import _equivalence_cases, _mimo_cases
 
@@ -380,6 +382,23 @@ def test_reduction_order_guards():
         lqo_qbt(ds, 0)
     with pytest.raises(ValueError):
         lqo_qbt(ds, 2)  # scalar system: numerical rank 1
+    assert lqo_qbt(ds, np.int64(1)).r == 1
+
+
+@pytest.mark.parametrize("order", [2.5, 3.0, True], ids=["2.5", "3.0", "True"])
+@pytest.mark.parametrize("route", [
+    lambda s, rp, rq, r: lqo_qbt(collect_time_data(s, rp, rq), r),
+    lambda s, rp, rq, r: lqo_qbt_auto(s, rp, rq, [r], domain="time"),
+    lambda s, rp, rq, r: lqo_qbt_auto(s, rp, rq, [r], domain="freq"),
+    lambda s, rp, rq, r: intrusive_bt(s, r),
+], ids=["lqo_qbt", "auto-time", "auto-freq", "intrusive_bt"])
+def test_orders_that_are_not_integers_are_refused_by_name(route, order):
+    # a float indexed the singular values (IndexError) and a bool reached
+    # an ambiguous array truth value; both are refused as orders
+    _, rule_p, rule_q = _tied_case()
+    sys_ = random_stable_system(np.random.default_rng(79), n=5)
+    with pytest.raises(OrderError, match=f"order {order!r} is not an integer"):
+        route(sys_, rule_p, rule_q, order)
 
 
 def test_tied_spectrum_warns_on_split():
@@ -529,10 +548,10 @@ def test_each_mode_basis_is_checked_once_and_its_inverse_feeds_the_cross(monkeyp
 
 class CountingSampler:
     """Forwards to a system and records the node counts of every
-    second-order kernel grid call."""
+    second-order kernel grid call, and in `grids` its nodes."""
 
     def __init__(self, sys_):
-        self._sys, self.calls = sys_, []
+        self._sys, self.calls, self.grids = sys_, [], []
 
     def __getattr__(self, name):
         attr = getattr(self._sys, name)
@@ -541,6 +560,7 @@ class CountingSampler:
 
         def counted(a, b, c):
             self.calls.append((name, len(a), len(b), len(c)))
+            self.grids.append((name, a, b, c))
             return attr(a, b, c)
 
         return counted
@@ -548,27 +568,70 @@ class CountingSampler:
 
 def test_streamed_samples_come_in_bounded_blocks(monkeypatch):
     # past the single-node samples and the probe and held-out fibres of
-    # both modes, the route reads one cross per method: at most r_k
-    # controllability nodes (one per interpolation row (k, a)) and r_j
-    # observability nodes, times all columns t_i
+    # both modes, the route reads the cross in column blocks of at most
+    # _CROSS_UNITS nodes t_i, each at most r_k controllability nodes (one
+    # per interpolation row (k, a)) and r_j observability nodes; the
+    # blocks' columns are every t_i once, in order, and h2_grid and
+    # dh2_grid read the same blocks. 230 columns make three blocks
     rng = np.random.default_rng(79)
     sys_ = random_stable_system(rng, n=5)
-    rule_p, rule_q = log_trapezoid(1e-2, 20.0, 23), log_trapezoid(2e-2, 15.0, 17)
-    seen = {}
-    _spy(monkeypatch, "_mode_bases", seen)
+    rule_p, rule_q = log_trapezoid(1e-2, 20.0, 230), log_trapezoid(2e-2, 15.0, 17)
     sampler = CountingSampler(sys_)
+    seen = {}
+    mode_bases = databt._mode_bases
+
+    def spied(*args):
+        seen["bases"] = mode_bases(*args)
+        seen["calls"] = len(sampler.grids)
+        return seen["bases"]
+
+    monkeypatch.setattr(databt, "_mode_bases", spied)
     lqo_qbt_streamed(sampler, rule_p, rule_q, [2])
-    (Vk, Ik, _), (Vj, Ij, _) = seen["_mode_bases"][1]
+    (Vk, Ik, _), (Vj, Ij, _) = seen["bases"]
     assert (Ik.size, Ij.size) == (Vk.shape[1], Vj.shape[1])
-    h2_calls = [c[1:] for c in sampler.calls if c[0] == "h2_grid"]
-    dh2_calls = [c[1:] for c in sampler.calls if c[0] == "dh2_grid"]
-    assert len(h2_calls) == 2 + 4 + 1 and len(dh2_calls) == 1
-    assert all(c == 1 for _, _, c in h2_calls[:2])
-    assert all(min(a, b) <= databt.PROBES for a, b, _ in h2_calls[2:6])
-    for a, b, c in (h2_calls[-1], dh2_calls[0]):
-        assert a <= Vk.shape[1] < len(rule_p)
-        assert b <= Vj.shape[1] < len(rule_q)
-        assert c == len(rule_p)
+    before, cross = sampler.calls[:seen["calls"]], sampler.grids[seen["calls"]:]
+    assert [c[0] for c in before] == ["h2_grid"] * len(before)
+    assert all(c == 1 for _, _, _, c in before[:2])
+    assert all(min(a, b) <= databt.PROBES for _, a, b, _ in before[2:])
+    h2 = [c[1:] for c in cross if c[0] == "h2_grid"]
+    dh2 = [c[1:] for c in cross if c[0] == "dh2_grid"]
+    assert len(h2) == len(dh2) == -(-len(rule_p) // databt._CROSS_UNITS) >= 2
+    for block, shifted_block in zip(h2, dh2):
+        for nodes, shifted_nodes in zip(block, shifted_block):
+            np.testing.assert_array_equal(nodes, shifted_nodes)
+        a, b, c = block
+        assert a.size <= Vk.shape[1] < len(rule_p)
+        assert b.size <= Vj.shape[1] < len(rule_q)
+        assert c.size <= databt._CROSS_UNITS
+    np.testing.assert_array_equal(np.concatenate([c for _, _, c in h2]), rule_p.nodes)
+
+
+def test_cross_blocks_give_the_single_block_models(monkeypatch):
+    # blocks of 3 column units (four, the last ragged, at 11 nodes or node
+    # pairs) give the models of one block on every input, the time
+    # sampler, the time dataset and the frequency dataset, and so those
+    # of the whole-matrix oracle
+    rng = np.random.default_rng(73)
+    sys_ = random_stable_system(rng, n=6, m=2, p=2)
+    rule = log_trapezoid(1e-2, 10.0, 11)
+    ds_time = collect_time_data(sys_, rule, rule)
+    ds_freq = collect_freq_data(sys_, log_trapezoid(0.05, 20.0, 11),
+                                log_trapezoid(0.07, 28.0, 11))
+    routes = (
+        (lambda r: lqo_qbt_streamed(sys_, rule, rule, [r])[1][0], ds_time),
+        (lambda r: lqo_qbt(ds_time, r), ds_time),
+        (lambda r: lqo_qbt(ds_freq, r), ds_freq),
+    )
+    pts = [0.3 + 1.2j, 1.0, 2.5 + 0.4j]
+    for route, ds in routes:
+        dm = build_data_matrices(ds)
+        for r in (2, 4):
+            single = route(r)
+            with monkeypatch.context() as mp:
+                mp.setattr(databt, "_CROSS_UNITS", 3)
+                blocked = route(r)
+            tf_agree(single, blocked, pts, rtol=1e-12)
+            tf_agree(exact_rom(dm, r), blocked, pts, rtol=1e-9, scale_sys=sys_)
 
 
 def test_time_pass_asks_for_linear_quadratic_samples():
@@ -582,6 +645,23 @@ def test_time_pass_asks_for_linear_quadratic_samples():
     lqo_qbt_auto(sampler, rule, rule, [10])
     # one input and output, so an entry per node triple
     assert sum(a * b * c for _, a, b, c in sampler.calls) <= 3 * n**2 * N
+
+
+def test_time_pass_memory_holds_no_whole_cross():
+    # H and M are allocated once and the cross is written into them in
+    # column blocks: 39.8 MiB traced at N=400 on the benchmark's system,
+    # against 56.2 MiB when the cross was read at every column at once
+    n, N = 50, 400
+    sys_ = synthesize_system(n, damping=(0.1, 3.0), gain_decay=0.85, seed=21)
+    rule = log_trapezoid(1e-2, 1e2, N)
+    tracemalloc.start()
+    try:
+        _, (rom,) = lqo_qbt_auto(sys_, rule, rule, [10])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rom.r == 10
+    assert peak <= 45 * 2**20
 
 
 def test_data_route_factors_only_sketch_sized_matrices(monkeypatch):

@@ -1,12 +1,15 @@
-"""Delete the package's refusals one at a time and list those no test misses.
+"""Break the package's refusals one at a time and list those no test misses.
 
-Usage: ``python tools/refusal_mutants.py src/lqobt/databt.py [more files]``
+Usage: ``python tools/refusal_mutants.py [--negate] src/lqobt/databt.py [more files]``
 
 Each ``raise`` statement and each ``warnings.warn(...)`` call in the given
 files is replaced by ``pass``, one at a time, in a temporary copy of the
-repository; the working tree is never written. Tier-1 then runs on the
-copy with ``-x``. A mutant whose run passes survives: no test tells that
-refusal apart from the others. Each file is first run unmutated, as
+repository; the working tree is never written. With ``--negate``, the
+test of each guard, an ``if`` with a refusal directly in its body, is
+negated instead (``if x:`` becomes ``if not x:``), so the guard refuses
+what it should pass and passes what it should refuse. Tier-1 then runs on
+the copy with ``-x``. A mutant whose run passes survives: no test tells
+that refusal apart from the others. Each file is first run unmutated, as
 ``ast.unparse`` writes it, and a failure there stops the script, as it
 would kill every mutant. Each mutant is printed as ``file:line killed``
 or ``survives``, and the exit status is the number of survivors. A run
@@ -33,20 +36,30 @@ def _is_refusal(node):
         and call.func.value.id == "warnings")
 
 
-class _Delete(ast.NodeTransformer):
-    """Replaces the refusal statement on line `line` by ``pass``."""
+def _is_guard(node):
+    return isinstance(node, ast.If) and any(map(_is_refusal, node.body))
 
-    def __init__(self, line):
-        self.line = line
+
+class _Mutate(ast.NodeTransformer):
+    """Replaces the refusal statement on line `line` by ``pass`` or, with
+    `negate`, negates the test of the guard on that line."""
+
+    def __init__(self, line, negate):
+        self.line, self.negate = line, negate
 
     def generic_visit(self, node):
         super().generic_visit(node)
-        if _is_refusal(node) and node.lineno == self.line:
+        if getattr(node, "lineno", None) != self.line:
+            return node
+        if self.negate and _is_guard(node):
+            node.test = ast.UnaryOp(ast.Not(), node.test)
+        elif not self.negate and _is_refusal(node):
             return ast.copy_location(ast.Pass(), node)
         return node
 
 
-def main(paths):
+def main(paths, negate=False):
+    target = _is_guard if negate else _is_refusal
     survivors = []
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp) / "repo"
@@ -58,9 +71,10 @@ def main(paths):
         for path in paths:
             rel = Path(path).resolve().relative_to(ROOT)
             source = (ROOT / rel).read_text()
-            lines = sorted(n.lineno for n in ast.walk(ast.parse(source)) if _is_refusal(n))
+            lines = sorted(n.lineno for n in ast.walk(ast.parse(source)) if target(n))
             for line in [None, *lines]:
-                (copy / rel).write_text(ast.unparse(_Delete(line).visit(ast.parse(source))))
+                mutant = _Mutate(line, negate).visit(ast.parse(source))
+                (copy / rel).write_text(ast.unparse(mutant))
                 passed = subprocess.run(
                     [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"],
                     cwd=copy, env=env, capture_output=True).returncode == 0
@@ -77,4 +91,5 @@ def main(paths):
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    negate = sys.argv[1:2] == ["--negate"]
+    sys.exit(main(sys.argv[1 + negate:], negate))
