@@ -32,9 +32,13 @@ of ``H``. Every data input (time sampler, time dataset, frequency
 dataset) gives one reducer, :func:`_compressed_matrices`, one function
 ``quad(shifted, ku, ju, lu)``: its weighted quadratic rows of ``H``
 (``M`` if `shifted`) at sample units `ku`, `ju` and column units `lu`,
-a node in time and a conjugate node pair in frequency. The reducer
-takes the bases of the rows' two modes from probe fibres at a column
-subset (:func:`_mode_bases`) and reads the compressed rows off a cross
+a node in time and a conjugate node pair in frequency, and one function
+``k_columns(ju, lu)`` whose columns span those rows' fibres along the
+``k`` mode: the time fibres themselves, and in frequency the raw
+``tf2_cross`` and ``tf2_quad`` columns the Loewner fibres are
+combinations of. The reducer takes the bases of the rows' two modes
+from probes at a column subset (:func:`_mode_bases`), checks them on
+held-out fibres of ``quad`` and reads the compressed rows off a cross
 at their Q-DEIM rows, over every column, one block of columns at a
 time. So a sampler gives O(N^2)
 quadratic samples, not all O(N^3) (:func:`lqo_qbt_streamed`), a time
@@ -512,7 +516,7 @@ def _real_linear_rows(ds, shifted):
     th, rho = ds.p_nodes[::2, None], ds.p_sqrt_weights[::2, None]
     # (j pair, slot, q, l pair, b)
     L = _loewner(ds.tf1_in.reshape(Nq2, 2, p, 1, m),
-                 ds.tf1_out[::2].transpose(1, 0, 2), s, th, phi * rho, shifted)
+                 ds.tf1_out[::2].transpose(1, 0, 2), s, th, phi, rho, shifted)
     return _real_view(L, (1,)).reshape(ds.Nq * p, ds.Np * m)
 
 
@@ -536,8 +540,33 @@ def _real_quadratic(ds, ku, ju, lu, shifted):
         # (q, k, l, a, b) -> (k pair, slot, a, 1, 1, q, l pair, b)
         rk * ds.tf2_quad[:, k[:, None], 2 * lu].reshape(p, nk, 2, nl, m, m)
         .transpose(1, 2, 4, 0, 3, 5)[:, :, :, None, None],
-        s, th, phi * rho, shifted)
+        s, th, phi, rho, shifted)
     return _real_view(L, (1, 4)).reshape(nk, 2 * m, nj, 2, p, -1)
+
+
+def _real_k_columns(ds, ju, lu):
+    """Real columns whose span holds every real quadratic Loewner row of
+    a frequency dataset, shifted or not, along its ``k`` mode, at the
+    observability pairs `ju` and the column pairs `lu`: rows ``(k pair,
+    slot, a)`` as in :func:`_real_quadratic`, ``2 (2 ju.size +
+    lu.size) p m`` columns.
+
+    A ``k``-fibre of those rows at the nodes ``j`` and ``l`` is ``c (a_j -
+    b_l)``, or ``c (i s_j a_j - i th_l b_l)``, of two weighted sample
+    columns over ``(k, a)``: ``a_j``, of ``tf2_cross`` at ``j``, and
+    ``b_l``, of ``tf2_quad`` at ``l``. These are the columns, at both
+    nodes of each pair ``ju`` and the positive node of each pair ``lu``,
+    with their rows paired and their real and imaginary parts taken
+    (:func:`_real_view`); the pairing of the ``j`` slots only combines
+    them."""
+    m = ds.m
+    j = (2 * ju[:, None] + np.arange(2)).ravel()
+    rk = ds.p_sqrt_weights.reshape(-1, 2, 1, 1)
+    X = np.concatenate([ds.tf2_cross[:, :, j], ds.tf2_quad[:, :, 2 * lu]], axis=2)
+    # (q, k, column, a, b) -> (k pair, slot, a, (q, column, b))
+    X = np.multiply(rk, X.transpose(1, 3, 0, 2, 4).reshape(*rk.shape[:2], m, -1),
+                    order="C")
+    return _real_view(X, (1,)).reshape(ds.Np * m, -1)
 
 
 def _real_io_blocks(ds):
@@ -558,17 +587,22 @@ def _real_io_blocks(ds):
     return np.ascontiguousarray(h.real), g.reshape(p, nc), K
 
 
-def _loewner(a, b, s, th, w, shifted):
+def _loewner(a, b, s, th, phi, rho, shifted):
     """Loewner entries ``w (a - b) / (i th - i s)``, or with `shifted` the
-    shifted Loewner entries ``w (i s a - i th b) / (i th - i s)``, of
-    samples `a` at the row nodes ``i s`` against samples `b` at the column
-    nodes ``i th``. The five operands are broadcast to the output's
-    layout."""
+    shifted Loewner entries ``w (i s a - i th b) / (i th - i s)``, with
+    ``w = phi rho``, of samples `a` at the row nodes ``i s`` against
+    samples `b` at the column nodes ``i th``. The six operands are
+    broadcast to the output's layout, `phi` as `s` and `rho` as `th`; the
+    factor ``w / (i th - i s)`` is one temporary, divided and multiplied
+    in place."""
     if shifted:
         a = 1j * s * a
         b = 1j * th * b
     L = a - b
-    L *= w / (1j * th - 1j * s)
+    factor = 1j * th - 1j * s
+    np.divide(phi, factor, out=factor)
+    factor *= rho
+    L *= factor
     return L
 
 
@@ -783,22 +817,27 @@ def _freq_compressed(ds):
     a conjugate node pair as the unit).
 
     The real quadratic Loewner rows are evaluated only at the pairs read
-    (:func:`_real_quadratic`, at the positive node of each column pair).
+    (:func:`_real_quadratic`, at the positive node of each column pair):
+    the ``j`` probes, the held-out fibres of both modes and the cross.
+    The ``k`` basis comes from the raw sample columns at the probe pairs
+    (:func:`_real_k_columns`), whose span holds every Loewner ``k``-fibre
+    there, shifted ones included, so its probes evaluate no Loewner row.
     The linear rows, ``h``, ``g`` and ``K`` are built as in
-    :func:`build_data_matrices`. The probes hold the rows at a subset of
-    the column pairs (:func:`_mode_bases`), so the route's memory is set
-    by the O(N^2) samples and the cross, not by O(N^3) probe slabs.
+    :func:`build_data_matrices`. The probes take a subset of the column
+    pairs (:func:`_mode_bases`), so the route's memory is set by the
+    O(N^2) samples and the cross, not by O(N^3) probe slabs.
     :class:`KernelDataset` checks the node separation and the conjugate
     symmetry when a dataset is made, so this trusts it.
     """
     return _compressed_matrices(
         lambda shifted, ku, ju, lu: _real_quadratic(ds, ku, ju, lu, shifted),
+        lambda ju, lu: _real_k_columns(ds, ju, lu),
         (ds.Np // 2, ds.Nq // 2, ds.Np // 2),
         lambda shifted: _real_linear_rows(ds, shifted),
         lambda: _real_io_blocks(ds), "freq")
 
 
-def _compressed_matrices(quad, units, linear, io, domain):
+def _compressed_matrices(quad, k_columns, units, linear, io, domain):
     """Data matrices with the quadratic rows compressed onto
     ``I_p (x) V_k (x) V_j``, read off a cross: the reducer of every input.
 
@@ -811,8 +850,15 @@ def _compressed_matrices(quad, units, linear, io, domain):
     frequency route (``w_k = 2m``: rows ``(k pair, slot, a)``; ``w_j =
     2``; columns ``(l pair, b, slot)``). The probes read column subsets;
     the cross reads every column, in blocks of ``_CROSS_UNITS`` column
-    units. ``linear(shifted)`` gives the linear rows, and ``io()`` gives
-    ``h``, ``g`` and ``K``, called past the probe stage. ``H`` and ``M``
+    units. ``k_columns(ju, lu)`` gives the ``k`` mode's probe matrix at
+    the units `ju` of the ``j`` mode and the column units `lu`: ``n_k
+    w_k`` rows, and columns whose span holds every ``k``-fibre of
+    ``quad`` there, shifted or not. The time inputs pass ``quad``'s own
+    ``k`` unfolding, as a time fibre is a sample; the frequency input
+    passes the raw sample columns the Loewner fibres combine
+    (:func:`_real_k_columns`). ``linear(shifted)`` gives the linear rows,
+    and ``io()`` gives ``h``, ``g`` and ``K``, called past the probe
+    stage. ``H`` and ``M``
     are each allocated once, the linear rows at the top, and each block
     of the cross, compressed, is written into its columns of the rows
     below, so no copy of the whole cross is held. The
@@ -828,7 +874,7 @@ def _compressed_matrices(quad, units, linear, io, domain):
     measured (:func:`lqo_qbt_streamed`). The quadratic rows of ``h``,
     given whole, are projected onto the bases."""
     n_k, n_j, n_l = units
-    (Vk, Ik, Gk), (Vj, Ij, Gj) = _mode_bases(quad, n_k, n_j, n_l)
+    (Vk, Ik, Gk), (Vj, Ij, Gj) = _mode_bases(quad, k_columns, n_k, n_j, n_l)
     h, g, K = io()
     wk, wj = Vk.shape[0] // n_k, Vj.shape[0] // n_j
     ku, k_rows = _units(Ik, wk)
@@ -951,13 +997,17 @@ def _time_compressed(read, rho, phi, h1_sum, dh1_sum, io):
         # (k, j, i, q, a, b) -> (k, a, j, 1, q, (i, b))
         return X.transpose(0, 4, 1, 3, 2, 5).reshape(ku.size, m, ju.size, 1, p, -1)
 
+    def k_columns(ju, lu):
+        # a time fibre is a sample, so the k mode's probes are its fibres
+        return quad(False, np.arange(rho.size), ju, lu).reshape(rho.size * m, -1)
+
     return _compressed_matrices(
-        quad, (rho.size, phi.size, rho.size),
+        quad, k_columns, (rho.size, phi.size, rho.size),
         lambda shifted: _linear_block(dh1_sum if shifted else h1_sum, phi, rho),
         lambda: _io_blocks(*io, phi, rho), "time")
 
 
-def _mode_bases(quad, n_k, n_j, n_l):
+def _mode_bases(quad, k_columns, n_k, n_j, n_l):
     """Orthonormal bases ``V_k`` and ``V_j`` of the two modes of the
     quadratic rows ``quad`` of :func:`_compressed_matrices`, each as a
     triple ``(V, I, G)`` with its interpolation rows ``I``
@@ -966,11 +1016,14 @@ def _mode_bases(quad, n_k, n_j, n_l):
     ``n_l`` is the number of column units.
 
     Each basis holds the left singular vectors above ``RANK_TOL`` of the
-    mode's probe fibres: the rows of ``H`` at every unit of the mode, at
-    ``PROBES`` evenly spread units of the other and at ``2 * PROBES``
-    evenly spread column units, unfolded to the mode's rows, from the
-    seeded range finder :func:`~lqobt.numcore.svd`. The held-out fibres
-    ``F``, at the units of the other mode midway between the probes and,
+    mode's probes at ``PROBES`` evenly spread units of the other mode and
+    at ``2 * PROBES`` evenly spread column units, from the seeded range
+    finder :func:`~lqobt.numcore.svd`. For the ``j`` mode the probes are
+    the fibres, the rows of ``H`` at every unit of the mode unfolded to
+    its rows; for the ``k`` mode they are ``k_columns(probes, cols)``
+    (:func:`_compressed_matrices`), whose span holds those fibres. The
+    held-out fibres ``F`` are rows of ``quad`` in both modes, at the units
+    of the other mode midway between the probes and,
     until the last step, at the column units midway between the probed
     ones, must match their interpolant ``V G F[I]`` to within ``MODE_TOL``
     of their norm. While they do not, the column count doubles; the last
@@ -989,13 +1042,14 @@ def _mode_bases(quad, n_k, n_j, n_l):
         return X.reshape(X.shape[0] * X.shape[1], -1)
 
     bases = []
-    for mode, n in (("k", n_j), ("j", n_k)):
+    for mode, n, probe in (("k", n_j, k_columns),
+                           ("j", n_k, lambda idx, lu: unfolding("j", idx, lu))):
         probes, held = _spread(n, PROBES)
         count = 2 * PROBES if held.size else n_l
         while True:
             cols, held_cols = _spread(n_l, count)
             last = cols.size == n_l
-            res = svd(unfolding(mode, probes, cols))
+            res = svd(probe(probes, cols))
             # an identically zero mode keeps one direction, which reads zeros
             V = res.Z[:, :max(1, _resolvable_rank(res.S))]
             F = (unfolding(mode, held, cols if last else held_cols) if held.size

@@ -189,16 +189,16 @@ def complex_freq_matrices(ds):
     rk = rho[:, None, None, None, None]
     # row node j and column node l on the last four axes (j, x, l, y)
     sj, thl = s[:, None, None, None], th[:, None]
-    w = phi[:, None, None, None] * rho[:, None]
+    w = phi[:, None, None, None], rho[:, None]
 
     def rows(shifted):
         # (j, q, l, b)
         linear = _loewner(ds.tf1_in[:, :, None], ds.tf1_out.transpose(1, 0, 2),
-                          sj, thl, w, shifted)
+                          sj, thl, *w, shifted)
         # (q, k, j, a, l, b)
         quad = _loewner(rk * ds.tf2_cross[..., None, :],
                         rk * ds.tf2_quad.transpose(0, 1, 3, 2, 4)[:, :, None],
-                        sj, thl, w, shifted)
+                        sj, thl, *w, shifted)
         return np.vstack([linear.reshape(-1, nc), quad.reshape(-1, nc)])
 
     return DataMatrices(H=rows(False), M=rows(True), h=h, g=g, K=K,

@@ -433,30 +433,76 @@ def test_freq_cross_core_equals_compressed_whole_rows(monkeypatch):
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
-def test_probe_columns_double_until_the_held_out_gate_passes(monkeypatch):
-    # at 40 nodes a side the n=50 system's k-mode probes at 16 column
-    # pairs leave held-out fibres off their interpolant; the probes widen
-    # to 32 of the 40 pairs, and the route still gives the oracle's model
+def _staggered_dataset(n_nodes):
+    """The n=50 benchmark system's frequency dataset at `n_nodes` a side,
+    the observability nodes half a geometric step off the others."""
     sys_ = synthesize_system(50, damping=(0.1, 3.0), gain_decay=0.85, seed=21)
-    a, b, n_nodes = 1e-2, 1e2, 40
+    a, b = 1e-2, 1e2
     shift = (b / a) ** (0.5 / (n_nodes - 1))
-    ds = collect_freq_data(sys_, log_trapezoid(a, b, n_nodes),
-                           log_trapezoid(a * shift, b * shift, n_nodes))
-    shapes = []
+    return sys_, collect_freq_data(sys_, log_trapezoid(a, b, n_nodes),
+                                   log_trapezoid(a * shift, b * shift, n_nodes))
+
+
+def test_probe_columns_double_until_the_held_out_gate_passes(monkeypatch):
+    # at 40 nodes a side the n=50 system's k basis from probes at 16
+    # column pairs leaves held-out fibres off their interpolant; the
+    # probes widen to 32 of the 40 pairs, and the route still gives the
+    # oracle's model. The k basis is factored from the raw sample columns
+    # (_real_k_columns), real and imaginary parts, over the 80 rows (k
+    # pair, slot): tf2_cross at both nodes of the 8 probe pairs and
+    # tf2_quad at each probed column pair, 2 (16 + 16) and then 2 (16 + 32)
+    sys_, ds = _staggered_dataset(40)
+    inputs = []
     factor = databt.svd
 
     def spied(X, *args, **kwargs):
-        shapes.append(X.shape)
+        inputs.append(X)
         return factor(X, *args, **kwargs)
 
     monkeypatch.setattr(databt, "svd", spied)
     lqo_qbt(ds, 10)
     # the k mode twice, then the j mode and H
-    assert len(shapes) == 4
-    assert shapes[1] == (shapes[0][0], 2 * shapes[0][1])
-    # two real fibres per probe pair, two real columns per column pair
-    assert shapes[1][1] == (2 * databt.PROBES) * 2 * 32
+    assert len(inputs) == 4
+    assert [X.shape for X in inputs[:2]] == [(80, 64), (80, 96)]
+    probes = databt._spread(ds.Nq // 2, databt.PROBES)[0]
+    for X, count in zip(inputs, (16, 32)):
+        cols = databt._spread(ds.Np // 2, count)[0]
+        np.testing.assert_array_equal(X, databt._real_k_columns(ds, probes, cols))
     _assert_matches_oracle(sys_, ds, [4, 10, 20], [0.3 + 1.2j, 1.0, 2.5 + 0.4j])
+
+
+def test_k_probes_evaluate_loewner_rows_only_at_held_out_fibres(monkeypatch):
+    # the k basis comes from sample columns, so the k probe stage evaluates
+    # real Loewner rows, at every k pair, only at the held-out j pairs,
+    # once per step of its doubling, to check the basis on them
+    _, ds = _staggered_dataset(40)
+    calls, probing = [], []
+    quadratic, mode_bases = databt._real_quadratic, databt._mode_bases
+
+    def recorded(data, ku, ju, lu, shifted):
+        if probing:
+            calls.append((ku, ju, shifted))
+        return quadratic(data, ku, ju, lu, shifted)
+
+    def bases(*args):
+        probing.append(True)
+        try:
+            return mode_bases(*args)
+        finally:
+            probing.clear()
+
+    monkeypatch.setattr(databt, "_real_quadratic", recorded)
+    monkeypatch.setattr(databt, "_mode_bases", bases)
+    lqo_qbt(ds, 10)
+    n_k, n_j = ds.Np // 2, ds.Nq // 2
+    held = databt._spread(n_j, databt.PROBES)[1]
+    k_stage = [c for c in calls if c[0].size == n_k]
+    assert len(k_stage) == 2
+    for ku, ju, shifted in k_stage:
+        np.testing.assert_array_equal(ju, held)
+        assert not shifted
+    # every other call is the j stage's, at every j pair
+    assert all(ju.size == n_j for ku, ju, _ in calls if ku.size < n_k)
 
 
 def test_freq_route_memory_has_no_node_count_bound():
@@ -479,6 +525,28 @@ def test_freq_route_memory_has_no_node_count_bound():
             tracemalloc.stop()
         assert rom.r == 10
         assert peak <= 130 * 2**20
+
+
+def test_linear_rows_hold_one_loewner_factor_temporary():
+    # _loewner builds its factor w / (i th - i s) in one temporary, so at
+    # 512 nodes a side and one input and output the real linear rows peak
+    # at their own 8 MiB plus 8 MiB for the factor: 16.3 MiB traced, where
+    # the weights, the denominator and their quotient, each a temporary,
+    # made 28.1 MiB
+    rng = np.random.default_rng(5)
+    a, b, n_nodes = 1e-2, 1e2, 512
+    shift = (b / a) ** (0.5 / (n_nodes - 1))
+    ds = collect_freq_data(random_stable_system(rng, n=4), log_trapezoid(a, b, n_nodes),
+                           log_trapezoid(a * shift, b * shift, n_nodes))
+    for shifted in (False, True):
+        tracemalloc.start()
+        try:
+            rows = databt._real_linear_rows(ds, shifted)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows.nbytes == 8 * 2**20
+        assert peak <= 17 * 2**20
 
 
 def test_freq_ill_conditioned_interpolation_rows_raise(monkeypatch):

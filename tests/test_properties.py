@@ -133,3 +133,29 @@ def test_cross_rows_are_the_oracle_rows_on_the_mode_bases(seed, m, p, source):
         cross = k_mode(oracle)[:, Ik][:, :, Ij]
         assert_rows(rows, oracle, np.einsum("rk,sj,qkjc->qrsc", Gk, Gj, cross))
     assert_rows(got.H, whole.H, np.einsum("kr,js,qkjc->qrsc", Vk, Vj, k_mode(whole.H)))
+
+
+@examples
+@given(seed=seeds, m=st.integers(1, 2), p=st.integers(1, 2), shifted=st.booleans())
+def test_freq_k_fibres_lie_in_the_span_of_the_sample_columns(seed, m, p, shifted):
+    # a k-fibre of the quadratic Loewner rows at the nodes j and l is
+    # c (a_j - b_l), or c (i s_j a_j - i th_l b_l), of a tf2_cross column
+    # a_j and a tf2_quad column b_l, so the k basis may come from those
+    # columns (_real_k_columns) at the probe pairs: every real fibre there,
+    # realified as the rows are, lies in their span
+    rng = np.random.default_rng(seed)
+    sys_ = random_stable_system(rng, n=int(rng.integers(2, 9)), m=m, p=p)
+    rule_p = random_rule(rng, max_nodes=12, lo=0.2, hi=3.0)
+    rule_q = random_rule(rng, max_nodes=6, lo=0.2, hi=3.0, avoid=rule_p)
+    ds = collect_freq_data(sys_, rule_p, rule_q)
+    n_k, n_j = ds.Np // 2, ds.Nq // 2
+    ju = np.sort(rng.choice(n_j, int(rng.integers(1, n_j + 1)), replace=False))
+    lu = np.sort(rng.choice(n_k, int(rng.integers(1, n_k + 1)), replace=False))
+    C = databt._real_k_columns(ds, ju, lu)
+    assert C.shape == (n_k * 2 * m, 2 * (2 * ju.size + lu.size) * p * m)
+    fibres = databt._real_quadratic(ds, np.arange(n_k), ju, lu, shifted)
+    F = fibres.reshape(C.shape[0], -1)
+    U, S, _ = np.linalg.svd(C, full_matrices=False)
+    Q = U[:, S > 1e-15 * S[0]]
+    off = np.linalg.norm(F - Q @ (Q.T @ F), axis=0)
+    assert (off <= 1e-12 * np.linalg.norm(F, axis=0)).all()
