@@ -38,8 +38,8 @@ import sys
 
 import numpy as np
 
-from .databt import lqo_qbt_auto
-from .errors import OrderError
+from .databt import _check_freq_rules, lqo_qbt_auto
+from .errors import FrequencyCollisionError, OrderError
 from .gramians import (
     compute_gramians,
     h2_error,
@@ -128,20 +128,34 @@ def _rules_from_args(args, domain, n_p, n_q=None):
     In the frequency domain the observability-side nodes are shifted by
     half the step of the finest log lattice holding the trapezoid nodes of
     both counts, so the two node sets interleave instead of colliding
-    (divided differences need distinct points)."""
+    (divided differences need distinct points). That separates trapezoid
+    nodes only; frequency rules whose nodes still collide are a usage
+    error naming ``--rule`` and the node counts, found from the rules
+    before any sample is taken."""
     n_q = n_p if n_q is None else n_q
     a, b = args.interval
     rule = RULES[args.rule]
-    shift = 1.0
-    if domain == "freq":
-        shift = (b / a) ** (0.5 / max(math.lcm(n_p - 1, n_q - 1), 1))
-    return rule(a, b, n_p), rule(a * shift, b * shift, n_q)
+    if domain != "freq":
+        return rule(a, b, n_p), rule(a, b, n_q)
+    shift = (b / a) ** (0.5 / max(math.lcm(n_p - 1, n_q - 1), 1))
+    rules = rule(a, b, n_p), rule(a * shift, b * shift, n_q)
+    try:
+        _check_freq_rules(*rules)
+    except FrequencyCollisionError as exc:
+        args.error(f"argument --rule: {args.rule} nodes at {n_p} and {n_q} "
+                   f"a side on {a:g}:{b:g}: {exc}")
+    return rules
 
 
 def _load(args, order=None):
-    """The system of ``--system``, restricted to ``--select``. An `order`
-    ``(flag, r)`` above the system order is a usage error naming `flag`."""
-    sys_ = load_system(args.system)
+    """The system of ``--system``, restricted to ``--select``. A path that
+    cannot be read, and an `order` ``(flag, r)`` above the system order,
+    are usage errors naming their flag."""
+    try:
+        sys_ = load_system(args.system)
+    except OSError as exc:
+        args.error(f"argument --system: cannot read {args.system!r}: "
+                   f"{exc.strerror or exc}")
     if args.select:
         i, q = args.select
         if i >= sys_.m or q >= sys_.p:
@@ -277,14 +291,12 @@ def cmd_h2_sweep(args):
     sys_ = _load(args, ("--order", args.order) if args.nodes is not None
                  else ("--orders", args.orders[-1]))
     if args.nodes is not None:
-        # every node count is reduced, or refused, before the intrusive
+        # every node count's rules are checked before any is sampled, and
+        # every count is reduced, or refused, before the intrusive
         # reference is paid for
-        roms = []
-        for n in args.nodes:
-            rule_p, rule_q = _rules_from_args(args, args.domain, n)
-            _, (rom,) = lqo_qbt_auto(sys_, rule_p, rule_q, [args.order],
-                                     domain=args.domain)
-            roms.append(rom)
+        rules = [_rules_from_args(args, args.domain, n) for n in args.nodes]
+        roms = [lqo_qbt_auto(sys_, *pair, [args.order], domain=args.domain)[1][0]
+                for pair in rules]
         bt_err = _safe_error(sys_, intrusive_bt(sys_, args.order))
         rows = [(n, bt_err, _safe_error(sys_, rom))
                 for n, rom in zip(args.nodes, roms)]

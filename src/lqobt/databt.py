@@ -46,6 +46,16 @@ dataset is sliced at the same places (:func:`lqo_qbt`), and the real
 Loewner rows are evaluated only at the node pairs read
 (:func:`_freq_compressed`). No route holds the quadratic rows whole.
 
+The reduced model needs the other matrices only through their
+projection onto the leading singular vectors ``(Z, S, Y)`` of ``H``:
+``Z'MY``, ``Z'h``, ``gY`` and ``Y'K_qY``. So ``H`` is the one data
+matrix a route holds whole. It is factored once, and ``M``, ``h`` and
+each ``K_q`` are streamed into those coordinates a block at a time,
+from one block function each (:func:`_h_blocks`, :func:`_k_blocks`).
+Every order then reduces that small core (:func:`_reduce_orders`),
+so an order sweep projects once, and a model does not depend on the
+other orders asked for.
+
 Frequency-domain data is always closed under conjugation, which gives
 complex matrices that a fixed unitary pairing of each ``(+w, -w)`` node
 pair makes real: ``[[1, 1], [-i, i]] / sqrt(2)`` on the row pairs, its
@@ -75,7 +85,7 @@ import numpy as np
 
 from .errors import FrequencyCollisionError, OrderError
 from .model import ReducedLqoSystem
-from .numcore import _read_only, _resolvable_rank, svd
+from .numcore import SvdResult, _read_only, _resolvable_rank, svd
 from .quadrature import QuadratureRule
 
 __all__ = [
@@ -261,6 +271,12 @@ class DataMatrices:
     rows and the exact products all satisfy. ``H`` and ``M`` share their
     columns with ``g`` (``CU``, ``p`` rows) and with each square block of
     ``K`` (``U'M_qU``, one per output channel); ``h`` has ``m`` columns.
+
+    The oracle (:func:`build_data_matrices`) and the intrusive route hold
+    the matrices themselves. The data routes hold their core in ``H``'s
+    singular coordinates (:func:`_compressed_matrices`): ``H =
+    diag(S)``, ``M = Z'MY``, ``h = Z'h``, ``g = gY`` and ``K_q =
+    Y'K_qY``, which give the same reduced models with identity factors.
     """
 
     H: np.ndarray
@@ -307,18 +323,15 @@ def collect_time_data(sampler, rule_p, rule_q):
     :class:`KernelDataset` with ``domain="time"``.
     """
     t, tau = rule_p.nodes, rule_q.nodes
-    h1_sum, dh1_sum, h1_in, h2_in, h1_out, h2_quad = _time_samples(sampler, t, tau)
-    p, m = h1_sum.shape[2:]
+    samples = _time_samples(sampler, t, tau)
+    p, m = samples["h1_sum"].shape[2:]
     h2_sum, dh2_sum = (
         np.moveaxis(_grid(sampler, method, (t, tau, t), (p, m, m)), 3, 0)
         for method in ("h2_grid", "dh2_grid")
     )
 
-    return KernelDataset(
-        domain="time", rule_p=rule_p, rule_q=rule_q,
-        h1_sum=h1_sum, dh1_sum=dh1_sum, h1_in=h1_in, h1_out=h1_out,
-        h2_sum=h2_sum, dh2_sum=dh2_sum, h2_in=h2_in, h2_quad=h2_quad,
-    )
+    return KernelDataset(domain="time", rule_p=rule_p, rule_q=rule_q,
+                         h2_sum=h2_sum, dh2_sum=dh2_sum, **samples)
 
 
 def _grid(sampler, method, nodes, tail=None):
@@ -348,19 +361,19 @@ def _grid(sampler, method, nodes, tail=None):
 def _time_samples(sampler, t, tau):
     """The linear samples ``h1_sum`` and ``dh1_sum`` and the single-node
     samples ``h1_in``, ``h2_in``, ``h1_out`` and ``h2_quad`` at the time
-    nodes `t` and `tau`, in dataset layout: all but the quadratic sums,
-    which the two time inputs sample differently."""
+    nodes `t` and `tau`, in dataset layout, by family name: all but the
+    quadratic sums, which the two time inputs sample differently."""
     h1_sum = _grid(sampler, "h1_grid", (tau, t))
     p, m = h1_sum.shape[2:]
     zero = np.zeros(1)
     pm, pmm = (p, m), (p, m, m)
-    return (
-        h1_sum,
-        _grid(sampler, "dh1_grid", (tau, t), pm),
-        _grid(sampler, "h1_grid", (tau, zero), pm)[:, 0],
-        np.moveaxis(_grid(sampler, "h2_grid", (t, tau, zero), pmm)[:, :, 0], 2, 0),
-        _grid(sampler, "h1_grid", (t, zero), pm)[:, 0],
-        np.moveaxis(_grid(sampler, "h2_grid", (t, t, zero), pmm)[:, :, 0], 2, 0),
+    return dict(
+        h1_sum=h1_sum,
+        dh1_sum=_grid(sampler, "dh1_grid", (tau, t), pm),
+        h1_in=_grid(sampler, "h1_grid", (tau, zero), pm)[:, 0],
+        h2_in=np.moveaxis(_grid(sampler, "h2_grid", (t, tau, zero), pmm)[:, :, 0], 2, 0),
+        h1_out=_grid(sampler, "h1_grid", (t, zero), pm)[:, 0],
+        h2_quad=np.moveaxis(_grid(sampler, "h2_grid", (t, t, zero), pmm)[:, :, 0], 2, 0),
     )
 
 
@@ -426,24 +439,41 @@ def _linear_block(samples, phi, rho):
     return (w * samples).transpose(0, 2, 1, 3).reshape(Nq * p, Np * m)
 
 
-def _io_blocks(y1_in, y2_in, y1_out, y2_quad, phi, rho):
-    """Input block ``h`` (= ``L' B``), output block ``g`` (= ``C U``) and
-    quadratic blocks ``K_q`` (= ``U' M_q U``) from samples of either domain
-    shaped like ``h1_in``, ``h2_in``, ``h1_out`` and ``h2_quad`` (or their
-    ``tf`` counterparts) of :class:`KernelDataset`."""
+def _h_blocks(y1_in, y2_in, phi, rho):
+    """Input block ``h`` (= ``L' B``) from samples of either domain shaped
+    like ``h1_in`` and ``h2_in`` (or ``tf1_in`` and ``tf2_cross``) of
+    :class:`KernelDataset`: its linear rows ``(j, q)``, and a function of
+    controllability node indices ``ku`` that gives its quadratic rows at
+    those nodes, ``(p, ku.size, N_q, m, m)``: rows ``(q, k, j, a)``,
+    columns ``b``."""
     Nq, p, m = y1_in.shape
-    Np = y1_out.shape[0]
-    h_lin = (phi[:, None, None] * y1_in).reshape(Nq * p, m)
-    w_in = phi[None, None, :, None, None] * rho[None, :, None, None, None]
-    h_quad = (w_in * y2_in).reshape(p * Np * Nq * m, m)
-    h = np.vstack([h_lin, h_quad])
+    lin = (phi[:, None, None] * y1_in).reshape(Nq * p, m)
+    return lin, lambda ku: (rho[ku, None] * phi)[None, :, :, None, None] * y2_in[:, ku]
 
+
+def _k_blocks(y1_out, y2_quad, rho):
+    """Output block ``g`` (= ``C U``) from samples shaped like ``h1_out``
+    (or ``tf1_out``), and a function of node indices ``lu`` that gives
+    the rows ``(l, a)`` of every quadratic block ``K_q`` (= ``U' M_q U``)
+    at those nodes from samples shaped like ``h2_quad`` (``tf2_quad``):
+    ``(p, lu.size m, N_p m)``, columns ``(i, b)``."""
+    Np, p, m = y1_out.shape
     g = (rho[:, None, None] * y1_out).transpose(1, 0, 2).reshape(p, Np * m)
 
-    w_k = rho[None, :, None, None, None] * rho[None, None, :, None, None]
-    quad = w_k * y2_quad
-    K = [quad[q].transpose(0, 2, 1, 3).reshape(Np * m, Np * m) for q in range(p)]
-    return h, g, K
+    def rows(lu):
+        X = (rho[lu, None] * rho)[None, :, :, None, None] * y2_quad[:, lu]
+        return X.transpose(0, 1, 3, 2, 4).reshape(p, lu.size * m, Np * m)
+
+    return g, rows
+
+
+def _whole_io(inputs, outputs, n_k, n_l):
+    """``h``, ``g`` and the ``K_q`` whole, from the blocks of
+    :func:`_h_blocks` and :func:`_k_blocks` (or their real forms) called
+    over every unit at once: the oracle's."""
+    (h_lin, h_quad), (g, k_rows) = inputs, outputs
+    h = np.vstack([h_lin, h_quad(np.arange(n_k)).reshape(-1, h_lin.shape[1])])
+    return h, g, list(k_rows(np.arange(n_l)))
 
 
 def build_data_matrices(ds):
@@ -477,7 +507,7 @@ def build_data_matrices(ds):
     if ds.domain == "freq":
         Np2, Nq2, m, p = ds.Np // 2, ds.Nq // 2, ds.m, ds.p
         nl, nc = ds.Nq * p, ds.Np * m
-        h, g, K = _real_io_blocks(ds)
+        h, g, K = _whole_io(_real_h_blocks(ds), _real_k_blocks(ds), Np2, Np2)
         H = np.empty((h.shape[0], nc))
         M = np.empty_like(H)
         for out, shifted in ((H, False), (M, True)):
@@ -498,7 +528,8 @@ def build_data_matrices(ds):
         ])
         for linear, quad in ((ds.h1_sum, ds.h2_sum), (ds.dh1_sum, ds.dh2_sum))
     )
-    h, g, K = _io_blocks(ds.h1_in, ds.h2_in, ds.h1_out, ds.h2_quad, phi, rho)
+    h, g, K = _whole_io(_h_blocks(ds.h1_in, ds.h2_in, phi, rho),
+                        _k_blocks(ds.h1_out, ds.h2_quad, rho), ds.Np, ds.Np)
     return DataMatrices(H=H, M=M, h=h, g=g, K=K, domain="time")
 
 
@@ -569,22 +600,41 @@ def _real_k_columns(ds, ju, lu):
     return _real_view(X, (1,)).reshape(ds.Np * m, -1)
 
 
-def _real_io_blocks(ds):
-    """Real ``h``, ``g`` and ``K`` of a frequency dataset. ``h`` has no
-    paired column, so its paired rows are real."""
-    Np2, Nq2, m, p = ds.Np // 2, ds.Nq // 2, ds.m, ds.p
-    nl, nc = ds.Nq * p, ds.Np * m
-    h, g, K = _io_blocks(ds.tf1_in, ds.tf2_cross, ds.tf1_out, ds.tf2_quad,
-                         ds.q_sqrt_weights, ds.p_sqrt_weights)
-    _pair(h[:nl].reshape(Nq2, 2, p, m), 1)
-    quad_h = h[nl:].reshape(p, Np2, 2, Nq2, 2, m, m)
-    _pair(quad_h, 2)
-    _pair(quad_h, 4)
+def _real_h_blocks(ds):
+    """:func:`_h_blocks` of a frequency dataset, real: the quadratic rows
+    are taken at the node pairs ``ku``, ``(p, 2 ku.size, N_q, m, m)`` with
+    rows ``(q, k pair, slot, j pair, slot, a)``. ``h`` has no paired
+    column, so its paired rows are real."""
+    Nq2, m, p = ds.Nq // 2, ds.m, ds.p
+    lin, quad = _h_blocks(ds.tf1_in, ds.tf2_cross, ds.q_sqrt_weights, ds.p_sqrt_weights)
+    _pair(lin.reshape(Nq2, 2, p, m), 1)
+
+    def rows(ku):
+        X = quad((2 * ku[:, None] + np.arange(2)).ravel())
+        pairs = X.reshape(p, ku.size, 2, Nq2, 2, m, m)
+        _pair(pairs, 2)
+        _pair(pairs, 4)
+        return X.real
+
+    return np.ascontiguousarray(lin.real), rows
+
+
+def _real_k_blocks(ds):
+    """:func:`_k_blocks` of a frequency dataset, real: ``g``, and the rows
+    ``(k pair, a, slot)`` of every ``K_q`` at the node pairs ``lu``, as
+    its columns ``(l pair, b, slot)``."""
+    Np2, m, p = ds.Np // 2, ds.m, ds.p
+    g, quad = _k_blocks(ds.tf1_out, ds.tf2_quad, ds.p_sqrt_weights)
     g = _real_view(g.reshape(p, Np2, 2, m)[:, :, 0])
-    # rows (k pair, slot, a) -> (k pair, a, slot), as the columns
-    K = [_real_view(Kq.reshape(Np2, 2, m, Np2, 2, m)[..., 0, :], (1,))
-         .transpose(0, 2, 1, 3, 4).reshape(nc, nc) for Kq in K]
-    return np.ascontiguousarray(h.real), g.reshape(p, nc), K
+
+    def rows(lu):
+        X = quad((2 * lu[:, None] + np.arange(2)).ravel())
+        # (q, k pair, slot, a, l pair, b) at the positive column nodes, then
+        # rows (k pair, slot, a) -> (k pair, a, slot)
+        X = _real_view(X.reshape(p, lu.size, 2, m, Np2, 2, m)[..., 0, :], (2,))
+        return X.transpose(0, 1, 3, 2, 4, 5).reshape(p, lu.size * 2 * m, ds.Np * m)
+
+    return g.reshape(p, ds.Np * m), rows
 
 
 def _loewner(a, b, s, th, phi, rho, shifted):
@@ -740,26 +790,31 @@ def reduce_from_matrices(dm, r, factors=None):
     return ReducedLqoSystem(A_r, B_r, C_r, Ms_r, provenance=f"{dm.domain}-qbt")
 
 
-def _reduce_orders(dm, orders):
-    """Leading singular values of ``dm.H`` (:func:`~lqobt.numcore.svd`) and
-    one reduced model per entry of `orders`, all from a single
-    decomposition."""
-    res = svd(dm.H)
-    return res.S, [reduce_from_matrices(dm, r, factors=res) for r in orders]
+def _reduce_orders(core, orders):
+    """The singular values of ``H`` and one reduced model per entry of
+    `orders`, from the core of :func:`_compressed_matrices`. The core is
+    in ``H``'s singular coordinates, ``H = diag(S)``, so every order runs
+    :func:`reduce_from_matrices` with identity factors: the orders share
+    one projection, and none depends on which others were asked for."""
+    S = core.H.diagonal().copy()
+    eye = np.eye(S.size)
+    factors = SvdResult(eye, S, eye)
+    return S, [reduce_from_matrices(core, r, factors=factors) for r in orders]
 
 
 def lqo_qbt(ds, r):
     """Quadrature-based balanced truncation from a kernel dataset.
 
-    Reduces the five data matrices to order `r` through the leading
-    triplets of ``H`` (:func:`_reduce_orders`). Time-domain datasets give
-    provenance ``"time-qbt"`` and run the driver of
-    :func:`lqo_qbt_streamed` on slices of their arrays. Frequency-domain
-    ones give ``"freq-qbt"`` through their real matrices
-    (:func:`_freq_compressed`). Neither assembles the quadratic rows
-    whole; both give the model of :func:`build_data_matrices`. Nothing
-    is checked here: a dataset is checked when it is made, and its
-    samples cannot change after (:class:`KernelDataset`).
+    Reduces the five data matrices to order `r` through their projection
+    onto the leading singular vectors of ``H`` (:func:`_compressed_matrices`,
+    :func:`_reduce_orders`). Time-domain datasets give provenance
+    ``"time-qbt"`` and run the driver of :func:`lqo_qbt_streamed` on
+    slices of their arrays. Frequency-domain ones give ``"freq-qbt"``
+    through their real matrices (:func:`_freq_compressed`). Neither
+    assembles the quadratic rows whole; both give the model of
+    :func:`build_data_matrices`. Nothing is checked here: a dataset is
+    checked when it is made, and its samples cannot change after
+    (:class:`KernelDataset`).
 
     Parameters
     ----------
@@ -780,10 +835,9 @@ def lqo_qbt(ds, r):
         samples = ds.dh2_sum if shifted else ds.h2_sum
         return np.moveaxis(samples[:, ku[:, None, None], ju[:, None], lu], 0, 3)
 
-    dm = _time_compressed(read, ds.p_sqrt_weights, ds.q_sqrt_weights,
-                          ds.h1_sum, ds.dh1_sum,
-                          (ds.h1_in, ds.h2_in, ds.h1_out, ds.h2_quad))
-    return _reduce_orders(dm, [r])[1][0]
+    core = _time_compressed(read, ds.p_sqrt_weights, ds.q_sqrt_weights,
+                            lambda name: getattr(ds, name))
+    return _reduce_orders(core, [r])[1][0]
 
 
 def lqo_qbt_auto(sampler, rule_p, rule_q, orders, domain="time"):
@@ -793,7 +847,10 @@ def lqo_qbt_auto(sampler, rule_p, rule_q, orders, domain="time"):
     which takes the channel counts from the first grid it samples.
     Frequency data is collected by :func:`collect_freq_data`, which
     refuses colliding node sets before it samples, and reduced through
-    :func:`_freq_compressed`; neither route bounds the node counts.
+    :func:`_freq_compressed`; neither route bounds the node counts. Both
+    hold ``H`` whole and no other data matrix: the rest are streamed
+    into ``H``'s singular coordinates once, whatever the number of
+    `orders` (:func:`_compressed_matrices`).
 
     Returns
     -------
@@ -801,7 +858,7 @@ def lqo_qbt_auto(sampler, rule_p, rule_q, orders, domain="time"):
     `orders`. The singular values are the leading ones of ``H`` that
     :func:`~lqobt.numcore.svd` returns: all above ``RANK_TOL`` of the
     largest and at least 8 more, or all when ``H`` is no wider than the
-    sketch.
+    sketch. The model at an order does not depend on the other orders.
     """
     if domain == "time":
         return lqo_qbt_streamed(sampler, rule_p, rule_q, orders)
@@ -812,9 +869,10 @@ def lqo_qbt_auto(sampler, rule_p, rule_q, orders, domain="time"):
 
 
 def _freq_compressed(ds):
-    """Real data matrices of a frequency dataset with the quadratic rows
-    compressed onto ``I_p (x) V_k (x) V_j`` (:func:`_compressed_matrices`,
-    a conjugate node pair as the unit).
+    """The core of :func:`_compressed_matrices` for a frequency dataset:
+    its real data matrices with the quadratic rows compressed onto ``I_p
+    (x) V_k (x) V_j`` (a conjugate node pair as the unit), projected
+    onto ``H``'s singular vectors.
 
     The real quadratic Loewner rows are evaluated only at the pairs read
     (:func:`_real_quadratic`, at the positive node of each column pair):
@@ -822,10 +880,12 @@ def _freq_compressed(ds):
     The ``k`` basis comes from the raw sample columns at the probe pairs
     (:func:`_real_k_columns`), whose span holds every Loewner ``k``-fibre
     there, shifted ones included, so its probes evaluate no Loewner row.
-    The linear rows, ``h``, ``g`` and ``K`` are built as in
-    :func:`build_data_matrices`. The probes take a subset of the column
-    pairs (:func:`_mode_bases`), so the route's memory is set by the
-    O(N^2) samples and the cross, not by O(N^3) probe slabs.
+    The linear rows are built as in :func:`build_data_matrices`, and
+    ``h``, ``g`` and ``K`` come from the same block functions
+    (:func:`_real_h_blocks`, :func:`_real_k_blocks`), read in blocks of
+    node pairs. The probes take a subset of the column pairs
+    (:func:`_mode_bases`), so the route's memory is set by the O(N^2)
+    samples and ``H``, not by O(N^3) probe slabs.
     :class:`KernelDataset` checks the node separation and the conjugate
     symmetry when a dataset is made, so this trusts it.
     """
@@ -834,12 +894,13 @@ def _freq_compressed(ds):
         lambda ju, lu: _real_k_columns(ds, ju, lu),
         (ds.Np // 2, ds.Nq // 2, ds.Np // 2),
         lambda shifted: _real_linear_rows(ds, shifted),
-        lambda: _real_io_blocks(ds), "freq")
+        lambda: _real_h_blocks(ds), lambda: _real_k_blocks(ds), "freq")
 
 
-def _compressed_matrices(quad, k_columns, units, linear, io, domain):
-    """Data matrices with the quadratic rows compressed onto
-    ``I_p (x) V_k (x) V_j``, read off a cross: the reducer of every input.
+def _compressed_matrices(quad, k_columns, units, linear, inputs, outputs, domain):
+    """The data matrices, with the quadratic rows compressed onto ``I_p
+    (x) V_k (x) V_j`` and read off a cross, projected onto the leading
+    singular vectors of ``H``: the reducer of every input.
 
     ``quad(shifted, ku, ju, lu)`` gives the weighted quadratic rows of
     ``H`` (``M`` if `shifted`) at index arrays of sample units, ``units =
@@ -856,13 +917,14 @@ def _compressed_matrices(quad, k_columns, units, linear, io, domain):
     ``quad`` there, shifted or not. The time inputs pass ``quad``'s own
     ``k`` unfolding, as a time fibre is a sample; the frequency input
     passes the raw sample columns the Loewner fibres combine
-    (:func:`_real_k_columns`). ``linear(shifted)`` gives the linear rows,
-    and ``io()`` gives ``h``, ``g`` and ``K``, called past the probe
-    stage. ``H`` and ``M``
-    are each allocated once, the linear rows at the top, and each block
-    of the cross, compressed, is written into its columns of the rows
-    below, so no copy of the whole cross is held. The
-    bases, their rows ``I_k``, ``I_j`` and the inverses ``G_k =
+    (:func:`_real_k_columns`). ``linear(shifted)`` gives the linear rows.
+    ``inputs()`` gives ``h``'s linear rows and the function of ``k``
+    units that gives its quadratic rows there, ``outputs()`` gives ``g``
+    and the function of column units that gives the rows of every
+    ``K_q`` there (:func:`_h_blocks`, :func:`_k_blocks`); each is called
+    once, when its matrix is projected, and let go after.
+
+    The bases, their rows ``I_k``, ``I_j`` and the inverses ``G_k =
     V_k[I_k]^{-1}``, ``G_j = V_j[I_j]^{-1}`` come from :func:`_mode_bases`,
     which checked those very inverses on held-out fibres, and the cross is
     read at the units holding the rows. As the samples lie in the range of
@@ -871,42 +933,86 @@ def _compressed_matrices(quad, k_columns, units, linear, io, domain):
     core, read the same way, equals its projection only when the columns
     ``U`` span an ``A``-invariant subspace (say ``N_p m >= n``, ``U`` of
     full rank); otherwise the reduced model can move, by up to 1.6e-4
-    measured (:func:`lqo_qbt_streamed`). The quadratic rows of ``h``,
-    given whole, are projected onto the bases."""
+    measured (:func:`lqo_qbt_streamed`).
+
+    ``H`` is the one data matrix held whole: the linear rows at the top,
+    each block of the cross written into its columns below. It is
+    factored once (:func:`~lqobt.numcore.svd`, triplets ``(Z, S, Y)``)
+    and let go, and the rest are streamed into its singular coordinates:
+    each block of ``M``'s cross is multiplied by ``Z``'s rows below the
+    linear ones as it is read, so ``Z'M`` is formed and ``M`` never is;
+    ``h``'s quadratic rows are projected onto ``V_k (x) V_j`` one block of
+    ``k`` units at a time; and each ``K_q`` is accumulated as ``Y[rows]'
+    K_q[rows, :] Y``, one block of column units at a time. The result is
+    the core ``(diag(S), Z'MY, Z'h, gY, [Y'K_qY])``, whose reduced models
+    at each order are those of the matrices (:func:`_reduce_orders`)."""
     n_k, n_j, n_l = units
     (Vk, Ik, Gk), (Vj, Ij, Gj) = _mode_bases(quad, k_columns, n_k, n_j, n_l)
-    h, g, K = io()
     wk, wj = Vk.shape[0] // n_k, Vj.shape[0] // n_j
     ku, k_rows = _units(Ik, wk)
     ju, j_rows = _units(Ij, wj)
-    p, m = len(K), h.shape[1]
-    nl = h.shape[0] - p * Vk.shape[0] * Vj.shape[0]
-    width = g.shape[1] // n_l  # columns per unit
+    r_k, r_j = Ik.size, Ij.size
+    lin = linear(False)
+    nl, nc = lin.shape
+    p, width = nl // Vj.shape[0], nc // n_l  # width: columns per unit
 
-    def rows(shifted):
-        # the linear rows' temporaries are gone before out is allocated, and
-        # the rows themselves before the cross is read
-        lin = linear(shifted)
-        out = np.empty((nl + p * Ik.size * Ij.size, g.shape[1]))
-        out[:nl] = lin
-        del lin
-        core = out[nl:].reshape(p, Ik.size, Ij.size, -1)
-        for start in range(0, n_l, _CROSS_UNITS):
-            stop = min(start + _CROSS_UNITS, n_l)
-            X = quad(shifted, ku, ju, np.arange(start, stop))
+    def cross(shifted):
+        # each block of column units' compressed rows of H (M if shifted),
+        # (r_k, r_j, q, column), and its columns
+        for lu in _blocks(n_l):
+            X = quad(shifted, ku, ju, lu)
             X = X.reshape(ku.size * wk, ju.size * wj, -1)[k_rows[:, None], j_rows]
-            X = (Gk @ X.reshape(Ik.size, -1)).reshape(Ik.size, Ij.size, -1)
-            X = np.matmul(Gj, X).reshape(Ik.size, Ij.size, p, -1)
-            # (r_k, r_j, q, column) -> rows (q, r_k, r_j)
-            core[..., width * start:width * stop] = X.transpose(2, 0, 1, 3)
-        return out
+            X = (Gk @ X.reshape(r_k, -1)).reshape(r_k, r_j, -1)
+            X = np.matmul(Gj, X).reshape(r_k, r_j, p, -1)
+            yield _span(lu, width), X
 
-    quad_h = h[nl:].reshape(p, -1, Vj.shape[0], m, m)  # (q, k, j, a, b)
-    quad_h = np.einsum("kar,js,qkjab->qrsb", Vk.reshape(-1, m, Ik.size), Vj,
-                       quad_h, optimize=True)
-    h = np.vstack([h[:nl], quad_h.reshape(-1, m)])
-    return DataMatrices(H=rows(False), M=rows(True), h=h, g=g, K=K,
+    # the linear rows' temporaries are gone before H is allocated
+    H = np.empty((nl + p * r_k * r_j, nc))
+    H[:nl] = lin
+    del lin
+    core = H[nl:].reshape(p, r_k, r_j, nc)
+    for cols, X in cross(False):
+        # (r_k, r_j, q, column) -> rows (q, r_k, r_j)
+        core[..., cols] = X.transpose(2, 0, 1, 3)
+    res = svd(H)
+    del H, core
+    Zl, Y = res.Z[:nl], res.Y
+    # Z's quadratic rows in the cross's order (r_k, r_j, q)
+    Zq = res.Z[nl:].reshape(p, r_k, r_j, -1).transpose(1, 2, 0, 3).reshape(-1, Y.shape[1])
+    ZM = Zl.T @ linear(True)
+    for cols, X in cross(True):
+        ZM[:, cols] += Zq.T @ X.reshape(Zq.shape[0], -1)
+
+    h_lin, h_quad = inputs()
+    m = h_lin.shape[1]
+    hq = np.zeros((r_k, r_j, p, m))
+    for kb in _blocks(n_k):
+        X = h_quad(kb).reshape(p, -1, Vj.shape[0], m, m)  # (q, k, j, a, b)
+        hq += np.einsum("kar,js,qkjab->rsqb", Vk[_span(kb, wk)].reshape(-1, m, r_k),
+                        Vj, X, optimize=True)
+    Zh = Zl.T @ h_lin + Zq.T @ hq.reshape(-1, m)
+    del h_lin, h_quad
+
+    g, k_block = outputs()
+    K = [np.zeros((Y.shape[1],) * 2) for _ in range(p)]
+    for lu in _blocks(n_l):
+        Yb = Y[_span(lu, width)]
+        for Kq, rows in zip(K, k_block(lu)):
+            Kq += Yb.T @ (rows @ Y)
+    return DataMatrices(H=np.diag(res.S), M=ZM @ Y, h=Zh, g=g @ Y, K=K,
                         domain=domain)
+
+
+def _blocks(n):
+    """``range(n)`` as consecutive index arrays of at most
+    ``_CROSS_UNITS`` units."""
+    return [np.arange(start, min(start + _CROSS_UNITS, n))
+            for start in range(0, n, _CROSS_UNITS)]
+
+
+def _span(units, w):
+    """The rows, `w` a unit, of a block of consecutive `units`."""
+    return slice(w * units[0], w * (units[-1] + 1))
 
 
 def _units(I, w):
@@ -938,7 +1044,10 @@ def lqo_qbt_streamed(sampler, rule_p, rule_q, orders):
     the sampler is asked for ``h2_grid(t[K], tau[I_j], t[B])`` and
     ``dh2_grid`` at the same nodes, with ``K`` the nodes of the rows
     ``I_k``, for each block ``B`` of at most ``_CROSS_UNITS`` consecutive
-    columns. The
+    columns: the ``h2_grid`` blocks to build ``H``, the ``dh2_grid``
+    blocks after ``H`` is factored, each multiplied onto ``H``'s singular
+    vectors as it comes, so ``M`` is never held. Each sample family
+    that is not a cross is let go once its matrix is projected. The
     derivative samples get no basis of their own: they lie in the same
     mode ranges only when the columns ``U`` span an ``A``-invariant
     subspace, say when ``N_p m >= n`` and ``U`` has full rank. Otherwise
@@ -959,52 +1068,57 @@ def lqo_qbt_streamed(sampler, rule_p, rule_q, orders):
         Quadrature rules.
     orders
         Iterable of reduction orders; models are produced for all of them
-        from one pass over the data.
+        from one pass over the data and one projection, and the model at
+        an order does not depend on the other orders.
 
     Returns
     -------
     tuple ``(singular_values, roms)`` as :func:`lqo_qbt_auto` gives it.
     """
     t, tau = rule_p.nodes, rule_q.nodes
-    h1_sum, dh1_sum, *io = _time_samples(sampler, t, tau)
-    p, m = h1_sum.shape[2:]
+    samples = _time_samples(sampler, t, tau)
+    p, m = samples["h1_sum"].shape[2:]
 
     def read(shifted, ku, ju, lu):
         method = "dh2_grid" if shifted else "h2_grid"
         return _grid(sampler, method, (t[ku], tau[ju], t[lu]), (p, m, m))
 
-    dm = _time_compressed(read, rule_p.sqrt_weights, rule_q.sqrt_weights,
-                          h1_sum, dh1_sum, io)
-    return _reduce_orders(dm, orders)
+    # each family leaves the dict, and memory, once it is read
+    core = _time_compressed(read, rule_p.sqrt_weights, rule_q.sqrt_weights,
+                            samples.pop)
+    return _reduce_orders(core, orders)
 
 
-def _time_compressed(read, rho, phi, h1_sum, dh1_sum, io):
-    """Data matrices of time-domain samples with the quadratic rows
-    compressed onto ``I_p (x) V_k (x) V_j`` (:func:`_compressed_matrices`,
-    with a node as the sample unit): the source of both time inputs.
+def _time_compressed(read, rho, phi, family):
+    """The core of :func:`_compressed_matrices` for time-domain samples,
+    with a node as the sample unit: the source of both time inputs.
 
     ``read(shifted, ku, ju, lu)`` returns the ``h2_grid`` samples, or
     with `shifted` the ``dh2_grid`` ones, at ``(t[ku], tau[ju], t[lu])``
-    (index arrays) in the sampler's layout ``(k, j, i, q, a, b)``. The
-    square-root weights, the linear samples and the single-node samples
-    `io` (``h1_in``, ``h2_in``, ``h1_out``, ``h2_quad``) are in dataset
-    layout."""
-    p, m = h1_sum.shape[2:]
+    (index arrays) in the sampler's layout ``(k, j, i, q, a, b)``.
+    ``family(name)`` gives the sample family `name` of
+    :class:`KernelDataset` other than the quadratic sums, in dataset
+    layout; each is asked for once. The square-root weights are in
+    dataset layout too."""
 
     def quad(shifted, ku, ju, lu):
         w = (rho[ku, None] * phi[ju])[:, :, None] * rho[lu]
         X = read(shifted, ku, ju, lu) * w[..., None, None, None]
+        p, m = X.shape[3:5]
         # (k, j, i, q, a, b) -> (k, a, j, 1, q, (i, b))
         return X.transpose(0, 4, 1, 3, 2, 5).reshape(ku.size, m, ju.size, 1, p, -1)
 
     def k_columns(ju, lu):
         # a time fibre is a sample, so the k mode's probes are its fibres
-        return quad(False, np.arange(rho.size), ju, lu).reshape(rho.size * m, -1)
+        X = quad(False, np.arange(rho.size), ju, lu)
+        return X.reshape(X.shape[0] * X.shape[1], -1)
 
     return _compressed_matrices(
         quad, k_columns, (rho.size, phi.size, rho.size),
-        lambda shifted: _linear_block(dh1_sum if shifted else h1_sum, phi, rho),
-        lambda: _io_blocks(*io, phi, rho), "time")
+        lambda shifted: _linear_block(family("dh1_sum" if shifted else "h1_sum"),
+                                      phi, rho),
+        lambda: _h_blocks(family("h1_in"), family("h2_in"), phi, rho),
+        lambda: _k_blocks(family("h1_out"), family("h2_quad"), rho), "time")
 
 
 def _mode_bases(quad, k_columns, n_k, n_j, n_l):

@@ -13,12 +13,21 @@ the data-driven route. Whole-matrix oracles factor with
 package's own range finder.
 """
 
+from unittest import mock
+
 import numpy as np
 import scipy.linalg as spla
 
-from lqobt import LqoSystem, QuadratureRule, compute_gramians, h2_norm
-from lqobt.databt import DataMatrices, _io_blocks, _loewner, reduce_from_matrices
-from lqobt.numcore import SvdResult
+from lqobt import LqoSystem, QuadratureRule, compute_gramians, databt, h2_norm
+from lqobt.databt import (
+    DataMatrices,
+    _h_blocks,
+    _k_blocks,
+    _loewner,
+    _whole_io,
+    reduce_from_matrices,
+)
+from lqobt.numcore import SvdResult, svd
 
 
 def random_stable_system(rng, n=None, m=1, p=1, ms_scale=1.0):
@@ -184,8 +193,8 @@ def complex_freq_matrices(ds):
     th, rho = ds.p_nodes, ds.p_sqrt_weights
     s, phi = ds.q_nodes, ds.q_sqrt_weights
     nc = ds.Np * ds.m
-    h, g, K = _io_blocks(ds.tf1_in, ds.tf2_cross, ds.tf1_out, ds.tf2_quad,
-                         phi, rho)
+    h, g, K = _whole_io(_h_blocks(ds.tf1_in, ds.tf2_cross, phi, rho),
+                        _k_blocks(ds.tf1_out, ds.tf2_quad, rho), ds.Np, ds.Np)
     rk = rho[:, None, None, None, None]
     # row node j and column node l on the last four axes (j, x, l, y)
     sj, thl = s[:, None, None, None], th[:, None]
@@ -262,6 +271,38 @@ def exact_rom(dm, r):
     """The reduced model of the data matrices `dm` at order `r`, truncating
     the exact SVD of ``dm.H`` (:func:`exact_svd`)."""
     return reduce_from_matrices(dm, r, factors=exact_svd(dm.H))
+
+
+def factored_h(run):
+    """``run()``'s result, the matrix ``H`` that a reducer held whole and
+    factored last with ``databt.svd``, and ``H``'s factors: ``svd`` is
+    seeded, so factoring ``H`` again gives the reducer's own."""
+    with mock.patch.object(databt, "svd", wraps=databt.svd) as factor:
+        out = run()
+    H = factor.call_args.args[0]
+    return out, H, svd(H)
+
+
+def compressed_rows(rows, nl, p, m, Vk, Vj):
+    """Whole data-matrix rows, the `nl` linear ones first, with their
+    quadratic rows ``(q, k, j, a)`` compressed onto ``I_p (x) V_k (x)
+    V_j``; the mode bases' rows are ``(k, a)`` and ``j``."""
+    quad = rows[nl:].reshape(p, Vk.shape[0] // m, Vj.shape[0], m, -1)
+    quad = np.einsum("kar,js,qkjac->qrsc", Vk.reshape(-1, m, Vk.shape[1]), Vj, quad)
+    return np.vstack([rows[:nl], quad.reshape(-1, rows.shape[1])])
+
+
+def assert_core_matches(core, res, M, h, g, K, tol=1e-10):
+    """A reducer's core, ``(diag(S), Z'MY, Z'h, gY, [Y'K_qY])``, against
+    the matrices `M`, `h`, `g` and `K` projected with ``H``'s factors
+    `res`: each to `tol` of its norm."""
+    Z, Y = res.Z, res.Y
+    np.testing.assert_array_equal(core.H, np.diag(res.S))
+    pairs = [(core.M, Z.T @ M @ Y), (core.h, Z.T @ h), (core.g, g @ Y)]
+    pairs += [(got, Y.T @ Kq @ Y) for got, Kq in zip(core.K, K, strict=True)]
+    for got, want in pairs:
+        assert got.shape == want.shape
+        assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
 
 
 def reference_h2_error(sys_, rom):

@@ -410,6 +410,52 @@ def test_refused_node_counts_cost_no_gramians(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+def test_colliding_frequency_rules_are_usage_errors(tmp_path, capsys, monkeypatch):
+    # Clenshaw-Curtis nodes on 1e-4:1e4 meet their half-step shifted
+    # copies at 119 and 200 nodes a side, on any system, as the rules
+    # alone decide it: an argparse error (exit 2) naming --rule and the
+    # node counts, raised before any sample is taken (a node sweep checks
+    # every count's rules first), and nothing is written. The trapezoid
+    # rule at the same counts reduces
+    def unsampled(*args, **kwargs):
+        raise AssertionError("sampled before the refusal")
+
+    manifest = _synth(tmp_path, n=4)
+    out = tmp_path / "out"
+    flags = ["--system", manifest, "--order", "2", "--interval", "1e-4:1e4"]
+    capsys.readouterr()
+    with monkeypatch.context() as mp:
+        mp.setattr(cli, "lqo_qbt_auto", unsampled)
+        for n in (119, 200):
+            for argv in (["reduce", "--method", "qbt-freq", "--np", str(n)],
+                         ["h2-sweep", "--domain", "freq", "--nodes", f"60,{n}"]):
+                with pytest.raises(SystemExit) as exc:
+                    main(argv + flags + ["--rule", "clenshaw-curtis", "--out", str(out)])
+                assert exc.value.code == 2
+                assert (f"argument --rule: clenshaw-curtis nodes at {n} and {n} "
+                        "a side") in capsys.readouterr().err
+                assert not out.exists()
+    for n in (119, 200):
+        rom_dir = tmp_path / f"trapezoid{n}"
+        assert main(["reduce", "--method", "qbt-freq", "--np", str(n), *flags,
+                     "--out", str(rom_dir)]) == 0
+        assert load_system(str(rom_dir / "rom.manifest")).n == 2
+
+
+def test_unreadable_system_paths_are_usage_errors(tmp_path, capsys):
+    # a --system that names a directory or a missing file is an argparse
+    # error (exit 2) naming the flag and the path, and nothing is written
+    out = tmp_path / "out"
+    capsys.readouterr()
+    for path in (str(tmp_path), str(tmp_path / "missing.manifest")):
+        for argv in (["reduce", "--method", "bt", "--order", "2"], ["hsv"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--system", path, "--out", str(out)])
+            assert exc.value.code == 2
+            assert f"argument --system: cannot read {path!r}" in capsys.readouterr().err
+            assert not out.exists()
+
+
 def test_cli_import_leaves_matrix_market_io_unloaded():
     # scipy.io is imported by save_system and load_system, where the
     # Matrix Market files are read and written; it costs every process

@@ -18,11 +18,14 @@ from conftest import (
     PoisonedSampler,
     ShortSampler,
     UncallableSampler,
+    assert_core_matches,
     assert_matrices_match,
     complex_freq_matrices,
+    compressed_rows,
     exact_rom,
     exact_values,
     factor_products,
+    factored_h,
     freq_factors,
     random_rule,
     random_stable_system,
@@ -328,15 +331,16 @@ def _assert_matches_oracle(sys_, ds, orders, pts, floor=0.0):
     """The compressed route against the whole real matrices and their
     exact SVD: resolved singular values, and the reduced models through
     their transfer functions (the routes may differ by a diagonal sign
-    similarity)."""
+    similarity). Returns the compressed ``H`` the route factored."""
     dm_full = build_data_matrices(ds)
     S_full = exact_values(dm_full.H)
-    dm = databt._freq_compressed(ds)
-    _assert_resolved_values_match(svd(dm.H).S, S_full, floor)
+    core, H, _ = factored_h(lambda: databt._freq_compressed(ds))
+    # the core is in H's singular coordinates: H is diag(S)
+    _assert_resolved_values_match(core.H.diagonal(), S_full, floor)
     for r in orders:
         tf_agree(exact_rom(dm_full, r), lqo_qbt(ds, r), pts,
                  rtol=1e-9, scale_sys=sys_)
-    return dm
+    return H
 
 
 def test_compressed_route_matches_oracle_on_equivalence_cases():
@@ -361,9 +365,9 @@ def test_compressed_route_matches_oracle_on_acceptance_system():
     shift = (b / a) ** (0.5 / (n_nodes - 1))
     ds = collect_freq_data(sys_, log_trapezoid(a, b, n_nodes),
                            log_trapezoid(a * shift, b * shift, n_nodes))
-    dm = _assert_matches_oracle(sys_, ds, [10, 20], [0.3 + 1.2j, 1.0, 2.5 + 0.4j])
+    H = _assert_matches_oracle(sys_, ds, [10, 20], [0.3 + 1.2j, 1.0, 2.5 + 0.4j])
     # 200 linear rows and 50 x 50 quadratic ones, not the whole 40,200
-    assert dm.H.shape == (2700, 200)
+    assert H.shape == (2700, 200)
 
 
 def test_compressed_route_never_builds_the_whole_rows(monkeypatch):
@@ -410,27 +414,28 @@ def _spy(monkeypatch, name, seen):
 
 
 def test_freq_cross_core_equals_compressed_whole_rows(monkeypatch):
-    # the rows read off the cross of the real Loewner rows are the whole
-    # real rows of every (k, j) pair compressed onto I_p (x) V_k (x) V_j;
-    # two inputs and outputs, so the rows I_k pick inputs and pair slots
+    # the rows of H read off the cross of the real Loewner rows are the
+    # whole real rows of every (k, j) pair compressed onto I_p (x) V_k (x)
+    # V_j; two inputs and outputs, so the rows I_k pick inputs and pair
+    # slots. M, h, g and K are never held whole: the core holds them in
+    # H's singular coordinates, Z'MY, Z'h, gY and Y'K_qY, and here, where
+    # N_p m >= n, M's cross rows are its compressed rows too
     rng = np.random.default_rng(137)
     sys_ = random_stable_system(rng, n=6, m=2, p=2)
     ds = collect_freq_data(sys_, log_trapezoid(0.05, 20.0, 9),
                            log_trapezoid(0.07, 28.0, 9))
     seen = {}
     _spy(monkeypatch, "_mode_bases", seen)
-    cross = databt._freq_compressed(ds)
+    core, H, res = factored_h(lambda: databt._freq_compressed(ds))
     (Vk, Ik, _), (Vj, Ij, _) = seen["_mode_bases"]
     assert (Ik.size, Ij.size) == (Vk.shape[1], Vj.shape[1])
     whole = build_data_matrices(ds)
-    Np, Nq, m, p = ds.Np, ds.Nq, ds.m, ds.p
-    nl = Nq * p
-    for got, rows in ((cross.H, whole.H), (cross.M, whole.M)):
-        quad = rows[nl:].reshape(p, Np, Nq, m, -1)
-        quad = np.einsum("kar,js,qkjac->qrsc", Vk.reshape(Np, m, -1), Vj, quad)
-        want = np.vstack([rows[:nl], quad.reshape(-1, rows.shape[1])])
-        assert got.shape == want.shape
-        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+    nl, p, m = ds.Nq * ds.p, ds.p, ds.m
+    want = compressed_rows(whole.H, nl, p, m, Vk, Vj)
+    assert H.shape == want.shape
+    assert np.linalg.norm(H - want) <= 1e-10 * np.linalg.norm(want)
+    assert_core_matches(core, res, compressed_rows(whole.M, nl, p, m, Vk, Vj),
+                        compressed_rows(whole.h, nl, p, m, Vk, Vj), whole.g, whole.K)
 
 
 def _staggered_dataset(n_nodes):
@@ -507,10 +512,11 @@ def test_k_probes_evaluate_loewner_rows_only_at_held_out_fibres(monkeypatch):
 
 def test_freq_route_memory_has_no_node_count_bound():
     # the probes hold the real Loewner rows at a column subset, not O(N^3)
-    # slabs, and the cross is written into H and M in column blocks: 108
-    # MiB traced at 512 nodes a side, against 165 MiB with the whole cross
-    # and 409 MiB with probes at every column pair; and 513 a side, which a
-    # size bound used to refuse, runs as well
+    # slabs, the cross is written into H in column blocks, and M, h and K
+    # are streamed into H's singular coordinates, never held whole: 76 MiB
+    # traced at 512 nodes a side, against 108 MiB with M, h and K whole,
+    # 165 MiB with the whole cross and 409 MiB with probes at every column
+    # pair; and 513 a side, which a size bound used to refuse, runs as well
     a, b = 1e-2, 1e2
     for n_nodes in (512, 513):
         sys_ = synthesize_system(50, damping=(0.1, 3.0), gain_decay=0.85, seed=21)
@@ -524,7 +530,7 @@ def test_freq_route_memory_has_no_node_count_bound():
         finally:
             tracemalloc.stop()
         assert rom.r == 10
-        assert peak <= 130 * 2**20
+        assert peak <= 85 * 2**20
 
 
 def test_linear_rows_hold_one_loewner_factor_temporary():

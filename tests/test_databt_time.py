@@ -20,12 +20,15 @@ from hypothesis import strategies as st
 from conftest import (
     PoisonedSampler,
     ShortSampler,
+    assert_core_matches,
     assert_matrices_match,
+    compressed_rows,
     dh1,
     dh2_dz2,
     exact_rom,
     exact_values,
     factor_products,
+    factored_h,
     h1,
     h2,
     random_rule,
@@ -57,7 +60,7 @@ from lqobt import (
 from lqobt import databt, gramians, numcore
 from lqobt.databt import build_data_matrices, lqo_qbt_streamed
 from lqobt.errors import OrderError
-from lqobt.numcore import RANK_TOL, SKETCH
+from lqobt.numcore import RANK_TOL, SKETCH, SvdResult
 from test_acceptance import _equivalence_cases, _mimo_cases
 
 
@@ -478,26 +481,28 @@ def _spy(monkeypatch, name, seen):
 
 
 def test_streamed_cross_core_equals_compressed_whole_rows(monkeypatch):
-    # the rows read off the cross of the samples are the whole sample rows
-    # of every (k, j) pair compressed onto I_p (x) V_k (x) V_j
+    # the rows of H read off the cross of the samples are the whole sample
+    # rows of every (k, j) pair compressed onto I_p (x) V_k (x) V_j. M, h,
+    # g and K are never held whole: the core holds them in H's singular
+    # coordinates, Z'MY, Z'h, gY and Y'K_qY, and here, where N_p m >= n,
+    # M's cross rows are its compressed rows too
     rng = np.random.default_rng(73)
     sys_ = random_stable_system(rng, n=6, m=2, p=2)
     rule = log_trapezoid(1e-2, 10.0, 11)
     seen = {}
     _spy(monkeypatch, "_mode_bases", seen)
     _spy(monkeypatch, "_reduce_orders", seen)
-    lqo_qbt_streamed(sys_, rule, rule, [2])
+    _, H, res = factored_h(lambda: lqo_qbt_streamed(sys_, rule, rule, [2]))
     (Vk, _, _), (Vj, _, _) = seen["_mode_bases"][1]
-    cross = seen["_reduce_orders"][0][0]
+    core = seen["_reduce_orders"][0][0]
     whole = build_data_matrices(collect_time_data(sys_, rule, rule))
     N, m, p = len(rule), 2, 2
     nl = N * p
-    for got, rows in ((cross.H, whole.H), (cross.M, whole.M)):
-        quad = rows[nl:].reshape(p, N, N, m, -1)
-        quad = np.einsum("kar,js,qkjac->qrsc", Vk.reshape(N, m, -1), Vj, quad)
-        want = np.vstack([rows[:nl], quad.reshape(-1, rows.shape[1])])
-        assert got.shape == want.shape
-        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+    want = compressed_rows(whole.H, nl, p, m, Vk, Vj)
+    assert H.shape == want.shape
+    assert np.linalg.norm(H - want) <= 1e-10 * np.linalg.norm(want)
+    assert_core_matches(core, res, compressed_rows(whole.M, nl, p, m, Vk, Vj),
+                        compressed_rows(whole.h, nl, p, m, Vk, Vj), whole.g, whole.K)
 
 
 def _recording(fn, outputs):
@@ -514,8 +519,11 @@ def test_each_mode_basis_is_checked_once_and_its_inverse_feeds_the_cross(monkeyp
     # a passing pass, in time and in frequency, checks each basis once on
     # its held-out fibres: it inverts each interpolation block once, in
     # _mode_bases, and computes no condition number; the cross applies the
-    # inverse _mode_bases returns, so doubling it doubles the core in each
-    # mode (exactly: a power of two) and leaves the linear rows alone
+    # inverse _mode_bases returns, so doubling it doubles H's core rows in
+    # each mode (exactly: a power of two) and leaves the linear rows alone.
+    # M is held only as Z'M, so its core rows are checked through Z: given
+    # H's first factors with Z's core rows quartered, the doubled pass
+    # gives the same Z'MY
     rng = np.random.default_rng(73)
     sys_ = random_stable_system(rng, n=6, m=2, p=2)
     rule = log_trapezoid(1e-2, 10.0, 11)
@@ -529,21 +537,30 @@ def test_each_mode_basis_is_checked_once_and_its_inverse_feeds_the_cross(monkeyp
                 mp.setattr(np.linalg, name, _recording(getattr(np.linalg, name), outputs))
             _spy(mp, "_mode_bases", seen)
             _spy(mp, "_compressed_matrices", seen)
-            run()
-        bases, dm = seen["_mode_bases"][1], seen["_compressed_matrices"][1]
+            _, H, res = factored_h(run)
+        bases, core = seen["_mode_bases"][1], seen["_compressed_matrices"][1]
         assert not calls["cond"]
         assert len(calls["inv"]) == len(bases) == 2
         assert all(out is G for out, (_, _, G) in zip(calls["inv"], bases))
+        nl = H.shape[0] - len(core.K) * bases[0][0].shape[1] * bases[1][0].shape[1]
+        Z = res.Z.copy(order="K")  # the same memory layout, so the same sums
+        Z[nl:] /= 4.0
+        factored = []
+
+        def quartered(X):
+            factored.append(X)
+            return SvdResult(Z, res.S, res.Y)
+
         with monkeypatch.context() as mp:
             mp.setattr(databt, "_mode_bases",
                        lambda *args: [(V, I, 2.0 * G) for V, I, G in bases])
+            mp.setattr(databt, "svd", quartered)
             _spy(mp, "_compressed_matrices", seen)
             run()
-        doubled = seen["_compressed_matrices"][1]
-        nl = dm.H.shape[0] - len(dm.K) * bases[0][0].shape[1] * bases[1][0].shape[1]
-        for got, want in ((doubled.H, dm.H), (doubled.M, dm.M)):
-            np.testing.assert_array_equal(got[:nl], want[:nl])
-            np.testing.assert_allclose(got[nl:], 4.0 * want[nl:], rtol=1e-14, atol=0.0)
+        (doubled,), M = factored, seen["_compressed_matrices"][1].M
+        np.testing.assert_array_equal(doubled[:nl], H[:nl])
+        np.testing.assert_allclose(doubled[nl:], 4.0 * H[nl:], rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(M, core.M, rtol=1e-14, atol=0.0)
 
 
 class CountingSampler:
@@ -634,6 +651,60 @@ def test_cross_blocks_give_the_single_block_models(monkeypatch):
             tf_agree(exact_rom(dm, r), blocked, pts, rtol=1e-9, scale_sys=sys_)
 
 
+class SlicingSampler:
+    """A system whose quadratic kernel sums are slices of a time dataset's,
+    so that the sampler route reads the very samples the dataset route
+    reads; every other grid is the system's, which both routes sample
+    alike."""
+
+    def __init__(self, sys_, ds):
+        self._sys, self._ds = sys_, ds
+
+    def __getattr__(self, name):
+        return getattr(self._sys, name)
+
+    def _sums(self, samples, a, b, c):
+        ds = self._ds
+        k, j, i = (np.searchsorted(rule.nodes, x)
+                   for rule, x in ((ds.rule_p, a), (ds.rule_q, b), (ds.rule_p, c)))
+        return np.moveaxis(samples[:, k[:, None, None], j[:, None], i], 0, 3)
+
+    def h2_grid(self, a, b, c):
+        if not c.any():  # the single-node samples h2(t_k, tau_j), h2(t_i, t_k)
+            return self._sys.h2_grid(a, b, c)
+        return self._sums(self._ds.h2_sum, a, b, c)
+
+    def dh2_grid(self, a, b, c):
+        return self._sums(self._ds.dh2_sum, a, b, c)
+
+
+def test_a_rom_does_not_depend_on_the_other_orders():
+    # every order is reduced from one projection onto H's singular vectors,
+    # which the order list does not change: the model at r=4 is the same,
+    # bit for bit, whether 4 is asked for alone or among 2..20, from the
+    # time sampler and the frequency route, and lqo_qbt on the dataset of
+    # either domain gives it too (the time sampler serving the dataset's
+    # quadratic sums, as a sampler's own at a node subset differ in the
+    # last bits from a slice of its whole grid)
+    sys_ = synthesize_system(30, damping=(0.1, 3.0), gain_decay=0.85, seed=21)
+    a, b, n = 1e-2, 1e2, 40
+    shift = (b / a) ** (0.5 / (n - 1))
+    time_rules = (log_trapezoid(a, b, 60), log_trapezoid(2 * a, b / 2, 40))
+    freq_rules = (log_trapezoid(a, b, n), log_trapezoid(a * shift, b * shift, n))
+    ds_time = collect_time_data(sys_, *time_rules)
+    ds_freq = collect_freq_data(sys_, *freq_rules)
+    routes = ((SlicingSampler(sys_, ds_time), time_rules, "time", ds_time),
+              (sys_, freq_rules, "freq", ds_freq))
+    for sampler, rules, domain, ds in routes:
+        _, (alone,) = lqo_qbt_auto(sampler, *rules, [4], domain=domain)
+        _, roms = lqo_qbt_auto(sampler, *rules, list(range(2, 21)), domain=domain)
+        for rom in (roms[2], lqo_qbt(ds, 4)):
+            assert rom.r == 4
+            for got, want in zip((rom.A, rom.B, rom.C, *rom.Ms),
+                                 (alone.A, alone.B, alone.C, *alone.Ms), strict=True):
+                np.testing.assert_array_equal(got, want)
+
+
 def test_time_pass_asks_for_linear_quadratic_samples():
     # the probes take a column subset, so a pass on the benchmark's system
     # at N=400 asks for at most 3 n^2 N quadratic entries (2.51 M, mostly
@@ -647,10 +718,12 @@ def test_time_pass_asks_for_linear_quadratic_samples():
     assert sum(a * b * c for _, a, b, c in sampler.calls) <= 3 * n**2 * N
 
 
-def test_time_pass_memory_holds_no_whole_cross():
-    # H and M are allocated once and the cross is written into them in
-    # column blocks: 39.8 MiB traced at N=400 on the benchmark's system,
-    # against 56.2 MiB when the cross was read at every column at once
+def test_time_pass_memory_holds_only_h_whole():
+    # H is the one data matrix held whole, its cross written in column
+    # blocks; M, h and K are streamed into H's singular coordinates, and
+    # each sample family leaves memory once it is read: 28.5 MiB traced at
+    # N=400 on the benchmark's system, against 39.8 MiB with M held whole
+    # beside H, and 56.2 MiB when the cross was read at every column at once
     n, N = 50, 400
     sys_ = synthesize_system(n, damping=(0.1, 3.0), gain_decay=0.85, seed=21)
     rule = log_trapezoid(1e-2, 1e2, N)
@@ -661,7 +734,7 @@ def test_time_pass_memory_holds_no_whole_cross():
     finally:
         tracemalloc.stop()
     assert rom.r == 10
-    assert peak <= 45 * 2**20
+    assert peak <= 32 * 2**20
 
 
 def test_data_route_factors_only_sketch_sized_matrices(monkeypatch):

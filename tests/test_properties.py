@@ -11,7 +11,13 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_rule, random_stable_system, tf_agree
+from conftest import (
+    compressed_rows,
+    factored_h,
+    random_rule,
+    random_stable_system,
+    tf_agree,
+)
 from lqobt import (
     DataMatrices,
     collect_freq_data,
@@ -95,7 +101,8 @@ def test_cross_rows_are_the_oracle_rows_on_the_mode_bases(seed, m, p, source):
     # pair (2m) in frequency. The rows of H lie in the bases' range, so
     # there they equal the projection. Those of M need not: when the
     # columns U do not span an A-invariant subspace (N_p m < n), A U
-    # leaves it, and M's cross differs from its projection
+    # leaves it, and M's cross differs from its projection. H is held
+    # whole; M only in H's singular coordinates, as Z'MY
     rng = np.random.default_rng(seed)
     sys_ = random_stable_system(rng, n=int(rng.integers(2, 9)), m=m, p=p)
     if source == "freq dataset":
@@ -110,29 +117,30 @@ def test_cross_rows_are_the_oracle_rows_on_the_mode_bases(seed, m, p, source):
              for name in ("_mode_bases", "_compressed_matrices")}
     with mock.patch.multiple(databt, **spies):
         if source == "time sampler":
-            lqo_qbt_streamed(sys_, rule_p, rule_q, [])
+            _, H, res = factored_h(lambda: lqo_qbt_streamed(sys_, rule_p, rule_q, []))
         else:
-            lqo_qbt(ds, 1)
+            _, H, res = factored_h(lambda: lqo_qbt(ds, 1))
     (Vk, Ik, _), (Vj, Ij, _) = seen["_mode_bases"]
     assert (Ik.size, Ij.size) == (Vk.shape[1], Vj.shape[1])
     Gk, Gj = np.linalg.inv(Vk[Ik]), np.linalg.inv(Vj[Ij])
-    got, whole = seen["_compressed_matrices"], build_data_matrices(ds)
+    core, whole = seen["_compressed_matrices"], build_data_matrices(ds)
     nl = ds.Nq * p
 
-    def k_mode(oracle):
-        # quadratic rows (q, k, j, a) -> (q, k-mode row (k, a), j, column)
+    def cross_rows(oracle):
+        # quadratic rows (q, k, j, a) -> (q, k-mode row (k, a), j, column),
+        # read at the rows I_k, I_j and mapped by G_k (x) G_j
         quad = np.moveaxis(oracle[nl:].reshape(p, ds.Np, ds.Nq, m, -1), 3, 2)
-        return quad.reshape(p, ds.Np * m, ds.Nq, -1)
+        cross = quad.reshape(p, ds.Np * m, ds.Nq, -1)[:, Ik][:, :, Ij]
+        core = np.einsum("rk,sj,qkjc->qrsc", Gk, Gj, cross)
+        return np.vstack([oracle[:nl], core.reshape(-1, oracle.shape[1])])
 
-    def assert_rows(rows, oracle, core):
-        want = np.vstack([oracle[:nl], core.reshape(-1, oracle.shape[1])])
-        assert rows.shape == want.shape
-        assert np.linalg.norm(rows - want) <= 1e-10 * np.linalg.norm(want)
+    def assert_close(got, want):
+        assert got.shape == want.shape
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
-    for rows, oracle in ((got.H, whole.H), (got.M, whole.M)):
-        cross = k_mode(oracle)[:, Ik][:, :, Ij]
-        assert_rows(rows, oracle, np.einsum("rk,sj,qkjc->qrsc", Gk, Gj, cross))
-    assert_rows(got.H, whole.H, np.einsum("kr,js,qkjc->qrsc", Vk, Vj, k_mode(whole.H)))
+    assert_close(H, cross_rows(whole.H))
+    assert_close(H, compressed_rows(whole.H, nl, p, m, Vk, Vj))
+    assert_close(core.M, res.Z.T @ cross_rows(whole.M) @ res.Y)
 
 
 @examples
