@@ -32,11 +32,11 @@ of ``H``. Every data input (time sampler, time dataset, frequency
 dataset) gives one reducer, :func:`_compressed_matrices`, one function
 ``quad(shifted, ku, ju, lu)``: its weighted quadratic rows of ``H``
 (``M`` if `shifted`) at sample units `ku`, `ju` and column units `lu`,
-a node in time and a conjugate node pair in frequency, and one function
-``k_columns(ju, lu)`` whose columns span those rows' fibres along the
-``k`` mode: the time fibres themselves, and in frequency the raw
-``tf2_cross`` and ``tf2_quad`` columns the Loewner fibres are
-combinations of. The reducer takes the bases of the rows' two modes
+a node in time and a conjugate node pair in frequency. The frequency
+input also gives a function ``k_columns(ju, lu)`` whose columns span
+those rows' fibres along the ``k`` mode: the raw ``tf2_cross`` and
+``tf2_quad`` columns the Loewner fibres are combinations of, where a
+time fibre is itself a sample. The reducer takes the bases of the rows' two modes
 from probes at a column subset (:func:`_mode_bases`), checks them on
 held-out fibres of ``quad`` and reads the compressed rows off a cross
 at their Q-DEIM rows, over every column, one block of columns at a
@@ -50,8 +50,10 @@ The reduced model needs the other matrices only through their
 projection onto the leading singular vectors ``(Z, S, Y)`` of ``H``:
 ``Z'MY``, ``Z'h``, ``gY`` and ``Y'K_qY``. So ``H`` is the one data
 matrix a route holds whole. It is factored once, and ``M``, ``h`` and
-each ``K_q`` are streamed into those coordinates a block at a time,
-from one block function each (:func:`_h_blocks`, :func:`_k_blocks`).
+each ``K_q`` are streamed into those coordinates in one more walk over
+the controllability units, a block at a time, ``M``'s from the cross
+and the others from one block function each (:func:`_h_blocks`,
+:func:`_k_blocks`).
 Every order then reduces that small core (:func:`_reduce_orders`),
 so an order sweep projects once, and a model does not depend on the
 other orders asked for.
@@ -467,13 +469,14 @@ def _k_blocks(y1_out, y2_quad, rho):
     return g, rows
 
 
-def _whole_io(inputs, outputs, n_k, n_l):
+def _whole_io(inputs, outputs, n):
     """``h``, ``g`` and the ``K_q`` whole, from the blocks of
     :func:`_h_blocks` and :func:`_k_blocks` (or their real forms) called
-    over every unit at once: the oracle's."""
+    over all `n` controllability units at once: the oracle's."""
     (h_lin, h_quad), (g, k_rows) = inputs, outputs
-    h = np.vstack([h_lin, h_quad(np.arange(n_k)).reshape(-1, h_lin.shape[1])])
-    return h, g, list(k_rows(np.arange(n_l)))
+    every = np.arange(n)
+    h = np.vstack([h_lin, h_quad(every).reshape(-1, h_lin.shape[1])])
+    return h, g, list(k_rows(every))
 
 
 def build_data_matrices(ds):
@@ -507,7 +510,7 @@ def build_data_matrices(ds):
     if ds.domain == "freq":
         Np2, Nq2, m, p = ds.Np // 2, ds.Nq // 2, ds.m, ds.p
         nl, nc = ds.Nq * p, ds.Np * m
-        h, g, K = _whole_io(_real_h_blocks(ds), _real_k_blocks(ds), Np2, Np2)
+        h, g, K = _whole_io(_real_h_blocks(ds), _real_k_blocks(ds), Np2)
         H = np.empty((h.shape[0], nc))
         M = np.empty_like(H)
         for out, shifted in ((H, False), (M, True)):
@@ -529,7 +532,7 @@ def build_data_matrices(ds):
         for linear, quad in ((ds.h1_sum, ds.h2_sum), (ds.dh1_sum, ds.dh2_sum))
     )
     h, g, K = _whole_io(_h_blocks(ds.h1_in, ds.h2_in, phi, rho),
-                        _k_blocks(ds.h1_out, ds.h2_quad, rho), ds.Np, ds.Np)
+                        _k_blocks(ds.h1_out, ds.h2_quad, rho), ds.Np)
     return DataMatrices(H=H, M=M, h=h, g=g, K=K, domain="time")
 
 
@@ -882,8 +885,8 @@ def _freq_compressed(ds):
     there, shifted ones included, so its probes evaluate no Loewner row.
     The linear rows are built as in :func:`build_data_matrices`, and
     ``h``, ``g`` and ``K`` come from the same block functions
-    (:func:`_real_h_blocks`, :func:`_real_k_blocks`), read in blocks of
-    node pairs. The probes take a subset of the column pairs
+    (:func:`_real_h_blocks`, :func:`_real_k_blocks`), read in the blocks
+    of node pairs that ``M``'s cross columns are read in. The probes take a subset of the column pairs
     (:func:`_mode_bases`), so the route's memory is set by the O(N^2)
     samples and ``H``, not by O(N^3) probe slabs.
     :class:`KernelDataset` checks the node separation and the conjugate
@@ -892,9 +895,9 @@ def _freq_compressed(ds):
     return _compressed_matrices(
         lambda shifted, ku, ju, lu: _real_quadratic(ds, ku, ju, lu, shifted),
         lambda ju, lu: _real_k_columns(ds, ju, lu),
-        (ds.Np // 2, ds.Nq // 2, ds.Np // 2),
+        (ds.Np // 2, ds.Nq // 2),
         lambda shifted: _real_linear_rows(ds, shifted),
-        lambda: _real_h_blocks(ds), lambda: _real_k_blocks(ds), "freq")
+        _real_h_blocks(ds), _real_k_blocks(ds), "freq")
 
 
 def _compressed_matrices(quad, k_columns, units, linear, inputs, outputs, domain):
@@ -902,104 +905,89 @@ def _compressed_matrices(quad, k_columns, units, linear, inputs, outputs, domain
     (x) V_k (x) V_j`` and read off a cross, projected onto the leading
     singular vectors of ``H``: the reducer of every input.
 
-    ``quad(shifted, ku, ju, lu)`` gives the weighted quadratic rows of
-    ``H`` (``M`` if `shifted`) at index arrays of sample units, ``units =
-    (n_k, n_j, n_l)`` a side and in the columns, laid out ``(ku.size,
-    w_k, ju.size, w_j, p, columns)`` with the columns of the units `lu`.
-    A unit is a node on the time route (``w_k = m``: rows ``(k, a)``;
-    ``w_j = 1``; columns ``(i, b)``), a conjugate node pair on the
-    frequency route (``w_k = 2m``: rows ``(k pair, slot, a)``; ``w_j =
-    2``; columns ``(l pair, b, slot)``). The probes read column subsets;
-    the cross reads every column, in blocks of ``_CROSS_UNITS`` column
-    units. ``k_columns(ju, lu)`` gives the ``k`` mode's probe matrix at
-    the units `ju` of the ``j`` mode and the column units `lu`: ``n_k
-    w_k`` rows, and columns whose span holds every ``k``-fibre of
-    ``quad`` there, shifted or not. The time inputs pass ``quad``'s own
-    ``k`` unfolding, as a time fibre is a sample; the frequency input
-    passes the raw sample columns the Loewner fibres combine
-    (:func:`_real_k_columns`). ``linear(shifted)`` gives the linear rows.
-    ``inputs()`` gives ``h``'s linear rows and the function of ``k``
-    units that gives its quadratic rows there, ``outputs()`` gives ``g``
-    and the function of column units that gives the rows of every
-    ``K_q`` there (:func:`_h_blocks`, :func:`_k_blocks`); each is called
-    once, when its matrix is projected, and let go after.
+    ``units = (n_p, n_q)`` counts the sample units a side: a node on the
+    time route, a conjugate node pair on the frequency route. One count
+    and one width ``w`` (``m`` rows in time, ``2m`` in frequency) serve
+    every controllability-side index: the ``k`` mode of the quadratic
+    rows (rows ``(k, a)``, or ``(k pair, slot, a)``), ``h``'s quadratic
+    rows, and the columns of ``H``, ``M``, ``g`` and both sides of each
+    ``K_q`` (``(i, b)``, or ``(l pair, b, slot)``). ``quad(shifted, ku,
+    ju, lu)`` gives the weighted quadratic rows of ``H`` (``M`` if
+    `shifted`) at index arrays of units, laid out ``(ku.size, w, ju.size,
+    w_j, p, columns)``, ``w_j`` being 1 in time and 2 in frequency, with
+    the columns of the units `lu`. ``k_columns(ju, lu)``, if given, is
+    the ``k`` mode's probe matrix (:func:`_mode_bases`); the frequency
+    input gives the raw sample columns the Loewner fibres combine
+    (:func:`_real_k_columns`), the time inputs none, as a time fibre is a
+    sample. ``linear(shifted)`` gives the linear rows, when they are
+    needed. `inputs` are ``h``'s linear rows and the function of units
+    that gives its quadratic rows there; `outputs` are ``g`` and the
+    function of units that gives the rows of every ``K_q`` there
+    (:func:`_h_blocks`, :func:`_k_blocks`).
 
     The bases, their rows ``I_k``, ``I_j`` and the inverses ``G_k =
     V_k[I_k]^{-1}``, ``G_j = V_j[I_j]^{-1}`` come from :func:`_mode_bases`,
     which checked those very inverses on held-out fibres, and the cross is
     read at the units holding the rows. As the samples lie in the range of
     ``V_k (x) V_j``, their core ``(V_k' (x) V_j') X`` equals ``(G_k (x)
-    G_j) X[I_k, I_j]``; it becomes the rows ``(q, r_k, r_j)``. ``M``'s
-    core, read the same way, equals its projection only when the columns
-    ``U`` span an ``A``-invariant subspace (say ``N_p m >= n``, ``U`` of
-    full rank); otherwise the reduced model can move, by up to 1.6e-4
-    measured (:func:`lqo_qbt_streamed`).
+    G_j) X[I_k, I_j]``, in the cross's own row order ``(r_k, r_j, q)``.
+    ``M``'s core, read the same way, equals its projection only when the
+    columns ``U`` span an ``A``-invariant subspace (see
+    :func:`lqo_qbt_streamed`).
 
-    ``H`` is the one data matrix held whole: the linear rows at the top,
-    each block of the cross written into its columns below. It is
-    factored once (:func:`~lqobt.numcore.svd`, triplets ``(Z, S, Y)``)
-    and let go, and the rest are streamed into its singular coordinates:
-    each block of ``M``'s cross is multiplied by ``Z``'s rows below the
-    linear ones as it is read, so ``Z'M`` is formed and ``M`` never is;
-    ``h``'s quadratic rows are projected onto ``V_k (x) V_j`` one block of
-    ``k`` units at a time; and each ``K_q`` is accumulated as ``Y[rows]'
-    K_q[rows, :] Y``, one block of column units at a time. The result is
-    the core ``(diag(S), Z'MY, Z'h, gY, [Y'K_qY])``, whose reduced models
-    at each order are those of the matrices (:func:`_reduce_orders`)."""
-    n_k, n_j, n_l = units
-    (Vk, Ik, Gk), (Vj, Ij, Gj) = _mode_bases(quad, k_columns, n_k, n_j, n_l)
-    wk, wj = Vk.shape[0] // n_k, Vj.shape[0] // n_j
-    ku, k_rows = _units(Ik, wk)
+    ``H`` is the one data matrix held whole, and the units are walked
+    twice, in blocks of ``_CROSS_UNITS``. The first walk writes each
+    block of the cross into ``H``'s columns, below the linear rows. ``H``
+    is then factored once (:func:`~lqobt.numcore.svd`, triplets ``(Z, S,
+    Y)``) and let go. The second walk streams the rest into its singular
+    coordinates: each block gives ``M``'s cross columns, multiplied by
+    ``Z``'s quadratic rows as they are read, so ``Z'M`` is formed and
+    ``M`` never is; ``h``'s quadratic rows there, projected onto ``V_k
+    (x) V_j``; and the rows there of each ``K_q``, accumulated as
+    ``Y[rows]' K_q[rows, :] Y``. The result is the core ``(diag(S),
+    Z'MY, Z'h, gY, [Y'K_qY])``, whose reduced models at each order are
+    those of the matrices (:func:`_reduce_orders`)."""
+    n_p, n_q = units
+    (Vk, Ik, Gk), (Vj, Ij, Gj) = _mode_bases(quad, k_columns, n_p, n_q)
+    w, wj = Vk.shape[0] // n_p, Vj.shape[0] // n_q
+    ku, k_rows = _units(Ik, w)
     ju, j_rows = _units(Ij, wj)
     r_k, r_j = Ik.size, Ij.size
+
+    def cross(shifted, u):
+        # the compressed rows (r_k, r_j, q) of H (M if shifted) at the units u
+        X = quad(shifted, ku, ju, u)
+        X = X.reshape(ku.size * w, ju.size * wj, -1)[k_rows[:, None], j_rows]
+        X = (Gk @ X.reshape(r_k, -1)).reshape(r_k, r_j, -1)
+        return np.matmul(Gj, X).reshape(-1, w * u.size)
+
     lin = linear(False)
     nl, nc = lin.shape
-    p, width = nl // Vj.shape[0], nc // n_l  # width: columns per unit
-
-    def cross(shifted):
-        # each block of column units' compressed rows of H (M if shifted),
-        # (r_k, r_j, q, column), and its columns
-        for lu in _blocks(n_l):
-            X = quad(shifted, ku, ju, lu)
-            X = X.reshape(ku.size * wk, ju.size * wj, -1)[k_rows[:, None], j_rows]
-            X = (Gk @ X.reshape(r_k, -1)).reshape(r_k, r_j, -1)
-            X = np.matmul(Gj, X).reshape(r_k, r_j, p, -1)
-            yield _span(lu, width), X
-
+    p = nl // Vj.shape[0]
     # the linear rows' temporaries are gone before H is allocated
-    H = np.empty((nl + p * r_k * r_j, nc))
+    H = np.empty((nl + r_k * r_j * p, nc))
     H[:nl] = lin
     del lin
-    core = H[nl:].reshape(p, r_k, r_j, nc)
-    for cols, X in cross(False):
-        # (r_k, r_j, q, column) -> rows (q, r_k, r_j)
-        core[..., cols] = X.transpose(2, 0, 1, 3)
+    for u in _blocks(n_p):
+        H[nl:, _span(u, w)] = cross(False, u)
     res = svd(H)
-    del H, core
-    Zl, Y = res.Z[:nl], res.Y
-    # Z's quadratic rows in the cross's order (r_k, r_j, q)
-    Zq = res.Z[nl:].reshape(p, r_k, r_j, -1).transpose(1, 2, 0, 3).reshape(-1, Y.shape[1])
-    ZM = Zl.T @ linear(True)
-    for cols, X in cross(True):
-        ZM[:, cols] += Zq.T @ X.reshape(Zq.shape[0], -1)
-
-    h_lin, h_quad = inputs()
+    del H
+    Zl, Zq, Y = res.Z[:nl], res.Z[nl:], res.Y
+    (h_lin, h_quad), (g, k_block) = inputs, outputs
     m = h_lin.shape[1]
+    ZM = Zl.T @ linear(True)
     hq = np.zeros((r_k, r_j, p, m))
-    for kb in _blocks(n_k):
-        X = h_quad(kb).reshape(p, -1, Vj.shape[0], m, m)  # (q, k, j, a, b)
-        hq += np.einsum("kar,js,qkjab->rsqb", Vk[_span(kb, wk)].reshape(-1, m, r_k),
-                        Vj, X, optimize=True)
-    Zh = Zl.T @ h_lin + Zq.T @ hq.reshape(-1, m)
-    del h_lin, h_quad
-
-    g, k_block = outputs()
     K = [np.zeros((Y.shape[1],) * 2) for _ in range(p)]
-    for lu in _blocks(n_l):
-        Yb = Y[_span(lu, width)]
-        for Kq, rows in zip(K, k_block(lu)):
-            Kq += Yb.T @ (rows @ Y)
-    return DataMatrices(H=np.diag(res.S), M=ZM @ Y, h=Zh, g=g @ Y, K=K,
+    for u in _blocks(n_p):
+        cols = _span(u, w)
+        ZM[:, cols] += Zq.T @ cross(True, u)
+        X = h_quad(u).reshape(p, -1, Vj.shape[0], m, m)  # (q, k, j, a, b)
+        hq += np.einsum("kar,js,qkjab->rsqb", Vk[cols].reshape(-1, m, r_k),
+                        Vj, X, optimize=True)
+        for Kq, rows in zip(K, k_block(u)):
+            Kq += Y[cols].T @ (rows @ Y)
+    return DataMatrices(H=np.diag(res.S), M=ZM @ Y,
+                        h=Zl.T @ h_lin + Zq.T @ hq.reshape(-1, m), g=g @ Y, K=K,
                         domain=domain)
 
 
@@ -1099,7 +1087,8 @@ def _time_compressed(read, rho, phi, family):
     ``family(name)`` gives the sample family `name` of
     :class:`KernelDataset` other than the quadratic sums, in dataset
     layout; each is asked for once. The square-root weights are in
-    dataset layout too."""
+    dataset layout too. A time fibre is a sample, so the ``k`` basis is
+    factored from the fibres themselves (:func:`_mode_bases`)."""
 
     def quad(shifted, ku, ju, lu):
         w = (rho[ku, None] * phi[ju])[:, :, None] * rho[lu]
@@ -1108,41 +1097,37 @@ def _time_compressed(read, rho, phi, family):
         # (k, j, i, q, a, b) -> (k, a, j, 1, q, (i, b))
         return X.transpose(0, 4, 1, 3, 2, 5).reshape(ku.size, m, ju.size, 1, p, -1)
 
-    def k_columns(ju, lu):
-        # a time fibre is a sample, so the k mode's probes are its fibres
-        X = quad(False, np.arange(rho.size), ju, lu)
-        return X.reshape(X.shape[0] * X.shape[1], -1)
-
     return _compressed_matrices(
-        quad, k_columns, (rho.size, phi.size, rho.size),
+        quad, None, (rho.size, phi.size),
         lambda shifted: _linear_block(family("dh1_sum" if shifted else "h1_sum"),
                                       phi, rho),
-        lambda: _h_blocks(family("h1_in"), family("h2_in"), phi, rho),
-        lambda: _k_blocks(family("h1_out"), family("h2_quad"), rho), "time")
+        _h_blocks(family("h1_in"), family("h2_in"), phi, rho),
+        _k_blocks(family("h1_out"), family("h2_quad"), rho), "time")
 
 
-def _mode_bases(quad, k_columns, n_k, n_j, n_l):
+def _mode_bases(quad, k_columns, n_p, n_q):
     """Orthonormal bases ``V_k`` and ``V_j`` of the two modes of the
     quadratic rows ``quad`` of :func:`_compressed_matrices`, each as a
     triple ``(V, I, G)`` with its interpolation rows ``I``
     (:func:`_interpolation_rows`) and ``G = V[I]^{-1}``, the one inverse
-    the cross applies. A basis's rows are the mode's rows ``(unit, w)``;
-    ``n_l`` is the number of column units.
+    the cross applies. A basis's rows are the mode's rows ``(unit, w)``.
+    ``n_p`` units make the ``k`` mode and the columns, ``n_q`` the ``j``
+    mode.
 
     Each basis holds the left singular vectors above ``RANK_TOL`` of the
     mode's probes at ``PROBES`` evenly spread units of the other mode and
     at ``2 * PROBES`` evenly spread column units, from the seeded range
-    finder :func:`~lqobt.numcore.svd`. For the ``j`` mode the probes are
-    the fibres, the rows of ``H`` at every unit of the mode unfolded to
-    its rows; for the ``k`` mode they are ``k_columns(probes, cols)``
-    (:func:`_compressed_matrices`), whose span holds those fibres. The
-    held-out fibres ``F`` are rows of ``quad`` in both modes, at the units
-    of the other mode midway between the probes and,
-    until the last step, at the column units midway between the probed
-    ones, must match their interpolant ``V G F[I]`` to within ``MODE_TOL``
-    of their norm. While they do not, the column count doubles; the last
-    step probes every column and holds out the midway units of the other
-    mode at every column, and only its failure raises. (With no midway
+    finder :func:`~lqobt.numcore.svd`. The probes are the fibres, the rows
+    of ``H`` at every unit of the mode unfolded to its rows, unless
+    `k_columns` is given: then the ``k`` mode's probes are
+    ``k_columns(probes, cols)`` (:func:`_compressed_matrices`), whose span
+    holds those fibres. The held-out fibres ``F`` are rows of ``quad`` in
+    both modes, at the units of the other mode midway between the probes
+    and, until the last step, at the column units midway between the
+    probed ones, must match their interpolant ``V G F[I]`` to within
+    ``MODE_TOL`` of their norm. While they do not, the column count
+    doubles; the last step probes every column and holds out the midway
+    units of the other mode at every column, and only its failure raises. (With no midway
     unit there is nothing to hold out, so every column is probed at
     once.) That one gate also bounds the fibres' distance from the basis,
     as ``V V' F`` is the point of its range closest to ``F``; only on a
@@ -1150,20 +1135,19 @@ def _mode_bases(quad, k_columns, n_k, n_j, n_l):
     low rank in that mode, or the rows ``I`` are ill-conditioned."""
     def unfolding(mode, idx, lu):
         if mode == "k":
-            X = quad(False, np.arange(n_k), idx, lu)
+            X = quad(False, np.arange(n_p), idx, lu)
         else:
-            X = np.moveaxis(quad(False, idx, np.arange(n_j), lu), (2, 3), (0, 1))
+            X = np.moveaxis(quad(False, idx, np.arange(n_q), lu), (2, 3), (0, 1))
         return X.reshape(X.shape[0] * X.shape[1], -1)
 
     bases = []
-    for mode, n, probe in (("k", n_j, k_columns),
-                           ("j", n_k, lambda idx, lu: unfolding("j", idx, lu))):
+    for mode, n, probe in (("k", n_q, k_columns), ("j", n_p, None)):
         probes, held = _spread(n, PROBES)
-        count = 2 * PROBES if held.size else n_l
+        count = 2 * PROBES if held.size else n_p
         while True:
-            cols, held_cols = _spread(n_l, count)
-            last = cols.size == n_l
-            res = svd(probe(probes, cols))
+            cols, held_cols = _spread(n_p, count)
+            last = cols.size == n_p
+            res = svd(probe(probes, cols) if probe else unfolding(mode, probes, cols))
             # an identically zero mode keeps one direction, which reads zeros
             V = res.Z[:, :max(1, _resolvable_rank(res.S))]
             F = (unfolding(mode, held, cols if last else held_cols) if held.size

@@ -194,7 +194,7 @@ def complex_freq_matrices(ds):
     s, phi = ds.q_nodes, ds.q_sqrt_weights
     nc = ds.Np * ds.m
     h, g, K = _whole_io(_h_blocks(ds.tf1_in, ds.tf2_cross, phi, rho),
-                        _k_blocks(ds.tf1_out, ds.tf2_quad, rho), ds.Np, ds.Np)
+                        _k_blocks(ds.tf1_out, ds.tf2_quad, rho), ds.Np)
     rk = rho[:, None, None, None, None]
     # row node j and column node l on the last four axes (j, x, l, y)
     sj, thl = s[:, None, None, None], th[:, None]
@@ -286,9 +286,10 @@ def factored_h(run):
 def compressed_rows(rows, nl, p, m, Vk, Vj):
     """Whole data-matrix rows, the `nl` linear ones first, with their
     quadratic rows ``(q, k, j, a)`` compressed onto ``I_p (x) V_k (x)
-    V_j``; the mode bases' rows are ``(k, a)`` and ``j``."""
+    V_j`` into the reducers' order ``(r_k, r_j, q)``; the mode bases'
+    rows are ``(k, a)`` and ``j``."""
     quad = rows[nl:].reshape(p, Vk.shape[0] // m, Vj.shape[0], m, -1)
-    quad = np.einsum("kar,js,qkjac->qrsc", Vk.reshape(-1, m, Vk.shape[1]), Vj, quad)
+    quad = np.einsum("kar,js,qkjac->rsqc", Vk.reshape(-1, m, Vk.shape[1]), Vj, quad)
     return np.vstack([rows[:nl], quad.reshape(-1, rows.shape[1])])
 
 

@@ -411,8 +411,8 @@ def test_refused_node_counts_cost_no_gramians(tmp_path, capsys, monkeypatch):
 
 
 def test_colliding_frequency_rules_are_usage_errors(tmp_path, capsys, monkeypatch):
-    # Clenshaw-Curtis nodes on 1e-4:1e4 meet their half-step shifted
-    # copies at 119 and 200 nodes a side, on any system, as the rules
+    # Clenshaw-Curtis nodes on 1e-4:1e4 still meet their shifted copies
+    # at 78 and 79 nodes and at 478 a side, on any system, as the rules
     # alone decide it: an argparse error (exit 2) naming --rule and the
     # node counts, raised before any sample is taken (a node sweep checks
     # every count's rules first), and nothing is written. The trapezoid
@@ -426,20 +426,69 @@ def test_colliding_frequency_rules_are_usage_errors(tmp_path, capsys, monkeypatc
     capsys.readouterr()
     with monkeypatch.context() as mp:
         mp.setattr(cli, "lqo_qbt_auto", unsampled)
-        for n in (119, 200):
-            for argv in (["reduce", "--method", "qbt-freq", "--np", str(n)],
-                         ["h2-sweep", "--domain", "freq", "--nodes", f"60,{n}"]):
-                with pytest.raises(SystemExit) as exc:
-                    main(argv + flags + ["--rule", "clenshaw-curtis", "--out", str(out)])
-                assert exc.value.code == 2
-                assert (f"argument --rule: clenshaw-curtis nodes at {n} and {n} "
-                        "a side") in capsys.readouterr().err
-                assert not out.exists()
+        for argv, counts in (
+                (["reduce", "--method", "qbt-freq", "--np", "78", "--nq", "79"], (78, 79)),
+                (["h2-sweep", "--domain", "freq", "--nodes", "60,478"], (478, 478))):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + flags + ["--rule", "clenshaw-curtis", "--out", str(out)])
+            assert exc.value.code == 2
+            assert ("argument --rule: clenshaw-curtis nodes at {} and {} "
+                    "a side".format(*counts)) in capsys.readouterr().err
+            assert not out.exists()
+    rom_dir = tmp_path / "trapezoid"
+    assert main(["reduce", "--method", "qbt-freq", "--np", "78", "--nq", "79", *flags,
+                 "--out", str(rom_dir)]) == 0
+    assert load_system(str(rom_dir / "rom.manifest")).n == 2
+
+
+def test_clenshaw_curtis_frequency_rules_reduce_where_they_used_to_collide(tmp_path):
+    # the observability nodes are shifted by half the smallest log-distance
+    # between the two unshifted node sets, so Clenshaw-Curtis nodes, which
+    # crowd the ends of 1e-4:1e4, no longer meet the shifted ones at 119
+    # and 200 a side (or at any equal count from 2 to 399), as they did
+    # under a shift of half the trapezoid lattice's step
+    manifest = _synth(tmp_path, n=4)
     for n in (119, 200):
-        rom_dir = tmp_path / f"trapezoid{n}"
-        assert main(["reduce", "--method", "qbt-freq", "--np", str(n), *flags,
-                     "--out", str(rom_dir)]) == 0
+        rom_dir = tmp_path / f"cc{n}"
+        assert main(["reduce", "--method", "qbt-freq", "--rule", "clenshaw-curtis",
+                     "--np", str(n), "--interval", "1e-4:1e4", "--order", "2",
+                     "--system", manifest, "--out", str(rom_dir)]) == 0
         assert load_system(str(rom_dir / "rom.manifest")).n == 2
+
+
+def test_node_sweep_refuses_node_count_flags(tmp_path, capsys, monkeypatch):
+    # h2-sweep --nodes sets both node counts, so --np or --nq beside it is
+    # a usage error naming the flag, in either domain, and nothing is
+    # written; without --nodes, hsv, reduce and h2-sweep --orders still
+    # take 400 nodes a side when --np is not given
+    manifest = _synth(tmp_path, n=4)
+    out = tmp_path / "sweep.csv"
+    capsys.readouterr()
+    for domain in ("time", "freq"):
+        for flag in ("--np", "--nq"):
+            with pytest.raises(SystemExit) as exc:
+                main(["h2-sweep", "--system", manifest, "--domain", domain,
+                      "--nodes", "40,60", flag, "7", "--out", str(out)])
+            assert exc.value.code == 2
+            assert (f"argument {flag}: not allowed with argument --nodes"
+                    in capsys.readouterr().err)
+            assert not out.exists()
+
+    class Sampled(Exception):
+        pass
+
+    counts = []
+
+    def recorded(sys_, rule_p, rule_q, orders, domain):
+        counts.append((len(rule_p), len(rule_q)))
+        raise Sampled
+
+    monkeypatch.setattr(cli, "lqo_qbt_auto", recorded)
+    for argv in (["hsv"], ["reduce", "--method", "qbt-time", "--order", "2"],
+                 ["h2-sweep", "--orders", "1:2"]):
+        with pytest.raises(Sampled):
+            main(argv + ["--system", manifest, "--out", str(tmp_path / "out")])
+    assert counts == [(400, 400)] * 3
 
 
 def test_unreadable_system_paths_are_usage_errors(tmp_path, capsys):

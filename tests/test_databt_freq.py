@@ -510,6 +510,43 @@ def test_k_probes_evaluate_loewner_rows_only_at_held_out_fibres(monkeypatch):
     assert all(ju.size == n_j for ku, ju, _ in calls if ku.size < n_k)
 
 
+def test_freq_cross_reads_come_in_bounded_blocks(monkeypatch):
+    # past the probes, the route evaluates real Loewner rows only for the
+    # cross: H's blocks, then M's, each of at most _CROSS_UNITS column
+    # pairs, each pass reading every column pair once, in order, in the
+    # same blocks, and every call at the same row pairs, exactly those
+    # that hold the interpolation rows I_k and I_j. 11 column pairs make
+    # four blocks of 3, the last ragged
+    sys_ = random_stable_system(np.random.default_rng(73), n=6, m=2, p=2)
+    ds = collect_freq_data(sys_, log_trapezoid(0.05, 20.0, 11),
+                           log_trapezoid(0.07, 28.0, 11))
+    calls, seen = [], {}
+    quadratic, mode_bases = databt._real_quadratic, databt._mode_bases
+
+    def recorded(data, ku, ju, lu, shifted):
+        calls.append((ku, ju, lu, shifted))
+        return quadratic(data, ku, ju, lu, shifted)
+
+    def bases(*args):
+        seen["bases"] = mode_bases(*args)
+        seen["calls"] = len(calls)
+        return seen["bases"]
+
+    monkeypatch.setattr(databt, "_CROSS_UNITS", 3)
+    monkeypatch.setattr(databt, "_real_quadratic", recorded)
+    monkeypatch.setattr(databt, "_mode_bases", bases)
+    lqo_qbt(ds, 2)
+    (_, Ik, _), (_, Ij, _) = seen["bases"]
+    cross = calls[seen["calls"]:]
+    assert [shifted for *_, shifted in cross] == [False] * 4 + [True] * 4
+    blocks = [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9, 10]]
+    assert [lu.tolist() for _, _, lu, _ in cross] == blocks * 2
+    assert all(lu.size <= databt._CROSS_UNITS for _, _, lu, _ in cross)
+    for ku, ju, _, _ in cross:
+        np.testing.assert_array_equal(ku, np.unique(Ik // (2 * ds.m)))
+        np.testing.assert_array_equal(ju, np.unique(Ij // 2))
+
+
 def test_freq_route_memory_has_no_node_count_bound():
     # the probes hold the real Loewner rows at a column subset, not O(N^3)
     # slabs, the cross is written into H in column blocks, and M, h and K

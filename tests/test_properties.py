@@ -128,10 +128,11 @@ def test_cross_rows_are_the_oracle_rows_on_the_mode_bases(seed, m, p, source):
 
     def cross_rows(oracle):
         # quadratic rows (q, k, j, a) -> (q, k-mode row (k, a), j, column),
-        # read at the rows I_k, I_j and mapped by G_k (x) G_j
+        # read at the rows I_k, I_j and mapped by G_k (x) G_j into the
+        # cross's order (r_k, r_j, q)
         quad = np.moveaxis(oracle[nl:].reshape(p, ds.Np, ds.Nq, m, -1), 3, 2)
         cross = quad.reshape(p, ds.Np * m, ds.Nq, -1)[:, Ik][:, :, Ij]
-        core = np.einsum("rk,sj,qkjc->qrsc", Gk, Gj, cross)
+        core = np.einsum("rk,sj,qkjc->rsqc", Gk, Gj, cross)
         return np.vstack([oracle[:nl], core.reshape(-1, oracle.shape[1])])
 
     def assert_close(got, want):

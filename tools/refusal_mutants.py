@@ -2,9 +2,10 @@
 
 Usage: ``python tools/refusal_mutants.py [--negate] src/lqobt/databt.py [more files]``
 
-Each ``raise`` statement and each ``warnings.warn(...)`` call in the given
-files is replaced by ``pass``, one at a time, in a temporary copy of the
-repository; the working tree is never written. With ``--negate``, the
+Each ``raise`` statement, each ``warnings.warn(...)`` call and each
+``<name>.error(...)`` call (argparse's usage error, which exits with
+status 2) in the given files is replaced by ``pass``, one at a time, in
+a temporary copy of the repository; the working tree is never written. With ``--negate``, the
 test of each guard, an ``if`` with a refusal directly in its body, is
 negated instead (``if x:`` becomes ``if not x:``), so the guard refuses
 what it should pass and passes what it should refuse. Tier-1 then runs on
@@ -32,8 +33,9 @@ def _is_refusal(node):
     call = node.value if isinstance(node, ast.Expr) else None
     return isinstance(node, ast.Raise) or (
         isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
-        and call.func.attr == "warn" and isinstance(call.func.value, ast.Name)
-        and call.func.value.id == "warnings")
+        and isinstance(call.func.value, ast.Name)
+        and (call.func.attr == "error"
+             or (call.func.attr == "warn" and call.func.value.id == "warnings")))
 
 
 def _is_guard(node):
